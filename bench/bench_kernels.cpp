@@ -15,6 +15,8 @@
 #include "meg/general_edge_meg.hpp"
 #include "meg/heterogeneous_edge_meg.hpp"
 #include "meg/node_meg.hpp"
+#include "meg/on_set.hpp"
+#include "meg/pair_index.hpp"
 #include "mobility/random_paths.hpp"
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -118,6 +120,47 @@ void BM_FloodSparseGeneralEdgeMeg(benchmark::State& state) {
       static_cast<double>(state.iterations()));
 }
 BENCHMARK(BM_FloodSparseGeneralEdgeMeg)->Arg(16384)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ConstructSparseGeneralEdgeMeg(benchmark::State& state) {
+  // The constructor alone (stationary init of the minority map) of the
+  // model in e2ebench's meg_sparse_flood campaign: general_edge_meg
+  // --storage=sparse with the bursty link at wake = 8/n (0.000244 at
+  // n = 32768), ready 0.5, drop 0.3, so ~0.13% of the pairs start in a
+  // minority state.  Destruction is not timed.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto link = make_bursty_link(8.0 / static_cast<double>(n), 0.5, 0.3);
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    auto meg = std::make_unique<GeneralEdgeMEG>(n, link.chain, link.chi,
+                                                seed++, MegStorage::kSparse);
+    benchmark::DoNotOptimize(meg->snapshot().num_edges());
+    state.PauseTiming();
+    meg.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ConstructSparseGeneralEdgeMeg)->Arg(32768)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SampleDistinctPositions(benchmark::State& state) {
+  // The sparse engines' subset sampler over the n = 32768 pair population:
+  // k = 131072 is a step's majority movers at wake = 8/n, k = 699050 the
+  // initial minority of BM_ConstructSparseGeneralEdgeMeg.
+  const auto k = static_cast<std::uint64_t>(state.range(0));
+  const std::uint64_t bound = pair_count(32768);
+  Rng rng(1);
+  std::vector<std::uint64_t> out;
+  for (auto _ : state) {
+    sample_distinct_positions(rng, k, bound, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(k));
+}
+BENCHMARK(BM_SampleDistinctPositions)->Arg(131072)->Arg(699050)
     ->Unit(benchmark::kMillisecond);
 
 void BM_NodeMegStep(benchmark::State& state) {

@@ -163,7 +163,7 @@ class GeneralEdgeMEG final : public DynamicGraph {
 
   // Initialization scratch (batched stationary sampling).  Both vectors
   // are minority-sized; the subset draw's dedup buffer (bitmap or hash
-  // set, meg/on_set.hpp) is transient, so nothing larger outlives init.
+  // table, meg/on_set.hpp) is transient, so nothing larger outlives init.
   std::vector<std::uint8_t> init_values_;
   std::vector<std::uint64_t> init_positions_;
   StateId init_majority_ = 0;

@@ -11,9 +11,11 @@
 // state vectors) ordered without ever materializing the majority.
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <limits>
 #include <vector>
 
 #include "meg/pair_index.hpp"
@@ -48,17 +50,90 @@ inline void apply_on_set_delta(std::vector<std::uint64_t>& on,
   std::swap(on, scratch);
 }
 
+// Below this many values sort_below uses std::sort: the radix passes'
+// fixed cost (a second buffer, one histogram per digit) does not pay off.
+inline constexpr std::size_t kRadixSortMin = 4096;
+
+// Sorts `values`, all < bound, ascending.  An LSD radix sort over 11-bit
+// digits that visits only the digits bound - 1 spans (three passes for
+// the ~2^29 pairs at n = 32768) and skips a digit every value shares;
+// std::sort below kRadixSortMin values.
+inline void sort_below(std::vector<std::uint64_t>& values, std::uint64_t bound) {
+  const std::size_t count = values.size();
+  if (count < kRadixSortMin) {
+    std::sort(values.begin(), values.end());
+    return;
+  }
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+  const auto width = static_cast<unsigned>(std::bit_width(bound - 1));
+  const unsigned digits = (width + kDigitBits - 1) / kDigitBits;
+  std::vector<std::size_t> offsets(digits * kRadix, 0);
+  for (const std::uint64_t v : values) {
+    for (unsigned d = 0; d < digits; ++d) {
+      ++offsets[d * kRadix + ((v >> (d * kDigitBits)) & (kRadix - 1))];
+    }
+  }
+  std::vector<std::uint64_t> buffer(count);
+  for (unsigned d = 0; d < digits; ++d) {
+    const unsigned shift = d * kDigitBits;
+    std::size_t* offset = offsets.data() + d * kRadix;
+    if (offset[(values[0] >> shift) & (kRadix - 1)] == count) continue;
+    std::size_t next = 0;
+    for (std::size_t b = 0; b < kRadix; ++b) {
+      const std::size_t in_bucket = offset[b];
+      offset[b] = next;
+      next += in_bucket;
+    }
+    for (const std::uint64_t v : values) {
+      buffer[offset[(v >> shift) & (kRadix - 1)]++] = v;
+    }
+    values.swap(buffer);
+  }
+}
+
+// The sparse branch of sample_distinct_positions: appends k distinct
+// uniform draws from [0, bound) to `out` in draw order, rejecting repeats
+// against a linear-probing, Fibonacci-hashed table of >= 2k Slot words
+// (load <= 1/2).  Every position is < bound <= the all-ones Slot, which
+// therefore marks an empty slot.
+template <typename Slot>
+inline void draw_distinct_hashed(Rng& rng, std::uint64_t k, std::uint64_t bound,
+                                 std::vector<std::uint64_t>& out) {
+  constexpr Slot kEmpty = ~Slot{0};
+  assert(bound <= kEmpty);
+  const std::size_t slots = std::bit_ceil(static_cast<std::size_t>(2 * k));
+  const int shift = 64 - std::countr_zero(slots);
+  std::vector<Slot> table(slots, kEmpty);
+  for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
+    for (;;) {
+      const std::uint64_t pos = rng.uniform_int(bound);
+      std::size_t slot =
+          static_cast<std::size_t>((pos * 0x9e3779b97f4a7c15ULL) >> shift);
+      while (table[slot] != kEmpty && table[slot] != pos) {
+        slot = (slot + 1) & (slots - 1);
+      }
+      if (table[slot] == kEmpty) {
+        table[slot] = static_cast<Slot>(pos);
+        out.push_back(pos);
+        break;
+      }
+    }
+  }
+}
+
 // Draws a uniform random k-subset of [0, bound) into `out`, sorted
 // ascending, by rejection against the already-drawn set.  The rejection
 // stream depends only on set *membership*, so the dedup structure is a
 // pure space/time choice: a flat bound-sized bitmap when the subset is a
 // meaningful fraction of the range (the dense initializers — one byte
-// per slot beats ~40 B per hash node), a transient hash set when it is
-// vanishingly small (the sparse engines, where an O(bound) buffer is the
-// very allocation being avoided).  Both produce the identical draw
-// sequence, so the sampled subset is bit-for-bit the same either way.
-// Expected < 2 draws per slot while k <= bound / 2.  Precondition:
-// k <= bound.
+// per slot against 8-32 B per drawn value), a transient open-addressing
+// table sized to k when it is vanishingly small (the sparse engines,
+// where an O(bound) buffer is the very allocation being avoided; 32-bit
+// slots while bound fits them, as pair counts do up to n = 92682).  All
+// produce the identical draw sequence, so the sampled subset is
+// bit-for-bit the same either way.  Expected < 2 draws per slot while
+// k <= bound / 2.  Precondition: k <= bound.
 inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
                                       std::uint64_t bound,
                                       std::vector<std::uint64_t>& out) {
@@ -74,16 +149,12 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
       taken[pos] = 1;
       out.push_back(pos);
     }
+  } else if (bound <= std::numeric_limits<std::uint32_t>::max()) {
+    draw_distinct_hashed<std::uint32_t>(rng, k, bound, out);
   } else {
-    std::unordered_set<std::uint64_t> taken;
-    taken.reserve(static_cast<std::size_t>(2 * k));
-    for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
-      std::uint64_t pos = rng.uniform_int(bound);
-      while (!taken.insert(pos).second) pos = rng.uniform_int(bound);
-      out.push_back(pos);
-    }
+    draw_distinct_hashed<std::uint64_t>(rng, k, bound, out);
   }
-  std::sort(out.begin(), out.end());
+  sort_below(out, bound);
 }
 
 // Selects an iid Bernoulli(p) subset of the *complement* of `minority`

@@ -1,7 +1,6 @@
 #include "util/rng.hpp"
 
 #include <cassert>
-#include <cmath>
 
 namespace megflood {
 
@@ -20,24 +19,6 @@ std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
     }
   }
   return static_cast<std::uint64_t>(m >> 64);
-}
-
-std::uint64_t Rng::geometric(double p) noexcept {
-  assert(p > 0.0 && p <= 1.0);
-  if (p >= 1.0) return 0;
-  const double u = 1.0 - uniform();  // in (0, 1]
-  const double draw = std::floor(std::log(u) / std::log1p(-p));
-  // For tiny p the inversion can exceed the uint64 range (or be NaN when
-  // both logs underflow); saturate to numeric_limits::max().  Callers
-  // interpret the draw as "first success at index draw" over a finite
-  // enumeration, so any value at or past their bound means "no success";
-  // saturation therefore preserves the distribution exactly for every
-  // enumeration shorter than 2^64.  Use geometric_select() rather than
-  // `i += 1 + geometric(p)` to consume draws: naive accumulation would
-  // wrap around on the saturated value.
-  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-  if (!(draw >= 0.0) || draw >= static_cast<double>(kMax)) return kMax;
-  return static_cast<std::uint64_t>(draw);
 }
 
 std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {

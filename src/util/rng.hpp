@@ -5,6 +5,8 @@
 // experiments are reproducible bit-for-bit; we deliberately avoid
 // std::mt19937 to keep cross-platform stream identity trivial to audit.
 
+#include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -88,8 +90,29 @@ class Rng {
   // (0,1].  Saturates to numeric_limits<uint64_t>::max() if p is tiny
   // enough that the draw overflows — callers that accumulate skips must
   // use geometric_select() (or an equivalent pre-add bound check) so the
-  // saturated value cannot wrap their index arithmetic.
-  std::uint64_t geometric(double p) noexcept;
+  // saturated value cannot wrap their index arithmetic.  p = 1 consumes
+  // no draw.
+  std::uint64_t geometric(double p) noexcept {
+    assert(p > 0.0 && p <= 1.0);
+    if (p >= 1.0) return 0;
+    return geometric_log1m(std::log1p(-p));
+  }
+
+  // The geometric(p) draw for p in (0, 1) given log1m_p = log1p(-p), so a
+  // run of draws at one p pays for a single log1p (geometric_select).
+  std::uint64_t geometric_log1m(double log1m_p) noexcept {
+    const double u = 1.0 - uniform();  // in (0, 1]
+    const double draw = std::floor(std::log(u) / log1m_p);
+    // For tiny p the inversion can exceed the uint64 range (or be NaN when
+    // both logs underflow); saturate to numeric_limits::max().  Callers
+    // interpret the draw as "first success at index draw" over a finite
+    // enumeration, so any value at or past their bound means "no
+    // success"; saturation therefore preserves the distribution exactly
+    // for every enumeration shorter than 2^64.
+    constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+    if (!(draw >= 0.0) || draw >= static_cast<double>(kMax)) return kMax;
+    return static_cast<std::uint64_t>(draw);
+  }
 
   // Binomial(n, p): number of successes among n Bernoulli(p) trials,
   // sampled by geometric gap counting over the smaller of p and 1 - p, so
@@ -116,15 +139,22 @@ class Rng {
 // sparse edge-MEG steps).  Overflow-safe: the skip is checked against the
 // remaining range before it is added, so a saturated geometric draw ends
 // the scan instead of wrapping the index.  Consumes no draws when p <= 0
-// or count == 0.
+// or count == 0, and none when p >= 1 (every index is selected).  The
+// draws are exactly those of a geometric(p) loop; log1p(-p) is computed
+// once per call instead of once per draw.
 template <typename Visit>
 inline void geometric_select(Rng& rng, std::uint64_t count, double p,
                              Visit&& visit) {
   if (p <= 0.0 || count == 0) return;
-  std::uint64_t i = rng.geometric(p);
+  if (p >= 1.0) {
+    for (std::uint64_t i = 0; i < count; ++i) visit(i);
+    return;
+  }
+  const double log1m_p = std::log1p(-p);
+  std::uint64_t i = rng.geometric_log1m(log1m_p);
   while (i < count) {
     visit(i);
-    const std::uint64_t skip = rng.geometric(p);
+    const std::uint64_t skip = rng.geometric_log1m(log1m_p);
     if (skip >= count - i - 1) break;  // next index would pass the end
     i += 1 + skip;
   }

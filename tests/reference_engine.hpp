@@ -17,6 +17,10 @@
 //                       bit-for-bit — except at t = 0, where the
 //                       initializers share the historical stream and must
 //                       match exactly.
+//  * ref_sample_distinct_positions — the historical subset sampler
+//                       (taken-bitmap or std::unordered_set rejection,
+//                       then std::sort) that the flat-table / radix-sort
+//                       sampler in meg/on_set.hpp replaced; same stream.
 // None of this is reachable from the library; it exists so the production
 // engine can be proven equivalent.
 
@@ -347,5 +351,35 @@ class RefHeterogeneousEdgeMEG {
   std::vector<TwoStateParams> rates_;
   std::vector<char> on_;
 };
+
+// Faithful copy of the historical sample_distinct_positions: a uniform
+// k-subset of [0, bound) by rejection against a bound-sized bitmap
+// (k >= bound / 32) or a std::unordered_set, sorted with std::sort.
+inline void ref_sample_distinct_positions(Rng& rng, std::uint64_t k,
+                                          std::uint64_t bound,
+                                          std::vector<std::uint64_t>& out) {
+  assert(k <= bound);
+  out.clear();
+  if (k == 0) return;
+  out.reserve(k);
+  if (k >= bound / 32) {
+    std::vector<std::uint8_t> taken(bound, 0);
+    for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
+      std::uint64_t pos = rng.uniform_int(bound);
+      while (taken[pos]) pos = rng.uniform_int(bound);
+      taken[pos] = 1;
+      out.push_back(pos);
+    }
+  } else {
+    std::unordered_set<std::uint64_t> taken;
+    taken.reserve(static_cast<std::size_t>(2 * k));
+    for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
+      std::uint64_t pos = rng.uniform_int(bound);
+      while (!taken.insert(pos).second) pos = rng.uniform_int(bound);
+      out.push_back(pos);
+    }
+  }
+  std::sort(out.begin(), out.end());
+}
 
 }  // namespace megflood::reference

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -173,6 +174,31 @@ TEST(Rng, GeometricSmallPMeanMatches) {
   EXPECT_NEAR(sum / kDraws, (1.0 - p) / p, 0.05 / p);
 }
 
+// The per-call form of geometric_select: one geometric(p) call (and one
+// log1p) per draw, with the pre-add bound check.
+std::vector<std::uint64_t> per_call_select(Rng& rng, std::uint64_t count,
+                                           double p) {
+  std::vector<std::uint64_t> visited;
+  std::uint64_t e = rng.geometric(p);
+  while (e < count) {
+    visited.push_back(e);
+    const std::uint64_t skip = rng.geometric(p);
+    if (skip >= count - e - 1) break;
+    e += 1 + skip;
+  }
+  return visited;
+}
+
+// The historical Rng::binomial over per-call geometric draws.
+std::uint64_t per_call_binomial(Rng& rng, std::uint64_t n, double p) {
+  if (n == 0 || p <= 0.0) return 0;
+  if (p >= 1.0) return n;
+  const bool flipped = p > 0.5;
+  const auto hits = static_cast<std::uint64_t>(
+      per_call_select(rng, n, flipped ? 1.0 - p : p).size());
+  return flipped ? n - hits : hits;
+}
+
 TEST(Rng, GeometricSelectMatchesLoopAndNeverWraps) {
   // geometric_select must consume the identical stream as the historical
   // `i = g0; while (i < count) { visit; i += 1 + g; }` pattern, without
@@ -195,6 +221,45 @@ TEST(Rng, GeometricSelectMatchesLoopAndNeverWraps) {
   std::size_t visits = 0;
   geometric_select(c, kCount, 5e-324, [&](std::uint64_t) { ++visits; });
   EXPECT_EQ(visits, 0u);
+
+  // The hoisted log1p(-p) gives the per-call draws across the whole range
+  // of p, at counts that end the scan by the bound check and by the
+  // count.
+  std::uint64_t seed = 100;
+  for (const double q : {5e-324, 1e-12, 0.000244, 0.5, 1.0 - 1e-12, 1.0}) {
+    for (const std::uint64_t count :
+         {std::uint64_t{1}, kCount, std::uint64_t{1} << 40}) {
+      if (count > kCount && q > 1e-9) continue;  // ~count * p visits
+      SCOPED_TRACE(::testing::Message() << "p=" << q << " count=" << count);
+      Rng x(seed), y(seed);
+      ++seed;
+      std::vector<std::uint64_t> selected;
+      geometric_select(x, count, q,
+                       [&](std::uint64_t i) { selected.push_back(i); });
+      EXPECT_EQ(selected, per_call_select(y, count, q));
+      EXPECT_EQ(x(), y());
+    }
+  }
+
+  // p = 1 visits every index and, like geometric(1), draws nothing.
+  Rng d(25), untouched(25);
+  std::vector<std::uint64_t> all;
+  geometric_select(d, kCount, 1.0, [&](std::uint64_t i) { all.push_back(i); });
+  ASSERT_EQ(all.size(), kCount);
+  for (std::uint64_t i = 0; i < kCount; ++i) EXPECT_EQ(all[i], i);
+  EXPECT_EQ(d(), untouched());
+
+  // Rng::binomial rides on geometric_select: the same counts and stream
+  // as the per-call sampler on both sides of 1/2.
+  for (const auto& [n, q] : std::vector<std::pair<std::uint64_t, double>>{
+           {1000, 0.01}, {1000, 0.3}, {1000, 0.5}, {1000, 0.7},
+           {1000, 0.99}, {536854528, 0.000244}, {536854528, 0.9987}}) {
+    Rng x(seed), y(seed);
+    ++seed;
+    EXPECT_EQ(x.binomial(n, q), per_call_binomial(y, n, q))
+        << "n=" << n << " p=" << q;
+    EXPECT_EQ(x(), y());
+  }
 }
 
 TEST(Rng, SplitProducesIndependentStream) {
