@@ -220,6 +220,29 @@ void BM_WaypointStepLarge(benchmark::State& state) {
 }
 BENCHMARK(BM_WaypointStepLarge)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
+void BM_WaypointWarmup(benchmark::State& state) {
+  // A trial's --warmup=auto prefix at the waypoint_gossip campaign's
+  // parameters: 4 L / v_max = 256 steps nobody reads, then the first
+  // round's snapshot read.  The model builds snapshots lazily, so only
+  // that read pays for the neighbor pairs.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  WaypointParams p;
+  p.side_length = 64.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 32;
+  const std::uint64_t warmup = RandomWaypointModel::suggested_warmup(p);
+  RandomWaypointModel model(n, p, 1);
+  for (auto _ : state) {
+    for (std::uint64_t w = 0; w < warmup; ++w) model.step();
+    benchmark::DoNotOptimize(model.snapshot().num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(warmup));
+}
+BENCHMARK(BM_WaypointWarmup)->Arg(4096)->Unit(benchmark::kMillisecond);
+
 void BM_NeighborRebuild(benchmark::State& state) {
   // Full counting-pass rebuild of the bucketed neighbor index (the
   // fallback path of refresh(); also the init/collapse/reset path).

@@ -23,7 +23,13 @@ class DynamicGraph {
 
   virtual std::size_t num_nodes() const = 0;
 
-  // The current edge set E_t.
+  // The current edge set E_t.  A model may defer building it: the first
+  // call after step()/reset() (or a model-specific move such as
+  // collapse_to()) can do work, later calls are cheap.  The returned
+  // reference is current only until the next step()/reset().  Because
+  // that first call mutates deferred state, concurrent first reads of
+  // one graph are not allowed: a threaded consumer reads once, serially,
+  // and shares the result.
   virtual const Snapshot& snapshot() const = 0;
 
   // Advance the process one step: E_t -> E_{t+1}.

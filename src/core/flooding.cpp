@@ -240,15 +240,18 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     // Round-synchronous worker pool: each worker owns a contiguous word
     // block for the whole run.  The barrier's completion step (exclusive,
     // runs while every worker is parked) swaps the buffers, advances the
-    // model and recomputes the shared stop flag; workers read that flag
-    // only after the barrier, so every thread always agrees on the round
-    // count.  `remaining` is the one cross-block quantity — decremented
-    // with a relaxed atomic in the work phase, read only in the
-    // completion step.
+    // model, recomputes the shared stop flag and reads the next snapshot;
+    // workers read the flag and the snapshot only after the barrier, so
+    // every thread always agrees on the round count.  The snapshot is read
+    // serially because a first snapshot() read after step() may build it
+    // (see DynamicGraph::snapshot()).  `remaining` is the one cross-block
+    // quantity — decremented with a relaxed atomic in the work phase, read
+    // only in the completion step.
     std::atomic<std::size_t> remaining_shared{remaining};
     std::uint64_t round = 0;
     bool stop = false;
-    // Error funnel: a throwing worker (or a throwing graph.step()) must
+    const Snapshot* snapshot = &graph.snapshot();
+    // Error funnel: a throwing worker (or a throwing step or read) must
     // end the run with a catchable exception, exactly like the serial
     // path — not std::terminate.  Failing workers record the first
     // exception, raise `failed`, and keep arriving at the barrier so
@@ -266,12 +269,14 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
         std::swap(cur, next);
         graph.step();
         ++round;
+        stop = failed.load(std::memory_order_relaxed) ||
+               round >= max_rounds ||
+               remaining_shared.load(std::memory_order_relaxed) == 0;
+        if (!stop) snapshot = &graph.snapshot();
       } catch (...) {
         record_error();
+        stop = true;
       }
-      stop = failed.load(std::memory_order_relaxed) ||
-             round >= max_rounds ||
-             remaining_shared.load(std::memory_order_relaxed) == 0;
     });
     auto work = [&](std::size_t k) {
       const std::size_t w_lo = k * words / workers;
@@ -281,7 +286,7 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
       while (true) {
         try {
           const std::size_t completed = all_sources_round_block(
-              graph.snapshot(), round, n, words, w_lo, w_hi, cur.data(),
+              *snapshot, round, n, words, w_lo, w_hi, cur.data(),
               next.data(), counts.data(), done.data(), col_active.data(),
               active_cols, all.per_source);
           if (completed > 0) {

@@ -209,7 +209,12 @@ void NeighborIndex::update(std::uint32_t node, CellId new_cell) {
 }
 
 void NeighborIndex::refresh(const std::vector<CellId>& positions) {
-  assert(positions.size() == node_cell_.size());
+  // Nothing to diff against before the first build (or after a change of
+  // population size).
+  if (positions.size() != node_cell_.size()) {
+    rebuild(positions);
+    return;
+  }
   // Estimate the bucket churn on a strided sample (an exact count would
   // itself pay one bucket derivation per changed node — as much as the
   // work it is trying to avoid).  Above ~1/8 sampled bucket moves the

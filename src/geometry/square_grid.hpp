@@ -109,7 +109,9 @@ class NeighborIndex {
   // each change — unless so many nodes changed bucket that a batch
   // counting-pass rebuild is cheaper, in which case it falls back to
   // rebuild().  Either path yields the identical index state, so the
-  // choice is invisible to for_each_pair()/neighbors_of().
+  // choice is invisible to for_each_pair()/neighbors_of(), and refresh()
+  // accepts any prior state: an index never built, or built over a
+  // different node count, is rebuilt.
   void refresh(const std::vector<CellId>& positions);
 
   // All nodes j != i with dist(pos_j, pos_i) <= radius, given the

@@ -150,9 +150,9 @@ RandomTripModel::RandomTripModel(std::size_t num_agents,
                                  std::uint64_t seed)
     : num_agents_(num_agents),
       policy_(std::move(policy)),
-      grid_(resolution, policy_ ? policy_->bounding_side() : 1.0),
       rng_(seed),
-      engine_(grid_, radius, num_agents) {
+      engine_(SquareGrid(resolution, policy_ ? policy_->bounding_side() : 1.0),
+              radius, num_agents) {
   if (!policy_) throw std::invalid_argument("RandomTripModel: null policy");
   if (num_agents < 2) {
     throw std::invalid_argument("RandomTripModel: need at least 2 agents");
@@ -162,29 +162,33 @@ RandomTripModel::RandomTripModel(std::size_t num_agents,
 }
 
 void RandomTripModel::initialize() {
-  for (auto& agent : agents_) {
-    agent.pos = policy_->random_point(rng_);
-    agent.trip = policy_->next_trip(agent.pos, rng_);
+  std::vector<Point2D>& positions = engine_.positions();
+  for (std::size_t i = 0; i < num_agents_; ++i) {
+    AgentState& agent = agents_[i];
+    positions[i] = policy_->random_point(rng_);
+    agent.trip = policy_->next_trip(positions[i], rng_);
     agent.pause_left = 0;
   }
-  snap_cells();
-  engine_.rebuild();
+  engine_.moved();
 }
 
 void RandomTripModel::step() {
-  for (auto& agent : agents_) {
+  std::vector<Point2D>& positions = engine_.positions();
+  for (std::size_t i = 0; i < num_agents_; ++i) {
+    AgentState& agent = agents_[i];
     if (agent.pause_left > 0) {
       --agent.pause_left;
       continue;
     }
+    Point2D pos = positions[i];
     double budget = agent.trip.speed;
     for (int leg = 0; leg < 16 && budget > 0.0; ++leg) {
-      const double dist = euclidean_distance(agent.pos, agent.trip.destination);
+      const double dist = euclidean_distance(pos, agent.trip.destination);
       if (dist <= budget) {
         budget -= dist;
-        agent.pos = agent.trip.destination;
+        pos = agent.trip.destination;
         const std::uint64_t pause = agent.trip.pause_rounds;
-        agent.trip = policy_->next_trip(agent.pos, rng_);
+        agent.trip = policy_->next_trip(pos, rng_);
         if (pause > 0) {
           // The dwell consumes whole rounds starting now; leftover motion
           // budget is forfeited (the agent has stopped).
@@ -193,22 +197,15 @@ void RandomTripModel::step() {
         }
       } else {
         const double frac = budget / dist;
-        agent.pos.x += (agent.trip.destination.x - agent.pos.x) * frac;
-        agent.pos.y += (agent.trip.destination.y - agent.pos.y) * frac;
+        pos.x += (agent.trip.destination.x - pos.x) * frac;
+        pos.y += (agent.trip.destination.y - pos.y) * frac;
         budget = 0.0;
       }
     }
+    positions[i] = pos;
   }
-  snap_cells();
-  engine_.refresh();
+  engine_.moved();
   advance_clock();
-}
-
-void RandomTripModel::snap_cells() {
-  std::vector<CellId>& cells = engine_.cells();
-  for (NodeId i = 0; i < num_agents_; ++i) {
-    cells[i] = grid_.nearest(agents_[i].pos);
-  }
 }
 
 void RandomTripModel::reset(std::uint64_t seed) {

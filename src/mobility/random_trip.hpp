@@ -124,8 +124,8 @@ class RandomTripModel final : public DynamicGraph {
   void step() override;
   void reset(std::uint64_t seed) override;
 
-  const SquareGrid& grid() const noexcept { return grid_; }
-  Point2D agent_position(NodeId agent) const { return agents_.at(agent).pos; }
+  const SquareGrid& grid() const noexcept { return engine_.grid(); }
+  Point2D agent_position(NodeId agent) const { return engine_.position(agent); }
   CellId agent_cell(NodeId agent) const { return engine_.cell(agent); }
   bool agent_paused(NodeId agent) const {
     return agents_.at(agent).pause_left > 0;
@@ -139,18 +139,16 @@ class RandomTripModel final : public DynamicGraph {
   std::uint64_t suggested_warmup(double c = 4.0) const;
 
  private:
+  // Motion state; the positions live in engine_.positions().
   struct AgentState {
-    Point2D pos;
     Trip trip;
     std::uint64_t pause_left = 0;
   };
 
   void initialize();
-  void snap_cells();  // agents_ -> engine_.cells()
 
   std::size_t num_agents_;
   std::shared_ptr<const TripPolicy> policy_;
-  SquareGrid grid_;
   Rng rng_;
   std::vector<AgentState> agents_;
   ProximitySnapshotEngine engine_;

@@ -11,9 +11,9 @@ RandomWaypointModel::RandomWaypointModel(std::size_t num_agents,
                                          std::uint64_t seed)
     : num_agents_(num_agents),
       params_(params),
-      grid_(params.resolution, params.side_length),
       rng_(seed),
-      engine_(grid_, params.radius, num_agents) {
+      engine_(SquareGrid(params.resolution, params.side_length), params.radius,
+              num_agents) {
   if (num_agents < 2) {
     throw std::invalid_argument("RandomWaypointModel: need at least 2 agents");
   }
@@ -28,51 +28,49 @@ RandomWaypointModel::RandomWaypointModel(std::size_t num_agents,
 void RandomWaypointModel::new_trip(AgentState& agent) {
   // Destination uniform over the grid points (the paper's discretization
   // of "uniform over the square"); speed uniform in [v_min, v_max].
+  const SquareGrid& grid = engine_.grid();
   const auto dest_cell =
-      static_cast<CellId>(rng_.uniform_int(grid_.num_points()));
-  agent.dest = grid_.position(dest_cell);
+      static_cast<CellId>(rng_.uniform_int(grid.num_points()));
+  agent.dest = grid.position(dest_cell);
   agent.speed = rng_.uniform(params_.v_min, params_.v_max);
 }
 
 void RandomWaypointModel::initialize() {
-  for (auto& agent : agents_) {
-    const auto cell = static_cast<CellId>(rng_.uniform_int(grid_.num_points()));
-    agent.pos = grid_.position(cell);
-    new_trip(agent);
+  const SquareGrid& grid = engine_.grid();
+  std::vector<Point2D>& positions = engine_.positions();
+  for (std::size_t i = 0; i < num_agents_; ++i) {
+    const auto cell = static_cast<CellId>(rng_.uniform_int(grid.num_points()));
+    positions[i] = grid.position(cell);
+    new_trip(agents_[i]);
   }
-  snap_cells();
-  engine_.rebuild();
+  engine_.moved();
 }
 
 void RandomWaypointModel::step() {
-  for (auto& agent : agents_) {
+  std::vector<Point2D>& positions = engine_.positions();
+  for (std::size_t i = 0; i < num_agents_; ++i) {
+    AgentState& agent = agents_[i];
+    Point2D pos = positions[i];
     double budget = agent.speed;
     // Travel `speed` distance this round, switching trips at waypoints so
     // agents never stall (leftover budget carries into the new leg).
     for (int leg = 0; leg < 16 && budget > 0.0; ++leg) {
-      const double dist = euclidean_distance(agent.pos, agent.dest);
+      const double dist = euclidean_distance(pos, agent.dest);
       if (dist <= budget) {
         budget -= dist;
-        agent.pos = agent.dest;
+        pos = agent.dest;
         new_trip(agent);
       } else {
         const double frac = budget / dist;
-        agent.pos.x += (agent.dest.x - agent.pos.x) * frac;
-        agent.pos.y += (agent.dest.y - agent.pos.y) * frac;
+        pos.x += (agent.dest.x - pos.x) * frac;
+        pos.y += (agent.dest.y - pos.y) * frac;
         budget = 0.0;
       }
     }
+    positions[i] = pos;
   }
-  snap_cells();
-  engine_.refresh();
+  engine_.moved();
   advance_clock();
-}
-
-void RandomWaypointModel::snap_cells() {
-  std::vector<CellId>& cells = engine_.cells();
-  for (NodeId i = 0; i < num_agents_; ++i) {
-    cells[i] = grid_.nearest(agents_[i].pos);
-  }
 }
 
 void RandomWaypointModel::reset(std::uint64_t seed) {
@@ -82,12 +80,12 @@ void RandomWaypointModel::reset(std::uint64_t seed) {
 }
 
 void RandomWaypointModel::collapse_to(const Point2D& point) {
-  for (auto& agent : agents_) {
-    agent.pos = point;
-    new_trip(agent);
+  std::vector<Point2D>& positions = engine_.positions();
+  for (std::size_t i = 0; i < num_agents_; ++i) {
+    positions[i] = point;
+    new_trip(agents_[i]);
   }
-  snap_cells();
-  engine_.rebuild();
+  engine_.moved();
 }
 
 std::uint64_t RandomWaypointModel::suggested_warmup(

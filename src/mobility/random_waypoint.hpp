@@ -47,10 +47,10 @@ class RandomWaypointModel final : public DynamicGraph {
   void step() override;
   void reset(std::uint64_t seed) override;
 
-  const SquareGrid& grid() const noexcept { return grid_; }
+  const SquareGrid& grid() const noexcept { return engine_.grid(); }
   const WaypointParams& params() const noexcept { return params_; }
 
-  Point2D agent_position(NodeId agent) const { return agents_.at(agent).pos; }
+  Point2D agent_position(NodeId agent) const { return engine_.position(agent); }
   CellId agent_cell(NodeId agent) const { return engine_.cell(agent); }
 
   // Rough warm-up length to near-stationarity: c * L / v_max steps
@@ -66,19 +66,17 @@ class RandomWaypointModel final : public DynamicGraph {
   void collapse_to(const Point2D& point);
 
  private:
+  // Motion state; the positions live in engine_.positions().
   struct AgentState {
-    Point2D pos;
     Point2D dest;
     double speed = 0.0;
   };
 
   void initialize();
   void new_trip(AgentState& agent);
-  void snap_cells();  // agents_ -> engine_.cells()
 
   std::size_t num_agents_;
   WaypointParams params_;
-  SquareGrid grid_;
   Rng rng_;
   std::vector<AgentState> agents_;
   ProximitySnapshotEngine engine_;

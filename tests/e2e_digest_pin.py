@@ -4,10 +4,11 @@
     python3 tests/e2e_digest_pin.py PATH/TO/megflood_run
 
 Runs the meg_sparse_flood campaign at seeds 1 and 2 and the waypoint_gossip
-campaign at seed 1 with the arguments and trial counts of e2ebench/run.py,
-and compares the sha256 of each --format=json output with
+campaign at seeds 1 to 3 with the arguments and trial counts of
+e2ebench/run.py, and compares the sha256 of each --format=json output with
 e2ebench/digests.json, which it only reads.  Any change that moves an RNG
-draw of the sparse edge-MEG or mobility samplers changes these bytes.
+draw of the sparse edge-MEG or mobility samplers, or changes which edges a
+lazily built mobility snapshot holds, changes these bytes.
 Exits 1 on a mismatch or a failed run.
 """
 
@@ -20,7 +21,8 @@ sys.dont_write_bytecode = True  # leave no __pycache__ inside e2ebench/
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "e2ebench"))
 import run  # noqa: E402  (e2ebench/run.py: campaign arguments and digests)
 
-PINS = [("meg_sparse_flood", 1), ("meg_sparse_flood", 2), ("waypoint_gossip", 1)]
+PINS = [("meg_sparse_flood", 1), ("meg_sparse_flood", 2),
+        ("waypoint_gossip", 1), ("waypoint_gossip", 2), ("waypoint_gossip", 3)]
 
 
 def main(argv):

@@ -14,6 +14,7 @@
 #include "core/snapshot.hpp"
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
+#include "mobility/random_waypoint.hpp"
 
 namespace megflood {
 namespace {
@@ -83,6 +84,32 @@ TEST(FloodAllSourcesThreads, BitIdenticalOnFixedTopology) {
   expect_thread_count_invariance(
       [] { return std::make_unique<FixedDynamicGraph>(path_graph(130)); },
       1000, "fixed path");
+}
+
+TEST(FloodAllSourcesThreads, BitIdenticalOnLazyWaypoint) {
+  // The waypoint model builds its snapshot on the first read after a
+  // step, so the pool must read it once per round, serially; under TSan a
+  // per-worker read would race.  n = 200 -> 4 words.
+  const auto make = [] {
+    WaypointParams p;
+    p.side_length = 14.0;
+    p.v_min = 0.5;
+    p.v_max = 1.0;
+    p.radius = 1.0;
+    p.resolution = 32;
+    return std::make_unique<RandomWaypointModel>(200, p, 9);
+  };
+  const auto serial_graph = make();
+  const AllSourcesResult serial = flood_all_sources(*serial_graph, 4096, 1);
+  EXPECT_GT(serial.completed_count, 0u);
+  for (std::size_t threads : {2ULL, 4ULL}) {
+    const auto graph = make();
+    expect_same_results(serial, flood_all_sources(*graph, 4096, threads),
+                        "lazy waypoint");
+    EXPECT_EQ(serial_graph->time(), graph->time());
+    EXPECT_EQ(serial_graph->snapshot().edge_buffer(),
+              graph->snapshot().edge_buffer());
+  }
 }
 
 TEST(FloodAllSourcesThreads, ThreadCountsBeyondWordsClamp) {

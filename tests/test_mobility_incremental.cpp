@@ -5,16 +5,24 @@
 // would produce.  Covers long runs at paper speeds (v << L, the
 // genuinely incremental regime), fast runs (the batch-rebuild fallback),
 // collapse_to() and reset().
+//
+// The models also build snapshots lazily (ProximitySnapshotEngine): a
+// step nobody reads only moves the agents.  The DeferredReads tests run
+// two same-seed models in lockstep, one reading after every operation
+// and one on a sparse seeded schedule, and require the same edges in the
+// same order at every read of the second.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "geometry/square_grid.hpp"
 #include "mobility/random_trip.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -144,6 +152,152 @@ TEST(MobilityIncremental, RandomTripDirectionPolicy) {
   for (int t = 0; t < 250; ++t) {
     expect_snapshot_matches_full_rebuild(model, scratch, "trip direction", t);
     model.step();
+  }
+}
+
+// Two same-seed models under one operation script: `eager` reads its
+// snapshot after every operation (the pre-deferral behaviour), `lazy`
+// only where the script calls read().  Each read is also checked against
+// a full rebuild over the current cells, which two equally stale models
+// would fail.
+template <typename Model>
+struct Lockstep {
+  Lockstep(Model& eager_model, Model& lazy_model, double radius,
+           const char* label)
+      : eager(eager_model),
+        lazy(lazy_model),
+        scratch(lazy_model.grid(), radius),
+        what(label) {}
+
+  Model& eager;
+  Model& lazy;
+  NeighborIndex scratch;
+  const char* what;
+  int op = 0;
+
+  template <typename Op>
+  void apply(Op&& operation) {
+    operation(eager);
+    operation(lazy);
+    ++op;
+    (void)eager.snapshot();
+    expect_cells_current();
+  }
+  void step() {
+    apply([](Model& m) { m.step(); });
+  }
+  void reset(std::uint64_t seed) {
+    apply([seed](Model& m) { m.reset(seed); });
+  }
+
+  // The lazy snapshot is stale here; agent cells must not be.
+  void expect_cells_current() const {
+    for (NodeId i = 0; i < lazy.num_nodes(); ++i) {
+      ASSERT_EQ(lazy.agent_cell(i),
+                lazy.grid().nearest(lazy.agent_position(i)))
+          << what << " op " << op << " agent " << i;
+      ASSERT_EQ(lazy.agent_cell(i), eager.agent_cell(i))
+          << what << " op " << op << " agent " << i;
+    }
+  }
+
+  void read() {
+    ASSERT_EQ(lazy.time(), eager.time()) << what << " op " << op;
+    const PairList& edges = lazy.snapshot().edge_buffer();
+    ASSERT_EQ(edges, eager.snapshot().edge_buffer()) << what << " op " << op;
+    ASSERT_EQ(edges, full_rebuild_pairs(lazy, scratch))
+        << what << " op " << op;
+  }
+
+  void unread_steps(int steps) {
+    for (int s = 0; s < steps && !::testing::Test::HasFatalFailure(); ++s) {
+      step();
+    }
+  }
+
+  // `steps` steps; the lazy model reads after each with probability 1/8.
+  void sparse_reads(int steps, Rng& schedule) {
+    for (int s = 0; s < steps && !::testing::Test::HasFatalFailure(); ++s) {
+      step();
+      if (schedule.uniform_int(8) == 0) read();
+    }
+  }
+
+  // The script every model runs: runs of 256 unread steps, sparse reads,
+  // a read right after reset(), and a step between reset() and the first
+  // read.
+  void run_script(std::uint64_t schedule_seed) {
+    Rng schedule(schedule_seed);
+    read();
+    unread_steps(256);
+    read();
+    sparse_reads(300, schedule);
+    unread_steps(256);
+    sparse_reads(100, schedule);
+    reset(schedule_seed + 1);
+    read();
+    sparse_reads(200, schedule);
+    reset(schedule_seed + 2);
+    step();
+    read();
+    unread_steps(256);
+    read();
+  }
+};
+
+TEST(MobilityDeferredReads, WaypointSlow) {
+  WaypointParams p;
+  p.side_length = 8.0;
+  p.v_min = 0.01;
+  p.v_max = 0.02;
+  p.radius = 1.0;
+  p.resolution = 48;
+  RandomWaypointModel eager(40, p, 17);
+  RandomWaypointModel lazy(40, p, 17);
+  Lockstep<RandomWaypointModel> pair(eager, lazy, p.radius, "slow waypoint");
+  ASSERT_NO_FATAL_FAILURE(pair.run_script(101));
+}
+
+TEST(MobilityDeferredReads, WaypointFastWithCollapse) {
+  WaypointParams p;
+  p.side_length = 8.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 48;
+  RandomWaypointModel eager(48, p, 23);
+  RandomWaypointModel lazy(48, p, 23);
+  Lockstep<RandomWaypointModel> pair(eager, lazy, p.radius, "fast waypoint");
+  ASSERT_NO_FATAL_FAILURE(pair.run_script(202));
+  const auto collapse = [](RandomWaypointModel& m) {
+    m.collapse_to({4.0, 4.0});
+  };
+  // A read right after collapse_to(), then one after unread steps.
+  pair.apply(collapse);
+  ASSERT_NO_FATAL_FAILURE(pair.read());
+  Rng schedule(303);
+  ASSERT_NO_FATAL_FAILURE(pair.sparse_reads(120, schedule));
+  pair.apply(collapse);
+  ASSERT_NO_FATAL_FAILURE(pair.unread_steps(40));
+  ASSERT_NO_FATAL_FAILURE(pair.read());
+}
+
+TEST(MobilityDeferredReads, RandomTripPolicies) {
+  const std::vector<std::pair<const char*, std::shared_ptr<const TripPolicy>>>
+      policies = {
+          {"trip pause",
+           std::make_shared<SquareWaypointPolicy>(6.0, 0.05, 0.15, 2, 6)},
+          {"trip direction",
+           std::make_shared<RandomDirectionPolicy>(6.0, 0.05, 0.2, 0.5, 2.0)},
+          {"trip disk", std::make_shared<DiskWaypointPolicy>(6.0, 0.05, 0.2)},
+      };
+  std::uint64_t seed = 31;
+  for (const auto& [what, policy] : policies) {
+    RandomTripModel eager(36, policy, 1.0, 32, seed);
+    RandomTripModel lazy(36, policy, 1.0, 32, seed);
+    Lockstep<RandomTripModel> pair(eager, lazy, 1.0, what);
+    ASSERT_NO_FATAL_FAILURE(pair.run_script(seed * 7));
+    ++seed;
   }
 }
 
