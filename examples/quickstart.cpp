@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   std::cout << "chain mixing time T_mix = " << network.chain().mixing_time()
             << " steps\n\n";
 
-  // Flood from node 0.  flood() advances the model one snapshot per round
-  // and applies I_{t+1} = I_t ∪ N_{E_t}(I_t).
+  // Flood from node 0.  Round t applies I_{t+1} = I_t ∪ N_{E_t}(I_t);
+  // flood() steps the model between rounds, never after the last one.
   const FloodResult result = flood(network, /*source=*/0,
                                    /*max_rounds=*/1'000'000);
   if (!result.completed) {

@@ -50,16 +50,19 @@ std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
 std::size_t flood_round_words(const Snapshot& snapshot,
                               const std::uint64_t* cur, std::uint64_t* next,
                               std::size_t num_nodes) {
-  // Reading from `cur` while writing `next` enforces the synchronous
-  // no-chaining rule without per-node marks.
+  // Edge-centric and branch-free, like the all-sources round: every edge
+  // ORs each endpoint's bit in `cur` into the other endpoint's bit in
+  // `next`.  Reading from `cur` while writing `next` enforces the
+  // synchronous no-chaining rule without per-node marks, and walking the
+  // raw edge buffer needs no CSR view.
   const std::size_t words = bit_words(num_nodes);
   const std::size_t before = popcount_words(next, words);
-  const auto [offsets, adjacency] = snapshot.csr();
-  for_each_set_bit(cur, words, [&](std::size_t u) {
-    const NodeId* row = adjacency + offsets[u];
-    const NodeId* const row_end = adjacency + offsets[u + 1];
-    for (; row != row_end; ++row) set_bit(next, *row);
-  });
+  for (const auto& [u, v] : snapshot.edge_buffer()) {
+    next[v / kBitWordBits] |= std::uint64_t{test_bit(cur, u)}
+                              << (v % kBitWordBits);
+    next[u / kBitWordBits] |= std::uint64_t{test_bit(cur, v)}
+                              << (u % kBitWordBits);
+  }
   return popcount_words(next, words) - before;
 }
 
@@ -81,12 +84,14 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds) 
   }
 
   for (std::uint64_t t = 0; t < max_rounds; ++t) {
+    // Round t reads E_t, so the graph steps only between rounds: no step
+    // follows the last round, whose successor snapshot nobody reads.
+    if (t > 0) graph.step();
     next = cur;
     informed_count +=
         flood_round_words(graph.snapshot(), cur.data(), next.data(), n);
     std::swap(cur, next);
     result.informed_counts.push_back(informed_count);
-    graph.step();
     if (informed_count == n) {
       result.completed = true;
       result.rounds = t + 1;

@@ -8,11 +8,12 @@
 // |I_t| trajectory, which experiment E9 uses to check the paper's
 // spreading-phase doubling (Lemma 11/13) and saturation phase (Lemma 14).
 //
-// Engine: informed sets are packed uint64 words (core/bitwords.hpp).  The
-// single-source round scans only informed nodes via word iteration; the
-// all-sources variant keeps the n x n reachability matrix as bit-rows
-// (row[v] = sources that have reached v) and updates it with two word-wide
-// ORs per snapshot edge — ~64x less scalar work than the per-source scan.
+// Engine: informed sets are packed uint64 words (core/bitwords.hpp), and
+// both variants walk the snapshot's raw edge buffer, never its CSR view.
+// The single-source round ORs one bit per edge endpoint; the all-sources
+// variant keeps the n x n reachability matrix as bit-rows (row[v] =
+// sources that have reached v) and updates it with two word-wide ORs per
+// snapshot edge — ~64x less scalar work than n single-source rounds.
 
 #include <cstdint>
 #include <vector>
@@ -32,8 +33,10 @@ struct FloodResult {
 };
 
 // Runs flooding from `source` on `graph` starting at the graph's current
-// snapshot.  Advances the graph `rounds` times; the caller owns resetting
-// the graph between trials.
+// snapshot.  Round t reads E_t and the graph steps only between rounds,
+// so a run of R executed rounds (the returned `rounds`, or the budget)
+// leaves graph.time() advanced by max(R, 1) - 1: no step follows the
+// last round.  The caller owns resetting the graph between trials.
 FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds);
 
 // One flooding round applied to an explicit informed set: returns the
@@ -45,6 +48,7 @@ std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
 // Word-packed flooding round: `cur` and `next` are bit sets of
 // bit_words(n) words; on entry next must equal cur.  Computes
 // I_{t+1} = I_t ∪ N(I_t) into `next` and returns |I_{t+1}| - |I_t|.
+// One branch-free pass over snapshot.edge_buffer(); builds no CSR view.
 std::size_t flood_round_words(const Snapshot& snapshot,
                               const std::uint64_t* cur, std::uint64_t* next,
                               std::size_t num_nodes);

@@ -33,12 +33,13 @@ ProcessResult SpreadingProcess::run(DynamicGraph& graph, NodeId source,
   std::vector<NodeId> newly;
   for (std::uint64_t t = 0; t < max_rounds; ++t) {
     check_deadline();
+    // Same clocking as flood(): step between rounds, never after the last.
+    if (t > 0) graph.step();
     newly.clear();
     process.round(graph.snapshot(), informed, newly, rng);
     for (NodeId v : newly) informed[v] = 1;
     count += newly.size();
     result.flood.informed_counts.push_back(count);
-    graph.step();
     if (count == n) {
       result.flood.completed = true;
       result.flood.rounds = t + 1;

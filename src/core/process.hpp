@@ -112,9 +112,11 @@ class SpreadingProcess {
 };
 
 // Runs `process` from `source` on `graph` starting at the graph's current
-// snapshot, advancing the graph one step per round (exactly flood()'s
-// clocking).  `seed` seeds the driver-owned Rng handed to every round;
-// deterministic processes simply never draw from it.  Dispatches to
+// snapshot, stepping the graph between rounds (exactly flood()'s
+// clocking): no step follows the last round, whether it completed the
+// spread, left the process exhausted() or used up the budget.  `seed`
+// seeds the driver-owned Rng handed to every round; deterministic
+// processes simply never draw from it.  Dispatches to
 // process.run() so flooding-equivalent processes keep the word-parallel
 // engine.
 ProcessResult run_process(DynamicGraph& graph, SpreadingProcess& process,

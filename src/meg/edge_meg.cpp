@@ -36,10 +36,9 @@ void TwoStateEdgeMEG::initialize() {
     case EdgeMegInit::kStationary: {
       // Geometric skipping over the pair enumeration; indices arrive
       // strictly increasing, so on_ is sorted by construction.
+      PairRowCursor cursor(n_);
       geometric_select(rng_, total_pairs_, chain_.stationary_on(),
-                       [&](std::uint64_t e) {
-                         on_.push_back(pair_key_from_index(n_, e));
-                       });
+                       [&](std::uint64_t e) { on_.push_back(cursor.key(e)); });
       break;
     }
   }
@@ -83,8 +82,9 @@ void TwoStateEdgeMEG::step() {
   // restricts births to exactly the pre-step off edges.
   if (p > 0.0) {
     born_.clear();
+    PairRowCursor cursor(n_);
     geometric_select(rng_, total_pairs_, p, [&](std::uint64_t e) {
-      const std::uint64_t key = pair_key_from_index(n_, e);
+      const std::uint64_t key = cursor.key(e);
       if (!std::binary_search(killed_.begin(), killed_.end(), key)) {
         born_.push_back(key);
       }

@@ -295,10 +295,11 @@ void GeneralEdgeMEG::initialize_sparse() {
     sample_distinct_positions(rng_, minority, pairs, init_positions_);
     minority_keys_.reserve(minority);
     minority_states_.reserve(minority);
+    PairRowCursor cursor(n_);
     for (std::uint64_t k = 0; k < minority; ++k) {
       // Ascending positions => ascending keys: map and on-set come out
       // sorted without a sort pass.
-      const std::uint64_t key = pair_key_from_index(n_, init_positions_[k]);
+      const std::uint64_t key = cursor.key(init_positions_[k]);
       minority_keys_.push_back(key);
       minority_states_.push_back(init_values_[k]);
       if (chi_[init_values_[k]]) on_.push_back(key);

@@ -182,11 +182,12 @@ void HeterogeneousEdgeMEG::initialize_sparse() {
   const std::uint64_t pairs = pair_count(n_);
   const std::uint64_t candidates = rng_.binomial(pairs, bounds_.max_alpha);
   sample_distinct_positions(rng_, candidates, pairs, pos_scratch_);
+  PairRowCursor cursor(n_);
   for (const std::uint64_t pos : pos_scratch_) {
     const TwoStateParams r = derive_rates(pos);
     const double alpha = r.birth_rate / (r.birth_rate + r.death_rate);
     if (alpha >= bounds_.max_alpha || rng_.bernoulli(alpha / bounds_.max_alpha)) {
-      on_keys_.push_back(pair_key_from_index(n_, pos));  // ascending
+      on_keys_.push_back(cursor.key(pos));  // ascending
     }
   }
   rebuild_snapshot();

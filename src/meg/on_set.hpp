@@ -11,13 +11,13 @@
 // state vectors) ordered without ever materializing the majority.
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "core/bitwords.hpp"
 #include "meg/pair_index.hpp"
 #include "util/rng.hpp"
 
@@ -26,14 +26,19 @@ namespace megflood {
 // Applies on := (on \ died) ∪ born in a single linear pass.
 // Preconditions: `on` is sorted; every key in `died` is present in `on`;
 // no key in `born` is present in `on`.  `died` and `born` may arrive in
-// any order (they are sorted in place); `scratch` is reused capacity.
+// any order (they are sorted in place unless already sorted, which the
+// sparse engines' ascending scans deliver); `scratch` is reused capacity.
 inline void apply_on_set_delta(std::vector<std::uint64_t>& on,
                                std::vector<std::uint64_t>& died,
                                std::vector<std::uint64_t>& born,
                                std::vector<std::uint64_t>& scratch) {
   if (died.empty() && born.empty()) return;
-  std::sort(died.begin(), died.end());
-  std::sort(born.begin(), born.end());
+  if (!std::is_sorted(died.begin(), died.end())) {
+    std::sort(died.begin(), died.end());
+  }
+  if (!std::is_sorted(born.begin(), born.end())) {
+    std::sort(born.begin(), born.end());
+  }
   scratch.clear();
   scratch.reserve(on.size() - died.size() + born.size());
   auto d = died.begin();
@@ -50,88 +55,97 @@ inline void apply_on_set_delta(std::vector<std::uint64_t>& on,
   std::swap(on, scratch);
 }
 
-// Below this many values sort_below uses std::sort: the radix passes'
-// fixed cost (a second buffer, one histogram per digit) does not pay off.
-inline constexpr std::size_t kRadixSortMin = 4096;
-
-// Sorts `values`, all < bound, ascending.  An LSD radix sort over 11-bit
-// digits that visits only the digits bound - 1 spans (three passes for
-// the ~2^29 pairs at n = 32768) and skips a digit every value shares;
-// std::sort below kRadixSortMin values.
-inline void sort_below(std::vector<std::uint64_t>& values, std::uint64_t bound) {
-  const std::size_t count = values.size();
-  if (count < kRadixSortMin) {
-    std::sort(values.begin(), values.end());
-    return;
-  }
-  constexpr unsigned kDigitBits = 11;
-  constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
-  const auto width = static_cast<unsigned>(std::bit_width(bound - 1));
-  const unsigned digits = (width + kDigitBits - 1) / kDigitBits;
-  std::vector<std::size_t> offsets(digits * kRadix, 0);
-  for (const std::uint64_t v : values) {
-    for (unsigned d = 0; d < digits; ++d) {
-      ++offsets[d * kRadix + ((v >> (d * kDigitBits)) & (kRadix - 1))];
-    }
-  }
-  std::vector<std::uint64_t> buffer(count);
-  for (unsigned d = 0; d < digits; ++d) {
-    const unsigned shift = d * kDigitBits;
-    std::size_t* offset = offsets.data() + d * kRadix;
-    if (offset[(values[0] >> shift) & (kRadix - 1)] == count) continue;
-    std::size_t next = 0;
-    for (std::size_t b = 0; b < kRadix; ++b) {
-      const std::size_t in_bucket = offset[b];
-      offset[b] = next;
-      next += in_bucket;
-    }
-    for (const std::uint64_t v : values) {
-      buffer[offset[(v >> shift) & (kRadix - 1)]++] = v;
-    }
-    values.swap(buffer);
-  }
-}
-
-// The sparse branch of sample_distinct_positions: appends k distinct
-// uniform draws from [0, bound) to `out` in draw order, rejecting repeats
-// against a linear-probing, Fibonacci-hashed table of >= 2k Slot words
-// (load <= 1/2).  Every position is < bound <= the all-ones Slot, which
-// therefore marks an empty slot.
+// The dedup set of sample_distinct_positions' sparse branch: distinct
+// positions < bound kept in ascending slot order by ordered linear
+// probing over a monotone hash.  The home slot of pos is
+// floor(pos * slots / bound) as a fixed-point 128-bit multiply, so home
+// slots never decrease with pos.  An insert walks its run to the first
+// larger entry and shifts the rest of the run one slot right, so every
+// run stays sorted; a run never wraps, it grows the table at its tail
+// instead.  Occupied slots, read left to right, are therefore ascending,
+// and append_sorted emits the set with one compacting scan.  The occupied
+// slots are the ones a plain linear-probing table would fill, so a load
+// <= 1/2 keeps runs short.  Every position is < bound <= the all-ones
+// Slot, which therefore marks an empty slot and compares above every
+// stored position.
 template <typename Slot>
-inline void draw_distinct_hashed(Rng& rng, std::uint64_t k, std::uint64_t bound,
-                                 std::vector<std::uint64_t>& out) {
-  constexpr Slot kEmpty = ~Slot{0};
-  assert(bound <= kEmpty);
-  const std::size_t slots = std::bit_ceil(static_cast<std::size_t>(2 * k));
-  const int shift = 64 - std::countr_zero(slots);
-  std::vector<Slot> table(slots, kEmpty);
-  for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
-    for (;;) {
-      const std::uint64_t pos = rng.uniform_int(bound);
-      std::size_t slot =
-          static_cast<std::size_t>((pos * 0x9e3779b97f4a7c15ULL) >> shift);
-      while (table[slot] != kEmpty && table[slot] != pos) {
-        slot = (slot + 1) & (slots - 1);
-      }
-      if (table[slot] == kEmpty) {
-        table[slot] = static_cast<Slot>(pos);
-        out.push_back(pos);
-        break;
-      }
+class OrderedProbeTable {
+ public:
+  // Room for `capacity` >= 1 positions at load <= 1/2; needs
+  // 2 * capacity < bound so the fixed-point scale fits 64 bits.
+  OrderedProbeTable(std::uint64_t capacity, std::uint64_t bound)
+      : home_slots_(static_cast<std::size_t>(2 * capacity)),
+        scale_(static_cast<std::uint64_t>(
+            (static_cast<unsigned __int128>(home_slots_) << 64) / bound)) {
+    assert(capacity >= 1 && 2 * capacity < bound && bound <= kEmpty);
+    // A run past the last home slot is at most as long as the final
+    // cluster, O(log slots) at load 1/2; the slack spares that tail a
+    // reallocation, and a longer one still just reallocates.
+    table_.reserve(home_slots_ + kTailSlack);
+    table_.assign(home_slots_, kEmpty);
+  }
+
+  std::size_t home(std::uint64_t pos) const noexcept {
+    return static_cast<std::size_t>(
+        (static_cast<unsigned __int128>(pos) * scale_) >> 64);
+  }
+  std::size_t home_slots() const noexcept { return home_slots_; }
+  // Slots in use including the tail growth; > home_slots() once a run
+  // has run past the last home slot.
+  std::size_t extent() const noexcept { return table_.size(); }
+
+  // Inserts pos (< bound); false if it is already present.
+  bool insert(std::uint64_t pos) {
+    const std::size_t end = table_.size();
+    std::size_t slot = home(pos);
+    while (slot < end && table_[slot] < pos) ++slot;
+    if (slot < end && table_[slot] == pos) return false;
+    auto carry = static_cast<Slot>(pos);
+    for (; slot < end && carry != kEmpty; ++slot) {
+      std::swap(carry, table_[slot]);
+    }
+    if (carry != kEmpty) table_.push_back(carry);
+    return true;
+  }
+
+  // Appends every stored position to `out`, ascending.
+  void append_sorted(std::vector<std::uint64_t>& out) const {
+    for (const Slot value : table_) {
+      if (value != kEmpty) out.push_back(value);
     }
   }
+
+ private:
+  static constexpr Slot kEmpty = ~Slot{0};
+  static constexpr std::size_t kTailSlack = 64;
+  std::size_t home_slots_;
+  std::uint64_t scale_;
+  std::vector<Slot> table_;
+};
+
+// The sparse branch of sample_distinct_positions: k distinct uniform
+// draws from [0, bound), rejecting repeats, appended to `out` ascending.
+template <typename Slot>
+inline void draw_distinct_ordered(Rng& rng, std::uint64_t k,
+                                  std::uint64_t bound,
+                                  std::vector<std::uint64_t>& out) {
+  OrderedProbeTable<Slot> table(k, bound);
+  for (std::uint64_t drawn = 0; drawn < k;) {
+    if (table.insert(rng.uniform_int(bound))) ++drawn;
+  }
+  table.append_sorted(out);
 }
 
 // Draws a uniform random k-subset of [0, bound) into `out`, sorted
 // ascending, by rejection against the already-drawn set.  The rejection
 // stream depends only on set *membership*, so the dedup structure is a
-// pure space/time choice: a flat bound-sized bitmap when the subset is a
-// meaningful fraction of the range (the dense initializers — one byte
-// per slot against 8-32 B per drawn value), a transient open-addressing
-// table sized to k when it is vanishingly small (the sparse engines,
-// where an O(bound) buffer is the very allocation being avoided; 32-bit
-// slots while bound fits them, as pair counts do up to n = 92682).  All
-// produce the identical draw sequence, so the sampled subset is
+// pure space/time choice, and both of them emit the subset in ascending
+// order with one scan instead of a sort: a flat bound-bit bitmap when the
+// subset is a meaningful fraction of the range (the dense initializers),
+// an OrderedProbeTable sized to k when it is vanishingly small (the sparse
+// engines, where an O(bound) buffer is the very allocation being avoided;
+// 32-bit slots while bound fits them, as pair counts do up to n = 92682).
+// All produce the identical draw sequence, so the sampled subset is
 // bit-for-bit the same either way.  Expected < 2 draws per slot while
 // k <= bound / 2.  Precondition: k <= bound.
 inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
@@ -142,19 +156,19 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
   if (k == 0) return;
   out.reserve(k);
   if (k >= bound / 32) {
-    std::vector<std::uint8_t> taken(bound, 0);
+    std::vector<std::uint64_t> taken(bit_words(bound), 0);
     for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
       std::uint64_t pos = rng.uniform_int(bound);
-      while (taken[pos]) pos = rng.uniform_int(bound);
-      taken[pos] = 1;
-      out.push_back(pos);
+      while (test_bit(taken.data(), pos)) pos = rng.uniform_int(bound);
+      set_bit(taken.data(), pos);
     }
+    for_each_set_bit(taken.data(), taken.size(),
+                     [&out](std::size_t pos) { out.push_back(pos); });
   } else if (bound <= std::numeric_limits<std::uint32_t>::max()) {
-    draw_distinct_hashed<std::uint32_t>(rng, k, bound, out);
+    draw_distinct_ordered<std::uint32_t>(rng, k, bound, out);
   } else {
-    draw_distinct_hashed<std::uint64_t>(rng, k, bound, out);
+    draw_distinct_ordered<std::uint64_t>(rng, k, bound, out);
   }
-  sort_below(out, bound);
 }
 
 // Selects an iid Bernoulli(p) subset of the *complement* of `minority`
@@ -182,6 +196,7 @@ inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
   const std::uint64_t k = rng.binomial(count, p);
   if (k == 0) return;
   sample_distinct_positions(rng, k, count, rank_scratch);
+  PairRowCursor cursor(n);
   std::size_t j = 0;
   std::uint64_t next_minority_index =
       j < minority.size() ? pair_index_from_key(n, minority[j]) : 0;
@@ -192,7 +207,7 @@ inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
         next_minority_index = pair_index_from_key(n, minority[j]);
       }
     }
-    visit(pair_key_from_index(n, rank + j));
+    visit(cursor.key(rank + j));
   }
 }
 

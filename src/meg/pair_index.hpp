@@ -95,4 +95,38 @@ inline std::uint64_t pair_index_from_key(std::uint64_t n,
   return pair_index_of(n, pair_key_i(key), pair_key_j(key));
 }
 
+// pair_key_from_index for a non-decreasing sequence of indices, without a
+// square root per element: a forward cursor over the rows of the pair
+// triangle.  An index in the current row costs a subtraction, one in the
+// next row a row hop; a jump past the next row re-seats the cursor with
+// the exact pair_from_index.  Precondition: n >= 2, every index <
+// pair_count(n) and >= the index of the previous key() call.
+class PairRowCursor {
+ public:
+  explicit PairRowCursor(std::uint64_t n) noexcept : n_(n), row_end_(n - 1) {}
+
+  std::uint64_t key(std::uint64_t index) noexcept {
+    if (index >= row_end_) seek(index);
+    const std::uint64_t j = row_ + 1 + (index - row_start_);
+    return pack_pair(static_cast<std::uint32_t>(row_),
+                     static_cast<std::uint32_t>(j));
+  }
+
+ private:
+  void seek(std::uint64_t index) noexcept {
+    ++row_;
+    row_start_ = row_end_;
+    if (index >= row_start_ + (n_ - 1 - row_)) {
+      row_ = pair_from_index(n_, index).first;
+      row_start_ = pair_row_start(n_, row_);
+    }
+    row_end_ = row_start_ + (n_ - 1 - row_);
+  }
+
+  std::uint64_t n_;
+  std::uint64_t row_ = 0;
+  std::uint64_t row_start_ = 0;
+  std::uint64_t row_end_;  // one past the last index of row_
+};
+
 }  // namespace megflood

@@ -3,7 +3,7 @@
 
     python3 tests/e2e_digest_pin.py PATH/TO/megflood_run
 
-Runs the meg_sparse_flood campaign at seeds 1 and 2 and the waypoint_gossip
+Runs the meg_sparse_flood campaign at seeds 1 to 4 and the waypoint_gossip
 campaign at seeds 1 to 3 with the arguments and trial counts of
 e2ebench/run.py, and compares the sha256 of each --format=json output with
 e2ebench/digests.json, which it only reads.  Any change that moves an RNG
@@ -21,8 +21,8 @@ sys.dont_write_bytecode = True  # leave no __pycache__ inside e2ebench/
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "e2ebench"))
 import run  # noqa: E402  (e2ebench/run.py: campaign arguments and digests)
 
-PINS = [("meg_sparse_flood", 1), ("meg_sparse_flood", 2),
-        ("waypoint_gossip", 1), ("waypoint_gossip", 2), ("waypoint_gossip", 3)]
+PINS = [("meg_sparse_flood", seed) for seed in range(1, 5)] + [
+    ("waypoint_gossip", seed) for seed in range(1, 4)]
 
 
 def main(argv):

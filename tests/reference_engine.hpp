@@ -19,8 +19,9 @@
 //                       match exactly.
 //  * ref_sample_distinct_positions — the historical subset sampler
 //                       (taken-bitmap or std::unordered_set rejection,
-//                       then std::sort) that the flat-table / radix-sort
-//                       sampler in meg/on_set.hpp replaced; same stream.
+//                       then std::sort) that the bitmap / ordered-probe
+//                       table sampler in meg/on_set.hpp replaced; same
+//                       stream.
 // None of this is reachable from the library; it exists so the production
 // engine can be proven equivalent.
 

@@ -20,6 +20,7 @@
 #include "meg/node_meg.hpp"
 #include "mobility/random_walk.hpp"
 #include "reference_engine.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -123,21 +124,45 @@ TEST(EngineEquivalence, RandomWalkFloodTrajectories) {
 }
 
 TEST(EngineEquivalence, WordRoundMatchesByteRound) {
-  // flood_round_words against the byte-array flood_round on one snapshot.
-  TwoStateEdgeMEG meg(96, {0.05, 0.2}, 5);
-  const Snapshot& snap = meg.snapshot();
-  std::vector<char> informed(96, 0);
-  for (NodeId u = 0; u < 96; u += 7) informed[u] = 1;
-  std::vector<std::uint64_t> cur(bit_words(96), 0), next;
-  for (NodeId u = 0; u < 96; u += 7) set_bit(cur.data(), u);
-  next = cur;
-  std::vector<NodeId> scratch;
-  const std::size_t newly_bytes = flood_round(snap, informed, scratch);
-  const std::size_t newly_words =
-      flood_round_words(snap, cur.data(), next.data(), 96);
-  EXPECT_EQ(newly_words, newly_bytes);
-  for (NodeId v = 0; v < 96; ++v) {
-    EXPECT_EQ(test_bit(next.data(), v), informed[v] != 0) << "node " << v;
+  // flood_round_words (edge-centric, over the raw edge buffer) against the
+  // byte-array flood_round (CSR scan) on random snapshots: n straddles the
+  // word boundaries, edges are added in both orientations, and informed
+  // sets range from empty to full.
+  Rng rng(5);
+  for (const std::size_t n : {1u, 63u, 64u, 65u, 130u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      Snapshot snap(n);
+      const std::uint64_t edge_permille = rng.uniform_int(100);
+      for (NodeId u = 0; u < n; ++u) {
+        for (NodeId v = u + 1; v < n; ++v) {
+          if (rng.uniform_int(1000) >= edge_permille) continue;
+          if (rng.bernoulli(0.5)) {
+            snap.add_edge(u, v);
+          } else {
+            snap.add_edge(v, u);
+          }
+        }
+      }
+      const double informed_p = static_cast<double>(trial) / 19.0;
+      std::vector<char> informed(n, 0);
+      std::vector<std::uint64_t> cur(bit_words(n), 0);
+      for (NodeId u = 0; u < n; ++u) {
+        if (rng.bernoulli(informed_p)) {
+          informed[u] = 1;
+          set_bit(cur.data(), u);
+        }
+      }
+      std::vector<std::uint64_t> next = cur;
+      std::vector<NodeId> scratch;
+      const std::size_t newly_bytes = flood_round(snap, informed, scratch);
+      const std::size_t newly_words =
+          flood_round_words(snap, cur.data(), next.data(), n);
+      EXPECT_EQ(newly_words, newly_bytes) << "n=" << n << " trial " << trial;
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(test_bit(next.data(), v), informed[v] != 0)
+            << "n=" << n << " trial " << trial << " node " << v;
+      }
+    }
   }
 }
 

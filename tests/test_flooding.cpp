@@ -115,6 +115,48 @@ TEST(Flood, MissedEdgeDelaysSpread) {
   EXPECT_EQ(r.rounds, 4u);
 }
 
+// Path 0-1-2-3 revealed one edge per step: 0-1 at t = 0, 1-2 at t = 1,
+// 2-3 from t = 2 on.  Flooding from 0 completes in exactly 3 rounds.
+ScriptedDynamicGraph staircase() {
+  std::vector<Snapshot> script;
+  for (NodeId e = 0; e < 3; ++e) {
+    Snapshot s(4);
+    s.add_edge(e, e + 1);
+    script.push_back(std::move(s));
+  }
+  return ScriptedDynamicGraph(std::move(script));
+}
+
+TEST(Flood, StepsOnlyBetweenRounds) {
+  // Round t reads E_t and no step follows the last round: a completed
+  // flood leaves time() at rounds - 1, a spent budget at max_rounds - 1,
+  // and a run of at most one round never steps.
+  {
+    ScriptedDynamicGraph d = staircase();
+    const FloodResult r = flood(d, 0, 10);
+    ASSERT_TRUE(r.completed);
+    EXPECT_EQ(r.rounds, 3u);
+    EXPECT_EQ(d.time(), 2u);
+  }
+  for (const std::uint64_t budget : {0u, 1u, 2u}) {
+    ScriptedDynamicGraph d = staircase();
+    const FloodResult r = flood(d, 0, budget);
+    EXPECT_FALSE(r.completed);
+    EXPECT_EQ(r.rounds, budget);
+    EXPECT_EQ(d.time(), budget == 0 ? 0u : budget - 1) << "budget " << budget;
+  }
+  {
+    FixedDynamicGraph d(complete_graph(5));
+    EXPECT_EQ(flood(d, 0, 10).rounds, 1u);
+    EXPECT_EQ(d.time(), 0u);
+  }
+  {
+    FixedDynamicGraph d(Graph(1));
+    EXPECT_EQ(flood(d, 0, 10).rounds, 0u);
+    EXPECT_EQ(d.time(), 0u);
+  }
+}
+
 TEST(FloodRound, ReportsNewlyInformed) {
   Snapshot s(4);
   s.add_edge(0, 1);

@@ -6,9 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 
 #include "meg/pair_index.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -114,6 +116,39 @@ TEST(PairIndex, LargeNRegressionPastDoublePrecision) {
       EXPECT_EQ(gi, i);
       EXPECT_EQ(gj, j);
     }
+  }
+}
+
+TEST(PairRowCursor, EveryIndexSmall) {
+  for (std::uint64_t n : {2ull, 3ull, 5ull, 64ull}) {
+    PairRowCursor cursor(n);
+    for (std::uint64_t index = 0; index < pair_count(n); ++index) {
+      ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
+          << "n=" << n << " index=" << index;
+    }
+  }
+}
+
+TEST(PairRowCursor, AscendingWalksWithLongJumps) {
+  // Log-uniform gaps up to total / 256 mix repeats (the cursor must
+  // accept an equal index), steps inside a row, hops into the next row
+  // and jumps across many rows; the walk ends on the very last pair.
+  for (const std::uint64_t n : {32768ull, 4294967295ull}) {
+    const std::uint64_t total = pair_count(n);
+    const auto max_shift =
+        static_cast<std::uint64_t>(std::bit_width(total) - 8);
+    Rng rng(n);
+    PairRowCursor cursor(n);
+    std::uint64_t index = 0;
+    for (int step = 0; step < 20000; ++step) {
+      ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
+          << "n=" << n << " index=" << index;
+      const std::uint64_t gap =
+          rng.uniform_int(std::uint64_t{1} << rng.uniform_int(max_shift));
+      if (gap >= total - 1 - index) break;
+      index += gap;
+    }
+    ASSERT_EQ(cursor.key(total - 1), pair_key_from_index(n, total - 1));
   }
 }
 

@@ -78,8 +78,40 @@ TEST(RunProcess, TtlDiesOutEarlyAndReportsIncomplete) {
   const ProcessResult r = run_process(graph, process, 0, 1'000'000, 0);
   EXPECT_FALSE(r.flood.completed);
   EXPECT_TRUE(process.exhausted());
-  EXPECT_LT(graph.time(), 10u);  // early exit, not 1e6 steps
+  // Early exit, not 1e6 steps — and no step after the exhausting round:
+  // R executed rounds (one informed_counts entry each) step R - 1 times.
+  ASSERT_GE(r.flood.informed_counts.size(), 2u);
+  EXPECT_EQ(graph.time(), r.flood.informed_counts.size() - 2);
   EXPECT_EQ(r.metrics.at("transmissions"), 2.0);  // node 0 then node 1
+}
+
+TEST(RunProcess, GenericEngineStepsOnlyBetweenRounds) {
+  // flood()'s clocking in the generic round engine: 0-1 at t = 0, 1-2 at
+  // t = 1, 2-3 from t = 2 on, so flooding from 0 completes in 3 rounds.
+  const auto staircase = [] {
+    std::vector<Snapshot> script;
+    for (NodeId e = 0; e < 3; ++e) {
+      Snapshot s(4);
+      s.add_edge(e, e + 1);
+      script.push_back(std::move(s));
+    }
+    return ScriptedDynamicGraph(std::move(script));
+  };
+  FloodingProcess process;
+  {
+    ScriptedDynamicGraph graph = staircase();
+    const ProcessResult r = process.SpreadingProcess::run(graph, 0, 10, 1);
+    ASSERT_TRUE(r.flood.completed);
+    EXPECT_EQ(r.flood.rounds, 3u);
+    EXPECT_EQ(graph.time(), 2u);
+  }
+  for (const std::uint64_t budget : {0u, 1u, 2u}) {
+    ScriptedDynamicGraph graph = staircase();
+    const ProcessResult r = process.SpreadingProcess::run(graph, 0, budget, 1);
+    EXPECT_FALSE(r.flood.completed);
+    EXPECT_EQ(graph.time(), budget == 0 ? 0u : budget - 1)
+        << "budget " << budget;
+  }
 }
 
 TEST(RunProcess, RadioExportsCollisionMetrics) {
