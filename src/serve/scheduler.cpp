@@ -14,7 +14,6 @@
 #endif
 
 #include "core/checkpoint.hpp"
-#include "core/format.hpp"
 #include "core/process.hpp"
 #include "core/sweep.hpp"
 #include "serve/json.hpp"
@@ -402,92 +401,50 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
     const auto owner = clients_.find(job->client);
     if (owner != clients_.end()) ++owner->second.in_flight;
   }
+  SubJobOutcome outcome;
   if (isolation_ == IsolationMode::kProcess) {
-    execute_in_worker(item, std::move(reply), lock, slot);
-    return;
-  }
-
-  MeasureHooks hooks;
-  hooks.cancel = &job->cancel;
-  FaultPlan* const plan = fault_plan_;
-  if (plan != nullptr) {
-    hooks.on_trial_start = [plan](std::size_t trial) {
-      plan->fire_trial_start(trial);
-    };
-  }
-  hooks.on_trial_recorded = [this, &job, plan](std::size_t trial) {
-    // Called from the campaign below, which runs with mutex_ released.
-    {
-      std::lock_guard<std::mutex> relock(mutex_);
-      ++job->completed;
-      ++trials_done_;
-      emit_to(job->client,
-              event_trial_done(job->id, job->completed, job->total_trials));
+    outcome = run_in_worker(item, reply, lock, slot);
+  } else {
+    MeasureHooks hooks;
+    hooks.cancel = &job->cancel;
+    if (FaultPlan* const plan = fault_plan_) {
+      hooks.on_trial_start = [plan](std::size_t trial) {
+        plan->fire_trial_start(trial);
+      };
+      // kill:after= counts durable records daemon-wide and fires after
+      // the trial_done event is queued for delivery.
+      hooks.on_trial_recorded = [plan](std::size_t trial) {
+        plan->fire_trial_recorded(trial);
+      };
     }
-    // kill:after= counts durable records daemon-wide and fires here, after
-    // the trial_done event is queued for delivery.
-    if (plan != nullptr) plan->fire_trial_recorded(trial);
-  };
-
-  // The deadline is applied to a spec *copy* at execute time, after the
-  // campaign key was computed at submit time — a job's deadline can never
-  // leak into cache or journal identity.
-  ScenarioSpec spec = item.work.spec;
-  if (job->deadline_s > 0.0) spec.trial.trial_deadline_s = job->deadline_s;
-
-  lock.unlock();
-
-  // With a journal directory configured, every trial of this campaign is
-  // recorded durably before it counts, so a SIGKILL loses at most the
-  // in-flight trial and recover_journals() finishes the rest on restart.
-  // A journal whose header does not match (a hash-named file from some
-  // other experiment) is replaced; journal I/O failure degrades to an
-  // unjournaled run — serving beats durability here.
-  std::unique_ptr<CheckpointJournal> journal;
-  std::string jpath;
-  if (!journal_dir_.empty()) {
-    jpath = journal_path(item.work.key);
-    const CheckpointKey ckey{item.work.key, 1};
-    try {
-      journal = std::make_unique<CheckpointJournal>(jpath, ckey);
-    } catch (const std::invalid_argument&) {
-      std::remove(jpath.c_str());
-      try {
-        journal = std::make_unique<CheckpointJournal>(jpath, ckey);
-      } catch (const std::exception&) {
-      }
-    } catch (const std::exception&) {
-    }
-    hooks.checkpoint = journal.get();
+    const std::string jpath = journal_path(reply.key);
+    std::size_t credited = 0;
+    lock.unlock();
+    outcome = run_subjob(item.work.spec, jpath, job->deadline_s,
+                         std::move(hooks), [&](std::size_t done) {
+                           std::lock_guard<std::mutex> relock(mutex_);
+                           credit_progress(*job, credited, done);
+                         });
+    lock.lock();
   }
+  finish(item, std::move(reply), std::move(outcome), lock);
+}
 
-  std::string result_json;
-  std::string error;
-  bool interrupted = false;
-  bool deadline_hit = false;
-  try {
-    const ScenarioResult result = run_scenario(spec, hooks);
-    interrupted = result.measurement.interrupted;
-    if (!interrupted) {
-      // Serialize against the *submitted* spec (no deadline): cached and
-      // resumed results stay byte-identical to an uninterrupted run.
-      result_json =
-          result_json_object(item.work.spec, result, result.warnings);
-    }
-  } catch (const TrialDeadlineExceeded& e) {
-    deadline_hit = true;
-    error = e.what();
-  } catch (const std::exception& e) {
-    error = e.what();
-  }
-  journal.reset();  // close before deciding the file's fate
-  if (!jpath.empty() && error.empty() && !interrupted) {
-    // Complete: the cache owns the result now, the journal is spent.  On
-    // any failure path the journal stays for a later resume.
-    std::remove(jpath.c_str());
-  }
-  lock.lock();
+void Scheduler::credit_progress(Job& job, std::size_t& credited,
+                                std::size_t done) {
+  if (done <= credited) return;
+  const std::size_t delta = done - credited;
+  credited = done;
+  job.completed += delta;
+  trials_done_ += delta;
+  emit_to(job.client,
+          event_trial_done(job.id, job.completed, job.total_trials));
+}
 
+void Scheduler::finish(const QueuedSubJob& item, SubJobReply reply,
+                       SubJobOutcome outcome,
+                       std::unique_lock<std::mutex>& lock) {
+  const std::shared_ptr<Job>& job = item.job;
   --running_subjobs_;
   {
     const auto owner = clients_.find(job->client);
@@ -495,32 +452,39 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
       --owner->second.in_flight;
     }
   }
-  if (deadline_hit) {
+  if (outcome.deadline_exceeded) {
     reply.deadline_exceeded = true;
-    reply.error = std::move(error);
+    reply.error = std::move(outcome.error);
     ++deadline_exceeded_;
     emit_to(job->client, event_deadline_exceeded(job->id, job->completed,
                                                  job->total_trials));
-  } else if (!error.empty()) {
-    reply.error = std::move(error);
-  } else if (interrupted) {
+  } else if (!outcome.error.empty()) {
+    reply.error = std::move(outcome.error);
+  } else if (outcome.interrupted) {
     reply.cancelled = true;
   } else {
-    reply.result_json = result_json;
-    cache_->store(item.work.key, result_json);
+    cache_->store(item.work.key, outcome.result_json);
+    reply.result_json = std::move(outcome.result_json);
+    if (!journal_dir_.empty()) {
+      // The cache owns the result now, so the journal is spent.  Every
+      // other outcome keeps it for a later resume.
+      lock.unlock();
+      std::remove(journal_path(reply.key).c_str());
+      lock.lock();
+    }
   }
   resolve(job, item.work.index, std::move(reply));
 }
 
 // Process-mode execution: dispatch the sub-job to the slot's worker and
-// pump its event stream, translating trial lines into the same
-// trial_done events thread mode emits.  A worker death charges the
-// campaign and retries on a respawned worker until the crash limit, then
-// quarantines.  Entered with mutex_ held (counters already bumped by
-// execute()); returns with it held.
-void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
-                                  std::unique_lock<std::mutex>& lock,
-                                  std::size_t slot_index) {
+// pump its event stream, crediting its trial lines like thread mode.  A
+// worker death charges the campaign and retries on a respawned worker
+// until the crash limit, then quarantines (filling `reply`'s crash
+// fields).  Entered with mutex_ held; returns with it held.
+SubJobOutcome Scheduler::run_in_worker(const QueuedSubJob& item,
+                                       SubJobReply& reply,
+                                       std::unique_lock<std::mutex>& lock,
+                                       std::size_t slot_index) {
   using Clock = std::chrono::steady_clock;
   const std::shared_ptr<Job>& job = item.job;
   WorkerSlot& slot = worker_slots_[slot_index];
@@ -533,18 +497,13 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
   // (scenario args + --seed + --trials); the worker re-derives the spec
   // from it, which is exactly the recover_journals() round-trip.
   wjob.cli = item.work.key.scenario_cli;
-  wjob.journal = journal_dir_.empty() ? std::string()
-                                      : journal_path(item.work.key);
+  wjob.journal = journal_path(reply.key);
   wjob.deadline_s = job->deadline_s;
   wjob.memory_mb = worker_memory_mb_;
 
-  std::string result_json;
-  std::string error;
-  bool interrupted = false;
-  bool deadline_hit = false;
-  // Cumulative trials this sub-job has reported (journal replays
-  // included), so a crash-retry resumes the count instead of repeating it.
-  std::uint64_t sub_done = 0;
+  SubJobOutcome outcome;
+  // Progress this sub-job has credited, across crash-retries.
+  std::size_t credited = 0;
 
   while (true) {
     // mutex_ held at the top of every attempt.
@@ -553,7 +512,7 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       wjob.attempt = it == campaign_crashes_.end() ? 0 : it->second;
     }
     if (job->cancel.load(std::memory_order_relaxed)) {
-      interrupted = true;
+      outcome.interrupted = true;
       break;
     }
     lock.unlock();
@@ -568,7 +527,7 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       std::string spawn_error;
       if (!slot.process->spawn(spawn_error)) {
         lock.lock();
-        error = "worker spawn failed: " + spawn_error;
+        outcome.error = "worker spawn failed: " + spawn_error;
         break;
       }
       lock.lock();
@@ -627,52 +586,26 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       if (kind->string == "trial") {
         const JsonValue* done = event->find("done");
         if (!done || !done->is_number()) continue;
-        const auto total = static_cast<std::uint64_t>(done->number);
-        // `done` is cumulative; after a journal-less retry the worker
-        // re-counts from zero, so only forward progress is credited.
-        if (total > sub_done) {
-          const std::uint64_t delta = total - sub_done;
-          sub_done = total;
-          std::lock_guard<std::mutex> relock(mutex_);
-          job->completed += delta;
-          trials_done_ += delta;
-          emit_to(job->client, event_trial_done(job->id, job->completed,
-                                                job->total_trials));
-        }
+        std::lock_guard<std::mutex> relock(mutex_);
+        credit_progress(*job, credited,
+                        static_cast<std::size_t>(done->number));
       } else if (kind->string == "result") {
-        const JsonValue* flag = event->find("deadline");
-        deadline_hit = flag && flag->is_bool() && flag->boolean;
-        flag = event->find("interrupted");
-        interrupted = flag && flag->is_bool() && flag->boolean;
-        if (const JsonValue* err = event->find("error");
-            err != nullptr && err->is_string()) {
-          error = err->string;
-        }
-        // The result object is the line's final member; its bytes are
-        // spliced out verbatim so cache entries stay byte-identical to
-        // thread mode.  (The marker cannot appear earlier: `error` is the
-        // only free-form field before it and json_quote escapes quotes.)
-        const std::string marker = ", \"result\": ";
-        const std::size_t at = line.find(marker);
-        if (at != std::string::npos && line.size() > at + marker.size()) {
-          result_json = line.substr(at + marker.size(),
-                                    line.size() - at - marker.size() - 1);
-        }
+        outcome = parse_worker_result_line(line);
         got_result = true;
       }
     }
 
-    if (got_result) {
-      lock.lock();
-      break;
-    }
+    lock.lock();
+    if (got_result) break;
 
     // Worker died (or wedged) mid-campaign: classify, charge the
-    // campaign, and either retry on a fresh worker or quarantine.
-    lock.lock();
+    // campaign once per attempt (concurrent dispatches of one campaign
+    // dying on the same attempt are one crash), then retry or quarantine.
     slot.pid = 0;
     ++worker_restarts_;
-    const std::uint64_t crashes = ++campaign_crashes_[reply.key];
+    std::uint64_t& charged = campaign_crashes_[reply.key];
+    if (charged == wjob.attempt) ++charged;
+    const std::uint64_t crashes = charged;
     std::fprintf(stderr,
                  "megflood_serve: worker died (%s) running %s "
                  "[crash %llu/%llu]\n",
@@ -689,8 +622,8 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
       reply.worker_crash = true;
       reply.crash_signal = info.signal;
       reply.crashes = crashes;
-      error = "quarantined: worker crashed (" + info.signal + ") " +
-              std::to_string(crashes) + " times";
+      outcome.error = "quarantined: worker crashed (" + info.signal + ") " +
+                      std::to_string(crashes) + " times";
       break;
     }
     // Below the limit: loop back and re-dispatch.  The journal the dead
@@ -699,32 +632,7 @@ void Scheduler::execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
 
   // mutex_ held.
   slot.busy = false;
-  --running_subjobs_;
-  {
-    const auto owner = clients_.find(job->client);
-    if (owner != clients_.end() && owner->second.in_flight > 0) {
-      --owner->second.in_flight;
-    }
-  }
-  if (reply.worker_crash) {
-    reply.error = std::move(error);
-  } else if (deadline_hit) {
-    reply.deadline_exceeded = true;
-    reply.error = std::move(error);
-    ++deadline_exceeded_;
-    emit_to(job->client, event_deadline_exceeded(job->id, job->completed,
-                                                 job->total_trials));
-  } else if (!error.empty()) {
-    reply.error = std::move(error);
-  } else if (interrupted) {
-    reply.cancelled = true;
-  } else if (!result_json.empty()) {
-    reply.result_json = result_json;
-    cache_->store(item.work.key, result_json);
-  } else {
-    reply.error = "worker returned no result";
-  }
-  resolve(job, item.work.index, std::move(reply));
+  return outcome;
 }
 
 bool Scheduler::run_one() {
@@ -791,8 +699,10 @@ void Scheduler::drain() {
   }
 }
 
-std::string Scheduler::journal_path(const CampaignKey& key) const {
-  return journal_dir_ + "/" + hex64(campaign_key_hash(key)) + kJournalSuffix;
+std::string Scheduler::journal_path(const std::string& key_string) const {
+  if (journal_dir_.empty()) return "";
+  return journal_dir_ + "/" + hex64(campaign_key_hash(key_string)) +
+         kJournalSuffix;
 }
 
 std::string Scheduler::quarantine_path(const std::string& key_string) const {
@@ -805,10 +715,7 @@ void Scheduler::persist_quarantine(const std::string& key_string,
   if (journal_dir_.empty()) return;
   // The campaign's journal is poison now: resuming it would crash a
   // worker on every daemon restart, so it dies with the quarantine.
-  const std::string jpath = journal_dir_ + "/" +
-                            hex64(campaign_key_hash(key_string)) +
-                            kJournalSuffix;
-  std::remove(jpath.c_str());
+  std::remove(journal_path(key_string).c_str());
   const std::string qpath = quarantine_path(key_string);
   std::FILE* file = std::fopen(qpath.c_str(), "w");
   if (file == nullptr) {

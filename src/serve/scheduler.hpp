@@ -30,17 +30,18 @@
 // orphaned journals on restart (recover_journals()) and completes the
 // interrupted campaigns bit-identical to an uninterrupted run.
 //
-// Process isolation (ISSUE 10): with `isolation = kProcess` each pool
-// thread supervises a WorkerProcess (serve/worker.hpp) instead of
-// running campaigns in-daemon.  The supervisor detects worker death via
-// waitpid, classifies it (signal / exit code / heartbeat timeout),
-// respawns the worker and re-dispatches the lost sub-job; a campaign
-// that kills `crash_limit` workers is quarantined — terminal `failed`
-// event, persistent `.mfq` marker beside its journal, never executed
-// again and never cached.  Because workers journal per-trial through the
-// same `.mfj` files, a re-dispatched sub-job resumes bit-identically,
-// and results stream back verbatim, so process mode is byte-identical to
-// thread mode (test_serve_worker proves both properties).
+// Execution: both isolation modes run a sub-job through run_subjob()
+// (serve/worker.hpp) and end in one finish() that stores the result and
+// then deletes the spent `.mfj` journal; trial_done progress is credited
+// forward-only, journal replays included.  With `isolation = kProcess`
+// each pool thread supervises a WorkerProcess that runs it: a worker
+// death is detected via waitpid, classified (signal / exit code /
+// heartbeat timeout) and the lost sub-job re-dispatched to a respawned
+// worker, resuming from its journal; a campaign that crashes on
+// `crash_limit` attempts is quarantined — terminal `failed` event,
+// persistent `.mfq` marker, never executed again and never cached.
+// Results come back verbatim, so process mode is byte-identical to
+// thread mode.
 
 #include <atomic>
 #include <condition_variable>
@@ -58,14 +59,13 @@
 #include "core/scenario.hpp"
 #include "serve/cache.hpp"
 #include "serve/protocol.hpp"
+#include "serve/worker.hpp"
 
 namespace megflood {
 class FaultPlan;
 }
 
 namespace megflood::serve {
-
-class WorkerProcess;
 
 // How campaign sub-jobs execute: on the scheduler's own pool threads
 // (kThread, the default) or in supervised worker subprocesses
@@ -101,8 +101,9 @@ struct SchedulerConfig {
   std::string inject_spec;
   // Per-job RLIMIT_AS budget for workers, MiB; 0 = unlimited.
   std::uint64_t worker_memory_mb = 0;
-  // Worker deaths a single campaign is allowed to cause before it is
-  // quarantined (>= 1).
+  // Crashed attempts a single campaign is allowed before it is
+  // quarantined (>= 1); concurrent dispatches of one campaign that die
+  // on the same attempt count once.
   std::size_t crash_limit = 2;
   // A busy worker silent (no trial/heartbeat/result line) this long is
   // declared wedged: SIGKILLed and classified as heartbeat_timeout.
@@ -216,15 +217,23 @@ class Scheduler {
   bool has_queued_work() const;
   void execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
                std::size_t slot);
-  // Process-mode tail of execute(): dispatch to the slot's worker,
-  // supervise, retry across crashes, quarantine past the limit.  Called
-  // with mutex_ held; drops it around worker I/O.
-  void execute_in_worker(const QueuedSubJob& item, SubJobReply reply,
-                         std::unique_lock<std::mutex>& lock,
-                         std::size_t slot);
+  // Process mode: runs the sub-job in the slot's worker, retrying across
+  // crashes and quarantining past the limit (filling `reply`'s crash
+  // fields).  Called with mutex_ held; drops it around worker I/O.
+  SubJobOutcome run_in_worker(const QueuedSubJob& item, SubJobReply& reply,
+                              std::unique_lock<std::mutex>& lock,
+                              std::size_t slot);
+  // Credits a sub-job's cumulative trial count `done` beyond `credited`
+  // (what it already counted), so no replay or retry counts twice.
+  void credit_progress(Job& job, std::size_t& credited, std::size_t done);
+  // Both modes' finish path: releases the running slot, turns the outcome
+  // into the reply, stores a result, then deletes its spent journal.
+  void finish(const QueuedSubJob& item, SubJobReply reply,
+              SubJobOutcome outcome, std::unique_lock<std::mutex>& lock);
   void worker_loop(std::size_t slot);
   std::uint64_t retry_after_ms() const;  // backoff hint from queue depth
-  std::string journal_path(const CampaignKey& key) const;  // lock-free
+  // Lock-free; empty without a journal directory.
+  std::string journal_path(const std::string& key_string) const;
   std::string quarantine_path(const std::string& key_string) const;
   // Persists a .mfq marker and drops the campaign's journal (best
   // effort, lock-free file I/O).

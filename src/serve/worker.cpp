@@ -42,6 +42,9 @@ constexpr std::uint64_t kWorkerInjectSeed = 1;
 
 constexpr int kHeartbeatIntervalMs = 500;
 
+// Separates the result object, the last member of a result line.
+constexpr const char* kResultMarker = ", \"result\": ";
+
 // RLIMIT_AS starves ASan/TSan shadow memory long before it bounds the
 // campaign, so budgets are applied only in uninstrumented builds — the
 // sanitizer lanes still exercise every other sandbox path.
@@ -58,10 +61,6 @@ std::string format_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
-}
-
-const JsonValue* find_field(const JsonValue& object, const char* name) {
-  return object.find(name);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -98,7 +97,7 @@ bool write_all_fd(int fd, const char* data, std::size_t size) {
 
 // Per-job rlimit budgets.  Soft limits only — the hard limits stay where
 // the operator put them — restored after the job so the worker runtime
-// itself (result serialization, the next journal) is never constrained.
+// itself (the result line, the next job) is never constrained.
 struct RlimitGuard {
   RlimitGuard(std::uint64_t memory_mb, double deadline_s) {
 #if !defined(MEGFLOOD_WORKER_RLIMITS_OFF)
@@ -174,13 +173,13 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
     if (error.empty()) error = "job line is not a JSON object";
     return false;
   }
-  const JsonValue* op = find_field(*parsed, "op");
+  const JsonValue* op = parsed->find("op");
   if (op == nullptr || !op->is_string() || op->string != "job") {
     error = "job line has no op=job";
     return false;
   }
-  const JsonValue* job = find_field(*parsed, "job");
-  const JsonValue* cli = find_field(*parsed, "cli");
+  const JsonValue* job = parsed->find("job");
+  const JsonValue* cli = parsed->find("cli");
   if (job == nullptr || !job->is_number() || cli == nullptr ||
       !cli->is_string() || cli->string.empty()) {
     error = "job line needs numeric 'job' and non-empty string 'cli'";
@@ -189,23 +188,120 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
   out = WorkerJob{};
   out.job = static_cast<std::uint64_t>(job->number);
   out.cli = cli->string;
-  if (const JsonValue* journal = find_field(*parsed, "journal");
+  if (const JsonValue* journal = parsed->find("journal");
       journal != nullptr && journal->is_string()) {
     out.journal = journal->string;
   }
-  if (const JsonValue* deadline = find_field(*parsed, "deadline_s");
+  if (const JsonValue* deadline = parsed->find("deadline_s");
       deadline != nullptr && deadline->is_number() && deadline->number > 0) {
     out.deadline_s = deadline->number;
   }
-  if (const JsonValue* memory = find_field(*parsed, "memory_mb");
+  if (const JsonValue* memory = parsed->find("memory_mb");
       memory != nullptr && memory->is_number() && memory->number > 0) {
     out.memory_mb = static_cast<std::uint64_t>(memory->number);
   }
-  if (const JsonValue* attempt = find_field(*parsed, "attempt");
+  if (const JsonValue* attempt = parsed->find("attempt");
       attempt != nullptr && attempt->is_number() && attempt->number > 0) {
     out.attempt = static_cast<std::uint64_t>(attempt->number);
   }
   return true;
+}
+
+SubJobOutcome run_subjob(const ScenarioSpec& spec,
+                         const std::string& journal_path, double deadline_s,
+                         MeasureHooks hooks,
+                         const std::function<void(std::size_t done)>&
+                             on_progress) {
+  // A journaled run loses at most its in-flight trial to a crash.  A
+  // foreign header (a hash-named file from another experiment) is
+  // replaced; I/O failure runs unjournaled — serving beats durability.
+  std::optional<CheckpointJournal> journal;
+  if (!journal_path.empty()) {
+    const CheckpointKey key{campaign_key(spec), 1};
+    for (int attempt = 0; attempt < 2 && !journal; ++attempt) {
+      try {
+        journal.emplace(journal_path, key);
+      } catch (const std::invalid_argument&) {
+        std::remove(journal_path.c_str());
+      } catch (const std::exception&) {
+        break;
+      }
+    }
+  }
+  const std::size_t replayed = journal ? journal->replayed_trials() : 0;
+  if (replayed > 0) on_progress(replayed);
+
+  std::atomic<std::size_t> fresh{0};
+  hooks.checkpoint = journal ? &*journal : nullptr;
+  hooks.on_trial_recorded = [&, recorded = std::move(hooks.on_trial_recorded)](
+                                std::size_t trial) {
+    on_progress(replayed + fresh.fetch_add(1) + 1);
+    if (recorded) recorded(trial);
+  };
+  // The deadline rides a spec copy: identity and rendering use `spec`.
+  ScenarioSpec run_spec = spec;
+  if (deadline_s > 0.0) run_spec.trial.trial_deadline_s = deadline_s;
+
+  SubJobOutcome outcome;
+  try {
+    const ScenarioResult result = run_scenario(run_spec, hooks);
+    outcome.interrupted = result.measurement.interrupted;
+    if (!outcome.interrupted) {
+      outcome.result_json = result_json_object(spec, result, result.warnings);
+    }
+  } catch (const TrialDeadlineExceeded& e) {
+    outcome.deadline_exceeded = true;
+    outcome.error = e.what();
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  }
+  return outcome;
+}
+
+std::string worker_result_line(std::uint64_t job,
+                               const SubJobOutcome& outcome) {
+  std::string line = "{\"event\": \"result\", \"job\": " + std::to_string(job);
+  line += std::string(", \"deadline\": ") +
+          (outcome.deadline_exceeded ? "true" : "false");
+  line += std::string(", \"interrupted\": ") +
+          (outcome.interrupted ? "true" : "false");
+  line += ", \"error\": " + json_quote(outcome.error);
+  // Last member, so its bytes can be spliced back out verbatim.
+  if (!outcome.result_json.empty()) {
+    line += kResultMarker + outcome.result_json;
+  }
+  line += "}";
+  return line;
+}
+
+SubJobOutcome parse_worker_result_line(const std::string& line) {
+  SubJobOutcome out;
+  std::string error;
+  const auto parsed = parse_json(line, error);
+  if (parsed && parsed->is_object()) {
+    const JsonValue* flag = parsed->find("deadline");
+    out.deadline_exceeded = flag && flag->is_bool() && flag->boolean;
+    flag = parsed->find("interrupted");
+    out.interrupted = flag && flag->is_bool() && flag->boolean;
+    if (const JsonValue* err = parsed->find("error");
+        err != nullptr && err->is_string()) {
+      out.error = err->string;
+    }
+    // The result object is spliced, never re-rendered, so cache entries
+    // stay byte-identical to thread mode.  The marker's first occurrence
+    // is the member itself: `error` is the only free-form field before
+    // it and json_quote escapes its quotes.
+    const JsonValue* result = parsed->find("result");
+    const std::size_t at = line.find(kResultMarker);
+    if (result != nullptr && result->is_object() && at != std::string::npos) {
+      const std::size_t begin = at + std::strlen(kResultMarker);
+      out.result_json = line.substr(begin, line.size() - begin - 1);
+    }
+  }
+  if (out.result_json.empty() && out.error.empty() && !out.interrupted) {
+    out.error = "worker returned no result";
+  }
+  return out;
 }
 
 std::string WorkerDeath::describe() const {
@@ -496,90 +592,37 @@ void worker_heartbeat_loop(WorkerState& state) {
 
 void worker_run_job(WorkerState& state, const WorkerJob& job,
                     FaultPlan* plan) {
-  const std::string job_id = std::to_string(job.job);
-  std::string result_json;
-  std::string error;
-  bool interrupted = false;
-  bool deadline_hit = false;
-
-  std::unique_ptr<CheckpointJournal> journal;
-  std::size_t replayed = 0;
-  std::optional<ScenarioResult> result;
+  SubJobOutcome outcome;
   ScenarioSpec spec;
   try {
     spec = parse_scenario_cli(job.cli);
     spec.trial.threads = 1;
-    ScenarioSpec run_spec = spec;
-    if (job.deadline_s > 0.0) {
-      run_spec.trial.trial_deadline_s = job.deadline_s;
-    }
-
-    // Same journal fallback dance as the thread-mode scheduler: a
-    // mismatched header is replaced, journal I/O failure degrades to an
-    // unjournaled run.  On a crash the journal survives on disk — the
-    // supervisor re-dispatches and this code resumes it bit-for-bit.
-    if (!job.journal.empty()) {
-      const CheckpointKey ckey{campaign_key(spec), 1};
-      try {
-        journal = std::make_unique<CheckpointJournal>(job.journal, ckey);
-      } catch (const std::invalid_argument&) {
-        std::remove(job.journal.c_str());
-        try {
-          journal = std::make_unique<CheckpointJournal>(job.journal, ckey);
-        } catch (const std::exception&) {
-        }
-      } catch (const std::exception&) {
-      }
-      if (journal) replayed = journal->replayed_trials();
-    }
-
-    std::atomic<std::size_t> fresh{0};
+  } catch (const std::exception& e) {
+    outcome.error = e.what();
+  }
+  if (outcome.error.empty()) {
     MeasureHooks hooks;
     hooks.cancel = &state.cancel_current;
-    hooks.checkpoint = journal.get();
     if (plan != nullptr) {
       const std::uint64_t attempt = job.attempt;
-      const FaultPlan* const sites = plan;
-      hooks.on_trial_start = [sites, attempt](std::size_t trial) {
-        sites->fire_trial_start(trial, attempt);
+      hooks.on_trial_start = [plan, attempt](std::size_t trial) {
+        plan->fire_trial_start(trial, attempt);
+      };
+      hooks.on_trial_recorded = [plan](std::size_t trial) {
+        plan->fire_trial_recorded(trial);
       };
     }
-    hooks.on_trial_recorded = [&](std::size_t trial) {
-      const std::size_t done = replayed + fresh.fetch_add(1) + 1;
-      state.write_line("{\"event\": \"trial\", \"job\": " + job_id +
-                       ", \"done\": " + std::to_string(done) + "}");
-      if (plan != nullptr) plan->fire_trial_recorded(trial);
-    };
-
+    const std::string prefix =
+        "{\"event\": \"trial\", \"job\": " + std::to_string(job.job) +
+        ", \"done\": ";
     const RlimitGuard budgets(job.memory_mb, job.deadline_s);
-    result = run_scenario(run_spec, hooks);
-    interrupted = result->measurement.interrupted;
-  } catch (const TrialDeadlineExceeded& e) {
-    deadline_hit = true;
-    error = e.what();
-  } catch (const std::exception& e) {
-    error = e.what();
+    outcome = run_subjob(spec, job.journal, job.deadline_s, std::move(hooks),
+                         [&](std::size_t done) {
+                           state.write_line(prefix + std::to_string(done) +
+                                            "}");
+                         });
   }
-  if (result && !interrupted && error.empty()) {
-    // Serialize against the submitted spec (never the deadline-carrying
-    // copy) — identical to thread mode, so cache entries and the bytes
-    // spliced into `done` match across isolation modes.
-    result_json = result_json_object(spec, *result, result->warnings);
-  }
-  journal.reset();
-  if (!job.journal.empty() && error.empty() && !interrupted &&
-      !result_json.empty()) {
-    std::remove(job.journal.c_str());  // spent; crash paths keep it
-  }
-
-  std::string line = "{\"event\": \"result\", \"job\": " + job_id;
-  line += std::string(", \"deadline\": ") + (deadline_hit ? "true" : "false");
-  line += std::string(", \"interrupted\": ") +
-          (interrupted ? "true" : "false");
-  line += ", \"error\": " + json_quote(error);
-  if (!result_json.empty()) line += ", \"result\": " + result_json;
-  line += "}";
-  state.write_line(line);
+  state.write_line(worker_result_line(job.job, outcome));
 }
 
 }  // namespace

@@ -1,15 +1,17 @@
 #pragma once
 
-// Process-isolated campaign execution for megflood_serve (ISSUE 10).
+// Sub-job execution for megflood_serve.  run_subjob() is the one
+// sub-job runner of both isolation modes: `--isolation=thread` calls it
+// on a pool thread, `--isolation=process` in a worker subprocess that
+// ships the outcome back on its result line — which is what keeps the
+// two modes byte-identical.
 //
-// In `--isolation=process` mode the scheduler does not run campaign
-// sub-jobs on its own threads: each pool thread owns a WorkerProcess — a
-// self-exec of the daemon binary in `--worker` mode — and ships sub-jobs
-// to it as NDJSON lines over a socketpair.  A scenario kernel that
-// segfaults, aborts, or blows past its rlimit budget kills *the worker*,
-// which the supervisor observes via waitpid and classifies (signal vs
-// exit code vs heartbeat timeout); the daemon and every other client's
-// work survive.
+// In process mode each pool thread owns a WorkerProcess — a self-exec of
+// the daemon binary in `--worker` mode — and ships sub-jobs to it as
+// NDJSON lines over a socketpair.  A scenario kernel that segfaults,
+// aborts, or blows past its rlimit budget kills *the worker*, which the
+// supervisor observes via waitpid and classifies (signal vs exit code vs
+// heartbeat timeout); the daemon and every other client's work survive.
 //
 // Wire protocol (one JSON object per line, both directions):
 //
@@ -22,23 +24,23 @@
 //
 //   worker -> supervisor
 //     {"event": "trial", "job": N, "done": D}
-//         one durable trial; D counts replayed-from-journal plus fresh
-//         trials, so progress is cumulative across a crash/retry
+//         progress; D is cumulative (trials replayed from the journal
+//         plus fresh ones), so progress carries across a crash/retry
 //     {"event": "heartbeat"}
 //         emitted every ~500 ms by a side thread; its absence past the
 //         supervisor's timeout classifies a wedged worker
 //     {"event": "result", "job": N, "deadline": B, "interrupted": B,
 //      "error": "...", "result": {...}}
-//         terminal.  On success `error` is "" and `result` carries the
-//         campaign's result object *verbatim* (spliced, never re-parsed),
-//         which is what keeps process-mode results byte-identical to
-//         thread mode.  On failure the `result` key is absent.
+//         terminal (worker_result_line).  On success `error` is "" and
+//         `result` carries the campaign's result object *verbatim*
+//         (spliced, never re-parsed).  On failure the `result` key is
+//         absent.
 //
 // The worker opens the supervisor-provided `.mfj` journal itself, so a
 // crash leaves the journal on disk and the retried dispatch resumes
-// bit-for-bit — the PR 9 crash-recovery contract holds across worker
-// deaths.  `attempt` carries the campaign's prior crash count into the
-// fault plan so `once=1` sites fire only on the first dispatch.
+// bit-for-bit.  The supervisor deletes a spent journal after it stores
+// the result.  `attempt` carries the campaign's prior crash count into
+// the fault plan so `once=1` sites fire only on the first dispatch.
 //
 // Every raw process-control primitive (socketpair/fork/execv/waitpid/
 // kill/setrlimit) lives in this translation unit; the megflood_lint
@@ -46,10 +48,45 @@
 
 #include <sys/types.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 
+#include "core/scenario.hpp"
+#include "core/trial.hpp"
+
 namespace megflood::serve {
+
+// How one sub-job run ended.  Exactly one of: a non-empty result_json
+// (success), a non-empty error (deadline_exceeded marks a watchdog miss),
+// or interrupted (cancelled between trials).
+struct SubJobOutcome {
+  std::string result_json;  // the campaign's result object, verbatim
+  std::string error;
+  bool deadline_exceeded = false;
+  bool interrupted = false;
+};
+
+// Runs one sub-job of `spec` (threads = 1) and renders its result
+// against `spec`; the run itself uses a copy carrying `deadline_s` (0 =
+// none), so a deadline never reaches cache or journal identity.  A
+// non-empty `journal_path` is opened or, when foreign, replaced (I/O
+// failure runs unjournaled), and is left on disk for the caller to
+// delete once the result is stored.  `on_progress` gets the cumulative
+// trial count: the journal's replayed trials, then each fresh trial.
+SubJobOutcome run_subjob(const ScenarioSpec& spec,
+                         const std::string& journal_path, double deadline_s,
+                         MeasureHooks hooks,
+                         const std::function<void(std::size_t done)>&
+                             on_progress);
+
+// The worker's terminal "result" line for dispatch `job`, and its
+// inverse.  A line with no result, error or flag parses to the error
+// "worker returned no result".
+std::string worker_result_line(std::uint64_t job,
+                               const SubJobOutcome& outcome);
+SubJobOutcome parse_worker_result_line(const std::string& line);
 
 // One dispatched sub-job, as carried by the "job" line.
 struct WorkerJob {

@@ -1,0 +1,137 @@
+#!/usr/bin/env python3
+"""Serve smokes: megflood_serve survives a kill -9 and a worker crash.
+
+    python3 tests/serve_smoke.py PATH/TO/megflood_serve PATH/TO/megflood_load
+
+chaos: a thread-mode daemon SIGKILLs itself at the 100th trial start
+(--inject=kill:trial=100) while `megflood_load --retry` is mid-load.  A
+restarted daemon on the same --cache_dir recovers the journaled campaigns,
+the load resolves every job, and a clean second pass dumps byte-identical
+results.  (Under --isolation=process kill:trial fires inside the worker,
+so this smoke stays in thread mode.)
+
+worker_crash: a process-mode daemon whose campaigns segfault once
+(--inject=segv:trial=1,once=1) respawns its workers, the load completes
+with nothing failed or unresolved, the stats record the restarts, and the
+daemon is the same process afterwards.
+
+Each smoke runs in its own temporary directory.  Exits 1 when a check
+fails.
+"""
+
+import re
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+TIMEOUT_S = 120
+
+
+class SmokeFailure(Exception):
+    pass
+
+
+def check(ok, what):
+    if not ok:
+        raise SmokeFailure(what)
+
+
+def wait_for_socket(path):
+    for _ in range(50):
+        if path.exists():
+            return
+        time.sleep(0.1)
+    raise SmokeFailure(f"daemon never created {path}")
+
+
+def stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait()
+
+
+def chaos(serve, load, work, procs):
+    sock = work / "serve.sock"
+    cache = f"--cache_dir={work / 'chaos-cache'}"
+    load_args = [load, f"--socket={sock}", "--retry", "--connections=8",
+                 "--jobs=80", "--distinct=20", "--trials=150", "--n=32"]
+    daemon = subprocess.Popen([serve, f"--socket={sock}", "--workers=2",
+                               cache, "--inject=kill:trial=100"])
+    procs.append(daemon)
+    wait_for_socket(sock)
+    first = subprocess.Popen(
+        load_args + [f"--dump_results={work / 'chaos-a.tsv'}"])
+    procs.append(first)
+    code = daemon.wait(timeout=TIMEOUT_S)
+    check(code != 0, f"daemon must die by SIGKILL, exited {code}")
+
+    with open(work / "chaos-serve.out", "wb") as out:
+        daemon = subprocess.Popen(
+            [serve, f"--socket={sock}", "--workers=2", cache], stdout=out)
+    procs.append(daemon)
+    code = first.wait(timeout=TIMEOUT_S)
+    check(code == 0, f"load across the crash exited {code}")
+    code = subprocess.run(
+        load_args + [f"--dump_results={work / 'chaos-b.tsv'}"],
+        timeout=TIMEOUT_S).returncode
+    check(code == 0, f"clean load exited {code}")
+    check((work / "chaos-a.tsv").read_bytes() ==
+          (work / "chaos-b.tsv").read_bytes(),
+          "results across the crash differ from a clean pass")
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=TIMEOUT_S)
+    check(code == 0, f"restarted daemon exited {code} on SIGTERM")
+    text = (work / "chaos-serve.out").read_text()
+    check(re.search(r"recovered [0-9]+ interrupted", text),
+          f"restart recovered no journal:\n{text}")
+
+
+def worker_crash(serve, load, work, procs):
+    sock = work / "serve.sock"
+    daemon = subprocess.Popen(
+        [serve, f"--socket={sock}", "--workers=2", "--isolation=process",
+         f"--cache_dir={work / 'worker-cache'}",
+         "--inject=segv:trial=1,once=1"])
+    procs.append(daemon)
+    wait_for_socket(sock)
+    run = subprocess.run(
+        [load, f"--socket={sock}", "--retry", "--stats", "--connections=4",
+         "--jobs=12", "--distinct=4", "--trials=3", "--n=32"],
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    sys.stdout.write(run.stdout)
+    check(run.returncode == 0, f"load exited {run.returncode}")
+    check(" unresolved=0" in run.stdout, "load left jobs unresolved")
+    check(" failed=0" in run.stdout, "load saw failed jobs")
+    check(re.search(r'"worker_restarts": [1-9]', run.stdout),
+          "stats record no worker restart")
+    check(daemon.poll() is None, "the daemon did not survive")
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=TIMEOUT_S)
+    check(code == 0, f"daemon exited {code} on SIGTERM")
+
+
+def main(argv):
+    if len(argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    failed = 0
+    for smoke in (chaos, worker_crash):
+        procs = []
+        with tempfile.TemporaryDirectory(prefix="mfsmoke") as work:
+            try:
+                smoke(argv[1], argv[2], Path(work), procs)
+                print(f"ok   {smoke.__name__}", flush=True)
+            except (SmokeFailure, subprocess.TimeoutExpired) as error:
+                failed += 1
+                print(f"FAIL {smoke.__name__}: {error}", flush=True)
+            finally:
+                for proc in procs:
+                    stop(proc)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

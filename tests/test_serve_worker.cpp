@@ -17,15 +17,21 @@
 
 #include <sys/wait.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/campaign.hpp"
+#include "core/checkpoint.hpp"
+#include "core/scenario.hpp"
+#include "core/trial.hpp"
 #include "serve/cache.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
@@ -231,6 +237,47 @@ TEST(ServeWorker, MalformedJobLinesAreRejectedWithAReason) {
   }
 }
 
+// Every outcome survives the worker's result line, the result object
+// byte-for-byte.
+TEST(ServeWorker, ResultLineRoundTrips) {
+  SubJobOutcome deadline;
+  deadline.deadline_exceeded = true;
+  deadline.error = "trial 3 exceeded its 0.2 s deadline";
+  SubJobOutcome interrupted;
+  interrupted.interrupted = true;
+  SubJobOutcome tricky;
+  tricky.error = "bad \"quote\" then , \"result\": {\"x\": 1}";
+  SubJobOutcome success;
+  success.result_json =
+      "{\"model\": \"fixed\", \"n\": 16, \"rounds_mean\": 8.25, "
+      "\"nested\": {\"a\": 1, \"result\": [1, 2]}, \"warnings\": []}";
+
+  for (const SubJobOutcome& outcome :
+       {deadline, interrupted, tricky, success}) {
+    const std::string line = worker_result_line(7, outcome);
+    EXPECT_EQ(label(line), "result");
+    EXPECT_EQ(number_field(line, "job"), 7.0);
+    const SubJobOutcome back = parse_worker_result_line(line);
+    EXPECT_EQ(back.result_json, outcome.result_json) << line;
+    EXPECT_EQ(back.error, outcome.error) << line;
+    EXPECT_EQ(back.deadline_exceeded, outcome.deadline_exceeded) << line;
+    EXPECT_EQ(back.interrupted, outcome.interrupted) << line;
+  }
+
+  // A line that carries no outcome at all is an error, never a success.
+  for (const char* empty : {
+           "{\"event\": \"result\", \"job\": 7, \"deadline\": false, "
+           "\"interrupted\": false, \"error\": \"\"}",
+           "{\"event\": \"result\", \"job\": 7}",
+           "not json at all",
+       }) {
+    const SubJobOutcome back = parse_worker_result_line(empty);
+    EXPECT_EQ(back.error, "worker returned no result") << empty;
+    EXPECT_TRUE(back.result_json.empty()) << empty;
+    EXPECT_FALSE(back.interrupted) << empty;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Byte-identity: process mode must answer exactly like thread mode
 // ---------------------------------------------------------------------------
@@ -262,6 +309,56 @@ TEST(ServeWorker, ProcessModeEventStreamIsByteIdenticalToThreadMode) {
 
   // And the caches agree entry-for-entry.
   EXPECT_EQ(process_cache.stats().entries, thread_cache.stats().entries);
+}
+
+// A campaign resumed from a journal credits its replayed trials the same
+// way in both modes: trial_done counts are cumulative, so the terminal
+// done reports completed == total, not just the freshly run trials.
+TEST(ServeWorker, ResumedSubJobReportsTheSameProgressInBothModes) {
+  ScenarioSpec spec = parse_scenario_args(quick_args(101, 3));
+  spec.trial.threads = 1;
+  const CampaignKey key = campaign_key(spec);
+  char name[17];
+  std::snprintf(name, sizeof(name), "%016llx",
+                static_cast<unsigned long long>(campaign_key_hash(key)));
+
+  // One durable trial at the daemon's hashed journal path, then a "crash".
+  const auto plant_journal = [&](const std::string& dir) {
+    CheckpointJournal journal(dir + "/" + name + ".mfj",
+                              CheckpointKey{key, 1});
+    std::atomic<bool> cancel{false};
+    MeasureHooks hooks;
+    hooks.cancel = &cancel;
+    hooks.checkpoint = &journal;
+    hooks.on_trial_recorded = [&cancel](std::size_t) {
+      cancel.store(true, std::memory_order_relaxed);
+    };
+    ASSERT_TRUE(run_scenario(spec, hooks).measurement.interrupted);
+  };
+  const std::vector<Request> requests = {
+      submit_request("r", quick_args(101, 3))};
+
+  const std::string thread_dir = fresh_dir("worker_resume_thread");
+  plant_journal(thread_dir);
+  SchedulerConfig thread_config;
+  thread_config.journal_dir = thread_dir;
+  ResultCache thread_cache;
+  const std::vector<std::string> thread_events =
+      run_to_completion(thread_config, &thread_cache, requests);
+
+  const std::string process_dir = fresh_dir("worker_resume_process");
+  plant_journal(process_dir);
+  ResultCache process_cache;
+  const std::vector<std::string> process_events = run_to_completion(
+      process_config("", process_dir), &process_cache, requests);
+
+  EXPECT_EQ(process_events, thread_events);
+  ASSERT_FALSE(thread_events.empty());
+  EXPECT_EQ(label(thread_events.back()), "done:r");
+  EXPECT_EQ(number_field(thread_events.back(), "completed"), 3.0);
+  EXPECT_EQ(number_field(thread_events.back(), "total"), 3.0);
+  EXPECT_EQ(count_files_with_suffix(thread_dir, ".mfj"), 0u);
+  EXPECT_EQ(count_files_with_suffix(process_dir, ".mfj"), 0u);
 }
 
 TEST(ServeWorker, ProcessModeStatsReportWorkerRows) {
@@ -330,6 +427,33 @@ TEST(ServeWorker, CrashedWorkerIsRespawnedAndTheJobCompletesIdentically) {
   // The completed campaign retired its journal and was never quarantined.
   EXPECT_EQ(count_files_with_suffix(dir, ".mfj"), 0u);
   EXPECT_EQ(count_files_with_suffix(dir, ".mfq"), 0u);
+}
+
+// Two clients submit one campaign at once, so two workers run it
+// concurrently and both die on the first attempt.  That is one crash of
+// the campaign, not two: both retry and complete instead of the campaign
+// being quarantined by racing itself.
+TEST(ServeWorker, ConcurrentDispatchesOfOneCampaignAreChargedOneCrash) {
+  EventLog log;
+  ResultCache cache;
+  SchedulerConfig config =
+      process_config("slow:trial=0,ms=300+segv:trial=1,once=1");
+  config.workers = 2;
+  Scheduler scheduler(config, &cache);
+  const std::uint64_t first = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  const std::uint64_t second = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+
+  scheduler.submit(first, submit_request("a", quick_args(102, 3)));
+  scheduler.submit(second, submit_request("b", quick_args(102, 3)));
+  ASSERT_TRUE(log.wait_for_label("done:a", 30000));
+  ASSERT_TRUE(log.wait_for_label("done:b", 30000));
+
+  const StatsSnapshot stats = scheduler.stats();
+  EXPECT_EQ(stats.worker_restarts, 2u);
+  EXPECT_EQ(stats.jobs_quarantined, 0u);
+  EXPECT_EQ(stats.jobs_failed, 0u);
 }
 
 // ---------------------------------------------------------------------------
