@@ -233,25 +233,26 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     std::vector<std::size_t> active_cols;
     active_cols.reserve(words);
     for (std::uint64_t t = 0; t < max_rounds && remaining > 0; ++t) {
+      // The graph steps only between rounds, as in flood().
+      if (t > 0) graph.step();
       remaining -= all_sources_round_block(graph.snapshot(), t, n, words, 0,
                                            words, cur.data(), next.data(),
                                            counts.data(), done.data(),
                                            col_active.data(), active_cols,
                                            all.per_source);
       std::swap(cur, next);
-      graph.step();
     }
   } else if (max_rounds > 0 && remaining > 0) {
     // Round-synchronous worker pool: each worker owns a contiguous word
     // block for the whole run.  The barrier's completion step (exclusive,
-    // runs while every worker is parked) swaps the buffers, advances the
-    // model, recomputes the shared stop flag and reads the next snapshot;
-    // workers read the flag and the snapshot only after the barrier, so
-    // every thread always agrees on the round count.  The snapshot is read
-    // serially because a first snapshot() read after step() may build it
-    // (see DynamicGraph::snapshot()).  `remaining` is the one cross-block
-    // quantity — decremented with a relaxed atomic in the work phase, read
-    // only in the completion step.
+    // runs while every worker is parked) swaps the buffers, recomputes the
+    // shared stop flag and, unless the run stops, advances the model and
+    // reads the next snapshot; workers read the flag and the snapshot only
+    // after the barrier, so every thread always agrees on the round count.
+    // The snapshot is read serially because a first snapshot() read after
+    // step() may build it (see DynamicGraph::snapshot()).  `remaining` is
+    // the one cross-block quantity — decremented with a relaxed atomic in
+    // the work phase, read only in the completion step.
     std::atomic<std::size_t> remaining_shared{remaining};
     std::uint64_t round = 0;
     bool stop = false;
@@ -272,12 +273,14 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     std::barrier sync(static_cast<std::ptrdiff_t>(workers), [&]() noexcept {
       try {
         std::swap(cur, next);
-        graph.step();
         ++round;
         stop = failed.load(std::memory_order_relaxed) ||
                round >= max_rounds ||
                remaining_shared.load(std::memory_order_relaxed) == 0;
-        if (!stop) snapshot = &graph.snapshot();
+        if (!stop) {
+          graph.step();
+          snapshot = &graph.snapshot();
+        }
       } catch (...) {
         record_error();
         stop = true;

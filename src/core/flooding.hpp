@@ -98,6 +98,10 @@ struct AllSourcesResult {
   std::size_t completed_count = 0;
   bool all_completed = false;
 };
+//
+// Step contract, as in flood(): round t reads E_t and the graph steps
+// only between rounds, so R executed rounds leave graph.time() advanced
+// by max(R, 1) - 1 at every thread count.
 AllSourcesResult flood_all_sources(DynamicGraph& graph,
                                    std::uint64_t max_rounds,
                                    std::size_t threads = 1);

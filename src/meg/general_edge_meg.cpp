@@ -1,6 +1,7 @@
 #include "meg/general_edge_meg.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -279,33 +280,99 @@ bool GeneralEdgeMEG::sample_initial_states() {
   return true;
 }
 
+// Writes the next minority map and snapshot edge list of the sparse
+// engine into exactly sized scratch buffers, then swaps them in.  Entries
+// must arrive in ascending key order; an entry in the majority state is
+// dropped, and one in a chi state also becomes a snapshot edge — the
+// whole on-set, since chi(majority) is false.  emit() is branch-free: it
+// always stores into one slot of slack and advances past it only when the
+// entry stays, so the engine's constants live in registers here rather
+// than in the model, whose members any byte store may alias.
+class GeneralEdgeMEG::SparseWriter {
+ public:
+  SparseWriter(GeneralEdgeMEG& meg, std::uint64_t entries,
+               std::uint64_t edges)
+      : meg_(meg),
+        majority_(static_cast<std::uint8_t>(meg.majority_state_)),
+        n_(static_cast<NodeId>(meg.n_)) {
+    for (StateId s = 0; s < meg.chi_.size(); ++s) is_on_[s] = meg.chi_[s];
+    meg.key_scratch_.resize(entries + 1);
+    meg.state_scratch_.resize(entries + 1);
+    meg.edge_scratch_.resize(edges + 1);
+    key_ = meg.key_scratch_.data();
+    state_ = meg.state_scratch_.data();
+    edge_ = meg.edge_scratch_.data();
+  }
+
+  void emit(std::uint64_t key, std::uint8_t state) {
+    const bool keep = state != majority_;
+    const bool on = is_on_[state];
+    *key_ = key;
+    *state_ = state;
+    key_ += keep;
+    state_ += keep;
+    // The range check Snapshot::add_edge would make; i < j, so j < n
+    // covers both endpoints.
+    const NodeId j = pair_key_j(key);
+    out_of_range_ |= on & (j >= n_);
+    *edge_ = {pair_key_i(key), j};
+    edge_ += on;
+  }
+
+  void finish() {
+    assert(key_ + 1 == meg_.key_scratch_.data() + meg_.key_scratch_.size());
+    assert(edge_ + 1 == meg_.edge_scratch_.data() + meg_.edge_scratch_.size());
+    if (out_of_range_) {
+      throw std::out_of_range("GeneralEdgeMEG: edge endpoint out of range");
+    }
+    meg_.key_scratch_.pop_back();
+    meg_.state_scratch_.pop_back();
+    meg_.edge_scratch_.pop_back();
+    std::swap(meg_.minority_keys_, meg_.key_scratch_);
+    std::swap(meg_.minority_states_, meg_.state_scratch_);
+    meg_.snapshot_.swap_edges(meg_.edge_scratch_);
+  }
+
+ private:
+  GeneralEdgeMEG& meg_;
+  std::uint8_t majority_;
+  NodeId n_;
+  std::array<bool, 256> is_on_{};
+  std::uint64_t* key_;
+  std::uint8_t* state_;
+  std::pair<NodeId, NodeId>* edge_;
+  bool out_of_range_ = false;
+};
+
 void GeneralEdgeMEG::initialize_sparse() {
   // The batched initializer with the majority left implicit: identical
   // RNG stream to the dense batched path (splits, shuffle, subset draw),
   // so a same-seed dense/sparse pair starts in the SAME configuration —
   // the t = 0 equivalence in tests/test_sparse_storage.cpp is exact.
-  on_.clear();
   minority_keys_.clear();
   minority_states_.clear();
   const std::uint64_t pairs = pair_count(n_);
   const std::vector<std::uint64_t> class_count = sample_class_counts(pairs);
   const std::uint64_t minority = pairs - class_count[majority_state_];
+  std::uint64_t on_count = 0;  // chi(majority) is false
+  for (StateId s = 0; s < class_count.size(); ++s) {
+    if (chi_[s]) on_count += class_count[s];
+  }
+  SparseWriter out(*this, minority, on_count);
   if (minority > 0) {
     build_shuffled_minority_values(class_count, majority_state_, minority);
     sample_distinct_positions(rng_, minority, pairs, init_positions_);
-    minority_keys_.reserve(minority);
-    minority_states_.reserve(minority);
     PairRowCursor cursor(n_);
     for (std::uint64_t k = 0; k < minority; ++k) {
-      // Ascending positions => ascending keys: map and on-set come out
+      // Ascending positions => ascending keys: map and snapshot come out
       // sorted without a sort pass.
-      const std::uint64_t key = cursor.key(init_positions_[k]);
-      minority_keys_.push_back(key);
-      minority_states_.push_back(init_values_[k]);
-      if (chi_[init_values_[k]]) on_.push_back(key);
+      out.emit(cursor.key(init_positions_[k]), init_values_[k]);
     }
+    // Minority-sized init scratch the steps never read: release it.
+    init_positions_ = {};
+    init_values_ = {};
   }
-  rebuild_snapshot();
+  out.finish();
 }
 
 void GeneralEdgeMEG::sample_initial_states_per_pair() {
@@ -339,13 +406,14 @@ void GeneralEdgeMEG::step() {
     step_sparse();
   } else {
     step_dense();
+    rebuild_snapshot();
   }
-  rebuild_snapshot();
   advance_clock();
 }
 
 void GeneralEdgeMEG::step_sparse() {
-  // Phase 1 (consumes RNG), all selections against the pre-step map.
+  // Draw phase (the only RNG consumer), all selections against the
+  // pre-step map.
   //
   // Minority movers: geometric-skip the minority map at the largest
   // minority exit probability and thin each candidate by its class's
@@ -366,45 +434,62 @@ void GeneralEdgeMEG::step_sparse() {
       });
 
   // Majority movers: an iid Bernoulli(exit_prob) selection over the
-  // implicit complement population — Binomial count + uniform distinct
-  // placement (meg/on_set.hpp) — visited in ascending key order, each
-  // drawing its destination like any other mover.  This is exactly the
+  // implicit complement population — a Binomial count plus a uniform
+  // distinct set of complement ranks (meg/on_set.hpp) — and then one
+  // destination per rank in ascending rank order.  This is exactly the
   // law of geometric-skipping a materialized majority bucket, without
   // the O(n^2) keys.
-  died_.clear();
-  born_.clear();
-  inserted_keys_.clear();
-  inserted_states_.clear();
-  bernoulli_complement_select(
-      rng_, n_, minority_keys_, exit_prob_[majority_state_], rank_scratch_,
-      [&](std::uint64_t key) {
-        const StateId to = sample_exit_target(majority_state_);
-        inserted_keys_.push_back(key);
-        inserted_states_.push_back(static_cast<std::uint8_t>(to));
-        if (chi_[to]) born_.push_back(key);  // chi(majority) is false
-      });
-
-  // Phase 2 (no RNG): apply.  Minority movers either change state in
-  // place (key position unchanged, map stays sorted) or return to the
-  // majority (dropped from the map); majority movers merge in as sorted
-  // insertions.  Positions were recorded ascending, so removed_pos_ is
-  // sorted as required by apply_minority_delta.
-  removed_pos_.clear();
-  for (const Move& move : moves_) {
-    const std::uint64_t key = minority_keys_[move.pos];
-    if (chi_[move.from] != chi_[move.to]) {
-      (chi_[move.from] ? died_ : born_).push_back(key);
-    }
-    if (move.to == majority_state_) {
-      removed_pos_.push_back(move.pos);
-    } else {
-      minority_states_[move.pos] = static_cast<std::uint8_t>(move.to);
-    }
+  const std::uint64_t old_size = minority_keys_.size();
+  const std::uint64_t complement = pair_count(n_) - old_size;
+  const double majority_exit = exit_prob_[majority_state_];
+  rank_scratch_.clear();
+  if (complement > 0 && majority_exit > 0.0) {
+    const std::uint64_t k = rng_.binomial(complement, majority_exit);
+    sample_distinct_positions(rng_, k, complement, rank_scratch_);
   }
-  apply_minority_delta(minority_keys_, minority_states_, removed_pos_,
-                       inserted_keys_, inserted_states_, key_scratch_,
-                       state_scratch_);
-  apply_on_set_delta(on_, died_, born_, merged_);
+  inserted_states_.resize(rank_scratch_.size());
+  for (std::uint8_t& to : inserted_states_) {
+    to = static_cast<std::uint8_t>(sample_exit_target(majority_state_));
+  }
+
+  // Merge pass (no RNG).  Minority movers change state in place, so the
+  // map stays sorted; the walk then drops the ones back in the majority
+  // and merges the majority movers in.  The r-th complement element sits
+  // at pair index r + j, where j counts the map entries below it, so rank
+  // r goes before entry pos iff r + pos < pair_index(key[pos]).
+  std::uint64_t dropped = 0;
+  std::int64_t edge_delta = 0;
+  for (const Move& move : moves_) {
+    minority_states_[move.pos] = static_cast<std::uint8_t>(move.to);
+    dropped += move.to == majority_state_;
+    edge_delta += int{chi_[move.to]} - int{chi_[move.from]};
+  }
+  for (const std::uint8_t to : inserted_states_) edge_delta += chi_[to];
+  SparseWriter out(*this, old_size - dropped + rank_scratch_.size(),
+                   static_cast<std::uint64_t>(
+                       static_cast<std::int64_t>(snapshot_.num_edges()) +
+                       edge_delta));
+  // Plain pointers: the writer's byte stores could alias the vectors.
+  const std::uint64_t* keys = minority_keys_.data();
+  const std::uint8_t* states = minority_states_.data();
+  const std::uint64_t* ranks = rank_scratch_.data();
+  const std::uint8_t* inserted = inserted_states_.data();
+  const std::size_t inserts = rank_scratch_.size();
+  PairRowCursor cursor(n_);
+  std::size_t pos = 0;
+  for (std::size_t r = 0; r < inserts; ++r) {
+    // Entry pos has pair_index(key[pos]) - pos complement pairs below it,
+    // a non-decreasing count: copy every entry with at most ranks[r] of
+    // them, then place rank r.
+    for (; pos < old_size &&
+           pair_index_from_key(n_, keys[pos]) - pos <= ranks[r];
+         ++pos) {
+      out.emit(keys[pos], states[pos]);
+    }
+    out.emit(cursor.key(ranks[r] + pos), inserted[r]);
+  }
+  for (; pos < old_size; ++pos) out.emit(keys[pos], states[pos]);
+  out.finish();
 }
 
 void GeneralEdgeMEG::step_dense() {

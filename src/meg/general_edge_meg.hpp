@@ -10,8 +10,8 @@
 // state, and each step touches only the pairs that actually transition —
 // per state class s, geometric skipping over the bucket with the class's
 // exit probability 1 - P(s, s) selects the movers, whose new states are
-// then drawn from the conditional exit distribution.  The on-set is a
-// sorted vector of packed (i, j) keys maintained incrementally (like
+// then drawn from the conditional exit distribution.  The dense on-set is
+// a sorted vector of packed (i, j) keys maintained incrementally (like
 // TwoStateEdgeMEG), so a step costs O(|S| + transitions + |E_t|) instead
 // of the historical O(n^2) per-pair resampling.  Initialization is
 // batched the same way: per-class counts are drawn as sequential binomial
@@ -32,14 +32,21 @@
 // uniform distinct placement (meg/on_set.hpp) — the same iid per-pair
 // transition law as dense, so the two modes are distributionally
 // equivalent (and bit-identical at t = 0, where they share the batched
-// initializer's stream).  Memory is O(#minority + #on), which in the
-// paper's sparse stationary regimes (alpha ~ c/n, quiescent off state)
-// is O(n) — the engine steps at n >= 32768 where dense cannot allocate.
+// initializer's stream).  A sparse step draws all of that first, then
+// makes one walk of the old map that applies the moves, merges the
+// majority movers in at their complement ranks, drops pairs back in the
+// majority, and writes the next map and the snapshot edge list in
+// ascending key order; the on-set is never stored apart from the map,
+// since chi(majority) is false.  Memory is O(#minority + #on), which in
+// the paper's sparse stationary regimes (alpha ~ c/n, quiescent off
+// state) is O(n) — the engine steps at n >= 32768 where dense cannot
+// allocate.
 // Sparse requires a dominant stationary state (pi_max >= 1/2) that chi
 // maps to "off"; explicit kSparse on a non-qualifying chain is a hard
 // error, kAuto falls back to dense.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_graph.hpp"
@@ -79,6 +86,15 @@ class GeneralEdgeMEG final : public DynamicGraph {
   // from the buckets) so tests can compare the representations.
   std::uint64_t minority_count() const;
 
+  // Sparse mode: the minority map, sorted packed keys (meg/pair_index.hpp)
+  // with one state per entry; both empty in dense mode.
+  const std::vector<std::uint64_t>& minority_keys() const noexcept {
+    return minority_keys_;
+  }
+  const std::vector<std::uint8_t>& minority_states() const noexcept {
+    return minority_states_;
+  }
+
   // Stationary probability that an edge exists: alpha = sum_{s: chi(s)} pi_s.
   double stationary_edge_probability() const;
 
@@ -105,6 +121,7 @@ class GeneralEdgeMEG final : public DynamicGraph {
   void build_shuffled_minority_values(
       const std::vector<std::uint64_t>& class_count, StateId majority,
       std::uint64_t minority);
+  class SparseWriter;  // writes the sparse map and snapshot (see .cpp)
   void step_dense();
   void step_sparse();
   void rebuild_snapshot();
@@ -130,7 +147,9 @@ class GeneralEdgeMEG final : public DynamicGraph {
   // but is a pure function of the seed, so runs stay reproducible.
   std::vector<std::vector<std::uint64_t>> buckets_;
 
-  // Sorted packed keys of the pairs whose state maps to "edge exists".
+  // Dense mode: sorted packed keys of the pairs whose state maps to "edge
+  // exists".  Sparse mode needs none: chi(majority) is false, so the
+  // on-set is exactly the chi entries of the minority map.
   std::vector<std::uint64_t> on_;
 
   // Sparse mode: the minority-state map — sorted packed keys of the
@@ -149,17 +168,18 @@ class GeneralEdgeMEG final : public DynamicGraph {
     StateId to;
   };
   std::vector<Move> moves_;
+  // Dense-step on-set delta and merge buffer.
   std::vector<std::uint64_t> died_;
   std::vector<std::uint64_t> born_;
   std::vector<std::uint64_t> merged_;
-  // Sparse-step scratch: dropped minority positions, majority-mover
-  // insertions, subset ranks, and the minority-map merge buffers.
-  std::vector<std::uint64_t> removed_pos_;
-  std::vector<std::uint64_t> inserted_keys_;
-  std::vector<std::uint8_t> inserted_states_;
+  // Sparse-step scratch: the majority movers' complement ranks and
+  // destination states, the next minority map, and the next snapshot edge
+  // list (swapped with the snapshot's, so both buffers keep capacity).
   std::vector<std::uint64_t> rank_scratch_;
+  std::vector<std::uint8_t> inserted_states_;
   std::vector<std::uint64_t> key_scratch_;
   std::vector<std::uint8_t> state_scratch_;
+  std::vector<std::pair<NodeId, NodeId>> edge_scratch_;
 
   // Initialization scratch (batched stationary sampling).  Both vectors
   // are minority-sized; the subset draw's dedup buffer (bitmap or hash

@@ -5,10 +5,11 @@
 // per step only the flipped edges are known, and the set is updated with
 // one merge pass instead of an O(n^2) rebuild.
 //
-// Also the shared machinery of the *sparse* storage mode (minority-state
-// maps): batched subset sampling over an implicit complement population
-// and the sorted-merge delta that keeps a minority map (parallel key /
-// state vectors) ordered without ever materializing the majority.
+// Also the shared sampling machinery of the *sparse* storage mode:
+// uniform distinct subsets emitted in ascending order, and iid selection
+// over an implicit complement population without ever materializing it.
+// The sparse GeneralEdgeMEG merges its minority map, its majority movers
+// and its snapshot in one walk of its own (general_edge_meg.cpp).
 
 #include <algorithm>
 #include <cassert>
@@ -108,6 +109,11 @@ class OrderedProbeTable {
     return true;
   }
 
+  // Hints the cache line of pos's home slot, where insert(pos) starts.
+  void prefetch(std::uint64_t pos) const noexcept {
+    __builtin_prefetch(table_.data() + home(pos));
+  }
+
   // Appends every stored position to `out`, ascending.
   void append_sorted(std::vector<std::uint64_t>& out) const {
     for (const Slot value : table_) {
@@ -123,14 +129,27 @@ class OrderedProbeTable {
   std::vector<Slot> table_;
 };
 
+// How many draws ahead draw_distinct_ordered prefetches.
+inline constexpr int kDrawLookahead = 16;
+
 // The sparse branch of sample_distinct_positions: k distinct uniform
 // draws from [0, bound), rejecting repeats, appended to `out` ascending.
+// The table outgrows the caches at paper scale, so a copy of the stream
+// runs kDrawLookahead draws ahead and prefetches the home slot each
+// future draw will probe.  Every loop pass makes exactly one draw from
+// each stream, so the copy stays exactly that far ahead through the
+// rejections; `rng` itself draws exactly as it would without the copy.
 template <typename Slot>
 inline void draw_distinct_ordered(Rng& rng, std::uint64_t k,
                                   std::uint64_t bound,
                                   std::vector<std::uint64_t>& out) {
   OrderedProbeTable<Slot> table(k, bound);
+  Rng ahead = rng;
+  for (int i = 0; i < kDrawLookahead; ++i) {
+    table.prefetch(ahead.uniform_int(bound));
+  }
   for (std::uint64_t drawn = 0; drawn < k;) {
+    table.prefetch(ahead.uniform_int(bound));
     if (table.insert(rng.uniform_int(bound))) ++drawn;
   }
   table.append_sorted(out);
@@ -173,11 +192,13 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
 
 // Selects an iid Bernoulli(p) subset of the *complement* of `minority`
 // (sorted packed keys) within the n-node pair population and calls
-// visit(key) in ascending key order.  The implicit-majority sampling
-// primitive of the sparse engines: a Binomial(count, p) size plus a
-// uniform distinct placement is exactly an iid per-pair selection, so the
-// law matches geometric-skipping a dense majority bucket — without ever
-// materializing it.  `rank_scratch` is reused capacity.
+// visit(key) in ascending key order.  The implicit-population sampling
+// primitive of the sparse HeterogeneousEdgeMEG (the sparse GeneralEdgeMEG
+// makes the same draws but merges the ranks into its own map walk): a
+// Binomial(count, p) size plus a uniform distinct placement is exactly an
+// iid per-pair selection, so the law matches geometric-skipping a dense
+// majority bucket — without ever materializing it.  `rank_scratch` is
+// reused capacity.
 //
 // The rank -> pair-index translation is a single two-pointer merge: the
 // r-th complement element is r + j where j counts the minority entries
@@ -209,53 +230,6 @@ inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
     }
     visit(cursor.key(rank + j));
   }
-}
-
-// Applies one step's delta to a minority map (sorted `keys` with a
-// parallel `states` vector): drops the entries at `removed_positions`
-// (sorted, positions into the pre-delta map) and merges in the new
-// `inserted_keys` / `inserted_states` (sorted by key, disjoint from the
-// surviving keys).  In-place state changes are the caller's business (a
-// state overwrite does not move an entry).  One linear pass, reused
-// scratch capacity — the minority-map analogue of apply_on_set_delta.
-inline void apply_minority_delta(std::vector<std::uint64_t>& keys,
-                                 std::vector<std::uint8_t>& states,
-                                 const std::vector<std::uint64_t>& removed_positions,
-                                 const std::vector<std::uint64_t>& inserted_keys,
-                                 const std::vector<std::uint8_t>& inserted_states,
-                                 std::vector<std::uint64_t>& key_scratch,
-                                 std::vector<std::uint8_t>& state_scratch) {
-  assert(inserted_keys.size() == inserted_states.size());
-  if (removed_positions.empty() && inserted_keys.empty()) return;
-  key_scratch.clear();
-  state_scratch.clear();
-  const std::size_t final_size =
-      keys.size() - removed_positions.size() + inserted_keys.size();
-  key_scratch.reserve(final_size);
-  state_scratch.reserve(final_size);
-  std::size_t r = 0;
-  std::size_t ins = 0;
-  for (std::size_t pos = 0; pos < keys.size(); ++pos) {
-    if (r < removed_positions.size() && removed_positions[r] == pos) {
-      ++r;
-      continue;
-    }
-    const std::uint64_t key = keys[pos];
-    while (ins < inserted_keys.size() && inserted_keys[ins] < key) {
-      key_scratch.push_back(inserted_keys[ins]);
-      state_scratch.push_back(inserted_states[ins]);
-      ++ins;
-    }
-    key_scratch.push_back(key);
-    state_scratch.push_back(states[pos]);
-  }
-  for (; ins < inserted_keys.size(); ++ins) {
-    key_scratch.push_back(inserted_keys[ins]);
-    state_scratch.push_back(inserted_states[ins]);
-  }
-  assert(key_scratch.size() == final_size);
-  std::swap(keys, key_scratch);
-  std::swap(states, state_scratch);
 }
 
 }  // namespace megflood

@@ -15,6 +15,7 @@
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -52,7 +53,7 @@ void expect_thread_count_invariance(MakeGraph&& make_graph,
         flood_all_sources(*graph, max_rounds, threads);
     expect_same_results(serial, threaded, what);
     // Both kernels must have advanced the model identically too (the
-    // completion step runs graph.step() exactly once per executed round).
+    // model steps exactly once between two executed rounds).
     EXPECT_EQ(graph_serial->time(), graph->time()) << what;
   }
 }
@@ -109,6 +110,51 @@ TEST(FloodAllSourcesThreads, BitIdenticalOnLazyWaypoint) {
     EXPECT_EQ(serial_graph->time(), graph->time());
     EXPECT_EQ(serial_graph->snapshot().edge_buffer(),
               graph->snapshot().edge_buffer());
+  }
+}
+
+// A 256-node script of random sparse snapshots, cycled: no single
+// snapshot is connected, so floods need many rounds.
+ScriptedDynamicGraph random_script(std::uint64_t seed) {
+  constexpr NodeId kN = 256;
+  Rng rng(seed);
+  std::vector<Snapshot> script;
+  for (int t = 0; t < 5; ++t) {
+    Snapshot snap(kN);
+    std::vector<char> used(kN * kN, 0);
+    for (int e = 0; e < 160; ++e) {
+      const auto u = static_cast<NodeId>(rng.uniform_int(kN));
+      const auto v = static_cast<NodeId>(rng.uniform_int(kN));
+      if (u == v || used[u * kN + v]) continue;
+      used[u * kN + v] = used[v * kN + u] = 1;
+      snap.add_edge(u, v);
+    }
+    script.push_back(std::move(snap));
+  }
+  return ScriptedDynamicGraph(std::move(script), /*cycle=*/true);
+}
+
+TEST(FloodAllSourcesThreads, NoStepAfterTheLastRound) {
+  // Round t reads E_t and the graph steps only between rounds, like
+  // flood(): R executed rounds leave time() at R - 1, at every thread
+  // count (n = 256 -> 4 words, so 2 and 4 really split).  R is the
+  // completing round when every source finishes, else the budget.
+  for (const std::uint64_t budget : {4ULL, 1000ULL}) {
+    ScriptedDynamicGraph serial_graph = random_script(21);
+    const AllSourcesResult serial =
+        flood_all_sources(serial_graph, budget, 1);
+    const std::uint64_t rounds =
+        serial.all_completed ? serial.max_rounds : budget;
+    EXPECT_EQ(serial.all_completed, budget == 1000);
+    EXPECT_GT(rounds, 1u);
+    EXPECT_EQ(serial_graph.time(), rounds - 1) << "budget " << budget;
+    for (const std::size_t threads : {2ULL, 4ULL}) {
+      ScriptedDynamicGraph graph = random_script(21);
+      expect_same_results(serial, flood_all_sources(graph, budget, threads),
+                          "scripted");
+      EXPECT_EQ(graph.time(), rounds - 1)
+          << "budget " << budget << " threads " << threads;
+    }
   }
 }
 

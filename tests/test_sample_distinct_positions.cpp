@@ -109,6 +109,32 @@ TEST(SampleDistinctPositions, TailGrowthMatchesHistoricalSampler) {
   expect_tail_growth_matches<std::uint64_t>(pair_count(4294967295ULL));
 }
 
+TEST(SampleDistinctPositions, LookaheadLeavesTheStreamUntouched) {
+  // The table branch prefetches from a copy of the stream kDrawLookahead
+  // draws ahead.  Subsets shorter than, equal to and just past that depth
+  // must still be the historical subset, with the caller's next draw
+  // unchanged, on both slot widths.  Bound 2081 makes k = 64 reject about
+  // one repeat per call, so the copy must stay in step through rejections.
+  static_assert(kDrawLookahead == 16);
+  const std::uint64_t ks[] = {1, 15, 16, 17, 64};
+  const std::uint64_t bounds[] = {2081, std::uint64_t{1} << 20,
+                                  std::uint64_t{1} << 32,
+                                  pair_count(4294967295ULL)};
+  bool covered[kBranches] = {};
+  for (const std::uint64_t bound : bounds) {
+    for (const std::uint64_t k : ks) {
+      const Case c{bound, k};
+      ASSERT_NE(branch_of(c), kBitmap);
+      covered[branch_of(c)] = true;
+      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        expect_matches_reference(c, seed);
+      }
+    }
+  }
+  EXPECT_TRUE(covered[kTable32]);
+  EXPECT_TRUE(covered[kTable64]);
+}
+
 TEST(SampleDistinctPositions, RepeatedCallsReuseTheOutputVector) {
   // The engines pass the same scratch vector every step; a smaller k after
   // a larger one must not leave stale values behind.

@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -128,6 +129,59 @@ TEST(SparseGeneralEdgeMeg, SnapshotMatchesBruteForceEveryStep) {
         << "step " << t;
     meg.step();
   }
+}
+
+TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
+  // The merge pass writes the snapshot straight from the map walk, so the
+  // raw edge buffer itself (not only the edge set) must be the ascending
+  // brute-force list, and the map must stay strictly ascending with no
+  // majority-state entry.  Counts the three edge cases of the walk so the
+  // run provably reached each: a step with no majority mover, a majority
+  // mover inserted past the last map entry, and a step from an empty map.
+  struct Link {
+    const char* name;
+    BurstyLink link;
+  };
+  const std::vector<Link> links = {
+      {"bursty", make_bursty_link(0.05, 0.5, 0.3)},
+      {"four_state", make_four_state_link({})}};
+  std::uint64_t no_majority_movers = 0, insert_past_end = 0, empty_map = 0;
+  for (const Link& l : links) {
+    const std::vector<double> pi = l.link.chain.stationary();
+    const auto majority = static_cast<std::uint8_t>(
+        std::max_element(pi.begin(), pi.end()) - pi.begin());
+    for (const NodeId n : {2u, 3u, 12u, 64u}) {
+      SCOPED_TRACE(::testing::Message() << l.name << " n=" << n);
+      GeneralEdgeMEG meg(n, l.link.chain, l.link.chi, 5 + n,
+                         MegStorage::kSparse);
+      for (std::size_t t = 0; t < 200; ++t) {
+        ASSERT_EQ(meg.snapshot().edge_buffer(),
+                  brute_force_edges(meg, l.link.chi))
+            << "step " << t;
+        const std::vector<std::uint64_t> keys = meg.minority_keys();
+        ASSERT_EQ(meg.minority_states().size(), keys.size());
+        for (std::size_t k = 0; k < keys.size(); ++k) {
+          ASSERT_NE(meg.minority_states()[k], majority) << "step " << t;
+          if (k > 0) {
+            ASSERT_LT(keys[k - 1], keys[k]) << "step " << t;
+          }
+        }
+        meg.step();
+        // A key new to the map is a majority mover (it left the majority).
+        bool moved = false;
+        for (const std::uint64_t key : meg.minority_keys()) {
+          if (std::binary_search(keys.begin(), keys.end(), key)) continue;
+          moved = true;
+          insert_past_end += !keys.empty() && key > keys.back();
+        }
+        no_majority_movers += !keys.empty() && !moved;
+        empty_map += keys.empty();
+      }
+    }
+  }
+  EXPECT_GT(no_majority_movers, 0u);
+  EXPECT_GT(insert_past_end, 0u);
+  EXPECT_GT(empty_map, 0u);
 }
 
 TEST(SparseGeneralEdgeMeg, StationaryAndFlipRatesMatchDense) {

@@ -264,7 +264,9 @@ TEST(ThreadStress, AllSourcesBarrierPoolManyThreadsSmallN) {
 
 TEST(ThreadStress, AllSourcesThrowingStepEndsCatchably) {
   // A graph whose step() throws mid-run: the barrier completion step must
-  // funnel the exception to the caller without deadlocking the pool.
+  // funnel the exception to the caller without deadlocking the pool.  The
+  // all-sources flood here takes 3 rounds, so the model steps twice, and
+  // the second step falls between rounds 2 and 3.
   class ThrowingStepGraph final : public DynamicGraph {
    public:
     explicit ThrowingStepGraph(std::size_t n)
@@ -272,7 +274,7 @@ TEST(ThreadStress, AllSourcesThrowingStepEndsCatchably) {
     std::size_t num_nodes() const override { return inner_.num_nodes(); }
     const Snapshot& snapshot() const override { return inner_.snapshot(); }
     void step() override {
-      if (++steps_ == 3) throw std::runtime_error("step failed");
+      if (++steps_ == 2) throw std::runtime_error("step failed");
       inner_.step();
     }
     void reset(std::uint64_t seed) override { inner_.reset(seed); }
