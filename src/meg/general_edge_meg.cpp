@@ -358,20 +358,20 @@ void GeneralEdgeMEG::initialize_sparse() {
   for (StateId s = 0; s < class_count.size(); ++s) {
     if (chi_[s]) on_count += class_count[s];
   }
-  SparseWriter out(*this, minority, on_count);
   if (minority > 0) {
     build_shuffled_minority_values(class_count, majority_state_, minority);
     sample_distinct_positions(rng_, minority, pairs, init_positions_);
-    PairRowCursor cursor(n_);
-    for (std::uint64_t k = 0; k < minority; ++k) {
-      // Ascending positions => ascending keys: map and snapshot come out
-      // sorted without a sort pass.
-      out.emit(cursor.key(init_positions_[k]), init_values_[k]);
-    }
-    // Minority-sized init scratch the steps never read: release it.
-    init_positions_ = {};
-    init_values_ = {};
   }
+  SparseWriter out(*this, minority, on_count);
+  PairRowCursor cursor(n_);
+  for (std::uint64_t k = 0; k < minority; ++k) {
+    // Ascending positions => ascending keys: map and snapshot come out
+    // sorted without a sort pass.
+    out.emit(cursor.key(init_positions_[k]), init_values_[k]);
+  }
+  // Minority-sized init scratch the steps never read: release it.
+  init_positions_ = {};
+  init_values_ = {};
   out.finish();
 }
 
