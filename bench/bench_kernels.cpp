@@ -46,6 +46,23 @@ void BM_EdgeMegStepDense(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeMegStepDense)->Arg(64)->Arg(256);
 
+void BM_EdgeMegStepServe(benchmark::State& state) {
+  // The serve regime of megflood_serve's tiny campaigns (edge_meg, n = 256,
+  // alpha = 1/128, q = 0.3; n alpha = 2, ~255 live edges): each geometric
+  // birth skip (~420 pairs) is longer than a row, so every birth mark
+  // lands rows ahead of the last one.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double alpha = 1.0 / 128;
+  const double q = 0.3;
+  TwoStateEdgeMEG meg(n, {alpha * q / (1.0 - alpha), q}, 1);
+  for (auto _ : state) {
+    meg.step();
+    benchmark::DoNotOptimize(meg.snapshot().num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EdgeMegStepServe)->Arg(256);
+
 void BM_GeneralEdgeMegStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto link = make_bursty_link(0.1, 0.4, 0.3);

@@ -9,10 +9,14 @@
 // geometric skipping — so sparse regimes (p = c/n^2 .. c/n) scale to
 // thousands of nodes.
 //
-// The on-edge set is a sorted vector of packed (i, j) keys maintained
-// incrementally — deaths are filtered in place, births merged in — so a
-// step performs no hashing, no re-sort, and (after warmup) no allocation;
-// the triangular-index inversion runs only for the few birth candidates.
+// The on-edge set is a sorted vector of packed (i, j) keys.  A step keeps
+// its draws and its bookkeeping in separate passes, so no branch that
+// depends on a draw sits on the chain of log()/divide draws: one
+// branch-free death pass compacts the survivors and lists the dead; the
+// birth draws only record raw pair indices; a second pass converts them
+// to keys and drops the pairs that died this step; and one branch-free
+// merge writes the next on-set and the snapshot's edge list together.  A
+// step performs no hashing, no re-sort, and (after warmup) no allocation.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is
 // *always* sparse: the two-state chain needs no per-pair hidden state,
@@ -22,6 +26,7 @@
 // minority-state maps; there is no dense mode to select here.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/dynamic_graph.hpp"
@@ -54,7 +59,12 @@ class TwoStateEdgeMEG final : public DynamicGraph {
 
  private:
   void initialize();
-  void rebuild_snapshot();
+  // Appends the indices geometric_select(p) marks over the pair
+  // enumeration to born_, ascending.
+  void draw_marks(double p);
+  // on_ := on_ (the survivors) united with born_ (keys), both ascending;
+  // writes the snapshot's edge list in the same pass.
+  void merge_births();
 
   std::size_t n_;
   TwoStateChain chain_;
@@ -65,9 +75,12 @@ class TwoStateEdgeMEG final : public DynamicGraph {
   // same order as the linear pair index (row-major), so the RNG
   // consumption sequence matches the historical sorted-set iteration.
   std::vector<std::uint64_t> on_;
-  std::vector<std::uint64_t> killed_;  // step scratch, sorted
-  std::vector<std::uint64_t> born_;    // step scratch, sorted
-  std::vector<std::uint64_t> merged_;  // step scratch
+  // Step scratch.  killed_: this step's deaths, ascending, closed by a
+  // sentinel.  born_: birth marks as pair indices, then as keys.
+  std::vector<std::uint64_t> killed_;
+  std::vector<std::uint64_t> born_;
+  std::vector<std::uint64_t> merged_;              // the next on-set
+  std::vector<std::pair<NodeId, NodeId>> edges_;  // the next edge list
   Snapshot snapshot_;
 };
 

@@ -102,16 +102,17 @@ std::string ResultCache::entry_path(std::uint64_t hash, int probe) const {
 std::optional<std::string> ResultCache::lookup(const CampaignKey& key) {
   const std::string key_string = campaign_key_string(key);
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key_string);
-  if (it != entries_.end()) {
+  const auto it = index_.find(key_string);
+  if (it != index_.end()) {
     ++stats_.hits;
-    return it->second;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return std::string(it->second->result());
   }
   if (!dir_.empty()) {
     if (auto from_disk = disk_lookup(key_string)) {
       ++stats_.hits;
       ++stats_.disk_hits;
-      entries_.emplace(key_string, *from_disk);
+      remember(key_string, *from_disk);
       return from_disk;
     }
   }
@@ -123,14 +124,29 @@ void ResultCache::store(const CampaignKey& key,
                         const std::string& result_json) {
   const std::string key_string = campaign_key_string(key);
   std::lock_guard<std::mutex> lock(mutex_);
-  if (!entries_.emplace(key_string, result_json).second) return;
+  if (index_.find(key_string) != index_.end()) return;
+  remember(key_string, result_json);
   if (!dir_.empty()) disk_store(key_string, result_json);
+}
+
+void ResultCache::remember(const std::string& key_string,
+                           const std::string& result) {
+  lru_.push_front({key_string + result, key_string.size()});
+  index_.emplace(lru_.front().key(), lru_.begin());
+  memory_bytes_ += lru_.front().bytes.size();
+  while (memory_bytes_ > kMemoryBytes && lru_.size() > 1) {
+    const MemoryEntry& oldest = lru_.back();
+    memory_bytes_ -= oldest.bytes.size();
+    index_.erase(oldest.key());
+    lru_.pop_back();
+    ++stats_.evictions;
+  }
 }
 
 CacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   CacheStats out = stats_;
-  out.entries = entries_.size();
+  out.entries = index_.size();
   return out;
 }
 

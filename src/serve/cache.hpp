@@ -8,20 +8,28 @@
 // replayed verbatim: a cache hit returns the exact bytes
 // (core/format.hpp result_json_object) the original run produced.
 //
-// Two tiers: an in-memory map (std::map — deterministic iteration, no
-// hash-order dependence) in front of an optional on-disk directory, one
-// file per entry named by the FNV-1a hash of the key string.  Disk files
+// Two tiers: a bounded in-memory LRU in front of an optional on-disk
+// directory, one file per entry named by the FNV-1a hash of the key
+// string.  The memory tier holds at most kMemoryBytes of key + result
+// bytes: a store or disk promotion past that evicts the least recently
+// used entries (a hit refreshes recency), except the entry just added,
+// which stays even when it alone is larger than the budget.  An evicted
+// key is a miss again (recomputed, or a disk hit with a disk tier); the
+// bytes are deterministic, so eviction never changes a result.  Disk files
 // carry the full key string and are verified on read, so a hash collision
 // degrades to a miss (plus linear probing over a few suffixed names),
 // never to a wrong result.  Writes go through a temp file + rename so a
 // crash can never leave a torn entry behind.
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "core/campaign.hpp"
 
@@ -32,16 +40,20 @@ struct CacheStats {
   std::uint64_t misses = 0;     // lookup unanswered
   std::uint64_t disk_hits = 0;  // subset of hits served from disk
   std::uint64_t entries = 0;    // in-memory entries
+  std::uint64_t evictions = 0;  // entries dropped from memory for space
 };
 
 class ResultCache {
  public:
+  // The memory tier's budget, counted as key + result bytes.
+  static constexpr std::size_t kMemoryBytes = std::size_t{8} << 20;
+
   // `disk_dir` empty = memory-only.  The directory is created if absent
   // (one level); failure to create throws std::runtime_error.
   explicit ResultCache(std::string disk_dir = "");
 
-  // The cached result object bytes for `key`, or nullopt.  A disk hit is
-  // promoted into memory.
+  // The cached result object bytes for `key`, or nullopt.  A memory hit
+  // becomes the most recent entry; a disk hit is promoted into memory.
   std::optional<std::string> lookup(const CampaignKey& key);
 
   // Stores the result bytes for `key` (memory + disk when configured).
@@ -71,8 +83,31 @@ class ResultCache {
   // or loudly.  Never throws — an unreadable entry degrades to a miss.
   void scan_disk() const;
 
+  // Adds a memory entry as the most recent, then evicts from the least
+  // recent end until the tier fits kMemoryBytes or holds only the new one.
+  void remember(const std::string& key_string, const std::string& result);
+
+  // One memory entry: the key string and then the result bytes in a
+  // single allocation, so the list and map nodes and malloc headers add
+  // only ~150 bytes to an entry's key + result bytes.
+  struct MemoryEntry {
+    std::string bytes;
+    std::size_t key_size;
+    std::string_view key() const {
+      return std::string_view(bytes).substr(0, key_size);
+    }
+    std::string_view result() const {
+      return std::string_view(bytes).substr(key_size);
+    }
+  };
+  // Memory tier: lru_ owns the entries, most recent first; index_ maps
+  // each key, viewed in its lru_ node (list nodes never move), to that
+  // node.
+  using Lru = std::list<MemoryEntry>;
   mutable std::mutex mutex_;
-  std::map<std::string, std::string> entries_;  // key string -> result bytes
+  Lru lru_;
+  std::map<std::string_view, Lru::iterator> index_;
+  std::size_t memory_bytes_ = 0;
   std::string dir_;
   CacheStats stats_;
   std::function<void(std::size_t, const std::string&)> disk_store_hook_;

@@ -142,6 +142,7 @@ struct StatsSnapshot {
   std::uint64_t cache_entries = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::uint64_t cache_evictions = 0;
   std::string isolation = "thread";  // "thread" | "process"
   std::uint64_t worker_restarts = 0;   // workers respawned after a death
   std::uint64_t jobs_quarantined = 0;  // campaigns past the crash limit

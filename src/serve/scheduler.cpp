@@ -931,6 +931,7 @@ StatsSnapshot Scheduler::stats() const {
   out.cache_entries = cache.entries;
   out.cache_hits = cache.hits;
   out.cache_misses = cache.misses;
+  out.cache_evictions = cache.evictions;
   return out;
 }
 

@@ -99,6 +99,115 @@ TEST(EngineEquivalence, EdgeMegDenseStateAndStreams) {
   }
 }
 
+// The raw edge buffer (ascending keys, the order the step writes) must
+// equal the reference's sorted edge list after every step, and again
+// after reset() reseeds both.
+void expect_same_edge_buffers(std::size_t n, TwoStateParams params,
+                              std::uint64_t seed) {
+  TwoStateEdgeMEG meg(n, params, seed);
+  reference::RefTwoStateEdgeMEG ref(n, params, seed);
+  for (std::uint64_t pass_seed : {seed, seed + 100}) {
+    meg.reset(pass_seed);
+    ref.reset(pass_seed);
+    for (std::size_t t = 0; t <= kSteps; ++t) {
+      ASSERT_EQ(meg.snapshot().edge_buffer(), ref.edges())
+          << "n " << n << " p " << params.birth_rate << " q "
+          << params.death_rate << " seed " << pass_seed << " step " << t;
+      meg.step();
+      ref.step();
+    }
+  }
+}
+
+// The serve regime (n alpha = 2): each geometric birth skip (~420 pairs)
+// is longer than a row, so every birth mark lands rows ahead.
+TwoStateParams serve_regime_params() {
+  const double alpha = 1.0 / 128;
+  const double q = 0.3;
+  return {alpha * q / (1.0 - alpha), q};
+}
+
+TEST(EngineEquivalence, EdgeMegServeRegimeEdgeBufferEveryStep) {
+  for (std::uint64_t seed : kSeeds) {
+    expect_same_edge_buffers(256, serve_regime_params(), seed);
+  }
+}
+
+TEST(EngineEquivalence, EdgeMegTinyGraphsEdgeBufferEveryStep) {
+  // p = 1 marks every pair without a draw and q = 1 kills every edge, so
+  // these hit the all-born / all-dead corners of the death and birth
+  // passes, where a birth mark on a pair that just died must be dropped.
+  for (std::size_t n : {2u, 3u, 5u}) {
+    for (double p : {0.5, 1.0}) {
+      for (double q : {0.0, 1.0}) {
+        for (std::uint64_t seed : kSeeds) {
+          expect_same_edge_buffers(n, {p, q}, seed);
+        }
+      }
+    }
+  }
+}
+
+// FNV-1a over the edge count and edges of every snapshot, kSteps steps
+// from each of two seeds set by reset().
+std::uint64_t edge_stream_hash(TwoStateEdgeMEG& meg, std::uint64_t seed) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (value >> (8 * byte)) & 0xffu;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (std::uint64_t pass_seed : {seed, seed + 100}) {
+    meg.reset(pass_seed);
+    for (std::size_t t = 0; t <= kSteps; ++t) {
+      mix(meg.snapshot().num_edges());
+      for (const auto& [u, v] : meg.snapshot().edge_buffer()) {
+        mix((std::uint64_t{u} << 32) | v);
+      }
+      meg.step();
+    }
+  }
+  return hash;
+}
+
+TEST(EngineEquivalence, EdgeMegAllOnAllOffStreamsArePinned) {
+  // The reference has no all-on / all-off start, so these streams are
+  // pinned to recorded hashes instead: any moved draw or edge fails.
+  struct Row {
+    std::size_t n;
+    TwoStateParams params;
+    std::uint64_t all_on;
+    std::uint64_t all_off;
+  };
+  const Row rows[] = {
+      {256, serve_regime_params(), 0xe7ad1634fc9781afULL,
+       0xdb86e67385241109ULL},
+      {2, {0.5, 0.0}, 0x79234d13ed686165ULL, 0x0eaaf64ca1ebbf65ULL},
+      {2, {0.5, 1.0}, 0x7bf4a484b5130565ULL, 0xe83e91b108a7d865ULL},
+      {2, {1.0, 0.0}, 0x79234d13ed686165ULL, 0xa80733e0894df465ULL},
+      {2, {1.0, 1.0}, 0xf1eca377e41ec165ULL, 0xb758b4c7bdbb5465ULL},
+      {3, {0.5, 0.0}, 0xa80b3a8af67bb0a5ULL, 0x0f264bd1e4017146ULL},
+      {3, {0.5, 1.0}, 0xeae0c4f0f11d5554ULL, 0x52c86ab8d139f737ULL},
+      {3, {1.0, 0.0}, 0xa80b3a8af67bb0a5ULL, 0xc6043d5429ecc465ULL},
+      {3, {1.0, 1.0}, 0x9023adc736056ca5ULL, 0x98655932ad2d0065ULL},
+      {5, {0.5, 0.0}, 0x7fbd288be293d125ULL, 0x426be37f0bcf7694ULL},
+      {5, {0.5, 1.0}, 0xaf2ee46b016679b6ULL, 0x420e61e7618e2e00ULL},
+      {5, {1.0, 0.0}, 0x7fbd288be293d125ULL, 0x2f4332f72047e465ULL},
+      {5, {1.0, 1.0}, 0xd122c5ecaded6125ULL, 0xf22d7d9ae7fc7465ULL},
+  };
+  for (const Row& row : rows) {
+    TwoStateEdgeMEG on(row.n, row.params, 1, EdgeMegInit::kAllOn);
+    TwoStateEdgeMEG off(row.n, row.params, 1, EdgeMegInit::kAllOff);
+    EXPECT_EQ(edge_stream_hash(on, 3), row.all_on)
+        << "all-on n " << row.n << " p " << row.params.birth_rate << " q "
+        << row.params.death_rate;
+    EXPECT_EQ(edge_stream_hash(off, 3), row.all_off)
+        << "all-off n " << row.n << " p " << row.params.birth_rate << " q "
+        << row.params.death_rate;
+  }
+}
+
 TEST(EngineEquivalence, EdgeMegSparseFloodTrajectories) {
   constexpr std::size_t n = 64;
   TwoStateEdgeMEG meg(n, {3.0 / n, 0.3}, 1);

@@ -1,5 +1,5 @@
-// The serve result cache (serve/cache.hpp): memory and disk tiers,
-// byte-identity of replayed entries, torn/foreign-file tolerance, and
+// The serve result cache (serve/cache.hpp): memory and disk tiers, the
+// memory tier's LRU byte budget, byte-identity of replayed entries, torn/foreign-file tolerance, and
 // hash-collision safety via key verification.
 
 #include <gtest/gtest.h>
@@ -135,6 +135,71 @@ TEST(ServeCache, MemoryOnlyWhenNoDirectoryConfigured) {
   cache.store(key, "{\"v\": 7}");
   EXPECT_EQ(cache.stats().entries, 1u);  // nothing to assert on disk — the
   // constructor contract is simply that no directory is touched.
+}
+
+// ---------------------------------------------------------------------------
+// The memory tier's byte budget (ResultCache::kMemoryBytes)
+// ---------------------------------------------------------------------------
+
+// An eighth of the budget: seven such entries and their keys fit, the
+// eighth pushes the tier over.
+std::string eighth_of_budget(char fill) {
+  return std::string(ResultCache::kMemoryBytes / 8, fill);
+}
+
+TEST(ServeCache, MemoryTierEvictsTheLeastRecentlyUsedPastItsBudget) {
+  ResultCache cache;
+  for (std::uint64_t s = 1; s <= 7; ++s) {
+    cache.store(key_for(s), eighth_of_budget('a'));
+  }
+  EXPECT_EQ(cache.stats().entries, 7u);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+
+  cache.store(key_for(8), eighth_of_budget('b'));  // key 1 is the oldest
+  EXPECT_EQ(cache.stats().entries, 7u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_FALSE(cache.lookup(key_for(1)).has_value());
+
+  // A hit refreshes recency: key 2 was the oldest, now key 3 is.
+  EXPECT_EQ(cache.lookup(key_for(2)).value_or(""), eighth_of_budget('a'));
+  cache.store(key_for(9), eighth_of_budget('c'));
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_FALSE(cache.lookup(key_for(3)).has_value());
+  EXPECT_TRUE(cache.lookup(key_for(2)).has_value());
+  for (std::uint64_t s = 4; s <= 9; ++s) {
+    EXPECT_TRUE(cache.lookup(key_for(s)).has_value()) << s;
+  }
+}
+
+TEST(ServeCache, AnEntryLargerThanTheBudgetIsStillKept) {
+  ResultCache cache;
+  cache.store(key_for(1), "{\"v\": 1}");
+  const std::string huge(ResultCache::kMemoryBytes + 1, 'h');
+  cache.store(key_for(2), huge);  // evicts the rest, never itself
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.lookup(key_for(2)).value_or(""), huge);
+
+  cache.store(key_for(3), "{\"v\": 3}");  // now the huge one is the oldest
+  EXPECT_EQ(cache.stats().entries, 1u);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  EXPECT_EQ(cache.lookup(key_for(3)).value_or(""), "{\"v\": 3}");
+}
+
+TEST(ServeCache, AnEvictedEntryIsADiskHitWithADiskTier) {
+  const std::string dir = fresh_dir("serve_cache_evict_disk");
+  ResultCache cache(dir);
+  const CampaignKey key = key_for(20);
+  cache.store(key, "{\"v\": 20}");
+  for (std::uint64_t s = 21; s <= 28; ++s) {
+    cache.store(key_for(s), eighth_of_budget('d'));
+  }
+  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.lookup(key).value_or(""), "{\"v\": 20}");
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
+  // The disk hit came back as the most recent entry.
+  EXPECT_EQ(cache.lookup(key).value_or(""), "{\"v\": 20}");
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -264,6 +264,8 @@ TEST(ServeProtocol, StatsRenderQueueCountersAndPerClientRows) {
   stats.running_subjobs = 3;
   stats.max_queue = 64;
   stats.max_client_queue = 16;
+  stats.cache_entries = 9;
+  stats.cache_evictions = 4;
   ClientStats a;
   a.client = 7;
   a.jobs_active = 2;
@@ -281,6 +283,10 @@ TEST(ServeProtocol, StatsRenderQueueCountersAndPerClientRows) {
   EXPECT_DOUBLE_EQ(parsed->find("running_subjobs")->number, 3.0);
   EXPECT_DOUBLE_EQ(parsed->find("max_queue")->number, 64.0);
   EXPECT_DOUBLE_EQ(parsed->find("max_client_queue")->number, 16.0);
+  const JsonValue* cache = parsed->find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_DOUBLE_EQ(cache->find("entries")->number, 9.0);
+  EXPECT_DOUBLE_EQ(cache->find("evictions")->number, 4.0);
   const JsonValue* per_client = parsed->find("per_client");
   ASSERT_NE(per_client, nullptr);
   ASSERT_EQ(per_client->array.size(), 1u);

@@ -5,8 +5,9 @@
 // bit-identically via the journal), poison-job quarantine (a campaign
 // that crashes `crash_limit` workers ends in a terminal `failed` event
 // and a persistent .mfq marker — never an infinite crash loop), plus
-// cancel/deadline propagation into workers and rlimit containment of a
-// memory-bomb trial.
+// cancel/deadline propagation into workers, rlimit containment of a
+// memory-bomb trial, and campaigns evicted from the cache's memory tier
+// (recomputed without a disk tier, disk hits with one).
 //
 // The workers are real subprocesses: the scheduler self-execs the
 // megflood_serve binary (path injected by CMake as MEGFLOOD_SERVE_PATH)
@@ -359,6 +360,72 @@ TEST(ServeWorker, ResumedSubJobReportsTheSameProgressInBothModes) {
   EXPECT_EQ(number_field(thread_events.back(), "total"), 3.0);
   EXPECT_EQ(count_files_with_suffix(thread_dir, ".mfj"), 0u);
   EXPECT_EQ(count_files_with_suffix(process_dir, ".mfj"), 0u);
+}
+
+// Pushes every entry stored so far out of the cache's memory tier: eight
+// budget-eighths under keys no submission uses (the memory tier keeps
+// seven).
+void flush_memory_tier(ResultCache& cache) {
+  const std::string filler(ResultCache::kMemoryBytes / 8, 'f');
+  for (std::uint64_t i = 1; i <= 8; ++i) {
+    CampaignKey key;
+    key.scenario_cli = "--model=fixed --n=16 --filler=" + std::to_string(i);
+    key.seed = i;
+    key.trials = 1;
+    cache.store(key, filler);
+  }
+}
+
+// The result object of a done event (the last field, spliced verbatim).
+std::string result_bytes(const std::string& done) {
+  const std::size_t at = done.find("\"result\": ");
+  return at == std::string::npos ? "" : done.substr(at);
+}
+
+TEST(ServeWorker, AnEvictedCampaignRecomputesToIdenticalBytes) {
+  ResultCache cache;  // no disk tier
+  const std::vector<Request> requests = {
+      submit_request("e", quick_args(121, 3))};
+  const std::vector<std::string> first =
+      run_to_completion(process_config(), &cache, requests);
+  ASSERT_FALSE(first.empty());
+  ASSERT_EQ(label(first.back()), "done:e");
+  EXPECT_NE(first.back().find("\"cached\": false"), std::string::npos);
+
+  flush_memory_tier(cache);
+  const CacheStats flushed = cache.stats();
+  EXPECT_GE(flushed.evictions, 1u);
+
+  // Recomputed in a worker, so the whole stream repeats byte for byte,
+  // "cached": false included.
+  const std::vector<std::string> again =
+      run_to_completion(process_config(), &cache, requests);
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(cache.stats().hits, flushed.hits);
+}
+
+TEST(ServeWorker, AnEvictedCampaignIsADiskHitWithACacheDir) {
+  const std::string dir = fresh_dir("worker_evict_disk");
+  ResultCache cache(dir);
+  const std::vector<Request> requests = {
+      submit_request("e", quick_args(122, 3))};
+  const std::vector<std::string> first =
+      run_to_completion(process_config("", dir), &cache, requests);
+  ASSERT_FALSE(first.empty());
+  ASSERT_EQ(label(first.back()), "done:e");
+
+  flush_memory_tier(cache);
+  EXPECT_GE(cache.stats().evictions, 1u);
+
+  // Answered at submit time from the disk tier: queued, then done.
+  const std::vector<std::string> again =
+      run_to_completion(process_config("", dir), &cache, requests);
+  ASSERT_EQ(again.size(), 2u);
+  EXPECT_EQ(label(again.back()), "done:e");
+  EXPECT_EQ(number_field(again.back(), "cache_hits"), 1.0);
+  EXPECT_NE(again.back().find("\"cached\": true"), std::string::npos);
+  EXPECT_EQ(result_bytes(again.back()), result_bytes(first.back()));
+  EXPECT_EQ(cache.stats().disk_hits, 1u);
 }
 
 TEST(ServeWorker, ProcessModeStatsReportWorkerRows) {
