@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "mobility/random_paths.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -46,21 +47,21 @@ int main() {
     cfg.max_rounds = 2'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
     cfg.warmup_steps = warm.suggested_warmup();
-    const auto rwp = measure_flooding(
+    const auto rwp = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<RandomWaypointModel>(n, wp, seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
 
     // Manhattan: L-paths on the side x side grid, 1 point per unit, one
     // hop per round (speed 1), transmission radius 1 hop.
     TrialConfig cfg2 = cfg;
     cfg2.warmup_steps = 0;  // exact stationary initialization
-    const auto manhattan = measure_flooding(
+    const auto manhattan = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<GridLPathsModel>(side, n, 1, seed);
         },
-        cfg2);
+        make_process_factory("flooding"), cfg2);
 
     table.add_row(
         {Table::integer(static_cast<long long>(n)),

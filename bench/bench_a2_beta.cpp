@@ -16,6 +16,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/clique_flicker.hpp"
 #include "meg/edge_meg.hpp"
@@ -45,23 +46,23 @@ int main() {
   Table table({"model", "gamma (subset resample)", "flood p50", "flood p90",
                "slowdown vs independent"});
   cfg.seed = 41;
-  const auto indep = measure_flooding(
+  const auto indep = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<TwoStateEdgeMEG>(
             n, TwoStateParams{alpha, 1.0 - alpha}, seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   table.add_row({"independent edge-MEG", "-", Table::num(indep.rounds.median, 1),
                  Table::num(indep.rounds.p90, 1), "1.00"});
 
   std::vector<double> gammas, slowdowns;
   for (double gamma : {1.0, 0.25, 0.0625, 0.015625}) {
     cfg.seed = 47 + static_cast<std::uint64_t>(1.0 / gamma);
-    const auto run = measure_flooding(
+    const auto run = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<CliqueFlickerGraph>(n, m, rho, seed, gamma);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double slowdown =
         run.rounds.median / std::max(1.0, indep.rounds.median);
     table.add_row({"clique flicker", Table::num(gamma, 4),

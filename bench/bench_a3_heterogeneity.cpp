@@ -14,6 +14,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
 #include "meg/heterogeneous_edge_meg.hpp"
@@ -41,7 +42,7 @@ int main() {
     // edges mix in a handful of rounds.
     const double speed = 0.3;
     cfg.seed = 600 + static_cast<std::uint64_t>(alpha_hi * 10000);
-    const auto hetero = measure_flooding(
+    const auto hetero = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<HeterogeneousEdgeMEG>(
               n,
@@ -49,16 +50,16 @@ int main() {
                                   std::max(1e-4, alpha_lo), alpha_hi),
               seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     auto pinned = [&](double alpha) {
-      return measure_flooding(
+      return measure(
           [&](std::uint64_t seed) {
             return std::make_unique<TwoStateEdgeMEG>(
                 n,
                 TwoStateParams{alpha * speed, (1.0 - alpha) * speed},
                 seed);
           },
-          cfg);
+          make_process_factory("flooding"), cfg);
     };
     const auto at_min = pinned(std::max(1e-4, alpha_lo));
     const double mean_alpha = 0.5 * (alpha_lo + alpha_hi);

@@ -12,6 +12,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "mobility/random_trip.hpp"
 #include "util/table.hpp"
@@ -19,9 +20,9 @@
 namespace megflood {
 namespace {
 
-FloodingMeasurement run_policy(std::shared_ptr<const TripPolicy> policy,
-                               std::size_t n, double radius,
-                               std::uint64_t seed, double warmup_factor) {
+Measurement run_policy(std::shared_ptr<const TripPolicy> policy,
+                       std::size_t n, double radius, std::uint64_t seed,
+                       double warmup_factor) {
   RandomTripModel warm(n, policy, radius, 48, 0);
   TrialConfig cfg;
   cfg.trials = 16;
@@ -30,11 +31,11 @@ FloodingMeasurement run_policy(std::shared_ptr<const TripPolicy> policy,
   cfg.threads = 0;  // trial runner: one worker per hardware thread
   cfg.warmup_steps = static_cast<std::uint64_t>(
       warmup_factor * static_cast<double>(warm.suggested_warmup()));
-  return measure_flooding(
+  return measure(
       [&](std::uint64_t s) {
         return std::make_unique<RandomTripModel>(n, policy, radius, 48, s);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
 }
 
 void pause_sweep() {

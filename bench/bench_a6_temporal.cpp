@@ -15,6 +15,7 @@
 
 #include "analysis/temporal.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trace.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
@@ -39,7 +40,7 @@ void analyze(const std::string& name, Factory&& factory,
   cfg.max_rounds = 4'000'000;
   cfg.threads = 0;  // trial runner: one worker per hardware thread
   cfg.warmup_steps = warmup;
-  const auto m = measure_flooding(factory, cfg);
+  const auto m = measure(factory, make_process_factory("flooding"), cfg);
 
   Table table({"metric", "value"});
   table.add_row({"snapshots connected (fraction)",

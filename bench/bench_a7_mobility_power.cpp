@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "graph/builders.hpp"
 #include "mobility/random_walk.hpp"
@@ -38,11 +39,11 @@ int main() {
     cfg.seed = 1000 + static_cast<std::uint64_t>(fraction * 100) + radius;
     cfg.max_rounds = 4'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    return measure_flooding(
+    return megflood::measure(
         [&](std::uint64_t seed) {
           return std::make_unique<RandomWalkModel>(graph, n, params, seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
   };
 
   std::cout << "\n-- mobile-fraction sweep at r = 1 --\n";

@@ -12,6 +12,7 @@
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
 #include "util/table.hpp"
@@ -40,12 +41,12 @@ void run_regime(const std::string& name, double edge_expectation, double q) {
     cfg.seed = 1000 + n;
     cfg.max_rounds = 2'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
                                                    seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double raw = theorem1_bound(t_mix, n, alpha, 1.0);
     // A measurement with zero completed trials must not calibrate the
     // constant, count as dominated, or enter the slope fit.

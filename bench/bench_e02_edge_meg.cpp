@@ -12,6 +12,7 @@
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
 #include "util/table.hpp"
@@ -40,12 +41,12 @@ int main() {
     cfg.seed = 7000 + static_cast<std::uint64_t>(ratio * 1000);
     cfg.max_rounds = 4'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
                                                    seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double ours = edge_meg_bound(n, p, q);
     const double eq2 = edge_meg_tight_bound(n, p);
     const bool tight = ours <= polylog * eq2;
@@ -77,12 +78,12 @@ int main() {
     cfg.seed = 8800 + static_cast<std::uint64_t>(q * 10000);
     cfg.max_rounds = 100000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p2, q},
                                                    seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double ours = edge_meg_bound(n, p2, q);
     const double eq2 = edge_meg_tight_bound(n, p2);
     table2.add_row({Table::num(q, 4), bench::fmt_rounds(m, m.rounds.median),

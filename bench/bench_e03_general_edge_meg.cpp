@@ -9,6 +9,7 @@
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "markov/mixing.hpp"
 #include "meg/general_edge_meg.hpp"
@@ -34,12 +35,12 @@ void run_chain(const std::string& name, const BurstyLink& link) {
     cfg.seed = 300 + n;
     cfg.max_rounds = 1'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<GeneralEdgeMEG>(n, link.chain, link.chi,
                                                   seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double raw = general_edge_meg_bound(t_mix, n, alpha);
     // A measurement with zero completed trials must not calibrate the
     // constant or count as dominated.

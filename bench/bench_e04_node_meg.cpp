@@ -12,6 +12,7 @@
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "graph/builders.hpp"
 #include "markov/mixing.hpp"
@@ -38,11 +39,11 @@ void sweep_n(std::size_t k) {
     cfg.seed = 400 + n;
     cfg.max_rounds = 1'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<ExplicitNodeMEG>(n, chain, conn, seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double raw = theorem3_bound(t_mix, n, inv.p_nm, inv.eta);
     const double calibrated = cal.record(m.rounds.p90, raw);
     table.add_row({Table::integer(static_cast<long long>(n)),
@@ -75,11 +76,11 @@ void sweep_states() {
     cfg.seed = 4400 + k;
     cfg.max_rounds = 1'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<ExplicitNodeMEG>(n, chain, conn, seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double raw = theorem3_bound(t_mix, n, inv.p_nm, inv.eta);
     const double calibrated = cal.record(m.rounds.p90, raw);
     table.add_row({Table::integer(static_cast<long long>(k)),

@@ -18,6 +18,7 @@
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "util/table.hpp"
@@ -36,8 +37,8 @@ WaypointParams sparse_params(std::size_t n) {
   return p;
 }
 
-FloodingMeasurement measure(std::size_t n, const WaypointParams& p,
-                            std::size_t trials, std::uint64_t seed) {
+Measurement measure(std::size_t n, const WaypointParams& p,
+                    std::size_t trials, std::uint64_t seed) {
   RandomWaypointModel warm(n, p, 0);
   TrialConfig cfg;
   cfg.trials = trials;
@@ -45,11 +46,11 @@ FloodingMeasurement measure(std::size_t n, const WaypointParams& p,
   cfg.max_rounds = 2'000'000;
   cfg.threads = 0;  // trial runner: one worker per hardware thread
   cfg.warmup_steps = warm.suggested_warmup();
-  return measure_flooding(
+  return megflood::measure(
       [&](std::uint64_t s) {
         return std::make_unique<RandomWaypointModel>(n, p, s);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
 }
 
 void sweep_n() {

@@ -17,6 +17,7 @@
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "mobility/random_paths.hpp"
 #include "util/table.hpp"
@@ -47,11 +48,11 @@ int main() {
     cfg.seed = 600 + side;
     cfg.max_rounds = 2'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<GridLPathsModel>(side, n, 1, seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     const double raw = corollary5_bound(t_mix, n, points, delta);
     const double calibrated = cal.record(m.rounds.p90, raw);
     table.add_row(

@@ -20,6 +20,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/meeting_time.hpp"
 #include "bench_util.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
@@ -71,12 +72,12 @@ int main() {
     cfg.seed = 850 + k;
     cfg.max_rounds = 2'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<RandomWalkModel>(graph, n,
                                                    RandomWalkParams{}, seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
 
     const double ours =
         corollary6_bound(t_mix, n, points, ds.regularity_delta);

@@ -21,6 +21,7 @@
 
 #include "bench_util.hpp"
 #include "core/process.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
 #include "mobility/random_waypoint.hpp"
@@ -42,7 +43,8 @@ void run_model(const std::string& name, std::size_t n,
   cfg.warmup_steps = warmup;
   cfg.threads = 0;
 
-  const Measurement flooding_baseline = measure_flooding(factory, cfg);
+  const Measurement flooding_baseline =
+      measure(factory, make_process_factory("flooding"), cfg);
   bench::warn_incomplete(flooding_baseline, "flooding on " + name);
   const double baseline_median = std::max(1.0, flooding_baseline.rounds.median);
 
@@ -68,7 +70,8 @@ void run_model(const std::string& name, std::size_t n,
       return std::make_unique<RandomSubsetOverlay>(factory(seed), k,
                                                    seed ^ 0x517cc1b727220a95ULL);
     };
-    const Measurement over = measure_flooding(overlay_factory, cfg);
+    const Measurement over =
+        measure(overlay_factory, make_process_factory("flooding"), cfg);
     bench::warn_incomplete(over, "overlay-flood k=" + std::to_string(k));
     table.add_row({"k-push", Table::integer(static_cast<long long>(k)),
                    bench::fmt_rounds(push, push.rounds.median),

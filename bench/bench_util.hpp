@@ -26,15 +26,14 @@ inline std::string verdict(bool ok) { return ok ? "yes" : "NO"; }
 // Formats a rounds statistic for a table cell.  When no trial completed,
 // every Summary field reads 0 and must not be printed as a real flooding
 // time — the cell says so instead.
-inline std::string fmt_rounds(const FloodingMeasurement& m, double value,
+inline std::string fmt_rounds(const Measurement& m, double value,
                               int precision = 1) {
   return m.all_incomplete() ? "n/a (0 done)" : Table::num(value, precision);
 }
 
 // One-line completion warning shared by the harnesses; distinguishes the
 // partial case from the fully incomplete one.
-inline void warn_incomplete(const FloodingMeasurement& m,
-                            const std::string& where) {
+inline void warn_incomplete(const Measurement& m, const std::string& where) {
   if (m.all_incomplete()) {
     std::cout << "WARNING: no completed trials at " << where
               << " — round statistics are not meaningful\n";

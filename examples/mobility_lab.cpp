@@ -16,6 +16,7 @@
 #include "analysis/positional.hpp"
 #include "analysis/temporal.hpp"
 #include "core/flooding.hpp"
+#include "core/scenario.hpp"
 #include "core/trace.hpp"
 #include "core/trial.hpp"
 #include "mobility/random_trip.hpp"
@@ -64,12 +65,12 @@ int main(int argc, char** argv) {
     cfg.seed = 99;
     cfg.warmup_steps = 2 * model.suggested_warmup();
     cfg.threads = 0;  // one worker per hardware thread
-    const FloodingMeasurement m = measure_flooding(
+    const Measurement m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<RandomTripModel>(n, lab.policy, radius, 32,
                                                    seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     table.add_row({lab.name, Table::num(uni.delta, 2),
                    Table::num(uni.lambda, 2),
                    Table::num(100.0 * conn.mean_isolated_fraction, 1),

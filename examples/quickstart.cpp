@@ -15,6 +15,7 @@
 
 #include "analysis/bounds.hpp"
 #include "core/flooding.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
 
@@ -72,12 +73,12 @@ int main(int argc, char** argv) {
   cfg.trials = 16;
   cfg.seed = seed;
   cfg.threads = 0;  // one worker per hardware thread
-  const FloodingMeasurement m = measure_flooding(
+  const Measurement m = measure(
       [&](std::uint64_t trial_seed) {
         return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
                                                  trial_seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   if (m.all_incomplete()) {
     std::cout << "\nno trial completed within the budget\n";
     return 1;

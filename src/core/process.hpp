@@ -128,7 +128,7 @@ ProcessResult run_process(DynamicGraph& graph, SpreadingProcess& process,
 // "transmissions" = sum over executed rounds of |I_t| (every informed
 // node sends every round).  run() substitutes the word-parallel flood()
 // kernel (bit-identical to the generic round() engine, which is retained
-// for the equivalence test), so measure_flooding keeps the PR 1 engine.
+// for the equivalence test), so measured flooding keeps the fast engine.
 class FloodingProcess final : public SpreadingProcess {
  public:
   std::string name() const override { return "flooding"; }

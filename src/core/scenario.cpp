@@ -642,10 +642,6 @@ ProcessFactory make_process_factory(const std::string& process_spec) {
        "radio[:<tau>], ttl[:<ttl>])");
 }
 
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  return run_scenario(spec, MeasureHooks{});
-}
-
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             const MeasureHooks& hooks) {
   const ScenarioModel model = make_model_factory(spec);

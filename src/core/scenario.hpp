@@ -112,12 +112,11 @@ struct ScenarioResult {
 };
 
 // Validates and runs the scenario end to end: build model factory, build
-// process factory, measure().  The hooks overload threads checkpointing,
+// process factory, measure().  `hooks` threads checkpointing,
 // cancellation and fault-injection callbacks into measure() (see
-// MeasureHooks); the plain overload is an uninstrumented run.
-ScenarioResult run_scenario(const ScenarioSpec& spec);
+// MeasureHooks); the default is an uninstrumented run.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
-                            const MeasureHooks& hooks);
+                            const MeasureHooks& hooks = {});
 
 // ---------------------------------------------------------------------------
 // CLI round-trip

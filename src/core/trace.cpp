@@ -19,11 +19,6 @@ std::vector<Snapshot> record_trace(DynamicGraph& graph, std::size_t steps) {
   return trace;
 }
 
-ScriptedDynamicGraph replay_trace(DynamicGraph& graph, std::size_t steps,
-                                  bool cycle) {
-  return ScriptedDynamicGraph(record_trace(graph, steps), cycle);
-}
-
 void write_trace(std::ostream& os, const std::vector<Snapshot>& trace) {
   for (std::size_t t = 0; t < trace.size(); ++t) {
     os << "t " << t << "\n";

@@ -18,10 +18,6 @@ namespace megflood {
 // (the graph is advanced `steps` times).
 std::vector<Snapshot> record_trace(DynamicGraph& graph, std::size_t steps);
 
-// Convenience: record and wrap into a replayable dynamic graph.
-ScriptedDynamicGraph replay_trace(DynamicGraph& graph, std::size_t steps,
-                                  bool cycle = false);
-
 // Plain-text serialization: line-oriented, one "t <step>" header per
 // snapshot followed by "u v" edge lines.  Human-greppable and diffable.
 void write_trace(std::ostream& os, const std::vector<Snapshot>& trace);

@@ -198,10 +198,10 @@ Measurement measure(const GraphFactory& graph_factory,
                     const TrialConfig& config, const MeasureHooks& hooks) {
   check_config(config);
   // Two decorrelated streams from one root seed: graph seeds keep the
-  // exact derivation measure_flooding has always used, process-RNG seeds
-  // come from a salted stream (so protocol randomness never aliases model
-  // randomness, and every trial stays a pure function of config.seed and
-  // its index).
+  // exact derivation flooding measurements have always used, process-RNG
+  // seeds come from a salted stream (so protocol randomness never aliases
+  // model randomness, and every trial stays a pure function of config.seed
+  // and its index).
   const auto graph_seeds = derive_seeds(config.seed, config.trials);
   const auto process_seeds =
       derive_seeds(config.seed ^ kProcessSeedSalt, config.trials);
@@ -256,36 +256,6 @@ Measurement measure(const GraphFactory& graph_factory,
     if (first_error) std::rethrow_exception(first_error);
   }
   return merge_slots(slots, resumed);
-}
-
-Measurement measure_reusing(DynamicGraph& graph,
-                            const ProcessFactory& process_factory,
-                            const TrialConfig& config) {
-  check_config(config);
-  const auto graph_seeds = derive_seeds(config.seed, config.trials);
-  const auto process_seeds =
-      derive_seeds(config.seed ^ kProcessSeedSalt, config.trials);
-  const std::unique_ptr<SpreadingProcess> process = process_factory();
-  std::vector<Slot> slots(config.trials);
-  for (std::size_t trial = 0; trial < config.trials; ++trial) {
-    graph.reset(graph_seeds[trial]);
-    slots[trial].out = run_one(graph, *process, trial, process_seeds[trial],
-                               config, trial_deadline(config));
-    slots[trial].state = SlotState::kDone;
-  }
-  return merge_slots(slots, 0);
-}
-
-FloodingMeasurement measure_flooding(const GraphFactory& factory,
-                                     const TrialConfig& config) {
-  return measure(
-      factory, [] { return std::make_unique<FloodingProcess>(); }, config);
-}
-
-FloodingMeasurement measure_flooding_reusing(DynamicGraph& graph,
-                                             const TrialConfig& config) {
-  return measure_reusing(
-      graph, [] { return std::make_unique<FloodingProcess>(); }, config);
 }
 
 }  // namespace megflood

@@ -11,8 +11,6 @@
 // the same machinery — warmup, rotating sources, derive_seeds per-trial
 // seeding, the thread pool, quantile summaries, phase splits,
 // incomplete-trial accounting, and per-metric aggregation.
-// measure_flooding() is the historical entry point, now a thin wrapper
-// over measure() with a FloodingProcess.
 
 #include <atomic>
 #include <cstdint>
@@ -46,8 +44,7 @@ struct TrialConfig {
   // trial is a pure function of its derive_seeds() entries and its index,
   // and per-trial outcomes are merged in trial order, so the measurement
   // is bit-identical for every thread count.  0 = one worker per
-  // hardware thread.  measure_reusing shares one graph and always runs
-  // sequentially.
+  // hardware thread.
   std::size_t threads = 1;
   // Error containment: when true, a trial that throws (model construction,
   // the process, a fault-injection site, the watchdog) is recorded as a
@@ -153,10 +150,6 @@ struct Measurement {
   bool all_incomplete() const noexcept { return rounds.count == 0; }
 };
 
-// The historical flooding-only measurement is the same struct: a
-// Measurement whose only metric is FloodingProcess's "transmissions".
-using FloodingMeasurement = Measurement;
-
 using GraphFactory =
     std::function<std::unique_ptr<DynamicGraph>(std::uint64_t)>;
 using ProcessFactory = std::function<std::unique_ptr<SpreadingProcess>()>;
@@ -172,18 +165,5 @@ Measurement measure(const GraphFactory& graph_factory,
                     const ProcessFactory& process_factory,
                     const TrialConfig& config,
                     const MeasureHooks& hooks = {});
-
-// Same but reusing one graph instance via reset() — cheaper when model
-// construction is expensive (e.g. precomputed hop balls).  Always
-// sequential (the trials share the graph); config.threads is ignored.
-Measurement measure_reusing(DynamicGraph& graph,
-                            const ProcessFactory& process_factory,
-                            const TrialConfig& config);
-
-// Flooding-specialized wrappers (the historical API).
-FloodingMeasurement measure_flooding(const GraphFactory& factory,
-                                     const TrialConfig& config);
-FloodingMeasurement measure_flooding_reusing(DynamicGraph& graph,
-                                             const TrialConfig& config);
 
 }  // namespace megflood

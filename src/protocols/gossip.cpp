@@ -53,14 +53,4 @@ void GossipProcess::metrics(MetricsBag& out) const {
   out["contacts"] = static_cast<double>(contacts_);
 }
 
-GossipResult gossip_flood(DynamicGraph& graph, NodeId source, GossipMode mode,
-                          std::uint64_t max_rounds, std::uint64_t seed) {
-  GossipProcess process(mode);
-  ProcessResult r = run_process(graph, process, source, max_rounds, seed);
-  GossipResult result;
-  result.flood = std::move(r.flood);
-  result.contacts = static_cast<std::uint64_t>(r.metrics.at("contacts"));
-  return result;
-}
-
 }  // namespace megflood

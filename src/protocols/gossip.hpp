@@ -12,7 +12,6 @@
 #include <string>
 
 #include "core/dynamic_graph.hpp"
-#include "core/flooding.hpp"
 #include "core/process.hpp"
 #include "util/rng.hpp"
 
@@ -42,15 +41,5 @@ class GossipProcess final : public SpreadingProcess {
   GossipMode mode_;
   std::uint64_t contacts_ = 0;
 };
-
-struct GossipResult {
-  FloodResult flood;
-  // Total contacts made (one per node per round that participates).
-  std::uint64_t contacts = 0;
-};
-
-// Single-run convenience wrapper over run_process(GossipProcess).
-GossipResult gossip_flood(DynamicGraph& graph, NodeId source, GossipMode mode,
-                          std::uint64_t max_rounds, std::uint64_t seed);
 
 }  // namespace megflood

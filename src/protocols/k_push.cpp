@@ -47,12 +47,6 @@ void KPushProcess::metrics(MetricsBag& out) const {
   out["transmissions"] = static_cast<double>(transmissions_);
 }
 
-FloodResult k_push_flood(DynamicGraph& graph, NodeId source, std::size_t k,
-                         std::uint64_t max_rounds, std::uint64_t seed) {
-  KPushProcess process(k);
-  return run_process(graph, process, source, max_rounds, seed).flood;
-}
-
 RandomSubsetOverlay::RandomSubsetOverlay(DynamicGraph& inner, std::size_t k,
                                          std::uint64_t seed)
     : inner_(&inner), k_(k), rng_(seed) {

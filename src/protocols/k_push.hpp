@@ -13,7 +13,6 @@
 #include <string>
 
 #include "core/dynamic_graph.hpp"
-#include "core/flooding.hpp"
 #include "core/process.hpp"
 #include "util/rng.hpp"
 
@@ -40,10 +39,6 @@ class KPushProcess final : public SpreadingProcess {
   std::uint64_t transmissions_ = 0;
   std::vector<NodeId> picks_;  // round scratch
 };
-
-// Single-run convenience wrapper over run_process(KPushProcess).
-FloodResult k_push_flood(DynamicGraph& graph, NodeId source, std::size_t k,
-                         std::uint64_t max_rounds, std::uint64_t seed);
 
 // The reduction: a DynamicGraph whose snapshot keeps, for every node, at
 // most k uniformly chosen incident edges of the inner model's snapshot

@@ -57,15 +57,4 @@ void RadioBroadcastProcess::metrics(MetricsBag& out) const {
   out["collisions"] = static_cast<double>(collisions_);
 }
 
-RadioResult radio_broadcast(DynamicGraph& graph, NodeId source, double tau,
-                            std::uint64_t max_rounds, std::uint64_t seed) {
-  RadioBroadcastProcess process(tau);
-  ProcessResult r = run_process(graph, process, source, max_rounds, seed);
-  RadioResult result;
-  result.flood = std::move(r.flood);
-  result.transmissions = static_cast<std::uint64_t>(r.metrics.at("transmissions"));
-  result.collisions = static_cast<std::uint64_t>(r.metrics.at("collisions"));
-  return result;
-}
-
 }  // namespace megflood

@@ -16,7 +16,6 @@
 #include <string>
 
 #include "core/dynamic_graph.hpp"
-#include "core/flooding.hpp"
 #include "core/process.hpp"
 #include "util/rng.hpp"
 
@@ -46,15 +45,5 @@ class RadioBroadcastProcess final : public SpreadingProcess {
   std::vector<char> transmitting_;       // round scratch
   std::vector<std::uint32_t> heard_;     // transmitting-neighbor count
 };
-
-struct RadioResult {
-  FloodResult flood;
-  std::uint64_t transmissions = 0;
-  std::uint64_t collisions = 0;  // (node, round) receptions lost to collision
-};
-
-// Single-run convenience wrapper over run_process(RadioBroadcastProcess).
-RadioResult radio_broadcast(DynamicGraph& graph, NodeId source, double tau,
-                            std::uint64_t max_rounds, std::uint64_t seed);
 
 }  // namespace megflood

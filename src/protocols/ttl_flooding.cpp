@@ -45,15 +45,4 @@ void TtlFloodingProcess::metrics(MetricsBag& out) const {
   out["transmissions"] = static_cast<double>(transmissions_);
 }
 
-TtlFloodResult ttl_flood(DynamicGraph& graph, NodeId source, std::uint64_t ttl,
-                         std::uint64_t max_rounds) {
-  TtlFloodingProcess process(ttl);
-  ProcessResult r = run_process(graph, process, source, max_rounds, /*seed=*/0);
-  TtlFloodResult result;
-  result.flood = std::move(r.flood);
-  result.transmissions =
-      static_cast<std::uint64_t>(r.metrics.at("transmissions"));
-  return result;
-}
-
 }  // namespace megflood

@@ -11,7 +11,6 @@
 #include <string>
 
 #include "core/dynamic_graph.hpp"
-#include "core/flooding.hpp"
 #include "core/process.hpp"
 
 namespace megflood {
@@ -41,16 +40,5 @@ class TtlFloodingProcess final : public SpreadingProcess {
   // remaining_[v]: rounds of relaying left; 0 = uninformed or expired.
   std::vector<std::uint64_t> remaining_;
 };
-
-struct TtlFloodResult {
-  FloodResult flood;
-  // Total number of (node, round) transmissions attempted — the message
-  // complexity the parsimonious variant tries to reduce.
-  std::uint64_t transmissions = 0;
-};
-
-// Single-run convenience wrapper over run_process(TtlFloodingProcess).
-TtlFloodResult ttl_flood(DynamicGraph& graph, NodeId source,
-                         std::uint64_t ttl, std::uint64_t max_rounds);
 
 }  // namespace megflood

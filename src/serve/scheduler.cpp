@@ -77,17 +77,6 @@ Scheduler::Scheduler(const SchedulerConfig& config, ResultCache* cache)
   }
 }
 
-namespace {
-SchedulerConfig workers_only_config(std::size_t workers) {
-  SchedulerConfig config;
-  config.workers = workers;
-  return config;
-}
-}  // namespace
-
-Scheduler::Scheduler(std::size_t workers, ResultCache* cache)
-    : Scheduler(workers_only_config(workers), cache) {}
-
 Scheduler::~Scheduler() { drain(); }
 
 std::uint64_t Scheduler::register_client(EventFn emit) {

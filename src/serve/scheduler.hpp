@@ -114,7 +114,6 @@ class Scheduler {
  public:
   // `cache` must outlive the scheduler.
   Scheduler(const SchedulerConfig& config, ResultCache* cache);
-  Scheduler(std::size_t workers, ResultCache* cache);
   ~Scheduler();
 
   Scheduler(const Scheduler&) = delete;

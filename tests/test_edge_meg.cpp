@@ -85,6 +85,18 @@ TEST(TwoStateEdgeMEG, ResetReproducesStream) {
     a.step();
     EXPECT_EQ(a.snapshot().num_edges(), first[static_cast<std::size_t>(t)]);
   }
+  // reset(s) on a model that already ran under another seed behaves like
+  // a fresh model built with s, edge for edge.
+  TwoStateEdgeMEG reused(20, {0.1, 0.2}, 1);
+  for (int t = 0; t < 10; ++t) reused.step();
+  reused.reset(7);
+  TwoStateEdgeMEG fresh(20, {0.1, 0.2}, 7);
+  for (int t = 0; t < 10; ++t) {
+    ASSERT_EQ(reused.snapshot().edge_buffer(), fresh.snapshot().edge_buffer())
+        << "step " << t;
+    reused.step();
+    fresh.step();
+  }
 }
 
 TEST(TwoStateEdgeMEG, DifferentSeedsDiffer) {

@@ -13,13 +13,14 @@ namespace {
 
 TEST(Gossip, BadSourceThrows) {
   FixedDynamicGraph d(path_graph(3));
-  EXPECT_THROW((void)gossip_flood(d, 9, GossipMode::kPush, 10, 1),
-               std::out_of_range);
+  GossipProcess push(GossipMode::kPush);
+  EXPECT_THROW((void)run_process(d, push, 9, 10, 1), std::out_of_range);
 }
 
 TEST(Gossip, PushCompletesOnCompleteGraph) {
   FixedDynamicGraph d(complete_graph(32));
-  const GossipResult r = gossip_flood(d, 0, GossipMode::kPush, 1000, 3);
+  GossipProcess push(GossipMode::kPush);
+  const ProcessResult r = run_process(d, push, 0, 1000, 3);
   ASSERT_TRUE(r.flood.completed);
   // Push on K_n takes ~log2 n + ln n rounds; allow slack.
   EXPECT_LE(r.flood.rounds, 40u);
@@ -30,9 +31,10 @@ TEST(Gossip, PushPullFasterOrEqualThanPush) {
   double push_total = 0.0, pp_total = 0.0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     FixedDynamicGraph a(complete_graph(64)), b(complete_graph(64));
-    const GossipResult push = gossip_flood(a, 0, GossipMode::kPush, 1000, seed);
-    const GossipResult pp =
-        gossip_flood(b, 0, GossipMode::kPushPull, 1000, seed);
+    GossipProcess push_process(GossipMode::kPush);
+    GossipProcess pp_process(GossipMode::kPushPull);
+    const ProcessResult push = run_process(a, push_process, 0, 1000, seed);
+    const ProcessResult pp = run_process(b, pp_process, 0, 1000, seed);
     ASSERT_TRUE(push.flood.completed);
     ASSERT_TRUE(pp.flood.completed);
     push_total += static_cast<double>(push.flood.rounds);
@@ -43,57 +45,62 @@ TEST(Gossip, PushPullFasterOrEqualThanPush) {
 
 TEST(Gossip, PullAloneCompletesOnCompleteGraph) {
   FixedDynamicGraph d(complete_graph(32));
-  const GossipResult r = gossip_flood(d, 0, GossipMode::kPull, 10000, 5);
+  GossipProcess pull(GossipMode::kPull);
+  const ProcessResult r = run_process(d, pull, 0, 10000, 5);
   EXPECT_TRUE(r.flood.completed);
 }
 
 TEST(Gossip, NoChainingWithinRound) {
   // Path 0-1-2, push mode: at least 2 rounds needed from source 0.
   FixedDynamicGraph d(path_graph(3));
-  const GossipResult r = gossip_flood(d, 0, GossipMode::kPushPull, 100, 7);
+  GossipProcess push_pull(GossipMode::kPushPull);
+  const ProcessResult r = run_process(d, push_pull, 0, 100, 7);
   ASSERT_TRUE(r.flood.completed);
   EXPECT_GE(r.flood.rounds, 2u);
 }
 
 TEST(Gossip, ContactsCounted) {
   FixedDynamicGraph d(complete_graph(16));
-  const GossipResult r = gossip_flood(d, 0, GossipMode::kPush, 1000, 9);
+  GossipProcess push(GossipMode::kPush);
+  const ProcessResult r = run_process(d, push, 0, 1000, 9);
   ASSERT_TRUE(r.flood.completed);
-  EXPECT_GT(r.contacts, 0u);
+  EXPECT_GT(r.metrics.at("contacts"), 0.0);
   // Push contacts = sum over rounds of informed counts (everyone
   // informed before the final round contacts each round).
   std::uint64_t expected = 0;
   for (std::size_t t = 0; t + 1 < r.flood.informed_counts.size(); ++t) {
     expected += r.flood.informed_counts[t];
   }
-  EXPECT_EQ(r.contacts, expected);
+  EXPECT_EQ(r.metrics.at("contacts"), static_cast<double>(expected));
 }
 
 TEST(Gossip, PullContactsComeFromUninformed) {
   FixedDynamicGraph d(complete_graph(16));
-  const GossipResult r = gossip_flood(d, 0, GossipMode::kPull, 1000, 11);
+  GossipProcess pull(GossipMode::kPull);
+  const ProcessResult r = run_process(d, pull, 0, 1000, 11);
   ASSERT_TRUE(r.flood.completed);
   std::uint64_t expected = 0;
   for (std::size_t t = 0; t + 1 < r.flood.informed_counts.size(); ++t) {
     expected += 16 - r.flood.informed_counts[t];
   }
-  EXPECT_EQ(r.contacts, expected);
+  EXPECT_EQ(r.metrics.at("contacts"), static_cast<double>(expected));
 }
 
 TEST(Gossip, WorksOnDynamicGraph) {
   TwoStateEdgeMEG meg(48, {0.2, 0.2}, 13);
-  const GossipResult r = gossip_flood(meg, 0, GossipMode::kPushPull,
-                                      100000, 15);
+  GossipProcess push_pull(GossipMode::kPushPull);
+  const ProcessResult r = run_process(meg, push_pull, 0, 100000, 15);
   EXPECT_TRUE(r.flood.completed);
 }
 
 TEST(Gossip, DeterministicGivenSeeds) {
   TwoStateEdgeMEG a(32, {0.2, 0.2}, 5);
   TwoStateEdgeMEG b(32, {0.2, 0.2}, 5);
-  const GossipResult ra = gossip_flood(a, 0, GossipMode::kPush, 10000, 21);
-  const GossipResult rb = gossip_flood(b, 0, GossipMode::kPush, 10000, 21);
+  GossipProcess push(GossipMode::kPush);
+  const ProcessResult ra = run_process(a, push, 0, 10000, 21);
+  const ProcessResult rb = run_process(b, push, 0, 10000, 21);
   EXPECT_EQ(ra.flood.rounds, rb.flood.rounds);
-  EXPECT_EQ(ra.contacts, rb.contacts);
+  EXPECT_EQ(ra.metrics.at("contacts"), rb.metrics.at("contacts"));
 }
 
 // Property: per mode, gossip rounds >= flooding rounds on the same
@@ -105,7 +112,8 @@ TEST_P(GossipVsFlooding, NeverFasterThanFlooding) {
     TwoStateEdgeMEG a(32, {0.15, 0.15}, seed);
     TwoStateEdgeMEG b(32, {0.15, 0.15}, seed);
     const FloodResult fl = flood(a, 0, 100000);
-    const GossipResult go = gossip_flood(b, 0, GetParam(), 100000, seed + 50);
+    GossipProcess gossip(GetParam());
+    const ProcessResult go = run_process(b, gossip, 0, 100000, seed + 50);
     ASSERT_TRUE(fl.completed);
     ASSERT_TRUE(go.flood.completed);
     EXPECT_GE(go.flood.rounds, fl.rounds);

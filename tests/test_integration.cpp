@@ -10,6 +10,7 @@
 
 #include "analysis/bounds.hpp"
 #include "analysis/estimators.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
@@ -33,12 +34,12 @@ TEST(Integration, EdgeMegFloodingWithinBound) {
   TrialConfig cfg;
   cfg.trials = 12;
   cfg.max_rounds = 200000;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
                                                  seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   // Appendix A bound with a generous constant must dominate the p99.
   const double bound = edge_meg_bound(n, p, q);
@@ -53,12 +54,12 @@ TEST(Integration, EdgeMegDenserIsFaster) {
   cfg.trials = 10;
   cfg.max_rounds = 100000;
   auto mean_for = [&](double p, double q) {
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
                                                    seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     EXPECT_EQ(m.incomplete, 0u);
     return m.rounds.mean;
   };
@@ -80,11 +81,11 @@ TEST(Integration, NodeMegFloodingWithinTheorem3Bound) {
   TrialConfig cfg;
   cfg.trials = 12;
   cfg.max_rounds = 100000;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<ExplicitNodeMEG>(n, chain, conn, seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   const double bound = theorem3_bound(t_mix, n, inv.p_nm, inv.eta);
   EXPECT_LT(m.rounds.p99, 20.0 * bound);
@@ -105,11 +106,11 @@ TEST(Integration, WaypointFloodingWithinBound) {
   cfg.max_rounds = 200000;
   RandomWaypointModel warm(n, p, 0);
   cfg.warmup_steps = warm.suggested_warmup();
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<RandomWaypointModel>(n, p, seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   const double bound = waypoint_bound(p.side_length, p.v_max, n, p.radius);
   EXPECT_LT(m.rounds.p99, 20.0 * bound);
@@ -129,11 +130,11 @@ TEST(Integration, GridLPathsWithinCorollary5Bound) {
   // Transmission radius 1 (in hops) bridges the grid's parity classes;
   // with r = 0 the bipartite always-move dynamics cannot complete (see
   // the parity note in DESIGN.md).
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<GridLPathsModel>(side, n, 1, seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   const double delta = GridLPathsModel::regularity_delta(side);
   // T_mix of the L-paths chain is O(diameter of the path family flow) —
@@ -154,12 +155,12 @@ TEST(Integration, KAugmentedGridFloodsFasterWithK) {
   auto mean_for = [&](std::size_t k) {
     const auto g =
         std::make_shared<const Graph>(k_augmented_grid(side, k));
-    const auto m = measure_flooding(
+    const auto m = measure(
         [&](std::uint64_t seed) {
           return std::make_unique<RandomWalkModel>(g, n, RandomWalkParams{},
                                                    seed);
         },
-        cfg);
+        make_process_factory("flooding"), cfg);
     EXPECT_EQ(m.incomplete, 0u) << "k=" << k;
     return m.rounds.mean;
   };
@@ -192,12 +193,12 @@ TEST(Integration, TorusWalkWithinCorollary6Bound) {
   TrialConfig cfg;
   cfg.trials = 8;
   cfg.max_rounds = 500000;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<RandomWalkModel>(graph, n, RandomWalkParams{},
                                                  seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   const double bound = corollary6_bound(t_mix, n, points, ds.regularity_delta);
   EXPECT_LT(m.rounds.p99, 20.0 * bound);
@@ -214,12 +215,12 @@ TEST(Integration, FourStateLinkWithinGeneralBound) {
   TrialConfig cfg;
   cfg.trials = 10;
   cfg.max_rounds = 200000;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<GeneralEdgeMEG>(n, link.chain, link.chi,
                                                 seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   EXPECT_LT(m.rounds.p99, 20.0 * general_edge_meg_bound(t_mix, n, alpha));
 }
@@ -234,12 +235,12 @@ TEST(Integration, SaturationPhaseNotDominant) {
   TrialConfig cfg;
   cfg.trials = 12;
   cfg.max_rounds = 200000;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t seed) {
         return std::make_unique<TwoStateEdgeMEG>(
             n, TwoStateParams{p, 0.3}, seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   EXPECT_LT(m.saturation_rounds.mean, 4.0 * m.spreading_rounds.mean + 10.0);
 }

@@ -10,6 +10,7 @@
 
 #include "core/fixed_graphs.hpp"
 #include "core/process.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
@@ -47,20 +48,6 @@ TEST(RunProcess, BadSourceThrows) {
   FixedDynamicGraph g(path_graph(4));
   FloodingProcess process;
   EXPECT_THROW((void)run_process(g, process, 9, 10, 1), std::out_of_range);
-}
-
-TEST(RunProcess, LegacyWrappersMatchProcessClasses) {
-  // The retained free functions are thin wrappers; same seeds must give
-  // the same trajectories and metrics as driving the class directly.
-  TwoStateEdgeMEG a(32, {0.2, 0.2}, 5);
-  TwoStateEdgeMEG b(32, {0.2, 0.2}, 5);
-  const GossipResult wrapper = gossip_flood(a, 0, GossipMode::kPushPull, 1000, 77);
-  GossipProcess process(GossipMode::kPushPull);
-  const ProcessResult direct = run_process(b, process, 0, 1000, 77);
-  EXPECT_EQ(wrapper.flood.rounds, direct.flood.rounds);
-  EXPECT_EQ(wrapper.flood.informed_counts, direct.flood.informed_counts);
-  EXPECT_EQ(static_cast<double>(wrapper.contacts),
-            direct.metrics.at("contacts"));
 }
 
 TEST(RunProcess, TtlDiesOutEarlyAndReportsIncomplete) {
@@ -126,25 +113,7 @@ TEST(RunProcess, RadioExportsCollisionMetrics) {
   EXPECT_GT(r.metrics.at("transmissions"), 0.0);
 }
 
-TEST(Measure, FloodingWrapperIsTheGenericHarness) {
-  const GraphFactory factory = [](std::uint64_t seed) {
-    return std::make_unique<TwoStateEdgeMEG>(40, TwoStateParams{0.08, 0.25},
-                                             seed);
-  };
-  TrialConfig cfg;
-  cfg.trials = 8;
-  cfg.seed = 21;
-  const Measurement a = measure_flooding(factory, cfg);
-  const Measurement b = measure(
-      factory, [] { return std::make_unique<FloodingProcess>(); }, cfg);
-  EXPECT_EQ(a.incomplete, b.incomplete);
-  EXPECT_DOUBLE_EQ(a.rounds.mean, b.rounds.mean);
-  EXPECT_DOUBLE_EQ(a.rounds.max, b.rounds.max);
-  EXPECT_DOUBLE_EQ(a.metrics.at("transmissions").mean,
-                   b.metrics.at("transmissions").mean);
-}
-
-TEST(Measure, LargeKPushMatchesFloodingMeasurement) {
+TEST(Measure, LargeKPushMatchesFlooding) {
   // k >= n-1 pushes to every neighbor: identical round counts to
   // flooding, trial for trial (both deterministic given the graph).
   const GraphFactory factory = [](std::uint64_t seed) {
@@ -154,7 +123,8 @@ TEST(Measure, LargeKPushMatchesFloodingMeasurement) {
   TrialConfig cfg;
   cfg.trials = 6;
   cfg.seed = 5;
-  const Measurement fl = measure_flooding(factory, cfg);
+  const Measurement fl =
+      measure(factory, make_process_factory("flooding"), cfg);
   const Measurement kp = measure(
       factory, [] { return std::make_unique<KPushProcess>(64); }, cfg);
   EXPECT_EQ(fl.incomplete, kp.incomplete);
@@ -239,30 +209,11 @@ TEST(Measure, OverlayFloodThreadCountDoesNotChangeResults) {
   cfg.trials = 10;
   cfg.seed = 13;
   cfg.threads = 1;
-  const Measurement sequential = measure_flooding(factory, cfg);
+  const ProcessFactory flooding = make_process_factory("flooding");
+  const Measurement sequential = measure(factory, flooding, cfg);
   cfg.threads = 0;
-  const Measurement threaded = measure_flooding(factory, cfg);
+  const Measurement threaded = measure(factory, flooding, cfg);
   expect_identical(sequential, threaded);
-}
-
-TEST(MeasureReusing, ProtocolResetMatchesFreshConstruction) {
-  // reset(seed) must make a reused model behave like a freshly built one
-  // for protocol measurements too (RNG reseeding audit).
-  TrialConfig cfg;
-  cfg.trials = 6;
-  cfg.seed = 99;
-  const ProcessFactory gossip = [] {
-    return std::make_unique<GossipProcess>(GossipMode::kPush);
-  };
-  TwoStateEdgeMEG model(24, {0.1, 0.2}, 1);
-  const Measurement reused = measure_reusing(model, gossip, cfg);
-  const Measurement fresh = measure(
-      [](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            24, TwoStateParams{0.1, 0.2}, seed);
-      },
-      gossip, cfg);
-  expect_identical(reused, fresh);
 }
 
 }  // namespace

@@ -15,8 +15,9 @@ namespace {
 
 TEST(KPush, ValidationErrors) {
   FixedDynamicGraph d(path_graph(3));
-  EXPECT_THROW((void)k_push_flood(d, 5, 1, 10, 1), std::out_of_range);
-  EXPECT_THROW((void)k_push_flood(d, 0, 0, 10, 1), std::invalid_argument);
+  KPushProcess push(1);
+  EXPECT_THROW((void)run_process(d, push, 5, 10, 1), std::out_of_range);
+  EXPECT_THROW((void)KPushProcess(0), std::invalid_argument);
 }
 
 TEST(KPush, LargeKEqualsFlooding) {
@@ -24,7 +25,8 @@ TEST(KPush, LargeKEqualsFlooding) {
   const Graph g = grid_2d(4);
   FixedDynamicGraph a(g), b(g);
   const FloodResult fl = flood(a, 0, 100);
-  const FloodResult kp = k_push_flood(b, 0, 100, 100, 7);
+  KPushProcess push(100);
+  const FloodResult kp = run_process(b, push, 0, 100, 7).flood;
   ASSERT_TRUE(fl.completed);
   ASSERT_TRUE(kp.completed);
   EXPECT_EQ(fl.rounds, kp.rounds);
@@ -35,7 +37,8 @@ TEST(KPush, SmallKIsSlowerOrEqualOnStar) {
   // On a star from the hub, flooding takes 1 round; 1-push needs ~n-1.
   FixedDynamicGraph a(star_graph(10)), b(star_graph(10));
   const FloodResult fl = flood(a, 0, 1000);
-  const FloodResult kp = k_push_flood(b, 0, 1, 1000, 11);
+  KPushProcess push(1);
+  const FloodResult kp = run_process(b, push, 0, 1000, 11).flood;
   ASSERT_TRUE(fl.completed);
   ASSERT_TRUE(kp.completed);
   EXPECT_EQ(fl.rounds, 1u);
@@ -44,15 +47,17 @@ TEST(KPush, SmallKIsSlowerOrEqualOnStar) {
 
 TEST(KPush, CompletesOnDynamicGraph) {
   TwoStateEdgeMEG meg(48, {0.2, 0.2}, 3);
-  const FloodResult r = k_push_flood(meg, 0, 2, 100000, 13);
+  KPushProcess push(2);
+  const FloodResult r = run_process(meg, push, 0, 100000, 13).flood;
   EXPECT_TRUE(r.completed);
 }
 
 TEST(KPush, DeterministicGivenSeed) {
   TwoStateEdgeMEG a(32, {0.2, 0.2}, 5);
   TwoStateEdgeMEG b(32, {0.2, 0.2}, 5);
-  const FloodResult ra = k_push_flood(a, 0, 2, 10000, 21);
-  const FloodResult rb = k_push_flood(b, 0, 2, 10000, 21);
+  KPushProcess push(2);
+  const FloodResult ra = run_process(a, push, 0, 10000, 21).flood;
+  const FloodResult rb = run_process(b, push, 0, 10000, 21).flood;
   EXPECT_EQ(ra.rounds, rb.rounds);
   EXPECT_EQ(ra.informed_counts, rb.informed_counts);
 }
@@ -106,15 +111,17 @@ TEST(RandomSubsetOverlay, FloodingOnOverlayCompletes) {
 
 TEST(TtlFlood, ValidationErrors) {
   FixedDynamicGraph d(path_graph(3));
-  EXPECT_THROW((void)ttl_flood(d, 9, 1, 10), std::out_of_range);
-  EXPECT_THROW((void)ttl_flood(d, 0, 0, 10), std::invalid_argument);
+  TtlFloodingProcess ttl(1);
+  EXPECT_THROW((void)run_process(d, ttl, 9, 10, 0), std::out_of_range);
+  EXPECT_THROW((void)TtlFloodingProcess(0), std::invalid_argument);
 }
 
 TEST(TtlFlood, LargeTtlMatchesFlooding) {
   const Graph g = grid_2d(4);
   FixedDynamicGraph a(g), b(g);
   const FloodResult fl = flood(a, 0, 1000);
-  const TtlFloodResult tf = ttl_flood(b, 0, 1000, 1000);
+  TtlFloodingProcess ttl(1000);
+  const ProcessResult tf = run_process(b, ttl, 0, 1000, 0);
   ASSERT_TRUE(fl.completed);
   ASSERT_TRUE(tf.flood.completed);
   EXPECT_EQ(fl.rounds, tf.flood.rounds);
@@ -127,7 +134,8 @@ TEST(TtlFlood, TinyTtlDiesOutOnSparseDynamicGraph) {
   int stalled = 0;
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
     TwoStateEdgeMEG meg(64, {0.0005, 0.5}, seed);
-    const TtlFloodResult r = ttl_flood(meg, 0, 1, 20000);
+    TtlFloodingProcess ttl(1);
+    const ProcessResult r = run_process(meg, ttl, 0, 20000, 0);
     if (!r.flood.completed) ++stalled;
   }
   EXPECT_GT(stalled, 0);
@@ -135,24 +143,27 @@ TEST(TtlFlood, TinyTtlDiesOutOnSparseDynamicGraph) {
 
 TEST(TtlFlood, TransmissionsCounted) {
   FixedDynamicGraph d(path_graph(4));
-  const TtlFloodResult r = ttl_flood(d, 0, 1000, 100);
+  TtlFloodingProcess ttl(1000);
+  const ProcessResult r = run_process(d, ttl, 0, 100, 0);
   ASSERT_TRUE(r.flood.completed);
-  EXPECT_GT(r.transmissions, 0u);
+  EXPECT_GT(r.metrics.at("transmissions"), 0.0);
   // With unlimited ttl every informed node transmits every round:
   // rounds 1+2+3 informed transmitters = at least 6 transmissions.
-  EXPECT_GE(r.transmissions, 6u);
+  EXPECT_GE(r.metrics.at("transmissions"), 6.0);
 }
 
 TEST(TtlFlood, SmallerTtlFewerTransmissions) {
   const Graph g = grid_2d(5);
   FixedDynamicGraph a(g), b(g);
-  const TtlFloodResult big = ttl_flood(a, 0, 1000, 1000);
-  const TtlFloodResult small = ttl_flood(b, 0, 2, 1000);
+  TtlFloodingProcess ttl_big(1000), ttl_small(2);
+  const ProcessResult big = run_process(a, ttl_big, 0, 1000, 0);
+  const ProcessResult small = run_process(b, ttl_small, 0, 1000, 0);
   ASSERT_TRUE(big.flood.completed);
   // On a static connected graph, ttl = 2 still completes (the frontier
   // always has fresh relays) but transmits far less.
   ASSERT_TRUE(small.flood.completed);
-  EXPECT_LT(small.transmissions, big.transmissions);
+  EXPECT_LT(small.metrics.at("transmissions"),
+            big.metrics.at("transmissions"));
 }
 
 // Property: k-push rounds are non-increasing in k (statistically; we use
@@ -161,8 +172,9 @@ class KPushMonotone : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KPushMonotone, MoreFanoutFasterOnStar) {
   FixedDynamicGraph a(star_graph(16)), b(star_graph(16));
-  const FloodResult k1 = k_push_flood(a, 0, 1, 1000, GetParam());
-  const FloodResult k4 = k_push_flood(b, 0, 4, 1000, GetParam());
+  KPushProcess push1(1), push4(4);
+  const FloodResult k1 = run_process(a, push1, 0, 1000, GetParam()).flood;
+  const FloodResult k4 = run_process(b, push4, 0, 1000, GetParam()).flood;
   ASSERT_TRUE(k1.completed);
   ASSERT_TRUE(k4.completed);
   EXPECT_GE(k1.rounds, k4.rounds);

@@ -12,28 +12,29 @@ namespace {
 
 TEST(RadioBroadcast, Validation) {
   FixedDynamicGraph d(path_graph(3));
-  EXPECT_THROW((void)radio_broadcast(d, 9, 1.0, 10, 1), std::out_of_range);
-  EXPECT_THROW((void)radio_broadcast(d, 0, 0.0, 10, 1),
-               std::invalid_argument);
-  EXPECT_THROW((void)radio_broadcast(d, 0, 1.5, 10, 1),
-               std::invalid_argument);
+  RadioBroadcastProcess radio(1.0);
+  EXPECT_THROW((void)run_process(d, radio, 9, 10, 1), std::out_of_range);
+  EXPECT_THROW((void)RadioBroadcastProcess(0.0), std::invalid_argument);
+  EXPECT_THROW((void)RadioBroadcastProcess(1.5), std::invalid_argument);
 }
 
 TEST(RadioBroadcast, PathGraphNoCollisions) {
   // On a path from an endpoint, each uninformed node always hears exactly
   // one informed neighbor: identical to flooding.
   FixedDynamicGraph d(path_graph(6));
-  const RadioResult r = radio_broadcast(d, 0, 1.0, 100, 1);
+  RadioBroadcastProcess radio(1.0);
+  const ProcessResult r = run_process(d, radio, 0, 100, 1);
   ASSERT_TRUE(r.flood.completed);
   EXPECT_EQ(r.flood.rounds, 5u);
-  EXPECT_EQ(r.collisions, 0u);
+  EXPECT_EQ(r.metrics.at("collisions"), 0.0);
 }
 
 TEST(RadioBroadcast, MidPathSourceCollidesAtTheEnds) {
   // Source in the middle of a 5-path: the two frontiers never collide
   // (they move apart); still completes like flooding.
   FixedDynamicGraph d(path_graph(5));
-  const RadioResult r = radio_broadcast(d, 2, 1.0, 100, 1);
+  RadioBroadcastProcess radio(1.0);
+  const ProcessResult r = run_process(d, radio, 2, 100, 1);
   ASSERT_TRUE(r.flood.completed);
   EXPECT_EQ(r.flood.rounds, 2u);
 }
@@ -45,7 +46,8 @@ TEST(RadioBroadcast, CompleteGraphSelfJamsAtTauOne) {
   // actually ALL neighbors hear exactly one transmitter in round 1, so
   // round 1 completes the broadcast on K_n.)
   FixedDynamicGraph d(complete_graph(8));
-  const RadioResult r = radio_broadcast(d, 0, 1.0, 10, 1);
+  RadioBroadcastProcess radio(1.0);
+  const ProcessResult r = run_process(d, radio, 0, 10, 1);
   EXPECT_TRUE(r.flood.completed);
   EXPECT_EQ(r.flood.rounds, 1u);
 }
@@ -56,7 +58,8 @@ TEST(RadioBroadcast, StarWithTwoInformedLeavesJams) {
   // and hub transmit; other leaves hear only the hub (leaves are not
   // adjacent to each other) -> they all receive. No jam on a star.
   FixedDynamicGraph d(star_graph(6));
-  const RadioResult r = radio_broadcast(d, 1, 1.0, 10, 1);
+  RadioBroadcastProcess radio(1.0);
+  const ProcessResult r = run_process(d, radio, 1, 10, 1);
   ASSERT_TRUE(r.flood.completed);
   EXPECT_EQ(r.flood.rounds, 2u);
 }
@@ -68,33 +71,37 @@ TEST(RadioBroadcast, CycleJamsPermanentlyAtTauOne) {
   // transmitter -> informed. Round 2: nodes 0,1,3 transmit; node 2 hears
   // 1 and 3 -> collision, forever. The deterministic protocol stalls.
   FixedDynamicGraph d(cycle_graph(4));
-  const RadioResult r = radio_broadcast(d, 0, 1.0, 200, 1);
+  RadioBroadcastProcess radio(1.0);
+  const ProcessResult r = run_process(d, radio, 0, 200, 1);
   EXPECT_FALSE(r.flood.completed);
-  EXPECT_GT(r.collisions, 0u);
+  EXPECT_GT(r.metrics.at("collisions"), 0.0);
   EXPECT_EQ(r.flood.informed_counts.back(), 3u);
 }
 
 TEST(RadioBroadcast, RandomTauBreaksTheCycleJam) {
   // ALOHA-style tau = 0.5 resolves the C4 deadlock w.h.p.
   FixedDynamicGraph d(cycle_graph(4));
-  const RadioResult r = radio_broadcast(d, 0, 0.5, 10000, 3);
+  RadioBroadcastProcess radio(0.5);
+  const ProcessResult r = run_process(d, radio, 0, 10000, 3);
   EXPECT_TRUE(r.flood.completed);
 }
 
 TEST(RadioBroadcast, WorksOnDynamicGraphs) {
   TwoStateEdgeMEG meg(48, {0.05, 0.4}, 5);  // sparse: few collisions
-  const RadioResult r = radio_broadcast(meg, 0, 1.0, 100000, 7);
+  RadioBroadcastProcess radio(1.0);
+  const ProcessResult r = run_process(meg, radio, 0, 100000, 7);
   EXPECT_TRUE(r.flood.completed);
 }
 
 TEST(RadioBroadcast, DeterministicGivenSeed) {
   TwoStateEdgeMEG a(32, {0.1, 0.3}, 9);
   TwoStateEdgeMEG b(32, {0.1, 0.3}, 9);
-  const RadioResult ra = radio_broadcast(a, 0, 0.5, 100000, 11);
-  const RadioResult rb = radio_broadcast(b, 0, 0.5, 100000, 11);
+  RadioBroadcastProcess radio(0.5);
+  const ProcessResult ra = run_process(a, radio, 0, 100000, 11);
+  const ProcessResult rb = run_process(b, radio, 0, 100000, 11);
   EXPECT_EQ(ra.flood.rounds, rb.flood.rounds);
-  EXPECT_EQ(ra.transmissions, rb.transmissions);
-  EXPECT_EQ(ra.collisions, rb.collisions);
+  EXPECT_EQ(ra.metrics.at("transmissions"), rb.metrics.at("transmissions"));
+  EXPECT_EQ(ra.metrics.at("collisions"), rb.metrics.at("collisions"));
 }
 
 TEST(RadioBroadcast, NeverFasterThanFlooding) {
@@ -102,7 +109,8 @@ TEST(RadioBroadcast, NeverFasterThanFlooding) {
     TwoStateEdgeMEG a(32, {0.1, 0.3}, seed);
     TwoStateEdgeMEG b(32, {0.1, 0.3}, seed);
     const FloodResult fl = flood(a, 0, 100000);
-    const RadioResult ra = radio_broadcast(b, 0, 0.7, 100000, seed + 9);
+    RadioBroadcastProcess radio(0.7);
+    const ProcessResult ra = run_process(b, radio, 0, 100000, seed + 9);
     ASSERT_TRUE(fl.completed);
     ASSERT_TRUE(ra.flood.completed);
     EXPECT_GE(ra.flood.rounds, fl.rounds);

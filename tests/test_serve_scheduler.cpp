@@ -74,7 +74,7 @@ double number_field(const std::string& line, const std::string& name) {
 TEST(ServeScheduler, PerJobEventOrderIsTotal) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -95,7 +95,7 @@ TEST(ServeScheduler, PerJobEventOrderIsTotal) {
 TEST(ServeScheduler, RoundRobinInterleavesClients) {
   ResultCache cache;
   std::vector<std::string> log;  // "<client>:<event>:<id>"
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t a = scheduler.register_client(
       [&log](const std::string& line) { log.push_back("A:" + label(line)); });
   const std::uint64_t b = scheduler.register_client(
@@ -127,7 +127,7 @@ TEST(ServeScheduler, RoundRobinInterleavesClients) {
 TEST(ServeScheduler, RepeatSubmissionIsAnsweredFromTheCache) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -157,7 +157,7 @@ TEST(ServeScheduler, RepeatSubmissionIsAnsweredFromTheCache) {
 TEST(ServeScheduler, ValidationFailuresAreStructuredErrors) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -197,7 +197,7 @@ TEST(ServeScheduler, ValidationFailuresAreStructuredErrors) {
 TEST(ServeScheduler, CancelResolvesQueuedSubJobs) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -218,7 +218,7 @@ TEST(ServeScheduler, CancelResolvesQueuedSubJobs) {
 
 TEST(ServeScheduler, StatsCountTheWork) {
   ResultCache cache;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client =
       scheduler.register_client([](const std::string&) {});
   scheduler.submit(client, submit_request("j", quick_args(4)));
@@ -239,7 +239,7 @@ TEST(ServeScheduler, StatsCountTheWork) {
 TEST(ServeScheduler, UnregisteredClientWorkIsDropped) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
   scheduler.submit(client, submit_request("j", sweep_args(5), "n=16:48:16"));
@@ -407,7 +407,7 @@ TEST(ServeScheduler, CacheHitsAreAdmittedThroughAFullQueue) {
 TEST(ServeScheduler, DeadlineExceededResolvesTheJobAndIsNeverCached) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(0, &cache);
+  Scheduler scheduler(SchedulerConfig{}, &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 

@@ -127,16 +127,18 @@ TEST(SmallInstances, RandomTripTwoAgents) {
 TEST(SmallInstances, ProtocolsOnTwoNodes) {
   {
     TwoStateEdgeMEG meg(2, {0.5, 0.5}, 23);
-    EXPECT_TRUE(k_push_flood(meg, 0, 1, 10000, 1).completed);
+    KPushProcess push(1);
+    EXPECT_TRUE(run_process(meg, push, 0, 10000, 1).flood.completed);
   }
   {
     TwoStateEdgeMEG meg(2, {0.5, 0.5}, 23);
-    EXPECT_TRUE(gossip_flood(meg, 0, GossipMode::kPushPull, 10000, 1)
-                    .flood.completed);
+    GossipProcess push_pull(GossipMode::kPushPull);
+    EXPECT_TRUE(run_process(meg, push_pull, 0, 10000, 1).flood.completed);
   }
   {
     TwoStateEdgeMEG meg(2, {0.5, 0.5}, 23);
-    EXPECT_TRUE(ttl_flood(meg, 0, 1000, 10000).flood.completed);
+    TtlFloodingProcess ttl(1000);
+    EXPECT_TRUE(run_process(meg, ttl, 0, 10000, 0).flood.completed);
   }
 }
 

@@ -27,7 +27,7 @@ TEST(RecordTrace, ReplayMatchesFloodingOnSamePath) {
   TwoStateEdgeMEG b(24, {0.1, 0.3}, 9);
   const FloodResult live = flood(a, 0, 500);
   ASSERT_TRUE(live.completed);
-  ScriptedDynamicGraph replay = replay_trace(b, live.rounds, false);
+  ScriptedDynamicGraph replay(record_trace(b, live.rounds), false);
   const FloodResult replayed = flood(replay, 0, 500);
   ASSERT_TRUE(replayed.completed);
   EXPECT_EQ(live.rounds, replayed.rounds);

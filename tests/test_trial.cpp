@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/fixed_graphs.hpp"
+#include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
@@ -16,11 +17,11 @@ TEST(MeasureFlooding, FixedGraphDeterministic) {
   TrialConfig cfg;
   cfg.trials = 8;
   cfg.rotate_sources = false;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [](std::uint64_t) {
         return std::make_unique<FixedDynamicGraph>(path_graph(5));
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   EXPECT_EQ(m.incomplete, 0u);
   EXPECT_EQ(m.rounds.count, 8u);
   // From source 0, a 5-path floods in exactly 4 rounds every time.
@@ -32,11 +33,11 @@ TEST(MeasureFlooding, RotatingSourcesVaries) {
   TrialConfig cfg;
   cfg.trials = 5;
   cfg.rotate_sources = true;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [](std::uint64_t) {
         return std::make_unique<FixedDynamicGraph>(path_graph(5));
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   // Sources 0..4 on a path have eccentricities 4,3,2,3,4.
   EXPECT_DOUBLE_EQ(m.rounds.min, 2.0);
   EXPECT_DOUBLE_EQ(m.rounds.max, 4.0);
@@ -49,9 +50,9 @@ TEST(MeasureFlooding, CountsIncomplete) {
   cfg.trials = 3;
   cfg.max_rounds = 20;
   cfg.rotate_sources = false;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [&](std::uint64_t) { return std::make_unique<FixedDynamicGraph>(g); },
-      cfg);
+      make_process_factory("flooding"), cfg);
   EXPECT_EQ(m.incomplete, 3u);
   EXPECT_EQ(m.rounds.count, 0u);
 }
@@ -63,11 +64,11 @@ TEST(MeasureFlooding, AllIncompleteIsDistinguished) {
   TrialConfig cfg;
   cfg.trials = 4;
   cfg.max_rounds = 0;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [](std::uint64_t) {
         return std::make_unique<FixedDynamicGraph>(path_graph(5));
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   EXPECT_TRUE(m.all_incomplete());
   EXPECT_EQ(m.incomplete, 4u);
   EXPECT_EQ(m.rounds.count, 0u);
@@ -75,16 +76,15 @@ TEST(MeasureFlooding, AllIncompleteIsDistinguished) {
 
   // ... and a run with at least one completion is not all-incomplete.
   cfg.max_rounds = 100;
-  const auto ok = measure_flooding(
+  const auto ok = measure(
       [](std::uint64_t) {
         return std::make_unique<FixedDynamicGraph>(path_graph(5));
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   EXPECT_FALSE(ok.all_incomplete());
 }
 
-void expect_identical_measurements(const FloodingMeasurement& a,
-                                   const FloodingMeasurement& b) {
+void expect_identical_measurements(const Measurement& a, const Measurement& b) {
   EXPECT_EQ(a.incomplete, b.incomplete);
   const auto expect_same_summary = [](const Summary& x, const Summary& y) {
     EXPECT_EQ(x.count, y.count);
@@ -116,12 +116,13 @@ TEST(MeasureFlooding, ThreadCountDoesNotChangeResults) {
   cfg.seed = 7;
   cfg.warmup_steps = 3;
   cfg.threads = 1;
-  const auto sequential = measure_flooding(factory, cfg);
+  const ProcessFactory flooding = make_process_factory("flooding");
+  const auto sequential = measure(factory, flooding, cfg);
   cfg.threads = 4;
-  const auto threaded = measure_flooding(factory, cfg);
+  const auto threaded = measure(factory, flooding, cfg);
   expect_identical_measurements(sequential, threaded);
   cfg.threads = 0;  // auto: one worker per hardware thread
-  const auto auto_threaded = measure_flooding(factory, cfg);
+  const auto auto_threaded = measure(factory, flooding, cfg);
   expect_identical_measurements(sequential, auto_threaded);
 }
 
@@ -130,11 +131,11 @@ TEST(MeasureFlooding, ThreadedPropagatesFactoryExceptions) {
   cfg.trials = 8;
   cfg.threads = 4;
   EXPECT_THROW(
-      (void)measure_flooding(
+      (void)measure(
           [](std::uint64_t) -> std::unique_ptr<DynamicGraph> {
             throw std::runtime_error("boom");
           },
-          cfg),
+          make_process_factory("flooding"), cfg),
       std::runtime_error);
 }
 
@@ -142,11 +143,11 @@ TEST(MeasureFlooding, ZeroTrialsThrows) {
   TrialConfig cfg;
   cfg.trials = 0;
   EXPECT_THROW(
-      (void)measure_flooding(
+      (void)measure(
           [](std::uint64_t) {
             return std::make_unique<FixedDynamicGraph>(path_graph(3));
           },
-          cfg),
+          make_process_factory("flooding"), cfg),
       std::invalid_argument);
 }
 
@@ -158,26 +159,11 @@ TEST(MeasureFlooding, SeededRunsReproduce) {
     return std::make_unique<TwoStateEdgeMEG>(
         32, TwoStateParams{0.05, 0.2}, seed);
   };
-  const auto a = measure_flooding(factory, cfg);
-  const auto b = measure_flooding(factory, cfg);
+  const ProcessFactory flooding = make_process_factory("flooding");
+  const auto a = measure(factory, flooding, cfg);
+  const auto b = measure(factory, flooding, cfg);
   EXPECT_DOUBLE_EQ(a.rounds.mean, b.rounds.mean);
   EXPECT_DOUBLE_EQ(a.rounds.max, b.rounds.max);
-}
-
-TEST(MeasureFloodingReusing, MatchesFactoryVariant) {
-  TrialConfig cfg;
-  cfg.trials = 6;
-  cfg.seed = 99;
-  TwoStateEdgeMEG model(24, {0.1, 0.2}, 1);
-  const auto reused = measure_flooding_reusing(model, cfg);
-  const auto fresh = measure_flooding(
-      [](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            24, TwoStateParams{0.1, 0.2}, seed);
-      },
-      cfg);
-  // reset(seed) must make the reused model behave like a fresh one.
-  EXPECT_DOUBLE_EQ(reused.rounds.mean, fresh.rounds.mean);
 }
 
 TEST(MeasureFlooding, WarmupStepsApplied) {
@@ -196,30 +182,30 @@ TEST(MeasureFlooding, WarmupStepsApplied) {
   cfg.trials = 1;
   cfg.rotate_sources = false;
   cfg.warmup_steps = 2;
-  const auto warm = measure_flooding(
+  const auto warm = measure(
       [&](std::uint64_t) {
         return std::make_unique<ScriptedDynamicGraph>(make_script());
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   EXPECT_DOUBLE_EQ(warm.rounds.mean, 1.0);
   cfg.warmup_steps = 0;
-  const auto cold = measure_flooding(
+  const auto cold = measure(
       [&](std::uint64_t) {
         return std::make_unique<ScriptedDynamicGraph>(make_script());
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   EXPECT_DOUBLE_EQ(cold.rounds.mean, 3.0);
 }
 
 TEST(MeasureFlooding, PhaseSplitsSumToTotal) {
   TrialConfig cfg;
   cfg.trials = 10;
-  const auto m = measure_flooding(
+  const auto m = measure(
       [](std::uint64_t seed) {
         return std::make_unique<TwoStateEdgeMEG>(
             48, TwoStateParams{0.05, 0.3}, seed);
       },
-      cfg);
+      make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);
   EXPECT_NEAR(m.spreading_rounds.mean + m.saturation_rounds.mean,
               m.rounds.mean, 1e-9);
