@@ -20,6 +20,7 @@
 #include "mobility/random_paths.hpp"
 #include "mobility/random_walk.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "protocols/gossip.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -259,6 +260,42 @@ void BM_WaypointWarmup(benchmark::State& state) {
                           static_cast<std::int64_t>(warmup));
 }
 BENCHMARK(BM_WaypointWarmup)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_WaypointGossipRound(benchmark::State& state) {
+  // One waypoint_gossip round after --warmup=auto: a step, the snapshot
+  // read it triggers (snap, index refresh, pair scan, CSR build) and one
+  // push-pull round.  Every round starts from the same half-informed
+  // set, so the protocol work stays mid-spread instead of draining once
+  // everyone is informed.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  WaypointParams p;
+  p.side_length = 64.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 32;
+  RandomWaypointModel model(n, p, 1);
+  for (std::uint64_t w = 0; w < RandomWaypointModel::suggested_warmup(p);
+       ++w) {
+    model.step();
+  }
+  GossipProcess gossip(GossipMode::kPushPull);
+  gossip.begin_trial(n, 0);
+  Rng rng(2);
+  std::vector<char> start(n);
+  for (auto& mark : start) mark = static_cast<char>(rng.uniform_int(2));
+  std::vector<char> informed;
+  std::vector<NodeId> newly;
+  for (auto _ : state) {
+    model.step();
+    informed = start;
+    newly.clear();
+    gossip.round(model.snapshot(), informed, newly, rng);
+    benchmark::DoNotOptimize(newly.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WaypointGossipRound)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 void BM_NeighborRebuild(benchmark::State& state) {
   // Full counting-pass rebuild of the bucketed neighbor index (the

@@ -6,6 +6,7 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,8 +14,17 @@
 
 namespace megflood {
 
+void require_snapshot_nodes(const Snapshot& snapshot, std::size_t num_nodes) {
+  if (snapshot.num_nodes() != num_nodes) {
+    throw std::invalid_argument(
+        "snapshot has " + std::to_string(snapshot.num_nodes()) +
+        " nodes, the process runs on " + std::to_string(num_nodes));
+  }
+}
+
 std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
                         std::vector<NodeId>& frontier) {
+  require_snapshot_nodes(snapshot, informed.size());
   // The flooding rule informs every node adjacent to *any* informed node,
   // but a node interior to the informed set (all neighbors informed) can
   // never inform anyone new; scanning only the informed set is exact and
@@ -87,9 +97,10 @@ FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds) 
     // Round t reads E_t, so the graph steps only between rounds: no step
     // follows the last round, whose successor snapshot nobody reads.
     if (t > 0) graph.step();
+    const Snapshot& snapshot = graph.snapshot();
+    require_snapshot_nodes(snapshot, n);
     next = cur;
-    informed_count +=
-        flood_round_words(graph.snapshot(), cur.data(), next.data(), n);
+    informed_count += flood_round_words(snapshot, cur.data(), next.data(), n);
     std::swap(cur, next);
     result.informed_counts.push_back(informed_count);
     if (informed_count == n) {
@@ -235,11 +246,12 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     for (std::uint64_t t = 0; t < max_rounds && remaining > 0; ++t) {
       // The graph steps only between rounds, as in flood().
       if (t > 0) graph.step();
-      remaining -= all_sources_round_block(graph.snapshot(), t, n, words, 0,
-                                           words, cur.data(), next.data(),
-                                           counts.data(), done.data(),
-                                           col_active.data(), active_cols,
-                                           all.per_source);
+      const Snapshot& snapshot = graph.snapshot();
+      require_snapshot_nodes(snapshot, n);
+      remaining -= all_sources_round_block(
+          snapshot, t, n, words, 0, words, cur.data(), next.data(),
+          counts.data(), done.data(), col_active.data(), active_cols,
+          all.per_source);
       std::swap(cur, next);
     }
   } else if (max_rounds > 0 && remaining > 0) {
@@ -257,6 +269,7 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     std::uint64_t round = 0;
     bool stop = false;
     const Snapshot* snapshot = &graph.snapshot();
+    require_snapshot_nodes(*snapshot, n);
     // Error funnel: a throwing worker (or a throwing step or read) must
     // end the run with a catchable exception, exactly like the serial
     // path — not std::terminate.  Failing workers record the first
@@ -280,6 +293,7 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
         if (!stop) {
           graph.step();
           snapshot = &graph.snapshot();
+          require_snapshot_nodes(*snapshot, n);
         }
       } catch (...) {
         record_error();

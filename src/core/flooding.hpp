@@ -39,6 +39,13 @@ struct FloodResult {
 // last round.  The caller owns resetting the graph between trials.
 FloodResult flood(DynamicGraph& graph, NodeId source, std::uint64_t max_rounds);
 
+// Throws std::invalid_argument unless `snapshot` has exactly `num_nodes`
+// nodes.  The round engines index their per-node state by snapshot node
+// ids and read CSR rows for every node of that state, so a model whose
+// snapshot disagrees with num_nodes() would read out of bounds.  Checked
+// once per round.
+void require_snapshot_nodes(const Snapshot& snapshot, std::size_t num_nodes);
+
 // One flooding round applied to an explicit informed set: returns the
 // number of newly informed nodes and updates `informed` /
 // `informed_count`.  Shared by flood() and the protocol variants.

@@ -36,7 +36,9 @@ ProcessResult SpreadingProcess::run(DynamicGraph& graph, NodeId source,
     // Same clocking as flood(): step between rounds, never after the last.
     if (t > 0) graph.step();
     newly.clear();
-    process.round(graph.snapshot(), informed, newly, rng);
+    const Snapshot& snapshot = graph.snapshot();
+    require_snapshot_nodes(snapshot, n);
+    process.round(snapshot, informed, newly, rng);
     for (NodeId v : newly) informed[v] = 1;
     count += newly.size();
     result.flood.informed_counts.push_back(count);

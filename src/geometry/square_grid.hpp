@@ -8,7 +8,6 @@
 // verifies by sweeping m.
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -40,13 +39,18 @@ class SquareGrid {
 
   // Grid point nearest to an arbitrary point of the square (clamped).
   // Inline and multiply-by-reciprocal: every mobility model snaps every
-  // agent every round.
+  // agent every round.  Each axis is clamp(std::round(v), 0, m - 1),
+  // computed without the libm call: clamp first to c in [0, m - 1] (round
+  // is monotone and fixes the integers 0 and m - 1, so the order does not
+  // matter), then t = trunc(c) and round up iff c - t >= 0.5.  c - t is
+  // exact: for c < 1, t = 0; for c >= 1, c / 2 <= t <= c, and Sterbenz's
+  // lemma makes the difference exact.  So ties round away from zero with
+  // no error, like std::round, and -0.0 and tiny negatives snap to 0.
   CellId nearest(const Point2D& p) const noexcept {
     const double top = static_cast<double>(m_ - 1);
-    const double row = std::clamp(std::round(p.y * inv_spacing_), 0.0, top);
-    const double col = std::clamp(std::round(p.x * inv_spacing_), 0.0, top);
-    return static_cast<CellId>(static_cast<std::size_t>(row) * m_ +
-                               static_cast<std::size_t>(col));
+    return static_cast<CellId>(
+        static_cast<std::size_t>(snap(p.y * inv_spacing_, top)) * m_ +
+        snap(p.x * inv_spacing_, top));
   }
 
   // All grid points within Euclidean distance `radius` of point `id`
@@ -62,6 +66,13 @@ class SquareGrid {
   std::size_t interior_count(double radius) const;
 
  private:
+  // One axis of nearest(): clamp(std::round(v), 0, top), exactly.
+  static std::uint32_t snap(double v, double top) noexcept {
+    const double c = std::clamp(v, 0.0, top);
+    const auto t = static_cast<std::uint32_t>(c);
+    return t + static_cast<std::uint32_t>(c - static_cast<double>(t) >= 0.5);
+  }
+
   std::size_t m_;
   double length_;
   double spacing_;
@@ -88,6 +99,16 @@ class SquareGrid {
 // sorted by node id within each bucket, which makes the for_each_pair()
 // emission order a pure function of the membership sets: incremental
 // updates are bit-for-bit indistinguishable from a full rebuild.
+//
+// The one-point regime: when the grid spacing is coarse against the
+// bucket width, the bucket map can put at most one grid point in each
+// bucket (the constructor checks this exactly, column by column; the
+// row map is the same).  Then every member of a bucket sits on the same
+// point, so collect_pairs() emits within-bucket pairs with no distance
+// test and decides each forward-neighbour bucket pair with one test.
+// The emitted pairs and their order are those of the per-pair scan.
+// The random waypoint campaign at L = 64, m = 32, r = 1 (spacing 2.06)
+// runs in this regime; finer grids (L = 64, m = 256) do not.
 class NeighborIndex {
  public:
   NeighborIndex(const SquareGrid& grid, double radius);
@@ -141,6 +162,8 @@ class NeighborIndex {
   }
 
   double radius() const noexcept { return radius_; }
+  // Whether each bucket holds at most one grid point (see above).
+  bool one_point_buckets() const noexcept { return one_point_buckets_; }
   std::size_t num_nodes() const noexcept { return node_cell_.size(); }
   CellId cell_of(std::uint32_t node) const { return node_cell_.at(node); }
 
@@ -208,6 +231,7 @@ class NeighborIndex {
   MagicDiv by_m_;    // divide by m
   MagicDiv by_m1_;   // divide by m - 1 (bucket scaling)
   bool bucket_magic_ok_ = false;  // col * bps fits 32 bits
+  bool one_point_buckets_ = false;  // the one-point regime
 
   // Per-node state (cell, cached coordinates, owning bucket, and the
   // node's slot in entries_ — kept exact so a same-bucket position change

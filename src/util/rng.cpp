@@ -4,19 +4,13 @@
 
 namespace megflood {
 
-std::uint64_t Rng::uniform_int(std::uint64_t bound) noexcept {
-  assert(bound > 0);
-  // Lemire's method: multiply-shift with rejection to remove modulo bias.
-  std::uint64_t x = (*this)();
-  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = -bound % bound;
-    while (lo < threshold) {
-      x = (*this)();
-      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
+std::uint64_t Rng::uniform_int_reject(__uint128_t m,
+                                      std::uint64_t bound) noexcept {
+  // Lemire's method: reject candidates whose low word falls below
+  // 2^64 mod bound, which removes the modulo bias.
+  const std::uint64_t threshold = -bound % bound;
+  while (static_cast<std::uint64_t>(m) < threshold) {
+    m = static_cast<__uint128_t>((*this)()) * static_cast<__uint128_t>(bound);
   }
   return static_cast<std::uint64_t>(m >> 64);
 }

@@ -75,7 +75,19 @@ class Rng {
   }
 
   // Uniform integer in [0, bound). Lemire's unbiased multiply-shift method.
-  std::uint64_t uniform_int(std::uint64_t bound) noexcept;
+  // The accept path is inline: a candidate whose low product word is at
+  // least `bound` can never be rejected, and for small bounds (a gossip
+  // contact, a k-push pick) that is all but every draw.  The rest goes
+  // out of line to the exact rejection test.
+  std::uint64_t uniform_int(std::uint64_t bound) noexcept {
+    assert(bound > 0);
+    const __uint128_t m =
+        static_cast<__uint128_t>((*this)()) * static_cast<__uint128_t>(bound);
+    if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] {
+      return uniform_int_reject(m, bound);
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) noexcept {
@@ -126,6 +138,10 @@ class Rng {
   Rng split() noexcept { return Rng((*this)() ^ 0x6a09e667f3bcc909ULL); }
 
  private:
+  // uniform_int's slow path: `m` is the first candidate's product, whose
+  // low word fell below `bound`.
+  std::uint64_t uniform_int_reject(__uint128_t m, std::uint64_t bound) noexcept;
+
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
     return (x << k) | (x >> (64 - k));
   }

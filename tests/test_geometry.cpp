@@ -5,10 +5,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <set>
+#include <vector>
 
 #include "geometry/point.hpp"
 #include "geometry/square_grid.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -59,6 +63,71 @@ TEST(SquareGrid, NearestSnapsAndClamps) {
   EXPECT_EQ(g.nearest({1.4, 2.6}), g.index(3, 1));
   EXPECT_EQ(g.nearest({-5.0, -5.0}), g.index(0, 0));
   EXPECT_EQ(g.nearest({100.0, 100.0}), g.index(4, 4));
+}
+
+// nearest() snaps with integer arithmetic; it must agree with the libm
+// formula clamp(std::round(v), 0, m - 1) on every input, above all on
+// the exact halves where the rounding direction is decided.
+TEST(SquareGrid, NearestMatchesStdRoundEverywhere) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const std::size_t m : {2u, 3u, 32u, 256u, 4096u}) {
+    const double top = static_cast<double>(m - 1);
+    const auto oracle_axis = [&](double v) {
+      return static_cast<std::size_t>(std::clamp(std::round(v), 0.0, top));
+    };
+    // Side m - 1 makes the spacing 1, so a coordinate is its own grid
+    // value and the inputs below reach the rounding exactly.
+    const SquareGrid unit(m, top);
+    ASSERT_EQ(unit.spacing(), 1.0);
+    std::vector<double> inputs{0.0,
+                               -0.0,
+                               -std::numeric_limits<double>::denorm_min(),
+                               -1e-300,
+                               -0.25,
+                               -0.5,
+                               std::nextafter(-0.5, 0.0),
+                               std::nextafter(-0.5, -kInf),
+                               top,
+                               top + 0.5,
+                               std::nextafter(top + 0.5, kInf),
+                               std::nextafter(top + 0.5, -kInf),
+                               top + 1.0,
+                               4294967295.0,
+                               4294967296.5,
+                               1e18,
+                               -1e18,
+                               1e300,
+                               -1e300,
+                               kInf,
+                               -kInf};
+    for (double k = -2.0; k <= top + 1.0; k += 1.0) {
+      const double half = k + 0.5;
+      inputs.push_back(k);
+      inputs.push_back(half);
+      inputs.push_back(std::nextafter(half, kInf));
+      inputs.push_back(std::nextafter(half, -kInf));
+    }
+    for (const double v : inputs) {
+      const std::size_t axis = oracle_axis(v);
+      ASSERT_EQ(unit.nearest({v, 0.0}), unit.index(0, axis))
+          << "m " << m << " x " << v;
+      ASSERT_EQ(unit.nearest({0.0, v}), unit.index(axis, 0))
+          << "m " << m << " y " << v;
+      ASSERT_EQ(unit.nearest({v, v}), unit.index(axis, axis))
+          << "m " << m << " xy " << v;
+    }
+    // A non-unit spacing goes through the reciprocal multiply; the oracle
+    // repeats the same product.
+    const SquareGrid grid(m, 64.0);
+    const double inv = 1.0 / (64.0 / top);
+    Rng rng(m);
+    for (int i = 0; i < 20000; ++i) {
+      const Point2D p{rng.uniform(-2.0, 66.0), rng.uniform(-2.0, 66.0)};
+      ASSERT_EQ(grid.nearest(p),
+                grid.index(oracle_axis(p.y * inv), oracle_axis(p.x * inv)))
+          << "m " << m << " at (" << p.x << ", " << p.y << ")";
+    }
+  }
 }
 
 TEST(SquareGrid, DiscMatchesBruteForce) {
@@ -190,6 +259,96 @@ TEST(NeighborIndex, CollectPairsMatchesForEachPair) {
     visited.emplace_back(a, b);
   });
   EXPECT_EQ(visited, pairs_of(index));
+}
+
+// Brute-force oracle for collect_pairs(): re-derives every node's bucket
+// from the documented formula and emits the within-radius pairs in the
+// documented order — buckets row-major; within a bucket, then its E, SW,
+// S and SE neighbours; members ascending by node id.
+PairList canonical_pairs(const SquareGrid& g, double radius,
+                         const std::vector<CellId>& pos) {
+  const std::size_t m = g.resolution();
+  const std::uint64_t bps = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::floor(g.side_length() / radius)));
+  const auto axis_bucket = [&](std::uint64_t coord) {
+    return std::min<std::uint64_t>(coord * bps / (m - 1), bps - 1);
+  };
+  std::vector<std::vector<std::uint32_t>> members(bps * bps);
+  for (std::uint32_t node = 0; node < pos.size(); ++node) {
+    members[axis_bucket(g.row(pos[node])) * bps +
+            axis_bucket(g.col(pos[node]))]
+        .push_back(node);
+  }
+  const double r2 = radius * radius;
+  PairList out;
+  const auto scan = [&](const std::vector<std::uint32_t>& home,
+                        const std::vector<std::uint32_t>& other, bool same) {
+    for (std::size_t a = 0; a < home.size(); ++a) {
+      for (std::size_t c = same ? a + 1 : 0; c < other.size(); ++c) {
+        if (squared_distance(g.position(pos[home[a]]),
+                             g.position(pos[other[c]])) <= r2) {
+          out.emplace_back(home[a], other[c]);
+        }
+      }
+    }
+  };
+  const auto ibps = static_cast<std::int64_t>(bps);
+  for (std::int64_t br = 0; br < ibps; ++br) {
+    for (std::int64_t bc = 0; bc < ibps; ++bc) {
+      const auto& home = members[br * ibps + bc];
+      scan(home, home, true);
+      const std::int64_t forward[4][2] = {{0, 1}, {1, -1}, {1, 0}, {1, 1}};
+      for (const auto& off : forward) {
+        const std::int64_t nr = br + off[0], nc = bc + off[1];
+        if (nr < 0 || nr >= ibps || nc < 0 || nc >= ibps) continue;
+        scan(home, members[nr * ibps + nc], false);
+      }
+    }
+  }
+  return out;
+}
+
+// Exact order, not just the pair set, in every bucket regime; the
+// one-point shortcut is on exactly where each bucket holds one grid
+// point.  Each case also re-checks after an incremental refresh.
+TEST(NeighborIndex, PairOrderMatchesCanonicalOrderInEveryRegime) {
+  struct Regime {
+    const char* name;
+    std::size_t m;
+    double side;
+    double radius;
+    std::size_t agents;
+    bool collapsed;
+    bool one_point;
+  };
+  const Regime regimes[] = {
+      {"spacing > r (waypoint campaign)", 32, 64.0, 1.0, 4096, false, true},
+      {"spacing == r", 65, 64.0, 1.0, 3000, false, false},
+      {"spacing < r", 256, 64.0, 1.0, 4096, false, false},
+      // bps == m - 1: the clamp merges columns 30 and 31 into bucket 30.
+      {"bps == m - 1", 32, 31.0, 1.0, 3000, false, false},
+      {"bps == 1", 8, 1.0, 1.5, 60, false, false},
+      {"collapsed, coarse grid", 32, 64.0, 1.0, 300, true, true},
+      {"collapsed, fine grid", 256, 64.0, 1.0, 300, true, false},
+  };
+  for (const Regime& regime : regimes) {
+    SCOPED_TRACE(regime.name);
+    const SquareGrid g(regime.m, regime.side);
+    NeighborIndex index(g, regime.radius);
+    EXPECT_EQ(index.one_point_buckets(), regime.one_point);
+    Rng rng(regime.m * 1000 + regime.agents);
+    std::vector<CellId> pos(regime.agents);
+    const auto draw = [&] {
+      return static_cast<CellId>(rng.uniform_int(g.num_points()));
+    };
+    const CellId spot = draw();
+    for (auto& cell : pos) cell = regime.collapsed ? spot : draw();
+    index.refresh(pos);
+    ASSERT_EQ(pairs_of(index), canonical_pairs(g, regime.radius, pos));
+    for (std::size_t i = 0; i < pos.size(); i += 7) pos[i] = draw();
+    index.refresh(pos);
+    ASSERT_EQ(pairs_of(index), canonical_pairs(g, regime.radius, pos));
+  }
 }
 
 // The incremental update path must be indistinguishable from a full

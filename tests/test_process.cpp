@@ -6,7 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "core/fixed_graphs.hpp"
 #include "core/process.hpp"
@@ -98,6 +101,61 @@ TEST(RunProcess, GenericEngineStepsOnlyBetweenRounds) {
     EXPECT_FALSE(r.flood.completed);
     EXPECT_EQ(graph.time(), budget == 0 ? 0u : budget - 1)
         << "budget " << budget;
+  }
+}
+
+// A graph on `n` nodes whose snapshot has n + delta nodes: a cycle over
+// all of them, so with delta = +1 the source 0 is adjacent to id n, one
+// past the process's per-node state.
+class MisSizedGraph final : public DynamicGraph {
+ public:
+  MisSizedGraph(std::size_t n, int delta)
+      : n_(n),
+        snapshot_(static_cast<std::size_t>(static_cast<int>(n) + delta)) {
+    for (NodeId v = 0; v + 1 < snapshot_.num_nodes(); ++v) {
+      snapshot_.add_edge(v, v + 1);
+    }
+    snapshot_.add_edge(0, static_cast<NodeId>(snapshot_.num_nodes() - 1));
+  }
+  std::size_t num_nodes() const override { return n_; }
+  const Snapshot& snapshot() const override { return snapshot_; }
+  void step() override { advance_clock(); }
+  void reset(std::uint64_t) override { reset_clock(); }
+
+ private:
+  std::size_t n_;
+  Snapshot snapshot_;
+};
+
+// A snapshot one node short would make the round engines read past the
+// CSR offsets; one node long would let a neighbour id index the informed
+// set out of bounds.  Both are rejected before the first round.
+TEST(RunProcess, SnapshotOfTheWrongSizeIsRejected) {
+  for (const int delta : {-1, +1}) {
+    SCOPED_TRACE(delta);
+    FloodingProcess flooding;
+    GossipProcess gossip(GossipMode::kPushPull);
+    KPushProcess kpush(2);
+    for (SpreadingProcess* process :
+         std::initializer_list<SpreadingProcess*>{&flooding, &gossip,
+                                                   &kpush}) {
+      SCOPED_TRACE(process->name());
+      MisSizedGraph graph(6, delta);
+      EXPECT_THROW(run_process(graph, *process, 0, 10, 1),
+                   std::invalid_argument);
+      EXPECT_THROW(process->SpreadingProcess::run(graph, 0, 10, 1),
+                   std::invalid_argument);
+    }
+    MisSizedGraph graph(6, delta);
+    std::vector<char> informed(6, 0);
+    informed[0] = 1;
+    std::vector<NodeId> newly;
+    EXPECT_THROW(flood_round(graph.snapshot(), informed, newly),
+                 std::invalid_argument);
+    Rng rng(1);
+    EXPECT_THROW(gossip.round(graph.snapshot(), informed, newly, rng),
+                 std::invalid_argument);
+    EXPECT_THROW(flood_all_sources(graph, 10), std::invalid_argument);
   }
 }
 
