@@ -95,6 +95,23 @@ void BM_GeneralEdgeMegStepSparse(benchmark::State& state) {
 BENCHMARK(BM_GeneralEdgeMegStepSparse)->Arg(1024)->Arg(4096)->Arg(16384)
     ->Arg(32768)->Unit(benchmark::kMicrosecond);
 
+void BM_GeneralEdgeMegStepSparseThinned(benchmark::State& state) {
+  // The sparse step at e2ebench's meg_sparse_flood parameters (wake 8/n,
+  // ready 0.5, drop 0.3).  The warming state exits at the envelope and
+  // the on state is thinned by 0.3 / 0.5, the branch that the kernel
+  // above (both minority states exit at 0.5) never takes.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto link = make_bursty_link(8.0 / static_cast<double>(n), 0.5, 0.3);
+  GeneralEdgeMEG meg(n, link.chain, link.chi, 1, MegStorage::kSparse);
+  for (auto _ : state) {
+    meg.step();
+    benchmark::DoNotOptimize(meg.snapshot().num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GeneralEdgeMegStepSparseThinned)->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_HeterogeneousEdgeMegStepSparse(benchmark::State& state) {
   // Sparse heterogeneous regime: per-edge alpha in [4/n, 12/n] (~8/n on
   // average), continuous rate spread so every edge has distinct rates.
@@ -376,6 +393,10 @@ BENCHMARK(BM_FloodAllSourcesThreaded)
     ->Args({512, 2})
     ->Args({512, 4})
     ->Args({1024, 4})
+    ->Args({2048, 1})
+    ->Args({2048, 4})
+    ->Args({4096, 1})
+    ->Args({4096, 4})
     ->Unit(benchmark::kMillisecond);
 
 void BM_FullFloodSparseEdgeMeg(benchmark::State& state) {

@@ -191,16 +191,17 @@ std::size_t all_sources_round_block(const Snapshot& snap, std::uint64_t t,
   return completed;
 }
 
-std::size_t resolve_flood_workers(std::size_t threads, std::size_t words) {
+}  // namespace
+
+std::size_t all_sources_workers(std::size_t threads, std::size_t num_nodes) {
   if (threads == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     threads = hw > 0 ? hw : 1;
   }
-  // One worker per word column at most: a column is the atom of work.
-  return std::max<std::size_t>(1, std::min(threads, words));
+  const std::size_t words = bit_words(num_nodes);
+  return std::max<std::size_t>(
+      1, std::min(threads, words / kAllSourcesMinWordsPerWorker));
 }
-
-}  // namespace
 
 AllSourcesResult flood_all_sources(DynamicGraph& graph,
                                    std::uint64_t max_rounds,
@@ -239,7 +240,7 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
   for (NodeId s = 0; s < n; ++s) {
     if (!done[s]) ++col_active[s / kBitWordBits];
   }
-  const std::size_t workers = resolve_flood_workers(threads, words);
+  const std::size_t workers = all_sources_workers(threads, n);
   if (workers <= 1) {
     std::vector<std::size_t> active_cols;
     active_cols.reserve(words);

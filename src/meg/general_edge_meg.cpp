@@ -69,6 +69,16 @@ GeneralEdgeMEG::GeneralEdgeMEG(std::size_t num_nodes, DenseChain chain,
       minority_exit_envelope_ = std::max(minority_exit_envelope_, exit_prob_[s]);
     }
   }
+  select_rows_.resize(num_states);
+  for (StateId s = 0; s < num_states; ++s) {
+    SelectRow& row = select_rows_[s];
+    row.thin = exit_prob_[s] < minority_exit_envelope_;
+    row.ratio = row.thin ? exit_prob_[s] / minority_exit_envelope_ : 1.0;
+    row.single_target = exit_target_[s].size() == 1;
+    row.target = static_cast<std::uint8_t>(
+        row.single_target ? exit_target_[s].front() : s);
+    row.on = chi_[s];
+  }
   if (!sparse_) {
     states_.resize(pair_count(n_));
     buckets_.resize(num_states);
@@ -280,6 +290,19 @@ bool GeneralEdgeMEG::sample_initial_states() {
   return true;
 }
 
+// Makes room for `size` elements in a sparse-engine scratch buffer.  The
+// map's size drifts a little from step to step, so a buffer that has to
+// grow gets 1/16 of headroom, and its stale contents are dropped rather
+// than copied into the new pages.
+namespace {
+template <typename T>
+void reserve_scratch(std::vector<T>& buffer, std::uint64_t size) {
+  if (buffer.capacity() >= size) return;
+  buffer.clear();
+  buffer.reserve(size + size / 16);
+}
+}  // namespace
+
 // Writes the next minority map and snapshot edge list of the sparse
 // engine into exactly sized scratch buffers, then swaps them in.  Entries
 // must arrive in ascending key order; an entry in the majority state is
@@ -296,6 +319,9 @@ class GeneralEdgeMEG::SparseWriter {
         majority_(static_cast<std::uint8_t>(meg.majority_state_)),
         n_(static_cast<NodeId>(meg.n_)) {
     for (StateId s = 0; s < meg.chi_.size(); ++s) is_on_[s] = meg.chi_[s];
+    reserve_scratch(meg.key_scratch_, entries + 1);
+    reserve_scratch(meg.state_scratch_, entries + 1);
+    reserve_scratch(meg.edge_scratch_, edges + 1);
     meg.key_scratch_.resize(entries + 1);
     meg.state_scratch_.resize(entries + 1);
     meg.edge_scratch_.resize(edges + 1);
@@ -359,6 +385,10 @@ void GeneralEdgeMEG::initialize_sparse() {
     if (chi_[s]) on_count += class_count[s];
   }
   if (minority > 0) {
+    // These become the first step's scratch (below), so they get the
+    // same headroom.
+    reserve_scratch(init_values_, minority);
+    reserve_scratch(init_positions_, minority);
     build_shuffled_minority_values(class_count, majority_state_, minority);
     sample_distinct_positions(rng_, minority, pairs, init_positions_);
   }
@@ -369,10 +399,12 @@ void GeneralEdgeMEG::initialize_sparse() {
     // sorted without a sort pass.
     out.emit(cursor.key(init_positions_[k]), init_values_[k]);
   }
-  // Minority-sized init scratch the steps never read: release it.
-  init_positions_ = {};
-  init_values_ = {};
   out.finish();
+  // The init scratch is minority-sized and already faulted in, the shape
+  // the first step's writer needs: hand it over as the step scratch
+  // instead of freeing it and faulting a fresh buffer in again.
+  std::swap(init_positions_, key_scratch_);
+  std::swap(init_values_, state_scratch_);
 }
 
 void GeneralEdgeMEG::sample_initial_states_per_pair() {
@@ -392,9 +424,9 @@ void GeneralEdgeMEG::rebuild_snapshot() {
   }
 }
 
-StateId GeneralEdgeMEG::sample_exit_target(StateId from) {
+StateId GeneralEdgeMEG::sample_exit_target(StateId from, Rng& rng) const {
   const auto& cum = exit_cum_[from];
-  const double u = rng_.uniform() * exit_prob_[from];
+  const double u = rng.uniform() * exit_prob_[from];
   for (std::size_t k = 0; k < cum.size(); ++k) {
     if (u < cum[k]) return exit_target_[from][k];
   }
@@ -420,18 +452,34 @@ void GeneralEdgeMEG::step_sparse() {
   // exit_prob / envelope — exact by superposition, and output-sensitive
   // because minority classes are the busy ones.  Each accepted mover
   // draws its destination from the conditional exit distribution, like
-  // the dense bucket scan.
-  moves_.clear();
+  // the dense bucket scan; a class with one exit target still spends the
+  // draw but needs no scan.  The mover's new state goes straight into its
+  // map entry: positions ascend, so every entry is read before it is
+  // written.  The draws run on a local copy of the stream, so the state
+  // byte stores cannot alias the member generator.
+  const std::uint64_t old_size = minority_keys_.size();
+  const auto majority = static_cast<std::uint8_t>(majority_state_);
+  const SelectRow* rows = select_rows_.data();
+  std::uint8_t* map_states = minority_states_.data();
+  std::uint64_t dropped = 0;
+  std::int64_t edge_delta = 0;
+  Rng rng = rng_;
   geometric_select(
-      rng_, minority_keys_.size(), minority_exit_envelope_,
-      [&](std::uint64_t pos) {
-        const StateId from = minority_states_[pos];
-        if (exit_prob_[from] < minority_exit_envelope_ &&
-            !rng_.bernoulli(exit_prob_[from] / minority_exit_envelope_)) {
-          return;
+      rng, old_size, minority_exit_envelope_, [&](std::uint64_t pos) {
+        const std::uint8_t from = map_states[pos];
+        const SelectRow row = rows[from];
+        if (row.thin && !rng.bernoulli(row.ratio)) return;
+        std::uint8_t to = row.target;
+        if (row.single_target) {
+          rng();
+        } else {
+          to = static_cast<std::uint8_t>(sample_exit_target(from, rng));
         }
-        moves_.push_back({pos, from, sample_exit_target(from)});
+        map_states[pos] = to;
+        dropped += to == majority;
+        edge_delta += int{rows[to].on} - int{row.on};
       });
+  rng_ = rng;
 
   // Majority movers: an iid Bernoulli(exit_prob) selection over the
   // implicit complement population — a Binomial count plus a uniform
@@ -439,7 +487,6 @@ void GeneralEdgeMEG::step_sparse() {
   // destination per rank in ascending rank order.  This is exactly the
   // law of geometric-skipping a materialized majority bucket, without
   // the O(n^2) keys.
-  const std::uint64_t old_size = minority_keys_.size();
   const std::uint64_t complement = pair_count(n_) - old_size;
   const double majority_exit = exit_prob_[majority_state_];
   rank_scratch_.clear();
@@ -449,22 +496,16 @@ void GeneralEdgeMEG::step_sparse() {
   }
   inserted_states_.resize(rank_scratch_.size());
   for (std::uint8_t& to : inserted_states_) {
-    to = static_cast<std::uint8_t>(sample_exit_target(majority_state_));
+    to = static_cast<std::uint8_t>(sample_exit_target(majority_state_, rng_));
   }
 
-  // Merge pass (no RNG).  Minority movers change state in place, so the
-  // map stays sorted; the walk then drops the ones back in the majority
-  // and merges the majority movers in.  The r-th complement element sits
-  // at pair index r + j, where j counts the map entries below it, so rank
-  // r goes before entry pos iff r + pos < pair_index(key[pos]).
-  std::uint64_t dropped = 0;
-  std::int64_t edge_delta = 0;
-  for (const Move& move : moves_) {
-    minority_states_[move.pos] = static_cast<std::uint8_t>(move.to);
-    dropped += move.to == majority_state_;
-    edge_delta += int{chi_[move.to]} - int{chi_[move.from]};
-  }
-  for (const std::uint8_t to : inserted_states_) edge_delta += chi_[to];
+  // Merge pass (no RNG).  The minority movers already hold their new
+  // states, so the map is still sorted; the walk drops the ones back in
+  // the majority and merges the majority movers in.  The r-th complement
+  // element sits at pair index r + j, where j counts the map entries
+  // below it, so rank r goes before entry pos iff
+  // r + pos < pair_index(key[pos]).
+  for (const std::uint8_t to : inserted_states_) edge_delta += rows[to].on;
   SparseWriter out(*this, old_size - dropped + rank_scratch_.size(),
                    static_cast<std::uint64_t>(
                        static_cast<std::int64_t>(snapshot_.num_edges()) +
@@ -502,7 +543,7 @@ void GeneralEdgeMEG::step_dense() {
   for (StateId s = 0; s < buckets_.size(); ++s) {
     geometric_select(rng_, buckets_[s].size(), exit_prob_[s],
                      [&](std::uint64_t pos) {
-                       moves_.push_back({pos, s, sample_exit_target(s)});
+                       moves_.push_back({pos, s, sample_exit_target(s, rng_)});
                      });
   }
 

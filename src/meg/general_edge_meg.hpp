@@ -32,15 +32,20 @@
 // uniform distinct placement (meg/on_set.hpp) — the same iid per-pair
 // transition law as dense, so the two modes are distributionally
 // equivalent (and bit-identical at t = 0, where they share the batched
-// initializer's stream).  A sparse step draws all of that first, then
-// makes one walk of the old map that applies the moves, merges the
-// majority movers in at their complement ranks, drops pairs back in the
-// majority, and writes the next map and the snapshot edge list in
-// ascending key order; the on-set is never stored apart from the map,
-// since chi(majority) is false.  Memory is O(#minority + #on), which in
-// the paper's sparse stationary regimes (alpha ~ c/n, quiescent off
-// state) is O(n) — the engine steps at n >= 32768 where dense cannot
-// allocate.
+// initializer's stream).  The minority select works in place: a mover's
+// new state is written into its own map entry as soon as it is drawn
+// (candidate positions ascend, so no entry is read after it is written),
+// and the select counts the entries that fall back to the majority and
+// the change in edge count as it goes, so it keeps no move list.  A
+// sparse step draws all of that first, then makes one walk of the map
+// that merges the majority movers in at their complement ranks, drops
+// pairs back in the majority, and writes the next map and the snapshot
+// edge list in ascending key order; the on-set is never stored apart
+// from the map, since chi(majority) is false.  The first step's output
+// buffers are the initializer's scratch, handed over rather than freed.
+// Memory is O(#minority + #on), which in the paper's sparse stationary
+// regimes (alpha ~ c/n, quiescent off state) is O(n) — the engine steps
+// at n >= 32768 where dense cannot allocate.
 // Sparse requires a dominant stationary state (pi_max >= 1/2) that chi
 // maps to "off"; explicit kSparse on a non-qualifying chain is a hard
 // error, kAuto falls back to dense.
@@ -125,7 +130,7 @@ class GeneralEdgeMEG final : public DynamicGraph {
   void step_dense();
   void step_sparse();
   void rebuild_snapshot();
-  StateId sample_exit_target(StateId from);
+  StateId sample_exit_target(StateId from, Rng& rng) const;
 
   std::size_t n_;
   DenseChain chain_;
@@ -161,7 +166,18 @@ class GeneralEdgeMEG final : public DynamicGraph {
   std::vector<std::uint64_t> minority_keys_;
   std::vector<std::uint8_t> minority_states_;
 
-  // Step scratch (capacity reused across steps).
+  // Sparse mode: what the minority select needs of a state, in one row.
+  struct SelectRow {
+    double ratio;          // exit_prob / envelope, the thinning test
+    bool thin;             // exit_prob < envelope: draw the thinning test
+    bool single_target;    // one exit target: its draw needs no scan
+    std::uint8_t target;   // that target
+    bool on;               // chi
+  };
+  std::vector<SelectRow> select_rows_;
+
+  // Step scratch (capacity reused across steps).  Dense mode only: the
+  // sparse select writes its moves into the map in place.
   struct Move {
     std::uint64_t pos;
     StateId from;

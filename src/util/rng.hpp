@@ -113,17 +113,32 @@ class Rng {
   // The geometric(p) draw for p in (0, 1) given log1m_p = log1p(-p), so a
   // run of draws at one p pays for a single log1p (geometric_select).
   std::uint64_t geometric_log1m(double log1m_p) noexcept {
-    const double u = 1.0 - uniform();  // in (0, 1]
-    const double draw = std::floor(std::log(u) / log1m_p);
+    return geometric_from_bits((*this)(), log1m_p);
+  }
+
+  // geometric_log1m as a pure function of the raw generator word it
+  // consumes: floor(log(u) / log1m_p) with u = 1 - uniform() in (0, 1].
+  static std::uint64_t geometric_from_bits(std::uint64_t bits,
+                                           double log1m_p) noexcept {
+    const double u = 1.0 - static_cast<double>(bits >> 11) * 0x1.0p-53;
+    const double q = std::log(u) / log1m_p;
     // For tiny p the inversion can exceed the uint64 range (or be NaN when
     // both logs underflow); saturate to numeric_limits::max().  Callers
     // interpret the draw as "first success at index draw" over a finite
     // enumeration, so any value at or past their bound means "no
     // success"; saturation therefore preserves the distribution exactly
     // for every enumeration shorter than 2^64.
+    //
+    // The check reads q, not floor(q), and the conversion truncates; both
+    // are exact.  floor(q) >= 0 iff q >= 0 (both fail for NaN and hold
+    // for -0.0, which u = 1 gives), and floor(q) >= 2^64 iff q >= 2^64
+    // because 2^64 is an integer.  Every q that passes is in [0, 2^64),
+    // where truncation toward zero is floor.  So the draws are the
+    // floor formula's, without the out-of-line libm floor call that
+    // baseline x86-64 (no roundsd) would make.
     constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
-    if (!(draw >= 0.0) || draw >= static_cast<double>(kMax)) return kMax;
-    return static_cast<std::uint64_t>(draw);
+    if (!(q >= 0.0) || q >= static_cast<double>(kMax)) return kMax;
+    return static_cast<std::uint64_t>(q);
   }
 
   // Binomial(n, p): number of successes among n Bernoulli(p) trials,

@@ -59,7 +59,8 @@ void expect_thread_count_invariance(MakeGraph&& make_graph,
 }
 
 TEST(FloodAllSourcesThreads, BitIdenticalOnEdgeMeg) {
-  // n = 200 -> 4 words: splits into 2 (even) and 3 (uneven) blocks.
+  // n = 200 -> 4 words, below the per-worker column minimum, so every
+  // thread count runs serially; BitIdenticalInTheWorkerPool splits.
   expect_thread_count_invariance(
       [] {
         return std::make_unique<TwoStateEdgeMEG>(
@@ -90,7 +91,8 @@ TEST(FloodAllSourcesThreads, BitIdenticalOnFixedTopology) {
 TEST(FloodAllSourcesThreads, BitIdenticalOnLazyWaypoint) {
   // The waypoint model builds its snapshot on the first read after a
   // step, so the pool must read it once per round, serially; under TSan a
-  // per-worker read would race.  n = 200 -> 4 words.
+  // per-worker read would race.  n = 200 -> 4 words (serial; the pool
+  // case is in BitIdenticalInTheWorkerPool).
   const auto make = [] {
     WaypointParams p;
     p.side_length = 14.0;
@@ -137,7 +139,8 @@ ScriptedDynamicGraph random_script(std::uint64_t seed) {
 TEST(FloodAllSourcesThreads, NoStepAfterTheLastRound) {
   // Round t reads E_t and the graph steps only between rounds, like
   // flood(): R executed rounds leave time() at R - 1, at every thread
-  // count (n = 256 -> 4 words, so 2 and 4 really split).  R is the
+  // count (n = 256 -> 4 words, so every count runs serially; the pool's
+  // step count is checked in BitIdenticalInTheWorkerPool).  R is the
   // completing round when every source finishes, else the budget.
   for (const std::uint64_t budget : {4ULL, 1000ULL}) {
     ScriptedDynamicGraph serial_graph = random_script(21);
@@ -185,6 +188,64 @@ TEST(FloodAllSourcesThreads, SingleNodeAndZeroBudget) {
     const AllSourcesResult r = flood_all_sources(meg, 0, threads);
     EXPECT_EQ(r.completed_count, 0u);
     EXPECT_FALSE(r.all_completed);
+  }
+}
+
+// One word column past three workers' minimum: two workers, or three
+// with an uneven split.  The tests above run below the minimum, where
+// every thread count takes the serial kernel.
+constexpr std::size_t kPoolNodes =
+    64 * (3 * kAllSourcesMinWordsPerWorker + 1) - 10;
+
+TEST(FloodAllSourcesThreads, WorkersOwnAMinimumOfWordColumns) {
+  constexpr std::size_t kMin = kAllSourcesMinWordsPerWorker;
+  // n = 64 * c nodes fill exactly c word columns.
+  EXPECT_EQ(all_sources_workers(4, 1), 1u);
+  EXPECT_EQ(all_sources_workers(4, 64 * (2 * kMin - 1)), 1u);
+  EXPECT_EQ(all_sources_workers(4, 64 * (2 * kMin - 1) + 1), 2u);
+  EXPECT_EQ(all_sources_workers(4, 64 * 4 * kMin), 4u);
+  EXPECT_EQ(all_sources_workers(2, 64 * 4 * kMin), 2u);
+  EXPECT_EQ(all_sources_workers(16, 64 * (5 * kMin - 1)), 4u);
+  EXPECT_EQ(all_sources_workers(1, 64 * 100 * kMin), 1u);
+  EXPECT_GE(all_sources_workers(0, 64 * 100 * kMin), 1u);
+  EXPECT_EQ(all_sources_workers(2, kPoolNodes), 2u);
+  EXPECT_EQ(all_sources_workers(3, kPoolNodes), 3u);
+  EXPECT_EQ(all_sources_workers(16, kPoolNodes), 3u);
+}
+
+TEST(FloodAllSourcesThreads, BitIdenticalInTheWorkerPool) {
+  expect_thread_count_invariance(
+      [] {
+        return std::make_unique<TwoStateEdgeMEG>(
+            kPoolNodes, TwoStateParams{2.0 / kPoolNodes, 0.3}, 7);
+      },
+      4096, "pool edge_meg complete");
+  expect_thread_count_invariance(
+      [] {
+        return std::make_unique<TwoStateEdgeMEG>(
+            kPoolNodes, TwoStateParams{0.2 / kPoolNodes, 0.9}, 11);
+      },
+      3, "pool edge_meg truncated");
+  // The lazy snapshot again: the pool must read it once per round,
+  // serially, or TSan sees the workers race on the first read.
+  const auto make = [] {
+    WaypointParams p;
+    p.side_length = 56.0;
+    p.v_min = 0.5;
+    p.v_max = 1.0;
+    p.radius = 1.0;
+    p.resolution = 128;
+    return std::make_unique<RandomWaypointModel>(kPoolNodes, p, 9);
+  };
+  const auto serial_graph = make();
+  const AllSourcesResult serial = flood_all_sources(*serial_graph, 64, 1);
+  for (std::size_t threads : {2ULL, 3ULL}) {
+    const auto graph = make();
+    expect_same_results(serial, flood_all_sources(*graph, 64, threads),
+                        "pool lazy waypoint");
+    EXPECT_EQ(serial_graph->time(), graph->time());
+    EXPECT_EQ(serial_graph->snapshot().edge_buffer(),
+              graph->snapshot().edge_buffer());
   }
 }
 

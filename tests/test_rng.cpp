@@ -94,6 +94,16 @@ TEST(Rng, UniformIntIsRoughlyUniform) {
   }
 }
 
+// FNV-1a over the eight little-endian bytes of `value`.
+std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    h ^= (value >> (8 * byte)) & 0xffU;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
+
 // Pins the uniform_int stream byte for byte: FNV-1a over 10^5 draws per
 // bound, plus one raw draw after them, so the number of raw draws the
 // rejection loop consumed is pinned too.  2^63 + 1 rejects about half of
@@ -115,18 +125,11 @@ TEST(Rng, UniformIntStreamIsPinned) {
       {(1ULL << 63) + 1, 0xba915b17122a2251ULL},
       {~0ULL, 0x617a30f08962619fULL},
   };
-  const auto mix = [](std::uint64_t h, std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      h ^= (value >> (8 * byte)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
-  };
   for (const Row& row : rows) {
     Rng rng(19);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (int i = 0; i < 100000; ++i) h = mix(h, rng.uniform_int(row.bound));
-    h = mix(h, rng());
+    std::uint64_t h = kFnvOffset;
+    for (int i = 0; i < 100000; ++i) h = fnv_mix(h, rng.uniform_int(row.bound));
+    h = fnv_mix(h, rng());
     EXPECT_EQ(h, row.hash) << "bound " << row.bound << " hash 0x" << std::hex
                            << h;
   }
@@ -297,6 +300,125 @@ TEST(Rng, GeometricSelectMatchesLoopAndNeverWraps) {
     EXPECT_EQ(x.binomial(n, q), per_call_binomial(y, n, q))
         << "n=" << n << " p=" << q;
     EXPECT_EQ(x(), y());
+  }
+}
+
+// The geometric draw as it was first written, from the raw word: floor
+// the quotient, then make the saturation check on the floored value.
+std::uint64_t floor_formula_geometric(std::uint64_t bits, double log1m_p) {
+  const double u = 1.0 - static_cast<double>(bits >> 11) * 0x1.0p-53;
+  const double draw = std::floor(std::log(u) / log1m_p);
+  constexpr auto kMax = std::numeric_limits<std::uint64_t>::max();
+  if (!(draw >= 0.0) || draw >= static_cast<double>(kMax)) return kMax;
+  return static_cast<std::uint64_t>(draw);
+}
+
+TEST(Rng, GeometricDrawMatchesFloorFormulaAtEveryBoundary) {
+  // The draw is k when u is in (b(k + 1), b(k)], b(k) = exp(k log1p(-p)),
+  // so the floor matters only next to a boundary.  u = 1 - x 2^-53 runs
+  // over a grid; probe the 129 grid points around every boundary with
+  // k <= 4096 and around a 1% ladder of k beyond, until the boundary
+  // drops below the grid (or, for subnormal p, k passes 2^64).  Raw 0
+  // (u = 1, the -0.0 quotient) and the largest raw word (the smallest u)
+  // are checked too.  Every window past k = 0 (which has no grid above
+  // it) must straddle a change of the draw.
+  constexpr double kGridPoints = 0x1.0p53;
+  constexpr std::int64_t kWindow = 64;
+  std::uint64_t windows = 0;
+  for (const double p : {5e-324, 1e-300, 1e-9, 1e-6, 0.000244, 0.0013, 0.3,
+                         0.5, 0.999999}) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const double log1m_p = std::log1p(-p);
+    const auto check = [&](std::uint64_t bits) {
+      const std::uint64_t want = floor_formula_geometric(bits, log1m_p);
+      EXPECT_EQ(Rng::geometric_from_bits(bits, log1m_p), want)
+          << "bits 0x" << std::hex << bits;
+      return want;
+    };
+    check(0);
+    check(~std::uint64_t{0});
+    std::int64_t last_center = -1;
+    for (double k = 0; k < 0x1.0p64;
+         k = k < 4096 ? k + 1 : std::floor(k * 1.01)) {
+      const double x = std::round((1.0 - std::exp(k * log1m_p)) * kGridPoints);
+      if (!(x < kGridPoints)) break;
+      const auto center = static_cast<std::int64_t>(x);
+      if (center == last_center) continue;
+      last_center = center;
+      const std::int64_t lo = std::max<std::int64_t>(center - kWindow, 0);
+      const std::int64_t hi = std::min<std::int64_t>(
+          center + kWindow, static_cast<std::int64_t>(kGridPoints) - 1);
+      std::uint64_t first = 0, last = 0;
+      for (std::int64_t g = lo; g <= hi; ++g) {
+        // The low 11 bits never reach u; give them a pattern anyway.
+        const std::uint64_t draw =
+            check(static_cast<std::uint64_t>(g) << 11 | 0x5a5U);
+        if (g == lo) first = draw;
+        last = draw;
+      }
+      if (k > 0) {
+        ++windows;
+        EXPECT_NE(first, last) << "k=" << k;
+      }
+    }
+  }
+  EXPECT_GT(windows, 15000u);
+}
+
+// Pins the geometric streams byte for byte: per p, FNV-1a over 10^5
+// geometric(p) draws, over the indices geometric_select visits in counts
+// 1..1000, and over 10^4 binomial(1 + i % 97, p) draws, each followed by
+// one raw draw so the number of draws consumed is pinned too.  Recorded
+// with the floor-based draw; any change to the inversion, the saturation
+// check or the select's bound check moves them.
+TEST(Rng, GeometricStreamIsPinned) {
+  struct Row {
+    double p;
+    std::uint64_t geometric;
+    std::uint64_t select;
+    std::uint64_t binomial;
+  };
+  const Row rows[] = {
+      {5e-324, 0xf2874890cf2876b0ULL, 0x618ac64999263a47ULL,
+       0xd12fafb7601b67dcULL},
+      {1e-300, 0xf2874890cf2876b0ULL, 0x618ac64999263a47ULL,
+       0xd12fafb7601b67dcULL},
+      {1e-9, 0xfd6434855a555509ULL, 0x618ac64999263a47ULL,
+       0xd12fafb7601b67dcULL},
+      {1e-6, 0xe0141aa4f119bcfeULL, 0x618ac64999263a47ULL,
+       0xd12fafb7601b67dcULL},
+      {0.000244, 0x17ebe58a2f563c0cULL, 0x7b585f4cdee017a4ULL,
+       0x653f917612d5a714ULL},
+      {0.0013, 0x5ea267cfe09f4fabULL, 0xa512bcc5ec10e6a6ULL,
+       0xdb1b65e2c87e10faULL},
+      {0.3, 0xfbc0873b95e21ebdULL, 0x8bf20f24cf0caaeaULL,
+       0xa566e71dc1139086ULL},
+      {0.5, 0xe88de477d9150c47ULL, 0x9a91938ce560045cULL,
+       0x0756e3c49f07db71ULL},
+      {0.999999, 0xfba84e25011139b0ULL, 0x77acb50b3ba61b71ULL,
+       0x9144f7bb7bd14639ULL},
+  };
+  for (const Row& row : rows) {
+    Rng rng(29);
+    std::uint64_t geometric = kFnvOffset;
+    for (int i = 0; i < 100000; ++i) {
+      geometric = fnv_mix(geometric, rng.geometric(row.p));
+    }
+    geometric = fnv_mix(geometric, rng());
+    std::uint64_t select = kFnvOffset;
+    for (std::uint64_t count = 1; count <= 1000; ++count) {
+      geometric_select(rng, count, row.p,
+                       [&](std::uint64_t i) { select = fnv_mix(select, i); });
+    }
+    select = fnv_mix(select, rng());
+    std::uint64_t binomial = kFnvOffset;
+    for (std::uint64_t i = 0; i < 10000; ++i) {
+      binomial = fnv_mix(binomial, rng.binomial(1 + i % 97, row.p));
+    }
+    binomial = fnv_mix(binomial, rng());
+    EXPECT_EQ(geometric, row.geometric) << "p " << row.p;
+    EXPECT_EQ(select, row.select) << "p " << row.p;
+    EXPECT_EQ(binomial, row.binomial) << "p " << row.p;
   }
 }
 

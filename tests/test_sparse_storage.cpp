@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -184,6 +185,103 @@ TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
   EXPECT_GT(empty_map, 0u);
 }
 
+// FNV-1a over a vector's bytes, its length first.
+template <typename T>
+std::uint64_t fnv_mix_bytes(std::uint64_t h, const std::vector<T>& values) {
+  const auto mix = [&h](std::uint64_t value, int bytes) {
+    for (int byte = 0; byte < bytes; ++byte) {
+      h ^= (value >> (8 * byte)) & 0xffU;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  mix(values.size(), 8);
+  const auto* data = reinterpret_cast<const unsigned char*>(values.data());
+  for (std::size_t b = 0; b < values.size() * sizeof(T); ++b) mix(data[b], 1);
+  return h;
+}
+
+TEST(SparseGeneralEdgeMeg, StepStreamIsPinned) {
+  // The minority map and the raw edge buffer after the initializer and
+  // each of 40 steps, folded into one FNV-1a hash per (chain, n, seed).
+  // The chains reach every branch of the minority select:
+  //  - "flood": meg_sparse_flood's ratios; the warming state exits at the
+  //    envelope (0.5) and the on state is thinned (0.3 / 0.5);
+  //  - "ready1": ready = 1, so the envelope is 1 and geometric_select
+  //    visits every entry;
+  //  - "four_state": the volatile states have two exit targets each.
+  // Below n = 64 a wake rate of 8/n leaves no quiescent majority, so the
+  // bursty chains use 8/max(n, 64); the four-state chain wakes at
+  // min(0.01, 1/n), which keeps its map near 2% of the pairs at n = 2000.
+  // Recorded before the select was fused into one in-place pass; any
+  // moved draw or byte changes a hash.
+  struct Row {
+    const char* chain;
+    NodeId n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {"flood", 12, 1, 0x0542c538cc7bfd02ULL},
+      {"flood", 12, 2, 0xba421c89186bc767ULL},
+      {"flood", 12, 3, 0x8df1d4b6e0c0904aULL},
+      {"flood", 64, 1, 0xf31c42b4df330f3cULL},
+      {"flood", 64, 2, 0x05c4f2ec5bc4a7f7ULL},
+      {"flood", 64, 3, 0xdf6b67ea3c3b3f77ULL},
+      {"flood", 300, 1, 0x5b92950eddd31534ULL},
+      {"flood", 300, 2, 0xb1e26b2f51cf03ceULL},
+      {"flood", 300, 3, 0xdc024d1925bbbcc1ULL},
+      {"flood", 2000, 1, 0xa80b06e628165df1ULL},
+      {"flood", 2000, 2, 0xa95b2128f4c228b1ULL},
+      {"flood", 2000, 3, 0x03dd4786e76c5957ULL},
+      {"ready1", 12, 1, 0xd3db7da2d72e6a14ULL},
+      {"ready1", 12, 2, 0xd98232105cc7e74bULL},
+      {"ready1", 12, 3, 0x12312e15ff49f73fULL},
+      {"ready1", 64, 1, 0xef3c8fca4841cf11ULL},
+      {"ready1", 64, 2, 0x4797a7cfda4249fdULL},
+      {"ready1", 64, 3, 0xa03a71957e1f12dbULL},
+      {"ready1", 300, 1, 0x6d13c75a9a330eeeULL},
+      {"ready1", 300, 2, 0xc47b10c4c309c8f5ULL},
+      {"ready1", 300, 3, 0xf190e4e96c3b9512ULL},
+      {"ready1", 2000, 1, 0xdd560a202cb53a68ULL},
+      {"ready1", 2000, 2, 0x78a1235cebaf6ae2ULL},
+      {"ready1", 2000, 3, 0x24bce2a70e791db2ULL},
+      {"four_state", 12, 1, 0x158841ffbe265d5cULL},
+      {"four_state", 12, 2, 0x7a0301346bb05451ULL},
+      {"four_state", 12, 3, 0x3e3e5b6a0f53e509ULL},
+      {"four_state", 64, 1, 0x38376df70012a00dULL},
+      {"four_state", 64, 2, 0x2d2aaaee93082bdaULL},
+      {"four_state", 64, 3, 0x818cf08780670388ULL},
+      {"four_state", 300, 1, 0x6cd50c44c480d1bdULL},
+      {"four_state", 300, 2, 0xa8112b80c5b5a42eULL},
+      {"four_state", 300, 3, 0x3a1dc6b37ba2ed99ULL},
+      {"four_state", 2000, 1, 0x544e1c424c72b672ULL},
+      {"four_state", 2000, 2, 0x83bf7965907704a3ULL},
+      {"four_state", 2000, 3, 0x822d968576c5afc7ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << row.chain << " n=" << row.n << " seed=" << row.seed);
+    const double wake = 8.0 / std::max(row.n, NodeId{64});
+    FourStateLinkParams four_state;
+    four_state.wake = std::min(0.01, 1.0 / row.n);
+    const std::string chain = row.chain;
+    const BurstyLink link =
+        chain == "flood"    ? make_bursty_link(wake, 0.5, 0.3)
+        : chain == "ready1" ? make_bursty_link(wake, 1.0, 0.3)
+                            : make_four_state_link(four_state);
+    GeneralEdgeMEG meg(row.n, link.chain, link.chi, row.seed,
+                       MegStorage::kSparse);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int t = 0; t <= 40; ++t) {
+      if (t > 0) meg.step();
+      h = fnv_mix_bytes(h, meg.minority_keys());
+      h = fnv_mix_bytes(h, meg.minority_states());
+      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+    }
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
+}
+
 TEST(SparseGeneralEdgeMeg, StationaryAndFlipRatesMatchDense) {
   const auto link = make_bursty_link(0.15, 0.5, 0.35);
   constexpr std::size_t kN = 16, kSteps = 800;
@@ -231,6 +329,22 @@ TEST(SparseGeneralEdgeMeg, ResetReproducesStream) {
     ASSERT_EQ(meg.snapshot().edges(), first[static_cast<std::size_t>(t)])
         << "step " << t;
     meg.step();
+  }
+  // reset(s) on a model that already ran under another seed behaves like
+  // a fresh model built with s, entry for entry, whatever scratch buffers
+  // the earlier steps left behind.
+  GeneralEdgeMEG reused(64, link.chain, link.chi, 9, MegStorage::kSparse);
+  for (int t = 0; t < 10; ++t) reused.step();
+  reused.reset(7);
+  GeneralEdgeMEG fresh(64, link.chain, link.chi, 7, MegStorage::kSparse);
+  for (int t = 0; t < 24; ++t) {
+    ASSERT_EQ(reused.minority_keys(), fresh.minority_keys()) << "step " << t;
+    ASSERT_EQ(reused.minority_states(), fresh.minority_states())
+        << "step " << t;
+    ASSERT_EQ(reused.snapshot().edge_buffer(), fresh.snapshot().edge_buffer())
+        << "step " << t;
+    reused.step();
+    fresh.step();
   }
 }
 

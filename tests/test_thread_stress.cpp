@@ -233,9 +233,9 @@ TEST(ThreadStress, MeasureUncontainedErrorFunnel) {
 // --- flood_all_sources(): barrier pool, threads beyond the word count ---
 
 TEST(ThreadStress, AllSourcesBarrierPoolManyThreadsSmallN) {
-  // n = 520 -> 9 words: 8 workers leave one uneven block; n = 130 -> 3
-  // words caps an 8-thread request at 3 workers.  Repeats give the
-  // barrier's completion step fresh interleavings.
+  // n = 520 -> 9 words and n = 130 -> 3 words: below the per-worker
+  // column minimum, so an 8-thread request runs serially and must agree;
+  // AllSourcesBarrierPoolAtTheColumnMinimum drives the pool itself.
   for (const std::size_t n : {130ULL, 520ULL}) {
     TwoStateEdgeMEG serial_graph(n, TwoStateParams{0.05, 0.4}, 21);
     const AllSourcesResult serial =
@@ -262,30 +262,62 @@ TEST(ThreadStress, AllSourcesBarrierPoolManyThreadsSmallN) {
   }
 }
 
+// An edge-MEG whose second step() throws.
+class ThrowingStepGraph final : public DynamicGraph {
+ public:
+  ThrowingStepGraph(std::size_t n, TwoStateParams params)
+      : inner_(n, params, 9) {}
+  std::size_t num_nodes() const override { return inner_.num_nodes(); }
+  const Snapshot& snapshot() const override { return inner_.snapshot(); }
+  void step() override {
+    if (++steps_ == 2) throw std::runtime_error("step failed");
+    inner_.step();
+  }
+  void reset(std::uint64_t seed) override { inner_.reset(seed); }
+
+ private:
+  TwoStateEdgeMEG inner_;
+  int steps_ = 0;
+};
+
 TEST(ThreadStress, AllSourcesThrowingStepEndsCatchably) {
   // A graph whose step() throws mid-run: the barrier completion step must
   // funnel the exception to the caller without deadlocking the pool.  The
   // all-sources flood here takes 3 rounds, so the model steps twice, and
   // the second step falls between rounds 2 and 3.
-  class ThrowingStepGraph final : public DynamicGraph {
-   public:
-    explicit ThrowingStepGraph(std::size_t n)
-        : inner_(n, TwoStateParams{0.05, 0.4}, 9) {}
-    std::size_t num_nodes() const override { return inner_.num_nodes(); }
-    const Snapshot& snapshot() const override { return inner_.snapshot(); }
-    void step() override {
-      if (++steps_ == 2) throw std::runtime_error("step failed");
-      inner_.step();
-    }
-    void reset(std::uint64_t seed) override { inner_.reset(seed); }
-
-   private:
-    TwoStateEdgeMEG inner_;
-    int steps_ = 0;
-  };
   for (const std::size_t threads : kStressThreads) {
-    ThrowingStepGraph graph(256);
+    ThrowingStepGraph graph(256, TwoStateParams{0.05, 0.4});
     EXPECT_THROW(flood_all_sources(graph, 600, threads),
+                 std::runtime_error);
+  }
+}
+
+TEST(ThreadStress, AllSourcesBarrierPoolAtTheColumnMinimum) {
+  // One word column past three workers' minimum: 2 threads run two
+  // workers, 4 and 8 run three (an uneven split).  Repeats give the
+  // barrier's completion step fresh interleavings; a step that throws
+  // between rounds 2 and 3 must still end the run catchably.
+  constexpr std::size_t kN =
+      64 * (3 * kAllSourcesMinWordsPerWorker + 1) - 10;
+  const TwoStateParams params{2.0 / kN, 0.3};
+  TwoStateEdgeMEG serial_graph(kN, params, 21);
+  const AllSourcesResult serial = flood_all_sources(serial_graph, 600, 1);
+  ASSERT_GT(serial.max_rounds, 3u);
+  for (const std::size_t threads : kStressThreads) {
+    ASSERT_GT(all_sources_workers(threads, kN), 1u);
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      TwoStateEdgeMEG graph(kN, params, 21);
+      const AllSourcesResult threaded = flood_all_sources(graph, 600, threads);
+      ASSERT_EQ(threaded.completed_count, serial.completed_count);
+      ASSERT_EQ(threaded.max_rounds, serial.max_rounds);
+      for (std::size_t s = 0; s < kN; ++s) {
+        ASSERT_EQ(threaded.per_source[s].informed_counts,
+                  serial.per_source[s].informed_counts)
+            << "threads=" << threads << " source " << s;
+      }
+    }
+    ThrowingStepGraph throwing(kN, params);
+    EXPECT_THROW(flood_all_sources(throwing, 600, threads),
                  std::runtime_error);
   }
 }
