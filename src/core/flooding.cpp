@@ -199,8 +199,9 @@ std::size_t all_sources_workers(std::size_t threads, std::size_t num_nodes) {
     threads = hw > 0 ? hw : 1;
   }
   const std::size_t words = bit_words(num_nodes);
-  return std::max<std::size_t>(
-      1, std::min(threads, words / kAllSourcesMinWordsPerWorker));
+  if (words < kAllSourcesPoolMinWords) return 1;
+  // One worker per word column at most: a column is the atom of work.
+  return std::min(threads, words);
 }
 
 AllSourcesResult flood_all_sources(DynamicGraph& graph,

@@ -89,9 +89,10 @@ PhaseSplit split_phases(const FloodResult& result, std::size_t num_nodes);
 // no atomics in the hot loop.  The partition only splits independent
 // per-source computations, so the result is bit-for-bit identical for
 // every thread count.  1 = serial (no worker threads spawned), 0 = one
-// worker per hardware thread.  Each worker must own at least
-// kAllSourcesMinWordsPerWorker word columns (all_sources_workers), so up
-// to 2560 nodes (40 columns) the kernel runs serially at any thread count.
+// worker per hardware thread.  Below kAllSourcesPoolMinWords word
+// columns (up to 2496 nodes) the kernel runs serially at any thread
+// count; from there on, workers are capped at one per word column
+// (all_sources_workers).
 //
 // The per-round delta extraction keeps a per-word-column count of
 // not-yet-done sources and scans only columns with incomplete sources: a
@@ -115,18 +116,19 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
                                    std::uint64_t max_rounds,
                                    std::size_t threads = 1);
 
-// The fewest 64-source word columns a flood_all_sources worker may own.
-// Every worker waits at a barrier each round while the model steps, so a
-// small block costs more in that wait than it saves.  Measured on a
-// 4-CPU x86 VM (TwoStateEdgeMEG, p = 2/n, q = 0.3): 2 workers of 8
-// columns lose to serial at 1024 nodes, 2 of 16 tie at 2048 and 2 of 24
-// at 3072, and 3 workers of ~21 win 1.4-1.6x at 4096; see
-// bench/README.md.
-inline constexpr std::size_t kAllSourcesMinWordsPerWorker = 20;
+// The fewest 64-source word columns at which flood_all_sources starts
+// its worker pool.  Every worker waits at a barrier each round while the
+// model steps, so below this size the pool costs more in that wait than
+// it saves.  Measured on a 4-CPU x86 VM (TwoStateEdgeMEG, p = 2/n,
+// q = 0.3): 2 and 4 workers lose to serial at 1024 nodes (16 columns)
+// and only tie it at 2048 (32), while 4 workers win ~1.9x at 4096 (64);
+// see bench/README.md.
+inline constexpr std::size_t kAllSourcesPoolMinWords = 40;
 
 // The worker count flood_all_sources runs with for a `threads` request
-// (0 = the hardware thread count) on `num_nodes` sources: at most one
-// per kAllSourcesMinWordsPerWorker word columns, and at least one.
+// (0 = the hardware thread count) on `num_nodes` sources: 1 below
+// kAllSourcesPoolMinWords word columns, else the request capped at one
+// worker per word column.
 std::size_t all_sources_workers(std::size_t threads, std::size_t num_nodes);
 
 }  // namespace megflood

@@ -74,9 +74,6 @@ GeneralEdgeMEG::GeneralEdgeMEG(std::size_t num_nodes, DenseChain chain,
     SelectRow& row = select_rows_[s];
     row.thin = exit_prob_[s] < minority_exit_envelope_;
     row.ratio = row.thin ? exit_prob_[s] / minority_exit_envelope_ : 1.0;
-    row.single_target = exit_target_[s].size() == 1;
-    row.target = static_cast<std::uint8_t>(
-        row.single_target ? exit_target_[s].front() : s);
     row.on = chi_[s];
   }
   if (!sparse_) {
@@ -452,8 +449,7 @@ void GeneralEdgeMEG::step_sparse() {
   // exit_prob / envelope — exact by superposition, and output-sensitive
   // because minority classes are the busy ones.  Each accepted mover
   // draws its destination from the conditional exit distribution, like
-  // the dense bucket scan; a class with one exit target still spends the
-  // draw but needs no scan.  The mover's new state goes straight into its
+  // the dense bucket scan.  The mover's new state goes straight into its
   // map entry: positions ascend, so every entry is read before it is
   // written.  The draws run on a local copy of the stream, so the state
   // byte stores cannot alias the member generator.
@@ -469,12 +465,8 @@ void GeneralEdgeMEG::step_sparse() {
         const std::uint8_t from = map_states[pos];
         const SelectRow row = rows[from];
         if (row.thin && !rng.bernoulli(row.ratio)) return;
-        std::uint8_t to = row.target;
-        if (row.single_target) {
-          rng();
-        } else {
-          to = static_cast<std::uint8_t>(sample_exit_target(from, rng));
-        }
+        const auto to =
+            static_cast<std::uint8_t>(sample_exit_target(from, rng));
         map_states[pos] = to;
         dropped += to == majority;
         edge_delta += int{rows[to].on} - int{row.on};

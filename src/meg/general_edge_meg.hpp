@@ -170,8 +170,6 @@ class GeneralEdgeMEG final : public DynamicGraph {
   struct SelectRow {
     double ratio;          // exit_prob / envelope, the thinning test
     bool thin;             // exit_prob < envelope: draw the thinning test
-    bool single_target;    // one exit target: its draw needs no scan
-    std::uint8_t target;   // that target
     bool on;               // chi
   };
   std::vector<SelectRow> select_rows_;

@@ -22,7 +22,10 @@ namespace megflood {
 namespace {
 
 // Compares flood_all_sources (serial and threaded) against the reference
-// per-source loop over the identical snapshot trace.
+// per-source loop over the identical snapshot trace.  Below
+// kAllSourcesPoolMinWords word columns every thread count runs the serial
+// kernel; the Pool* cases below are past it, where 2, 3 and 0 run the
+// worker pool and 64 clamps to one worker per column.
 void expect_matches_reference(const std::vector<Snapshot>& script,
                               std::size_t n, std::uint64_t max_rounds) {
   std::vector<reference::RefSnapshot> ref_trace;
@@ -32,7 +35,7 @@ void expect_matches_reference(const std::vector<Snapshot>& script,
   }
   const auto want = reference::ref_all_sources_counts(ref_trace, n, max_rounds);
 
-  for (const std::size_t threads : {1ULL, 2ULL, 3ULL, 0ULL}) {
+  for (const std::size_t threads : {1ULL, 2ULL, 3ULL, 0ULL, 64ULL}) {
     ScriptedDynamicGraph graph(script);
     const AllSourcesResult got = flood_all_sources(graph, max_rounds, threads);
     ASSERT_EQ(got.per_source.size(), n);
@@ -124,6 +127,80 @@ TEST(AllSourcesDoneColumns, StochasticEdgeMegTrace) {
     meg.step();
   }
   expect_matches_reference(script, kN, kRounds);
+}
+
+// 41 word columns, one past the pool's minimum.
+constexpr std::size_t kPoolNodes = 64 * (kAllSourcesPoolMinWords + 1) - 10;
+// A column inside the last block at 2, 3 and 4 workers alike, while
+// column 0 sits in the first.
+constexpr NodeId kLateColumn = 30;
+constexpr NodeId kLateHub = 64 * kLateColumn;
+
+// Adds {hub, v} for every v in [lo, hi) other than the hub.
+void add_star(std::vector<std::pair<NodeId, NodeId>>& edges, NodeId hub,
+              NodeId lo, NodeId hi) {
+  for (NodeId v = lo; v < hi; ++v) {
+    if (v != hub) edges.emplace_back(hub, v);
+  }
+}
+
+// Columns retire in different workers' blocks at different rounds:
+//  - E_0 joins column 0 to hub 0 and column kLateColumn to kLateHub;
+//  - E_1, a star on hub 0, completes exactly column 0 (round 2);
+//  - E_2, a star on kLateHub, completes exactly kLateColumn (round 3);
+//  - E_3, a star on hub 0, completes every other source (round 4), or,
+//    with `cut_last_node`, leaves the last node out, so every source but
+//    the done columns and the last node itself stalls one short of n.
+// Every snapshot is a star or two, so the reference stays cheap.
+std::vector<Snapshot> pool_staggered_script(bool cut_last_node) {
+  constexpr auto n = static_cast<NodeId>(kPoolNodes);
+  std::vector<std::pair<NodeId, NodeId>> e0;
+  add_star(e0, 0, 0, 64);
+  add_star(e0, kLateHub, kLateHub, kLateHub + 64);
+  std::vector<std::pair<NodeId, NodeId>> e1;
+  add_star(e1, 0, 0, n);
+  std::vector<std::pair<NodeId, NodeId>> e2;
+  add_star(e2, kLateHub, 0, n);
+  std::vector<std::pair<NodeId, NodeId>> e3;
+  add_star(e3, 0, 0, cut_last_node ? n - 1 : n);
+  return {snapshot_of(n, e0), snapshot_of(n, e1), snapshot_of(n, e2),
+          snapshot_of(n, e3)};
+}
+
+TEST(AllSourcesDoneColumns, PoolStaggeredColumnCompletion) {
+  const std::vector<Snapshot> script = pool_staggered_script(false);
+  ScriptedDynamicGraph graph(script);
+  const AllSourcesResult all = flood_all_sources(graph, 8, 1);
+  ASSERT_TRUE(all.all_completed);
+  EXPECT_EQ(all.per_source[63].rounds, 2u);
+  EXPECT_EQ(all.per_source[kLateHub + 63].rounds, 3u);
+  EXPECT_EQ(all.per_source[64].rounds, 4u);
+  expect_matches_reference(script, kPoolNodes, 8);
+}
+
+TEST(AllSourcesDoneColumns, PoolBudgetTruncationWithDoneColumns) {
+  // The budget expires after column 0 and kLateColumn are done and before
+  // the rest complete.
+  expect_matches_reference(pool_staggered_script(false), kPoolNodes, 3);
+  // The last snapshot is held past the script: a long tail of rounds in
+  // which only the stalled sources' columns are scanned, then the budget.
+  const std::vector<Snapshot> cut = pool_staggered_script(true);
+  ScriptedDynamicGraph graph(cut);
+  const AllSourcesResult all = flood_all_sources(graph, 12, 1);
+  EXPECT_EQ(all.completed_count, 64 + 64 + 1u);
+  expect_matches_reference(cut, kPoolNodes, 12);
+}
+
+TEST(AllSourcesDoneColumns, PoolStochasticEdgeMegTrace) {
+  constexpr std::uint64_t kRounds = 48;
+  TwoStateEdgeMEG meg(kPoolNodes, {2.0 / kPoolNodes, 0.4}, 97);
+  std::vector<Snapshot> script;
+  script.reserve(kRounds);
+  for (std::uint64_t t = 0; t < kRounds; ++t) {
+    script.push_back(meg.snapshot());
+    meg.step();
+  }
+  expect_matches_reference(script, kPoolNodes, kRounds);
 }
 
 }  // namespace

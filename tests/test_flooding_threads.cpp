@@ -59,7 +59,7 @@ void expect_thread_count_invariance(MakeGraph&& make_graph,
 }
 
 TEST(FloodAllSourcesThreads, BitIdenticalOnEdgeMeg) {
-  // n = 200 -> 4 words, below the per-worker column minimum, so every
+  // n = 200 -> 4 words, below the pool's column minimum, so every
   // thread count runs serially; BitIdenticalInTheWorkerPool splits.
   expect_thread_count_invariance(
       [] {
@@ -162,7 +162,9 @@ TEST(FloodAllSourcesThreads, NoStepAfterTheLastRound) {
 }
 
 TEST(FloodAllSourcesThreads, ThreadCountsBeyondWordsClamp) {
-  // n = 70 -> 2 words; asking for 16 workers must clamp, run, and agree.
+  // n = 70 -> 2 words; asking for 16 workers must clamp, run, and agree
+  // (serially: 2 words are below the pool's minimum; the pool's clamp
+  // is in PoolZeroBudgetAndClampedWorkers).
   const auto make = [] {
     return std::make_unique<TwoStateEdgeMEG>(70, TwoStateParams{0.05, 0.3},
                                              3);
@@ -175,7 +177,8 @@ TEST(FloodAllSourcesThreads, ThreadCountsBeyondWordsClamp) {
 
 TEST(FloodAllSourcesThreads, SingleNodeAndZeroBudget) {
   // Degenerate corners must not deadlock the pool: n = 1 (no rounds to
-  // run) and max_rounds = 0 (stop before the first round).
+  // run) and max_rounds = 0 (stop before the first round).  Both sizes
+  // run serially; PoolZeroBudgetAndClampedWorkers has the pool's budget 0.
   Snapshot one(1);
   for (std::size_t threads : {1ULL, 2ULL, 0ULL}) {
     ScriptedDynamicGraph graph({one});
@@ -191,26 +194,22 @@ TEST(FloodAllSourcesThreads, SingleNodeAndZeroBudget) {
   }
 }
 
-// One word column past three workers' minimum: two workers, or three
-// with an uneven split.  The tests above run below the minimum, where
+// One word column past the pool's minimum: 2, 3 and 4 workers all split
+// the 41 columns unevenly.  The tests above run below the minimum, where
 // every thread count takes the serial kernel.
-constexpr std::size_t kPoolNodes =
-    64 * (3 * kAllSourcesMinWordsPerWorker + 1) - 10;
+constexpr std::size_t kPoolNodes = 64 * (kAllSourcesPoolMinWords + 1) - 10;
 
-TEST(FloodAllSourcesThreads, WorkersOwnAMinimumOfWordColumns) {
-  constexpr std::size_t kMin = kAllSourcesMinWordsPerWorker;
+TEST(FloodAllSourcesThreads, PoolStartsAtAMinimumOfWordColumns) {
+  constexpr std::size_t kMin = kAllSourcesPoolMinWords;
   // n = 64 * c nodes fill exactly c word columns.
   EXPECT_EQ(all_sources_workers(4, 1), 1u);
-  EXPECT_EQ(all_sources_workers(4, 64 * (2 * kMin - 1)), 1u);
-  EXPECT_EQ(all_sources_workers(4, 64 * (2 * kMin - 1) + 1), 2u);
-  EXPECT_EQ(all_sources_workers(4, 64 * 4 * kMin), 4u);
-  EXPECT_EQ(all_sources_workers(2, 64 * 4 * kMin), 2u);
-  EXPECT_EQ(all_sources_workers(16, 64 * (5 * kMin - 1)), 4u);
+  EXPECT_EQ(all_sources_workers(16, 64 * (kMin - 1)), 1u);
+  EXPECT_EQ(all_sources_workers(4, 64 * (kMin - 1) + 1), 4u);
+  EXPECT_EQ(all_sources_workers(2, 64 * kMin), 2u);
   EXPECT_EQ(all_sources_workers(1, 64 * 100 * kMin), 1u);
   EXPECT_GE(all_sources_workers(0, 64 * 100 * kMin), 1u);
-  EXPECT_EQ(all_sources_workers(2, kPoolNodes), 2u);
-  EXPECT_EQ(all_sources_workers(3, kPoolNodes), 3u);
-  EXPECT_EQ(all_sources_workers(16, kPoolNodes), 3u);
+  EXPECT_EQ(all_sources_workers(16, kPoolNodes), 16u);
+  EXPECT_EQ(all_sources_workers(64, kPoolNodes), kMin + 1);
 }
 
 TEST(FloodAllSourcesThreads, BitIdenticalInTheWorkerPool) {
@@ -247,6 +246,30 @@ TEST(FloodAllSourcesThreads, BitIdenticalInTheWorkerPool) {
     EXPECT_EQ(serial_graph->snapshot().edge_buffer(),
               graph->snapshot().edge_buffer());
   }
+}
+
+TEST(FloodAllSourcesThreads, PoolZeroBudgetAndClampedWorkers) {
+  // max_rounds = 0 at a size that would start the pool: no round runs,
+  // the model does not step, and every source stays at its start count.
+  const TwoStateParams params{2.0 / kPoolNodes, 0.3};
+  TwoStateEdgeMEG serial_graph(kPoolNodes, params, 5);
+  const AllSourcesResult serial = flood_all_sources(serial_graph, 0, 1);
+  EXPECT_EQ(serial.completed_count, 0u);
+  EXPECT_EQ(serial.per_source[0].informed_counts,
+            std::vector<std::size_t>{1});
+  for (std::size_t threads : {2ULL, 0ULL}) {
+    TwoStateEdgeMEG meg(kPoolNodes, params, 5);
+    expect_same_results(serial, flood_all_sources(meg, 0, threads),
+                        "pool zero budget");
+    EXPECT_EQ(meg.time(), 0u);
+  }
+  // A request beyond the word count runs one worker per column.
+  ASSERT_EQ(all_sources_workers(64, kPoolNodes), kAllSourcesPoolMinWords + 1);
+  TwoStateEdgeMEG a(kPoolNodes, params, 3);
+  TwoStateEdgeMEG b(kPoolNodes, params, 3);
+  expect_same_results(flood_all_sources(a, 2048, 1),
+                      flood_all_sources(b, 2048, 64), "pool clamped workers");
+  EXPECT_EQ(a.time(), b.time());
 }
 
 }  // namespace

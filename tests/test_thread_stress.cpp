@@ -233,8 +233,8 @@ TEST(ThreadStress, MeasureUncontainedErrorFunnel) {
 // --- flood_all_sources(): barrier pool, threads beyond the word count ---
 
 TEST(ThreadStress, AllSourcesBarrierPoolManyThreadsSmallN) {
-  // n = 520 -> 9 words and n = 130 -> 3 words: below the per-worker
-  // column minimum, so an 8-thread request runs serially and must agree;
+  // n = 520 -> 9 words and n = 130 -> 3 words: below the pool's column
+  // minimum, so an 8-thread request runs serially and must agree;
   // AllSourcesBarrierPoolAtTheColumnMinimum drives the pool itself.
   for (const std::size_t n : {130ULL, 520ULL}) {
     TwoStateEdgeMEG serial_graph(n, TwoStateParams{0.05, 0.4}, 21);
@@ -293,12 +293,11 @@ TEST(ThreadStress, AllSourcesThrowingStepEndsCatchably) {
 }
 
 TEST(ThreadStress, AllSourcesBarrierPoolAtTheColumnMinimum) {
-  // One word column past three workers' minimum: 2 threads run two
-  // workers, 4 and 8 run three (an uneven split).  Repeats give the
+  // One word column past the pool's minimum: 2, 4 and 8 threads run that
+  // many workers over 41 columns (uneven splits).  Repeats give the
   // barrier's completion step fresh interleavings; a step that throws
   // between rounds 2 and 3 must still end the run catchably.
-  constexpr std::size_t kN =
-      64 * (3 * kAllSourcesMinWordsPerWorker + 1) - 10;
+  constexpr std::size_t kN = 64 * (kAllSourcesPoolMinWords + 1) - 10;
   const TwoStateParams params{2.0 / kN, 0.3};
   TwoStateEdgeMEG serial_graph(kN, params, 21);
   const AllSourcesResult serial = flood_all_sources(serial_graph, 600, 1);
