@@ -7,6 +7,7 @@
 
 #include "core/flooding.hpp"
 #include "meg/edge_meg.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -131,6 +132,62 @@ TEST(TwoStateEdgeMEG, SparseModelStillFloods) {
   TwoStateEdgeMEG meg(n, {p, 0.5}, 23);
   const FloodResult r = flood(meg, 0, 100000);
   EXPECT_TRUE(r.completed);
+}
+
+TEST(TwoStateEdgeMEG, StepStreamIsPinned) {
+  // The raw edge buffer (the on-set in key order) after the initializer
+  // and each of 40 steps, folded into one FNV-1a hash per row.  The rows
+  // cover the three inits at (p, q) = (0.05, 0.3), and the serve regime
+  // of BM_EdgeMegStepServe (n = 256, alpha = 1/128, q = 0.3), where
+  // every birth skip is longer than a row.  Any moved draw or byte
+  // changes a hash.
+  constexpr double kServeAlpha = 1.0 / 128;
+  const TwoStateParams classic{0.05, 0.3};
+  const TwoStateParams serve{kServeAlpha * 0.3 / (1.0 - kServeAlpha), 0.3};
+  struct Row {
+    EdgeMegInit init;
+    bool serve;
+    std::size_t n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  using enum EdgeMegInit;
+  const Row rows[] = {
+      {kStationary, false, 12, 1, 0x3550c26909a86c0fULL},
+      {kStationary, false, 12, 2, 0x640916aa131996a3ULL},
+      {kStationary, false, 64, 1, 0x60c00393346d709fULL},
+      {kStationary, false, 64, 2, 0x6457e791b64afe87ULL},
+      {kStationary, false, 300, 1, 0xc1a43d5fbccb058fULL},
+      {kStationary, false, 300, 2, 0xf2ccc16c8c6a0decULL},
+      {kAllOff, false, 12, 1, 0xf2c1b242d717a17fULL},
+      {kAllOff, false, 12, 2, 0xac94aebfbc7343d9ULL},
+      {kAllOff, false, 64, 1, 0x37c84513fe3fe5b3ULL},
+      {kAllOff, false, 64, 2, 0x2995e669774018a4ULL},
+      {kAllOff, false, 300, 1, 0x2258bf5e2f885aacULL},
+      {kAllOff, false, 300, 2, 0x020e12ab188870c7ULL},
+      {kAllOn, false, 12, 1, 0x1155b4ea61fb68faULL},
+      {kAllOn, false, 12, 2, 0x098ea6ac703dc00bULL},
+      {kAllOn, false, 64, 1, 0x44144edf6156033aULL},
+      {kAllOn, false, 64, 2, 0x066709ae526ce1a5ULL},
+      {kAllOn, false, 300, 1, 0x8695e57ff25a42f1ULL},
+      {kAllOn, false, 300, 2, 0x488b7517fb75c2b3ULL},
+      {kStationary, true, 256, 1, 0x2eabd43ff7f31318ULL},
+      {kStationary, true, 256, 2, 0x233041eb3fbca604ULL},
+      {kStationary, true, 256, 3, 0xbeec4b7b69e67867ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "init=" << static_cast<int>(row.init) << " serve="
+                 << row.serve << " n=" << row.n << " seed=" << row.seed);
+    TwoStateEdgeMEG meg(row.n, row.serve ? serve : classic, row.seed,
+                        row.init);
+    std::uint64_t h = kFnvOffset;
+    for (int t = 0; t <= 40; ++t) {
+      if (t > 0) meg.step();
+      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+    }
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 // Property: stationary edge density matches p/(p+q) across a parameter

@@ -5,9 +5,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "core/flooding.hpp"
 #include "meg/general_edge_meg.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -158,6 +162,78 @@ TEST(GeneralEdgeMEG, FourStateFloodingCompletes) {
   GeneralEdgeMEG meg(48, link.chain, link.chi, 17);
   const FloodResult r = flood(meg, 0, 100000);
   EXPECT_TRUE(r.completed);
+}
+
+TEST(GeneralEdgeMEG, DenseStepStreamIsPinned) {
+  // The dense engine's per-pair states and raw edge buffer after the
+  // initializer and each of 40 steps, folded into one FNV-1a hash per
+  // (chain, n, seed).  The chains reach each initializer path:
+  //  - "flood" and "four_state": a quiescent majority, so the scatter
+  //    fill writes the majority bucket as key ranges;
+  //  - "mostly_on": a dominant majority that chi maps to on, so the
+  //    scatter is followed by the generic fill;
+  //  - "duty": four uniform states (pi_max < 1/2), the per-pair walk.
+  // Any moved draw or byte changes a hash.
+  struct Row {
+    const char* chain;
+    NodeId n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {"flood", 12, 1, 0x99b37daf73b93077ULL},
+      {"flood", 12, 2, 0xbbf194927a851d6dULL},
+      {"flood", 64, 1, 0x7c7691d0f09636c2ULL},
+      {"flood", 64, 2, 0x113561b184441f6fULL},
+      {"flood", 200, 1, 0xf65b138035864156ULL},
+      {"flood", 200, 2, 0xb84caacd10f3aed9ULL},
+      {"four_state", 12, 1, 0x116a589c1777c8b2ULL},
+      {"four_state", 12, 2, 0x8c334dc4e4ddfd69ULL},
+      {"four_state", 64, 1, 0xbd6cd6b4daea13e2ULL},
+      {"four_state", 64, 2, 0xa3a83011f6e8366eULL},
+      {"four_state", 200, 1, 0x674b750d16f63ce8ULL},
+      {"four_state", 200, 2, 0x25ee936850af7f39ULL},
+      {"mostly_on", 12, 1, 0x8e59a473820323feULL},
+      {"mostly_on", 12, 2, 0x6148f28e99e13e8eULL},
+      {"mostly_on", 64, 1, 0x5e825fff414896feULL},
+      {"mostly_on", 64, 2, 0x2f73341463178e9dULL},
+      {"mostly_on", 200, 1, 0xb0cca95afe3dff19ULL},
+      {"mostly_on", 200, 2, 0x32de7f317b8de7ccULL},
+      {"duty", 12, 1, 0x7aaf803f50ac80e7ULL},
+      {"duty", 12, 2, 0x91d951dfec17b947ULL},
+      {"duty", 64, 1, 0xd68fd97dcede43f6ULL},
+      {"duty", 64, 2, 0x18f9c321205ed155ULL},
+      {"duty", 200, 1, 0x52b8b227c84d5833ULL},
+      {"duty", 200, 2, 0xf56af8c2c0509be9ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << row.chain << " n=" << row.n << " seed=" << row.seed);
+    FourStateLinkParams four_state;
+    four_state.wake = 0.05;
+    const std::string chain = row.chain;
+    const BurstyLink link =
+        chain == "flood"        ? make_bursty_link(0.1, 0.5, 0.3)
+        : chain == "four_state" ? make_four_state_link(four_state)
+        : chain == "mostly_on"  ? make_bursty_link(0.5, 0.5, 0.05)
+                                : make_duty_cycle_link(4, 2, 0.3);
+    GeneralEdgeMEG meg(row.n, link.chain, link.chi, row.seed,
+                       MegStorage::kDense);
+    std::vector<std::uint8_t> states;
+    std::uint64_t h = kFnvOffset;
+    for (int t = 0; t <= 40; ++t) {
+      if (t > 0) meg.step();
+      states.clear();
+      for (NodeId i = 0; i + 1 < row.n; ++i) {
+        for (NodeId j = i + 1; j < row.n; ++j) {
+          states.push_back(static_cast<std::uint8_t>(meg.pair_state(i, j)));
+        }
+      }
+      h = fnv_mix_bytes(h, states);
+      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+    }
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 TEST(GeneralEdgeMEG, SnapshotConsistentWithStates) {

@@ -7,6 +7,7 @@
 
 #include "core/flooding.hpp"
 #include "meg/heterogeneous_edge_meg.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -140,6 +141,51 @@ TEST(HeterogeneousEdgeMEG, AggregatesMatchBruteForceOverEdgeRates) {
   EXPECT_DOUBLE_EQ(meg.min_alpha(), min_alpha);
   EXPECT_DOUBLE_EQ(meg.max_alpha(), max_alpha);
   EXPECT_EQ(meg.max_mixing_time(), max_mixing);
+}
+
+TEST(HeterogeneousEdgeMEG, DenseStepStreamIsPinned) {
+  // The dense engine's raw edge buffer (its on-set in key order) after
+  // the initializer and each of 40 steps, folded into one FNV-1a hash
+  // per (sampler, n, seed).  "two_speed" has two exact rate classes;
+  // "uniform" draws a distinct rate per pair, so past 64 pairs it runs
+  // the one envelope class with acceptance draws.  Any moved draw or
+  // byte changes a hash.
+  struct Row {
+    bool uniform;
+    NodeId n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {false, 12, 1, 0x2809242d5f2887f2ULL},
+      {false, 12, 2, 0x336e52b97c20c480ULL},
+      {false, 64, 1, 0x23773e76e9467f40ULL},
+      {false, 64, 2, 0x313b7f51276621ffULL},
+      {false, 200, 1, 0xb6d62530153ed526ULL},
+      {false, 200, 2, 0x88c462c1edde4b24ULL},
+      {true, 12, 1, 0x982948258cc954b3ULL},
+      {true, 12, 2, 0x7075b3bdfb986818ULL},
+      {true, 64, 1, 0xf9653e4900c83fc5ULL},
+      {true, 64, 2, 0xc0c7f774d67f169aULL},
+      {true, 200, 1, 0xf030ce098ced8e70ULL},
+      {true, 200, 2, 0x7975bd4f445a07a1ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << "uniform=" << row.uniform
+                                      << " n=" << row.n
+                                      << " seed=" << row.seed);
+    HeterogeneousEdgeMEG meg(
+        row.n,
+        row.uniform ? uniform_alpha_rates(0.2, 0.5, 0.1, 0.3)
+                    : two_speed_rates({0.05, 0.3}, 0.3, 0.2),
+        row.seed);
+    std::uint64_t h = kFnvOffset;
+    for (int t = 0; t <= 40; ++t) {
+      if (t > 0) meg.step();
+      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+    }
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 TEST(HeterogeneousEdgeMEG, AggregatesOverwriteSentinelsOnSingleEdge) {

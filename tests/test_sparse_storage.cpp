@@ -30,6 +30,7 @@
 #include "meg/heterogeneous_edge_meg.hpp"
 #include "meg/pair_index.hpp"
 #include "meg/storage.hpp"
+#include "step_hash.hpp"
 #include "util/resource.hpp"
 
 namespace megflood {
@@ -185,21 +186,6 @@ TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
   EXPECT_GT(empty_map, 0u);
 }
 
-// FNV-1a over a vector's bytes, its length first.
-template <typename T>
-std::uint64_t fnv_mix_bytes(std::uint64_t h, const std::vector<T>& values) {
-  const auto mix = [&h](std::uint64_t value, int bytes) {
-    for (int byte = 0; byte < bytes; ++byte) {
-      h ^= (value >> (8 * byte)) & 0xffU;
-      h *= 0x100000001b3ULL;
-    }
-  };
-  mix(values.size(), 8);
-  const auto* data = reinterpret_cast<const unsigned char*>(values.data());
-  for (std::size_t b = 0; b < values.size() * sizeof(T); ++b) mix(data[b], 1);
-  return h;
-}
-
 TEST(SparseGeneralEdgeMeg, StepStreamIsPinned) {
   // The minority map and the raw edge buffer after the initializer and
   // each of 40 steps, folded into one FNV-1a hash per (chain, n, seed).
@@ -271,7 +257,7 @@ TEST(SparseGeneralEdgeMeg, StepStreamIsPinned) {
                             : make_four_state_link(four_state);
     GeneralEdgeMEG meg(row.n, link.chain, link.chi, row.seed,
                        MegStorage::kSparse);
-    std::uint64_t h = 0xcbf29ce484222325ULL;
+    std::uint64_t h = kFnvOffset;
     for (int t = 0; t <= 40; ++t) {
       if (t > 0) meg.step();
       h = fnv_mix_bytes(h, meg.minority_keys());
@@ -482,6 +468,59 @@ void expect_flip_law_matches_rates(HeterogeneousEdgeMEG& meg,
   EXPECT_NEAR(static_cast<double>(got.deaths) / denom, expect_death,
               8.0 * se_death + 1e-9)
       << what;
+}
+
+TEST(SparseHeterogeneousEdgeMeg, StepStreamIsPinned) {
+  // The raw edge buffer (the sparse on-set in key order) after the
+  // initializer and each of 40 steps, folded into one FNV-1a hash per
+  // (sampler, n, seed).  "uniform" is the kernel's law (alpha in
+  // [4/n, 12/n] past n = 64, a continuous spread, so both thinning draws
+  // run); "two_speed" has rates at the envelope, which skip them.  Any
+  // moved draw or byte changes a hash.
+  struct Row {
+    bool uniform;
+    NodeId n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {false, 12, 1, 0x7545277bdb759838ULL},
+      {false, 12, 2, 0x84252b7136990e0dULL},
+      {false, 64, 1, 0xc870813f6a961e5bULL},
+      {false, 64, 2, 0xd6c0d28d88d8fcdbULL},
+      {false, 300, 1, 0xde317eee3b706aebULL},
+      {false, 300, 2, 0xb3842ac8a56fc47fULL},
+      {false, 2000, 1, 0xadaeadcdc38278d1ULL},
+      {false, 2000, 2, 0x2a4af5260bb2d6a9ULL},
+      {true, 12, 1, 0xa86ffc9101c4c2a6ULL},
+      {true, 12, 2, 0xe70ceeefbbd54282ULL},
+      {true, 64, 1, 0x60ad2b726fe7c7d3ULL},
+      {true, 64, 2, 0x3885dca59c1eacbbULL},
+      {true, 300, 1, 0x890052d6dab20f1cULL},
+      {true, 300, 2, 0xe141c9abcbbeec9cULL},
+      {true, 2000, 1, 0xaca2dfcf0fb541e8ULL},
+      {true, 2000, 2, 0x1f93e30633588073ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << "uniform=" << row.uniform
+                                      << " n=" << row.n
+                                      << " seed=" << row.seed);
+    const double a = 8.0 / std::max(row.n, NodeId{64});
+    const TwoStateParams base{0.3 * a / (1.0 - a), 0.3};
+    HeterogeneousEdgeMEG meg(
+        row.n,
+        row.uniform ? uniform_alpha_rates(0.2, 0.5, 0.5 * a, 1.5 * a)
+                    : two_speed_rates(base, 0.3, 0.2),
+        row.seed, MegStorage::kSparse,
+        row.uniform ? uniform_alpha_bounds(0.2, 0.5, 0.5 * a, 1.5 * a)
+                    : two_speed_bounds(base, 0.3, 0.2));
+    std::uint64_t h = kFnvOffset;
+    for (int t = 0; t <= 40; ++t) {
+      if (t > 0) meg.step();
+      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+    }
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 TEST(SparseHeterogeneousEdgeMeg, FlipLawMatchesRealizedRatesUniformAlpha) {
