@@ -150,8 +150,8 @@ int run_sweep(std::ostream& out, std::ostream& err, const ScenarioSpec& base,
   return code;
 }
 
-std::uint64_t parse_flag_u64(const std::string& flag,
-                             const std::string& value) {
+std::uint64_t parse_flag_u64(const std::string& flag, const std::string& value,
+                             std::uint64_t max) {
   std::size_t pos = 0;
   unsigned long long parsed = 0;
   try {
@@ -159,9 +159,10 @@ std::uint64_t parse_flag_u64(const std::string& flag,
   } catch (const std::exception&) {
     pos = std::string::npos;
   }
-  if (pos != value.size() || value.empty() || value[0] == '-') {
-    throw std::invalid_argument(flag + " must be a non-negative integer, "
-                                "got '" + value + "'");
+  if (pos != value.size() || value.empty() || value[0] == '-' ||
+      parsed > max) {
+    throw std::invalid_argument(flag + " must be an integer in [0, " +
+                                std::to_string(max) + "], got '" + value + "'");
   }
   return parsed;
 }
@@ -275,8 +276,9 @@ int run_driver(const std::vector<std::string>& raw_args, std::ostream& out,
     spec.trial.contain_errors = parse_flag_bool("contain", contain_arg);
     spec.trial.trial_deadline_s =
         parse_flag_seconds("deadline", deadline_arg);
+    // Capped so that the shift to bytes cannot wrap.
     const std::uint64_t rss_budget_bytes =
-        parse_flag_u64("rss_budget_mb", rss_budget_arg) << 20;
+        parse_flag_u64("rss_budget_mb", rss_budget_arg, UINT64_MAX >> 20) << 20;
 
     FaultPlan plan;
     if (!inject_spec.empty()) {

@@ -9,13 +9,13 @@
 // geometric skipping — so sparse regimes (p = c/n^2 .. c/n) scale to
 // thousands of nodes.
 //
-// The on-edge set is a sorted vector of packed (i, j) keys.  A step keeps
+// The on-edge set is a sorted pair set (meg/pair_set.hpp).  A step keeps
 // its draws and its bookkeeping in separate passes, so no branch that
 // depends on a draw sits on the chain of log()/divide draws: one
-// branch-free death pass compacts the survivors and lists the dead; the
-// birth draws only record raw pair indices; a second pass converts them
-// to keys and drops the pairs that died this step; and one branch-free
-// merge writes the next on-set and the snapshot's edge list together.  A
+// branch-free death pass lists the dying keys; the birth draws only
+// record raw pair indices; indices_to_keys converts them to keys and
+// drops the pairs that die this step; and the pair set's merge writes the
+// next on-set and the snapshot's edge list in one branch-free pass.  A
 // step performs no hashing, no re-sort, and (after warmup) no allocation.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is
@@ -26,11 +26,11 @@
 // minority-state maps; there is no dense mode to select here.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/dynamic_graph.hpp"
 #include "markov/two_state.hpp"
+#include "meg/pair_set.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -60,27 +60,19 @@ class TwoStateEdgeMEG final : public DynamicGraph {
  private:
   void initialize();
   // Appends the indices geometric_select(p) marks over the pair
-  // enumeration to born_, ascending.
+  // enumeration to on_.born, ascending.
   void draw_marks(double p);
-  // on_ := on_ (the survivors) united with born_ (keys), both ascending;
-  // writes the snapshot's edge list in the same pass.
-  void merge_births();
 
   std::size_t n_;
   TwoStateChain chain_;
   EdgeMegInit init_;
   Rng rng_;
   std::uint64_t total_pairs_;
-  // On-edges as packed (i << 32) | j keys, i < j, sorted ascending — the
-  // same order as the linear pair index (row-major), so the RNG
-  // consumption sequence matches the historical sorted-set iteration.
-  std::vector<std::uint64_t> on_;
-  // Step scratch.  killed_: this step's deaths, ascending, closed by a
-  // sentinel.  born_: birth marks as pair indices, then as keys.
-  std::vector<std::uint64_t> killed_;
-  std::vector<std::uint64_t> born_;
-  std::vector<std::uint64_t> merged_;              // the next on-set
-  std::vector<std::pair<NodeId, NodeId>> edges_;  // the next edge list
+  // On-edges, sorted ascending — the same order as the linear pair index
+  // (row-major), so the RNG consumption sequence matches the historical
+  // sorted-set iteration.  A step lists its deaths in on_.died, and its
+  // birth marks in on_.born as pair indices, then as keys; both ascending.
+  PairSet on_;
   Snapshot snapshot_;
 };
 

@@ -1,7 +1,6 @@
 #include "meg/general_edge_meg.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -92,7 +91,7 @@ std::uint64_t GeneralEdgeMEG::dense_footprint_bytes(
 }
 
 std::uint64_t GeneralEdgeMEG::minority_count() const {
-  if (sparse_) return minority_keys_.size();
+  if (sparse_) return minority_.keys.size();
   return pair_count(n_) - buckets_[majority_state_].size();
 }
 
@@ -110,12 +109,11 @@ StateId GeneralEdgeMEG::pair_state(NodeId i, NodeId j) const {
   }
   if (i > j) std::swap(i, j);
   if (sparse_) {
+    const std::vector<std::uint64_t>& keys = minority_.keys;
     const std::uint64_t key = pack_pair(i, j);
-    const auto it =
-        std::lower_bound(minority_keys_.begin(), minority_keys_.end(), key);
-    if (it == minority_keys_.end() || *it != key) return majority_state_;
-    return minority_states_[static_cast<std::size_t>(
-        it - minority_keys_.begin())];
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || *it != key) return majority_state_;
+    return minority_.states[static_cast<std::size_t>(it - keys.begin())];
   }
   return states_[pair_index_of(n_, i, j)];
 }
@@ -126,9 +124,9 @@ void GeneralEdgeMEG::initialize() {
     return;
   }
   for (auto& bucket : buckets_) bucket.clear();
-  on_.clear();
+  on_.keys.clear();
   const bool scattered = sample_initial_states();
-  if (scattered && !chi_[init_majority_]) {
+  if (scattered && !chi_[majority_state_]) {
     // The scatter path knows exactly which (few) pairs are non-majority,
     // so the dominant bucket can be bulk-written as consecutive key
     // ranges instead of walking all O(n^2) pairs one push at a time.
@@ -144,7 +142,7 @@ void GeneralEdgeMEG::initialize() {
       buckets_[s].reserve(per_state[s]);
       if (chi_[s]) on_count += per_state[s];
     }
-    on_.reserve(on_count);
+    on_.keys.reserve(on_count);
     // Ascending pair order, so every bucket and the on-set come out
     // sorted without a sort pass.
     std::size_t e = 0;
@@ -153,11 +151,11 @@ void GeneralEdgeMEG::initialize() {
         const StateId s = states_[e];
         const std::uint64_t key = pack_pair(i, j);
         buckets_[s].push_back(key);
-        if (chi_[s]) on_.push_back(key);
+        if (chi_[s]) on_.keys.push_back(key);
       }
     }
   }
-  rebuild_snapshot();
+  on_.merge(n_, snapshot_);
 }
 
 void GeneralEdgeMEG::fill_buckets_from_scatter() {
@@ -168,10 +166,10 @@ void GeneralEdgeMEG::fill_buckets_from_scatter() {
   // buckets (and, when chi, the on-set) in the same ascending sweep, so
   // every bucket ends up sorted exactly as the generic fill would leave
   // it.  Precondition: states_ scattered by sample_initial_states() and
-  // chi_[init_majority_] == false (the on-set is then just the chi
+  // chi_[majority_state_] == false (the on-set is then just the chi
   // minority).
   const std::uint64_t minority = init_positions_.size();
-  auto& majority_bucket = buckets_[init_majority_];
+  auto& majority_bucket = buckets_[majority_state_];
   majority_bucket.resize(states_.size() - minority);
   std::uint64_t* out = majority_bucket.data();
   std::size_t mp = 0;
@@ -185,7 +183,7 @@ void GeneralEdgeMEG::fill_buckets_from_scatter() {
       for (; p < stop; ++p) *out++ = key0 + p;
       const StateId s = states_[row_start + stop];
       buckets_[s].push_back(key0 + stop);
-      if (chi_[s]) on_.push_back(key0 + stop);
+      if (chi_[s]) on_.keys.push_back(key0 + stop);
       p = stop + 1;
       ++mp;
     }
@@ -262,7 +260,6 @@ bool GeneralEdgeMEG::sample_initial_states() {
   const std::vector<std::uint64_t> class_count = sample_class_counts(pairs);
 
   const std::uint64_t minority = pairs - class_count[majority];
-  init_majority_ = majority;
   std::fill(states_.begin(), states_.end(),
             static_cast<std::uint8_t>(majority));
   if (minority == 0) {
@@ -287,93 +284,11 @@ bool GeneralEdgeMEG::sample_initial_states() {
   return true;
 }
 
-// Makes room for `size` elements in a sparse-engine scratch buffer.  The
-// map's size drifts a little from step to step, so a buffer that has to
-// grow gets 1/16 of headroom, and its stale contents are dropped rather
-// than copied into the new pages.
-namespace {
-template <typename T>
-void reserve_scratch(std::vector<T>& buffer, std::uint64_t size) {
-  if (buffer.capacity() >= size) return;
-  buffer.clear();
-  buffer.reserve(size + size / 16);
-}
-}  // namespace
-
-// Writes the next minority map and snapshot edge list of the sparse
-// engine into exactly sized scratch buffers, then swaps them in.  Entries
-// must arrive in ascending key order; an entry in the majority state is
-// dropped, and one in a chi state also becomes a snapshot edge — the
-// whole on-set, since chi(majority) is false.  emit() is branch-free: it
-// always stores into one slot of slack and advances past it only when the
-// entry stays, so the engine's constants live in registers here rather
-// than in the model, whose members any byte store may alias.
-class GeneralEdgeMEG::SparseWriter {
- public:
-  SparseWriter(GeneralEdgeMEG& meg, std::uint64_t entries,
-               std::uint64_t edges)
-      : meg_(meg),
-        majority_(static_cast<std::uint8_t>(meg.majority_state_)),
-        n_(static_cast<NodeId>(meg.n_)) {
-    for (StateId s = 0; s < meg.chi_.size(); ++s) is_on_[s] = meg.chi_[s];
-    reserve_scratch(meg.key_scratch_, entries + 1);
-    reserve_scratch(meg.state_scratch_, entries + 1);
-    reserve_scratch(meg.edge_scratch_, edges + 1);
-    meg.key_scratch_.resize(entries + 1);
-    meg.state_scratch_.resize(entries + 1);
-    meg.edge_scratch_.resize(edges + 1);
-    key_ = meg.key_scratch_.data();
-    state_ = meg.state_scratch_.data();
-    edge_ = meg.edge_scratch_.data();
-  }
-
-  void emit(std::uint64_t key, std::uint8_t state) {
-    const bool keep = state != majority_;
-    const bool on = is_on_[state];
-    *key_ = key;
-    *state_ = state;
-    key_ += keep;
-    state_ += keep;
-    // The range check Snapshot::add_edge would make; i < j, so j < n
-    // covers both endpoints.
-    const NodeId j = pair_key_j(key);
-    out_of_range_ |= on & (j >= n_);
-    *edge_ = {pair_key_i(key), j};
-    edge_ += on;
-  }
-
-  void finish() {
-    assert(key_ + 1 == meg_.key_scratch_.data() + meg_.key_scratch_.size());
-    assert(edge_ + 1 == meg_.edge_scratch_.data() + meg_.edge_scratch_.size());
-    if (out_of_range_) {
-      throw std::out_of_range("GeneralEdgeMEG: edge endpoint out of range");
-    }
-    meg_.key_scratch_.pop_back();
-    meg_.state_scratch_.pop_back();
-    meg_.edge_scratch_.pop_back();
-    std::swap(meg_.minority_keys_, meg_.key_scratch_);
-    std::swap(meg_.minority_states_, meg_.state_scratch_);
-    meg_.snapshot_.swap_edges(meg_.edge_scratch_);
-  }
-
- private:
-  GeneralEdgeMEG& meg_;
-  std::uint8_t majority_;
-  NodeId n_;
-  std::array<bool, 256> is_on_{};
-  std::uint64_t* key_;
-  std::uint8_t* state_;
-  std::pair<NodeId, NodeId>* edge_;
-  bool out_of_range_ = false;
-};
-
 void GeneralEdgeMEG::initialize_sparse() {
   // The batched initializer with the majority left implicit: identical
   // RNG stream to the dense batched path (splits, shuffle, subset draw),
   // so a same-seed dense/sparse pair starts in the SAME configuration —
   // the t = 0 equivalence in tests/test_sparse_storage.cpp is exact.
-  minority_keys_.clear();
-  minority_states_.clear();
   const std::uint64_t pairs = pair_count(n_);
   const std::vector<std::uint64_t> class_count = sample_class_counts(pairs);
   const std::uint64_t minority = pairs - class_count[majority_state_];
@@ -384,24 +299,25 @@ void GeneralEdgeMEG::initialize_sparse() {
   if (minority > 0) {
     // These become the first step's scratch (below), so they get the
     // same headroom.
-    reserve_scratch(init_values_, minority);
-    reserve_scratch(init_positions_, minority);
+    reserve_headroom(init_values_, minority);
+    reserve_headroom(init_positions_, minority);
     build_shuffled_minority_values(class_count, majority_state_, minority);
     sample_distinct_positions(rng_, minority, pairs, init_positions_);
   }
-  SparseWriter out(*this, minority, on_count);
+  PairSetWriter out(minority_, n_, minority, on_count,
+                    static_cast<std::uint8_t>(majority_state_), chi_);
   PairRowCursor cursor(n_);
   for (std::uint64_t k = 0; k < minority; ++k) {
     // Ascending positions => ascending keys: map and snapshot come out
     // sorted without a sort pass.
-    out.emit(cursor.key(init_positions_[k]), init_values_[k]);
+    out.emit_state(cursor.key(init_positions_[k]), init_values_[k]);
   }
-  out.finish();
+  out.finish(snapshot_);
   // The init scratch is minority-sized and already faulted in, the shape
   // the first step's writer needs: hand it over as the step scratch
   // instead of freeing it and faulting a fresh buffer in again.
-  std::swap(init_positions_, key_scratch_);
-  std::swap(init_values_, state_scratch_);
+  std::swap(init_positions_, minority_.next_keys);
+  std::swap(init_values_, minority_.next_states);
 }
 
 void GeneralEdgeMEG::sample_initial_states_per_pair() {
@@ -411,13 +327,6 @@ void GeneralEdgeMEG::sample_initial_states_per_pair() {
   for (auto& state : states_) {
     state = static_cast<std::uint8_t>(
         DenseChain::sample_from(stationary_, rng_));
-  }
-}
-
-void GeneralEdgeMEG::rebuild_snapshot() {
-  snapshot_.clear();
-  for (std::uint64_t key : on_) {
-    snapshot_.add_edge(pair_key_i(key), pair_key_j(key));
   }
 }
 
@@ -435,7 +344,6 @@ void GeneralEdgeMEG::step() {
     step_sparse();
   } else {
     step_dense();
-    rebuild_snapshot();
   }
   advance_clock();
 }
@@ -453,10 +361,10 @@ void GeneralEdgeMEG::step_sparse() {
   // map entry: positions ascend, so every entry is read before it is
   // written.  The draws run on a local copy of the stream, so the state
   // byte stores cannot alias the member generator.
-  const std::uint64_t old_size = minority_keys_.size();
+  const std::uint64_t old_size = minority_.keys.size();
   const auto majority = static_cast<std::uint8_t>(majority_state_);
   const SelectRow* rows = select_rows_.data();
-  std::uint8_t* map_states = minority_states_.data();
+  std::uint8_t* map_states = minority_.states.data();
   std::uint64_t dropped = 0;
   std::int64_t edge_delta = 0;
   Rng rng = rng_;
@@ -474,18 +382,11 @@ void GeneralEdgeMEG::step_sparse() {
   rng_ = rng;
 
   // Majority movers: an iid Bernoulli(exit_prob) selection over the
-  // implicit complement population — a Binomial count plus a uniform
-  // distinct set of complement ranks (meg/on_set.hpp) — and then one
-  // destination per rank in ascending rank order.  This is exactly the
-  // law of geometric-skipping a materialized majority bucket, without
-  // the O(n^2) keys.
-  const std::uint64_t complement = pair_count(n_) - old_size;
-  const double majority_exit = exit_prob_[majority_state_];
-  rank_scratch_.clear();
-  if (complement > 0 && majority_exit > 0.0) {
-    const std::uint64_t k = rng_.binomial(complement, majority_exit);
-    sample_distinct_positions(rng_, k, complement, rank_scratch_);
-  }
+  // implicit complement population, drawn as complement ranks
+  // (meg/pair_set.hpp), and then one destination per rank in ascending
+  // rank order.
+  draw_complement_ranks(rng_, n_, old_size, exit_prob_[majority_state_],
+                        rank_scratch_);
   inserted_states_.resize(rank_scratch_.size());
   for (std::uint8_t& to : inserted_states_) {
     to = static_cast<std::uint8_t>(sample_exit_target(majority_state_, rng_));
@@ -493,36 +394,24 @@ void GeneralEdgeMEG::step_sparse() {
 
   // Merge pass (no RNG).  The minority movers already hold their new
   // states, so the map is still sorted; the walk drops the ones back in
-  // the majority and merges the majority movers in.  The r-th complement
-  // element sits at pair index r + j, where j counts the map entries
-  // below it, so rank r goes before entry pos iff
-  // r + pos < pair_index(key[pos]).
+  // the majority and merges the majority movers in.
   for (const std::uint8_t to : inserted_states_) edge_delta += rows[to].on;
-  SparseWriter out(*this, old_size - dropped + rank_scratch_.size(),
-                   static_cast<std::uint64_t>(
-                       static_cast<std::int64_t>(snapshot_.num_edges()) +
-                       edge_delta));
+  PairSetWriter out(minority_, n_, old_size - dropped + rank_scratch_.size(),
+                    static_cast<std::uint64_t>(
+                        static_cast<std::int64_t>(snapshot_.num_edges()) +
+                        edge_delta),
+                    majority, chi_);
   // Plain pointers: the writer's byte stores could alias the vectors.
-  const std::uint64_t* keys = minority_keys_.data();
-  const std::uint8_t* states = minority_states_.data();
-  const std::uint64_t* ranks = rank_scratch_.data();
+  const std::uint64_t* keys = minority_.keys.data();
+  const std::uint8_t* states = minority_.states.data();
   const std::uint8_t* inserted = inserted_states_.data();
-  const std::size_t inserts = rank_scratch_.size();
-  PairRowCursor cursor(n_);
-  std::size_t pos = 0;
-  for (std::size_t r = 0; r < inserts; ++r) {
-    // Entry pos has pair_index(key[pos]) - pos complement pairs below it,
-    // a non-decreasing count: copy every entry with at most ranks[r] of
-    // them, then place rank r.
-    for (; pos < old_size &&
-           pair_index_from_key(n_, keys[pos]) - pos <= ranks[r];
-         ++pos) {
-      out.emit(keys[pos], states[pos]);
-    }
-    out.emit(cursor.key(ranks[r] + pos), inserted[r]);
-  }
-  for (; pos < old_size; ++pos) out.emit(keys[pos], states[pos]);
-  out.finish();
+  walk_complement(
+      n_, minority_.keys, rank_scratch_,
+      [&](std::size_t pos) { out.emit_state(keys[pos], states[pos]); },
+      [&](std::size_t r, std::uint64_t key) {
+        out.emit_state(key, inserted[r]);
+      });
+  out.finish(snapshot_);
 }
 
 void GeneralEdgeMEG::step_dense() {
@@ -544,8 +433,6 @@ void GeneralEdgeMEG::step_dense() {
   // them descending, so each swap-remove only disturbs positions that
   // have already been handled.  Appends land past every recorded
   // position, so cross-class arrivals are safe too.
-  died_.clear();
-  born_.clear();
   for (auto it = moves_.rbegin(); it != moves_.rend(); ++it) {
     auto& from_bucket = buckets_[it->from];
     const std::uint64_t key = from_bucket[it->pos];
@@ -555,11 +442,11 @@ void GeneralEdgeMEG::step_dense() {
     states_[pair_index_of(n_, pair_key_i(key), pair_key_j(key))] =
         static_cast<std::uint8_t>(it->to);
     if (chi_[it->from] != chi_[it->to]) {
-      (chi_[it->from] ? died_ : born_).push_back(key);
+      (chi_[it->from] ? on_.died : on_.born).push_back(key);
     }
   }
 
-  apply_on_set_delta(on_, died_, born_, merged_);
+  on_.merge(n_, snapshot_);
 }
 
 void GeneralEdgeMEG::reset(std::uint64_t seed) {

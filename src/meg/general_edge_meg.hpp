@@ -11,26 +11,26 @@
 // per state class s, geometric skipping over the bucket with the class's
 // exit probability 1 - P(s, s) selects the movers, whose new states are
 // then drawn from the conditional exit distribution.  The dense on-set is
-// a sorted vector of packed (i, j) keys maintained incrementally (like
-// TwoStateEdgeMEG), so a step costs O(|S| + transitions + |E_t|) instead
-// of the historical O(n^2) per-pair resampling.  Initialization is
-// batched the same way: per-class counts are drawn as sequential binomial
-// splits of the multinomial Mult(pairs, pi) and scattered uniformly, so
-// the stationary start costs O(minority pairs) RNG draws when one class
-// dominates (the historical per-pair walk is retained as the dense-law
-// fallback and as the test reference).
+// a sorted pair set (meg/pair_set.hpp) maintained incrementally by its
+// merge (like TwoStateEdgeMEG's), so a step costs O(|S| + transitions +
+// |E_t|) instead of the historical O(n^2) per-pair resampling.
+// Initialization is batched the same way: per-class counts are drawn as
+// sequential binomial splits of the multinomial Mult(pairs, pi) and
+// scattered uniformly, so the stationary start costs O(minority pairs)
+// RNG draws when one class dominates (the historical per-pair walk is
+// retained as the dense-law fallback and as the test reference).
 //
 // Storage modes (meg/storage.hpp).  The *dense* engine keeps one state
 // byte plus one bucket key per pair — O(n^2) bytes, the reference
 // implementation.  The *sparse* engine stores only the minority-state
-// map: a sorted packed-key vector (parallel per-entry state bytes) of
-// the pairs whose hidden state differs from the stationary mode; the
-// majority population is implicit.  Per step, minority movers are found
-// by geometric-skipping the map at the largest minority exit probability
-// (envelope thinning, exact by superposition) and majority movers by a
-// batched Binomial draw over the implicit complement population plus a
-// uniform distinct placement (meg/on_set.hpp) — the same iid per-pair
-// transition law as dense, so the two modes are distributionally
+// map: a sorted pair set with a state byte per entry, of the pairs whose
+// hidden state differs from the stationary mode; the majority population
+// is implicit.  Per step, minority movers are found by geometric-skipping
+// the map at the largest minority exit probability (envelope thinning,
+// exact by superposition) and majority movers by a batched Binomial draw
+// over the implicit complement population plus a uniform distinct
+// placement (draw_complement_ranks in meg/pair_set.hpp) — the same iid
+// per-pair transition law as dense, so the two modes are distributionally
 // equivalent (and bit-identical at t = 0, where they share the batched
 // initializer's stream).  The minority select works in place: a mover's
 // new state is written into its own map entry as soon as it is drawn
@@ -38,11 +38,12 @@
 // and the select counts the entries that fall back to the majority and
 // the change in edge count as it goes, so it keeps no move list.  A
 // sparse step draws all of that first, then makes one walk of the map
-// that merges the majority movers in at their complement ranks, drops
-// pairs back in the majority, and writes the next map and the snapshot
-// edge list in ascending key order; the on-set is never stored apart
-// from the map, since chi(majority) is false.  The first step's output
-// buffers are the initializer's scratch, handed over rather than freed.
+// (walk_complement) that merges the majority movers in at their
+// complement ranks, and its PairSetWriter drops pairs back in the
+// majority and writes the next map and the snapshot edge list in
+// ascending key order; the on-set is never stored apart from the map,
+// since chi(majority) is false.  The first step's output buffers are the
+// initializer's scratch, handed over rather than freed.
 // Memory is O(#minority + #on), which in the paper's sparse stationary
 // regimes (alpha ~ c/n, quiescent off state) is O(n) — the engine steps
 // at n >= 32768 where dense cannot allocate.
@@ -51,11 +52,11 @@
 // error, kAuto falls back to dense.
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/dynamic_graph.hpp"
 #include "markov/chain.hpp"
+#include "meg/pair_set.hpp"
 #include "meg/storage.hpp"
 #include "util/rng.hpp"
 
@@ -94,10 +95,10 @@ class GeneralEdgeMEG final : public DynamicGraph {
   // Sparse mode: the minority map, sorted packed keys (meg/pair_index.hpp)
   // with one state per entry; both empty in dense mode.
   const std::vector<std::uint64_t>& minority_keys() const noexcept {
-    return minority_keys_;
+    return minority_.keys;
   }
   const std::vector<std::uint8_t>& minority_states() const noexcept {
-    return minority_states_;
+    return minority_.states;
   }
 
   // Stationary probability that an edge exists: alpha = sum_{s: chi(s)} pi_s.
@@ -113,7 +114,7 @@ class GeneralEdgeMEG final : public DynamicGraph {
   void initialize();
   void initialize_sparse();
   // Batched multinomial initializer (default); returns true when it took
-  // the majority-fill + scatter path (init_majority_ / init_positions_ /
+  // the majority-fill + scatter path (init_positions_ /
   // states_ then describe the configuration), false when it fell back to
   // the per-pair walk for a dense state law.
   bool sample_initial_states();
@@ -126,10 +127,8 @@ class GeneralEdgeMEG final : public DynamicGraph {
   void build_shuffled_minority_values(
       const std::vector<std::uint64_t>& class_count, StateId majority,
       std::uint64_t minority);
-  class SparseWriter;  // writes the sparse map and snapshot (see .cpp)
   void step_dense();
   void step_sparse();
-  void rebuild_snapshot();
   StateId sample_exit_target(StateId from, Rng& rng) const;
 
   std::size_t n_;
@@ -152,19 +151,18 @@ class GeneralEdgeMEG final : public DynamicGraph {
   // but is a pure function of the seed, so runs stay reproducible.
   std::vector<std::vector<std::uint64_t>> buckets_;
 
-  // Dense mode: sorted packed keys of the pairs whose state maps to "edge
-  // exists".  Sparse mode needs none: chi(majority) is false, so the
-  // on-set is exactly the chi entries of the minority map.
-  std::vector<std::uint64_t> on_;
+  // Dense mode: the pairs whose state maps to "edge exists".  Sparse mode
+  // needs none: chi(majority) is false, so the on-set is exactly the chi
+  // entries of the minority map.
+  PairSet on_;
 
-  // Sparse mode: the minority-state map — sorted packed keys of the
-  // pairs NOT in the majority state, with a parallel per-entry state
-  // byte.  Every other pair is implicitly in majority_state_.
+  // Sparse mode: the minority-state map — the pairs NOT in the majority
+  // state, with their states.  Every other pair is implicitly in
+  // majority_state_.
   bool sparse_ = false;
   StateId majority_state_ = 0;
   double minority_exit_envelope_ = 0.0;  // max exit prob over minority states
-  std::vector<std::uint64_t> minority_keys_;
-  std::vector<std::uint8_t> minority_states_;
+  PairSet minority_;
 
   // Sparse mode: what the minority select needs of a state, in one row.
   struct SelectRow {
@@ -182,25 +180,16 @@ class GeneralEdgeMEG final : public DynamicGraph {
     StateId to;
   };
   std::vector<Move> moves_;
-  // Dense-step on-set delta and merge buffer.
-  std::vector<std::uint64_t> died_;
-  std::vector<std::uint64_t> born_;
-  std::vector<std::uint64_t> merged_;
   // Sparse-step scratch: the majority movers' complement ranks and
-  // destination states, the next minority map, and the next snapshot edge
-  // list (swapped with the snapshot's, so both buffers keep capacity).
+  // destination states.
   std::vector<std::uint64_t> rank_scratch_;
   std::vector<std::uint8_t> inserted_states_;
-  std::vector<std::uint64_t> key_scratch_;
-  std::vector<std::uint8_t> state_scratch_;
-  std::vector<std::pair<NodeId, NodeId>> edge_scratch_;
 
   // Initialization scratch (batched stationary sampling).  Both vectors
   // are minority-sized; the subset draw's dedup buffer (bitmap or hash
   // table, meg/on_set.hpp) is transient, so nothing larger outlives init.
   std::vector<std::uint8_t> init_values_;
   std::vector<std::uint64_t> init_positions_;
-  StateId init_majority_ = 0;
 
   Snapshot snapshot_;
 };

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "meg/on_set.hpp"
 #include "meg/pair_index.hpp"
 
 namespace megflood {
@@ -166,7 +165,7 @@ bool HeterogeneousEdgeMEG::edge_on(NodeId i, NodeId j) const {
   }
   if (i > j) std::swap(i, j);
   if (sparse_) {
-    return std::binary_search(on_keys_.begin(), on_keys_.end(),
+    return std::binary_search(on_set_.keys.begin(), on_set_.keys.end(),
                               pack_pair(i, j));
   }
   return on_[pair_index(i, j)] != 0;
@@ -175,22 +174,21 @@ bool HeterogeneousEdgeMEG::edge_on(NodeId i, NodeId j) const {
 void HeterogeneousEdgeMEG::initialize_sparse() {
   // Stationary start over the implicit population: every pair is on with
   // its own alpha_e = p_e / (p_e + q_e).  Binomial(pairs, max_alpha)
-  // candidate slots, uniformly placed, each thinned by
-  // alpha_e / max_alpha — by superposition exactly iid Bernoulli(alpha_e)
-  // per pair, in O(#on) memory and O(alpha_max * pairs) RNG draws.
-  on_keys_.clear();
-  const std::uint64_t pairs = pair_count(n_);
-  const std::uint64_t candidates = rng_.binomial(pairs, bounds_.max_alpha);
-  sample_distinct_positions(rng_, candidates, pairs, pos_scratch_);
+  // candidate slots, uniformly placed (the complement ranks of an empty
+  // set), each thinned by alpha_e / max_alpha — by superposition exactly
+  // iid Bernoulli(alpha_e) per pair, in O(#on) memory and
+  // O(alpha_max * pairs) RNG draws.
+  draw_complement_ranks(rng_, n_, 0, bounds_.max_alpha, rank_scratch_);
+  PairSetWriter out(on_set_, n_, rank_scratch_.size());
   PairRowCursor cursor(n_);
-  for (const std::uint64_t pos : pos_scratch_) {
+  for (const std::uint64_t pos : rank_scratch_) {
     const TwoStateParams r = derive_rates(pos);
     const double alpha = r.birth_rate / (r.birth_rate + r.death_rate);
-    if (alpha >= bounds_.max_alpha || rng_.bernoulli(alpha / bounds_.max_alpha)) {
-      on_keys_.push_back(cursor.key(pos));  // ascending
-    }
+    out.emit(cursor.key(pos),  // ascending
+             alpha >= bounds_.max_alpha ||
+                 rng_.bernoulli(alpha / bounds_.max_alpha));
   }
-  rebuild_snapshot();
+  out.finish(snapshot_);
 }
 
 void HeterogeneousEdgeMEG::initialize() {
@@ -202,7 +200,7 @@ void HeterogeneousEdgeMEG::initialize() {
     cls.off.clear();
     cls.on.clear();
   }
-  on_keys_.clear();
+  on_set_.keys.clear();
   // Same per-pair stationary draws (and RNG stream) as the historical
   // initializer, so initial states match the reference sampler exactly.
   std::size_t e = 0;
@@ -215,17 +213,10 @@ void HeterogeneousEdgeMEG::initialize() {
       const std::uint64_t key = pack_pair(i, j);
       auto& cls = classes_[class_of_[e]];
       (on ? cls.on : cls.off).push_back(key);
-      if (on) on_keys_.push_back(key);  // ascending e => sorted
+      if (on) on_set_.keys.push_back(key);  // ascending e => sorted
     }
   }
-  rebuild_snapshot();
-}
-
-void HeterogeneousEdgeMEG::rebuild_snapshot() {
-  snapshot_.clear();
-  for (std::uint64_t key : on_keys_) {
-    snapshot_.add_edge(pair_key_i(key), pair_key_j(key));
-  }
+  on_set_.merge(n_, snapshot_);
 }
 
 void HeterogeneousEdgeMEG::step() {
@@ -234,39 +225,48 @@ void HeterogeneousEdgeMEG::step() {
   } else {
     step_dense();
   }
-  rebuild_snapshot();
   advance_clock();
 }
 
 void HeterogeneousEdgeMEG::step_sparse() {
   // One envelope class over the whole (mostly implicit) population.
   // Deaths: geometric-skip the on-set at max_death, thin by
-  // q_e / max_death.  Births: Binomial draw over the implicit off
-  // population (complement of the on-set) at max_birth, thinned by
-  // p_e / max_birth.  Both exact by superposition, both against the
-  // pre-step on-set, so no edge flips twice in a step.
-  died_.clear();
-  born_.clear();
-  geometric_select(rng_, on_keys_.size(), bounds_.max_death,
-                   [&](std::uint64_t pos) {
-                     const std::uint64_t key = on_keys_[pos];
-                     const TwoStateParams r =
-                         derive_rates(pair_index_from_key(n_, key));
-                     if (r.death_rate >= bounds_.max_death ||
-                         rng_.bernoulli(r.death_rate / bounds_.max_death)) {
-                       died_.push_back(key);
-                     }
-                   });
-  bernoulli_complement_select(
-      rng_, n_, on_keys_, bounds_.max_birth, rank_scratch_,
-      [&](std::uint64_t key) {
+  // q_e / max_death.  Births: complement ranks drawn over the implicit
+  // off population (the complement of the on-set) at max_birth, each
+  // thinned by p_e / max_birth as the walk below reaches it, in ascending
+  // order.  Both exact by superposition, both against the pre-step
+  // on-set, so no edge flips twice in a step.
+  const std::uint64_t* on = on_set_.keys.data();
+  const std::size_t size = on_set_.keys.size();
+  std::vector<std::uint64_t>& died = on_set_.died;
+  died.clear();
+  geometric_select(rng_, size, bounds_.max_death, [&](std::uint64_t pos) {
+    const TwoStateParams r = derive_rates(pair_index_from_key(n_, on[pos]));
+    if (r.death_rate >= bounds_.max_death ||
+        rng_.bernoulli(r.death_rate / bounds_.max_death)) {
+      died.push_back(on[pos]);
+    }
+  });
+  draw_complement_ranks(rng_, n_, size, bounds_.max_birth, rank_scratch_);
+
+  // One walk writes the next on-set and the snapshot: it drops the dead
+  // (ascending, closed by kNoKey) and keeps the births that pass.
+  PairSetWriter out(on_set_, n_, size - died.size() + rank_scratch_.size());
+  died.push_back(kNoKey);
+  const std::uint64_t* dead = died.data();
+  walk_complement(
+      n_, on_set_.keys, rank_scratch_,
+      [&](std::size_t pos) {
+        const bool dies = on[pos] == *dead;
+        dead += dies;
+        out.emit(on[pos], !dies);
+      },
+      [&](std::size_t, std::uint64_t key) {
         const TwoStateParams r = derive_rates(pair_index_from_key(n_, key));
-        if (r.birth_rate >= bounds_.max_birth ||
-            rng_.bernoulli(r.birth_rate / bounds_.max_birth)) {
-          born_.push_back(key);
-        }
+        out.emit(key, r.birth_rate >= bounds_.max_birth ||
+                          rng_.bernoulli(r.birth_rate / bounds_.max_birth));
       });
-  apply_on_set_delta(on_keys_, died_, born_, merged_);
+  out.finish(snapshot_);
 }
 
 void HeterogeneousEdgeMEG::step_dense() {
@@ -307,8 +307,6 @@ void HeterogeneousEdgeMEG::step_dense() {
   // each swap-remove only disturbs already-handled positions, and the
   // appends (dead keys onto off-buckets, born keys onto on-buckets) land
   // past every recorded position.
-  died_.clear();
-  born_.clear();
   for (auto it = deaths_.rbegin(); it != deaths_.rend(); ++it) {
     auto& cls = classes_[it->cls];
     const std::uint64_t key = cls.on[it->pos];
@@ -316,7 +314,7 @@ void HeterogeneousEdgeMEG::step_dense() {
     cls.on.pop_back();
     cls.off.push_back(key);
     on_[pair_index_from_key(n_, key)] = 0;
-    died_.push_back(key);
+    on_set_.died.push_back(key);
   }
   for (auto it = births_.rbegin(); it != births_.rend(); ++it) {
     auto& cls = classes_[it->cls];
@@ -325,10 +323,10 @@ void HeterogeneousEdgeMEG::step_dense() {
     cls.off.pop_back();
     cls.on.push_back(key);
     on_[pair_index_from_key(n_, key)] = 1;
-    born_.push_back(key);
+    on_set_.born.push_back(key);
   }
 
-  apply_on_set_delta(on_keys_, died_, born_, merged_);
+  on_set_.merge(n_, snapshot_);
 }
 
 void HeterogeneousEdgeMEG::reset(std::uint64_t seed) {

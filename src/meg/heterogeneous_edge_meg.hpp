@@ -23,19 +23,21 @@
 // Storage modes (meg/storage.hpp).  The *dense* engine above stores the
 // per-pair rates, rate-class ids and on/off bytes — O(n^2) memory, the
 // reference implementation.  The *sparse* engine stores only the sorted
-// on-set: per-pair rates are re-derived on demand from a counter-based
-// per-pair RNG (each pair's stream seed is the pair-index entry of the
-// construction seed's SplitMix64 stream, so rates stay a pure function
-// of the seed without materializing them), and both initialization and
-// the birth scan run as batched Binomial draws over the implicit off
-// population thinned by rate_e / envelope (exact by superposition, see
-// meg/on_set.hpp).  The caller supplies the law's analytic envelopes and
-// Theorem-1 inputs as a RateBounds (the ready-made *_bounds factories
-// below compute them); memory is O(#on), so the paper's sparse regimes
-// run at n >= 32768.  Sparse assigns per-pair rates from the same iid
-// law through a different stream, so sparse-vs-dense equivalence is
-// distributional (tests/test_sparse_storage.cpp); dense behavior is
-// unchanged bit-for-bit.
+// on-set (meg/pair_set.hpp, as dense does too): per-pair rates are
+// re-derived on demand from a counter-based per-pair RNG (each pair's
+// stream seed is the pair-index entry of the construction seed's
+// SplitMix64 stream, so rates stay a pure function of the seed without
+// materializing them), and both initialization and the birth scan run
+// as batched Binomial draws over the implicit off population thinned by
+// rate_e / envelope (exact by superposition), in the sparse
+// GeneralEdgeMEG's single walk of the set (walk_complement).  The caller
+// supplies the law's analytic envelopes and Theorem-1 inputs as a
+// RateBounds (the ready-made *_bounds factories below compute them);
+// memory is O(#on), so the paper's sparse regimes run at n >= 32768.
+// Sparse assigns per-pair rates from the same iid law through a
+// different stream, so sparse-vs-dense equivalence is distributional
+// (tests/test_sparse_storage.cpp); dense behavior is unchanged
+// bit-for-bit.
 
 #include <cstdint>
 #include <functional>
@@ -43,6 +45,7 @@
 
 #include "core/dynamic_graph.hpp"
 #include "markov/two_state.hpp"
+#include "meg/pair_set.hpp"
 #include "meg/storage.hpp"
 #include "util/rng.hpp"
 
@@ -134,7 +137,6 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   void initialize_sparse();
   void step_dense();
   void step_sparse();
-  void rebuild_snapshot();
   // Sparse: the pair's rates, re-derived from its counter-based stream
   // (pure function of the construction seed and the pair index).
   TwoStateParams derive_rates(std::uint64_t pair_idx) const;
@@ -155,8 +157,8 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   EdgeRateSampler sampler_;       // retained for on-demand derivation
   std::uint64_t rate_seed_ = 0;
 
-  // Sorted packed keys of the current edge set.
-  std::vector<std::uint64_t> on_keys_;
+  // The current edge set.
+  PairSet on_set_;
 
   // Step scratch (capacity reused across steps).
   struct Flip {
@@ -165,11 +167,7 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   };
   std::vector<Flip> deaths_;
   std::vector<Flip> births_;
-  std::vector<std::uint64_t> died_;
-  std::vector<std::uint64_t> born_;
-  std::vector<std::uint64_t> merged_;
   std::vector<std::uint64_t> rank_scratch_;  // sparse subset draws
-  std::vector<std::uint64_t> pos_scratch_;
 
   Snapshot snapshot_;
 };

@@ -1,60 +1,23 @@
 #pragma once
 
-// Shared incremental maintenance of a sorted on-edge set (packed pair
-// keys, see meg/pair_index.hpp) for the geometric-skip edge-MEG engines:
-// per step only the flipped edges are known, and the set is updated with
-// one merge pass instead of an O(n^2) rebuild.
-//
-// Also the shared sampling machinery of the *sparse* storage mode:
-// uniform distinct subsets emitted in ascending order, and iid selection
-// over an implicit complement population without ever materializing it.
-// The sparse GeneralEdgeMEG merges its minority map, its majority movers
-// and its snapshot in one walk of its own (general_edge_meg.cpp).
+// The uniform distinct-subset draw of the edge-MEG engines:
+// sample_distinct_positions emits a uniform k-subset of [0, bound) in
+// ascending order.  The batched initializers scatter their minority
+// states with it, and the sparse engines place their draws over an
+// implicit complement population with it (draw_complement_ranks in
+// meg/pair_set.hpp).
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/bitwords.hpp"
-#include "meg/pair_index.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
-
-// Applies on := (on \ died) ∪ born in a single linear pass.
-// Preconditions: `on` is sorted; every key in `died` is present in `on`;
-// no key in `born` is present in `on`.  `died` and `born` may arrive in
-// any order (they are sorted in place unless already sorted, which the
-// sparse engines' ascending scans deliver); `scratch` is reused capacity.
-inline void apply_on_set_delta(std::vector<std::uint64_t>& on,
-                               std::vector<std::uint64_t>& died,
-                               std::vector<std::uint64_t>& born,
-                               std::vector<std::uint64_t>& scratch) {
-  if (died.empty() && born.empty()) return;
-  if (!std::is_sorted(died.begin(), died.end())) {
-    std::sort(died.begin(), died.end());
-  }
-  if (!std::is_sorted(born.begin(), born.end())) {
-    std::sort(born.begin(), born.end());
-  }
-  scratch.clear();
-  scratch.reserve(on.size() - died.size() + born.size());
-  auto d = died.begin();
-  auto b = born.begin();
-  for (const std::uint64_t key : on) {
-    if (d != died.end() && *d == key) {
-      ++d;
-      continue;
-    }
-    while (b != born.end() && *b < key) scratch.push_back(*b++);
-    scratch.push_back(key);
-  }
-  scratch.insert(scratch.end(), b, born.end());
-  std::swap(on, scratch);
-}
 
 // The dedup set of sample_distinct_positions' sparse branch: distinct
 // positions < bound kept in ascending slot order by ordered linear
@@ -187,48 +150,6 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
     draw_distinct_ordered<std::uint32_t>(rng, k, bound, out);
   } else {
     draw_distinct_ordered<std::uint64_t>(rng, k, bound, out);
-  }
-}
-
-// Selects an iid Bernoulli(p) subset of the *complement* of `minority`
-// (sorted packed keys) within the n-node pair population and calls
-// visit(key) in ascending key order.  The implicit-population sampling
-// primitive of the sparse HeterogeneousEdgeMEG (the sparse GeneralEdgeMEG
-// makes the same draws but merges the ranks into its own map walk): a
-// Binomial(count, p) size plus a uniform distinct placement is exactly an
-// iid per-pair selection, so the law matches geometric-skipping a dense
-// majority bucket — without ever materializing it.  `rank_scratch` is
-// reused capacity.
-//
-// The rank -> pair-index translation is a single two-pointer merge: the
-// r-th complement element is r + j where j counts the minority entries
-// below it (minority keys sort like linear pair indices, so the walk is
-// one pass over the map).
-template <typename Visit>
-inline void bernoulli_complement_select(Rng& rng, std::uint64_t n,
-                                        const std::vector<std::uint64_t>& minority,
-                                        double p,
-                                        std::vector<std::uint64_t>& rank_scratch,
-                                        Visit&& visit) {
-  const std::uint64_t total = pair_count(n);
-  assert(minority.size() <= total);
-  const std::uint64_t count = total - minority.size();
-  if (count == 0 || p <= 0.0) return;
-  const std::uint64_t k = rng.binomial(count, p);
-  if (k == 0) return;
-  sample_distinct_positions(rng, k, count, rank_scratch);
-  PairRowCursor cursor(n);
-  std::size_t j = 0;
-  std::uint64_t next_minority_index =
-      j < minority.size() ? pair_index_from_key(n, minority[j]) : 0;
-  for (const std::uint64_t rank : rank_scratch) {
-    while (j < minority.size() && next_minority_index <= rank + j) {
-      ++j;
-      if (j < minority.size()) {
-        next_minority_index = pair_index_from_key(n, minority[j]);
-      }
-    }
-    visit(cursor.key(rank + j));
   }
 }
 

@@ -15,6 +15,17 @@ worker_crash: a process-mode daemon whose campaigns segfault once
 with nothing failed or unresolved, the stats record the restarts, and the
 daemon is the same process afterwards.
 
+backpressure: a one-worker daemon with a tiny admission cap
+(--max_queue=4) rejects overflow submissions rather than hanging or
+dropping them, and `megflood_load --retry` turns every rejection into a
+completion.
+
+quarantine: a process-mode daemon whose campaigns segfault on every
+attempt (--inject=segv:trial=1) quarantines them after the crash limit:
+each poison job ends in a terminal `failed` event with
+reason=worker_crash rather than an endless crash loop, the load counts
+those jobs as resolved and exits 0, and the daemon stays up.
+
 Each smoke runs in its own temporary directory.  Exits 1 when a check
 fails.
 """
@@ -113,12 +124,56 @@ def worker_crash(serve, load, work, procs):
     check(code == 0, f"daemon exited {code} on SIGTERM")
 
 
+def backpressure(serve, load, work, procs):
+    sock = work / "serve.sock"
+    daemon = subprocess.Popen([serve, f"--socket={sock}", "--workers=1",
+                               "--max_queue=4"])
+    procs.append(daemon)
+    wait_for_socket(sock)
+    run = subprocess.run(
+        [load, f"--socket={sock}", "--retry", "--connections=8",
+         "--jobs=100", "--distinct=25", "--trials=100", "--n=32"],
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    sys.stdout.write(run.stdout)
+    check(run.returncode == 0, f"load exited {run.returncode}")
+    check(re.search(r"rejected_retries=[1-9]", run.stdout),
+          "the queue never rejected a submission")
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=TIMEOUT_S)
+    check(code == 0, f"daemon exited {code} on SIGTERM")
+
+
+def quarantine(serve, load, work, procs):
+    sock = work / "serve.sock"
+    daemon = subprocess.Popen(
+        [serve, f"--socket={sock}", "--workers=2", "--isolation=process",
+         f"--cache_dir={work / 'poison-cache'}", "--inject=segv:trial=1"])
+    procs.append(daemon)
+    wait_for_socket(sock)
+    run = subprocess.run(
+        [load, f"--socket={sock}", "--stats", "--connections=2", "--jobs=4",
+         "--distinct=2", "--trials=3", "--n=32"],
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    sys.stdout.write(run.stdout)
+    check(run.returncode == 0, f"load exited {run.returncode}")
+    check(" unresolved=0" in run.stdout, "load left jobs unresolved")
+    check(re.search(r" failed=[1-9]", run.stdout), "no job failed")
+    check('"reason": "worker_crash"' in run.stdout,
+          "no failure was charged to a worker crash")
+    check(re.search(r'"jobs_quarantined": [1-9]', run.stdout),
+          "stats record no quarantined job")
+    check(daemon.poll() is None, "the daemon did not survive")
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=TIMEOUT_S)
+    check(code == 0, f"daemon exited {code} on SIGTERM")
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
     failed = 0
-    for smoke in (chaos, worker_crash):
+    for smoke in (chaos, worker_crash, backpressure, quarantine):
         procs = []
         with tempfile.TemporaryDirectory(prefix="mfsmoke") as work:
             try:

@@ -70,6 +70,9 @@ TEST(DriverCli, ConfigErrorsExitTwo) {
       {"--model=edge_meg", "--deadline=-1"},      // negative deadline
       {"--model=edge_meg", "--deadline=soon"},    // non-numeric deadline
       {"--model=edge_meg", "--rss_budget_mb=x"},  // non-numeric budget
+      // Budgets above 2^44 - 1 MB would wrap when scaled to bytes.
+      {"--model=edge_meg", "--rss_budget_mb=17592186044416"},
+      {"--model=edge_meg", "--rss_budget_mb=17592186044417"},
       {"--model=edge_meg", "--inject=nuke:now"},  // malformed fault spec
       {"--model=edge_meg", "--inject=kill:after=1"},  // kill w/o checkpoint
   };
