@@ -53,9 +53,7 @@ void TwoStateEdgeMEG::step() {
   // sorted), so the RNG consumption sequence is a pure function of the
   // seed and the state.  One branch-free pass stores every key as a death
   // and advances past it when the draw says it dies; the set itself is
-  // left for the merge below, so births are decided against the pre-step
-  // state (a pair that dies this step was on, hence cannot also be born
-  // this step).
+  // left for the merge below.
   const std::size_t count = on_.keys.size();
   on_.died.resize(count);
   std::size_t dead = 0;
@@ -73,11 +71,11 @@ void TwoStateEdgeMEG::step() {
   on_.died.resize(dead);
 
   // Births: mark every pair with probability p via geometric skipping over
-  // the linear pair enumeration.  A mark on a surviving on-pair is a no-op
-  // (kept once by the merge); a mark on a dying pair is discarded, which
-  // restricts births to exactly the pre-step off edges.
+  // the linear pair enumeration.  The merge keeps a mark on a surviving
+  // on-pair once and drops one on a dying pair: births are decided against
+  // the pre-step state, so they come from exactly the pre-step off edges.
   draw_marks(chain_.birth_rate());
-  indices_to_keys(n_, on_.born, on_.died);
+  indices_to_keys(n_, on_.born);
   on_.merge(n_, snapshot_);
   advance_clock();
 }

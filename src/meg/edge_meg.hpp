@@ -12,11 +12,11 @@
 // The on-edge set is a sorted pair set (meg/pair_set.hpp).  A step keeps
 // its draws and its bookkeeping in separate passes, so no branch that
 // depends on a draw sits on the chain of log()/divide draws: one
-// branch-free death pass lists the dying keys; the birth draws only
-// record raw pair indices; indices_to_keys converts them to keys and
-// drops the pairs that die this step; and the pair set's merge writes the
-// next on-set and the snapshot's edge list in one branch-free pass.  A
-// step performs no hashing, no re-sort, and (after warmup) no allocation.
+// branch-free death pass lists the dead; the birth draws only record raw
+// pair indices, which indices_to_keys converts to keys; and the pair
+// set's merge drops the dead and the marks on them, and writes the next
+// on-set and the snapshot's edge list in one branch-free pass.  A step
+// performs no hashing, no re-sort, and (after warmup) no allocation.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is
 // *always* sparse: the two-state chain needs no per-pair hidden state,

@@ -446,6 +446,9 @@ void GeneralEdgeMEG::step_dense() {
     }
   }
 
+  // The reverse walk lists the flips in no particular key order.
+  std::sort(on_.died.begin(), on_.died.end());
+  std::sort(on_.born.begin(), on_.born.end());
   on_.merge(n_, snapshot_);
 }
 

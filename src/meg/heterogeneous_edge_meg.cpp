@@ -326,6 +326,9 @@ void HeterogeneousEdgeMEG::step_dense() {
     on_set_.born.push_back(key);
   }
 
+  // The reverse walk lists the flips in no particular key order.
+  std::sort(on_set_.died.begin(), on_set_.died.end());
+  std::sort(on_set_.born.begin(), on_set_.born.end());
   on_set_.merge(n_, snapshot_);
 }
 

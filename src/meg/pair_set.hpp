@@ -10,7 +10,6 @@
 // their flips) or by walk_complement (sparse engines that draw over the
 // implicit complement of their set).
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -56,12 +55,11 @@ struct PairSet {
   std::vector<std::uint8_t> next_states;
   std::vector<std::pair<NodeId, NodeId>> next_edges;
 
-  // set := (set \ died) ∪ born over an n-node population, writing the
-  // snapshot's edge list in the same pass, and empties both lists.  Every
-  // key in `died` is in the set and none is in `born`; a key of `born`
-  // already in the set stays once.  Both lists are sorted first unless
-  // they already are (an ascending scan delivers them sorted).  A set
-  // built in place gets its edge list from a merge with no flips.
+  // set := (set ∪ born) \ died over an n-node population, writing the
+  // snapshot's edge list in the same pass, and empties both lists.  Both
+  // lists are ascending and every key in `died` is in the set, so a key
+  // of `born` already in the set stays once unless it dies.  A set built
+  // in place gets its edge list from a merge with no flips.
   void merge(std::uint64_t n, Snapshot& snapshot);
 };
 
@@ -114,21 +112,30 @@ class PairSetWriter {
     if (out_of_range_) {
       throw std::out_of_range("edge-MEG: edge endpoint out of range");
     }
-    set_.next_keys.resize(entries_);
-    if (states_ != nullptr) set_.next_states.resize(entries_);
-    set_.next_edges.resize(edge_count_);
-    std::swap(set_.keys, set_.next_keys);
-    std::swap(set_.states, set_.next_states);
-    snapshot.swap_edges(set_.next_edges);
+    commit(set_, entries_, states_ != nullptr, edge_count_, snapshot);
   }
 
  private:
-  // `size` slots plus the one of slack.
+  // The buffer work at both ends, kept out of line so that the writer
+  // itself inlines whole and its counts stay in registers: `size` slots
+  // plus the one of slack; then the trim to what was written, and the
+  // swap.
   template <typename T>
-  static T* slots(std::vector<T>& buffer, std::uint64_t size) {
+  [[gnu::noinline]] static T* slots(std::vector<T>& buffer,
+                                    std::uint64_t size) {
     reserve_headroom(buffer, size + 1);
     buffer.resize(size + 1);
     return buffer.data();
+  }
+  [[gnu::noinline]] static void commit(PairSet& set, std::size_t entries,
+                                       bool with_states, std::size_t edges,
+                                       Snapshot& snapshot) {
+    set.next_keys.resize(entries);
+    if (with_states) set.next_states.resize(entries);
+    set.next_edges.resize(edges);
+    std::swap(set.keys, set.next_keys);
+    std::swap(set.states, set.next_states);
+    snapshot.swap_edges(set.next_edges);
   }
 
   void emit_edge(std::uint64_t key, bool on) {
@@ -143,7 +150,7 @@ class PairSetWriter {
   PairSet& set_;
   NodeId n_;
   std::uint8_t majority_ = 0;
-  std::array<bool, 256> is_on_{};
+  std::array<bool, 256> is_on_;  // set and read by the states mode only
   std::uint64_t* keys_;
   std::uint8_t* states_ = nullptr;
   std::pair<NodeId, NodeId>* edges_;
@@ -153,15 +160,10 @@ class PairSetWriter {
 };
 
 inline void PairSet::merge(std::uint64_t n, Snapshot& snapshot) {
-  for (std::vector<std::uint64_t>* list : {&died, &born}) {
-    if (!std::is_sorted(list->begin(), list->end())) {
-      std::sort(list->begin(), list->end());
-    }
-  }
   PairSetWriter out(*this, n, keys.size() - died.size() + born.size());
   // All three lists ascending and closed by kNoKey, so the loop takes the
-  // smaller head each pass (a key in both the set and born once) and
-  // stops when every head is kNoKey.
+  // smaller head each pass (a key in both the set and born once), drops it
+  // if it heads died too, and stops when every head is kNoKey.
   keys.push_back(kNoKey);
   died.push_back(kNoKey);
   born.push_back(kNoKey);
@@ -185,21 +187,12 @@ inline void PairSet::merge(std::uint64_t n, Snapshot& snapshot) {
 }
 
 // Converts the ascending pair indices in `marks` over the n-node pair
-// enumeration to packed keys in place, dropping every key listed in
-// `excluded` (ascending).  One forward cursor over each list replaces a
-// search per mark.
-inline void indices_to_keys(std::uint64_t n, std::vector<std::uint64_t>& marks,
-                            const std::vector<std::uint64_t>& excluded = {}) {
+// enumeration to packed keys in place, with one forward cursor instead of
+// a square root per mark.
+inline void indices_to_keys(std::uint64_t n,
+                            std::vector<std::uint64_t>& marks) {
   PairRowCursor cursor(n);
-  auto skip = excluded.begin();
-  std::size_t kept = 0;
-  for (std::size_t r = 0; r < marks.size(); ++r) {
-    const std::uint64_t key = cursor.key(marks[r]);
-    while (skip != excluded.end() && *skip < key) ++skip;
-    marks[kept] = key;
-    kept += skip == excluded.end() || *skip != key;
-  }
-  marks.resize(kept);
+  for (std::uint64_t& mark : marks) mark = cursor.key(mark);
 }
 
 // Selects an iid Bernoulli(p) subset of the pairs outside a set of
