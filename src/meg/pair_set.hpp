@@ -42,7 +42,7 @@ void reserve_headroom(std::vector<T>& buffer, std::uint64_t size) {
 }
 
 // Ascending packed keys with a parallel state byte per key (states stays
-// empty in a set without states), this step's flips for merge(), and the
+// empty in a set without states), this step's flips (died, born), and the
 // buffers a PairSetWriter fills for the next step: the next keys and
 // states, and the next snapshot edge list (swapped with the snapshot's,
 // so both keep their capacity).
