@@ -8,6 +8,7 @@
 #include "core/flooding.hpp"
 #include "geometry/point.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -151,6 +152,58 @@ TEST(RandomWaypoint, HigherSpeedFloodsFasterWhenSparse) {
     return total / 4.0;
   };
   EXPECT_LT(measure(fast), measure(slow));
+}
+
+TEST(RandomWaypoint, StepStreamIsPinned) {
+  // The agent positions (bitwise), the raw edge buffer and the CSR after
+  // the initializer and each of 60 steps, folded into one FNV-1a hash per
+  // row.  The rows cover the one-point campaign regime (L = 64, m = 32,
+  // r = 1, every bucket one grid point), a multi-point grid (L = 16,
+  // m = 64) and a fast regime whose agents finish several legs per step
+  // and often hit the 16-leg cap.  Any moved draw or byte changes a hash.
+  struct Row {
+    double side, v_min, v_max, radius;
+    std::size_t resolution, n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {64.0, 0.5, 1.0, 1.0, 32, 4096, 1, 0x9eedc6e2a51fe4b3ULL},
+      {64.0, 0.5, 1.0, 1.0, 32, 512, 2, 0x1b96cb10b5a7901aULL},
+      {16.0, 0.5, 1.0, 1.0, 64, 512, 1, 0x66bb2853bcec9591ULL},
+      {16.0, 0.5, 1.0, 1.0, 64, 512, 2, 0xc8da3000764e3f97ULL},
+      {4.0, 20.0, 40.0, 0.4, 8, 256, 1, 0xc0c103c72f0e5a8fULL},
+      {4.0, 20.0, 40.0, 0.4, 8, 256, 2, 0x3da9b11396e7241fULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "L=" << row.side << " m=" << row.resolution
+                 << " n=" << row.n << " seed=" << row.seed);
+    WaypointParams p;
+    p.side_length = row.side;
+    p.v_min = row.v_min;
+    p.v_max = row.v_max;
+    p.radius = row.radius;
+    p.resolution = row.resolution;
+    RandomWaypointModel model(row.n, p, row.seed);
+    std::vector<Point2D> positions(row.n);
+    std::uint64_t h = kFnvOffset;
+    for (int t = 0; t <= 60; ++t) {
+      if (t > 0) model.step();
+      for (NodeId a = 0; a < row.n; ++a) {
+        positions[a] = model.agent_position(a);
+      }
+      const Snapshot& snap = model.snapshot();
+      const Snapshot::CsrView csr = snap.csr();
+      h = fnv_mix_bytes(h, positions);
+      h = fnv_mix_bytes(h, snap.edge_buffer());
+      h = fnv_mix_bytes(h, std::vector<std::uint32_t>(
+                               csr.offsets, csr.offsets + row.n + 1));
+      h = fnv_mix_bytes(h, std::vector<NodeId>(
+                               csr.neighbors, csr.neighbors + csr.offsets[row.n]));
+    }
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 // Resolution sweep (paper footnote 3): the flooding time is insensitive
