@@ -5,9 +5,10 @@
 // Storage is a flat edge buffer plus a CSR (compressed sparse row)
 // adjacency view — one `offsets` array and one flat `neighbors` array —
 // instead of per-node vectors.  Producers append edges in O(1); the CSR
-// view is built lazily in two passes on first neighbor query and all
-// buffers reuse their capacity across clear()/add_edge cycles, so a model
-// stepping in a loop performs no per-step allocation after warmup.
+// view is built lazily in two passes on first neighbor query (unless a
+// producer hands over its own, swap_edges_and_csr) and all buffers reuse
+// their capacity across clear()/add_edge cycles, so a model stepping in a
+// loop performs no per-step allocation after warmup.
 //
 // The CSR fill pass walks the edge buffer in insertion order, so each
 // node's neighbor list is exactly the sequence of push_backs the old
@@ -61,6 +62,18 @@ class Snapshot {
   void swap_edges(std::vector<std::pair<NodeId, NodeId>>& edges) noexcept {
     edges_.swap(edges);
     csr_valid_ = false;
+  }
+
+  // swap_edges() plus a producer-built CSR, marked valid (the buffers
+  // swap too).  Caller guarantees it is what the lazy build makes from
+  // `edges`; clear()/add_edge()/reset() fall back to the lazy build.
+  void swap_edges_and_csr(std::vector<std::pair<NodeId, NodeId>>& edges,
+                          std::vector<std::uint32_t>& offsets,
+                          std::vector<NodeId>& neighbors) noexcept {
+    edges_.swap(edges);
+    offsets_.swap(offsets);
+    neighbors_.swap(neighbors);
+    csr_valid_ = true;
   }
 
   // Neighbor list of v in insertion order.  The span is invalidated by the

@@ -91,6 +91,16 @@ NeighborIndex::MagicDiv NeighborIndex::make_magic(
   return m;
 }
 
+bool NeighborIndex::one_point_buckets(const SquareGrid& grid, double radius) {
+  if (!(radius > 0.0)) {
+    throw std::invalid_argument("NeighborIndex: radius must be positive");
+  }
+  // floor(L / r) >= m in floating point: no bucket count is formed, so a
+  // tiny radius cannot overflow it.
+  return std::floor(grid.side_length() / radius) >=
+         static_cast<double>(grid.resolution());
+}
+
 NeighborIndex::NeighborIndex(const SquareGrid& grid, double radius)
     : radius_(radius) {
   if (radius <= 0.0) {
@@ -112,17 +122,6 @@ NeighborIndex::NeighborIndex(const SquareGrid& grid, double radius)
   bucket_magic_ok_ =
       static_cast<std::uint64_t>(m_ - 1) * buckets_per_side_ <
       (std::uint64_t{1} << 32);
-  // The bucket map is monotone in the column, so it puts at most one
-  // grid point in each bucket iff adjacent columns land in distinct
-  // buckets.  Walking the map also catches the clamp to bps - 1, which
-  // merges the last two columns when bps = m - 1.
-  one_point_buckets_ = true;
-  for (std::uint32_t col = 1; col < m_; ++col) {
-    if (cell_bucket(0, col) == cell_bucket(0, col - 1)) {
-      one_point_buckets_ = false;
-      break;
-    }
-  }
   assert(cell_row(static_cast<CellId>(grid.num_points() - 1)) == m_ - 1);
   assert(cell_row(static_cast<CellId>(m_)) == 1);
   assert(cell_row(static_cast<CellId>(m_ - 1)) == 0);
@@ -274,14 +273,10 @@ void NeighborIndex::collect_pairs(
   //    two-line prefetch at their base covers all three — these bps-
   //    strided blocks are the bucket walk's only non-streaming accesses
   //    (the {0,1} neighbor adjoins the home slice).
-  //
-  // In the one-point regime (see the header) the distance tests collapse
-  // to one per forward bucket pair; the emitted sequence is the same.
   const double r2 = radius_ * radius_;
   const auto bps = static_cast<std::ptrdiff_t>(buckets_per_side_);
   const std::uint32_t* const entries = entries_.data();
   const Point2D* const points = entry_point_.data();
-  const bool one_point = one_point_buckets_;
   std::pair<std::uint32_t, std::uint32_t>* buf = out.data();
   std::size_t cap = out.size();
   std::size_t count = 0;
@@ -313,15 +308,7 @@ void NeighborIndex::collect_pairs(
 #endif
       const std::uint32_t* const cell = entries + offset_[b];
       const Point2D* const cell_pts = points + offset_[b];
-      if (cell_size > 1 && one_point) {
-        // All members share one grid point, so every pair is in range.
-        ensure(cell_size * (cell_size - 1) / 2);
-        for (std::size_t a = 0; a + 1 < cell_size; ++a) {
-          for (std::size_t c = a + 1; c < cell_size; ++c) {
-            buf[count++] = {cell[a], cell[c]};
-          }
-        }
-      } else if (cell_size > 1) {
+      if (cell_size > 1) {
         ensure(cell_size * (cell_size - 1) / 2);
         for (std::size_t a = 0; a + 1 < cell_size; ++a) {
           const Point2D pa = cell_pts[a];
@@ -349,17 +336,6 @@ void NeighborIndex::collect_pairs(
         if (other_size == 0) continue;
         const std::uint32_t* const other = entries + offset_[nb];
         const Point2D* const other_pts = points + offset_[nb];
-        if (one_point) {
-          // One test decides every pair of the two single-point buckets.
-          if (!(squared_distance(cell_pts[0], other_pts[0]) <= r2)) continue;
-          ensure(cell_size * other_size);
-          for (std::size_t a = 0; a < cell_size; ++a) {
-            for (std::size_t c = 0; c < other_size; ++c) {
-              buf[count++] = {cell[a], other[c]};
-            }
-          }
-          continue;
-        }
         ensure(cell_size * other_size);
         for (std::size_t a = 0; a < cell_size; ++a) {
           const Point2D pa = cell_pts[a];

@@ -100,15 +100,14 @@ class SquareGrid {
 // emission order a pure function of the membership sets: incremental
 // updates are bit-for-bit indistinguishable from a full rebuild.
 //
-// The one-point regime: when the grid spacing is coarse against the
-// bucket width, the bucket map can put at most one grid point in each
-// bucket (the constructor checks this exactly, column by column; the
-// row map is the same).  Then every member of a bucket sits on the same
-// point, so collect_pairs() emits within-bucket pairs with no distance
-// test and decides each forward-neighbour bucket pair with one test.
-// The emitted pairs and their order are those of the per-pair scan.
-// The random waypoint campaign at L = 64, m = 32, r = 1 (spacing 2.06)
-// runs in this regime; finer grids (L = 64, m = 256) do not.
+// The one-point regime: the bucket map puts at most one grid point in
+// each bucket exactly when bps = floor(L / r) >= m (m columns need m
+// buckets; at bps >= m each column step moves the bucket by bps / (m - 1)
+// > 1, clamp included).  Then r <= L / m < L / (m - 1) = spacing, so no
+// pair spans two points: a snapshot is a disjoint union of cliques, which
+// ProximitySnapshotEngine builds without this index.  The random waypoint
+// campaign at L = 64, m = 32, r = 1 (spacing 2.06) runs in this regime;
+// finer grids (L = 64, m = 256) do not.
 class NeighborIndex {
  public:
   NeighborIndex(const SquareGrid& grid, double radius);
@@ -142,8 +141,8 @@ class NeighborIndex {
   // The pair scan: clears `out` and appends every within-radius pair in
   // the canonical emission order (buckets row-major; within-bucket pairs,
   // then the E/SW/S/SE forward half-neighborhood; members ascending by
-  // node id).  The models route their snapshot rebuild through this
-  // (plus Snapshot::swap_edges): the loop is branchless (unconditional
+  // node id).  Multi-point snapshots are built through this (plus
+  // Snapshot::swap_edges): the loop is branchless (unconditional
   // store + predicated cursor) and carries no throwing callee — a
   // visitor that can throw costs ~2x on the whole scan.
   void collect_pairs(
@@ -162,8 +161,9 @@ class NeighborIndex {
   }
 
   double radius() const noexcept { return radius_; }
-  // Whether each bucket holds at most one grid point (see above).
-  bool one_point_buckets() const noexcept { return one_point_buckets_; }
+  // Whether each bucket would hold at most one grid point (see above);
+  // allocates nothing, throws std::invalid_argument unless radius > 0.
+  static bool one_point_buckets(const SquareGrid& grid, double radius);
   std::size_t num_nodes() const noexcept { return node_cell_.size(); }
   CellId cell_of(std::uint32_t node) const { return node_cell_.at(node); }
 
@@ -231,7 +231,6 @@ class NeighborIndex {
   MagicDiv by_m_;    // divide by m
   MagicDiv by_m1_;   // divide by m - 1 (bucket scaling)
   bool bucket_magic_ok_ = false;  // col * bps fits 32 bits
-  bool one_point_buckets_ = false;  // the one-point regime
 
   // Per-node state (cell, cached coordinates, owning bucket, and the
   // node's slot in entries_ — kept exact so a same-bucket position change

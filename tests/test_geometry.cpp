@@ -335,7 +335,8 @@ TEST(NeighborIndex, PairOrderMatchesCanonicalOrderInEveryRegime) {
     SCOPED_TRACE(regime.name);
     const SquareGrid g(regime.m, regime.side);
     NeighborIndex index(g, regime.radius);
-    EXPECT_EQ(index.one_point_buckets(), regime.one_point);
+    EXPECT_EQ(NeighborIndex::one_point_buckets(g, regime.radius),
+              regime.one_point);
     Rng rng(regime.m * 1000 + regime.agents);
     std::vector<CellId> pos(regime.agents);
     const auto draw = [&] {
@@ -424,6 +425,47 @@ TEST(NeighborIndex, RefreshMatchesFullRebuildAtAnyChurn) {
     reference.rebuild(pos);
     ASSERT_EQ(pairs_of(incremental), pairs_of(reference)) << "round " << round;
   }
+}
+
+// The one-point predicate is the closed form floor(L / r) >= m.  Check
+// it against walking the bucket map column by column (adjacent columns
+// in distinct buckets, the clamp to bps - 1 included), and check that it
+// implies r < spacing, so no within-radius pair spans two grid points.
+TEST(NeighborIndex, OnePointPredicateMatchesBucketWalk) {
+  const std::size_t resolutions[] = {2, 3, 5, 8, 16, 31, 32, 33, 64, 256};
+  const double sides[] = {1.0, 4.0, 7.5, 31.0, 32.0, 64.0};
+  const double radii[] = {0.01, 0.1, 0.4, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0};
+  std::size_t one_point_cases = 0;
+  for (const std::size_t m : resolutions) {
+    for (const double side : sides) {
+      for (const double radius : radii) {
+        SCOPED_TRACE(::testing::Message() << "m=" << m << " L=" << side
+                                          << " r=" << radius);
+        const SquareGrid g(m, side);
+        const auto bps = std::max<std::uint64_t>(
+            1, static_cast<std::uint64_t>(std::floor(side / radius)));
+        const auto bucket = [&](std::uint64_t col) {
+          return std::min(col * bps / (m - 1), bps - 1);
+        };
+        bool walk = true;
+        for (std::uint64_t col = 1; col < m; ++col) {
+          walk = walk && bucket(col) != bucket(col - 1);
+        }
+        const bool one_point = NeighborIndex::one_point_buckets(g, radius);
+        EXPECT_EQ(one_point, walk);
+        if (one_point) {
+          ++one_point_cases;
+          EXPECT_LT(radius, g.spacing());
+        }
+      }
+    }
+  }
+  EXPECT_GT(one_point_cases, 50u);
+  // Computed without forming a bucket count, so any positive radius is
+  // safe; the radius check matches the constructor's.
+  EXPECT_TRUE(NeighborIndex::one_point_buckets(SquareGrid(32, 64.0), 1e-300));
+  EXPECT_THROW(NeighborIndex::one_point_buckets(SquareGrid(32, 64.0), 0.0),
+               std::invalid_argument);
 }
 
 // Property: for a full occupancy of the grid, the number of index-reported

@@ -19,7 +19,9 @@
 #include <utility>
 #include <vector>
 
+#include "geometry/point.hpp"
 #include "geometry/square_grid.hpp"
+#include "mobility/proximity_engine.hpp"
 #include "mobility/random_trip.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "util/rng.hpp"
@@ -298,6 +300,77 @@ TEST(MobilityDeferredReads, RandomTripPolicies) {
     Lockstep<RandomTripModel> pair(eager, lazy, 1.0, what);
     ASSERT_NO_FATAL_FAILURE(pair.run_script(seed * 7));
     ++seed;
+  }
+}
+
+// The engine's clique build (one-point grids) against the reference:
+// NeighborIndex::collect_pairs over the same cells, swapped into a
+// Snapshot whose CSR is built lazily.  The pair list and both CSR arrays
+// must match exactly, over several rounds of fresh random positions (the
+// engine reuses its buffers).  The cases include both sides of the
+// regime boundary (bps = m and bps = m - 1), cliques larger than the
+// build's write blocks, and every agent on one point.
+TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
+  struct Case {
+    const char* name;
+    std::size_t m;
+    double side;
+    double radius;
+    std::size_t agents;
+    bool collapsed;
+    bool one_point;
+  };
+  const Case cases[] = {
+      {"waypoint campaign", 32, 64.0, 1.0, 4096, false, true},
+      {"bps == m", 32, 32.0, 1.0, 3000, false, true},
+      {"bps == m - 1 (clamp merge)", 32, 31.0, 1.0, 3000, false, false},
+      {"dense cliques", 8, 4.0, 0.4, 2000, false, true},
+      {"one point", 16, 8.0, 0.5, 300, true, true},
+      {"multi-point", 64, 16.0, 1.0, 1000, false, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SquareGrid grid(c.m, c.side);
+    ASSERT_EQ(NeighborIndex::one_point_buckets(grid, c.radius), c.one_point);
+    ProximitySnapshotEngine engine(grid, c.radius, c.agents);
+    NeighborIndex index(grid, c.radius);
+    Rng rng(c.m * 7919 + c.agents);
+    for (int round = 0; round < 4; ++round) {
+      std::vector<Point2D>& positions = engine.positions();
+      const Point2D spot{rng.uniform(0.0, c.side), rng.uniform(0.0, c.side)};
+      for (Point2D& p : positions) {
+        p = c.collapsed ? spot
+                        : Point2D{rng.uniform(0.0, c.side),
+                                  rng.uniform(0.0, c.side)};
+      }
+      engine.moved();
+      std::vector<CellId> cells(c.agents);
+      for (std::size_t i = 0; i < c.agents; ++i) {
+        cells[i] = grid.nearest(positions[i]);
+      }
+      index.rebuild(cells);
+      PairList pairs;
+      index.collect_pairs(pairs);
+      Snapshot reference(c.agents);
+      reference.swap_edges(pairs);
+
+      const Snapshot& got = engine.snapshot();
+      ASSERT_EQ(got.edge_buffer(), reference.edge_buffer())
+          << "round " << round;
+      const Snapshot::CsrView a = got.csr();
+      const Snapshot::CsrView b = reference.csr();
+      const std::vector<std::uint32_t> offsets(a.offsets,
+                                               a.offsets + c.agents + 1);
+      ASSERT_EQ(offsets, std::vector<std::uint32_t>(
+                             b.offsets, b.offsets + c.agents + 1))
+          << "round " << round;
+      ASSERT_EQ(std::vector<NodeId>(a.neighbors,
+                                    a.neighbors + offsets.back()),
+                std::vector<NodeId>(b.neighbors,
+                                    b.neighbors + offsets.back()))
+          << "round " << round;
+      EXPECT_EQ(offsets.back(), 2 * got.num_edges());
+    }
   }
 }
 

@@ -3,12 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "core/flooding.hpp"
 #include "geometry/point.hpp"
+#include "geometry/square_grid.hpp"
 #include "mobility/random_waypoint.hpp"
 #include "step_hash.hpp"
+#include "util/resource.hpp"
 
 namespace megflood {
 namespace {
@@ -203,6 +208,43 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
                                csr.neighbors, csr.neighbors + csr.offsets[row.n]));
     }
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
+}
+
+TEST(RandomWaypoint, TinyRadiusIsOnePointWithoutBuckets) {
+  // Any radius below the grid spacing connects exactly the agents on one
+  // grid point, so r = 0.01 gives r = 1's snapshots (same draws, same
+  // bytes).  Neither builds bucket storage: at r = 0.01 a NeighborIndex
+  // would size (L / r)^2 = 41M buckets, about 0.5 GB.
+  WaypointParams p;
+  p.side_length = 64.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.resolution = 32;
+  p.radius = 1.0;
+  RandomWaypointModel unit(256, p, 9);
+  const std::uint64_t peak_before = peak_rss_bytes();
+  p.radius = 0.01;
+  ASSERT_TRUE(NeighborIndex::one_point_buckets(unit.grid(), p.radius));
+  RandomWaypointModel tiny(256, p, 9);
+  for (int t = 0; t <= 50; ++t) {
+    if (t > 0) {
+      unit.step();
+      tiny.step();
+    }
+    const Snapshot& a = unit.snapshot();
+    const Snapshot& b = tiny.snapshot();
+    ASSERT_EQ(a.edge_buffer(), b.edge_buffer()) << "step " << t;
+    const Snapshot::CsrView ca = a.csr();
+    const Snapshot::CsrView cb = b.csr();
+    ASSERT_TRUE(std::equal(ca.offsets, ca.offsets + 257, cb.offsets));
+    ASSERT_TRUE(std::equal(ca.neighbors, ca.neighbors + ca.offsets[256],
+                           cb.neighbors));
+  }
+  if (const std::uint64_t peak = peak_rss_bytes();
+      peak > 0 && rss_guard_reliable()) {
+    EXPECT_LT(peak - peak_before, std::uint64_t{64} << 20)
+        << "a tiny radius allocated bucket storage";
   }
 }
 
