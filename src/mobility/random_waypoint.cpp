@@ -22,6 +22,7 @@ RandomWaypointModel::RandomWaypointModel(std::size_t num_agents,
         "RandomWaypointModel: need 0 < v_min <= v_max");
   }
   agents_.resize(num_agents_);
+  arrivals_.resize(num_agents_);
   initialize();
 }
 
@@ -48,9 +49,27 @@ void RandomWaypointModel::initialize() {
 
 void RandomWaypointModel::step() {
   std::vector<Point2D>& positions = engine_.positions();
+  // First pass, no draws: an agent short of its waypoint moves the
+  // fraction speed / dist of the way there (the first leg of the loop
+  // below, bit for bit); the rest are listed as arrivals.
+  std::size_t arrivals = 0;
   for (std::size_t i = 0; i < num_agents_; ++i) {
-    AgentState& agent = agents_[i];
-    Point2D pos = positions[i];
+    const AgentState& agent = agents_[i];
+    Point2D& pos = positions[i];
+    const double dist = euclidean_distance(pos, agent.dest);
+    const bool arrives = dist <= agent.speed;
+    arrivals_[arrivals] = static_cast<std::uint32_t>(i);
+    arrivals += arrives;
+    if (!arrives) {
+      const double frac = agent.speed / dist;
+      pos.x += (agent.dest.x - pos.x) * frac;
+      pos.y += (agent.dest.y - pos.y) * frac;
+    }
+  }
+  // Second pass, ascending, so the draws keep the one-loop order.
+  for (std::size_t k = 0; k < arrivals; ++k) {
+    AgentState& agent = agents_[arrivals_[k]];
+    Point2D& pos = positions[arrivals_[k]];
     double budget = agent.speed;
     // Travel `speed` distance this round, switching trips at waypoints so
     // agents never stall (leftover budget carries into the new leg).
@@ -67,7 +86,6 @@ void RandomWaypointModel::step() {
         budget = 0.0;
       }
     }
-    positions[i] = pos;
   }
   engine_.moved();
   advance_clock();

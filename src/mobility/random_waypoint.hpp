@@ -79,6 +79,7 @@ class RandomWaypointModel final : public DynamicGraph {
   WaypointParams params_;
   Rng rng_;
   std::vector<AgentState> agents_;
+  std::vector<std::uint32_t> arrivals_;  // step() scratch
   ProximitySnapshotEngine engine_;
 };
 
