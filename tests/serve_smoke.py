@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Serve smokes: megflood_serve survives a kill -9 and a worker crash.
+"""Serve smokes: megflood_serve survives a kill -9 and a worker crash,
+serves from its disk tier after a restart, and takes a 1200-job load.
 
     python3 tests/serve_smoke.py PATH/TO/megflood_serve PATH/TO/megflood_load
 
@@ -25,6 +26,16 @@ attempt (--inject=segv:trial=1) quarantines them after the crash limit:
 each poison job ends in a terminal `failed` event with
 reason=worker_crash rather than an endless crash loop, the load counts
 those jobs as resolved and exits 0, and the daemon stays up.
+
+disk_tier: a cold pass populates a daemon's --cache_dir, a warm pass must
+be answered 100% from the cache (megflood_load itself asserts byte
+identity of cached results), SIGTERM drains the daemon with exit 0, and a
+daemon restarted on the same --cache_dir serves a third pass 100% from the
+disk tier.
+
+load_1200: 1200 jobs over 40 connections pushed through one daemon with zero
+protocol errors, zero unresolved jobs and a cache-hit ratio of at least
+0.9 (megflood_load exits nonzero on any of those failing).
 
 Each smoke runs in its own temporary directory.  Exits 1 when a check
 fails.
@@ -168,12 +179,59 @@ def quarantine(serve, load, work, procs):
     check(code == 0, f"daemon exited {code} on SIGTERM")
 
 
+def stop_gracefully(daemon):
+    daemon.send_signal(signal.SIGTERM)
+    code = daemon.wait(timeout=TIMEOUT_S)
+    check(code == 0, f"daemon exited {code} on SIGTERM")
+
+
+def disk_tier(serve, load, work, procs):
+    sock = work / "serve.sock"
+    daemon_args = [serve, f"--socket={sock}", "--workers=2",
+                   f"--cache_dir={work / 'serve-cache'}"]
+    load_args = [load, f"--socket={sock}", "--connections=4", "--jobs=60",
+                 "--distinct=12", "--trials=2", "--n=32"]
+    daemon = subprocess.Popen(daemon_args)
+    procs.append(daemon)
+    wait_for_socket(sock)
+    for extra, what in (([], "cold pass"),
+                        (["--min_hit_ratio=1.0"], "warm pass")):
+        code = subprocess.run(load_args + extra, timeout=TIMEOUT_S).returncode
+        check(code == 0, f"{what} exited {code}")
+    stop_gracefully(daemon)
+
+    daemon = subprocess.Popen(daemon_args)
+    procs.append(daemon)
+    wait_for_socket(sock)
+    code = subprocess.run(load_args + ["--min_hit_ratio=1.0"],
+                          timeout=TIMEOUT_S).returncode
+    check(code == 0, f"disk-tier pass after a restart exited {code}")
+    stop_gracefully(daemon)
+
+
+def load_1200(serve, load, work, procs):
+    sock = work / "serve.sock"
+    daemon = subprocess.Popen([serve, f"--socket={sock}", "--workers=2"])
+    procs.append(daemon)
+    wait_for_socket(sock)
+    run = subprocess.run(
+        [load, f"--socket={sock}", "--connections=40", "--jobs=1200",
+         "--distinct=40", "--trials=2", "--n=32", "--min_hit_ratio=0.9"],
+        capture_output=True, text=True, timeout=TIMEOUT_S)
+    sys.stdout.write(run.stdout)
+    check(run.returncode == 0, f"load exited {run.returncode}")
+    check(" unresolved=0" in run.stdout, "load left jobs unresolved")
+    check(" errors=0" in run.stdout, "load saw protocol errors")
+    stop_gracefully(daemon)
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
     failed = 0
-    for smoke in (chaos, worker_crash, backpressure, quarantine):
+    for smoke in (chaos, worker_crash, backpressure, quarantine, disk_tier,
+                  load_1200):
         procs = []
         with tempfile.TemporaryDirectory(prefix="mfsmoke") as work:
             try:
