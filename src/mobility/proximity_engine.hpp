@@ -24,7 +24,6 @@
 // moved(); the deferred state is mutable, like Snapshot's lazy CSR.  So
 // concurrent first reads race (the DynamicGraph::snapshot() contract).
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <limits>
@@ -47,11 +46,7 @@ class ProximitySnapshotEngine {
         positions_(num_agents),
         cells_(num_agents),
         snapshot_(num_agents) {
-    if (NeighborIndex::one_point_buckets(grid, radius)) {
-      point_end_.resize(grid.num_points() + 2);
-      members_.resize(num_agents + kRowBlock);  // block reads run past n
-      slot_.resize(num_agents);
-    } else {
+    if (!NeighborIndex::one_point_buckets(grid, radius)) {
       index_.emplace(grid, radius);
     }
   }
@@ -112,8 +107,10 @@ class ProximitySnapshotEngine {
     // Counting sort, fused with the snap.  Counts land two slots up and
     // the fill advances point c's cursor at c + 1, so then point c's
     // members, ascending, are mem[end[c] .. end[c + 1]), i at slot_[i].
+    point_end_.assign(grid_.num_points() + 2, 0u);
+    members_.resize(std::size_t{n} + kRowBlock);  // block reads run past n
+    slot_.resize(n);
     std::uint32_t* const end = point_end_.data();
-    std::fill(point_end_.begin(), point_end_.end(), 0u);
     for (std::uint32_t i = 0; i < n; ++i) {
       cells_[i] = grid_.nearest(positions_[i]);
       ++end[cells_[i] + 2];
