@@ -332,6 +332,9 @@ TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
     SCOPED_TRACE(c.name);
     const SquareGrid grid(c.m, c.side);
     ASSERT_EQ(NeighborIndex::one_point_buckets(grid, c.radius), c.one_point);
+    if (c.one_point) {
+      EXPECT_LT(c.radius, grid.spacing());
+    }
     ProximitySnapshotEngine engine(grid, c.radius, c.agents);
     NeighborIndex index(grid, c.radius);
     Rng rng(c.m * 7919 + c.agents);
