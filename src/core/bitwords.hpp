@@ -50,11 +50,13 @@ inline void for_each_set_bit(const std::uint64_t* words, std::size_t count,
   }
 }
 
-// dst[w] |= src[w] over a word range — the all-sources flood applies this
-// per snapshot edge, restricted to one worker's word-column block.
+// dst[w] |= src[w] & mask over a word range — the all-sources flood
+// applies this per snapshot key, restricted to one worker's word-column
+// block, with mask all ones for an edge and zero for a key that is not
+// one.
 inline void or_words(std::uint64_t* dst, const std::uint64_t* src,
-                     std::size_t count) noexcept {
-  for (std::size_t w = 0; w < count; ++w) dst[w] |= src[w];
+                     std::size_t count, std::uint64_t mask) noexcept {
+  for (std::size_t w = 0; w < count; ++w) dst[w] |= src[w] & mask;
 }
 
 // Calls fn(index) for every bit set in `next` but not in `cur`, in

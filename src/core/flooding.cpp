@@ -62,17 +62,18 @@ std::size_t flood_round_words(const Snapshot& snapshot,
                               std::size_t num_nodes) {
   // Edge-centric and branch-free, like the all-sources round: every edge
   // ORs each endpoint's bit in `cur` into the other endpoint's bit in
-  // `next`.  Reading from `cur` while writing `next` enforces the
-  // synchronous no-chaining rule without per-node marks, and walking the
-  // raw edge buffer needs no CSR view.
+  // `next`, and a key that is not an edge ORs in zeros.  Reading from
+  // `cur` while writing `next` enforces the synchronous no-chaining rule
+  // without per-node marks, and walking the raw key array needs no CSR
+  // view.
   const std::size_t words = bit_words(num_nodes);
   const std::size_t before = popcount_words(next, words);
-  for (const auto& [u, v] : snapshot.edge_buffer()) {
-    next[v / kBitWordBits] |= std::uint64_t{test_bit(cur, u)}
+  snapshot.for_each_key([cur, next](NodeId u, NodeId v, std::uint32_t on) {
+    next[v / kBitWordBits] |= std::uint64_t{test_bit(cur, u) & on}
                               << (v % kBitWordBits);
-    next[u / kBitWordBits] |= std::uint64_t{test_bit(cur, v)}
+    next[u / kBitWordBits] |= std::uint64_t{test_bit(cur, v) & on}
                               << (u % kBitWordBits);
-  }
+  });
   return popcount_words(next, words) - before;
 }
 
@@ -141,12 +142,13 @@ std::size_t all_sources_round_block(const Snapshot& snap, std::uint64_t t,
     const std::uint64_t* const row_cur = cur + v * words + w_lo;
     std::copy(row_cur, row_cur + span, next + v * words + w_lo);
   }
-  for (const auto& [u, v] : snap.edge_buffer()) {
+  snap.for_each_key([=](NodeId u, NodeId v, std::uint32_t on) {
+    const std::uint64_t mask = 0 - std::uint64_t{on};
     or_words(next + std::size_t{u} * words + w_lo,
-             cur + std::size_t{v} * words + w_lo, span);
+             cur + std::size_t{v} * words + w_lo, span, mask);
     or_words(next + std::size_t{v} * words + w_lo,
-             cur + std::size_t{u} * words + w_lo, span);
-  }
+             cur + std::size_t{u} * words + w_lo, span, mask);
+  });
   // Delta extraction skips fully-done word columns: a completed source s
   // has counts[s] == n, i.e. bit s is set in every row of cur, so a fresh
   // bit can never appear in its column again — once all (up to) 64

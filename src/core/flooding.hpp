@@ -55,7 +55,7 @@ std::size_t flood_round(const Snapshot& snapshot, std::vector<char>& informed,
 // Word-packed flooding round: `cur` and `next` are bit sets of
 // bit_words(n) words; on entry next must equal cur.  Computes
 // I_{t+1} = I_t ∪ N(I_t) into `next` and returns |I_{t+1}| - |I_t|.
-// One branch-free pass over snapshot.edge_buffer(); builds no CSR view.
+// One branch-free pass over snapshot.keys(); builds no CSR view.
 std::size_t flood_round_words(const Snapshot& snapshot,
                               const std::uint64_t* cur, std::uint64_t* next,
                               std::size_t num_nodes);

@@ -342,13 +342,24 @@ ScenarioModel build_random_walk(const ParamReader& p) {
           n};
 }
 
+// The transmission radius of the geometric mobility models.  No
+// proximity graph exists at r <= 0, so such a radius is a configuration
+// error, caught here rather than when every trial's model throws.
+double transmission_radius(const ParamReader& p) {
+  const double radius = p.num("radius");
+  if (!(radius > 0.0)) {
+    fail("radius must be > 0, got " + p.str("radius"));
+  }
+  return radius;
+}
+
 ScenarioModel build_random_waypoint(const ParamReader& p) {
   const std::size_t n = p.size("n");
   WaypointParams params;
   params.side_length = p.num("side");
   params.v_min = p.num("v_min");
   params.v_max = p.num("v_max");
-  params.radius = p.num("radius");
+  params.radius = transmission_radius(p);
   params.resolution = p.size("resolution");
   return {[n, params](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
             return std::make_unique<RandomWaypointModel>(n, params, seed);
@@ -379,7 +390,7 @@ ScenarioModel build_random_trip(const ParamReader& p) {
     fail("random_trip: policy must be square|disk|direction, got '" +
          policy_name + "'");
   }
-  const double radius = p.num("radius");
+  const double radius = transmission_radius(p);
   const std::size_t resolution = p.size("resolution");
   return {[n, policy, radius, resolution](std::uint64_t seed)
               -> std::unique_ptr<DynamicGraph> {

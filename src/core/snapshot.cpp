@@ -6,31 +6,65 @@
 
 namespace megflood {
 
+Snapshot::Snapshot(const Snapshot& other) : num_nodes_(other.num_nodes_) {
+  owned_.reserve(other.num_edges());
+  other.for_each_edge(
+      [this](NodeId u, NodeId v) { owned_.push_back(pack_pair(u, v)); });
+}
+
+Snapshot& Snapshot::operator=(const Snapshot& other) {
+  if (this != &other) {
+    Snapshot copy(other);
+    *this = std::move(copy);
+  }
+  return *this;
+}
+
 void Snapshot::reset(std::size_t num_nodes) {
   num_nodes_ = num_nodes;
   clear();
+}
+
+void Snapshot::own() {
+  std::vector<std::uint64_t> edges;
+  edges.reserve(num_edges());
+  for_each_edge(
+      [&edges](NodeId u, NodeId v) { edges.push_back(pack_pair(u, v)); });
+  owned_.swap(edges);
+  borrowed_ = false;
 }
 
 void Snapshot::ensure_csr() const {
   if (csr_valid_) return;
   // offsets_ entries are uint32 directed-edge counts; 2 * |E| past that
   // range would wrap the prefix sums into corrupt adjacency.
-  if (edges_.size() > (std::numeric_limits<std::uint32_t>::max)() / 2) {
+  const std::size_t edges = num_edges();
+  if (edges > (std::numeric_limits<std::uint32_t>::max)() / 2) {
     throw std::length_error("Snapshot: edge count overflows CSR offsets");
   }
   // Two-pass counting build: degree histogram, exclusive prefix sum, fill.
+  // A key that is not an edge counts nothing and stores its endpoints
+  // into the two slots past the last row, dropped at the end.
   offsets_.assign(num_nodes_ + 1, 0);
-  for (const auto& [u, v] : edges_) {
-    ++offsets_[u + 1];
-    ++offsets_[v + 1];
-  }
+  std::uint32_t* const offsets = offsets_.data();
+  for_each_key([offsets](NodeId u, NodeId v, std::uint32_t on) {
+    offsets[u + 1] += on;
+    offsets[v + 1] += on;
+  });
   for (std::size_t i = 0; i < num_nodes_; ++i) offsets_[i + 1] += offsets_[i];
-  neighbors_.resize(2 * edges_.size());
+  const auto spare = static_cast<std::uint32_t>(2 * edges);
+  neighbors_.resize(2 * edges + 2);
   cursor_.assign(offsets_.begin(), offsets_.end() - 1);
-  for (const auto& [u, v] : edges_) {
-    neighbors_[cursor_[u]++] = v;
-    neighbors_[cursor_[v]++] = u;
-  }
+  std::uint32_t* const cursor = cursor_.data();
+  NodeId* const neighbors = neighbors_.data();
+  for_each_key([cursor, neighbors, spare](NodeId u, NodeId v,
+                                          std::uint32_t on) {
+    neighbors[on != 0 ? cursor[u] : spare] = v;
+    cursor[u] += on;
+    neighbors[on != 0 ? cursor[v] : spare + 1] = u;
+    cursor[v] += on;
+  });
+  neighbors_.resize(2 * edges);
   csr_valid_ = true;
 }
 
@@ -62,7 +96,7 @@ bool Snapshot::has_edge(NodeId u, NodeId v) const {
 std::vector<std::pair<NodeId, NodeId>> Snapshot::edges() const {
   ensure_csr();
   std::vector<std::pair<NodeId, NodeId>> result;
-  result.reserve(edges_.size());
+  result.reserve(num_edges());
   for (NodeId u = 0; u < num_nodes_; ++u) {
     for (NodeId v : neighbors(u)) {
       if (u < v) result.emplace_back(u, v);

@@ -252,8 +252,7 @@ void NeighborIndex::refresh(const std::vector<CellId>& positions) {
   }
 }
 
-void NeighborIndex::collect_pairs(
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>& out) const {
+void NeighborIndex::collect_pairs(std::vector<std::uint64_t>& out) const {
   // Same traversal (and therefore the same emission order) as
   // for_each_pair, but with a branchless accept: every candidate pair is
   // stored unconditionally and the cursor advances only on acceptance.
@@ -277,10 +276,11 @@ void NeighborIndex::collect_pairs(
   const auto bps = static_cast<std::ptrdiff_t>(buckets_per_side_);
   const std::uint32_t* const entries = entries_.data();
   const Point2D* const points = entry_point_.data();
-  std::pair<std::uint32_t, std::uint32_t>* buf = out.data();
+  std::uint64_t* buf = out.data();
   std::size_t cap = out.size();
   std::size_t count = 0;
-  // `out` is usually the previous snapshot's edge buffer, swapped in.
+  // `out` is usually the snapshot's own key array, holding the previous
+  // round's keys.
   // Grow it only to the slots this candidate block can write: resize()
   // value-initialises every new slot, and the vector's capacity still
   // grows geometrically underneath.
@@ -312,16 +312,16 @@ void NeighborIndex::collect_pairs(
         ensure(cell_size * (cell_size - 1) / 2);
         for (std::size_t a = 0; a + 1 < cell_size; ++a) {
           const Point2D pa = cell_pts[a];
-          const std::uint32_t ida = cell[a];
+          const std::uint64_t ida = pack_pair(cell[a], 0);
           std::size_t c = a + 1;
           for (; c + 2 <= cell_size; c += 2) {
-            buf[count] = {ida, cell[c]};
+            buf[count] = ida | cell[c];
             count += squared_distance(pa, cell_pts[c]) <= r2;
-            buf[count] = {ida, cell[c + 1]};
+            buf[count] = ida | cell[c + 1];
             count += squared_distance(pa, cell_pts[c + 1]) <= r2;
           }
           if (c < cell_size) {
-            buf[count] = {ida, cell[c]};
+            buf[count] = ida | cell[c];
             count += squared_distance(pa, cell_pts[c]) <= r2;
           }
         }
@@ -339,16 +339,16 @@ void NeighborIndex::collect_pairs(
         ensure(cell_size * other_size);
         for (std::size_t a = 0; a < cell_size; ++a) {
           const Point2D pa = cell_pts[a];
-          const std::uint32_t ida = cell[a];
+          const std::uint64_t ida = pack_pair(cell[a], 0);
           std::size_t c = 0;
           for (; c + 2 <= other_size; c += 2) {
-            buf[count] = {ida, other[c]};
+            buf[count] = ida | other[c];
             count += squared_distance(pa, other_pts[c]) <= r2;
-            buf[count] = {ida, other[c + 1]};
+            buf[count] = ida | other[c + 1];
             count += squared_distance(pa, other_pts[c + 1]) <= r2;
           }
           if (c < other_size) {
-            buf[count] = {ida, other[c]};
+            buf[count] = ida | other[c];
             count += squared_distance(pa, other_pts[c]) <= r2;
           }
         }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "geometry/point.hpp"
+#include "meg/pair_index.hpp"
 
 namespace megflood {
 
@@ -138,26 +139,28 @@ class NeighborIndex {
   // positions of the last rebuild()/update()s.
   std::vector<std::uint32_t> neighbors_of(std::uint32_t node) const;
 
-  // The pair scan: clears `out` and appends every within-radius pair in
-  // the canonical emission order (buckets row-major; within-bucket pairs,
+  // The pair scan: replaces `out` with every within-radius pair (a, b)
+  // as the packed key (a << 32) | b (meg/pair_index.hpp), in the
+  // canonical emission order (buckets row-major; within-bucket pairs,
   // then the E/SW/S/SE forward half-neighborhood; members ascending by
-  // node id).  Multi-point snapshots are built through this (plus
-  // Snapshot::swap_edges): the loop is branchless (unconditional
+  // node id).  Multi-point snapshots are built through this, straight
+  // into Snapshot::key_buffer(): the loop is branchless (unconditional
   // store + predicated cursor) and carries no throwing callee — a
   // visitor that can throw costs ~2x on the whole scan.
-  void collect_pairs(
-      std::vector<std::pair<std::uint32_t, std::uint32_t>>& out) const;
+  void collect_pairs(std::vector<std::uint64_t>& out) const;
 
-  // Visit each unordered pair (i, j) within radius exactly once, in
+  // Visit each unordered pair (a, b) within radius exactly once, in
   // collect_pairs() order.  Convenience wrapper over collect_pairs — one
   // traversal implementation, so the two APIs can never drift out of
-  // emission-order lockstep.  Allocates a temporary pair buffer; hot
+  // emission-order lockstep.  Allocates a temporary key buffer; hot
   // paths should call collect_pairs with a reused buffer instead.
   template <typename Fn>
   void for_each_pair(Fn&& fn) const {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
-    collect_pairs(pairs);
-    for (const auto& [a, b] : pairs) fn(a, b);
+    std::vector<std::uint64_t> keys;
+    collect_pairs(keys);
+    for (const std::uint64_t key : keys) {
+      fn(pair_key_i(key), pair_key_j(key));
+    }
   }
 
   double radius() const noexcept { return radius_; }

@@ -57,6 +57,11 @@ class TwoStateEdgeMEG final : public DynamicGraph {
   // Number of potential edges, n(n-1)/2.
   std::uint64_t num_pairs() const noexcept { return total_pairs_; }
 
+  // The sorted on-set, the key array the snapshot borrows.
+  const std::vector<std::uint64_t>& set_keys() const noexcept {
+    return on_.keys;
+  }
+
  private:
   void initialize();
   // Appends the indices geometric_select(p) marks over the pair

@@ -73,7 +73,7 @@ GeneralEdgeMEG::GeneralEdgeMEG(std::size_t num_nodes, DenseChain chain,
     SelectRow& row = select_rows_[s];
     row.thin = exit_prob_[s] < minority_exit_envelope_;
     row.ratio = row.thin ? exit_prob_[s] / minority_exit_envelope_ : 1.0;
-    row.on = chi_[s];
+    on_states_[s] = chi_[s];
   }
   if (!sparse_) {
     states_.resize(pair_count(n_));
@@ -292,10 +292,6 @@ void GeneralEdgeMEG::initialize_sparse() {
   const std::uint64_t pairs = pair_count(n_);
   const std::vector<std::uint64_t> class_count = sample_class_counts(pairs);
   const std::uint64_t minority = pairs - class_count[majority_state_];
-  std::uint64_t on_count = 0;  // chi(majority) is false
-  for (StateId s = 0; s < class_count.size(); ++s) {
-    if (chi_[s]) on_count += class_count[s];
-  }
   if (minority > 0) {
     // These become the first step's scratch (below), so they get the
     // same headroom.
@@ -304,12 +300,12 @@ void GeneralEdgeMEG::initialize_sparse() {
     build_shuffled_minority_values(class_count, majority_state_, minority);
     sample_distinct_positions(rng_, minority, pairs, init_positions_);
   }
-  PairSetWriter out(minority_, n_, minority, on_count,
-                    static_cast<std::uint8_t>(majority_state_), chi_);
+  PairSetWriter out(minority_, n_, minority,
+                    static_cast<std::uint8_t>(majority_state_), on_states_);
   PairRowCursor cursor(n_);
   for (std::uint64_t k = 0; k < minority; ++k) {
-    // Ascending positions => ascending keys: map and snapshot come out
-    // sorted without a sort pass.
+    // Ascending positions => ascending keys: the map comes out sorted
+    // without a sort pass.
     out.emit_state(cursor.key(init_positions_[k]), init_values_[k]);
   }
   out.finish(snapshot_);
@@ -366,7 +362,6 @@ void GeneralEdgeMEG::step_sparse() {
   const SelectRow* rows = select_rows_.data();
   std::uint8_t* map_states = minority_.states.data();
   std::uint64_t dropped = 0;
-  std::int64_t edge_delta = 0;
   Rng rng = rng_;
   geometric_select(
       rng, old_size, minority_exit_envelope_, [&](std::uint64_t pos) {
@@ -377,7 +372,6 @@ void GeneralEdgeMEG::step_sparse() {
             static_cast<std::uint8_t>(sample_exit_target(from, rng));
         map_states[pos] = to;
         dropped += to == majority;
-        edge_delta += int{rows[to].on} - int{row.on};
       });
   rng_ = rng;
 
@@ -395,12 +389,8 @@ void GeneralEdgeMEG::step_sparse() {
   // Merge pass (no RNG).  The minority movers already hold their new
   // states, so the map is still sorted; the walk drops the ones back in
   // the majority and merges the majority movers in.
-  for (const std::uint8_t to : inserted_states_) edge_delta += rows[to].on;
   PairSetWriter out(minority_, n_, old_size - dropped + rank_scratch_.size(),
-                    static_cast<std::uint64_t>(
-                        static_cast<std::int64_t>(snapshot_.num_edges()) +
-                        edge_delta),
-                    majority, chi_);
+                    majority, on_states_);
   // Plain pointers: the writer's byte stores could alias the vectors.
   const std::uint64_t* keys = minority_.keys.data();
   const std::uint8_t* states = minority_.states.data();

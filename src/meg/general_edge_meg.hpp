@@ -35,15 +35,15 @@
 // initializer's stream).  The minority select works in place: a mover's
 // new state is written into its own map entry as soon as it is drawn
 // (candidate positions ascend, so no entry is read after it is written),
-// and the select counts the entries that fall back to the majority and
-// the change in edge count as it goes, so it keeps no move list.  A
-// sparse step draws all of that first, then makes one walk of the map
-// (walk_complement) that merges the majority movers in at their
-// complement ranks, and its PairSetWriter drops pairs back in the
-// majority and writes the next map and the snapshot edge list in
-// ascending key order; the on-set is never stored apart from the map,
-// since chi(majority) is false.  The first step's output buffers are the
-// initializer's scratch, handed over rather than freed.
+// and the select counts the entries that fall back to the majority as it
+// goes, so it keeps no move list.  A sparse step draws all of that
+// first, then makes one walk of the map (walk_complement) that merges
+// the majority movers in at their complement ranks, and its
+// PairSetWriter drops pairs back in the majority and writes the next map
+// in ascending key order.  The on-set is never stored apart from the
+// map, since chi(majority) is false: the snapshot borrows the map's keys
+// and states with the chi mask (on_states_).  The first step's output
+// buffers are the initializer's scratch, handed over rather than freed.
 // Memory is O(#minority + #on), which in the paper's sparse stationary
 // regimes (alpha ~ c/n, quiescent off state) is O(n) — the engine steps
 // at n >= 32768 where dense cannot allocate.
@@ -99,6 +99,12 @@ class GeneralEdgeMEG final : public DynamicGraph {
   }
   const std::vector<std::uint8_t>& minority_states() const noexcept {
     return minority_.states;
+  }
+
+  // The key array the snapshot borrows: the dense on-set, or in sparse
+  // mode the minority map (whose states pick the edges).
+  const std::vector<std::uint64_t>& set_keys() const noexcept {
+    return sparse_ ? minority_.keys : on_.keys;
   }
 
   // Stationary probability that an edge exists: alpha = sum_{s: chi(s)} pi_s.
@@ -168,9 +174,10 @@ class GeneralEdgeMEG final : public DynamicGraph {
   struct SelectRow {
     double ratio;          // exit_prob / envelope, the thinning test
     bool thin;             // exit_prob < envelope: draw the thinning test
-    bool on;               // chi
   };
   std::vector<SelectRow> select_rows_;
+  // chi as the snapshot's mask over the map's states.
+  StateMask on_states_{};
 
   // Step scratch (capacity reused across steps).  Dense mode only: the
   // sparse select writes its moves into the map in place.

@@ -123,6 +123,11 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
 
   static constexpr std::size_t kMaxExactClasses = 64;
 
+  // The sorted on-set, the key array the snapshot borrows (both modes).
+  const std::vector<std::uint64_t>& set_keys() const noexcept {
+    return on_set_.keys;
+  }
+
  private:
   struct RateClass {
     double env_birth = 0.0;  // envelope (max) birth rate over members

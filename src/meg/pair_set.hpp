@@ -5,10 +5,10 @@
 // when the engine keeps hidden states (the sparse GeneralEdgeMEG's
 // minority map; every other engine keeps its on-set in one).  The
 // engines keep only their draws: every write of a set goes through one
-// PairSetWriter, which writes the next set and the snapshot edge list in
-// the same ascending pass, driven by PairSet::merge (engines that list
-// their flips) or by walk_complement (sparse engines that draw over the
-// implicit complement of their set).
+// PairSetWriter, which writes the next set in one ascending pass, driven
+// by PairSet::merge (engines that list their flips) or by walk_complement
+// (sparse engines that draw over the implicit complement of their set),
+// and lends it to the engine's snapshot as its key array.
 
 #include <array>
 #include <cstddef>
@@ -44,8 +44,7 @@ void reserve_headroom(std::vector<T>& buffer, std::uint64_t size) {
 // Ascending packed keys with a parallel state byte per key (states stays
 // empty in a set without states), this step's flips (died, born), and the
 // buffers a PairSetWriter fills for the next step: the next keys and
-// states, and the next snapshot edge list (swapped with the snapshot's,
-// so both keep their capacity).
+// states.
 struct PairSet {
   std::vector<std::uint64_t> keys;
   std::vector<std::uint8_t> states;
@@ -53,66 +52,63 @@ struct PairSet {
   std::vector<std::uint64_t> born;
   std::vector<std::uint64_t> next_keys;
   std::vector<std::uint8_t> next_states;
-  std::vector<std::pair<NodeId, NodeId>> next_edges;
 
-  // set := (set ∪ born) \ died over an n-node population, writing the
-  // snapshot's edge list in the same pass, and empties both lists.  Both
-  // lists are ascending and every key in `died` is in the set, so a key
-  // of `born` already in the set stays once unless it dies.  A set built
-  // in place gets its edge list from a merge with no flips.
+  // set := (set ∪ born) \ died over an n-node population, lends the new
+  // set to `snapshot`, and empties both lists.  Both lists are ascending
+  // and every key in `died` is in the set, so a key of `born` already in
+  // the set stays once unless it dies.  A set built in place is lent by a
+  // merge with no flips.
   void merge(std::uint64_t n, Snapshot& snapshot);
 };
 
-// Writes the next set of a PairSet and its snapshot edge list.  Entries
-// must arrive in ascending key order, at most as many as the constructor
-// was told.  Both emits are branch-free: they always store into the next
-// slot (one of slack) and count it only when the entry stays, so the
-// writer's counts and constants live in registers rather than in the
-// engine, whose members any byte store may alias.  finish() swaps the
-// result in.
+// Writes the next set of a PairSet and counts its snapshot edges.
+// Entries must arrive in ascending key order, at most as many as the
+// constructor was told.  Both emits are branch-free: they always store
+// into the next slot (one of slack) and count it only when the entry
+// stays, so the writer's counts and constants live in registers rather
+// than in the engine, whose members any byte store may alias.  finish()
+// swaps the result in and lends it to the snapshot.
 class PairSetWriter {
  public:
-  // A set without states: emit(key, keep) keeps the key both as an entry
-  // and as a snapshot edge, or drops it.
+  // A set without states: emit(key, keep) keeps the key, which is then
+  // also a snapshot edge, or drops it.
   PairSetWriter(PairSet& set, std::uint64_t n, std::uint64_t max_entries)
       : set_(set),
         n_(static_cast<NodeId>(n)),
-        keys_(slots(set.next_keys, max_entries)),
-        edges_(slots(set.next_edges, max_entries)) {}
+        keys_(slots(set.next_keys, max_entries)) {}
 
   // A set with states: emit_state(key, state) drops an entry in the
-  // `majority` state, and an entry in a state s with chi[s] is also a
-  // snapshot edge.  chi(majority) must be false.
+  // `majority` state, and an entry in a state s with on[s] is also a
+  // snapshot edge.  on[majority] must be 0, and `on` must outlive the
+  // snapshot's borrow.
   PairSetWriter(PairSet& set, std::uint64_t n, std::uint64_t max_entries,
-                std::uint64_t max_edges, std::uint8_t majority,
-                const std::vector<bool>& chi)
+                std::uint8_t majority, const StateMask& on)
       : set_(set),
         n_(static_cast<NodeId>(n)),
         majority_(majority),
+        on_(&on),
+        is_on_(on),
         keys_(slots(set.next_keys, max_entries)),
-        states_(slots(set.next_states, max_entries)),
-        edges_(slots(set.next_edges, max_edges)) {
-    for (std::size_t s = 0; s < chi.size(); ++s) is_on_[s] = chi[s];
-  }
+        states_(slots(set.next_states, max_entries)) {}
 
   void emit(std::uint64_t key, bool keep) {
     keys_[entries_] = key;
     entries_ += keep;
-    emit_edge(key, keep);
+    count_edge(key, keep);
   }
 
   void emit_state(std::uint64_t key, std::uint8_t state) {
     keys_[entries_] = key;
     states_[entries_] = state;
     entries_ += state != majority_;
-    emit_edge(key, is_on_[state]);
+    count_edge(key, is_on_[state] != 0);
   }
 
   void finish(Snapshot& snapshot) {
     if (out_of_range_) {
       throw std::out_of_range("edge-MEG: edge endpoint out of range");
     }
-    commit(set_, entries_, states_ != nullptr, edge_count_, snapshot);
+    commit(set_, entries_, on_, edge_count_, snapshot);
   }
 
  private:
@@ -128,32 +124,33 @@ class PairSetWriter {
     return buffer.data();
   }
   [[gnu::noinline]] static void commit(PairSet& set, std::size_t entries,
-                                       bool with_states, std::size_t edges,
+                                       const StateMask* on, std::size_t edges,
                                        Snapshot& snapshot) {
     set.next_keys.resize(entries);
-    if (with_states) set.next_states.resize(entries);
-    set.next_edges.resize(edges);
     std::swap(set.keys, set.next_keys);
+    if (on == nullptr) {
+      snapshot.borrow(set.keys);
+      return;
+    }
+    set.next_states.resize(entries);
     std::swap(set.states, set.next_states);
-    snapshot.swap_edges(set.next_edges);
+    snapshot.borrow(set.keys, set.states, *on, edges);
   }
 
-  void emit_edge(std::uint64_t key, bool on) {
+  void count_edge(std::uint64_t key, bool on) {
     // The range check Snapshot::add_edge would make; i < j, so j < n
     // covers both endpoints.
-    const NodeId j = pair_key_j(key);
-    out_of_range_ |= on & (j >= n_);
-    edges_[edge_count_] = {pair_key_i(key), j};
+    out_of_range_ |= on & (pair_key_j(key) >= n_);
     edge_count_ += on;
   }
 
   PairSet& set_;
   NodeId n_;
   std::uint8_t majority_ = 0;
-  std::array<bool, 256> is_on_;  // set and read by the states mode only
+  const StateMask* on_ = nullptr;  // the states mode's mask, lent onward
+  StateMask is_on_;  // its copy the emits read, in the writer's frame
   std::uint64_t* keys_;
   std::uint8_t* states_ = nullptr;
-  std::pair<NodeId, NodeId>* edges_;
   std::size_t entries_ = 0;
   std::size_t edge_count_ = 0;
   bool out_of_range_ = false;

@@ -508,20 +508,11 @@ SubJobOutcome Scheduler::run_in_worker(const QueuedSubJob& item,
 
     // The slot's process is touched only by this (owning) thread with the
     // lock released; pid/busy/jobs mirrors are updated under the lock.
-    if (!slot.process) {
-      slot.process =
-          std::make_unique<WorkerProcess>(worker_binary_, inject_spec_);
-    }
-    if (!slot.process->alive()) {
-      std::string spawn_error;
-      if (!slot.process->spawn(spawn_error)) {
-        lock.lock();
-        outcome.error = "worker spawn failed: " + spawn_error;
-        break;
-      }
+    std::string spawn_error;
+    if (!ensure_worker(slot, spawn_error)) {
       lock.lock();
-      slot.pid = static_cast<std::uint64_t>(slot.process->pid());
-      lock.unlock();
+      outcome.error = "worker spawn failed: " + spawn_error;
+      break;
     }
 
     WorkerDeath death;
@@ -624,6 +615,18 @@ SubJobOutcome Scheduler::run_in_worker(const QueuedSubJob& item,
   return outcome;
 }
 
+bool Scheduler::ensure_worker(WorkerSlot& slot, std::string& error) {
+  if (!slot.process) {
+    slot.process =
+        std::make_unique<WorkerProcess>(worker_binary_, inject_spec_);
+  }
+  if (slot.process->alive()) return true;
+  if (!slot.process->spawn(error)) return false;
+  std::lock_guard<std::mutex> lock(mutex_);
+  slot.pid = static_cast<std::uint64_t>(slot.process->pid());
+  return true;
+}
+
 bool Scheduler::run_one() {
   std::unique_lock<std::mutex> lock(mutex_);
   QueuedSubJob item;
@@ -637,6 +640,13 @@ bool Scheduler::run_one() {
 }
 
 void Scheduler::worker_loop(std::size_t slot) {
+  if (isolation_ == IsolationMode::kProcess) {
+    // Start this thread's worker now rather than at its first dispatch,
+    // so the first jobs do not wait for a cold worker.  A failed spawn is
+    // retried, and reported, at dispatch.
+    std::string spawn_error;
+    ensure_worker(worker_slots_[slot], spawn_error);
+  }
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     work_cv_.wait(lock, [this] { return stop_ || has_queued_work(); });

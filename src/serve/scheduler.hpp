@@ -34,7 +34,8 @@
 // (serve/worker.hpp) and end in one finish() that stores the result and
 // then deletes the spent `.mfj` journal; trial_done progress is credited
 // forward-only, journal replays included.  With `isolation = kProcess`
-// each pool thread supervises a WorkerProcess that runs it: a worker
+// each pool thread supervises a WorkerProcess that runs it, spawned when
+// the thread starts (manual mode spawns at its first run_one()): a worker
 // death is detected via waitpid, classified (signal / exit code /
 // heartbeat timeout) and the lost sub-job re-dispatched to a respawned
 // worker, resuming from its journal; a campaign that crashes on
@@ -222,6 +223,10 @@ class Scheduler {
   SubJobOutcome run_in_worker(const QueuedSubJob& item, SubJobReply& reply,
                               std::unique_lock<std::mutex>& lock,
                               std::size_t slot);
+  // Process mode: spawns the slot's worker unless it is alive.  Called by
+  // the slot's owning thread with mutex_ released, when a pool thread
+  // starts and before every dispatch.
+  bool ensure_worker(WorkerSlot& slot, std::string& error);
   // Credits a sub-job's cumulative trial count `done` beyond `credited`
   // (what it already counted), so no replay or retry counts twice.
   void credit_progress(Job& job, std::size_t& credited, std::size_t done);

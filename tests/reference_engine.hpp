@@ -38,6 +38,7 @@
 #include "markov/two_state.hpp"
 #include "meg/heterogeneous_edge_meg.hpp"
 #include "util/rng.hpp"
+#include "step_hash.hpp"
 
 namespace megflood::reference {
 
@@ -55,7 +56,7 @@ struct RefSnapshot {
   // not exercise the CSR view under test).
   static RefSnapshot from(const Snapshot& snap) {
     RefSnapshot ref(snap.num_nodes());
-    for (const auto& [u, v] : snap.edge_buffer()) ref.add_edge(u, v);
+    for (const auto& [u, v] : decoded_edges(snap)) ref.add_edge(u, v);
     return ref;
   }
 };

@@ -3,13 +3,29 @@
 // FNV-1a folding for the per-step stream pins of the edge-MEG engines
 // (the *StepStreamIsPinned tests): each pin folds a model's state
 // vectors after every step into one hash, so any moved draw or byte
-// changes it.
+// changes it.  decoded_edges() turns a snapshot's key array into the
+// (u, v) pair list the pins hash and the equivalence tests compare.
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "core/snapshot.hpp"
+
 namespace megflood {
+
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
+// The snapshot's edges decoded from its keys: key order, endpoints as
+// added, keys that are not edges left out.
+inline EdgeList decoded_edges(const Snapshot& snapshot) {
+  EdgeList edges;
+  edges.reserve(snapshot.num_edges());
+  snapshot.for_each_edge(
+      [&edges](NodeId u, NodeId v) { edges.emplace_back(u, v); });
+  return edges;
+}
 
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 

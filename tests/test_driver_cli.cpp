@@ -75,11 +75,17 @@ TEST(DriverCli, ConfigErrorsExitTwo) {
       {"--model=edge_meg", "--rss_budget_mb=17592186044417"},
       {"--model=edge_meg", "--inject=nuke:now"},  // malformed fault spec
       {"--model=edge_meg", "--inject=kill:after=1"},  // kill w/o checkpoint
+      // No proximity graph without a positive transmission radius.
+      {"--model=random_waypoint", "--radius=0"},
+      {"--model=random_waypoint", "--radius=-1"},
+      {"--model=random_trip", "--radius=0"},
+      {"--model=random_trip", "--radius=-1"},
   };
   for (const auto& args : bad) {
     const auto r = run(args);
     EXPECT_EQ(r.code, kExitConfigError)
-        << "args[1]: " << (args.size() > 1 ? args[1] : "(none)");
+        << "args: " << (args.empty() ? "(none)" : args[0]) << " "
+        << (args.size() > 1 ? args[1] : "");
     EXPECT_FALSE(r.err.empty());
   }
 }

@@ -93,7 +93,7 @@ TEST(TwoStateEdgeMEG, ResetReproducesStream) {
   reused.reset(7);
   TwoStateEdgeMEG fresh(20, {0.1, 0.2}, 7);
   for (int t = 0; t < 10; ++t) {
-    ASSERT_EQ(reused.snapshot().edge_buffer(), fresh.snapshot().edge_buffer())
+    ASSERT_EQ(decoded_edges(reused.snapshot()), decoded_edges(fresh.snapshot()))
         << "step " << t;
     reused.step();
     fresh.step();
@@ -184,7 +184,7 @@ TEST(TwoStateEdgeMEG, StepStreamIsPinned) {
     std::uint64_t h = kFnvOffset;
     for (int t = 0; t <= 40; ++t) {
       if (t > 0) meg.step();
-      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+      h = fnv_mix_bytes(h, decoded_edges(meg.snapshot()));
     }
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }

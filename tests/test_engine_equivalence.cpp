@@ -20,6 +20,7 @@
 #include "meg/node_meg.hpp"
 #include "mobility/random_walk.hpp"
 #include "reference_engine.hpp"
+#include "step_hash.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -110,7 +111,7 @@ void expect_same_edge_buffers(std::size_t n, TwoStateParams params,
     meg.reset(pass_seed);
     ref.reset(pass_seed);
     for (std::size_t t = 0; t <= kSteps; ++t) {
-      ASSERT_EQ(meg.snapshot().edge_buffer(), ref.edges())
+      ASSERT_EQ(decoded_edges(meg.snapshot()), ref.edges())
           << "n " << n << " p " << params.birth_rate << " q "
           << params.death_rate << " seed " << pass_seed << " step " << t;
       meg.step();
@@ -162,7 +163,7 @@ std::uint64_t edge_stream_hash(TwoStateEdgeMEG& meg, std::uint64_t seed) {
     meg.reset(pass_seed);
     for (std::size_t t = 0; t <= kSteps; ++t) {
       mix(meg.snapshot().num_edges());
-      for (const auto& [u, v] : meg.snapshot().edge_buffer()) {
+      for (const auto& [u, v] : decoded_edges(meg.snapshot())) {
         mix((std::uint64_t{u} << 32) | v);
       }
       meg.step();

@@ -230,7 +230,7 @@ TEST(GeneralEdgeMEG, DenseStepStreamIsPinned) {
         }
       }
       h = fnv_mix_bytes(h, states);
-      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+      h = fnv_mix_bytes(h, decoded_edges(meg.snapshot()));
     }
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }

@@ -240,9 +240,14 @@ TEST(NeighborIndex, PairsEmittedOnce) {
 
 using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
 
+// collect_pairs() with its keys decoded to (a, b) pairs.
 PairList pairs_of(const NeighborIndex& index) {
+  std::vector<std::uint64_t> keys;
+  index.collect_pairs(keys);
   PairList out;
-  index.collect_pairs(out);
+  for (const std::uint64_t key : keys) {
+    out.emplace_back(pair_key_i(key), pair_key_j(key));
+  }
   return out;
 }
 

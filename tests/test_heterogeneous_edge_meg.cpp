@@ -182,7 +182,7 @@ TEST(HeterogeneousEdgeMEG, DenseStepStreamIsPinned) {
     std::uint64_t h = kFnvOffset;
     for (int t = 0; t <= 40; ++t) {
       if (t > 0) meg.step();
-      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+      h = fnv_mix_bytes(h, decoded_edges(meg.snapshot()));
     }
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }

@@ -14,8 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -24,6 +27,7 @@
 #include "mobility/proximity_engine.hpp"
 #include "mobility/random_trip.hpp"
 #include "mobility/random_waypoint.hpp"
+#include "step_hash.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -40,16 +44,16 @@ PairList full_rebuild_pairs(const Model& model, NeighborIndex& scratch) {
     cells[i] = model.agent_cell(i);
   }
   scratch.rebuild(cells);
-  PairList pairs;
-  scratch.collect_pairs(pairs);
-  return pairs;
+  Snapshot reference(model.num_nodes());
+  scratch.collect_pairs(reference.key_buffer());
+  return decoded_edges(reference);
 }
 
 template <typename Model>
 void expect_snapshot_matches_full_rebuild(const Model& model,
                                           NeighborIndex& scratch,
                                           const char* what, int step) {
-  ASSERT_EQ(model.snapshot().edge_buffer(),
+  ASSERT_EQ(decoded_edges(model.snapshot()),
             full_rebuild_pairs(model, scratch))
       << what << " step " << step;
 }
@@ -116,12 +120,12 @@ TEST(MobilityIncremental, WaypointCollapseAndReset) {
   model.reset(1234);
   std::vector<PairList> trace;
   for (int t = 0; t < 30; ++t) {
-    trace.push_back(model.snapshot().edge_buffer());
+    trace.push_back(decoded_edges(model.snapshot()));
     model.step();
   }
   model.reset(1234);
   for (int t = 0; t < 30; ++t) {
-    ASSERT_EQ(model.snapshot().edge_buffer(),
+    ASSERT_EQ(decoded_edges(model.snapshot()),
               trace[static_cast<std::size_t>(t)])
         << "replay step " << t;
     model.step();
@@ -205,8 +209,8 @@ struct Lockstep {
 
   void read() {
     ASSERT_EQ(lazy.time(), eager.time()) << what << " op " << op;
-    const PairList& edges = lazy.snapshot().edge_buffer();
-    ASSERT_EQ(edges, eager.snapshot().edge_buffer()) << what << " op " << op;
+    const PairList& edges = decoded_edges(lazy.snapshot());
+    ASSERT_EQ(edges, decoded_edges(eager.snapshot())) << what << " op " << op;
     ASSERT_EQ(edges, full_rebuild_pairs(lazy, scratch))
         << what << " op " << op;
   }
@@ -303,13 +307,34 @@ TEST(MobilityDeferredReads, RandomTripPolicies) {
   }
 }
 
-// The engine's clique build (one-point grids) against the reference:
-// NeighborIndex::collect_pairs over the same cells, swapped into a
-// Snapshot whose CSR is built lazily.  The pair list and both CSR arrays
-// must match exactly, over several rounds of fresh random positions (the
-// engine reuses its buffers).  The cases include both sides of the
-// regime boundary (bps = m and bps = m - 1), cliques larger than the
-// build's write blocks, and every agent on one point.
+// The clique snapshot of one-point grid cells, as the key array of a
+// Snapshot whose CSR is built lazily: agents sorted by (point, agent),
+// each member paired with every later member of its point.
+Snapshot sorted_cliques(const std::vector<CellId>& cells) {
+  std::vector<std::pair<CellId, NodeId>> by_point;
+  for (NodeId i = 0; i < cells.size(); ++i) by_point.emplace_back(cells[i], i);
+  std::sort(by_point.begin(), by_point.end());
+  Snapshot cliques(cells.size());
+  std::vector<std::uint64_t>& keys = cliques.key_buffer();
+  for (std::size_t a = 0; a < by_point.size(); ++a) {
+    for (std::size_t b = a + 1;
+         b < by_point.size() && by_point[b].first == by_point[a].first; ++b) {
+      keys.push_back(pack_pair(by_point[a].second, by_point[b].second));
+    }
+  }
+  return cliques;
+}
+
+// The engine's clique build (one-point grids) against the references:
+// NeighborIndex::collect_pairs over the same cells, where the bucket
+// table fits, and sorted_cliques().  The keys and both CSR arrays must
+// match the lazily built CSR exactly, over several rounds of fresh random
+// positions (the engine reuses its buffers).  The cases include both
+// sides of the regime boundary (bps = m and bps = m - 1), cliques larger
+// than the build's write blocks, every agent on one point, and grids
+// with many more points than agents (m = 256 with its agents crowded
+// into a corner, m = 4096 and m = 2^16), which the build ranks by
+// occupied point with scratch linear in the agents.
 TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
   struct Case {
     const char* name;
@@ -317,16 +342,21 @@ TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
     double side;
     double radius;
     std::size_t agents;
+    double spread;  // agents are placed in [0, spread]^2
     bool collapsed;
     bool one_point;
   };
   const Case cases[] = {
-      {"waypoint campaign", 32, 64.0, 1.0, 4096, false, true},
-      {"bps == m", 32, 32.0, 1.0, 3000, false, true},
-      {"bps == m - 1 (clamp merge)", 32, 31.0, 1.0, 3000, false, false},
-      {"dense cliques", 8, 4.0, 0.4, 2000, false, true},
-      {"one point", 16, 8.0, 0.5, 300, true, true},
-      {"multi-point", 64, 16.0, 1.0, 1000, false, false},
+      {"waypoint campaign", 32, 64.0, 1.0, 4096, 64.0, false, true},
+      {"bps == m", 32, 32.0, 1.0, 3000, 32.0, false, true},
+      {"bps == m - 1 (clamp merge)", 32, 31.0, 1.0, 3000, 31.0, false, false},
+      {"dense cliques", 8, 4.0, 0.4, 2000, 4.0, false, true},
+      {"one point", 16, 8.0, 0.5, 300, 8.0, true, true},
+      {"multi-point", 64, 16.0, 1.0, 1000, 16.0, false, false},
+      {"fine grid, crowded corner", 256, 64.0, 0.2, 1000, 1.0, false, true},
+      {"m = 4096", 4096, 64.0, 0.01, 256, 64.0, false, true},
+      {"m = 4096, one point", 4096, 64.0, 0.01, 256, 64.0, true, true},
+      {"m = 2^16", 65536, 64.0, 0.0005, 1000, 0.05, false, true},
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
@@ -335,44 +365,60 @@ TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
     if (c.one_point) {
       EXPECT_LT(c.radius, grid.spacing());
     }
+    // A bucket table of bps^2 entries is the reference only where it is
+    // small; sorted_cliques() covers every one-point case.
+    const double bps = std::floor(c.side / c.radius);
+    std::optional<NeighborIndex> index;
+    if (bps * bps <= 1e6) index.emplace(grid, c.radius);
+    ASSERT_TRUE(index.has_value() || c.one_point);
     ProximitySnapshotEngine engine(grid, c.radius, c.agents);
-    NeighborIndex index(grid, c.radius);
     Rng rng(c.m * 7919 + c.agents);
     for (int round = 0; round < 4; ++round) {
       std::vector<Point2D>& positions = engine.positions();
-      const Point2D spot{rng.uniform(0.0, c.side), rng.uniform(0.0, c.side)};
+      const Point2D spot{rng.uniform(0.0, c.spread),
+                         rng.uniform(0.0, c.spread)};
       for (Point2D& p : positions) {
         p = c.collapsed ? spot
-                        : Point2D{rng.uniform(0.0, c.side),
-                                  rng.uniform(0.0, c.side)};
+                        : Point2D{rng.uniform(0.0, c.spread),
+                                  rng.uniform(0.0, c.spread)};
       }
       engine.moved();
       std::vector<CellId> cells(c.agents);
       for (std::size_t i = 0; i < c.agents; ++i) {
         cells[i] = grid.nearest(positions[i]);
       }
-      index.rebuild(cells);
-      PairList pairs;
-      index.collect_pairs(pairs);
-      Snapshot reference(c.agents);
-      reference.swap_edges(pairs);
+      std::vector<Snapshot> references;
+      if (index) {
+        index->rebuild(cells);
+        references.emplace_back(c.agents);
+        index->collect_pairs(references.back().key_buffer());
+      }
+      if (c.one_point) references.push_back(sorted_cliques(cells));
 
       const Snapshot& got = engine.snapshot();
-      ASSERT_EQ(got.edge_buffer(), reference.edge_buffer())
-          << "round " << round;
-      const Snapshot::CsrView a = got.csr();
-      const Snapshot::CsrView b = reference.csr();
-      const std::vector<std::uint32_t> offsets(a.offsets,
-                                               a.offsets + c.agents + 1);
-      ASSERT_EQ(offsets, std::vector<std::uint32_t>(
-                             b.offsets, b.offsets + c.agents + 1))
-          << "round " << round;
-      ASSERT_EQ(std::vector<NodeId>(a.neighbors,
-                                    a.neighbors + offsets.back()),
-                std::vector<NodeId>(b.neighbors,
-                                    b.neighbors + offsets.back()))
-          << "round " << round;
-      EXPECT_EQ(offsets.back(), 2 * got.num_edges());
+      for (const Snapshot& reference : references) {
+        ASSERT_EQ(decoded_edges(got), decoded_edges(reference))
+            << "round " << round;
+        const Snapshot::CsrView a = got.csr();
+        const Snapshot::CsrView b = reference.csr();
+        const std::vector<std::uint32_t> offsets(a.offsets,
+                                                 a.offsets + c.agents + 1);
+        ASSERT_EQ(offsets, std::vector<std::uint32_t>(
+                               b.offsets, b.offsets + c.agents + 1))
+            << "round " << round;
+        ASSERT_EQ(std::vector<NodeId>(a.neighbors,
+                                      a.neighbors + offsets.back()),
+                  std::vector<NodeId>(b.neighbors,
+                                      b.neighbors + offsets.back()))
+            << "round " << round;
+        EXPECT_EQ(offsets.back(), 2 * got.num_edges());
+      }
+      if (c.one_point) {
+        // The sort's scratch is linear in the agents, however many points
+        // the grid has (a grid-sized counter table held 4 * m^2 bytes).
+        EXPECT_LE(engine.sort_scratch_bytes(), 64 * c.agents + 4096)
+            << "round " << round;
+      }
     }
   }
 }

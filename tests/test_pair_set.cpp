@@ -13,12 +13,11 @@
 #include <vector>
 
 #include "meg/pair_set.hpp"
+#include "step_hash.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
 namespace {
-
-using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
 // Every pair key of an n-node population, ascending.
 std::vector<std::uint64_t> all_keys(NodeId n) {
@@ -81,7 +80,7 @@ TEST(PairSet, MergeMatchesBruteForce) {
       Snapshot snapshot(n);
       set.merge(n, snapshot);
       EXPECT_EQ(set.keys, expected) << "n=" << n << " round=" << round;
-      EXPECT_EQ(snapshot.edge_buffer(), edges_of(expected));
+      EXPECT_EQ(decoded_edges(snapshot), edges_of(expected));
       EXPECT_TRUE(set.died.empty());
       EXPECT_TRUE(set.born.empty());
       EXPECT_TRUE(set.states.empty());
@@ -98,15 +97,15 @@ TEST(PairSet, MergeOfABuiltSetWritesItsEdges) {
   set.merge(4, snapshot);
   EXPECT_EQ(set.keys, (std::vector<std::uint64_t>{
                           pack_pair(0, 3), pack_pair(1, 2), pack_pair(2, 3)}));
-  EXPECT_EQ(snapshot.edge_buffer(), (EdgeList{{0, 3}, {1, 2}, {2, 3}}));
+  EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 3}, {1, 2}, {2, 3}}));
 }
 
-TEST(PairSetWriter, StatesDropTheMajorityAndWriteChiEdges) {
+TEST(PairSetWriter, StatesDropTheMajorityAndLendChiEdges) {
   // States 0..3 with majority 1 and chi = {0, 0, 1, 1}: an entry in the
   // majority leaves the set, one in state 2 or 3 is also an edge.  The
   // writer is told the exact counts, as the sparse general engine does,
   // and then loose bounds.
-  const std::vector<bool> chi = {false, false, true, true};
+  const StateMask chi = {0, 0, 1, 1};
   constexpr std::uint8_t kMajority = 1;
   Rng rng(11);
   for (NodeId n = 2; n <= 12; ++n) {
@@ -132,15 +131,17 @@ TEST(PairSetWriter, StatesDropTheMajorityAndWriteChiEdges) {
       PairSet set;
       Snapshot snapshot(n);
       PairSetWriter out(set, n, exact ? kept_keys.size() : keys.size(),
-                        exact ? edge_keys.size() : keys.size(), kMajority,
-                        chi);
+                        kMajority, chi);
       for (std::size_t k = 0; k < keys.size(); ++k) {
         out.emit_state(keys[k], states[k]);
       }
       out.finish(snapshot);
       EXPECT_EQ(set.keys, kept_keys) << "n=" << n << " round=" << round;
       EXPECT_EQ(set.states, kept_states);
-      EXPECT_EQ(snapshot.edge_buffer(), edges_of(edge_keys));
+      EXPECT_EQ(decoded_edges(snapshot), edges_of(edge_keys));
+      EXPECT_EQ(snapshot.num_edges(), edge_keys.size());
+      EXPECT_EQ(snapshot.keys().data(), set.keys.data());
+      EXPECT_EQ(snapshot.key_states(), set.states.data());
     }
   }
 }
@@ -230,20 +231,20 @@ TEST(PairSetWriter, ThrowsOnAnEdgeEndpointOutOfRange) {
     out.finish(snapshot);
   }
   EXPECT_EQ(set.keys, std::vector<std::uint64_t>{pack_pair(0, 2)});
-  EXPECT_EQ(snapshot.edge_buffer(), (EdgeList{{0, 2}}));
+  EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 2}}));
 
-  const std::vector<bool> chi = {false, true, false};
+  const StateMask chi = {0, 1, 0};
   PairSet states;
   {
-    PairSetWriter out(states, 4, 2, 2, 0, chi);
+    PairSetWriter out(states, 4, 2, 0, chi);
     out.emit_state(pack_pair(1, 5), 2);  // kept, but no edge
     out.emit_state(pack_pair(2, 3), 1);
     out.finish(snapshot);
   }
   EXPECT_EQ(states.states, (std::vector<std::uint8_t>{2, 1}));
-  EXPECT_EQ(snapshot.edge_buffer(), (EdgeList{{2, 3}}));
+  EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{2, 3}}));
   {
-    PairSetWriter out(states, 4, 1, 1, 0, chi);
+    PairSetWriter out(states, 4, 1, 0, chi);
     out.emit_state(pack_pair(1, 5), 1);
     EXPECT_THROW(out.finish(snapshot), std::out_of_range);
   }

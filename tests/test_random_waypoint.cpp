@@ -201,7 +201,7 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
       const Snapshot& snap = model.snapshot();
       const Snapshot::CsrView csr = snap.csr();
       h = fnv_mix_bytes(h, positions);
-      h = fnv_mix_bytes(h, snap.edge_buffer());
+      h = fnv_mix_bytes(h, decoded_edges(snap));
       h = fnv_mix_bytes(h, std::vector<std::uint32_t>(
                                csr.offsets, csr.offsets + row.n + 1));
       h = fnv_mix_bytes(h, std::vector<NodeId>(
@@ -234,7 +234,7 @@ TEST(RandomWaypoint, TinyRadiusIsOnePointWithoutBuckets) {
     }
     const Snapshot& a = unit.snapshot();
     const Snapshot& b = tiny.snapshot();
-    ASSERT_EQ(a.edge_buffer(), b.edge_buffer()) << "step " << t;
+    ASSERT_EQ(decoded_edges(a), decoded_edges(b)) << "step " << t;
     const Snapshot::CsrView ca = a.csr();
     const Snapshot::CsrView cb = b.csr();
     ASSERT_TRUE(std::equal(ca.offsets, ca.offsets + 257, cb.offsets));

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <signal.h>
 #include <sys/wait.h>
 
 #include <atomic>
@@ -27,6 +28,7 @@
 #include <filesystem>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -450,6 +452,44 @@ TEST(ServeWorker, ProcessModeStatsReportWorkerRows) {
     if (slot.pid != 0 && slot.jobs > 0) saw_live_worker = true;
   }
   EXPECT_TRUE(saw_live_worker);
+}
+
+// A pool spawns its workers when its threads start, so the first jobs
+// find them up; manual mode spawns nothing before its first run_one().
+TEST(ServeWorker, PoolWorkersAreSpawnedBeforeAnyJob) {
+  ResultCache cache;
+  SchedulerConfig config = process_config();
+  config.workers = 2;
+  Scheduler scheduler(config, &cache);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::vector<std::uint64_t> pids;
+  while (true) {
+    pids.clear();
+    for (const WorkerSlotStats& slot : scheduler.stats().workers) {
+      if (slot.pid != 0) pids.push_back(slot.pid);
+    }
+    if (pids.size() >= 2 || std::chrono::steady_clock::now() > deadline) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_EQ(pids.size(), 2u);
+  for (const std::uint64_t pid : pids) {
+    EXPECT_EQ(::kill(static_cast<pid_t>(pid), 0), 0) << "pid " << pid;
+  }
+  const StatsSnapshot stats = scheduler.stats();
+  EXPECT_EQ(stats.subjobs_run, 0u);
+  EXPECT_EQ(stats.workers.back().pid, 0u);  // the manual run_one() slot
+}
+
+TEST(ServeWorker, ManualModeSpawnsNoWorkerBeforeRunOne) {
+  ResultCache cache;
+  Scheduler scheduler(process_config(), &cache);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  for (const WorkerSlotStats& slot : scheduler.stats().workers) {
+    EXPECT_EQ(slot.pid, 0u) << "slot " << slot.slot;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -157,7 +157,7 @@ TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
       GeneralEdgeMEG meg(n, l.link.chain, l.link.chi, 5 + n,
                          MegStorage::kSparse);
       for (std::size_t t = 0; t < 200; ++t) {
-        ASSERT_EQ(meg.snapshot().edge_buffer(),
+        ASSERT_EQ(decoded_edges(meg.snapshot()),
                   brute_force_edges(meg, l.link.chi))
             << "step " << t;
         const std::vector<std::uint64_t> keys = meg.minority_keys();
@@ -262,7 +262,7 @@ TEST(SparseGeneralEdgeMeg, StepStreamIsPinned) {
       if (t > 0) meg.step();
       h = fnv_mix_bytes(h, meg.minority_keys());
       h = fnv_mix_bytes(h, meg.minority_states());
-      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+      h = fnv_mix_bytes(h, decoded_edges(meg.snapshot()));
     }
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }
@@ -327,7 +327,7 @@ TEST(SparseGeneralEdgeMeg, ResetReproducesStream) {
     ASSERT_EQ(reused.minority_keys(), fresh.minority_keys()) << "step " << t;
     ASSERT_EQ(reused.minority_states(), fresh.minority_states())
         << "step " << t;
-    ASSERT_EQ(reused.snapshot().edge_buffer(), fresh.snapshot().edge_buffer())
+    ASSERT_EQ(decoded_edges(reused.snapshot()), decoded_edges(fresh.snapshot()))
         << "step " << t;
     reused.step();
     fresh.step();
@@ -517,7 +517,7 @@ TEST(SparseHeterogeneousEdgeMeg, StepStreamIsPinned) {
     std::uint64_t h = kFnvOffset;
     for (int t = 0; t <= 40; ++t) {
       if (t > 0) meg.step();
-      h = fnv_mix_bytes(h, meg.snapshot().edge_buffer());
+      h = fnv_mix_bytes(h, decoded_edges(meg.snapshot()));
     }
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }
