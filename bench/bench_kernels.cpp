@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/bitwords.hpp"
 #include "core/flooding.hpp"
 #include "geometry/square_grid.hpp"
 #include "graph/builders.hpp"
@@ -343,6 +344,57 @@ void BM_GridLPathsStep(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GridLPathsStep)->Arg(128)->Arg(512);
+
+// One word-packed flood round (flood_round_words) with half the nodes
+// informed, over the snapshot of the sparse general engine at the
+// meg_sparse_flood parameters: a state-carrying snapshot, whose reader
+// masks each key of the minority map by its state.
+void BM_FloodRoundWordsSparseGeneral(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto link = make_bursty_link(8.0 / static_cast<double>(n), 0.5, 0.3);
+  GeneralEdgeMEG meg(n, link.chain, link.chi, 1, MegStorage::kSparse);
+  for (int t = 0; t < 8; ++t) meg.step();
+  std::vector<std::uint64_t> cur(bit_words(n), 0), next;
+  for (std::size_t i = 0; i < n / 2; ++i) set_bit(cur.data(), i);
+  for (auto _ : state) {
+    next = cur;
+    benchmark::DoNotOptimize(
+        flood_round_words(meg.snapshot(), cur.data(), next.data(), n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(meg.snapshot().keys().size()));
+  state.counters["edges"] =
+      static_cast<double>(meg.snapshot().num_edges());
+}
+BENCHMARK(BM_FloodRoundWordsSparseGeneral)->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
+
+// The same round over a plain snapshot with as many edges: a two-state
+// edge-MEG whose stationary edge density matches the general engine's
+// snapshot above, so the two kernels differ by the mask.
+void BM_FloodRoundWordsTwoState(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto link = make_bursty_link(8.0 / static_cast<double>(n), 0.5, 0.3);
+  GeneralEdgeMEG general(n, link.chain, link.chi, 1, MegStorage::kSparse);
+  for (int t = 0; t < 8; ++t) general.step();
+  const double alpha = static_cast<double>(general.snapshot().num_edges()) /
+                       static_cast<double>(pair_count(n));
+  const double q = 0.3;
+  TwoStateEdgeMEG meg(n, {q * alpha / (1.0 - alpha), q}, 1);
+  std::vector<std::uint64_t> cur(bit_words(n), 0), next;
+  for (std::size_t i = 0; i < n / 2; ++i) set_bit(cur.data(), i);
+  for (auto _ : state) {
+    next = cur;
+    benchmark::DoNotOptimize(
+        flood_round_words(meg.snapshot(), cur.data(), next.data(), n));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(meg.snapshot().keys().size()));
+  state.counters["edges"] =
+      static_cast<double>(meg.snapshot().num_edges());
+}
+BENCHMARK(BM_FloodRoundWordsTwoState)->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_FloodRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -9,7 +9,7 @@
 // spreading-phase doubling (Lemma 11/13) and saturation phase (Lemma 14).
 //
 // Engine: informed sets are packed uint64 words (core/bitwords.hpp), and
-// both variants walk the snapshot's raw edge buffer, never its CSR view.
+// both variants walk the snapshot's raw key array, never its CSR view.
 // The single-source round ORs one bit per edge endpoint; the all-sources
 // variant keeps the n x n reachability matrix as bit-rows (row[v] =
 // sources that have reached v) and updates it with two word-wide ORs per
@@ -84,7 +84,7 @@ PhaseSplit split_phases(const FloodResult& result, std::size_t num_nodes);
 // `threads` parallelizes the round kernel by partitioning the bit-row
 // reachability matrix into contiguous word-column blocks (i.e. disjoint
 // slices of the source axis): each worker applies row[v] |= row[u] over
-// its own word block for the whole edge list, and owns the per-source
+// its own word block for the whole key array, and owns the per-source
 // counters of the sources in its block, so there are no shared writes and
 // no atomics in the hot loop.  The partition only splits independent
 // per-source computations, so the result is bit-for-bit identical for

@@ -107,7 +107,8 @@ class Snapshot {
   }
 
   // Borrows an engine's key set with one state per key: key k is an edge
-  // iff on[states[k]], and `num_edges` of them are.
+  // iff on[states[k]], and `num_edges` of them are.  The snapshot keeps
+  // its own copy of `on`.
   void borrow(const std::vector<std::uint64_t>& keys,
               const std::vector<std::uint8_t>& states, const StateMask& on,
               std::size_t num_edges) noexcept {
@@ -128,7 +129,7 @@ class Snapshot {
     return borrowed_ ? states_ : nullptr;
   }
   const StateMask* on_mask() const noexcept {
-    return borrowed_ ? on_ : nullptr;
+    return key_states() != nullptr ? &on_ : nullptr;
   }
 
   // Calls fn(u, v, on) for every key in array order, with on = 1 for an
@@ -147,7 +148,7 @@ class Snapshot {
       }
       return;
     }
-    const std::uint8_t* const on = on_->data();
+    const std::uint8_t* const on = on_.data();
     for (std::size_t k = 0; k < size; ++k) {
       fn(pair_key_i(key[k]), pair_key_j(key[k]), std::uint32_t{on[states[k]]});
     }
@@ -194,7 +195,7 @@ class Snapshot {
     borrowed_size_ = keys.size();
     borrowed_edges_ = num_edges;
     states_ = states;
-    on_ = on;
+    if (on != nullptr) on_ = *on;
     csr_valid_ = false;
   }
   // Copies the borrowed edges into the snapshot's own array.
@@ -214,7 +215,7 @@ class Snapshot {
   std::size_t borrowed_size_ = 0;
   std::size_t borrowed_edges_ = 0;
   const std::uint8_t* states_ = nullptr;  // null: every key is an edge
-  const StateMask* on_ = nullptr;
+  StateMask on_{};
 
   // Lazily built CSR view; mutable because building it on first query is
   // not an observable state change (single-threaded use assumed).

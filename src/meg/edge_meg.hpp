@@ -15,7 +15,8 @@
 // branch-free death pass lists the dead; the birth draws only record raw
 // pair indices, which indices_to_keys converts to keys; and the pair
 // set's merge drops the dead and the marks on them, and writes the next
-// on-set and the snapshot's edge list in one branch-free pass.  A step
+// on-set in one branch-free pass; the snapshot borrows it as its key
+// array.  A step
 // performs no hashing, no re-sort, and (after warmup) no allocation.
 //
 // In the storage-mode taxonomy of meg/storage.hpp this engine is

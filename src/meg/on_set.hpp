@@ -7,6 +7,10 @@
 // implicit complement population with it (draw_complement_ranks in
 // meg/pair_set.hpp).
 
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -18,6 +22,18 @@
 #include "util/rng.hpp"
 
 namespace megflood {
+
+// Hands the whole pages inside [begin, end) back to the system: they stay
+// allocated to the caller, and read as zeros if touched again.  For a
+// buffer's consumed stretch, so that it stops counting toward the
+// process's resident memory before the buffer itself is freed.
+inline void release_pages(const void* begin, const void* end) noexcept {
+  static const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t lo =
+      (reinterpret_cast<std::uintptr_t>(begin) + page - 1) & ~(page - 1);
+  const std::uintptr_t hi = reinterpret_cast<std::uintptr_t>(end) & ~(page - 1);
+  if (hi > lo) madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+}
 
 // The dedup set of sample_distinct_positions' sparse branch: distinct
 // positions < bound kept in ascending slot order by ordered linear
@@ -77,11 +93,22 @@ class OrderedProbeTable {
     __builtin_prefetch(table_.data() + home(pos));
   }
 
-  // Appends every stored position to `out`, ascending.
-  void append_sorted(std::vector<std::uint64_t>& out) const {
-    for (const Slot value : table_) {
-      if (value != kEmpty) out.push_back(value);
+  // Appends every stored position to `out`, ascending, and empties the
+  // table.  The scan releases each stretch of slots it has passed, so at
+  // paper scale (64-bit slots, twice as many as positions) the table and
+  // `out` never hold all the positions at once.
+  void drain_sorted(std::vector<std::uint64_t>& out) {
+    constexpr std::size_t kStretch = (std::size_t{1} << 20) / sizeof(Slot);
+    const Slot* const slots = table_.data();
+    const std::size_t size = table_.size();
+    for (std::size_t begin = 0; begin < size; begin += kStretch) {
+      const std::size_t end = std::min(size, begin + kStretch);
+      for (std::size_t s = begin; s < end; ++s) {
+        if (slots[s] != kEmpty) out.push_back(slots[s]);
+      }
+      release_pages(slots + begin, slots + end);
     }
+    table_ = {};
   }
 
  private:
@@ -115,7 +142,7 @@ inline void draw_distinct_ordered(Rng& rng, std::uint64_t k,
     table.prefetch(ahead.uniform_int(bound));
     if (table.insert(rng.uniform_int(bound))) ++drawn;
   }
-  table.append_sorted(out);
+  table.drain_sorted(out);
 }
 
 // Draws a uniform random k-subset of [0, bound) into `out`, sorted

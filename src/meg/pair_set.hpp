@@ -79,8 +79,7 @@ class PairSetWriter {
 
   // A set with states: emit_state(key, state) drops an entry in the
   // `majority` state, and an entry in a state s with on[s] is also a
-  // snapshot edge.  on[majority] must be 0, and `on` must outlive the
-  // snapshot's borrow.
+  // snapshot edge.  on[majority] must be 0.
   PairSetWriter(PairSet& set, std::uint64_t n, std::uint64_t max_entries,
                 std::uint8_t majority, const StateMask& on)
       : set_(set),
@@ -147,7 +146,7 @@ class PairSetWriter {
   PairSet& set_;
   NodeId n_;
   std::uint8_t majority_ = 0;
-  const StateMask* on_ = nullptr;  // the states mode's mask, lent onward
+  const StateMask* on_ = nullptr;  // the states mode's mask
   StateMask is_on_;  // its copy the emits read, in the writer's frame
   std::uint64_t* keys_;
   std::uint8_t* states_ = nullptr;

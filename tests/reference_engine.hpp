@@ -52,7 +52,7 @@ struct RefSnapshot {
     adjacency.at(v).push_back(u);
   }
 
-  // Lossless import of a production snapshot via its raw edge buffer (does
+  // Lossless import of a production snapshot via its decoded keys (does
   // not exercise the CSR view under test).
   static RefSnapshot from(const Snapshot& snap) {
     RefSnapshot ref(snap.num_nodes());

@@ -135,7 +135,7 @@ TEST(TwoStateEdgeMEG, SparseModelStillFloods) {
 }
 
 TEST(TwoStateEdgeMEG, StepStreamIsPinned) {
-  // The raw edge buffer (the on-set in key order) after the initializer
+  // The decoded edges (the on-set in key order) after the initializer
   // and each of 40 steps, folded into one FNV-1a hash per row.  The rows
   // cover the three inits at (p, q) = (0.05, 0.3), and the serve regime
   // of BM_EdgeMegStepServe (n = 256, alpha = 1/128, q = 0.3), where

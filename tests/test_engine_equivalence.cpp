@@ -100,7 +100,7 @@ TEST(EngineEquivalence, EdgeMegDenseStateAndStreams) {
   }
 }
 
-// The raw edge buffer (ascending keys, the order the step writes) must
+// The decoded edges (ascending keys, the order the step writes) must
 // equal the reference's sorted edge list after every step, and again
 // after reset() reseeds both.
 void expect_same_edge_buffers(std::size_t n, TwoStateParams params,
@@ -234,7 +234,7 @@ TEST(EngineEquivalence, RandomWalkFloodTrajectories) {
 }
 
 TEST(EngineEquivalence, WordRoundMatchesByteRound) {
-  // flood_round_words (edge-centric, over the raw edge buffer) against the
+  // flood_round_words (edge-centric, over the raw key array) against the
   // byte-array flood_round (CSR scan) on random snapshots: n straddles the
   // word boundaries, edges are added in both orientations, and informed
   // sets range from empty to full.

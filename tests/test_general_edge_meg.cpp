@@ -165,7 +165,7 @@ TEST(GeneralEdgeMEG, FourStateFloodingCompletes) {
 }
 
 TEST(GeneralEdgeMEG, DenseStepStreamIsPinned) {
-  // The dense engine's per-pair states and raw edge buffer after the
+  // The dense engine's per-pair states and decoded edges after the
   // initializer and each of 40 steps, folded into one FNV-1a hash per
   // (chain, n, seed).  The chains reach each initializer path:
   //  - "flood" and "four_state": a quiescent majority, so the scatter

@@ -144,7 +144,7 @@ TEST(HeterogeneousEdgeMEG, AggregatesMatchBruteForceOverEdgeRates) {
 }
 
 TEST(HeterogeneousEdgeMEG, DenseStepStreamIsPinned) {
-  // The dense engine's raw edge buffer (its on-set in key order) after
+  // The dense engine's decoded edges (its on-set in key order) after
   // the initializer and each of 40 steps, folded into one FNV-1a hash
   // per (sampler, n, seed).  "two_speed" has two exact rate classes;
   // "uniform" draws a distinct rate per pair, so past 64 pairs it runs

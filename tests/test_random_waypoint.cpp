@@ -160,7 +160,7 @@ TEST(RandomWaypoint, HigherSpeedFloodsFasterWhenSparse) {
 }
 
 TEST(RandomWaypoint, StepStreamIsPinned) {
-  // The agent positions (bitwise), the raw edge buffer and the CSR after
+  // The agent positions (bitwise), the decoded edges and the CSR after
   // the initializer and each of 60 steps, folded into one FNV-1a hash per
   // row.  The rows cover the one-point campaign regime (L = 64, m = 32,
   // r = 1, every bucket one grid point), a multi-point grid (L = 16,

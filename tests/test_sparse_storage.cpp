@@ -134,8 +134,8 @@ TEST(SparseGeneralEdgeMeg, SnapshotMatchesBruteForceEveryStep) {
 }
 
 TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
-  // The merge pass writes the snapshot straight from the map walk, so the
-  // raw edge buffer itself (not only the edge set) must be the ascending
+  // The snapshot reads the map the merge pass writes, so the decoded
+  // edges themselves (not only the edge set) must be the ascending
   // brute-force list, and the map must stay strictly ascending with no
   // majority-state entry.  Counts the three edge cases of the walk so the
   // run provably reached each: a step with no majority mover, a majority
@@ -187,7 +187,7 @@ TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
 }
 
 TEST(SparseGeneralEdgeMeg, StepStreamIsPinned) {
-  // The minority map and the raw edge buffer after the initializer and
+  // The minority map and the decoded edges after the initializer and
   // each of 40 steps, folded into one FNV-1a hash per (chain, n, seed).
   // The chains reach every branch of the minority select:
   //  - "flood": meg_sparse_flood's ratios; the warming state exits at the
@@ -471,7 +471,7 @@ void expect_flip_law_matches_rates(HeterogeneousEdgeMEG& meg,
 }
 
 TEST(SparseHeterogeneousEdgeMeg, StepStreamIsPinned) {
-  // The raw edge buffer (the sparse on-set in key order) after the
+  // The decoded edges (the sparse on-set in key order) after the
   // initializer and each of 40 steps, folded into one FNV-1a hash per
   // (sampler, n, seed).  "uniform" is the kernel's law (alpha in
   // [4/n, 12/n] past n = 64, a continuous spread, so both thinning draws
