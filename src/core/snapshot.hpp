@@ -123,13 +123,10 @@ class Snapshot {
     return owned_;
   }
 
-  // One state per key, or null when every key is an edge; key k is an
-  // edge iff (*on_mask())[key_states()[k]].
+  // One state per key, or null when every key is an edge (for_each_key
+  // applies the states).
   const std::uint8_t* key_states() const noexcept {
     return borrowed_ ? states_ : nullptr;
-  }
-  const StateMask* on_mask() const noexcept {
-    return key_states() != nullptr ? &on_ : nullptr;
   }
 
   // Calls fn(u, v, on) for every key in array order, with on = 1 for an

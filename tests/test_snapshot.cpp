@@ -136,7 +136,6 @@ TEST(Snapshot, BorrowedStatesReadOnlyTheOnKeys) {
   EXPECT_EQ(s.keys().data(), keys.data());
   EXPECT_EQ(s.keys().size(), keys.size());
   EXPECT_EQ(s.key_states(), states.data());
-  EXPECT_EQ(*s.on_mask(), on);
   EXPECT_EQ(s.num_edges(), 3u);
   EXPECT_EQ(decoded_edges(s), (EdgeList{{0, 1}, {1, 2}, {3, 4}}));
 
