@@ -13,11 +13,8 @@ Snapshot::Snapshot(const Snapshot& other) : num_nodes_(other.num_nodes_) {
 }
 
 Snapshot& Snapshot::operator=(const Snapshot& other) {
-  if (this != &other) {
-    Snapshot copy(other);
-    *this = std::move(copy);
-  }
-  return *this;
+  Snapshot copy(other);
+  return *this = std::move(copy);
 }
 
 void Snapshot::reset(std::size_t num_nodes) {
@@ -26,11 +23,7 @@ void Snapshot::reset(std::size_t num_nodes) {
 }
 
 void Snapshot::own() {
-  std::vector<std::uint64_t> edges;
-  edges.reserve(num_edges());
-  for_each_edge(
-      [&edges](NodeId u, NodeId v) { edges.push_back(pack_pair(u, v)); });
-  owned_.swap(edges);
+  owned_ = Snapshot(*this).owned_;
   borrowed_ = false;
 }
 
