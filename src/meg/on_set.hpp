@@ -43,7 +43,7 @@ inline void release_pages(const void* begin, const void* end) noexcept {
 // larger entry and shifts the rest of the run one slot right, so every
 // run stays sorted; a run never wraps, it grows the table at its tail
 // instead.  Occupied slots, read left to right, are therefore ascending,
-// and append_sorted emits the set with one compacting scan.  The occupied
+// and drain_sorted emits the set with one compacting scan.  The occupied
 // slots are the ones a plain linear-probing table would fill, so a load
 // <= 1/2 keeps runs short.  Every position is < bound <= the all-ones
 // Slot, which therefore marks an empty slot and compares above every

@@ -103,7 +103,7 @@ TEST(EngineEquivalence, EdgeMegDenseStateAndStreams) {
 // The decoded edges (ascending keys, the order the step writes) must
 // equal the reference's sorted edge list after every step, and again
 // after reset() reseeds both.
-void expect_same_edge_buffers(std::size_t n, TwoStateParams params,
+void expect_same_decoded_edges(std::size_t n, TwoStateParams params,
                               std::uint64_t seed) {
   TwoStateEdgeMEG meg(n, params, seed);
   reference::RefTwoStateEdgeMEG ref(n, params, seed);
@@ -130,7 +130,7 @@ TwoStateParams serve_regime_params() {
 
 TEST(EngineEquivalence, EdgeMegServeRegimeEdgeBufferEveryStep) {
   for (std::uint64_t seed : kSeeds) {
-    expect_same_edge_buffers(256, serve_regime_params(), seed);
+    expect_same_decoded_edges(256, serve_regime_params(), seed);
   }
 }
 
@@ -142,7 +142,7 @@ TEST(EngineEquivalence, EdgeMegTinyGraphsEdgeBufferEveryStep) {
     for (double p : {0.5, 1.0}) {
       for (double q : {0.0, 1.0}) {
         for (std::uint64_t seed : kSeeds) {
-          expect_same_edge_buffers(n, {p, q}, seed);
+          expect_same_decoded_edges(n, {p, q}, seed);
         }
       }
     }
