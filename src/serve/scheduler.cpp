@@ -340,11 +340,15 @@ bool Scheduler::pick_next(QueuedSubJob& out) {
   return false;
 }
 
-// Runs one sub-job on the calling thread.  Takes `lock` held, drops it
-// around the campaign, reacquires to resolve.  In process mode the
-// campaign itself runs in the slot's worker subprocess instead.
-void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
-                        std::size_t slot) {
+void Scheduler::push_front(QueuedSubJob item) {
+  const auto it = clients_.find(item.job->client);
+  if (it == clients_.end()) return;
+  it->second.queue.push_front(std::move(item));
+  ++queued_subjobs_;
+  rr_cursor_ = it->first - 1;  // ids start at 1; this client is next
+}
+
+bool Scheduler::begin_run(const QueuedSubJob& item) {
   const std::shared_ptr<Job>& job = item.job;
   SubJobReply reply;
   reply.key = campaign_key_string(item.work.key);
@@ -352,7 +356,7 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
   if (job->cancel.load(std::memory_order_relaxed)) {
     reply.cancelled = true;
     resolve(job, item.work.index, std::move(reply));
-    return;
+    return false;
   }
   // An identical sub-job (same key, other client) may have landed in the
   // cache since this one was queued; re-checking here is what makes the
@@ -363,7 +367,7 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
     ++job->cache_hits;
     job->completed += item.work.spec.trial.trials;
     resolve(job, item.work.index, std::move(reply));
-    return;
+    return false;
   }
   if (isolation_ == IsolationMode::kProcess) {
     // A quarantined campaign never executes again: it resolves straight
@@ -377,7 +381,7 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
       reply.error = "quarantined: worker crashed (" + reply.crash_signal +
                     ") " + std::to_string(reply.crashes) + " times";
       resolve(job, item.work.index, std::move(reply));
-      return;
+      return false;
     }
   }
   if (!job->running_emitted) {
@@ -386,36 +390,46 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
   }
   ++subjobs_run_;
   ++running_subjobs_;
-  {
-    const auto owner = clients_.find(job->client);
-    if (owner != clients_.end()) ++owner->second.in_flight;
-  }
-  SubJobOutcome outcome;
+  const auto owner = clients_.find(job->client);
+  if (owner != clients_.end()) ++owner->second.in_flight;
+  return true;
+}
+
+// Runs one sub-job on the calling thread.  Takes `lock` held, drops it
+// around the campaign, reacquires to resolve.  In process mode the
+// campaign itself runs in the slot's worker subprocess instead.
+void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
+                        std::size_t slot, bool pipeline) {
+  if (!begin_run(item)) return;
   if (isolation_ == IsolationMode::kProcess) {
-    outcome = run_in_worker(item, reply, lock, slot);
-  } else {
-    MeasureHooks hooks;
-    hooks.cancel = &job->cancel;
-    if (FaultPlan* const plan = fault_plan_) {
-      hooks.on_trial_start = [plan](std::size_t trial) {
-        plan->fire_trial_start(trial);
-      };
-      // kill:after= counts durable records daemon-wide and fires after
-      // the trial_done event is queued for delivery.
-      hooks.on_trial_recorded = [plan](std::size_t trial) {
-        plan->fire_trial_recorded(trial);
-      };
-    }
-    const std::string jpath = journal_path(reply.key);
-    std::size_t credited = 0;
-    lock.unlock();
-    outcome = run_subjob(item.work.spec, jpath, job->deadline_s,
-                         std::move(hooks), [&](std::size_t done) {
-                           std::lock_guard<std::mutex> relock(mutex_);
-                           credit_progress(*job, credited, done);
-                         });
-    lock.lock();
+    run_in_worker(std::move(item), lock, slot, pipeline);
+    return;
   }
+  const std::shared_ptr<Job>& job = item.job;
+  SubJobReply reply;
+  reply.key = campaign_key_string(item.work.key);
+  MeasureHooks hooks;
+  hooks.cancel = &job->cancel;
+  if (FaultPlan* const plan = fault_plan_) {
+    hooks.on_trial_start = [plan](std::size_t trial) {
+      plan->fire_trial_start(trial);
+    };
+    // kill:after= counts durable records daemon-wide and fires after
+    // the trial_done event is queued for delivery.
+    hooks.on_trial_recorded = [plan](std::size_t trial) {
+      plan->fire_trial_recorded(trial);
+    };
+  }
+  const std::string jpath = journal_path(reply.key);
+  std::size_t credited = 0;
+  lock.unlock();
+  SubJobOutcome outcome =
+      run_subjob(item.work.spec, jpath, job->deadline_s, std::move(hooks),
+                 [&](std::size_t done) {
+                   std::lock_guard<std::mutex> relock(mutex_);
+                   credit_progress(*job, credited, done);
+                 });
+  lock.lock();
   finish(item, std::move(reply), std::move(outcome), lock);
 }
 
@@ -465,154 +479,214 @@ void Scheduler::finish(const QueuedSubJob& item, SubJobReply reply,
   resolve(job, item.work.index, std::move(reply));
 }
 
-// Process-mode execution: dispatch the sub-job to the slot's worker and
-// pump its event stream, crediting its trial lines like thread mode.  A
-// worker death charges the campaign and retries on a respawned worker
-// until the crash limit, then quarantines (filling `reply`'s crash
-// fields).  Entered with mutex_ held; returns with it held.
-SubJobOutcome Scheduler::run_in_worker(const QueuedSubJob& item,
-                                       SubJobReply& reply,
-                                       std::unique_lock<std::mutex>& lock,
-                                       std::size_t slot_index) {
-  using Clock = std::chrono::steady_clock;
-  const std::shared_ptr<Job>& job = item.job;
-  WorkerSlot& slot = worker_slots_[slot_index];
-  slot.busy = true;
-  ++slot.jobs;
-
-  WorkerJob wjob;
-  wjob.job = next_dispatch_++;
+Scheduler::Dispatch Scheduler::make_dispatch(QueuedSubJob item,
+                                             WorkerSlot& slot) {
+  Dispatch out;
+  out.reply.key = campaign_key_string(item.work.key);
+  out.wjob.job = next_dispatch_++;
   // The canonical CLI from the campaign key carries the full identity
   // (scenario args + --seed + --trials); the worker re-derives the spec
   // from it, which is exactly the recover_journals() round-trip.
-  wjob.cli = item.work.key.scenario_cli;
-  wjob.journal = journal_path(reply.key);
-  wjob.deadline_s = job->deadline_s;
-  wjob.memory_mb = worker_memory_mb_;
+  out.wjob.cli = item.work.key.scenario_cli;
+  out.wjob.journal = journal_path(out.reply.key);
+  out.wjob.deadline_s = item.job->deadline_s;
+  out.wjob.memory_mb = worker_memory_mb_;
+  const auto crashes = campaign_crashes_.find(out.reply.key);
+  out.wjob.attempt = crashes == campaign_crashes_.end() ? 0 : crashes->second;
+  out.item = std::move(item);
+  ++slot.jobs;
+  return out;
+}
 
-  SubJobOutcome outcome;
-  // Progress this sub-job has credited, across crash-retries.
-  std::size_t credited = 0;
+// Process-mode execution: dispatch the sub-job to the slot's worker and
+// pump its event stream, crediting its trial lines like thread mode.  A
+// worker death charges the running campaign and retries it on a
+// respawned worker until the crash limit, then quarantines it (filling
+// its reply's crash fields); a sub-job sent behind it is put back
+// uncharged.  Each sent sub-job then becomes the running one.  Entered
+// with mutex_ held; returns with it held.
+void Scheduler::run_in_worker(QueuedSubJob item,
+                              std::unique_lock<std::mutex>& lock,
+                              std::size_t slot_index, bool pipeline) {
+  WorkerSlot& slot = worker_slots_[slot_index];
+  slot.busy = true;
+  std::optional<Dispatch> cur = make_dispatch(std::move(item), slot);
+  std::optional<Dispatch> next;
 
-  while (true) {
-    // mutex_ held at the top of every attempt.
-    {
-      const auto it = campaign_crashes_.find(reply.key);
-      wjob.attempt = it == campaign_crashes_.end() ? 0 : it->second;
-    }
-    if (job->cancel.load(std::memory_order_relaxed)) {
-      outcome.interrupted = true;
-      break;
-    }
-    lock.unlock();
-
-    // The slot's process is touched only by this (owning) thread with the
-    // lock released; pid/busy/jobs mirrors are updated under the lock.
-    std::string spawn_error;
-    if (!ensure_worker(slot, spawn_error)) {
-      lock.lock();
-      outcome.error = "worker spawn failed: " + spawn_error;
-      break;
-    }
-
-    WorkerDeath death;
-    bool died = false;
-    bool got_result = false;
-    if (!slot.process->send_line(worker_job_line(wjob))) {
-      death = slot.process->reap_after_close();
-      died = true;
-    }
-    auto last_activity = Clock::now();
-    bool cancel_sent = false;
-    while (!died && !got_result) {
-      if (!cancel_sent && job->cancel.load(std::memory_order_relaxed)) {
-        cancel_sent = true;
-        slot.process->send_line("{\"op\": \"cancel\", \"job\": " +
-                                std::to_string(wjob.job) + "}");
-      }
-      std::string line;
-      const auto status = slot.process->read_line(kWorkerPollMs, line);
-      if (status == WorkerProcess::ReadStatus::kClosed) {
-        death = slot.process->reap_after_close();
-        died = true;
+  while (cur) {
+    SubJobOutcome outcome;
+    while (true) {
+      // mutex_ held at the top of every attempt.
+      if (!cur->sent &&
+          cur->item.job->cancel.load(std::memory_order_relaxed)) {
+        outcome.interrupted = true;
         break;
       }
-      if (status == WorkerProcess::ReadStatus::kTimeout) {
-        const auto silent_ms =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - last_activity)
-                .count();
-        if (silent_ms >= heartbeat_timeout_ms_) {
-          // Wedged, not dead: no trial, heartbeat, or result line for the
-          // whole window.  SIGKILL and classify as heartbeat_timeout.
-          death = slot.process->kill_and_reap();
-          died = true;
+      lock.unlock();
+
+      // The slot's process is touched only by this (owning) thread with
+      // the lock released; pid/busy/jobs mirrors are updated under it.
+      WorkerDeath death;
+      bool died = false;
+      if (!cur->sent) {
+        std::string spawn_error;
+        if (!ensure_worker(slot, spawn_error)) {
+          lock.lock();
+          outcome.error = "worker spawn failed: " + spawn_error;
           break;
         }
-        continue;
+        cur->sent = true;
+        if (!slot.process->send_line(worker_job_line(cur->wjob))) {
+          death = slot.process->reap_after_close();
+          died = true;
+        }
       }
-      last_activity = Clock::now();
-      std::string parse_error;
-      const auto event = parse_json(line, parse_error);
-      if (!event || !event->is_object()) continue;  // garbage line: skip
-      const JsonValue* kind = event->find("event");
-      if (!kind || !kind->is_string()) continue;
-      if (kind->string == "heartbeat") continue;
-      const JsonValue* jid = event->find("job");
-      if (!jid || !jid->is_number() ||
-          static_cast<std::uint64_t>(jid->number) != wjob.job) {
-        continue;  // stale line from an earlier, abandoned dispatch
-      }
-      if (kind->string == "trial") {
-        const JsonValue* done = event->find("done");
-        if (!done || !done->is_number()) continue;
-        std::lock_guard<std::mutex> relock(mutex_);
-        credit_progress(*job, credited,
-                        static_cast<std::size_t>(done->number));
-      } else if (kind->string == "result") {
-        outcome = parse_worker_result_line(line);
-        got_result = true;
-      }
-    }
+      const bool got_result =
+          !died && pump(slot, *cur, next, pipeline, outcome, death);
+      lock.lock();
+      if (got_result) break;
 
-    lock.lock();
-    if (got_result) break;
-
-    // Worker died (or wedged) mid-campaign: classify, charge the
-    // campaign once per attempt (concurrent dispatches of one campaign
-    // dying on the same attempt are one crash), then retry or quarantine.
-    slot.pid = 0;
-    ++worker_restarts_;
-    std::uint64_t& charged = campaign_crashes_[reply.key];
-    if (charged == wjob.attempt) ++charged;
-    const std::uint64_t crashes = charged;
-    std::fprintf(stderr,
-                 "megflood_serve: worker died (%s) running %s "
-                 "[crash %llu/%llu]\n",
-                 death.describe().c_str(), reply.key.c_str(),
-                 static_cast<unsigned long long>(crashes),
-                 static_cast<unsigned long long>(crash_limit_));
-    if (crashes >= crash_limit_) {
-      QuarantineInfo info;
-      info.signal = death.describe();
-      info.crashes = crashes;
-      quarantined_[reply.key] = info;
-      ++jobs_quarantined_;
-      persist_quarantine(reply.key, info);
-      reply.worker_crash = true;
-      reply.crash_signal = info.signal;
-      reply.crashes = crashes;
-      outcome.error = "quarantined: worker crashed (" + info.signal + ") " +
-                      std::to_string(crashes) + " times";
-      break;
+      // Worker died (or wedged) before the running sub-job's result line.
+      // A sub-job sent behind it never started: back to the head of its
+      // client's queue, uncharged.
+      slot.pid = 0;
+      ++worker_restarts_;
+      cur->sent = false;
+      if (next) {
+        --subjobs_run_;
+        --running_subjobs_;
+        const auto owner = clients_.find(next->item.job->client);
+        if (owner != clients_.end()) --owner->second.in_flight;
+        push_front(std::move(next->item));
+        next.reset();
+      }
+      // Charge the running campaign once per attempt (concurrent
+      // dispatches of one campaign dying on the same attempt are one
+      // crash), then retry or quarantine.
+      std::uint64_t& charged = campaign_crashes_[cur->reply.key];
+      if (charged == cur->wjob.attempt) ++charged;
+      const std::uint64_t crashes = charged;
+      std::fprintf(stderr,
+                   "megflood_serve: worker died (%s) running %s "
+                   "[crash %llu/%llu]\n",
+                   death.describe().c_str(), cur->reply.key.c_str(),
+                   static_cast<unsigned long long>(crashes),
+                   static_cast<unsigned long long>(crash_limit_));
+      if (crashes >= crash_limit_) {
+        QuarantineInfo info;
+        info.signal = death.describe();
+        info.crashes = crashes;
+        quarantined_[cur->reply.key] = info;
+        ++jobs_quarantined_;
+        persist_quarantine(cur->reply.key, info);
+        cur->reply.worker_crash = true;
+        cur->reply.crash_signal = info.signal;
+        cur->reply.crashes = crashes;
+        outcome.error = "quarantined: worker crashed (" + info.signal +
+                        ") " + std::to_string(crashes) + " times";
+        break;
+      }
+      // Below the limit: loop back and re-dispatch as the next attempt.
+      // The journal the dead worker left behind makes the retry resume
+      // bit-identically.
+      cur->wjob.attempt = crashes;
     }
-    // Below the limit: loop back and re-dispatch.  The journal the dead
-    // worker left behind makes the retry resume bit-identically.
+    finish(cur->item, std::move(cur->reply), std::move(outcome), lock);
+    cur = std::move(next);
+    next.reset();
   }
-
-  // mutex_ held.
   slot.busy = false;
-  return outcome;
+}
+
+bool Scheduler::pump(WorkerSlot& slot, Dispatch& cur,
+                     std::optional<Dispatch>& next, bool pipeline,
+                     SubJobOutcome& outcome, WorkerDeath& death) {
+  using Clock = std::chrono::steady_clock;
+  WorkerProcess& process = *slot.process;
+  const std::size_t trials = cur.item.work.spec.trial.trials;
+  std::size_t reported = 0;  // trials this attempt has reported done
+  auto last_activity = Clock::now();
+  while (true) {
+    if (pipeline && !next && reported + 1 >= trials) {
+      send_next(slot, cur, next);
+    }
+    for (Dispatch* sent : {&cur, next ? &*next : nullptr}) {
+      if (sent != nullptr && !sent->cancel_sent &&
+          sent->item.job->cancel.load(std::memory_order_relaxed)) {
+        sent->cancel_sent = true;
+        process.send_line("{\"op\": \"cancel\", \"job\": " +
+                          std::to_string(sent->wjob.job) + "}");
+      }
+    }
+    std::string line;
+    const auto status = process.read_line(kWorkerPollMs, line);
+    if (status == WorkerProcess::ReadStatus::kClosed) {
+      death = process.reap_after_close();
+      return false;
+    }
+    if (status == WorkerProcess::ReadStatus::kTimeout) {
+      const auto silent_ms =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              Clock::now() - last_activity)
+              .count();
+      if (silent_ms >= heartbeat_timeout_ms_) {
+        // Wedged, not dead: no trial, heartbeat, or result line for the
+        // whole window.  SIGKILL and classify as heartbeat_timeout.
+        death = process.kill_and_reap();
+        return false;
+      }
+      continue;
+    }
+    last_activity = Clock::now();
+    std::string parse_error;
+    const auto event = parse_json(line, parse_error);
+    if (!event || !event->is_object()) continue;  // garbage line: skip
+    const JsonValue* kind = event->find("event");
+    if (!kind || !kind->is_string()) continue;
+    if (kind->string == "heartbeat") continue;
+    const JsonValue* jid = event->find("job");
+    if (!jid || !jid->is_number() ||
+        static_cast<std::uint64_t>(jid->number) != cur.wjob.job) {
+      continue;  // stale line from an earlier, abandoned dispatch
+    }
+    if (kind->string == "trial") {
+      const JsonValue* done = event->find("done");
+      if (!done || !done->is_number()) continue;
+      const auto count = static_cast<std::size_t>(done->number);
+      reported = std::max(reported, count);
+      std::lock_guard<std::mutex> relock(mutex_);
+      credit_progress(*cur.item.job, cur.credited, count);
+    } else if (kind->string == "result") {
+      outcome = parse_worker_result_line(*event, line);
+      return true;
+    }
+  }
+}
+
+void Scheduler::send_next(WorkerSlot& slot, const Dispatch& cur,
+                          std::optional<Dispatch>& next) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    // An idle pool thread takes queued work at once; it goes first.
+    if (idle_pool_threads_ > 0) return;
+    QueuedSubJob item;
+    while (pick_next(item)) {
+      if (item.work.key == cur.item.work.key) {
+        // Same campaign as the running one: once that is stored, this is
+        // a cache hit, so it waits for its normal turn.
+        push_front(std::move(item));
+        return;
+      }
+      if (begin_run(item)) {
+        next = make_dispatch(std::move(item), slot);
+        break;
+      }
+    }
+    if (!next) return;
+  }
+  next->sent = true;
+  // A failed send means the worker is gone; the pump reads its death.
+  slot.process->send_line(worker_job_line(next->wjob));
 }
 
 bool Scheduler::ensure_worker(WorkerSlot& slot, std::string& error) {
@@ -635,11 +709,12 @@ bool Scheduler::run_one() {
   // threads); in thread mode the slot index is ignored.
   const std::size_t slot =
       worker_slots_.empty() ? 0 : worker_slots_.size() - 1;
-  execute(std::move(item), lock, slot);
+  execute(std::move(item), lock, slot, /*pipeline=*/false);
   return true;
 }
 
 void Scheduler::worker_loop(std::size_t slot) {
+  name_this_thread("serve-pool");
   if (isolation_ == IsolationMode::kProcess) {
     // Start this thread's worker now rather than at its first dispatch,
     // so the first jobs do not wait for a cold worker.  A failed spawn is
@@ -649,13 +724,15 @@ void Scheduler::worker_loop(std::size_t slot) {
   }
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
+    ++idle_pool_threads_;
     work_cv_.wait(lock, [this] { return stop_ || has_queued_work(); });
+    --idle_pool_threads_;
     QueuedSubJob item;
     if (!pick_next(item)) {
       if (stop_) return;
       continue;
     }
-    execute(std::move(item), lock, slot);
+    execute(std::move(item), lock, slot, /*pipeline=*/true);
   }
 }
 

@@ -43,6 +43,17 @@
 // persistent `.mfq` marker, never executed again and never cached.
 // Results come back verbatim, so process mode is byte-identical to
 // thread mode.
+//
+// Pipelined dispatch (process pool threads only): once the running
+// sub-job has reported all but its last trial, the pool thread picks the
+// next sub-job (same round-robin, same cancel / cache-hit / quarantine
+// checks, its `running` event now) and sends it, so the worker queues it
+// and starts it the moment the running one ends instead of idling
+// through the daemon's result handling.  A worker runs its jobs in
+// order, so a death before the running sub-job's result line is charged
+// to that sub-job alone; the sent one goes back, uncharged, to the head
+// of its client's queue.  Thread mode and run_one() dispatch one sub-job
+// at a time.
 
 #include <atomic>
 #include <condition_variable>
@@ -52,6 +63,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -183,6 +195,17 @@ class Scheduler {
     SubJob work;
   };
 
+  // A sub-job handed to a worker process, from its job line to its
+  // result line, across crash-retries.
+  struct Dispatch {
+    QueuedSubJob item;
+    SubJobReply reply;  // key; crash fields once quarantined
+    WorkerJob wjob;
+    std::size_t credited = 0;  // progress credited, across retries
+    bool sent = false;         // job line on the live worker's channel
+    bool cancel_sent = false;
+  };
+
   struct Client {
     EventFn emit;
     std::map<std::string, std::shared_ptr<Job>> jobs;  // active, by id
@@ -214,18 +237,38 @@ class Scheduler {
   void finalize(const std::shared_ptr<Job>& job);
   void cancel_queued(const std::shared_ptr<Job>& job);
   bool pick_next(QueuedSubJob& out);  // round-robin across clients
+  // Puts a picked sub-job back at the head of its client's queue, as the
+  // next pick; dropped if the client has gone.
+  void push_front(QueuedSubJob item);
   bool has_queued_work() const;
+  // Every dispatch's first step: a cancelled sub-job, a cache hit or a
+  // quarantined campaign resolves here and false returns; otherwise the
+  // sub-job is counted as running (its job's `running` event goes out
+  // with its first) and true returns.
+  bool begin_run(const QueuedSubJob& item);
+  // `pipeline` lets a process pool thread send the next sub-job during
+  // this one's last trial (run_in_worker).
   void execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
-               std::size_t slot);
+               std::size_t slot, bool pipeline);
   // Process mode: runs the sub-job in the slot's worker, retrying across
-  // crashes and quarantining past the limit (filling `reply`'s crash
-  // fields).  Called with mutex_ held; drops it around worker I/O.
-  SubJobOutcome run_in_worker(const QueuedSubJob& item, SubJobReply& reply,
-                              std::unique_lock<std::mutex>& lock,
-                              std::size_t slot);
+  // crashes and quarantining past the limit, then finishes it; with
+  // `pipeline`, goes on with each sub-job it sent behind the running one.
+  // Called with mutex_ held; drops it around worker I/O.
+  void run_in_worker(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
+                     std::size_t slot, bool pipeline);
+  Dispatch make_dispatch(QueuedSubJob item, WorkerSlot& slot);
+  // Process mode, mutex_ released: reads `cur`'s lines until its result
+  // line (true, `outcome` filled) or the worker's death (false, `death`
+  // filled).  With `pipeline`, once `cur` has reported all but its last
+  // trial, it sends the next runnable sub-job into `next`.
+  bool pump(WorkerSlot& slot, Dispatch& cur, std::optional<Dispatch>& next,
+            bool pipeline, SubJobOutcome& outcome, WorkerDeath& death);
+  // Picks and sends the sub-job to run after `cur` (mutex_ released).
+  void send_next(WorkerSlot& slot, const Dispatch& cur,
+                 std::optional<Dispatch>& next);
   // Process mode: spawns the slot's worker unless it is alive.  Called by
   // the slot's owning thread with mutex_ released, when a pool thread
-  // starts and before every dispatch.
+  // starts and before each dispatch it does not pipeline.
   bool ensure_worker(WorkerSlot& slot, std::string& error);
   // Credits a sub-job's cumulative trial count `done` beyond `credited`
   // (what it already counted), so no replay or retry counts twice.
@@ -268,6 +311,7 @@ class Scheduler {
   std::uint64_t trials_done_ = 0;
   std::uint64_t queued_subjobs_ = 0;   // invariant: sum of queue sizes
   std::uint64_t running_subjobs_ = 0;  // invariant: sum of in_flight
+  std::size_t idle_pool_threads_ = 0;  // pool threads waiting for work
   // --- process isolation ---
   const IsolationMode isolation_;
   const std::string worker_binary_;

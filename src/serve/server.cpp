@@ -342,8 +342,14 @@ void ServerImpl::accept_one() {
   Connection* raw = connection.get();
   connection->client = scheduler_.register_client(
       [this, raw](const std::string& line) { enqueue(*raw, line); });
-  connection->reader = std::thread([this, raw] { reader_loop(raw); });
-  connection->writer = std::thread([this, raw] { writer_loop(raw); });
+  connection->reader = std::thread([this, raw] {
+    name_this_thread("serve-conn-rd");
+    reader_loop(raw);
+  });
+  connection->writer = std::thread([this, raw] {
+    name_this_thread("serve-conn-wr");
+    writer_loop(raw);
+  });
   std::lock_guard<std::mutex> lock(connections_mutex_);
   connections_.push_back(std::move(connection));
 }

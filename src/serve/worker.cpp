@@ -2,6 +2,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <poll.h>
+#include <pthread.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
@@ -212,6 +213,14 @@ SubJobOutcome run_subjob(const ScenarioSpec& spec,
                          MeasureHooks hooks,
                          const std::function<void(std::size_t done)>&
                              on_progress) {
+  SubJobOutcome outcome;
+  // Cancelled before it started (a worker's queued job, say): no journal
+  // is opened, so none is left behind for a restart to resume.
+  if (hooks.cancel != nullptr &&
+      hooks.cancel->load(std::memory_order_relaxed)) {
+    outcome.interrupted = true;
+    return outcome;
+  }
   // A journaled run loses at most its in-flight trial to a crash.  A
   // foreign header (a hash-named file from another experiment) is
   // replaced; I/O failure runs unjournaled — serving beats durability.
@@ -242,7 +251,6 @@ SubJobOutcome run_subjob(const ScenarioSpec& spec,
   ScenarioSpec run_spec = spec;
   if (deadline_s > 0.0) run_spec.trial.trial_deadline_s = deadline_s;
 
-  SubJobOutcome outcome;
   try {
     const ScenarioResult result = run_scenario(run_spec, hooks);
     outcome.interrupted = result.measurement.interrupted;
@@ -274,16 +282,15 @@ std::string worker_result_line(std::uint64_t job,
   return line;
 }
 
-SubJobOutcome parse_worker_result_line(const std::string& line) {
+SubJobOutcome parse_worker_result_line(const JsonValue& parsed,
+                                       const std::string& line) {
   SubJobOutcome out;
-  std::string error;
-  const auto parsed = parse_json(line, error);
-  if (parsed && parsed->is_object()) {
-    const JsonValue* flag = parsed->find("deadline");
+  if (parsed.is_object()) {
+    const JsonValue* flag = parsed.find("deadline");
     out.deadline_exceeded = flag && flag->is_bool() && flag->boolean;
-    flag = parsed->find("interrupted");
+    flag = parsed.find("interrupted");
     out.interrupted = flag && flag->is_bool() && flag->boolean;
-    if (const JsonValue* err = parsed->find("error");
+    if (const JsonValue* err = parsed.find("error");
         err != nullptr && err->is_string()) {
       out.error = err->string;
     }
@@ -291,7 +298,7 @@ SubJobOutcome parse_worker_result_line(const std::string& line) {
     // stay byte-identical to thread mode.  The marker's first occurrence
     // is the member itself: `error` is the only free-form field before
     // it and json_quote escapes its quotes.
-    const JsonValue* result = parsed->find("result");
+    const JsonValue* result = parsed.find("result");
     const std::size_t at = line.find(kResultMarker);
     if (result != nullptr && result->is_object() && at != std::string::npos) {
       const std::size_t begin = at + std::strlen(kResultMarker);
@@ -328,25 +335,45 @@ WorkerProcess::WorkerProcess(std::string binary, std::string inject_spec)
 WorkerProcess::~WorkerProcess() { shutdown(); }
 
 void WorkerProcess::close_fd() noexcept {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
+  for (int* fd : {&to_fd_, &from_fd_}) {
+    if (*fd >= 0) {
+      ::close(*fd);
+      *fd = -1;
+    }
   }
   buffer_.clear();
 }
+
+namespace {
+
+bool cloexec_socketpair(int fds[2]) {
+#if defined(SOCK_CLOEXEC)
+  return ::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) == 0;
+#else
+  return ::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) == 0;
+#endif
+}
+
+}  // namespace
 
 bool WorkerProcess::spawn(std::string& error) {
   if (alive()) {
     error = "worker already running";
     return false;
   }
-  int fds[2];
-#if defined(SOCK_CLOEXEC)
-  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
-#else
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
-#endif
+  // One socketpair per direction.  On a shared socket, every line the
+  // daemon reads would also wake the worker's reader thread, blocked in
+  // read() on the same socket, for nothing.
+  int to_worker[2];
+  int from_worker[2];
+  if (!cloexec_socketpair(to_worker)) {
     error = std::string("socketpair: ") + std::strerror(errno);
+    return false;
+  }
+  if (!cloexec_socketpair(from_worker)) {
+    error = std::string("socketpair: ") + std::strerror(errno);
+    ::close(to_worker[0]);
+    ::close(to_worker[1]);
     return false;
   }
   // Everything the child needs is prepared before fork: the daemon is
@@ -365,35 +392,39 @@ bool WorkerProcess::spawn(std::string& error) {
   const pid_t pid = ::fork();
   if (pid < 0) {
     error = std::string("fork: ") + std::strerror(errno);
-    ::close(fds[0]);
-    ::close(fds[1]);
+    for (const int fd : {to_worker[0], to_worker[1], from_worker[0],
+                         from_worker[1]}) {
+      ::close(fd);
+    }
     return false;
   }
   if (pid == 0) {
-    // Child: the socketpair becomes stdin/stdout (dup2 clears CLOEXEC on
-    // the copies); every other inherited descriptor — client sockets,
-    // the listener, sibling workers' pipes — is closed so a worker can
-    // never hold a connection open past the daemon's intent.
-    ::dup2(fds[1], 0);
-    ::dup2(fds[1], 1);
+    // Child: one end of each pair becomes stdin/stdout (dup2 clears
+    // CLOEXEC on the copies); every other inherited descriptor — client
+    // sockets, the listener, sibling workers' channels — is closed so a
+    // worker can never hold a connection open past the daemon's intent.
+    ::dup2(to_worker[1], 0);
+    ::dup2(from_worker[1], 1);
     for (int fd = 3; fd < 1024; ++fd) ::close(fd);
     ::execv(binary_.c_str(), argv.data());
     _exit(127);
   }
-  ::close(fds[1]);
-  fd_ = fds[0];
+  ::close(to_worker[1]);
+  ::close(from_worker[1]);
+  to_fd_ = to_worker[0];
+  from_fd_ = from_worker[0];
   pid_ = pid;
   buffer_.clear();
   return true;
 }
 
 bool WorkerProcess::send_line(const std::string& line) {
-  if (fd_ < 0) return false;
+  if (to_fd_ < 0) return false;
   std::string framed = line;
   framed += '\n';
   std::size_t sent = 0;
   while (sent < framed.size()) {
-    const ssize_t got = ::send(fd_, framed.data() + sent,
+    const ssize_t got = ::send(to_fd_, framed.data() + sent,
                                framed.size() - sent, MSG_NOSIGNAL);
     if (got < 0) {
       if (errno == EINTR) continue;
@@ -406,7 +437,7 @@ bool WorkerProcess::send_line(const std::string& line) {
 
 WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
                                                    std::string& out) {
-  if (fd_ < 0) return ReadStatus::kClosed;
+  if (from_fd_ < 0) return ReadStatus::kClosed;
   while (true) {
     const std::size_t newline = buffer_.find('\n');
     if (newline != std::string::npos) {
@@ -415,7 +446,7 @@ WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
       return ReadStatus::kLine;
     }
     pollfd poller{};
-    poller.fd = fd_;
+    poller.fd = from_fd_;
     poller.events = POLLIN;
     const int ready = ::poll(&poller, 1, timeout_ms);
     if (ready == 0) return ReadStatus::kTimeout;
@@ -424,7 +455,7 @@ WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
       return ReadStatus::kClosed;
     }
     char chunk[4096];
-    const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
+    const ssize_t got = ::read(from_fd_, chunk, sizeof(chunk));
     if (got < 0 && errno == EINTR) continue;
     if (got <= 0) return ReadStatus::kClosed;  // EOF: the worker is gone
     buffer_.append(chunk, static_cast<std::size_t>(got));
@@ -482,6 +513,14 @@ void WorkerProcess::shutdown() {
   pid_ = -1;
 }
 
+void name_this_thread(const char* name) {
+#if defined(__linux__)
+  ::pthread_setname_np(::pthread_self(), name);
+#else
+  (void)name;
+#endif
+}
+
 std::string self_executable_path(const char* argv0) {
 #if defined(__linux__)
   char buffer[4096];
@@ -508,7 +547,8 @@ struct WorkerState {
   std::mutex write_mutex;
 
   std::mutex queue_mutex;
-  std::condition_variable queue_cv;
+  std::condition_variable queue_cv;      // the job loop: work or stop
+  std::condition_variable heartbeat_cv;  // the heartbeat: stop only
   std::deque<WorkerJob> pending;
   std::set<std::uint64_t> cancelled_ids;
   std::uint64_t current_job = 0;
@@ -526,6 +566,7 @@ struct WorkerState {
 };
 
 void worker_reader_loop(int in_fd, WorkerState& state) {
+  name_this_thread("worker-reader");
   std::string buffer;
   char chunk[4096];
   bool eof = false;
@@ -564,25 +605,34 @@ void worker_reader_loop(int in_fd, WorkerState& state) {
       }
       WorkerJob job;
       if (parse_worker_job_line(line, job, error)) {
-        std::lock_guard<std::mutex> lock(state.queue_mutex);
-        state.pending.push_back(std::move(job));
-        state.queue_cv.notify_all();
+        {
+          std::lock_guard<std::mutex> lock(state.queue_mutex);
+          state.pending.push_back(std::move(job));
+        }
+        state.queue_cv.notify_one();  // the job loop is the one waiter
       }
     }
   }
   // Supervisor gone (or explicit exit): stop after the current trial.
-  std::lock_guard<std::mutex> lock(state.queue_mutex);
-  state.stop = true;
-  state.cancel_current.store(true, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(state.queue_mutex);
+    state.stop = true;
+    state.cancel_current.store(true, std::memory_order_relaxed);
+  }
   state.queue_cv.notify_all();
+  state.heartbeat_cv.notify_all();
 }
 
+// Beats on its own timer: a job arriving does not wake it.
 void worker_heartbeat_loop(WorkerState& state) {
+  name_this_thread("worker-beat");
   std::unique_lock<std::mutex> lock(state.queue_mutex);
-  while (!state.stop) {
-    state.queue_cv.wait_for(
-        lock, std::chrono::milliseconds(kHeartbeatIntervalMs));
-    if (state.stop) return;
+  while (true) {
+    if (state.heartbeat_cv.wait_for(
+            lock, std::chrono::milliseconds(kHeartbeatIntervalMs),
+            [&] { return state.stop; })) {
+      return;
+    }
     lock.unlock();
     const bool ok = state.write_line("{\"event\": \"heartbeat\"}");
     lock.lock();
@@ -662,8 +712,8 @@ int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec) {
   {
     std::lock_guard<std::mutex> lock(state.queue_mutex);
     state.stop = true;
-    state.queue_cv.notify_all();
   }
+  state.heartbeat_cv.notify_all();
   // The reader blocks in read() until the supervisor closes the pipe;
   // since the loop above only exits after the reader saw EOF/exit, the
   // join is immediate in practice.
@@ -693,6 +743,7 @@ std::string self_executable_path(const char* argv0) {
   return argv0 != nullptr ? argv0 : "";
 }
 int run_worker_main(int, int, const std::string&) { return 2; }
+void name_this_thread(const char*) {}
 
 #endif
 

@@ -8,10 +8,11 @@
 //
 // In process mode each pool thread owns a WorkerProcess — a self-exec of
 // the daemon binary in `--worker` mode — and ships sub-jobs to it as
-// NDJSON lines over a socketpair.  A scenario kernel that segfaults,
-// aborts, or blows past its rlimit budget kills *the worker*, which the
-// supervisor observes via waitpid and classifies (signal vs exit code vs
-// heartbeat timeout); the daemon and every other client's work survive.
+// NDJSON lines over one socketpair per direction.  A scenario kernel that
+// segfaults, aborts, or blows past its rlimit budget kills *the worker*,
+// which the supervisor observes via waitpid and classifies (signal vs
+// exit code vs heartbeat timeout); the daemon and every other client's
+// work survive.
 //
 // Wire protocol (one JSON object per line, both directions):
 //
@@ -36,6 +37,11 @@
 //         (spliced, never re-parsed).  On failure the `result` key is
 //         absent.
 //
+// The worker queues job lines and runs them one at a time, in order, so
+// the supervisor may send the next job before the running one's result.
+// A job cancelled before it starts answers `interrupted` without opening
+// its journal.
+//
 // The worker opens the supervisor-provided `.mfj` journal itself, so a
 // crash leaves the journal on disk and the retried dispatch resumes
 // bit-for-bit.  The supervisor deletes a spent journal after it stores
@@ -55,6 +61,7 @@
 
 #include "core/scenario.hpp"
 #include "core/trial.hpp"
+#include "serve/json.hpp"
 
 namespace megflood::serve {
 
@@ -82,11 +89,14 @@ SubJobOutcome run_subjob(const ScenarioSpec& spec,
                              on_progress);
 
 // The worker's terminal "result" line for dispatch `job`, and its
-// inverse.  A line with no result, error or flag parses to the error
-// "worker returned no result".
+// inverse, which reads the line's parse `parsed` (the supervisor parses
+// each line once) and splices the result object out of the raw `line`.
+// A line with no result, error or flag, or one that is not a JSON
+// object, reads as the error "worker returned no result".
 std::string worker_result_line(std::uint64_t job,
                                const SubJobOutcome& outcome);
-SubJobOutcome parse_worker_result_line(const std::string& line);
+SubJobOutcome parse_worker_result_line(const JsonValue& parsed,
+                                       const std::string& line);
 
 // One dispatched sub-job, as carried by the "job" line.
 struct WorkerJob {
@@ -126,7 +136,7 @@ class WorkerProcess {
   WorkerProcess(const WorkerProcess&) = delete;
   WorkerProcess& operator=(const WorkerProcess&) = delete;
 
-  // socketpair + fork + execv.  False (with `error` set) when the kernel
+  // Two socketpairs + fork + execv.  False (with `error` set) when the kernel
   // refuses; a worker that fails *exec* surfaces later as exit(127).
   bool spawn(std::string& error);
 
@@ -153,7 +163,8 @@ class WorkerProcess {
   std::string binary_;
   std::string inject_spec_;
   pid_t pid_ = -1;
-  int fd_ = -1;
+  int to_fd_ = -1;    // job and cancel lines: the worker's stdin
+  int from_fd_ = -1;  // trial, heartbeat and result lines: its stdout
   std::string buffer_;
 };
 
@@ -164,6 +175,11 @@ class WorkerProcess {
 // injections match); a malformed spec throws std::invalid_argument for
 // the tool's config-error exit.
 int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec);
+
+// Names the calling thread (Linux; elsewhere a no-op) so per-thread
+// views — bench/serve_threads.py, `top -H` — tell the serve threads
+// apart.  The kernel keeps at most 15 characters.
+void name_this_thread(const char* name);
 
 // Resolves the running executable (/proc/self/exe when available,
 // `argv0` otherwise) — what the daemon self-execs as `--worker`.

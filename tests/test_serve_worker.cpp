@@ -18,6 +18,7 @@
 
 #include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -40,6 +41,7 @@
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/worker.hpp"
+#include "util/fault_injection.hpp"
 
 #ifndef MEGFLOOD_SERVE_PATH
 #error "MEGFLOOD_SERVE_PATH must point at the megflood_serve binary"
@@ -240,6 +242,14 @@ TEST(ServeWorker, MalformedJobLinesAreRejectedWithAReason) {
   }
 }
 
+// What the supervisor makes of a worker line: parsed once, then read as
+// a result line (an unparseable line reads as a JSON null).
+SubJobOutcome read_result_line(const std::string& line) {
+  std::string error;
+  const auto parsed = parse_json(line, error);
+  return parse_worker_result_line(parsed ? *parsed : JsonValue{}, line);
+}
+
 // Every outcome survives the worker's result line, the result object
 // byte-for-byte.
 TEST(ServeWorker, ResultLineRoundTrips) {
@@ -260,25 +270,103 @@ TEST(ServeWorker, ResultLineRoundTrips) {
     const std::string line = worker_result_line(7, outcome);
     EXPECT_EQ(label(line), "result");
     EXPECT_EQ(number_field(line, "job"), 7.0);
-    const SubJobOutcome back = parse_worker_result_line(line);
+    const SubJobOutcome back = read_result_line(line);
     EXPECT_EQ(back.result_json, outcome.result_json) << line;
     EXPECT_EQ(back.error, outcome.error) << line;
     EXPECT_EQ(back.deadline_exceeded, outcome.deadline_exceeded) << line;
     EXPECT_EQ(back.interrupted, outcome.interrupted) << line;
   }
 
-  // A line that carries no outcome at all is an error, never a success.
-  for (const char* empty : {
-           "{\"event\": \"result\", \"job\": 7, \"deadline\": false, "
-           "\"interrupted\": false, \"error\": \"\"}",
-           "{\"event\": \"result\", \"job\": 7}",
-           "not json at all",
+  // A line that carries no outcome at all is an error, never a success:
+  // an empty outcome, garbage, a `result` member that is not an object,
+  // and a success line cut short.
+  const std::string whole = worker_result_line(7, success);
+  for (const std::string& empty : {
+           std::string("{\"event\": \"result\", \"job\": 7, "
+                       "\"deadline\": false, \"interrupted\": false, "
+                       "\"error\": \"\"}"),
+           std::string("{\"event\": \"result\", \"job\": 7}"),
+           std::string("not json at all"),
+           std::string("\x01{\"event\": \"result\"}\xff"),
+           std::string("{\"event\": \"result\", \"job\": 7, \"error\": \"\", "
+                       "\"result\": [1, 2]}"),
+           whole.substr(0, whole.size() - 1),
+           whole.substr(0, whole.size() / 2),
        }) {
-    const SubJobOutcome back = parse_worker_result_line(empty);
+    const SubJobOutcome back = read_result_line(empty);
     EXPECT_EQ(back.error, "worker returned no result") << empty;
     EXPECT_TRUE(back.result_json.empty()) << empty;
     EXPECT_FALSE(back.interrupted) << empty;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The worker process itself, driven over its two channels
+// ---------------------------------------------------------------------------
+
+std::string fd_target(pid_t pid, int fd) {
+  const std::string path =
+      "/proc/" + std::to_string(pid) + "/fd/" + std::to_string(fd);
+  char buffer[256];
+  const ssize_t got = ::readlink(path.c_str(), buffer, sizeof(buffer) - 1);
+  return got > 0 ? std::string(buffer, static_cast<std::size_t>(got)) : "";
+}
+
+// Feeds `jobs` one-trial sub-jobs back to back, each as soon as the
+// previous result is in; returns the heartbeat lines seen meanwhile.
+std::size_t run_quick_jobs(WorkerProcess& worker, std::size_t jobs) {
+  std::size_t heartbeats = 0;
+  for (std::size_t i = 1; i <= jobs; ++i) {
+    WorkerJob job;
+    job.job = i;
+    job.cli = "--model=fixed --n=16 --trials=1 --seed=" + std::to_string(i);
+    EXPECT_TRUE(worker.send_line(worker_job_line(job)));
+    std::string line;
+    while (true) {
+      if (worker.read_line(30000, line) != WorkerProcess::ReadStatus::kLine) {
+        ADD_FAILURE() << "worker went silent at job " << i;
+        return heartbeats;
+      }
+      const std::string kind = label(line);
+      if (kind == "heartbeat") ++heartbeats;
+      if (kind == "result") break;
+    }
+    EXPECT_TRUE(read_result_line(line).error.empty()) << line;
+  }
+  return heartbeats;
+}
+
+// Job lines go in on the worker's stdin and its lines come back on its
+// stdout, each on a channel of its own: on one shared socket, every line
+// the daemon reads would also wake the worker's reader thread.
+TEST(ServeWorker, WorkerStdinAndStdoutAreSeparateChannels) {
+  WorkerProcess worker(MEGFLOOD_SERVE_PATH, "");
+  std::string error;
+  ASSERT_TRUE(worker.spawn(error)) << error;
+  run_quick_jobs(worker, 1);  // the worker is past exec and serving
+  const std::string in = fd_target(worker.pid(), 0);
+  const std::string out = fd_target(worker.pid(), 1);
+  EXPECT_EQ(in.rfind("socket:", 0), 0u) << in;
+  EXPECT_EQ(out.rfind("socket:", 0), 0u) << out;
+  EXPECT_NE(in, out);
+  worker.shutdown();
+}
+
+// The heartbeat beats on its timer alone: a stream of quick jobs does
+// not make it write a line per job.
+TEST(ServeWorker, HeartbeatsFollowTheirTimerNotTheJobs) {
+  WorkerProcess worker(MEGFLOOD_SERVE_PATH, "");
+  std::string error;
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(worker.spawn(error)) << error;
+  const std::size_t heartbeats = run_quick_jobs(worker, 150);
+  const auto elapsed_ms =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  EXPECT_LE(heartbeats, static_cast<std::size_t>(elapsed_ms / 500 + 1))
+      << "over " << elapsed_ms << " ms";
+  worker.shutdown();
 }
 
 // ---------------------------------------------------------------------------
@@ -741,6 +829,226 @@ TEST(ServeWorker, MemoryBombIsContainedByTheWorkerBudget) {
   EXPECT_GE(scheduler.stats().worker_restarts, 1u);
   EXPECT_EQ(scheduler.stats().jobs_quarantined, 0u);
 #endif
+}
+
+// ---------------------------------------------------------------------------
+// Pipelined dispatch: a pool thread sends its worker the next sub-job
+// during the running one's last trial
+// ---------------------------------------------------------------------------
+
+// The events of job `id`, in order.
+std::vector<std::string> events_of(const std::vector<std::string>& lines,
+                                   const std::string& id) {
+  std::vector<std::string> out;
+  for (const std::string& line : lines) {
+    if (string_field(line, "id") == id) out.push_back(line);
+  }
+  return out;
+}
+
+// Each job's own event sequence from a manual-mode thread scheduler,
+// the reference every pipelined run must match job by job.
+void expect_same_jobs_as_thread_mode(const std::vector<std::string>& got,
+                                     const std::vector<Request>& requests) {
+  ResultCache cache;
+  SchedulerConfig config;
+  config.workers = 0;
+  const std::vector<std::string> want =
+      run_to_completion(config, &cache, requests);
+  for (const Request& request : requests) {
+    const std::vector<std::string> mine = events_of(got, request.id);
+    const std::vector<std::string> theirs = events_of(want, request.id);
+    ASSERT_EQ(mine.size(), theirs.size()) << request.id;
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i], theirs[i]) << request.id << " event " << i;
+    }
+  }
+}
+
+// One pool worker whose trial 0 sleeps 100 ms, so every job a test
+// submits is queued before the first trial line comes back.
+SchedulerConfig one_pool_worker(const std::string& inject,
+                                std::string journal_dir = "") {
+  const std::string first = "slow:trial=0,ms=100";
+  SchedulerConfig config = process_config(
+      inject.empty() ? first : first + "+" + inject, std::move(journal_dir));
+  config.workers = 1;
+  return config;
+}
+
+// The worker dies in the running sub-job's last trial with the next one
+// already sent (the slow site holds the trial open long enough).  Only
+// the running sub-job is charged; the sent one goes back to its queue
+// and both complete as in thread mode.
+TEST(ServeWorker, DeathWithASentSubJobChargesOnlyTheRunningOne) {
+  const std::vector<Request> requests = {
+      submit_request("a", quick_args(111, 2)),
+      submit_request("b", quick_args(112, 1)),
+  };
+  EventLog log;
+  ResultCache cache;
+  Scheduler scheduler(
+      one_pool_worker("slow:trial=1,ms=300+segv:trial=1,once=1",
+                      fresh_dir("pipeline_death")),
+      &cache);
+  const std::uint64_t client = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  for (const Request& request : requests) scheduler.submit(client, request);
+  ASSERT_TRUE(log.wait_for_label("done:a", 30000));
+  ASSERT_TRUE(log.wait_for_label("done:b", 30000));
+
+  expect_same_jobs_as_thread_mode(log.snapshot(), requests);
+  EXPECT_EQ(scheduler.stats().worker_restarts, 1u);
+  EXPECT_EQ(scheduler.stats().jobs_quarantined, 0u);
+  EXPECT_EQ(cache.stats().entries, 2u);
+}
+
+// The same death, with a sent sub-job that has a last trial of its own:
+// had the death been charged to it, its own first run would go out as
+// attempt 1 and skip the once=1 crash.  It crashes once itself instead.
+TEST(ServeWorker, ASentSubJobPutBackKeepsItsOwnCrashCount) {
+  const std::vector<Request> requests = {
+      submit_request("a", quick_args(113, 2)),
+      submit_request("b", quick_args(114, 2)),
+  };
+  EventLog log;
+  ResultCache cache;
+  Scheduler scheduler(
+      one_pool_worker("slow:trial=1,ms=300+segv:trial=1,once=1",
+                      fresh_dir("pipeline_charge")),
+      &cache);
+  const std::uint64_t client = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  for (const Request& request : requests) scheduler.submit(client, request);
+  ASSERT_TRUE(log.wait_for_label("done:a", 30000));
+  ASSERT_TRUE(log.wait_for_label("done:b", 30000));
+
+  expect_same_jobs_as_thread_mode(log.snapshot(), requests);
+  EXPECT_EQ(scheduler.stats().worker_restarts, 2u);  // a once, b once
+  EXPECT_EQ(scheduler.stats().jobs_quarantined, 0u);
+}
+
+// Cancelling a sub-job that was sent but has not started: one cancelled
+// event, nothing cached, and the same worker takes the next sub-job.
+TEST(ServeWorker, CancellingASentSubJobSkipsItInTheWorker) {
+  EventLog log;
+  ResultCache cache;
+  const std::string dir = fresh_dir("pipeline_cancel");
+  Scheduler scheduler(one_pool_worker("slow:trial=1,ms=1000", dir), &cache);
+  const std::uint64_t client = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  scheduler.submit(client, submit_request("a", quick_args(115, 2)));
+  scheduler.submit(client, submit_request("b", quick_args(116, 2)));
+  ASSERT_TRUE(log.wait_for_label("running:b", 30000));
+  // b went out during a's last trial, which sleeps 1 s: the cancel (sent
+  // on the supervisor's next 250 ms poll) reaches b before it starts.
+  scheduler.cancel(client, "b");
+  ASSERT_TRUE(log.wait_for_label("cancelled:b", 30000));
+  scheduler.submit(client, submit_request("c", quick_args(117, 1)));
+  ASSERT_TRUE(log.wait_for_label("done:c", 30000));
+
+  const std::vector<std::string> events = log.snapshot();
+  const std::vector<std::string> b = events_of(events, "b");
+  ASSERT_FALSE(b.empty());
+  EXPECT_EQ(label(b.back()), "cancelled:b");
+  std::size_t terminal = 0;
+  for (const std::string& line : b) {
+    const std::string kind = label(line);
+    if (kind != "queued:b" && kind != "running:b" &&
+        kind != "trial_done:b") {
+      ++terminal;
+    }
+  }
+  EXPECT_EQ(terminal, 1u);
+  EXPECT_EQ(number_field(b.back(), "completed"), 0.0);
+  ASSERT_TRUE(log.wait_for_label("done:a", 30000));
+  EXPECT_EQ(cache.stats().entries, 2u);  // a and c
+  EXPECT_EQ(count_files_with_suffix(dir, ".mfj"), 0u);
+  EXPECT_EQ(scheduler.stats().worker_restarts, 0u);
+}
+
+// Round-robin order is unchanged: the pick for the next sub-job only
+// moves earlier.  Two clients, three sub-jobs each, all queued while the
+// first runs its slow trial 0.
+TEST(ServeWorker, PipelinedDispatchKeepsTheRoundRobinOrder) {
+  const std::string inject = "slow:trial=0,ms=100";
+  const std::vector<std::string> want = {"a1", "b1", "a2", "b2", "a3", "b3"};
+  const auto dispatch_order = [&](SchedulerConfig config,
+                                  std::vector<std::string>& all) {
+    EventLog log;
+    ResultCache cache;
+    Scheduler scheduler(config, &cache);
+    const std::uint64_t first = scheduler.register_client(
+        [&log](const std::string& line) { log.push(line); });
+    const std::uint64_t second = scheduler.register_client(
+        [&log](const std::string& line) { log.push(line); });
+    for (int i = 1; i <= 3; ++i) {
+      scheduler.submit(first, submit_request("a" + std::to_string(i),
+                                             quick_args(120 + i, 2)));
+    }
+    for (int i = 1; i <= 3; ++i) {
+      scheduler.submit(second, submit_request("b" + std::to_string(i),
+                                              quick_args(130 + i, 2)));
+    }
+    for (const std::string& id : want) {
+      EXPECT_TRUE(log.wait_for_label("done:" + id, 30000)) << id;
+    }
+    all = log.snapshot();
+    std::vector<std::string> order;
+    for (const std::string& line : all) {
+      const std::string kind = label(line);
+      if (kind.rfind("running:", 0) == 0) order.push_back(kind.substr(8));
+    }
+    return order;
+  };
+
+  FaultPlan plan = FaultPlan::parse(inject, 1);
+  SchedulerConfig thread_config;
+  thread_config.workers = 1;
+  thread_config.fault_plan = &plan;
+  std::vector<std::string> thread_events;
+  EXPECT_EQ(dispatch_order(thread_config, thread_events), want);
+
+  std::vector<std::string> process_events;
+  EXPECT_EQ(dispatch_order(one_pool_worker(""), process_events), want);
+  for (const std::string& id : want) {
+    EXPECT_EQ(events_of(process_events, id), events_of(thread_events, id))
+        << id;
+  }
+}
+
+// drain() waits for the sub-job sent behind the running one: the running
+// one finishes its last trial, the sent one is cancelled before it
+// starts, and neither leaves a journal.
+TEST(ServeWorker, DrainWaitsForASentSubJobAndLeavesNoJournal) {
+  EventLog log;
+  ResultCache cache;
+  const std::string dir = fresh_dir("pipeline_drain");
+  Scheduler scheduler(one_pool_worker("slow:trial=1,ms=1000", dir), &cache);
+  const std::uint64_t client = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  scheduler.submit(client, submit_request("a", quick_args(140, 2)));
+  scheduler.submit(client, submit_request("b", quick_args(141, 2)));
+  ASSERT_TRUE(log.wait_for_label("running:b", 30000));
+  // Let a's last trial start (it sleeps 1 s), so the drain cancels b
+  // before it starts but no longer stops a.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  scheduler.drain();
+
+  const std::vector<std::string> events = log.snapshot();
+  const std::vector<std::string> a = events_of(events, "a");
+  const std::vector<std::string> b = events_of(events, "b");
+  ASSERT_FALSE(a.empty());
+  ASSERT_FALSE(b.empty());
+  EXPECT_EQ(label(a.back()), "cancelled:a");
+  EXPECT_EQ(number_field(a.back(), "completed"), 2.0);  // its last trial ran
+  EXPECT_EQ(label(b.back()), "cancelled:b");
+  EXPECT_EQ(number_field(b.back(), "completed"), 0.0);
+  EXPECT_EQ(count_files_with_suffix(dir, ".mfj"), 0u);
+  const StatsSnapshot stats = scheduler.stats();
+  EXPECT_EQ(stats.running_subjobs, 0u);
+  EXPECT_EQ(stats.worker_restarts, 0u);
+  EXPECT_EQ(cache.stats().entries, 1u);  // a
 }
 
 // ---------------------------------------------------------------------------
