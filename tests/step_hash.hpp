@@ -1,10 +1,11 @@
 #pragma once
 
 // FNV-1a folding for the per-step stream pins of the edge-MEG engines
-// (the *StepStreamIsPinned tests): each pin folds a model's state
-// vectors after every step into one hash, so any moved draw or byte
-// changes it.  decoded_edges() turns a snapshot's key array into the
-// (u, v) pair list the pins hash and the equivalence tests compare.
+// and the mobility models (the *StepStreamIsPinned tests): each pin
+// folds a model's state vectors after every step into one hash, so any
+// moved draw or byte changes it.  decoded_edges() turns a snapshot's key
+// array into the (u, v) pair list the pins hash and the equivalence
+// tests compare.
 
 #include <cstddef>
 #include <cstdint>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "core/snapshot.hpp"
+#include "geometry/point.hpp"
 
 namespace megflood {
 
@@ -41,6 +43,28 @@ std::uint64_t fnv_mix_bytes(std::uint64_t h, const std::vector<T>& values) {
   mix(values.size(), 8);
   const auto* data = reinterpret_cast<const unsigned char*>(values.data());
   for (std::size_t b = 0; b < values.size() * sizeof(T); ++b) mix(data[b], 1);
+  return h;
+}
+
+// The stream hash of a mobility model: its agent positions (bitwise),
+// decoded edges and CSR after the initializer and each of `steps` steps.
+template <typename Model>
+std::uint64_t mobility_stream_hash(Model& model, int steps) {
+  const std::size_t n = model.num_nodes();
+  std::vector<Point2D> positions(n);
+  std::uint64_t h = kFnvOffset;
+  for (int t = 0; t <= steps; ++t) {
+    if (t > 0) model.step();
+    for (NodeId a = 0; a < n; ++a) positions[a] = model.agent_position(a);
+    const Snapshot& snap = model.snapshot();
+    const Snapshot::CsrView csr = snap.csr();
+    h = fnv_mix_bytes(h, positions);
+    h = fnv_mix_bytes(h, decoded_edges(snap));
+    h = fnv_mix_bytes(h, std::vector<std::uint32_t>(csr.offsets,
+                                                    csr.offsets + n + 1));
+    h = fnv_mix_bytes(h, std::vector<NodeId>(csr.neighbors,
+                                             csr.neighbors + csr.offsets[n]));
+  }
   return h;
 }
 

@@ -7,6 +7,7 @@
 
 #include "core/flooding.hpp"
 #include "mobility/random_trip.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -258,6 +259,35 @@ TEST(RandomTripModel, DiskFloodsLikeSquare) {
   const double disk = run(std::make_shared<DiskWaypointPolicy>(4.0, 0.25, 0.5));
   EXPECT_LT(disk, 8.0 * square + 20.0);
   EXPECT_LT(square, 8.0 * disk + 20.0);
+}
+
+TEST(RandomTripModel, StepStreamIsPinned) {
+  // Positions, decoded edges and CSR after the initializer and each of
+  // 60 steps (mobility_stream_hash), one row per stock policy: the
+  // square with pauses in [0, 3] (the pause countdown), the disk (the
+  // rejection draws) and the random direction (trips drawn from the
+  // current position).  Any moved draw or byte changes a hash.
+  struct Row {
+    const char* name;
+    std::shared_ptr<const TripPolicy> policy;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {"square pause [0, 3]",
+       std::make_shared<SquareWaypointPolicy>(8.0, 0.5, 1.0, 0, 3),
+       0xc23970eb421f6e68ULL},
+      {"disk", std::make_shared<DiskWaypointPolicy>(8.0, 0.5, 1.0),
+       0x3fef583dcf59da8eULL},
+      {"direction",
+       std::make_shared<RandomDirectionPolicy>(8.0, 0.5, 1.0, 1.0, 4.0),
+       0x54343851f72e2d5bULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    RandomTripModel model(512, row.policy, 1.0, 32, 1);
+    const std::uint64_t h = mobility_stream_hash(model, 60);
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 }  // namespace

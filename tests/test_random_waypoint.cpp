@@ -191,22 +191,7 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
     p.radius = row.radius;
     p.resolution = row.resolution;
     RandomWaypointModel model(row.n, p, row.seed);
-    std::vector<Point2D> positions(row.n);
-    std::uint64_t h = kFnvOffset;
-    for (int t = 0; t <= 60; ++t) {
-      if (t > 0) model.step();
-      for (NodeId a = 0; a < row.n; ++a) {
-        positions[a] = model.agent_position(a);
-      }
-      const Snapshot& snap = model.snapshot();
-      const Snapshot::CsrView csr = snap.csr();
-      h = fnv_mix_bytes(h, positions);
-      h = fnv_mix_bytes(h, decoded_edges(snap));
-      h = fnv_mix_bytes(h, std::vector<std::uint32_t>(
-                               csr.offsets, csr.offsets + row.n + 1));
-      h = fnv_mix_bytes(h, std::vector<NodeId>(
-                               csr.neighbors, csr.neighbors + csr.offsets[row.n]));
-    }
+    const std::uint64_t h = mobility_stream_hash(model, 60);
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }
 }
