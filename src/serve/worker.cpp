@@ -22,7 +22,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -154,6 +153,44 @@ struct RlimitGuard {
 
 #endif  // unix
 
+// A parsed job line's fields; the worker's reader parses each line once
+// and hands the object here.
+bool worker_job_from_json(const JsonValue& parsed, WorkerJob& out,
+                          std::string& error) {
+  const JsonValue* op = parsed.find("op");
+  if (op == nullptr || !op->is_string() || op->string != "job") {
+    error = "job line has no op=job";
+    return false;
+  }
+  const JsonValue* job = parsed.find("job");
+  const JsonValue* cli = parsed.find("cli");
+  if (job == nullptr || !job->is_number() || cli == nullptr ||
+      !cli->is_string() || cli->string.empty()) {
+    error = "job line needs numeric 'job' and non-empty string 'cli'";
+    return false;
+  }
+  out = WorkerJob{};
+  out.job = static_cast<std::uint64_t>(job->number);
+  out.cli = cli->string;
+  if (const JsonValue* journal = parsed.find("journal");
+      journal != nullptr && journal->is_string()) {
+    out.journal = journal->string;
+  }
+  if (const JsonValue* deadline = parsed.find("deadline_s");
+      deadline != nullptr && deadline->is_number() && deadline->number > 0) {
+    out.deadline_s = deadline->number;
+  }
+  if (const JsonValue* memory = parsed.find("memory_mb");
+      memory != nullptr && memory->is_number() && memory->number > 0) {
+    out.memory_mb = static_cast<std::uint64_t>(memory->number);
+  }
+  if (const JsonValue* attempt = parsed.find("attempt");
+      attempt != nullptr && attempt->is_number() && attempt->number > 0) {
+    out.attempt = static_cast<std::uint64_t>(attempt->number);
+  }
+  return true;
+}
+
 }  // namespace
 
 std::string worker_job_line(const WorkerJob& job) {
@@ -174,38 +211,7 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
     if (error.empty()) error = "job line is not a JSON object";
     return false;
   }
-  const JsonValue* op = parsed->find("op");
-  if (op == nullptr || !op->is_string() || op->string != "job") {
-    error = "job line has no op=job";
-    return false;
-  }
-  const JsonValue* job = parsed->find("job");
-  const JsonValue* cli = parsed->find("cli");
-  if (job == nullptr || !job->is_number() || cli == nullptr ||
-      !cli->is_string() || cli->string.empty()) {
-    error = "job line needs numeric 'job' and non-empty string 'cli'";
-    return false;
-  }
-  out = WorkerJob{};
-  out.job = static_cast<std::uint64_t>(job->number);
-  out.cli = cli->string;
-  if (const JsonValue* journal = parsed->find("journal");
-      journal != nullptr && journal->is_string()) {
-    out.journal = journal->string;
-  }
-  if (const JsonValue* deadline = parsed->find("deadline_s");
-      deadline != nullptr && deadline->is_number() && deadline->number > 0) {
-    out.deadline_s = deadline->number;
-  }
-  if (const JsonValue* memory = parsed->find("memory_mb");
-      memory != nullptr && memory->is_number() && memory->number > 0) {
-    out.memory_mb = static_cast<std::uint64_t>(memory->number);
-  }
-  if (const JsonValue* attempt = parsed->find("attempt");
-      attempt != nullptr && attempt->is_number() && attempt->number > 0) {
-    out.attempt = static_cast<std::uint64_t>(attempt->number);
-  }
-  return true;
+  return worker_job_from_json(*parsed, out, error);
 }
 
 SubJobOutcome run_subjob(const ScenarioSpec& spec,
@@ -549,8 +555,12 @@ struct WorkerState {
   std::mutex queue_mutex;
   std::condition_variable queue_cv;      // the job loop: work or stop
   std::condition_variable heartbeat_cv;  // the heartbeat: stop only
-  std::deque<WorkerJob> pending;
-  std::set<std::uint64_t> cancelled_ids;
+  // A queued job and whether a cancel for it arrived while it waited.
+  struct Pending {
+    WorkerJob job;
+    bool cancelled = false;
+  };
+  std::deque<Pending> pending;
   std::uint64_t current_job = 0;
   bool have_current = false;
   bool stop = false;
@@ -595,19 +605,23 @@ void worker_reader_loop(int in_fd, WorkerState& state) {
         const JsonValue* job = parsed->find("job");
         if (job == nullptr || !job->is_number()) continue;
         const auto id = static_cast<std::uint64_t>(job->number);
+        // Jobs and cancels arrive in send order: a cancel that finds its
+        // job neither running nor queued is for a finished one; drop it.
         std::lock_guard<std::mutex> lock(state.queue_mutex);
         if (state.have_current && state.current_job == id) {
           state.cancel_current.store(true, std::memory_order_relaxed);
         } else {
-          state.cancelled_ids.insert(id);
+          for (WorkerState::Pending& queued : state.pending) {
+            if (queued.job.job == id) queued.cancelled = true;
+          }
         }
         continue;
       }
       WorkerJob job;
-      if (parse_worker_job_line(line, job, error)) {
+      if (worker_job_from_json(*parsed, job, error)) {
         {
           std::lock_guard<std::mutex> lock(state.queue_mutex);
-          state.pending.push_back(std::move(job));
+          state.pending.push_back({std::move(job)});
         }
         state.queue_cv.notify_one();  // the job loop is the one waiter
       }
@@ -696,12 +710,11 @@ int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec) {
       state.queue_cv.wait(
           lock, [&] { return state.stop || !state.pending.empty(); });
       if (state.pending.empty()) break;  // stop requested, queue drained
-      job = std::move(state.pending.front());
+      const bool pre_cancelled = state.pending.front().cancelled || state.stop;
+      job = std::move(state.pending.front().job);
       state.pending.pop_front();
       state.current_job = job.job;
       state.have_current = true;
-      const bool pre_cancelled =
-          state.cancelled_ids.erase(job.job) > 0 || state.stop;
       state.cancel_current.store(pre_cancelled, std::memory_order_relaxed);
     }
     worker_run_job(state, job, plan.empty() ? nullptr : &plan);
