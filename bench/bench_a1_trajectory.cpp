@@ -16,7 +16,7 @@
 #include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "mobility/random_paths.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -40,16 +40,16 @@ int main() {
     wp.v_max = 1.25;
     wp.radius = 1.0;
     wp.resolution = std::max<std::size_t>(32, 2 * side);
-    RandomWaypointModel warm(n, wp, 0);
+    const auto warm = make_random_waypoint(n, wp, 0);
     TrialConfig cfg;
     cfg.trials = 16;
     cfg.seed = 100 + n;
     cfg.max_rounds = 2'000'000;
     cfg.threads = 0;  // trial runner: one worker per hardware thread
-    cfg.warmup_steps = warm.suggested_warmup();
+    cfg.warmup_steps = warm->suggested_warmup();
     const auto rwp = measure(
         [&](std::uint64_t seed) {
-          return std::make_unique<RandomWaypointModel>(n, wp, seed);
+          return make_random_waypoint(n, wp, seed);
         },
         make_process_factory("flooding"), cfg);
 

@@ -20,7 +20,7 @@
 #include "core/process.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "protocols/gossip.hpp"
 #include "protocols/radio_broadcast.hpp"
 #include "util/stats.hpp"
@@ -111,12 +111,12 @@ int main() {
   wp.v_max = 1.0;
   wp.radius = 1.0;
   wp.resolution = 40;
-  RandomWaypointModel warm(96, wp, 0);
+  const auto warm = make_random_waypoint(96, wp, 0);
   run_model(
       "random waypoint (n = 96, sparse)",
       [&](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-        return std::make_unique<RandomWaypointModel>(96, wp, seed);
+        return make_random_waypoint(96, wp, seed);
       },
-      warm.suggested_warmup());
+      warm->suggested_warmup());
   return 0;
 }

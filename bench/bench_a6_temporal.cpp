@@ -19,7 +19,7 @@
 #include "core/trace.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
@@ -88,13 +88,13 @@ int main() {
   wp.v_max = 1.0;
   wp.radius = 1.0;
   wp.resolution = 44;
-  RandomWaypointModel warm(n, wp, 0);
+  const auto warm = make_random_waypoint(n, wp, 0);
   analyze(
       "random waypoint (n = 128, L ~ sqrt(n), r = 1)",
       [&](std::uint64_t seed) {
-        return std::make_unique<RandomWaypointModel>(n, wp, seed);
+        return make_random_waypoint(n, wp, seed);
       },
-      warm.suggested_warmup());
+      warm->suggested_warmup());
 
   std::cout << "\nExpected shape: connected fraction ~0, many isolated\n"
                "nodes, T-interval connectivity 0, yet flooding completes in\n"

@@ -20,7 +20,7 @@
 #include "bench_util.hpp"
 #include "core/scenario.hpp"
 #include "core/trial.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
@@ -39,16 +39,16 @@ WaypointParams sparse_params(std::size_t n) {
 
 Measurement measure(std::size_t n, const WaypointParams& p,
                     std::size_t trials, std::uint64_t seed) {
-  RandomWaypointModel warm(n, p, 0);
+  const auto warm = make_random_waypoint(n, p, 0);
   TrialConfig cfg;
   cfg.trials = trials;
   cfg.seed = seed;
   cfg.max_rounds = 2'000'000;
   cfg.threads = 0;  // trial runner: one worker per hardware thread
-  cfg.warmup_steps = warm.suggested_warmup();
+  cfg.warmup_steps = warm->suggested_warmup();
   return megflood::measure(
       [&](std::uint64_t s) {
-        return std::make_unique<RandomWaypointModel>(n, p, s);
+        return make_random_waypoint(n, p, s);
       },
       make_process_factory("flooding"), cfg);
 }

@@ -17,7 +17,7 @@
 #include "analysis/estimators.hpp"
 #include "analysis/positional.hpp"
 #include "bench_util.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -35,21 +35,21 @@ int main() {
   p.resolution = 24;
   const std::size_t n = 64;
 
-  RandomWaypointModel model(n, p, 42);
-  for (std::uint64_t w = 0; w < model.suggested_warmup(8.0); ++w) {
-    model.step();
+  const auto model = make_random_waypoint(n, p, 42);
+  for (std::uint64_t w = 0; w < model->suggested_warmup(8.0); ++w) {
+    model->step();
   }
   const auto hist = sample_positional(
-      model, model.grid().num_points(),
+      *model, model->grid().num_points(),
       [](const DynamicGraph& g, NodeId a) {
-        return static_cast<const RandomWaypointModel&>(g).agent_cell(a);
+        return static_cast<const RandomTripModel&>(g).agent_cell(a);
       },
       1500, 4);
-  const auto uni = check_uniformity(hist, model.grid(), p.radius);
+  const auto uni = check_uniformity(hist, model->grid(), p.radius);
 
   // Radial profile: relative density (1.0 = uniform) by L_inf ring from
   // the grid center.
-  const SquareGrid& grid = model.grid();
+  const SquareGrid& grid = model->grid();
   const std::size_t m = grid.resolution();
   Table profile({"ring (Linf from center)", "cells", "mean rho",
                  "min rho", "max rho"});
@@ -90,11 +90,11 @@ int main() {
             << bench::verdict(uni.delta < 10.0 && uni.lambda > 0.02) << "\n";
 
   // Theorem 3's eta on the same model, from snapshot sampling.
-  RandomWaypointModel model2(n, p, 77);
-  for (std::uint64_t w = 0; w < model2.suggested_warmup(8.0); ++w) {
-    model2.step();
+  const auto model2 = make_random_waypoint(n, p, 77);
+  for (std::uint64_t w = 0; w < model2->suggested_warmup(8.0); ++w) {
+    model2->step();
   }
-  const auto pw = estimate_pairwise(model2, 600, 4, 256);
+  const auto pw = estimate_pairwise(*model2, 600, 4, 256);
   std::cout << "\nempirical P_NM  = " << Table::num(pw.p_nm, 5)
             << "\nempirical P_NM2 = " << Table::num(pw.p_nm2, 6)
             << "\nempirical eta   = " << Table::num(pw.eta, 3)

@@ -19,7 +19,7 @@
 #include "core/flooding.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
@@ -129,12 +129,12 @@ int main() {
   wp.radius = 1.0;
   wp.resolution = 40;
   const std::size_t wn = 96;
-  RandomWaypointModel warm(wn, wp, 0);
+  const auto warm = make_random_waypoint(wn, wp, 0);
   run_model(
       "random waypoint (sparse)", wn,
       [&](std::uint64_t seed) {
-        return std::make_unique<RandomWaypointModel>(wn, wp, seed);
+        return make_random_waypoint(wn, wp, seed);
       },
-      warm.suggested_warmup());
+      warm->suggested_warmup());
   return 0;
 }

@@ -24,7 +24,7 @@
 #include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "meg/edge_meg.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "protocols/k_push.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -119,12 +119,12 @@ int main() {
   wp.radius = 1.0;
   wp.resolution = 32;
   const std::size_t wn = 64;
-  RandomWaypointModel warm(wn, wp, 0);
+  const auto warm = make_random_waypoint(wn, wp, 0);
   run_model(
       "random waypoint", wn,
       [&](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-        return std::make_unique<RandomWaypointModel>(wn, wp, seed);
+        return make_random_waypoint(wn, wp, seed);
       },
-      warm.suggested_warmup());
+      warm->suggested_warmup());
   return 0;
 }

@@ -17,7 +17,7 @@
 #include "markov/chain.hpp"
 #include "markov/mixing.hpp"
 #include "markov/two_state.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
@@ -60,24 +60,24 @@ void waypoint_mixing() {
     p.resolution = 8;
     const std::size_t n = 48;
     // Stationary reference from one long warmed-up trajectory.
-    RandomWaypointModel ref(n, p, 2024);
-    for (std::uint64_t w = 0; w < ref.suggested_warmup(10.0); ++w) {
-      ref.step();
+    const auto ref = make_random_waypoint(n, p, 2024);
+    for (std::uint64_t w = 0; w < ref->suggested_warmup(10.0); ++w) {
+      ref->step();
     }
-    Histogram ref_hist(ref.grid().num_points());
+    Histogram ref_hist(ref->grid().num_points());
     for (int s = 0; s < 4000; ++s) {
-      ref.step();
-      for (NodeId a = 0; a < n; ++a) ref_hist.add(ref.agent_cell(a));
+      ref->step();
+      for (NodeId a = 0; a < n; ++a) ref_hist.add(ref->agent_cell(a));
     }
     auto factory = [&](std::uint64_t seed) {
-      auto model = std::make_unique<RandomWaypointModel>(n, p, seed);
+      auto model = make_random_waypoint(n, p, seed);
       model->collapse_to({0.0, 0.0});
       return model;
     };
     const auto profile = positional_mixing_profile(
-        factory, ref.grid().num_points(),
+        factory, ref->grid().num_points(),
         [](const DynamicGraph& d, NodeId a) {
-          return static_cast<const RandomWaypointModel&>(d).agent_cell(a);
+          return static_cast<const RandomTripModel&>(d).agent_cell(a);
         },
         ref_hist.distribution(), 24,
         static_cast<std::size_t>(40.0 * L / v), 0.3, 77);

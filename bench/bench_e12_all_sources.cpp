@@ -16,7 +16,7 @@
 #include "bench_util.hpp"
 #include "core/flooding.hpp"
 #include "meg/edge_meg.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
@@ -94,13 +94,13 @@ int main() {
   wp.v_max = 1.0;
   wp.radius = 1.0;
   wp.resolution = 40;
-  RandomWaypointModel warm(n, wp, 0);
+  const auto warm = make_random_waypoint(n, wp, 0);
   run_model(
       "random waypoint",
       [&](std::uint64_t seed) {
-        return std::make_unique<RandomWaypointModel>(n, wp, seed);
+        return make_random_waypoint(n, wp, seed);
       },
-      warm.suggested_warmup());
+      warm->suggested_warmup());
 
   std::cout << "\nExpected shape: small max/min spreads (a few x) on both\n"
                "models — the rotating-source estimator used by E1-E11 is\n"

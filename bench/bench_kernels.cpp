@@ -19,8 +19,8 @@
 #include "meg/on_set.hpp"
 #include "meg/pair_index.hpp"
 #include "mobility/random_paths.hpp"
+#include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "protocols/gossip.hpp"
 #include "util/rng.hpp"
 
@@ -229,10 +229,10 @@ void BM_WaypointStep(benchmark::State& state) {
   p.v_max = 1.0;
   p.radius = 1.0;
   p.resolution = 64;
-  RandomWaypointModel model(n, p, 1);
+  const auto model = make_random_waypoint(n, p, 1);
   for (auto _ : state) {
-    model.step();
-    benchmark::DoNotOptimize(model.snapshot().num_edges());
+    model->step();
+    benchmark::DoNotOptimize(model->snapshot().num_edges());
   }
 }
 BENCHMARK(BM_WaypointStep)->Arg(128)->Arg(512);
@@ -247,10 +247,10 @@ void BM_WaypointStepLarge(benchmark::State& state) {
   p.v_max = 0.1;
   p.radius = 1.0;
   p.resolution = 256;
-  RandomWaypointModel model(n, p, 1);
+  const auto model = make_random_waypoint(n, p, 1);
   for (auto _ : state) {
-    model.step();
-    benchmark::DoNotOptimize(model.snapshot().num_edges());
+    model->step();
+    benchmark::DoNotOptimize(model->snapshot().num_edges());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -268,16 +268,30 @@ void BM_WaypointWarmup(benchmark::State& state) {
   p.v_max = 1.0;
   p.radius = 1.0;
   p.resolution = 32;
-  const std::uint64_t warmup = RandomWaypointModel::suggested_warmup(p);
-  RandomWaypointModel model(n, p, 1);
+  const auto model = make_random_waypoint(n, p, 1);
+  const std::uint64_t warmup = model->suggested_warmup();
   for (auto _ : state) {
-    for (std::uint64_t w = 0; w < warmup; ++w) model.step();
-    benchmark::DoNotOptimize(model.snapshot().num_edges());
+    for (std::uint64_t w = 0; w < warmup; ++w) model->step();
+    benchmark::DoNotOptimize(model->snapshot().num_edges());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(warmup));
 }
 BENCHMARK(BM_WaypointWarmup)->Arg(4096)->Unit(benchmark::kMillisecond);
+
+void BM_TripStepPaused(benchmark::State& state) {
+  // The random trip step with pauses in [0, 8] rounds at the
+  // waypoint_gossip geometry (L = 64, m = 32): paused agents count down,
+  // arrivals draw a trip and a pause.  Unread steps, so this times the
+  // kinematics alone, like the warmup.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  RandomTripModel model(
+      n, std::make_shared<SquareWaypointPolicy>(64.0, 0.5, 1.0, 0, 8), 1.0,
+      32, 1);
+  for (auto _ : state) model.step();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TripStepPaused)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 void BM_WaypointGossipRound(benchmark::State& state) {
   // One waypoint_gossip round after --warmup=auto: a step, the snapshot
@@ -292,10 +306,9 @@ void BM_WaypointGossipRound(benchmark::State& state) {
   p.v_max = 1.0;
   p.radius = 1.0;
   p.resolution = 32;
-  RandomWaypointModel model(n, p, 1);
-  for (std::uint64_t w = 0; w < RandomWaypointModel::suggested_warmup(p);
-       ++w) {
-    model.step();
+  const auto model = make_random_waypoint(n, p, 1);
+  for (std::uint64_t w = 0; w < model->suggested_warmup(); ++w) {
+    model->step();
   }
   GossipProcess gossip(GossipMode::kPushPull);
   gossip.begin_trial(n, 0);
@@ -305,10 +318,10 @@ void BM_WaypointGossipRound(benchmark::State& state) {
   std::vector<char> informed;
   std::vector<NodeId> newly;
   for (auto _ : state) {
-    model.step();
+    model->step();
     informed = start;
     newly.clear();
-    gossip.round(model.snapshot(), informed, newly, rng);
+    gossip.round(model->snapshot(), informed, newly, rng);
     benchmark::DoNotOptimize(newly.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

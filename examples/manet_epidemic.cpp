@@ -23,7 +23,7 @@
 #include "core/flooding.hpp"
 #include "core/process.hpp"
 #include "core/trial.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "protocols/ttl_flooding.hpp"
 #include "util/table.hpp"
 
@@ -46,23 +46,23 @@ int main(int argc, char** argv) {
             << params.side_length << " area, radio range " << radius
             << ", speed <= " << vmax << "\n";
 
-  RandomWaypointModel manet(n, params, /*seed=*/7);
+  const auto manet = make_random_waypoint(n, params, /*seed=*/7);
   // Let the mobility process reach its stationary regime before the alert
   // is injected (T_mix = Theta(L / v_max)).
-  const auto warmup = manet.suggested_warmup();
-  for (std::uint64_t w = 0; w < warmup; ++w) manet.step();
+  const auto warmup = manet->suggested_warmup();
+  for (std::uint64_t w = 0; w < warmup; ++w) manet->step();
   std::cout << "warmed up " << warmup << " rounds (mixing)\n";
 
   // How connected is a snapshot?  Count isolated nodes right now.
   std::size_t isolated = 0;
   for (NodeId v = 0; v < n; ++v) {
-    if (manet.snapshot().degree(v) == 0) ++isolated;
+    if (manet->snapshot().degree(v) == 0) ++isolated;
   }
-  std::cout << "snapshot: " << manet.snapshot().num_edges() << " links, "
+  std::cout << "snapshot: " << manet->snapshot().num_edges() << " links, "
             << isolated << "/" << n << " nodes isolated "
             << "(sparse & disconnected, as the theory allows)\n\n";
 
-  const FloodResult result = flood(manet, 0, 10'000'000);
+  const FloodResult result = flood(*manet, 0, 10'000'000);
   if (!result.completed) {
     std::cout << "alert did not reach everyone within the budget\n";
     return 1;
@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   // guaranteed; incomplete trials are accounted, not averaged in).
   const GraphFactory manet_factory =
       [&](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-    return std::make_unique<RandomWaypointModel>(n, params, seed);
+    return make_random_waypoint(n, params, seed);
   };
   TrialConfig cfg;
   cfg.trials = 8;

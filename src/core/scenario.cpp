@@ -19,7 +19,6 @@
 #include "mobility/random_paths.hpp"
 #include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "protocols/gossip.hpp"
 #include "protocols/k_push.hpp"
 #include "protocols/radio_broadcast.hpp"
@@ -355,16 +354,17 @@ double transmission_radius(const ParamReader& p) {
 
 ScenarioModel build_random_waypoint(const ParamReader& p) {
   const std::size_t n = p.size("n");
-  WaypointParams params;
-  params.side_length = p.num("side");
-  params.v_min = p.num("v_min");
-  params.v_max = p.num("v_max");
-  params.radius = transmission_radius(p);
-  params.resolution = p.size("resolution");
+  const WaypointParams params{.side_length = p.num("side"),
+                              .v_min = p.num("v_min"),
+                              .v_max = p.num("v_max"),
+                              .radius = transmission_radius(p),
+                              .resolution = p.size("resolution")};
+  const GridWaypointPolicy policy(params.side_length, params.resolution,
+                                  params.v_min, params.v_max);
   return {[n, params](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-            return std::make_unique<RandomWaypointModel>(n, params, seed);
+            return make_random_waypoint(n, params, seed);
           },
-          n, RandomWaypointModel::suggested_warmup(params)};
+          n, RandomTripModel::suggested_warmup(policy)};
 }
 
 ScenarioModel build_random_trip(const ParamReader& p) {

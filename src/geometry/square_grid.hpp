@@ -2,10 +2,10 @@
 
 // Discretization of the continuous square mobility region: the paper
 // (Section 4.1) approximates the side-L square of R^2 with an m x m grid
-// Q of regularly spaced points.  All geometric mobility models (random
-// waypoint, random trip) run over this grid; footnote 3 guarantees the
-// flooding bound is insensitive to the resolution m, which experiment E5
-// verifies by sweeping m.
+// Q of regularly spaced points.  The random trip model (the random
+// waypoint among its policies) runs over this grid; footnote 3
+// guarantees the flooding bound is insensitive to the resolution m,
+// which experiment E5 verifies by sweeping m.
 
 #include <algorithm>
 #include <cstddef>

@@ -1,7 +1,7 @@
 #pragma once
 
-// Shared snapshot maintenance for the geometric mobility models
-// (random waypoint, random trip), built lazily.  The owning model moves
+// Snapshot maintenance for the geometric mobility model (RandomTripModel,
+// the random waypoint among its policies), built lazily.  The model moves
 // the agents in positions() and calls moved(); nothing else happens until
 // someone reads snapshot(), so steps nobody reads (a trial's warmup) cost
 // only the kinematics.  The first read after a move snaps every agent to
@@ -21,8 +21,7 @@
 // Skipping reads is invisible: both builds read only the current cells
 // (NeighborIndex::refresh() leaves the state rebuild() makes), so a
 // snapshot is a pure function of the current positions, and the engine
-// draws no randomness.  Keeping the protocol in one place guarantees the
-// two models can never diverge on it.
+// draws no randomness.
 //
 // snapshot() is const but does the deferred work on its first call after
 // moved(); the deferred state is mutable, like Snapshot's lazy CSR.  So

@@ -1,10 +1,49 @@
 #include "mobility/random_trip.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 namespace megflood {
+
+// ---------------------------------------------------------------------------
+// TripPolicy: the square region and the waypoint trip
+// ---------------------------------------------------------------------------
+
+TripPolicy::TripPolicy(double side, double v_min, double v_max)
+    : side_(side), v_min_(v_min), v_max_(v_max) {
+  if (!(side > 0.0) || !(v_min > 0.0) || !(v_max >= v_min)) {
+    throw std::invalid_argument(
+        "TripPolicy: need side > 0 and 0 < v_min <= v_max");
+  }
+}
+
+bool TripPolicy::contains(const Point2D& p) const {
+  return p.x >= 0.0 && p.x <= side_ && p.y >= 0.0 && p.y <= side_;
+}
+
+Point2D TripPolicy::random_point(Rng& rng) const {
+  return {rng.uniform(0.0, side_), rng.uniform(0.0, side_)};
+}
+
+Trip TripPolicy::next_trip(const Point2D& /*from*/, Rng& rng) const {
+  Trip trip;
+  trip.destination = random_point(rng);
+  trip.speed = rng.uniform(v_min_, v_max_);
+  return trip;
+}
+
+// ---------------------------------------------------------------------------
+// GridWaypointPolicy
+// ---------------------------------------------------------------------------
+
+GridWaypointPolicy::GridWaypointPolicy(double side, std::size_t resolution,
+                                       double v_min, double v_max)
+    : TripPolicy(side, v_min, v_max), grid_(resolution, side) {}
+
+Point2D GridWaypointPolicy::random_point(Rng& rng) const {
+  return grid_.position(
+      static_cast<CellId>(rng.uniform_int(grid_.num_points())));
+}
 
 // ---------------------------------------------------------------------------
 // SquareWaypointPolicy
@@ -14,34 +53,16 @@ SquareWaypointPolicy::SquareWaypointPolicy(double side, double v_min,
                                            double v_max,
                                            std::uint64_t pause_lo,
                                            std::uint64_t pause_hi)
-    : side_(side),
-      v_min_(v_min),
-      v_max_(v_max),
+    : TripPolicy(side, v_min, v_max),
       pause_lo_(pause_lo),
       pause_hi_(pause_hi) {
-  if (side <= 0.0) {
-    throw std::invalid_argument("SquareWaypointPolicy: side must be > 0");
-  }
-  if (v_min <= 0.0 || v_max < v_min) {
-    throw std::invalid_argument("SquareWaypointPolicy: need 0 < v_min <= v_max");
-  }
   if (pause_hi < pause_lo) {
     throw std::invalid_argument("SquareWaypointPolicy: pause_hi < pause_lo");
   }
 }
 
-bool SquareWaypointPolicy::contains(const Point2D& p) const {
-  return p.x >= 0.0 && p.x <= side_ && p.y >= 0.0 && p.y <= side_;
-}
-
-Point2D SquareWaypointPolicy::random_point(Rng& rng) const {
-  return {rng.uniform(0.0, side_), rng.uniform(0.0, side_)};
-}
-
-Trip SquareWaypointPolicy::next_trip(const Point2D& /*from*/, Rng& rng) const {
-  Trip trip;
-  trip.destination = random_point(rng);
-  trip.speed = rng.uniform(v_min_, v_max_);
+Trip SquareWaypointPolicy::next_trip(const Point2D& from, Rng& rng) const {
+  Trip trip = TripPolicy::next_trip(from, rng);
   trip.pause_rounds =
       pause_lo_ +
       (pause_hi_ > pause_lo_ ? rng.uniform_int(pause_hi_ - pause_lo_ + 1)
@@ -53,16 +74,6 @@ Trip SquareWaypointPolicy::next_trip(const Point2D& /*from*/, Rng& rng) const {
 // DiskWaypointPolicy
 // ---------------------------------------------------------------------------
 
-DiskWaypointPolicy::DiskWaypointPolicy(double side, double v_min, double v_max)
-    : side_(side), v_min_(v_min), v_max_(v_max) {
-  if (side <= 0.0) {
-    throw std::invalid_argument("DiskWaypointPolicy: side must be > 0");
-  }
-  if (v_min <= 0.0 || v_max < v_min) {
-    throw std::invalid_argument("DiskWaypointPolicy: need 0 < v_min <= v_max");
-  }
-}
-
 bool DiskWaypointPolicy::contains(const Point2D& p) const {
   const double r = side_ / 2.0;
   const double dx = p.x - r, dy = p.y - r;
@@ -72,17 +83,9 @@ bool DiskWaypointPolicy::contains(const Point2D& p) const {
 Point2D DiskWaypointPolicy::random_point(Rng& rng) const {
   // Rejection from the bounding square: acceptance ~ pi/4.
   for (;;) {
-    const Point2D p{rng.uniform(0.0, side_), rng.uniform(0.0, side_)};
+    const Point2D p = TripPolicy::random_point(rng);
     if (contains(p)) return p;
   }
-}
-
-Trip DiskWaypointPolicy::next_trip(const Point2D& /*from*/, Rng& rng) const {
-  Trip trip;
-  trip.destination = random_point(rng);
-  trip.speed = rng.uniform(v_min_, v_max_);
-  trip.pause_rounds = 0;
-  return trip;
 }
 
 // ---------------------------------------------------------------------------
@@ -92,30 +95,11 @@ Trip DiskWaypointPolicy::next_trip(const Point2D& /*from*/, Rng& rng) const {
 RandomDirectionPolicy::RandomDirectionPolicy(double side, double v_min,
                                              double v_max, double leg_lo,
                                              double leg_hi)
-    : side_(side),
-      v_min_(v_min),
-      v_max_(v_max),
-      leg_lo_(leg_lo),
-      leg_hi_(leg_hi) {
-  if (side <= 0.0) {
-    throw std::invalid_argument("RandomDirectionPolicy: side must be > 0");
-  }
-  if (v_min <= 0.0 || v_max < v_min) {
-    throw std::invalid_argument(
-        "RandomDirectionPolicy: need 0 < v_min <= v_max");
-  }
+    : TripPolicy(side, v_min, v_max), leg_lo_(leg_lo), leg_hi_(leg_hi) {
   if (leg_lo <= 0.0 || leg_hi < leg_lo) {
     throw std::invalid_argument(
         "RandomDirectionPolicy: need 0 < leg_lo <= leg_hi");
   }
-}
-
-bool RandomDirectionPolicy::contains(const Point2D& p) const {
-  return p.x >= 0.0 && p.x <= side_ && p.y >= 0.0 && p.y <= side_;
-}
-
-Point2D RandomDirectionPolicy::random_point(Rng& rng) const {
-  return {rng.uniform(0.0, side_), rng.uniform(0.0, side_)};
 }
 
 Trip RandomDirectionPolicy::next_trip(const Point2D& from, Rng& rng) const {
@@ -136,7 +120,6 @@ Trip RandomDirectionPolicy::next_trip(const Point2D& from, Rng& rng) const {
   trip.destination.x = std::min(side_, std::max(0.0, trip.destination.x));
   trip.destination.y = std::min(side_, std::max(0.0, trip.destination.y));
   trip.speed = rng.uniform(v_min_, v_max_);
-  trip.pause_rounds = 0;
   return trip;
 }
 
@@ -157,52 +140,82 @@ RandomTripModel::RandomTripModel(std::size_t num_agents,
   if (num_agents < 2) {
     throw std::invalid_argument("RandomTripModel: need at least 2 agents");
   }
-  agents_.resize(num_agents_);
+  courses_.resize(num_agents_);
+  dwells_.resize(num_agents_);
+  arrivals_.resize(num_agents_);
   initialize();
+}
+
+void RandomTripModel::set_trip(std::size_t agent, const Trip& trip) {
+  courses_[agent] = {trip.destination, trip.speed};
+  dwells_[agent] = {trip.pause_rounds, 0, 0.0};
 }
 
 void RandomTripModel::initialize() {
   std::vector<Point2D>& positions = engine_.positions();
   for (std::size_t i = 0; i < num_agents_; ++i) {
-    AgentState& agent = agents_[i];
     positions[i] = policy_->random_point(rng_);
-    agent.trip = policy_->next_trip(positions[i], rng_);
-    agent.pause_left = 0;
+    set_trip(i, policy_->next_trip(positions[i], rng_));
   }
   engine_.moved();
 }
 
 void RandomTripModel::step() {
   std::vector<Point2D>& positions = engine_.positions();
+  // First pass, no draws: an agent short of its destination moves the
+  // fraction speed / dist of the way there (the first leg of the loop
+  // below, bit for bit); the rest, pausing agents among them, are listed
+  // as arrivals.
+  std::size_t arrivals = 0;
   for (std::size_t i = 0; i < num_agents_; ++i) {
-    AgentState& agent = agents_[i];
-    if (agent.pause_left > 0) {
-      --agent.pause_left;
+    const Course& course = courses_[i];
+    Point2D& pos = positions[i];
+    const double dist = euclidean_distance(pos, course.destination);
+    const bool arrives = dist <= course.speed;
+    arrivals_[arrivals] = static_cast<std::uint32_t>(i);
+    arrivals += arrives;
+    if (!arrives) {
+      const double frac = course.speed / dist;
+      pos.x += (course.destination.x - pos.x) * frac;
+      pos.y += (course.destination.y - pos.y) * frac;
+    }
+  }
+  // Second pass, ascending, so the draws keep the one-loop order.
+  for (std::size_t k = 0; k < arrivals; ++k) {
+    const std::uint32_t i = arrivals_[k];
+    Course& course = courses_[i];
+    Dwell& dwell = dwells_[i];
+    if (dwell.left > 0) {
+      // A paused agent waits; its trip resumes the round after the last.
+      if (--dwell.left == 0) course.speed = dwell.speed;
       continue;
     }
-    Point2D pos = positions[i];
-    double budget = agent.trip.speed;
+    Point2D& pos = positions[i];
+    double budget = course.speed;
+    // Travel `speed` distance this round, switching trips at waypoints so
+    // agents never stall (leftover budget carries into the new leg).
     for (int leg = 0; leg < 16 && budget > 0.0; ++leg) {
-      const double dist = euclidean_distance(pos, agent.trip.destination);
+      const double dist = euclidean_distance(pos, course.destination);
       if (dist <= budget) {
         budget -= dist;
-        pos = agent.trip.destination;
-        const std::uint64_t pause = agent.trip.pause_rounds;
-        agent.trip = policy_->next_trip(pos, rng_);
+        pos = course.destination;
+        const std::uint64_t pause = dwell.on_arrival;
+        set_trip(i, policy_->next_trip(pos, rng_));
         if (pause > 0) {
           // The dwell consumes whole rounds starting now; leftover motion
           // budget is forfeited (the agent has stopped).
-          agent.pause_left = pause;
+          dwell.left = pause;
+          dwell.speed = course.speed;
+          course.speed = kPaused;
           break;
         }
       } else {
         const double frac = budget / dist;
-        pos.x += (agent.trip.destination.x - pos.x) * frac;
-        pos.y += (agent.trip.destination.y - pos.y) * frac;
+        pos.x += (course.destination.x - pos.x) * frac;
+        pos.y += (course.destination.y - pos.y) * frac;
         budget = 0.0;
       }
     }
-    positions[i] = pos;
   }
   engine_.moved();
   advance_clock();
@@ -214,22 +227,29 @@ void RandomTripModel::reset(std::uint64_t seed) {
   initialize();
 }
 
+void RandomTripModel::collapse_to(const Point2D& point) {
+  std::vector<Point2D>& positions = engine_.positions();
+  for (std::size_t i = 0; i < num_agents_; ++i) {
+    positions[i] = point;
+    set_trip(i, policy_->next_trip(point, rng_));
+  }
+  engine_.moved();
+}
+
 std::uint64_t RandomTripModel::suggested_warmup(const TripPolicy& policy,
                                                 double c) {
-  // The stock policies validate speeds in their constructors, but the
-  // interface does not promise it — guard the division like the waypoint
-  // static does.
-  if (policy.max_speed() <= 0.0 || policy.bounding_side() <= 0.0) {
-    throw std::invalid_argument(
-        "RandomTripModel::suggested_warmup: need max_speed > 0 and "
-        "bounding_side > 0");
-  }
   return static_cast<std::uint64_t>(
       std::ceil(c * policy.bounding_side() / policy.max_speed()));
 }
 
-std::uint64_t RandomTripModel::suggested_warmup(double c) const {
-  return suggested_warmup(*policy_, c);
+std::unique_ptr<RandomTripModel> make_random_waypoint(
+    std::size_t num_agents, const WaypointParams& params, std::uint64_t seed) {
+  return std::make_unique<RandomTripModel>(
+      num_agents,
+      std::make_shared<GridWaypointPolicy>(params.side_length,
+                                           params.resolution, params.v_min,
+                                           params.v_max),
+      params.radius, params.resolution, seed);
 }
 
 }  // namespace megflood

@@ -1,19 +1,23 @@
 #pragma once
 
-// The random trip model of Le Boudec-Vojnovic [24], the general class the
-// paper's Corollary 4 is stated for: nodes move over a bounded connected
-// region R ⊂ R^2 along trips chosen by an arbitrary policy (destination,
-// speed, and an optional pause at the waypoint).  RandomWaypointModel is
-// the special case "uniform destination over a square, no pause"; this
-// generalization exercises the rest of the class:
-//   * pause times (the classic RWP variant with think times),
-//   * non-square regions (disk),
-//   * biased destination laws.
+// The random trip model of Le Boudec-Vojnovic [24], the class the paper's
+// Corollary 4 is stated for: nodes move over a bounded connected region
+// R ⊂ R^2 along trips chosen by a policy (destination, speed, and an
+// optional pause at the waypoint).  Two agents are connected iff their
+// grid-snapped Euclidean distance is at most the transmission radius r.
+// One engine, RandomTripModel, runs every member of the class; a policy
+// supplies the trip law:
+//   * GridWaypointPolicy, the paper's random waypoint (Section 4.1),
+//     built from WaypointParams by make_random_waypoint();
+//   * SquareWaypointPolicy, the waypoint with pause times (think times);
+//   * DiskWaypointPolicy, a non-square region;
+//   * RandomDirectionPolicy, trips drawn from the current position.
 // Corollary 4 only cares about the positional density F_T (conditions
-// (a)/(b)) and the mixing time, so these variants are the natural
+// (a)/(b)) and the mixing time, so the variants are the natural
 // ablations of the paper's generality claim (bench_a4).
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -27,65 +31,87 @@ namespace megflood {
 
 struct Trip {
   Point2D destination;
-  double speed = 0.0;
+  double speed = 0.0;              // distance per round, finite
   std::uint64_t pause_rounds = 0;  // dwell time at the waypoint on arrival
 };
 
-// A trip policy defines the mobility region and the trip law.  Policies
-// must be deterministic functions of (from, rng) so models stay
+// A trip policy defines the mobility region and the trip law.  Every
+// policy moves inside the bounding square [0, side]^2 at speeds in
+// [v_min, v_max]; the region defaults to that square and the trip to the
+// waypoint's (destination random_point(), speed uniform, no pause).
+// Policies must be deterministic functions of (from, rng) so models stay
 // reproducible.
 class TripPolicy {
  public:
+  // Throws std::invalid_argument unless side > 0 and 0 < v_min <= v_max.
+  TripPolicy(double side, double v_min, double v_max);
   virtual ~TripPolicy() = default;
 
-  // Side length of the bounding square [0, side]^2 containing the region.
-  virtual double bounding_side() const = 0;
-
-  // Whether p lies inside the mobility region.
-  virtual bool contains(const Point2D& p) const = 0;
-
-  // A point sampled from the region (used for initialization).
-  virtual Point2D random_point(Rng& rng) const = 0;
-
-  // The next trip from `from`; the destination must be inside the region.
-  virtual Trip next_trip(const Point2D& from, Rng& rng) const = 0;
+  double bounding_side() const noexcept { return side_; }
 
   // Largest speed the policy can emit (for warmup heuristics).
-  virtual double max_speed() const = 0;
+  double max_speed() const noexcept { return v_max_; }
+
+  // Whether p lies inside the mobility region.
+  virtual bool contains(const Point2D& p) const;
+
+  // A point sampled from the region (used for initialization).
+  virtual Point2D random_point(Rng& rng) const;
+
+  // The next trip from `from`; the destination must be inside the region.
+  virtual Trip next_trip(const Point2D& from, Rng& rng) const;
+
+ protected:
+  double side_, v_min_, v_max_;
+};
+
+// The paper's random waypoint over the square (Section 4.1): start points
+// and destinations uniform over the m x m grid points, speed uniform in
+// [v_min, v_max], no pause.
+//
+// Discretization follows the paper: the square of side L is approximated
+// by an m x m grid; an agent's *connectivity* position is its nearest grid
+// point while its motion state stays continuous (equivalent to a
+// sufficiently refined node-MEG state (destination, path point, speed) —
+// footnote 3 says the resolution does not affect the flooding bound, and
+// experiment E5 verifies that by sweeping m).
+//
+// The start (uniform position, fresh trip) is *not* the stationary
+// regime; callers should warm up ~Theta(L / v_max) steps
+// (TrialConfig::warmup_steps, suggested_warmup) before measuring, as the
+// experiments do.
+class GridWaypointPolicy final : public TripPolicy {
+ public:
+  GridWaypointPolicy(double side, std::size_t resolution, double v_min,
+                     double v_max);
+
+  Point2D random_point(Rng& rng) const override;
+
+ private:
+  SquareGrid grid_;
 };
 
 // Uniform-destination waypoint over the square with optional pauses:
 // pause_rounds uniform in [pause_lo, pause_hi].
-class SquareWaypointPolicy : public TripPolicy {
+class SquareWaypointPolicy final : public TripPolicy {
  public:
   SquareWaypointPolicy(double side, double v_min, double v_max,
                        std::uint64_t pause_lo = 0, std::uint64_t pause_hi = 0);
 
-  double bounding_side() const override { return side_; }
-  bool contains(const Point2D& p) const override;
-  Point2D random_point(Rng& rng) const override;
   Trip next_trip(const Point2D& from, Rng& rng) const override;
-  double max_speed() const override { return v_max_; }
 
  private:
-  double side_, v_min_, v_max_;
   std::uint64_t pause_lo_, pause_hi_;
 };
 
 // Uniform-destination waypoint over the disk inscribed in the bounding
 // square (center (side/2, side/2), radius side/2).
-class DiskWaypointPolicy : public TripPolicy {
+class DiskWaypointPolicy final : public TripPolicy {
  public:
-  DiskWaypointPolicy(double side, double v_min, double v_max);
+  using TripPolicy::TripPolicy;
 
-  double bounding_side() const override { return side_; }
   bool contains(const Point2D& p) const override;
   Point2D random_point(Rng& rng) const override;
-  Trip next_trip(const Point2D& from, Rng& rng) const override;
-  double max_speed() const override { return v_max_; }
-
- private:
-  double side_, v_min_, v_max_;
 };
 
 // Random direction model (Camp et al. [7], another classic member of the
@@ -95,25 +121,20 @@ class DiskWaypointPolicy : public TripPolicy {
 // direction is drawn.  Its positional density is much flatter than the
 // waypoint's (no center bias) — a useful contrast for Corollary 4's
 // uniformity conditions.
-class RandomDirectionPolicy : public TripPolicy {
+class RandomDirectionPolicy final : public TripPolicy {
  public:
   // Travel distance per leg uniform in [leg_lo, leg_hi].
   RandomDirectionPolicy(double side, double v_min, double v_max,
                         double leg_lo, double leg_hi);
 
-  double bounding_side() const override { return side_; }
-  bool contains(const Point2D& p) const override;
-  Point2D random_point(Rng& rng) const override;
   Trip next_trip(const Point2D& from, Rng& rng) const override;
-  double max_speed() const override { return v_max_; }
 
  private:
-  double side_, v_min_, v_max_, leg_lo_, leg_hi_;
+  double leg_lo_, leg_hi_;
 };
 
-// The generic random trip dynamic graph: agents follow policy trips;
-// two agents are connected iff their (grid-snapped) Euclidean distance is
-// at most `radius`.
+// The random trip dynamic graph: agents follow policy trips over an
+// m x m connectivity grid (`resolution`) of the policy's bounding square.
 class RandomTripModel final : public DynamicGraph {
  public:
   RandomTripModel(std::size_t num_agents, std::shared_ptr<const TripPolicy>,
@@ -127,31 +148,61 @@ class RandomTripModel final : public DynamicGraph {
   const SquareGrid& grid() const noexcept { return engine_.grid(); }
   Point2D agent_position(NodeId agent) const { return engine_.position(agent); }
   CellId agent_cell(NodeId agent) const { return engine_.cell(agent); }
-  bool agent_paused(NodeId agent) const {
-    return agents_.at(agent).pause_left > 0;
-  }
+  bool agent_paused(NodeId agent) const { return dwells_.at(agent).left > 0; }
 
-  // c * bounding_side / max_speed rounds, like the waypoint heuristic.
-  // The static overload lets the scenario layer answer --warmup=auto
-  // without constructing a model.
+  // Rough warm-up length to near-stationarity: c * bounding_side /
+  // max_speed rounds (T_mix of the waypoint chain is Theta(L / v_max),
+  // refs [1, 29]).  The static overload lets the scenario layer answer
+  // --warmup=auto without constructing a model.
   static std::uint64_t suggested_warmup(const TripPolicy& policy,
                                         double c = 4.0);
-  std::uint64_t suggested_warmup(double c = 4.0) const;
+  std::uint64_t suggested_warmup(double c = 4.0) const {
+    return suggested_warmup(*policy_, c);
+  }
+
+  // Worst-case start for mixing studies: place every agent at `point`
+  // (fresh random trips are drawn so the process stays well defined).
+  void collapse_to(const Point2D& point);
 
  private:
-  // Motion state; the positions live in engine_.positions().
-  struct AgentState {
-    Trip trip;
-    std::uint64_t pause_left = 0;
+  // Motion state; the positions live in engine_.positions().  The course
+  // is all that the first pass of step() reads.  A pausing agent's course
+  // has speed kPaused, so that pass lists it with the arrivals and the
+  // second pass counts its dwell down; the pause state sits apart.
+  struct Course {
+    Point2D destination;
+    double speed = 0.0;
   };
+  struct Dwell {
+    std::uint64_t on_arrival = 0;  // the current trip's pause_rounds
+    std::uint64_t left = 0;        // rounds still to wait
+    double speed = 0.0;            // the current trip's speed while waiting
+  };
+  static constexpr double kPaused = std::numeric_limits<double>::infinity();
 
   void initialize();
+  void set_trip(std::size_t agent, const Trip& trip);
 
   std::size_t num_agents_;
   std::shared_ptr<const TripPolicy> policy_;
   Rng rng_;
-  std::vector<AgentState> agents_;
+  std::vector<Course> courses_;
+  std::vector<Dwell> dwells_;
+  std::vector<std::uint32_t> arrivals_;  // step() scratch
   ProximitySnapshotEngine engine_;
 };
+
+// The paper's random waypoint in the parameters its experiments sweep.
+struct WaypointParams {
+  double side_length = 1.0;  // L
+  double v_min = 0.01;
+  double v_max = 0.02;       // paper assumes v_max = Theta(v_min)
+  double radius = 0.1;       // transmission radius r
+  std::size_t resolution = 64;  // grid m (connectivity discretization)
+};
+
+// The random waypoint model: a RandomTripModel on a GridWaypointPolicy.
+std::unique_ptr<RandomTripModel> make_random_waypoint(
+    std::size_t num_agents, const WaypointParams& params, std::uint64_t seed);
 
 }  // namespace megflood

@@ -80,6 +80,9 @@ TEST(DriverCli, ConfigErrorsExitTwo) {
       {"--model=random_waypoint", "--radius=-1"},
       {"--model=random_trip", "--radius=0"},
       {"--model=random_trip", "--radius=-1"},
+      // A speed range the trip policy rejects, found before any trial.
+      {"--model=random_waypoint", "--v_min=0"},
+      {"--model=random_trip", "--v_min=0"},
   };
   for (const auto& args : bad) {
     const auto r = run(args);

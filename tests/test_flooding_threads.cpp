@@ -14,7 +14,7 @@
 #include "core/snapshot.hpp"
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "step_hash.hpp"
 #include "util/rng.hpp"
 
@@ -101,7 +101,7 @@ TEST(FloodAllSourcesThreads, BitIdenticalOnLazyWaypoint) {
     p.v_max = 1.0;
     p.radius = 1.0;
     p.resolution = 32;
-    return std::make_unique<RandomWaypointModel>(200, p, 9);
+    return make_random_waypoint(200, p, 9);
   };
   const auto serial_graph = make();
   const AllSourcesResult serial = flood_all_sources(*serial_graph, 4096, 1);
@@ -235,7 +235,7 @@ TEST(FloodAllSourcesThreads, BitIdenticalInTheWorkerPool) {
     p.v_max = 1.0;
     p.radius = 1.0;
     p.resolution = 128;
-    return std::make_unique<RandomWaypointModel>(kPoolNodes, p, 9);
+    return make_random_waypoint(kPoolNodes, p, 9);
   };
   const auto serial_graph = make();
   const AllSourcesResult serial = flood_all_sources(*serial_graph, 64, 1);

@@ -19,8 +19,8 @@
 #include "meg/general_edge_meg.hpp"
 #include "meg/node_meg.hpp"
 #include "mobility/random_paths.hpp"
+#include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
-#include "mobility/random_waypoint.hpp"
 
 namespace megflood {
 namespace {
@@ -104,11 +104,11 @@ TEST(Integration, WaypointFloodingWithinBound) {
   TrialConfig cfg;
   cfg.trials = 8;
   cfg.max_rounds = 200000;
-  RandomWaypointModel warm(n, p, 0);
-  cfg.warmup_steps = warm.suggested_warmup();
+  const auto warm = make_random_waypoint(n, p, 0);
+  cfg.warmup_steps = warm->suggested_warmup();
   const auto m = measure(
       [&](std::uint64_t seed) {
-        return std::make_unique<RandomWaypointModel>(n, p, seed);
+        return make_random_waypoint(n, p, seed);
       },
       make_process_factory("flooding"), cfg);
   ASSERT_EQ(m.incomplete, 0u);

@@ -9,8 +9,8 @@
 #include "graph/builders.hpp"
 #include "markov/chain.hpp"
 #include "markov/mixing.hpp"
+#include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
-#include "mobility/random_waypoint.hpp"
 
 namespace megflood {
 namespace {
@@ -103,25 +103,25 @@ TEST(PositionalMixing, WaypointMixingScalesWithLOverV) {
     p.radius = 0.1;
     p.resolution = 8;  // coarse cells: position observable only
     // Long-run reference sampled from one long trajectory.
-    RandomWaypointModel ref_model(32, p, 123);
-    for (std::uint64_t w = 0; w < ref_model.suggested_warmup(8.0); ++w) {
-      ref_model.step();
+    const auto ref_model = make_random_waypoint(32, p, 123);
+    for (std::uint64_t w = 0; w < ref_model->suggested_warmup(8.0); ++w) {
+      ref_model->step();
     }
-    Histogram ref_hist(ref_model.grid().num_points());
+    Histogram ref_hist(ref_model->grid().num_points());
     for (int s = 0; s < 600; ++s) {
-      ref_model.step();
-      for (NodeId a = 0; a < 32; ++a) ref_hist.add(ref_model.agent_cell(a));
+      ref_model->step();
+      for (NodeId a = 0; a < 32; ++a) ref_hist.add(ref_model->agent_cell(a));
     }
     auto factory = [&](std::uint64_t seed) {
-      auto model = std::make_unique<RandomWaypointModel>(32, p, seed);
+      auto model = make_random_waypoint(32, p, seed);
       model->collapse_to({0.0, 0.0});  // worst-case corner start
       return model;
     };
     const auto cell_of = [](const DynamicGraph& d, NodeId a) {
-      return static_cast<const RandomWaypointModel&>(d).agent_cell(a);
+      return static_cast<const RandomTripModel&>(d).agent_cell(a);
     };
     const auto profile = positional_mixing_profile(
-        factory, ref_model.grid().num_points(), cell_of,
+        factory, ref_model->grid().num_points(), cell_of,
         ref_hist.distribution(), 6, 2000, 0.3);
     return profile.mixing_time;
   };

@@ -26,7 +26,6 @@
 #include "geometry/square_grid.hpp"
 #include "mobility/proximity_engine.hpp"
 #include "mobility/random_trip.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "step_hash.hpp"
 #include "util/rng.hpp"
 
@@ -67,11 +66,11 @@ TEST(MobilityIncremental, WaypointSlowSpeedLongRun) {
   p.v_max = 0.02;
   p.radius = 1.0;
   p.resolution = 48;
-  RandomWaypointModel model(40, p, 17);
-  NeighborIndex scratch(model.grid(), p.radius);
+  const auto model = make_random_waypoint(40, p, 17);
+  NeighborIndex scratch(model->grid(), p.radius);
   for (int t = 0; t < 400; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "slow waypoint", t);
-    model.step();
+    expect_snapshot_matches_full_rebuild(*model, scratch, "slow waypoint", t);
+    model->step();
   }
 }
 
@@ -84,11 +83,11 @@ TEST(MobilityIncremental, WaypointFastSpeedFallback) {
   p.v_max = 1.0;
   p.radius = 1.0;
   p.resolution = 48;
-  RandomWaypointModel model(48, p, 23);
-  NeighborIndex scratch(model.grid(), p.radius);
+  const auto model = make_random_waypoint(48, p, 23);
+  NeighborIndex scratch(model->grid(), p.radius);
   for (int t = 0; t < 200; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "fast waypoint", t);
-    model.step();
+    expect_snapshot_matches_full_rebuild(*model, scratch, "fast waypoint", t);
+    model->step();
   }
 }
 
@@ -99,36 +98,36 @@ TEST(MobilityIncremental, WaypointCollapseAndReset) {
   p.v_max = 0.1;
   p.radius = 1.0;
   p.resolution = 32;
-  RandomWaypointModel model(32, p, 5);
-  NeighborIndex scratch(model.grid(), p.radius);
-  for (int t = 0; t < 50; ++t) model.step();
+  const auto model = make_random_waypoint(32, p, 5);
+  NeighborIndex scratch(model->grid(), p.radius);
+  for (int t = 0; t < 50; ++t) model->step();
   // Worst-case start: everyone lands in one cell (maximum bucket load),
   // then disperses through the incremental path.
-  model.collapse_to({3.0, 3.0});
+  model->collapse_to({3.0, 3.0});
   for (int t = 0; t < 120; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "post-collapse", t);
-    model.step();
+    expect_snapshot_matches_full_rebuild(*model, scratch, "post-collapse", t);
+    model->step();
   }
   // reset() re-derives everything from a fresh seed; the incremental
   // index must restart cleanly and stay equivalent.
-  model.reset(99);
+  model->reset(99);
   for (int t = 0; t < 120; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "post-reset", t);
-    model.step();
+    expect_snapshot_matches_full_rebuild(*model, scratch, "post-reset", t);
+    model->step();
   }
   // Determinism: a second reset from the same seed replays the stream.
-  model.reset(1234);
+  model->reset(1234);
   std::vector<PairList> trace;
   for (int t = 0; t < 30; ++t) {
-    trace.push_back(decoded_edges(model.snapshot()));
-    model.step();
+    trace.push_back(decoded_edges(model->snapshot()));
+    model->step();
   }
-  model.reset(1234);
+  model->reset(1234);
   for (int t = 0; t < 30; ++t) {
-    ASSERT_EQ(decoded_edges(model.snapshot()),
+    ASSERT_EQ(decoded_edges(model->snapshot()),
               trace[static_cast<std::size_t>(t)])
         << "replay step " << t;
-    model.step();
+    model->step();
   }
 }
 
@@ -258,9 +257,9 @@ TEST(MobilityDeferredReads, WaypointSlow) {
   p.v_max = 0.02;
   p.radius = 1.0;
   p.resolution = 48;
-  RandomWaypointModel eager(40, p, 17);
-  RandomWaypointModel lazy(40, p, 17);
-  Lockstep<RandomWaypointModel> pair(eager, lazy, p.radius, "slow waypoint");
+  const auto eager = make_random_waypoint(40, p, 17);
+  const auto lazy = make_random_waypoint(40, p, 17);
+  Lockstep<RandomTripModel> pair(*eager, *lazy, p.radius, "slow waypoint");
   ASSERT_NO_FATAL_FAILURE(pair.run_script(101));
 }
 
@@ -271,11 +270,11 @@ TEST(MobilityDeferredReads, WaypointFastWithCollapse) {
   p.v_max = 1.0;
   p.radius = 1.0;
   p.resolution = 48;
-  RandomWaypointModel eager(48, p, 23);
-  RandomWaypointModel lazy(48, p, 23);
-  Lockstep<RandomWaypointModel> pair(eager, lazy, p.radius, "fast waypoint");
+  const auto eager = make_random_waypoint(48, p, 23);
+  const auto lazy = make_random_waypoint(48, p, 23);
+  Lockstep<RandomTripModel> pair(*eager, *lazy, p.radius, "fast waypoint");
   ASSERT_NO_FATAL_FAILURE(pair.run_script(202));
-  const auto collapse = [](RandomWaypointModel& m) {
+  const auto collapse = [](RandomTripModel& m) {
     m.collapse_to({4.0, 4.0});
   };
   // A read right after collapse_to(), then one after unread steps.

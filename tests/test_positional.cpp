@@ -6,7 +6,7 @@
 #include <cmath>
 
 #include "analysis/positional.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 
 namespace megflood {
 namespace {
@@ -18,11 +18,11 @@ TEST(SamplePositional, AccumulatesAgentCells) {
   p.v_max = 0.1;
   p.radius = 0.1;
   p.resolution = 16;
-  RandomWaypointModel model(10, p, 3);
+  const auto model = make_random_waypoint(10, p, 3);
   const auto hist = sample_positional(
-      model, model.grid().num_points(),
+      *model, model->grid().num_points(),
       [](const DynamicGraph& g, NodeId a) {
-        return static_cast<const RandomWaypointModel&>(g).agent_cell(a);
+        return static_cast<const RandomTripModel&>(g).agent_cell(a);
       },
       20, 2);
   EXPECT_EQ(hist.total(), 200u);  // 10 agents x 20 samples
@@ -34,10 +34,10 @@ TEST(SamplePositional, ZeroSamplesThrows) {
   p.v_min = 0.05;
   p.v_max = 0.1;
   p.radius = 0.1;
-  RandomWaypointModel model(4, p, 1);
+  const auto model = make_random_waypoint(4, p, 1);
   EXPECT_THROW(
       (void)sample_positional(
-          model, model.grid().num_points(),
+          *model, model->grid().num_points(),
           [](const DynamicGraph&, NodeId) { return CellId{0}; }, 0, 1),
       std::invalid_argument);
 }
@@ -100,17 +100,19 @@ TEST(CheckUniformity, WaypointDensityCenterBiased) {
   p.v_max = 0.1;
   p.radius = 0.12;
   p.resolution = 12;
-  RandomWaypointModel model(24, p, 7);
-  for (std::uint64_t w = 0; w < model.suggested_warmup(8.0); ++w) model.step();
+  const auto model = make_random_waypoint(24, p, 7);
+  for (std::uint64_t w = 0; w < model->suggested_warmup(8.0); ++w) {
+    model->step();
+  }
   const auto hist = sample_positional(
-      model, model.grid().num_points(),
+      *model, model->grid().num_points(),
       [](const DynamicGraph& g, NodeId a) {
-        return static_cast<const RandomWaypointModel&>(g).agent_cell(a);
+        return static_cast<const RandomTripModel&>(g).agent_cell(a);
       },
       800, 3);
-  const auto result = check_uniformity(hist, model.grid(), p.radius);
+  const auto result = check_uniformity(hist, model->grid(), p.radius);
   const auto& rho = result.relative_density;
-  const SquareGrid& grid = model.grid();
+  const SquareGrid& grid = model->grid();
   const double center = rho[grid.index(6, 6)];
   const double corner = rho[grid.index(0, 0)];
   EXPECT_GT(center, corner);

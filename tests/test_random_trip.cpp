@@ -19,6 +19,28 @@ std::shared_ptr<const TripPolicy> square_policy(
                                                 pause_hi);
 }
 
+TEST(GridWaypointPolicy, Validation) {
+  EXPECT_THROW(GridWaypointPolicy(1.0, 16, 0.0, 0.2), std::invalid_argument);
+  EXPECT_THROW(GridWaypointPolicy(1.0, 16, 0.3, 0.2), std::invalid_argument);
+  EXPECT_THROW(GridWaypointPolicy(0.0, 16, 0.1, 0.2), std::invalid_argument);
+  EXPECT_THROW(GridWaypointPolicy(-1.0, 16, 0.1, 0.2), std::invalid_argument);
+}
+
+TEST(GridWaypointPolicy, TripsEndOnGridPoints) {
+  const GridWaypointPolicy policy(3.0, 7, 0.1, 0.2);
+  const SquareGrid grid(7, 3.0);
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const Point2D start = policy.random_point(rng);
+    EXPECT_EQ(grid.position(grid.nearest(start)), start);
+    const Trip trip = policy.next_trip(start, rng);
+    EXPECT_EQ(grid.position(grid.nearest(trip.destination)), trip.destination);
+    EXPECT_GE(trip.speed, 0.1);
+    EXPECT_LE(trip.speed, 0.2);
+    EXPECT_EQ(trip.pause_rounds, 0u);
+  }
+}
+
 TEST(SquareWaypointPolicy, Validation) {
   EXPECT_THROW(SquareWaypointPolicy(0.0, 0.1, 0.2), std::invalid_argument);
   EXPECT_THROW(SquareWaypointPolicy(1.0, 0.0, 0.2), std::invalid_argument);
@@ -130,6 +152,8 @@ TEST(RandomTripModel, ValidationErrors) {
                std::invalid_argument);
   EXPECT_THROW(RandomTripModel(4, nullptr, 0.5, 16, 0),
                std::invalid_argument);
+  EXPECT_THROW(RandomTripModel(4, square_policy(), 0.0, 16, 0),
+               std::invalid_argument);
 }
 
 TEST(RandomTripModel, AgentsStayInRegion) {
@@ -145,7 +169,8 @@ TEST(RandomTripModel, AgentsStayInRegion) {
 }
 
 TEST(RandomTripModel, MatchesWaypointSemanticsWithoutPauses) {
-  // Speed cap per step, like RandomWaypointModel.
+  // Per round an agent moves at most v_max: waypoint switches conserve
+  // the distance traveled, so the displacement never exceeds it.
   RandomTripModel model(8, square_policy(4.0, 0.5), 0.5, 32, 5);
   for (int t = 0; t < 100; ++t) {
     std::vector<Point2D> before(8);

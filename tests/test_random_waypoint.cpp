@@ -1,5 +1,7 @@
-// Tests for the discretized random waypoint model: movement kinematics,
-// connection correctness, determinism, and flooding.
+// Tests for the discretized random waypoint model (a RandomTripModel on a
+// GridWaypointPolicy, built by make_random_waypoint): exploration, warmup,
+// the per-step stream pin and flooding.  The engine's kinematics,
+// connections and reset are checked in test_random_trip.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +13,7 @@
 #include "core/flooding.hpp"
 #include "geometry/point.hpp"
 #include "geometry/square_grid.hpp"
-#include "mobility/random_waypoint.hpp"
+#include "mobility/random_trip.hpp"
 #include "step_hash.hpp"
 #include "util/resource.hpp"
 
@@ -28,25 +30,12 @@ WaypointParams small_params() {
   return p;
 }
 
-TEST(RandomWaypoint, ValidationErrors) {
-  WaypointParams p = small_params();
-  EXPECT_THROW(RandomWaypointModel(1, p, 0), std::invalid_argument);
-  p.v_min = 0.0;
-  EXPECT_THROW(RandomWaypointModel(8, p, 0), std::invalid_argument);
-  p = small_params();
-  p.v_max = p.v_min / 2.0;
-  EXPECT_THROW(RandomWaypointModel(8, p, 0), std::invalid_argument);
-  p = small_params();
-  p.radius = 0.0;
-  EXPECT_THROW(RandomWaypointModel(8, p, 0), std::invalid_argument);
-}
-
 TEST(RandomWaypoint, AgentsStayInSquare) {
-  RandomWaypointModel model(12, small_params(), 3);
+  const auto model = make_random_waypoint(12, small_params(), 3);
   for (int t = 0; t < 200; ++t) {
-    model.step();
+    model->step();
     for (NodeId a = 0; a < 12; ++a) {
-      const Point2D pos = model.agent_position(a);
+      const Point2D pos = model->agent_position(a);
       EXPECT_GE(pos.x, -1e-9);
       EXPECT_LE(pos.x, 1.0 + 1e-9);
       EXPECT_GE(pos.y, -1e-9);
@@ -55,75 +44,24 @@ TEST(RandomWaypoint, AgentsStayInSquare) {
   }
 }
 
-TEST(RandomWaypoint, SpeedBoundPerStep) {
-  // Per round an agent moves at most v_max (waypoint switches conserve
-  // total distance up to the leg cap).
-  const WaypointParams p = small_params();
-  RandomWaypointModel model(10, p, 5);
-  for (int t = 0; t < 100; ++t) {
-    std::vector<Point2D> before(10);
-    for (NodeId a = 0; a < 10; ++a) before[a] = model.agent_position(a);
-    model.step();
-    for (NodeId a = 0; a < 10; ++a) {
-      // Displacement can exceed the straight-line leg only via waypoint
-      // turns, which never increase total distance traveled.
-      EXPECT_LE(euclidean_distance(before[a], model.agent_position(a)),
-                p.v_max + 1e-9);
-    }
-  }
-}
-
-TEST(RandomWaypoint, ConnectionMatchesSnappedDistance) {
-  const WaypointParams p = small_params();
-  RandomWaypointModel model(16, p, 7);
-  const SquareGrid& grid = model.grid();
-  for (int t = 0; t < 10; ++t) {
-    model.step();
-    const Snapshot& snap = model.snapshot();
-    for (NodeId a = 0; a < 16; ++a) {
-      for (NodeId b = static_cast<NodeId>(a + 1); b < 16; ++b) {
-        const double d = euclidean_distance(grid.position(model.agent_cell(a)),
-                                            grid.position(model.agent_cell(b)));
-        EXPECT_EQ(snap.has_edge(a, b), d <= p.radius)
-            << "agents " << a << "," << b << " dist " << d;
-      }
-    }
-  }
-}
-
-TEST(RandomWaypoint, ResetReproduces) {
-  RandomWaypointModel model(8, small_params(), 11);
-  std::vector<double> first;
-  for (int t = 0; t < 20; ++t) {
-    model.step();
-    first.push_back(model.agent_position(0).x);
-  }
-  model.reset(11);
-  for (int t = 0; t < 20; ++t) {
-    model.step();
-    EXPECT_DOUBLE_EQ(model.agent_position(0).x,
-                     first[static_cast<std::size_t>(t)]);
-  }
-}
-
 TEST(RandomWaypoint, SuggestedWarmupScalesWithLOverV) {
   WaypointParams p = small_params();
-  RandomWaypointModel a(4, p, 1);
+  const auto a = make_random_waypoint(4, p, 1);
   p.side_length = 2.0;
   p.radius = 0.3;
-  RandomWaypointModel b(4, p, 1);
-  EXPECT_EQ(b.suggested_warmup(), 2 * a.suggested_warmup());
+  const auto b = make_random_waypoint(4, p, 1);
+  EXPECT_EQ(b->suggested_warmup(), 2 * a->suggested_warmup());
 }
 
 TEST(RandomWaypoint, AgentsEventuallyReachWaypointAndRetarget) {
   // Over many steps an agent's heading must change (new trips happen).
-  RandomWaypointModel model(4, small_params(), 13);
-  Point2D start = model.agent_position(0);
+  const auto model = make_random_waypoint(4, small_params(), 13);
+  Point2D start = model->agent_position(0);
   double max_dist = 0.0;
   for (int t = 0; t < 500; ++t) {
-    model.step();
+    model->step();
     max_dist = std::max(
-        max_dist, euclidean_distance(start, model.agent_position(0)));
+        max_dist, euclidean_distance(start, model->agent_position(0)));
   }
   // The agent explored a good fraction of the unit square.
   EXPECT_GT(max_dist, 0.4);
@@ -131,9 +69,9 @@ TEST(RandomWaypoint, AgentsEventuallyReachWaypointAndRetarget) {
 
 TEST(RandomWaypoint, FloodingCompletesOnDensePopulation) {
   WaypointParams p = small_params();
-  RandomWaypointModel model(48, p, 17);
-  for (std::uint64_t w = 0; w < model.suggested_warmup(); ++w) model.step();
-  const FloodResult r = flood(model, 0, 100000);
+  const auto model = make_random_waypoint(48, p, 17);
+  for (std::uint64_t w = 0; w < model->suggested_warmup(); ++w) model->step();
+  const FloodResult r = flood(*model, 0, 100000);
   EXPECT_TRUE(r.completed);
 }
 
@@ -146,11 +84,11 @@ TEST(RandomWaypoint, HigherSpeedFloodsFasterWhenSparse) {
   auto measure = [&](const WaypointParams& p) {
     double total = 0.0;
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      RandomWaypointModel model(16, p, seed);
-      for (std::uint64_t w = 0; w < model.suggested_warmup(); ++w) {
-        model.step();
+      const auto model = make_random_waypoint(16, p, seed);
+      for (std::uint64_t w = 0; w < model->suggested_warmup(); ++w) {
+        model->step();
       }
-      const FloodResult r = flood(model, 0, 500000);
+      const FloodResult r = flood(*model, 0, 500000);
       EXPECT_TRUE(r.completed);
       total += static_cast<double>(r.rounds);
     }
@@ -190,8 +128,8 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
     p.v_max = row.v_max;
     p.radius = row.radius;
     p.resolution = row.resolution;
-    RandomWaypointModel model(row.n, p, row.seed);
-    const std::uint64_t h = mobility_stream_hash(model, 60);
+    const auto model = make_random_waypoint(row.n, p, row.seed);
+    const std::uint64_t h = mobility_stream_hash(*model, 60);
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }
 }
@@ -207,18 +145,18 @@ TEST(RandomWaypoint, TinyRadiusIsOnePointWithoutBuckets) {
   p.v_max = 1.0;
   p.resolution = 32;
   p.radius = 1.0;
-  RandomWaypointModel unit(256, p, 9);
+  const auto unit = make_random_waypoint(256, p, 9);
   const std::uint64_t peak_before = peak_rss_bytes();
   p.radius = 0.01;
-  ASSERT_TRUE(NeighborIndex::one_point_buckets(unit.grid(), p.radius));
-  RandomWaypointModel tiny(256, p, 9);
+  ASSERT_TRUE(NeighborIndex::one_point_buckets(unit->grid(), p.radius));
+  const auto tiny = make_random_waypoint(256, p, 9);
   for (int t = 0; t <= 50; ++t) {
     if (t > 0) {
-      unit.step();
-      tiny.step();
+      unit->step();
+      tiny->step();
     }
-    const Snapshot& a = unit.snapshot();
-    const Snapshot& b = tiny.snapshot();
+    const Snapshot& a = unit->snapshot();
+    const Snapshot& b = tiny->snapshot();
     ASSERT_EQ(decoded_edges(a), decoded_edges(b)) << "step " << t;
     const Snapshot::CsrView ca = a.csr();
     const Snapshot::CsrView cb = b.csr();
@@ -243,9 +181,9 @@ TEST_P(ResolutionProperty, FloodingInSameBallpark) {
   double total = 0.0;
   constexpr int kTrials = 6;
   for (std::uint64_t seed = 1; seed <= kTrials; ++seed) {
-    RandomWaypointModel model(32, p, seed);
-    for (std::uint64_t w = 0; w < model.suggested_warmup(); ++w) model.step();
-    const FloodResult r = flood(model, 0, 100000);
+    const auto model = make_random_waypoint(32, p, seed);
+    for (std::uint64_t w = 0; w < model->suggested_warmup(); ++w) model->step();
+    const FloodResult r = flood(*model, 0, 100000);
     ASSERT_TRUE(r.completed);
     total += static_cast<double>(r.rounds);
   }

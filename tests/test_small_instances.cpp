@@ -19,7 +19,6 @@
 #include "mobility/random_paths.hpp"
 #include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "protocols/gossip.hpp"
 #include "protocols/k_push.hpp"
 #include "protocols/ttl_flooding.hpp"
@@ -99,8 +98,8 @@ TEST(SmallInstances, WaypointTwoAgentsMinResolution) {
   p.v_max = 0.4;
   p.radius = 0.5;
   p.resolution = 2;  // the minimum legal grid
-  RandomWaypointModel model(2, p, 15);
-  const FloodResult r = flood(model, 0, 100000);
+  const auto model = make_random_waypoint(2, p, 15);
+  const FloodResult r = flood(*model, 0, 100000);
   EXPECT_TRUE(r.completed);
 }
 

@@ -19,8 +19,8 @@
 #include "meg/general_edge_meg.hpp"
 #include "meg/heterogeneous_edge_meg.hpp"
 #include "meg/node_meg.hpp"
+#include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
-#include "mobility/random_waypoint.hpp"
 #include "step_hash.hpp"
 #include "util/rng.hpp"
 
@@ -274,7 +274,7 @@ TEST(SnapshotKeys, OwningProducersDecodeToTheRecordedPairs) {
     p.v_max = v_max;
     p.radius = radius;
     p.resolution = m;
-    return std::make_unique<RandomWaypointModel>(n, p, seed);
+    return make_random_waypoint(n, p, seed);
   };
   const std::vector<Producer> producers = {
       {"node-MEG",
