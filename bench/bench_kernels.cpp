@@ -288,7 +288,10 @@ void BM_TripStepPaused(benchmark::State& state) {
   RandomTripModel model(
       n, std::make_shared<SquareWaypointPolicy>(64.0, 0.5, 1.0, 0, 8), 1.0,
       32, 1);
-  for (auto _ : state) model.step();
+  for (auto _ : state) {
+    model.step();
+    benchmark::ClobberMemory();
+  }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TripStepPaused)->Arg(4096)->Unit(benchmark::kMicrosecond);

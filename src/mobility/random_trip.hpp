@@ -62,7 +62,7 @@ class TripPolicy {
   virtual Trip next_trip(const Point2D& from, Rng& rng) const;
 
  protected:
-  double side_, v_min_, v_max_;
+  const double side_, v_min_, v_max_;
 };
 
 // The paper's random waypoint over the square (Section 4.1): start points
