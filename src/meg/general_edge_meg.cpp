@@ -302,7 +302,7 @@ void GeneralEdgeMEG::initialize_sparse() {
   }
   PairSetWriter out(minority_, n_, minority,
                     static_cast<std::uint8_t>(majority_state_), on_states_);
-  PairRowCursor cursor(n_);
+  PairRowCursor cursor(n_, minority);
   for (std::uint64_t k = 0; k < minority; ++k) {
     // Ascending positions => ascending keys: the map comes out sorted
     // without a sort pass.

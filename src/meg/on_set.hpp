@@ -7,15 +7,14 @@
 // implicit complement population with it (draw_complement_ranks in
 // meg/pair_set.hpp).
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "core/bitwords.hpp"
@@ -23,148 +22,201 @@
 
 namespace megflood {
 
-// Hands the whole pages inside [begin, end) back to the system: they stay
-// allocated to the caller, and read as zeros if touched again.  For a
-// buffer's consumed stretch, so that it stops counting toward the
-// process's resident memory before the buffer itself is freed.
-inline void release_pages(const void* begin, const void* end) noexcept {
-  static const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
-  const std::uintptr_t lo =
-      (reinterpret_cast<std::uintptr_t>(begin) + page - 1) & ~(page - 1);
-  const std::uintptr_t hi = reinterpret_cast<std::uintptr_t>(end) & ~(page - 1);
-  if (hi > lo) madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
+namespace subset_detail {
+
+// Word i of raw storage, read and written through memcpy: the 32-bit draws
+// of the sparse branch overlay the caller's 64-bit output vector, and
+// memcpy accesses may alias it where a std::uint32_t* could not.
+template <typename W>
+W load_word(const void* base, std::size_t i) noexcept {
+  W w;
+  std::memcpy(&w, static_cast<const char*>(base) + i * sizeof(W), sizeof(W));
+  return w;
 }
 
-// The dedup set of sample_distinct_positions' sparse branch: distinct
-// positions < bound kept in ascending slot order by ordered linear
-// probing over a monotone hash.  The home slot of pos is
-// floor(pos * slots / bound) as a fixed-point 128-bit multiply, so home
-// slots never decrease with pos.  An insert walks its run to the first
-// larger entry and shifts the rest of the run one slot right, so every
-// run stays sorted; a run never wraps, it grows the table at its tail
-// instead.  Occupied slots, read left to right, are therefore ascending,
-// and drain_sorted emits the set with one compacting scan.  The occupied
-// slots are the ones a plain linear-probing table would fill, so a load
-// <= 1/2 keeps runs short.  Every position is < bound <= the all-ones
-// Slot, which therefore marks an empty slot and compares above every
-// stored position.
-template <typename Slot>
-class OrderedProbeTable {
- public:
-  // Room for `capacity` >= 1 positions at load <= 1/2; needs
-  // 2 * capacity < bound so the fixed-point scale fits 64 bits.
-  OrderedProbeTable(std::uint64_t capacity, std::uint64_t bound)
-      : home_slots_(static_cast<std::size_t>(2 * capacity)),
-        scale_(static_cast<std::uint64_t>(
-            (static_cast<unsigned __int128>(home_slots_) << 64) / bound)) {
-    assert(capacity >= 1 && 2 * capacity < bound && bound <= kEmpty);
-    // A run past the last home slot is at most as long as the final
-    // cluster, O(log slots) at load 1/2; the slack spares that tail a
-    // reallocation, and a longer one still just reallocates.
-    table_.reserve(home_slots_ + kTailSlack);
-    table_.assign(home_slots_, kEmpty);
-  }
-
-  std::size_t home(std::uint64_t pos) const noexcept {
-    return static_cast<std::size_t>(
-        (static_cast<unsigned __int128>(pos) * scale_) >> 64);
-  }
-  std::size_t home_slots() const noexcept { return home_slots_; }
-  // Slots in use including the tail growth; > home_slots() once a run
-  // has run past the last home slot.
-  std::size_t extent() const noexcept { return table_.size(); }
-
-  // Inserts pos (< bound); false if it is already present.
-  bool insert(std::uint64_t pos) {
-    const std::size_t end = table_.size();
-    std::size_t slot = home(pos);
-    while (slot < end && table_[slot] < pos) ++slot;
-    if (slot < end && table_[slot] == pos) return false;
-    auto carry = static_cast<Slot>(pos);
-    for (; slot < end && carry != kEmpty; ++slot) {
-      std::swap(carry, table_[slot]);
-    }
-    if (carry != kEmpty) table_.push_back(carry);
-    return true;
-  }
-
-  // Hints the cache line of pos's home slot, where insert(pos) starts.
-  void prefetch(std::uint64_t pos) const noexcept {
-    __builtin_prefetch(table_.data() + home(pos));
-  }
-
-  // Appends every stored position to `out`, ascending, and empties the
-  // table.  The scan releases each stretch of slots it has passed, so at
-  // paper scale (64-bit slots, twice as many as positions) the table and
-  // `out` never hold all the positions at once.
-  void drain_sorted(std::vector<std::uint64_t>& out) {
-    constexpr std::size_t kStretch = (std::size_t{1} << 20) / sizeof(Slot);
-    const Slot* const slots = table_.data();
-    const std::size_t size = table_.size();
-    for (std::size_t begin = 0; begin < size; begin += kStretch) {
-      const std::size_t end = std::min(size, begin + kStretch);
-      for (std::size_t s = begin; s < end; ++s) {
-        if (slots[s] != kEmpty) out.push_back(slots[s]);
-      }
-      release_pages(slots + begin, slots + end);
-    }
-    table_ = {};
-  }
-
- private:
-  static constexpr Slot kEmpty = ~Slot{0};
-  static constexpr std::size_t kTailSlack = 64;
-  std::size_t home_slots_;
-  std::uint64_t scale_;
-  std::vector<Slot> table_;
-};
-
-// How many draws ahead draw_distinct_ordered prefetches.
-inline constexpr int kDrawLookahead = 16;
-
-// The sparse branch of sample_distinct_positions: k distinct uniform
-// draws from [0, bound), rejecting repeats, appended to `out` ascending.
-// The table outgrows the caches at paper scale, so a copy of the stream
-// runs kDrawLookahead draws ahead and prefetches the home slot each
-// future draw will probe.  Every loop pass makes exactly one draw from
-// each stream, so the copy stays exactly that far ahead through the
-// rejections; `rng` itself draws exactly as it would without the copy.
-template <typename Slot>
-inline void draw_distinct_ordered(Rng& rng, std::uint64_t k,
-                                  std::uint64_t bound,
-                                  std::vector<std::uint64_t>& out) {
-  OrderedProbeTable<Slot> table(k, bound);
-  Rng ahead = rng;
-  for (int i = 0; i < kDrawLookahead; ++i) {
-    table.prefetch(ahead.uniform_int(bound));
-  }
-  for (std::uint64_t drawn = 0; drawn < k;) {
-    table.prefetch(ahead.uniform_int(bound));
-    if (table.insert(rng.uniform_int(bound))) ++drawn;
-  }
-  table.drain_sorted(out);
+template <typename W>
+void store_word(void* base, std::size_t i, W w) noexcept {
+  std::memcpy(static_cast<char*>(base) + i * sizeof(W), &w, sizeof(W));
 }
+
+// A sort of n draws splits them by their top kMsdBits first (the MSD
+// pass), so that each bucket's own pass runs in cache; sorts of fewer
+// than kMsdBuckets words skip it.
+inline constexpr int kMsdBits = 8;
+inline constexpr std::size_t kMsdBuckets = std::size_t{1} << kMsdBits;
+// Runs of at most kInsertionMax words are insertion-sorted outright.
+inline constexpr std::size_t kInsertionMax = 32;
+
+template <typename W>
+void insertion_sort(void* data, std::size_t n) noexcept {
+  for (std::size_t i = 1; i < n; ++i) {
+    const W w = load_word<W>(data, i);
+    std::size_t j = i;
+    for (W prev; j > 0 && (prev = load_word<W>(data, j - 1)) > w; --j) {
+      store_word(data, j, prev);
+    }
+    store_word(data, j, w);
+  }
+}
+
+// Sorts the n words at `src`, equal above their low `bits` bits, into
+// `dst`: one counting pass on the top bit_width(n) of those bits spreads
+// uniform draws about one per slot, and an insertion sort then settles
+// the few that share a slot.  `slots` is the reused slot histogram.
+template <typename W>
+void spread_sort(const void* src, void* dst, std::size_t n, int bits,
+                 std::vector<std::uint32_t>& slots) {
+  if (n <= kInsertionMax) {
+    std::memcpy(dst, src, n * sizeof(W));
+    insertion_sort<W>(dst, n);
+    return;
+  }
+  const int width = std::min(bits, static_cast<int>(std::bit_width(n)));
+  const int shift = bits - width;
+  const W mask = static_cast<W>((std::uint64_t{1} << width) - 1);
+  slots.assign((std::size_t{1} << width) + 1, 0);
+  assert(n <= std::numeric_limits<std::uint32_t>::max());
+  std::uint32_t* const next = slots.data();
+  for (std::size_t i = 0; i < n; ++i) {
+    ++next[((load_word<W>(src, i) >> shift) & mask) + 1];
+  }
+  for (std::size_t slot = 1; slot <= mask; ++slot) next[slot] += next[slot - 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    const W w = load_word<W>(src, i);
+    store_word(dst, next[(w >> shift) & mask]++, w);
+  }
+  insertion_sort<W>(dst, n);
+}
+
+// Sorts the n words of `data`, each < 2^bits, in place, with `spare` (n
+// words) as scratch: the MSD pass scatters them into `spare` by their top
+// kMsdBits, then each bucket spread-sorts back into its stretch of `data`.
+template <typename W>
+void radix_sort(void* data, void* spare, std::size_t n, int bits) {
+  std::vector<std::uint32_t> slots;
+  if (n < kMsdBuckets || bits <= kMsdBits) {
+    spread_sort<W>(data, spare, n, bits, slots);
+    std::memcpy(data, spare, n * sizeof(W));
+    return;
+  }
+  const int shift = bits - kMsdBits;
+  std::array<std::size_t, kMsdBuckets + 1> start{};
+  for (std::size_t i = 0; i < n; ++i) {
+    ++start[(load_word<W>(data, i) >> shift) + 1];
+  }
+  for (std::size_t b = 1; b <= kMsdBuckets; ++b) start[b] += start[b - 1];
+  std::array<std::size_t, kMsdBuckets> next;
+  std::copy(start.begin(), start.end() - 1, next.begin());
+  for (std::size_t i = 0; i < n; ++i) {
+    const W w = load_word<W>(data, i);
+    store_word(spare, next[w >> shift]++, w);
+  }
+  for (std::size_t b = 0; b < kMsdBuckets; ++b) {
+    const std::size_t offset = start[b] * sizeof(W);
+    spread_sort<W>(static_cast<const char*>(spare) + offset,
+                   static_cast<char*>(data) + offset, start[b + 1] - start[b],
+                   shift, slots);
+  }
+}
+
+// Draws n values from [0, bound) into `data` and sorts them there, with
+// `spare` (n words) as scratch.
+template <typename W>
+void draw_sorted(Rng& rng, std::size_t n, std::uint64_t bound, void* data,
+                 void* spare) {
+  // A local copy of the stream: the stores cannot alias it, so its state
+  // stays in registers across the loop.
+  Rng local = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    store_word(data, i, static_cast<W>(local.uniform_int(bound)));
+  }
+  rng = local;
+  radix_sort<W>(data, spare, n,
+                static_cast<int>(std::bit_width(bound - 1)));
+}
+
+// The sparse branch of sample_distinct_positions: k uniform distinct
+// values from [0, bound), 2^32 >= bound when W is 32 bits, in `out`,
+// ascending.  Draws k values, sorts them and drops the repeats; then, d
+// distinct so far, draws k - d more and merges the new ones in, until k
+// are distinct.  A rejection loop would reject exactly those repeats, so
+// the subset and the draws made are the same: every round ends with
+// fewer than k distinct values unless its last draw completes them.
+// 32-bit draws sort inside `out` itself, in its upper half with the lower
+// half as scratch, and the 64-bit values then overwrite them front to back: value d takes words 2d and 2d + 1, d <= s < k,
+// so it stays below word k + s + 1, the next sorted one read.
+template <typename W>
+void draw_distinct_sorted(Rng& rng, std::size_t k, std::uint64_t bound,
+                          std::vector<std::uint64_t>& out) {
+  out.resize(k);  // every word is overwritten, so only growth zero-fills
+  std::uint64_t* const set = out.data();
+  std::vector<std::uint64_t> words;
+  void* sorted = nullptr;
+  if constexpr (sizeof(W) == sizeof(std::uint32_t)) {
+    sorted = static_cast<char*>(static_cast<void*>(set)) + k * sizeof(W);
+  } else {
+    words.resize(k);
+    sorted = words.data();
+  }
+  draw_sorted<W>(rng, k, bound, sorted, set);
+  std::uint64_t last = load_word<W>(sorted, 0);
+  set[0] = last;
+  std::size_t d = 1;
+  for (std::size_t s = 1; s < k; ++s) {
+    const std::uint64_t w = load_word<W>(sorted, s);
+    set[d] = w;
+    d += w != last;
+    last = w;
+  }
+  std::vector<W> fresh;
+  std::vector<std::uint64_t> added;
+  while (d < k) {
+    const std::size_t m = k - d;
+    fresh.resize(2 * m);
+    draw_sorted<W>(rng, m, bound, fresh.data() + m, fresh.data());
+    // The new values once each, less those already in the set; both are
+    // ascending, so one forward search covers them all.
+    added.clear();
+    std::uint64_t* probe = set;
+    for (std::size_t s = 0; s < m; ++s) {
+      const std::uint64_t w = fresh[m + s];
+      if (!added.empty() && added.back() == w) continue;
+      probe = std::lower_bound(probe, set + d, w);
+      if (probe == set + d || *probe != w) added.push_back(w);
+    }
+    // Merge them in from the back, into the free tail of `out`.
+    std::size_t i = d;
+    std::size_t j = added.size();
+    d += j;
+    for (std::size_t write = d; j > 0;) {
+      set[--write] = i > 0 && set[i - 1] > added[j - 1] ? set[--i]
+                                                         : added[--j];
+    }
+  }
+}
+
+}  // namespace subset_detail
 
 // Draws a uniform random k-subset of [0, bound) into `out`, sorted
-// ascending, by rejection against the already-drawn set.  The rejection
-// stream depends only on set *membership*, so the dedup structure is a
-// pure space/time choice, and both of them emit the subset in ascending
-// order with one scan instead of a sort: a flat bound-bit bitmap when the
-// subset is a meaningful fraction of the range (the dense initializers),
-// an OrderedProbeTable sized to k when it is vanishingly small (the sparse
-// engines, where an O(bound) buffer is the very allocation being avoided;
-// 32-bit slots while bound fits them, as pair counts do up to n = 92682).
-// All produce the identical draw sequence, so the sampled subset is
-// bit-for-bit the same either way.  Expected < 2 draws per slot while
-// k <= bound / 2.  Precondition: k <= bound.
+// ascending, exactly as rejection against the already-drawn set would:
+// the same uniform_int draws in the same order, so the subset and the
+// caller's next draw are the rejection loop's.  A flat bound-bit bitmap
+// dedups when the subset is a meaningful fraction of the range (the dense
+// initializers) and emits it with one scan; a subset vanishingly small
+// against its range (the sparse engines, where an O(bound) buffer is the
+// very allocation being avoided) is sorted from its raw draws instead
+// (subset_detail::draw_distinct_sorted; 32-bit words inside `out` while
+// bound fits them, as pair counts do up to n = 92682).  Expected < 2
+// draws per slot while k <= bound / 2.  Precondition: k <= bound.
 inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
                                       std::uint64_t bound,
                                       std::vector<std::uint64_t>& out) {
   assert(k <= bound);
-  out.clear();
-  if (k == 0) return;
-  out.reserve(k);
-  if (k >= bound / 32) {
+  if (k == 0) {
+    out.clear();
+  } else if (k >= bound / 32) {
+    out.clear();
+    out.reserve(k);
     std::vector<std::uint64_t> taken(bit_words(bound), 0);
     for (std::uint64_t drawn = 0; drawn < k; ++drawn) {
       std::uint64_t pos = rng.uniform_int(bound);
@@ -173,10 +225,10 @@ inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
     }
     for_each_set_bit(taken.data(), taken.size(),
                      [&out](std::size_t pos) { out.push_back(pos); });
-  } else if (bound <= std::numeric_limits<std::uint32_t>::max()) {
-    draw_distinct_ordered<std::uint32_t>(rng, k, bound, out);
+  } else if (bound <= std::uint64_t{1} << 32) {
+    subset_detail::draw_distinct_sorted<std::uint32_t>(rng, k, bound, out);
   } else {
-    draw_distinct_ordered<std::uint64_t>(rng, k, bound, out);
+    subset_detail::draw_distinct_sorted<std::uint64_t>(rng, k, bound, out);
   }
 }
 

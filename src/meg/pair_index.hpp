@@ -4,11 +4,13 @@
 // enumeration of the strictly-upper-triangular matrix, row i spanning
 // indices [row_start(i), row_start(i) + (n - 1 - i)).
 //
-// The inversion (index -> pair) is exact in pure integer arithmetic: the
-// discriminant (2n-1)^2 - 8*index exceeds 64 bits for n near 2^32, and a
-// double-precision sqrt of it loses integer precision past 2^53 — the
-// float seed is only used to initialize the integer square root, which is
-// then corrected exactly in unsigned __int128.
+// The inversion (index -> pair) is exact.  Up to n = 2^25 the row has a
+// branch-free closed form: the discriminant (2n-1)^2 - 8*index stays below
+// 2^52, where a double holds it and the floor of its correctly rounded
+// square root exactly, so one conditional decrement settles the row.
+// Past that the discriminant outgrows both 64 bits (for n near 2^32) and a
+// double's integer precision, so the float root only seeds an integer
+// square root that is corrected exactly in unsigned __int128.
 
 #include <cmath>
 #include <cstdint>
@@ -60,21 +62,42 @@ inline std::uint64_t isqrt_u128(unsigned __int128 x) noexcept {
   return r;
 }
 
-// Inverse of pair_index_of: the pair (i, j) with pair_index_of(n, i, j) ==
-// index.  Precondition: index < pair_count(n), n >= 2.
-inline std::pair<std::uint32_t, std::uint32_t> pair_from_index(
-    std::uint64_t n, std::uint64_t index) noexcept {
-  // Largest i with row_start(i) <= index solves
-  // i = floor(((2n-1) - sqrt((2n-1)^2 - 8*index)) / 2).
+// The largest n whose rows pair_row_closed_form inverts: 2n - 1 < 2^26.
+inline constexpr std::uint64_t kClosedFormMaxNodes = std::uint64_t{1} << 25;
+
+// The row i of pair index `index`: the largest i with row_start(i) <=
+// index, which is floor(((2n-1) - sqrt((2n-1)^2 - 8*index)) / 2).  With
+// s = floor(sqrt(disc)), (a - s) / 2 is that row or the one after it.
+// Precondition: 2 <= n <= kClosedFormMaxNodes, index < pair_count(n).
+inline std::uint64_t pair_row_closed_form(std::uint64_t n,
+                                          std::uint64_t index) noexcept {
+  const std::uint64_t a = 2 * n - 1;
+  const std::uint64_t disc = a * a - 8 * index;  // >= 9 for valid index
+  const auto s = static_cast<std::uint64_t>(
+      __builtin_sqrt(static_cast<double>(disc)));
+  const std::uint64_t i = (a - s) / 2;
+  return i - (pair_row_start(n, i) > index);
+}
+
+// pair_row_closed_form for any n: the exact 128-bit root past 2^25 nodes.
+inline std::uint64_t pair_row(std::uint64_t n, std::uint64_t index) noexcept {
+  if (n <= kClosedFormMaxNodes) return pair_row_closed_form(n, index);
   const std::uint64_t a = 2 * n - 1;
   const unsigned __int128 disc =
       static_cast<unsigned __int128>(a) * a -
       static_cast<unsigned __int128>(8) * index;  // >= 1 for valid index
-  const std::uint64_t s = isqrt_u128(disc);
-  std::uint64_t i = (a - s) / 2;
+  std::uint64_t i = (a - isqrt_u128(disc)) / 2;
   // floor(sqrt) rounds the row down by at most one; settle exactly.
   while (i + 1 < n && pair_row_start(n, i + 1) <= index) ++i;
   while (i > 0 && pair_row_start(n, i) > index) --i;
+  return i;
+}
+
+// Inverse of pair_index_of: the pair (i, j) with pair_index_of(n, i, j) ==
+// index.  Precondition: index < pair_count(n), n >= 2.
+inline std::pair<std::uint32_t, std::uint32_t> pair_from_index(
+    std::uint64_t n, std::uint64_t index) noexcept {
+  const std::uint64_t i = pair_row(n, index);
   const std::uint64_t j = i + 1 + (index - pair_row_start(n, i));
   return {static_cast<std::uint32_t>(i), static_cast<std::uint32_t>(j)};
 }
@@ -95,17 +118,22 @@ inline std::uint64_t pair_index_from_key(std::uint64_t n,
   return pair_index_of(n, pair_key_i(key), pair_key_j(key));
 }
 
-// pair_key_from_index for a non-decreasing sequence of indices, without a
-// square root per element: a forward cursor over the rows of the pair
-// triangle.  An index in the current row costs a subtraction, one in the
-// next row a row hop; a jump past the next row re-seats the cursor with
-// the exact pair_from_index.  Precondition: n >= 2, every index <
-// pair_count(n) and >= the index of the previous key() call.
+// pair_key_from_index for a non-decreasing sequence of about `count`
+// indices.  A walk sparser than one index per row (count < n - 1) mostly
+// lands rows apart, where any test for "same row" or "next row" would
+// mispredict, so every key comes from the row's closed form (pair_row),
+// which has no loop and, up to 2^25 nodes, no branch.  A denser walk keeps
+// a cursor over the rows of the pair triangle: an index in the current row
+// costs a subtraction, one in the next row an addition, and only a longer
+// jump re-seats the cursor by the closed form.  Precondition: n >= 2,
+// every index < pair_count(n) and >= the index of the previous key() call.
 class PairRowCursor {
  public:
-  explicit PairRowCursor(std::uint64_t n) noexcept : n_(n), row_end_(n - 1) {}
+  PairRowCursor(std::uint64_t n, std::uint64_t count) noexcept
+      : n_(n), row_end_(n - 1), walk_rows_(count >= n - 1) {}
 
   std::uint64_t key(std::uint64_t index) noexcept {
+    if (!walk_rows_) return pair_key_from_index(n_, index);
     if (index >= row_end_) seek(index);
     const std::uint64_t j = row_ + 1 + (index - row_start_);
     return pack_pair(static_cast<std::uint32_t>(row_),
@@ -114,10 +142,11 @@ class PairRowCursor {
 
  private:
   void seek(std::uint64_t index) noexcept {
-    ++row_;
-    row_start_ = row_end_;
-    if (index >= row_start_ + (n_ - 1 - row_)) {
-      row_ = pair_from_index(n_, index).first;
+    if (index < row_end_ + (n_ - 2 - row_)) {
+      ++row_;
+      row_start_ = row_end_;
+    } else {
+      row_ = pair_row(n_, index);
       row_start_ = pair_row_start(n_, row_);
     }
     row_end_ = row_start_ + (n_ - 1 - row_);
@@ -127,6 +156,7 @@ class PairRowCursor {
   std::uint64_t row_ = 0;
   std::uint64_t row_start_ = 0;
   std::uint64_t row_end_;  // one past the last index of row_
+  bool walk_rows_;
 };
 
 }  // namespace megflood

@@ -187,7 +187,7 @@ inline void PairSet::merge(std::uint64_t n, Snapshot& snapshot) {
 // a square root per mark.
 inline void indices_to_keys(std::uint64_t n,
                             std::vector<std::uint64_t>& marks) {
-  PairRowCursor cursor(n);
+  PairRowCursor cursor(n, marks.size());
   for (std::uint64_t& mark : marks) mark = cursor.key(mark);
 }
 
@@ -221,7 +221,7 @@ void walk_complement(std::uint64_t n, const std::vector<std::uint64_t>& keys,
   const std::size_t size = keys.size();
   const std::uint64_t* rank_of = ranks.data();
   const std::size_t count = ranks.size();
-  PairRowCursor cursor(n);
+  PairRowCursor cursor(n, count);
   std::size_t pos = 0;
   for (std::size_t r = 0; r < count; ++r) {
     for (; pos < size && pair_index_from_key(n, key[pos]) - pos <= rank_of[r];

@@ -40,8 +40,8 @@ constexpr const char* kJournalSuffix = ".mfj";
 // line.
 constexpr const char* kQuarantineSuffix = ".mfq";
 
-// How often the supervisor's pump wakes to check cancel flags and the
-// heartbeat watchdog while waiting on a worker.
+// How often the supervisor's pump wakes to check the heartbeat watchdog
+// while waiting on a worker.  A cancel wakes it at once (wake_pumps).
 constexpr int kWorkerPollMs = 250;
 
 std::string hex64(std::uint64_t value) {
@@ -99,6 +99,7 @@ void Scheduler::unregister_client(std::uint64_t client) {
   }
   queued_subjobs_ -= it->second.queue.size();
   clients_.erase(it);
+  wake_pumps();
 }
 
 // Backoff hint for rejected submissions, scaled by how deep the global
@@ -255,6 +256,11 @@ void Scheduler::cancel(std::uint64_t client, const std::string& job_id) {
   job->cancelled = true;
   job->cancel.store(true, std::memory_order_relaxed);
   cancel_queued(job);
+  wake_pumps();
+}
+
+void Scheduler::wake_pumps() {
+  for (WorkerSlot& slot : worker_slots_) slot.wake.notify();
 }
 
 // Resolves every still-queued sub-job of `job` as cancelled.  A sub-job a
@@ -619,7 +625,11 @@ bool Scheduler::pump(WorkerSlot& slot, Dispatch& cur,
       }
     }
     std::string line;
-    const auto status = process.read_line(kWorkerPollMs, line);
+    const auto status = process.read_line(kWorkerPollMs, line, slot.wake.fd());
+    if (status == WorkerProcess::ReadStatus::kWoken) {
+      slot.wake.drain();  // then the loop's top sends any new cancel
+      continue;
+    }
     if (status == WorkerProcess::ReadStatus::kClosed) {
       death = process.reap_after_close();
       return false;
@@ -753,6 +763,7 @@ void Scheduler::drain() {
       for (auto& [job_id, job] : client.jobs) jobs.push_back(job);
       for (const auto& job : jobs) cancel_queued(job);
     }
+    wake_pumps();
     work_cv_.notify_all();
   }
   for (std::thread& worker : workers_) {

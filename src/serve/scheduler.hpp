@@ -219,6 +219,7 @@ class Scheduler {
   // stats() reads without touching the process.
   struct WorkerSlot {
     std::unique_ptr<WorkerProcess> process;
+    WakePipe wake;  // ends the owning thread's pump wait (wake_pumps)
     std::uint64_t pid = 0;
     bool busy = false;
     std::uint64_t jobs = 0;
@@ -236,6 +237,9 @@ class Scheduler {
                SubJobReply reply);
   void finalize(const std::shared_ptr<Job>& job);
   void cancel_queued(const std::shared_ptr<Job>& job);
+  // Wakes every process-mode pump, so a cancel flag just set goes to its
+  // worker now rather than at the pump's next poll tick.
+  void wake_pumps();
   bool pick_next(QueuedSubJob& out);  // round-robin across clients
   // Puts a picked sub-job back at the head of its client's queue, as the
   // next pick; dropped if the client has gone.

@@ -1,6 +1,7 @@
 #include "serve/worker.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <fcntl.h>
 #include <poll.h>
 #include <pthread.h>
 #include <signal.h>
@@ -24,6 +25,7 @@
 #include <optional>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -350,6 +352,40 @@ void WorkerProcess::close_fd() noexcept {
   buffer_.clear();
 }
 
+WakePipe::WakePipe() {
+  int fds[2];
+  if (::pipe(fds) != 0) return;
+  for (const int fd : fds) {
+    ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+    ::fcntl(fd, F_SETFD, FD_CLOEXEC);
+  }
+  read_fd_ = fds[0];
+  write_fd_ = fds[1];
+}
+
+WakePipe::WakePipe(WakePipe&& other) noexcept
+    : read_fd_(std::exchange(other.read_fd_, -1)),
+      write_fd_(std::exchange(other.write_fd_, -1)) {}
+
+WakePipe::~WakePipe() {
+  for (const int fd : {read_fd_, write_fd_}) {
+    if (fd >= 0) ::close(fd);
+  }
+}
+
+void WakePipe::notify() noexcept {
+  if (write_fd_ < 0) return;
+  // A full pipe already holds a wake-up, so a failed write loses nothing.
+  const char byte = 1;
+  if (::write(write_fd_, &byte, 1) < 0) return;
+}
+
+void WakePipe::drain() noexcept {
+  char bytes[64];
+  while (read_fd_ >= 0 && ::read(read_fd_, bytes, sizeof(bytes)) > 0) {
+  }
+}
+
 namespace {
 
 bool cloexec_socketpair(int fds[2]) {
@@ -442,7 +478,8 @@ bool WorkerProcess::send_line(const std::string& line) {
 }
 
 WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
-                                                   std::string& out) {
+                                                   std::string& out,
+                                                   int wake_fd) {
   if (from_fd_ < 0) return ReadStatus::kClosed;
   while (true) {
     const std::size_t newline = buffer_.find('\n');
@@ -451,15 +488,15 @@ WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
       buffer_.erase(0, newline + 1);
       return ReadStatus::kLine;
     }
-    pollfd poller{};
-    poller.fd = from_fd_;
-    poller.events = POLLIN;
-    const int ready = ::poll(&poller, 1, timeout_ms);
+    // poll() skips an entry whose fd is negative.
+    pollfd pollers[2] = {{from_fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
+    const int ready = ::poll(pollers, 2, timeout_ms);
     if (ready == 0) return ReadStatus::kTimeout;
     if (ready < 0) {
       if (errno == EINTR) continue;
       return ReadStatus::kClosed;
     }
+    if (pollers[0].revents == 0) return ReadStatus::kWoken;
     char chunk[4096];
     const ssize_t got = ::read(from_fd_, chunk, sizeof(chunk));
     if (got < 0 && errno == EINTR) continue;
@@ -746,7 +783,12 @@ bool WorkerProcess::spawn(std::string& error) {
   return false;
 }
 bool WorkerProcess::send_line(const std::string&) { return false; }
-WorkerProcess::ReadStatus WorkerProcess::read_line(int, std::string&) {
+WakePipe::WakePipe() = default;
+WakePipe::WakePipe(WakePipe&&) noexcept {}
+WakePipe::~WakePipe() = default;
+void WakePipe::notify() noexcept {}
+void WakePipe::drain() noexcept {}
+WorkerProcess::ReadStatus WorkerProcess::read_line(int, std::string&, int) {
   return ReadStatus::kClosed;
 }
 WorkerDeath WorkerProcess::reap_after_close() { return {}; }

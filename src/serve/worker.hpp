@@ -123,6 +123,28 @@ struct WorkerDeath {
   std::string describe() const;
 };
 
+// A self-pipe that ends a WorkerProcess::read_line wait early: any thread
+// may notify(); the waiting thread's read returns kWoken, and it drains
+// the pipe before it looks again at what woke it.  A pipe that could not
+// be made is inert (the wait runs to its timeout).
+class WakePipe {
+ public:
+  WakePipe();
+  ~WakePipe();
+  WakePipe(WakePipe&& other) noexcept;
+  WakePipe(const WakePipe&) = delete;
+  WakePipe& operator=(const WakePipe&) = delete;
+  WakePipe& operator=(WakePipe&&) = delete;
+
+  void notify() noexcept;
+  void drain() noexcept;
+  int fd() const noexcept { return read_fd_; }
+
+ private:
+  int read_fd_ = -1;
+  int write_fd_ = -1;
+};
+
 // Supervisor-side handle for one worker subprocess.  Not thread-safe:
 // exactly one scheduler thread owns a WorkerProcess at a time (stats
 // reads go through the scheduler's own mirror fields, never this class).
@@ -146,8 +168,10 @@ class WorkerProcess {
   // False when the worker is gone (EPIPE and friends).
   bool send_line(const std::string& line);
 
-  enum class ReadStatus { kLine, kTimeout, kClosed };
-  ReadStatus read_line(int timeout_ms, std::string& out);
+  // Waits up to timeout_ms for a line; a readable `wake_fd` (a WakePipe's
+  // fd(), or -1 for none) ends the wait with kWoken.
+  enum class ReadStatus { kLine, kTimeout, kClosed, kWoken };
+  ReadStatus read_line(int timeout_ms, std::string& out, int wake_fd = -1);
 
   // Classification after read_line returned kClosed: reap via waitpid.
   WorkerDeath reap_after_close();

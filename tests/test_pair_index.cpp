@@ -2,18 +2,97 @@
 // The historical double/sqrt inversion loses integer precision once the
 // discriminant passes 2^53; the replacement must be exact over the whole
 // NodeId domain, so the large-n cases here probe indices where a double
-// cannot even represent the discriminant.
+// cannot even represent the discriminant.  Up to n = 2^25 the row comes
+// from a branch-free closed form, past it from the 128-bit root, so the
+// row edges are checked on both sides of that switch.  Each inversion is
+// checked against the forward map pair_index_of, which has no root.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "meg/pair_index.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
 namespace {
+
+// The pair a packed key names, checked to be index's pair of n nodes.
+::testing::AssertionResult key_is_pair_of(std::uint64_t n, std::uint64_t index,
+                                          std::uint64_t key) {
+  const std::uint64_t i = pair_key_i(key);
+  const std::uint64_t j = pair_key_j(key);
+  if (i < j && j < n && pair_index_of(n, i, j) == index) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure() << "n=" << n << " index=" << index
+                                       << " gave (" << i << ", " << j << ")";
+}
+
+// Indices one before, at and one after the start and the end of each of
+// `rows` (the row's last index and the next row's first), ascending.
+std::vector<std::uint64_t> row_edges(std::uint64_t n,
+                                     const std::vector<std::uint64_t>& rows) {
+  std::vector<std::uint64_t> indices;
+  for (const std::uint64_t row : rows) {
+    const std::uint64_t start = pair_row_start(n, row);
+    const std::uint64_t end = start + (n - 1 - row);
+    for (const std::uint64_t index :
+         {start - 1, start, start + 1, end - 2, end - 1, end}) {
+      // start - 1 wraps for row 0; end is past the last pair on the last row.
+      if (index < pair_count(n)) indices.push_back(index);
+    }
+  }
+  std::sort(indices.begin(), indices.end());
+  indices.erase(std::unique(indices.begin(), indices.end()), indices.end());
+  return indices;
+}
+
+// Rows 0, 1, 2, the last three and `spread` rows evenly in between.
+std::vector<std::uint64_t> sampled_rows(std::uint64_t n, std::uint64_t spread) {
+  std::vector<std::uint64_t> rows = {0, 1, 2, n - 4, n - 3, n - 2};
+  for (std::uint64_t k = 1; k < spread; ++k) rows.push_back(k * (n - 1) / spread);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(PairIndex, EveryIndexUpTo300Nodes) {
+  for (std::uint64_t n = 2; n <= 300; ++n) {
+    std::uint64_t index = 0;
+    for (std::uint64_t i = 0; i + 1 < n; ++i) {
+      for (std::uint64_t j = i + 1; j < n; ++j, ++index) {
+        const auto [gi, gj] = pair_from_index(n, index);
+        if (gi != i || gj != j) {
+          FAIL() << "n=" << n << " index=" << index << " gave (" << gi
+                 << ", " << gj << ")";
+        }
+      }
+    }
+  }
+}
+
+TEST(PairIndex, RowEdgesAroundTheClosedFormSwitch) {
+  // Every row at n = 2^16 and 2^20; spread rows at 2^25, the last n of the
+  // closed form, and at 2^25 + 1, the first of the 128-bit root.
+  constexpr std::uint64_t kLast = kClosedFormMaxNodes;
+  static_assert(kLast == std::uint64_t{1} << 25);
+  for (const std::uint64_t n : {std::uint64_t{1} << 16, std::uint64_t{1} << 20,
+                                kLast, kLast + 1}) {
+    std::vector<std::uint64_t> rows;
+    if (n <= std::uint64_t{1} << 20) {
+      for (std::uint64_t row = 0; row + 1 < n; ++row) rows.push_back(row);
+    } else {
+      rows = sampled_rows(n, 4096);
+    }
+    for (const std::uint64_t index : row_edges(n, rows)) {
+      ASSERT_TRUE(key_is_pair_of(n, index, pair_key_from_index(n, index)));
+    }
+  }
+}
 
 TEST(PairIndex, RoundTripSmall) {
   for (std::uint64_t n : {2ull, 3ull, 5ull, 17ull, 64ull}) {
@@ -119,13 +198,89 @@ TEST(PairIndex, LargeNRegressionPastDoublePrecision) {
   }
 }
 
+// Walk sizes that pick each of the cursor's ways: the closed form for
+// every key (a walk sparser than one index per row), and the row walk with
+// its same-row step, next-row hop and closed-form re-seat (a denser one).
+// Each cursor test walks both ways.
+constexpr std::uint64_t kWalkCounts[] = {0, ~std::uint64_t{0}};
+
 TEST(PairRowCursor, EveryIndexSmall) {
-  for (std::uint64_t n : {2ull, 3ull, 5ull, 64ull}) {
-    PairRowCursor cursor(n);
-    for (std::uint64_t index = 0; index < pair_count(n); ++index) {
-      ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
-          << "n=" << n << " index=" << index;
+  for (const std::uint64_t count : kWalkCounts) {
+    for (std::uint64_t n = 2; n <= 300; ++n) {
+      PairRowCursor cursor(n, count);
+      for (std::uint64_t index = 0; index < pair_count(n); ++index) {
+        ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
+            << "count=" << count;
+      }
     }
+  }
+}
+
+TEST(PairRowCursor, RowEdgesAroundTheClosedFormSwitch) {
+  // The same row edges as PairIndex.RowEdgesAroundTheClosedFormSwitch in
+  // one ascending walk, so every re-seat lands on or next to a row edge.
+  for (const std::uint64_t count : kWalkCounts) {
+    for (const std::uint64_t n :
+         {std::uint64_t{1} << 16, std::uint64_t{1} << 20, kClosedFormMaxNodes,
+          kClosedFormMaxNodes + 1}) {
+      PairRowCursor cursor(n, count);
+      for (const std::uint64_t index : row_edges(n, sampled_rows(n, 4096))) {
+        ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
+            << "count=" << count;
+      }
+    }
+  }
+}
+
+TEST(PairRowCursor, ServeRegimeMarks) {
+  // The serve step's births: n = 256 and gaps of ~420 indices, so nearly
+  // every mark lands past its row, often past the next one.
+  constexpr std::uint64_t n = 256;
+  Rng rng(256);
+  for (int walk = 0; walk < 400; ++walk) {
+    const std::uint64_t count = kWalkCounts[walk % 2];
+    PairRowCursor cursor(n, count);
+    for (std::uint64_t index = rng.uniform_int(420); index < pair_count(n);
+         index += 1 + rng.uniform_int(840)) {
+      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
+          << "count=" << count;
+    }
+  }
+}
+
+TEST(PairRowCursor, MixedWalk) {
+  // One walk that alternates steps within a row, hops to the next row and
+  // jumps far ahead, on both sides of the closed-form switch.
+  for (const auto& [n, count] :
+       {std::pair{std::uint64_t{300}, kWalkCounts[0]},
+        std::pair{std::uint64_t{300}, kWalkCounts[1]},
+        std::pair{std::uint64_t{1} << 20, kWalkCounts[0]},
+        std::pair{std::uint64_t{1} << 20, kWalkCounts[1]},
+        std::pair{kClosedFormMaxNodes + 1, kWalkCounts[0]},
+        std::pair{kClosedFormMaxNodes + 1, kWalkCounts[1]}}) {
+    const std::uint64_t total = pair_count(n);
+    Rng rng(n);
+    PairRowCursor cursor(n, count);
+    int kinds[3] = {};
+    for (std::uint64_t index = 0; index < total;) {
+      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
+          << "count=" << count;
+      const std::uint64_t row = pair_key_i(cursor.key(index));
+      const std::uint64_t left = pair_row_start(n, row) + (n - 1 - row) - index;
+      const auto kind = rng.uniform_int(3);
+      ++kinds[kind];
+      if (kind == 0) {
+        index += rng.uniform_int(left);  // stays in the row
+      } else if (kind == 1) {
+        if (row + 2 == n) break;  // no next row
+        index += left + rng.uniform_int(n - 2 - row);  // into the next row
+      } else {
+        index += left + rng.uniform_int(total / 64);  // rows ahead
+      }
+    }
+    EXPECT_GT(kinds[0], 10);
+    EXPECT_GT(kinds[1], 10);
+    EXPECT_GT(kinds[2], 10);
   }
 }
 
@@ -133,22 +288,24 @@ TEST(PairRowCursor, AscendingWalksWithLongJumps) {
   // Log-uniform gaps up to total / 256 mix repeats (the cursor must
   // accept an equal index), steps inside a row, hops into the next row
   // and jumps across many rows; the walk ends on the very last pair.
-  for (const std::uint64_t n : {32768ull, 4294967295ull}) {
-    const std::uint64_t total = pair_count(n);
-    const auto max_shift =
-        static_cast<std::uint64_t>(std::bit_width(total) - 8);
-    Rng rng(n);
-    PairRowCursor cursor(n);
-    std::uint64_t index = 0;
-    for (int step = 0; step < 20000; ++step) {
-      ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
-          << "n=" << n << " index=" << index;
-      const std::uint64_t gap =
-          rng.uniform_int(std::uint64_t{1} << rng.uniform_int(max_shift));
-      if (gap >= total - 1 - index) break;
-      index += gap;
+  for (const std::uint64_t count : kWalkCounts) {
+    for (const std::uint64_t n : {32768ull, 4294967295ull}) {
+      const std::uint64_t total = pair_count(n);
+      const auto max_shift =
+          static_cast<std::uint64_t>(std::bit_width(total) - 8);
+      Rng rng(n);
+      PairRowCursor cursor(n, count);
+      std::uint64_t index = 0;
+      for (int step = 0; step < 20000; ++step) {
+        ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
+            << "n=" << n << " index=" << index << " count=" << count;
+        const std::uint64_t gap =
+            rng.uniform_int(std::uint64_t{1} << rng.uniform_int(max_shift));
+        if (gap >= total - 1 - index) break;
+        index += gap;
+      }
+      ASSERT_EQ(cursor.key(total - 1), pair_key_from_index(n, total - 1));
     }
-    ASSERT_EQ(cursor.key(total - 1), pair_key_from_index(n, total - 1));
   }
 }
 

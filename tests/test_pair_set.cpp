@@ -1,6 +1,7 @@
 // Tests for the sorted pair set of the edge-MEG engines
 // (meg/pair_set.hpp), each against a brute-force reference over every
-// pair of an n-node population, n <= 12: the merge, the writer with
+// pair of an n-node population, n <= 12 (n = 256 for the serve regime's
+// index-to-key conversion): the merge, the writer with
 // states, the complement walk, the index-to-key conversion and the
 // writer's range check.
 
@@ -191,7 +192,9 @@ TEST(PairSet, ComplementRanksAreDistinctAndInRange) {
 
 TEST(PairSet, IndicesToKeysMatchesPairFromIndex) {
   // Random ascending marks, so the cursor both steps within a row and
-  // jumps rows.
+  // jumps rows; then the serve step's births (n = 256, gaps of ~420
+  // indices, so most marks cross rows), and every index one before, at and
+  // one after a row start.
   Rng rng(19);
   for (NodeId n = 2; n <= 12; ++n) {
     const std::vector<std::uint64_t> everything = all_keys(n);
@@ -207,6 +210,32 @@ TEST(PairSet, IndicesToKeysMatchesPairFromIndex) {
       EXPECT_EQ(marks, expected) << "n=" << n << " round=" << round;
     }
   }
+  constexpr NodeId kServeNodes = 256;
+  const std::vector<std::uint64_t> everything = all_keys(kServeNodes);
+  for (int round = 0; round < 50; ++round) {
+    std::vector<std::uint64_t> marks, expected;
+    for (std::uint64_t index = rng.uniform_int(420); index < everything.size();
+         index += 1 + rng.uniform_int(840)) {
+      marks.push_back(index);
+      expected.push_back(everything[index]);
+    }
+    indices_to_keys(kServeNodes, marks);
+    ASSERT_EQ(marks, expected) << "serve round=" << round;
+  }
+  std::vector<std::uint64_t> marks, expected;
+  for (NodeId row = 1; row + 1 < kServeNodes; ++row) {
+    const std::uint64_t start = pair_row_start(kServeNodes, row);
+    for (const std::uint64_t index : {start - 1, start, start + 1}) {
+      if (index >= everything.size() ||
+          (!marks.empty() && marks.back() >= index)) {
+        continue;
+      }
+      marks.push_back(index);
+      expected.push_back(everything[index]);
+    }
+  }
+  indices_to_keys(kServeNodes, marks);
+  EXPECT_EQ(marks, expected);
 }
 
 TEST(PairSetWriter, ThrowsOnAnEdgeEndpointOutOfRange) {

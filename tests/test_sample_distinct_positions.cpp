@@ -1,12 +1,13 @@
 // Stream pin for the sparse engines' subset sampler: sample_distinct_positions
-// (bitmap or ordered-probe-table dedup, both emitting in ascending order)
-// must return exactly the subset of the historical unordered_set +
-// std::sort sampler and leave the Rng at exactly the same point.
+// (bitmap dedup, or a radix sort of the raw draws topped up until k are
+// distinct, both emitting in ascending order) must return exactly the
+// subset of the historical unordered_set + std::sort sampler and leave the
+// Rng at exactly the same point.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "meg/on_set.hpp"
@@ -22,12 +23,11 @@ struct Case {
   std::uint64_t k;
 };
 
-enum Branch { kBitmap, kTable32, kTable64, kBranches };
+enum Branch { kBitmap, kSort32, kSort64, kBranches };
 
 Branch branch_of(const Case& c) {
   if (c.k >= c.bound / 32) return kBitmap;
-  return c.bound <= std::numeric_limits<std::uint32_t>::max() ? kTable32
-                                                              : kTable64;
+  return c.bound <= std::uint64_t{1} << 32 ? kSort32 : kSort64;
 }
 
 void expect_matches_reference(const Case& c, std::uint64_t seed) {
@@ -47,9 +47,9 @@ TEST(SampleDistinctPositions, MatchesHistoricalSamplerAndStream) {
   // per sampler, so that bound runs the engines' real subset sizes (the
   // per-step majority movers and the initial minority at the paper-scale
   // campaign) and bound = 2^20 covers the branch boundary instead.
-  // Bounds 2^32 - 1 and 2^32 straddle the switch from 32- to 64-bit table
-  // slots (the all-ones slot must stay above every position), and
-  // pair_count(2^32 - 1) ~ 2^63 is the largest pair population.
+  // Bounds 2^32 - 1 and 2^32 are the last 32-bit sorts (2^32 + 1 is in
+  // SortedDrawEdges), and pair_count(2^32 - 1) ~ 2^63 is the largest pair
+  // population.
   const std::uint64_t paper = pair_count(32768);
   const std::uint64_t huge = pair_count(4294967295ULL);
   const std::uint64_t mid = std::uint64_t{1} << 20;
@@ -74,65 +74,71 @@ TEST(SampleDistinctPositions, MatchesHistoricalSamplerAndStream) {
     if (c.k > 0) covered[branch_of(c)] = true;
   }
   EXPECT_TRUE(covered[kBitmap]) << "bitmap branch";
-  EXPECT_TRUE(covered[kTable32]) << "table branch, 32-bit slots";
-  EXPECT_TRUE(covered[kTable64]) << "table branch, 64-bit slots";
+  EXPECT_TRUE(covered[kSort32]) << "sort branch, 32-bit words";
+  EXPECT_TRUE(covered[kSort64]) << "sort branch, 64-bit words";
 }
 
-// Finds a seed whose k-subset of [0, bound) holds >= 2 positions with the
-// table's last home slot, so the second of them runs past it and the
-// table grows at its tail; then checks that seed against the reference.
-template <typename Slot>
-void expect_tail_growth_matches(std::uint64_t bound) {
-  constexpr std::uint64_t k = 64;
-  const Case c{bound, k};
-  ASSERT_EQ(branch_of(c), sizeof(Slot) == 4 ? kTable32 : kTable64);
-  std::vector<std::uint64_t> subset;
-  for (std::uint64_t seed = 1; seed <= 1000; ++seed) {
-    Rng rng(seed);
-    reference::ref_sample_distinct_positions(rng, k, bound, subset);
-    OrderedProbeTable<Slot> table(k, bound);
-    int at_last_home = 0;
-    for (const std::uint64_t pos : subset) {
-      at_last_home += table.home(pos) == table.home_slots() - 1;
-      ASSERT_TRUE(table.insert(pos));
+// Distinct values among the first k draws of `seed`'s stream: below k, the
+// sort branch tops up at least once.
+std::uint64_t distinct_in_first_draws(const Case& c, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::uint64_t> draws(c.k);
+  for (auto& draw : draws) draw = rng.uniform_int(c.bound);
+  std::sort(draws.begin(), draws.end());
+  return static_cast<std::uint64_t>(
+      std::unique(draws.begin(), draws.end()) - draws.begin());
+}
+
+TEST(SampleDistinctPositions, TopUpsMatchHistoricalSampler) {
+  // Bound 2081 makes k = 64 repeat about once per call; k = bound / 33 is
+  // the largest sorted subset, ~1.5% repeats, so its top-up repeats too
+  // and is topped up in turn.  Each must still be the historical subset,
+  // with the caller's next draw unchanged.
+  const std::vector<Case> cases = {
+      {2081, 64},
+      {33 * 1000, 1000},
+      {std::uint64_t{1} << 20, (std::uint64_t{1} << 20) / 33},
+      {(std::uint64_t{1} << 32) + 1, 5000},
+  };
+  int topped_up = 0;
+  for (const Case& c : cases) {
+    ASSERT_NE(branch_of(c), kBitmap);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      expect_matches_reference(c, seed);
+      topped_up += distinct_in_first_draws(c, seed) < c.k;
     }
-    if (at_last_home < 2) continue;
-    EXPECT_GT(table.extent(), table.home_slots()) << "seed " << seed;
-    expect_matches_reference(c, seed);
-    return;
   }
-  FAIL() << "no seed in 1..1000 puts two draws on the last home slot";
+  EXPECT_GE(topped_up, 16);
 }
 
-TEST(SampleDistinctPositions, TailGrowthMatchesHistoricalSampler) {
-  expect_tail_growth_matches<std::uint32_t>(std::uint64_t{1} << 20);
-  expect_tail_growth_matches<std::uint64_t>(pair_count(4294967295ULL));
-}
-
-TEST(SampleDistinctPositions, LookaheadLeavesTheStreamUntouched) {
-  // The table branch prefetches from a copy of the stream kDrawLookahead
-  // draws ahead.  Subsets shorter than, equal to and just past that depth
-  // must still be the historical subset, with the caller's next draw
-  // unchanged, on both slot widths.  Bound 2081 makes k = 64 reject about
-  // one repeat per call, so the copy must stay in step through rejections.
-  static_assert(kDrawLookahead == 16);
-  const std::uint64_t ks[] = {1, 15, 16, 17, 64};
-  const std::uint64_t bounds[] = {2081, std::uint64_t{1} << 20,
+TEST(SampleDistinctPositions, SortedDrawEdges) {
+  // k = 1, and k around the MSD bucket count, where the sort starts
+  // splitting by top bits; at bounds around 2^16 (a 16- or 17-bit word),
+  // at the widest 32-bit words and just past them, and at the largest pair
+  // population.
+  using subset_detail::kMsdBuckets;
+  const std::uint64_t ks[] = {1, kMsdBuckets - 1, kMsdBuckets,
+                              kMsdBuckets + 1};
+  const std::uint64_t bounds[] = {(std::uint64_t{1} << 16) - 1,
+                                  std::uint64_t{1} << 16,
+                                  (std::uint64_t{1} << 16) + 1,
+                                  (std::uint64_t{1} << 32) - 1,
                                   std::uint64_t{1} << 32,
+                                  (std::uint64_t{1} << 32) + 1,
                                   pair_count(4294967295ULL)};
-  bool covered[kBranches] = {};
+  bool msd[kBranches] = {};
   for (const std::uint64_t bound : bounds) {
     for (const std::uint64_t k : ks) {
       const Case c{bound, k};
       ASSERT_NE(branch_of(c), kBitmap);
-      covered[branch_of(c)] = true;
-      for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      msd[branch_of(c)] |= k >= kMsdBuckets;
+      for (std::uint64_t seed = 1; seed <= 4; ++seed) {
         expect_matches_reference(c, seed);
       }
     }
   }
-  EXPECT_TRUE(covered[kTable32]);
-  EXPECT_TRUE(covered[kTable64]);
+  EXPECT_TRUE(msd[kSort32]);
+  EXPECT_TRUE(msd[kSort64]);
 }
 
 TEST(SampleDistinctPositions, RepeatedCallsReuseTheOutputVector) {

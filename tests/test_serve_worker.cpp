@@ -967,6 +967,41 @@ TEST(ServeWorker, CancellingASentSubJobSkipsItInTheWorker) {
   EXPECT_EQ(scheduler.stats().worker_restarts, 0u);
 }
 
+// The same cancel inside a last trial of only 50 ms, well under the
+// supervisor's 250 ms poll tick.  The client takes 200 ms over a's last
+// trial_done event, which the supervisor's pump emits when it reads that
+// trial's line, so a cancel that waited for the line would reach the
+// worker well after b had started.  The cancel wakes the pump at once
+// instead, and b never starts: no trial, no journal.
+TEST(ServeWorker, ACancelReachesTheWorkerWithinAShortLastTrial) {
+  EventLog log;
+  ResultCache cache;
+  const std::string dir = fresh_dir("pipeline_cancel_short");
+  Scheduler scheduler(one_pool_worker("slow:trial=1,ms=50", dir), &cache);
+  const std::uint64_t client =
+      scheduler.register_client([&log](const std::string& line) {
+        log.push(line);
+        if (label(line) == "trial_done:a" &&
+            number_field(line, "completed") == 2.0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        }
+      });
+  scheduler.submit(client, submit_request("a", quick_args(118, 2)));
+  scheduler.submit(client, submit_request("b", quick_args(119, 2)));
+  ASSERT_TRUE(log.wait_for_label("running:b", 30000));
+  // b went out at a's first trial line; by now the pump waits on a's last.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  scheduler.cancel(client, "b");
+  ASSERT_TRUE(log.wait_for_label("cancelled:b", 30000));
+  ASSERT_TRUE(log.wait_for_label("done:a", 30000));
+
+  const std::vector<std::string> b = events_of(log.snapshot(), "b");
+  for (const std::string& line : b) EXPECT_NE(label(line), "trial_done:b");
+  EXPECT_EQ(number_field(b.back(), "completed"), 0.0);
+  EXPECT_EQ(count_files_with_suffix(dir, ".mfj"), 0u);
+  EXPECT_EQ(cache.stats().entries, 1u);  // a
+}
+
 // Round-robin order is unchanged: the pick for the next sub-job only
 // moves earlier.  Two clients, three sub-jobs each, all queued while the
 // first runs its slow trial 0.
