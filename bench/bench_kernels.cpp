@@ -65,6 +65,23 @@ void BM_EdgeMegStepServe(benchmark::State& state) {
 }
 BENCHMARK(BM_EdgeMegStepServe)->Arg(256);
 
+void BM_EdgeMegServeTrial(benchmark::State& state) {
+  // One serve_mixed miss trial: the serve-regime two-state edge-MEG of
+  // BM_EdgeMegStepServe built at a fresh seed (stationary start), then
+  // flooded from node 0 to completion.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const double alpha = 1.0 / 128;
+  const double q = 0.3;
+  std::uint64_t seed = 1;
+  for (auto _ : state) {
+    TwoStateEdgeMEG meg(n, {alpha * q / (1.0 - alpha), q}, seed++);
+    const FloodResult r = flood(meg, 0, 1'000'000);
+    benchmark::DoNotOptimize(r.rounds);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EdgeMegServeTrial)->Arg(256)->Unit(benchmark::kMicrosecond);
+
 void BM_GeneralEdgeMegStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   auto link = make_bursty_link(0.1, 0.4, 0.3);
