@@ -13,7 +13,9 @@
 // its draws and its bookkeeping in separate passes, so no branch that
 // depends on a draw sits on the chain of log()/divide draws: one
 // branch-free death pass lists the dead; the birth draws only record raw
-// pair indices, which indices_to_keys converts to keys; and the pair
+// pair indices, which indices_to_keys converts to keys (where births
+// land rows apart, as in the serve regime, each by the branch-free
+// closed form of its row; meg/pair_index.hpp); and the pair
 // set's merge drops the dead and the marks on them, and writes the next
 // on-set in one branch-free pass; the snapshot borrows it as its key
 // array.  A step

@@ -269,14 +269,15 @@ bool GeneralEdgeMEG::sample_initial_states() {
 
   build_shuffled_minority_values(class_count, majority, minority);
 
-  // A uniform minority-sized subset of pair slots by rejection (expected
-  // < 2 draws per slot while minority <= pairs / 2, which pi_majority >=
-  // 1/2 guarantees in expectation; rarer, larger draws just reject a bit
-  // more), emitted in ascending slot order.  sample_distinct_positions
-  // keeps the historical taken-bitmap for subsets this large and its
-  // draw sequence is dedup-structure-independent, so the stream (and
-  // hence the configuration) is unchanged — and identical to the sparse
-  // engine's.
+  // A uniform minority-sized subset of pair slots, as rejection against
+  // the drawn set gives it (expected < 2 draws per slot while minority <=
+  // pairs / 2, which pi_majority >= 1/2 guarantees in expectation; rarer,
+  // larger draws just reject a bit more), emitted in ascending slot
+  // order.  sample_distinct_positions makes exactly the rejection loop's
+  // draws however it drops repeats (the historical taken-bitmap for a
+  // large subset, a sort of the raw draws for a sparse one), so the
+  // stream, and hence the configuration, is unchanged and identical to
+  // the sparse engine's.
   sample_distinct_positions(rng_, minority, pairs, init_positions_);
   for (std::uint64_t k = 0; k < minority; ++k) {
     states_[init_positions_[k]] = init_values_[k];
@@ -302,7 +303,7 @@ void GeneralEdgeMEG::initialize_sparse() {
   }
   PairSetWriter out(minority_, n_, minority,
                     static_cast<std::uint8_t>(majority_state_), on_states_);
-  PairRowCursor cursor(n_, minority);
+  PairRowCursor cursor(n_);
   for (std::uint64_t k = 0; k < minority; ++k) {
     // Ascending positions => ascending keys: the map comes out sorted
     // without a sort pass.

@@ -193,8 +193,10 @@ class GeneralEdgeMEG final : public DynamicGraph {
   std::vector<std::uint8_t> inserted_states_;
 
   // Initialization scratch (batched stationary sampling).  Both vectors
-  // are minority-sized; the subset draw's dedup buffer (bitmap or hash
-  // table, meg/on_set.hpp) is transient, so nothing larger outlives init.
+  // are minority-sized; the subset draw sorts inside init_positions_, and
+  // its only other buffers (a bitmap for a dense subset, 64-bit sort
+  // scratch past n = 92682; meg/on_set.hpp) are transient, so nothing
+  // larger outlives init.
   std::vector<std::uint8_t> init_values_;
   std::vector<std::uint64_t> init_positions_;
 

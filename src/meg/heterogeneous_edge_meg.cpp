@@ -180,7 +180,7 @@ void HeterogeneousEdgeMEG::initialize_sparse() {
   // O(alpha_max * pairs) RNG draws.
   draw_complement_ranks(rng_, n_, 0, bounds_.max_alpha, rank_scratch_);
   PairSetWriter out(on_set_, n_, rank_scratch_.size());
-  PairRowCursor cursor(n_, rank_scratch_.size());
+  PairRowCursor cursor(n_);
   for (const std::uint64_t pos : rank_scratch_) {
     const TwoStateParams r = derive_rates(pos);
     const double alpha = r.birth_rate / (r.birth_rate + r.death_rate);

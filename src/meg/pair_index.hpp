@@ -118,22 +118,20 @@ inline std::uint64_t pair_index_from_key(std::uint64_t n,
   return pair_index_of(n, pair_key_i(key), pair_key_j(key));
 }
 
-// pair_key_from_index for a non-decreasing sequence of about `count`
-// indices.  A walk sparser than one index per row (count < n - 1) mostly
-// lands rows apart, where any test for "same row" or "next row" would
-// mispredict, so every key comes from the row's closed form (pair_row),
-// which has no loop and, up to 2^25 nodes, no branch.  A denser walk keeps
-// a cursor over the rows of the pair triangle: an index in the current row
-// costs a subtraction, one in the next row an addition, and only a longer
-// jump re-seats the cursor by the closed form.  Precondition: n >= 2,
-// every index < pair_count(n) and >= the index of the previous key() call.
+// pair_key_from_index for a non-decreasing sequence of indices that mostly
+// stay in their row or move on to the next: a forward cursor over the rows
+// of the pair triangle.  An index in the current row costs a subtraction,
+// one in the next row an addition, and only a longer jump re-seats the
+// cursor by the row's closed form (pair_row).  Indices that sit rows
+// apart are cheaper through pair_key_from_index itself, which has no
+// branch to mispredict (indices_to_keys, meg/pair_set.hpp).
+// Precondition: n >= 2, every index < pair_count(n) and >= the index of
+// the previous key() call.
 class PairRowCursor {
  public:
-  PairRowCursor(std::uint64_t n, std::uint64_t count) noexcept
-      : n_(n), row_end_(n - 1), walk_rows_(count >= n - 1) {}
+  explicit PairRowCursor(std::uint64_t n) noexcept : n_(n), row_end_(n - 1) {}
 
   std::uint64_t key(std::uint64_t index) noexcept {
-    if (!walk_rows_) return pair_key_from_index(n_, index);
     if (index >= row_end_) seek(index);
     const std::uint64_t j = row_ + 1 + (index - row_start_);
     return pack_pair(static_cast<std::uint32_t>(row_),
@@ -156,7 +154,6 @@ class PairRowCursor {
   std::uint64_t row_ = 0;
   std::uint64_t row_start_ = 0;
   std::uint64_t row_end_;  // one past the last index of row_
-  bool walk_rows_;
 };
 
 }  // namespace megflood

@@ -183,18 +183,25 @@ inline void PairSet::merge(std::uint64_t n, Snapshot& snapshot) {
 }
 
 // Converts the ascending pair indices in `marks` over the n-node pair
-// enumeration to packed keys in place, with one forward cursor instead of
-// a square root per mark.
+// enumeration to packed keys in place.  Fewer marks than rows mostly sit
+// rows apart (the serve regime's births), where a cursor's same-row and
+// next-row tests would mispredict, so each mark takes the branch-free
+// closed form of its row; denser marks walk the rows with a PairRowCursor.
 inline void indices_to_keys(std::uint64_t n,
                             std::vector<std::uint64_t>& marks) {
-  PairRowCursor cursor(n, marks.size());
+  if (marks.size() < n - 1) {
+    for (std::uint64_t& mark : marks) mark = pair_key_from_index(n, mark);
+    return;
+  }
+  PairRowCursor cursor(n);
   for (std::uint64_t& mark : marks) mark = cursor.key(mark);
 }
 
 // Selects an iid Bernoulli(p) subset of the pairs outside a set of
 // `set_size` keys within the n-node pair population, as ascending ranks
 // into that complement: a Binomial(count, p) size plus a uniform distinct
-// placement (meg/on_set.hpp), which is exactly the law of
+// placement (sample_distinct_positions, meg/on_set.hpp: a sort of the raw
+// draws, topped up until they are distinct), which is exactly the law of
 // geometric-skipping a materialized complement, without its O(n^2) keys.
 inline void draw_complement_ranks(Rng& rng, std::uint64_t n,
                                   std::uint64_t set_size, double p,
@@ -221,7 +228,7 @@ void walk_complement(std::uint64_t n, const std::vector<std::uint64_t>& keys,
   const std::size_t size = keys.size();
   const std::uint64_t* rank_of = ranks.data();
   const std::size_t count = ranks.size();
-  PairRowCursor cursor(n, count);
+  PairRowCursor cursor(n);
   std::size_t pos = 0;
   for (std::size_t r = 0; r < count; ++r) {
     for (; pos < size && pair_index_from_key(n, key[pos]) - pos <= rank_of[r];

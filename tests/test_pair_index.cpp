@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "meg/pair_index.hpp"
@@ -198,20 +197,11 @@ TEST(PairIndex, LargeNRegressionPastDoublePrecision) {
   }
 }
 
-// Walk sizes that pick each of the cursor's ways: the closed form for
-// every key (a walk sparser than one index per row), and the row walk with
-// its same-row step, next-row hop and closed-form re-seat (a denser one).
-// Each cursor test walks both ways.
-constexpr std::uint64_t kWalkCounts[] = {0, ~std::uint64_t{0}};
-
 TEST(PairRowCursor, EveryIndexSmall) {
-  for (const std::uint64_t count : kWalkCounts) {
-    for (std::uint64_t n = 2; n <= 300; ++n) {
-      PairRowCursor cursor(n, count);
-      for (std::uint64_t index = 0; index < pair_count(n); ++index) {
-        ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
-            << "count=" << count;
-      }
+  for (std::uint64_t n = 2; n <= 300; ++n) {
+    PairRowCursor cursor(n);
+    for (std::uint64_t index = 0; index < pair_count(n); ++index) {
+      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)));
     }
   }
 }
@@ -219,15 +209,12 @@ TEST(PairRowCursor, EveryIndexSmall) {
 TEST(PairRowCursor, RowEdgesAroundTheClosedFormSwitch) {
   // The same row edges as PairIndex.RowEdgesAroundTheClosedFormSwitch in
   // one ascending walk, so every re-seat lands on or next to a row edge.
-  for (const std::uint64_t count : kWalkCounts) {
-    for (const std::uint64_t n :
-         {std::uint64_t{1} << 16, std::uint64_t{1} << 20, kClosedFormMaxNodes,
-          kClosedFormMaxNodes + 1}) {
-      PairRowCursor cursor(n, count);
-      for (const std::uint64_t index : row_edges(n, sampled_rows(n, 4096))) {
-        ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
-            << "count=" << count;
-      }
+  for (const std::uint64_t n :
+       {std::uint64_t{1} << 16, std::uint64_t{1} << 20, kClosedFormMaxNodes,
+        kClosedFormMaxNodes + 1}) {
+    PairRowCursor cursor(n);
+    for (const std::uint64_t index : row_edges(n, sampled_rows(n, 4096))) {
+      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)));
     }
   }
 }
@@ -237,13 +224,11 @@ TEST(PairRowCursor, ServeRegimeMarks) {
   // every mark lands past its row, often past the next one.
   constexpr std::uint64_t n = 256;
   Rng rng(256);
-  for (int walk = 0; walk < 400; ++walk) {
-    const std::uint64_t count = kWalkCounts[walk % 2];
-    PairRowCursor cursor(n, count);
+  for (int walk = 0; walk < 200; ++walk) {
+    PairRowCursor cursor(n);
     for (std::uint64_t index = rng.uniform_int(420); index < pair_count(n);
          index += 1 + rng.uniform_int(840)) {
-      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
-          << "count=" << count;
+      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)));
     }
   }
 }
@@ -251,20 +236,14 @@ TEST(PairRowCursor, ServeRegimeMarks) {
 TEST(PairRowCursor, MixedWalk) {
   // One walk that alternates steps within a row, hops to the next row and
   // jumps far ahead, on both sides of the closed-form switch.
-  for (const auto& [n, count] :
-       {std::pair{std::uint64_t{300}, kWalkCounts[0]},
-        std::pair{std::uint64_t{300}, kWalkCounts[1]},
-        std::pair{std::uint64_t{1} << 20, kWalkCounts[0]},
-        std::pair{std::uint64_t{1} << 20, kWalkCounts[1]},
-        std::pair{kClosedFormMaxNodes + 1, kWalkCounts[0]},
-        std::pair{kClosedFormMaxNodes + 1, kWalkCounts[1]}}) {
+  for (const std::uint64_t n : {std::uint64_t{300}, std::uint64_t{1} << 20,
+                                kClosedFormMaxNodes + 1}) {
     const std::uint64_t total = pair_count(n);
     Rng rng(n);
-    PairRowCursor cursor(n, count);
+    PairRowCursor cursor(n);
     int kinds[3] = {};
     for (std::uint64_t index = 0; index < total;) {
-      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)))
-          << "count=" << count;
+      ASSERT_TRUE(key_is_pair_of(n, index, cursor.key(index)));
       const std::uint64_t row = pair_key_i(cursor.key(index));
       const std::uint64_t left = pair_row_start(n, row) + (n - 1 - row) - index;
       const auto kind = rng.uniform_int(3);
@@ -288,24 +267,22 @@ TEST(PairRowCursor, AscendingWalksWithLongJumps) {
   // Log-uniform gaps up to total / 256 mix repeats (the cursor must
   // accept an equal index), steps inside a row, hops into the next row
   // and jumps across many rows; the walk ends on the very last pair.
-  for (const std::uint64_t count : kWalkCounts) {
-    for (const std::uint64_t n : {32768ull, 4294967295ull}) {
-      const std::uint64_t total = pair_count(n);
-      const auto max_shift =
-          static_cast<std::uint64_t>(std::bit_width(total) - 8);
-      Rng rng(n);
-      PairRowCursor cursor(n, count);
-      std::uint64_t index = 0;
-      for (int step = 0; step < 20000; ++step) {
-        ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
-            << "n=" << n << " index=" << index << " count=" << count;
-        const std::uint64_t gap =
-            rng.uniform_int(std::uint64_t{1} << rng.uniform_int(max_shift));
-        if (gap >= total - 1 - index) break;
-        index += gap;
-      }
-      ASSERT_EQ(cursor.key(total - 1), pair_key_from_index(n, total - 1));
+  for (const std::uint64_t n : {32768ull, 4294967295ull}) {
+    const std::uint64_t total = pair_count(n);
+    const auto max_shift =
+        static_cast<std::uint64_t>(std::bit_width(total) - 8);
+    Rng rng(n);
+    PairRowCursor cursor(n);
+    std::uint64_t index = 0;
+    for (int step = 0; step < 20000; ++step) {
+      ASSERT_EQ(cursor.key(index), pair_key_from_index(n, index))
+          << "n=" << n << " index=" << index;
+      const std::uint64_t gap =
+          rng.uniform_int(std::uint64_t{1} << rng.uniform_int(max_shift));
+      if (gap >= total - 1 - index) break;
+      index += gap;
     }
+    ASSERT_EQ(cursor.key(total - 1), pair_key_from_index(n, total - 1));
   }
 }
 
