@@ -143,8 +143,9 @@ void draw_sorted(Rng& rng, std::size_t n, std::uint64_t bound, void* data,
 // the subset and the draws made are the same: every round ends with
 // fewer than k distinct values unless its last draw completes them.
 // 32-bit draws sort inside `out` itself, in its upper half with the lower
-// half as scratch, and the 64-bit values then overwrite them front to back: value d takes words 2d and 2d + 1, d <= s < k,
-// so it stays below word k + s + 1, the next sorted one read.
+// half as scratch, and the 64-bit values then overwrite them front to
+// back: value d takes words 2d and 2d + 1, d <= s < k, so it stays below
+// word k + s + 1, the next sorted one read.
 template <typename W>
 void draw_distinct_sorted(Rng& rng, std::size_t k, std::uint64_t bound,
                           std::vector<std::uint64_t>& out) {

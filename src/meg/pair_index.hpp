@@ -67,14 +67,14 @@ inline constexpr std::uint64_t kClosedFormMaxNodes = std::uint64_t{1} << 25;
 
 // The row i of pair index `index`: the largest i with row_start(i) <=
 // index, which is floor(((2n-1) - sqrt((2n-1)^2 - 8*index)) / 2).  With
-// s = floor(sqrt(disc)), (a - s) / 2 is that row or the one after it.
+// s = floor(sqrt(disc)), (2n-1 - s) / 2 is that row or the one after it.
 // Precondition: 2 <= n <= kClosedFormMaxNodes, index < pair_count(n).
 inline std::uint64_t pair_row_closed_form(std::uint64_t n,
                                           std::uint64_t index) noexcept {
   const std::uint64_t a = 2 * n - 1;
   const std::uint64_t disc = a * a - 8 * index;  // >= 9 for valid index
-  const auto s = static_cast<std::uint64_t>(
-      __builtin_sqrt(static_cast<double>(disc)));
+  const auto s =
+      static_cast<std::uint64_t>(std::sqrt(static_cast<double>(disc)));
   const std::uint64_t i = (a - s) / 2;
   return i - (pair_row_start(n, i) > index);
 }
@@ -140,10 +140,9 @@ class PairRowCursor {
 
  private:
   void seek(std::uint64_t index) noexcept {
-    if (index < row_end_ + (n_ - 2 - row_)) {
-      ++row_;
-      row_start_ = row_end_;
-    } else {
+    ++row_;
+    row_start_ = row_end_;
+    if (index >= row_start_ + (n_ - 1 - row_)) {
       row_ = pair_row(n_, index);
       row_start_ = pair_row_start(n_, row_);
     }
