@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,12 +47,13 @@ std::uint64_t fnv_mix_bytes(std::uint64_t h, const std::vector<T>& values) {
   return h;
 }
 
-// The stream hash of a mobility model: its agent positions (bitwise),
-// decoded edges and CSR after the initializer and each of `steps` steps.
+// The stream hash of a mobility model: its agent positions (bitwise:
+// points of the plane or of a mobility graph), decoded edges and CSR
+// after the initializer and each of `steps` steps.
 template <typename Model>
 std::uint64_t mobility_stream_hash(Model& model, int steps) {
   const std::size_t n = model.num_nodes();
-  std::vector<Point2D> positions(n);
+  std::vector<std::decay_t<decltype(model.agent_position(0))>> positions(n);
   std::uint64_t h = kFnvOffset;
   for (int t = 0; t <= steps; ++t) {
     if (t > 0) model.step();

@@ -11,6 +11,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
 #include "mobility/random_paths.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -168,6 +169,30 @@ TEST(ExplicitPathsModel, ResetReproduces) {
   }
 }
 
+TEST(ExplicitPathsModel, StepStreamIsPinned) {
+  // The agent points, the decoded edges and the CSR after the
+  // initializer and each of 40 steps, folded into one FNV-1a hash per
+  // row, for the edges family of a grid with at most 4 points per agent
+  // (16 x 16, 128 agents) and of one with more (48 x 48).
+  struct Row {
+    std::size_t side, n;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {16, 128, 1, 0xf1fe469e121d953aULL},
+      {48, 128, 2, 0x4233e74c8e4ca28aULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message() << "side=" << row.side << " n="
+                                      << row.n << " seed=" << row.seed);
+    const auto g = shared(grid_2d(row.side));
+    ExplicitPathsModel model(g, edges_path_family(*g), row.n, row.seed);
+    const std::uint64_t h = mobility_stream_hash(model, 40);
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
+}
+
 TEST(GridLPaths, ValidationErrors) {
   EXPECT_THROW(GridLPathsModel(1, 4, 0, 0), std::invalid_argument);
   EXPECT_THROW(GridLPathsModel(4, 1, 0, 0), std::invalid_argument);
@@ -217,6 +242,31 @@ TEST(GridLPaths, RadiusConnection) {
         EXPECT_EQ(snap.has_edge(a, b), l1 <= 2);
       }
     }
+  }
+}
+
+TEST(GridLPaths, StepStreamIsPinned) {
+  // As ExplicitPathsModel.StepStreamIsPinned, for connection radii 0, 1
+  // and 2 on a 16 x 16 grid (at most 4 points per agent) and a 48 x 48
+  // one (more), 128 agents each.
+  struct Row {
+    std::size_t side, n;
+    std::uint32_t connect_radius;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {16, 128, 0, 1, 0x2efe1745506e48abULL}, {16, 128, 1, 2, 0x4af2f0b21ed46f2cULL},
+      {16, 128, 2, 3, 0x225be72ee01bbd43ULL}, {48, 128, 0, 4, 0xf7a7459b87843857ULL},
+      {48, 128, 1, 5, 0x67ae582c4fa5fdcbULL}, {48, 128, 2, 6, 0xdf402dc8cd312579ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "side=" << row.side << " n=" << row.n
+                 << " r=" << row.connect_radius << " seed=" << row.seed);
+    GridLPathsModel model(row.side, row.n, row.connect_radius, row.seed);
+    const std::uint64_t h = mobility_stream_hash(model, 40);
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }
 }
 

@@ -10,6 +10,7 @@
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
 #include "mobility/random_walk.hpp"
+#include "step_hash.hpp"
 
 namespace megflood {
 namespace {
@@ -204,6 +205,41 @@ TEST(RandomWalkModel, MoreMobilityFloodsFaster) {
     return total / 5.0;
   };
   EXPECT_LT(measure(1.0), measure(0.25));
+}
+
+TEST(RandomWalkModel, StepStreamIsPinned) {
+  // The agent points, the decoded edges and the CSR after the
+  // initializer and each of 40 steps, folded into one FNV-1a hash per
+  // row.  Each connection radius runs on a grid with at most 4 points
+  // per agent and on one with more (16 x 16 and 48 x 48 points, 128
+  // agents); r = 2 with a static half adds wider balls.  Any moved draw
+  // or byte changes a hash.
+  struct Row {
+    std::size_t side, n;
+    std::uint32_t connect_radius;
+    double mobile_fraction;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const Row rows[] = {
+      {16, 128, 0, 1.0, 1, 0x3784c895ba71468aULL},
+      {16, 128, 1, 1.0, 2, 0x8899d084b5e5cabbULL},
+      {48, 128, 0, 1.0, 3, 0xa6c9cce34cbef0dcULL},
+      {48, 128, 1, 1.0, 4, 0x215096b368a252bfULL},
+      {16, 128, 2, 0.5, 5, 0x37a45bb88dd9158eULL},
+      {48, 128, 2, 0.5, 6, 0x3ae80548759ca225ULL},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(::testing::Message()
+                 << "side=" << row.side << " n=" << row.n
+                 << " r=" << row.connect_radius << " seed=" << row.seed);
+    RandomWalkParams params;
+    params.connect_radius = row.connect_radius;
+    params.mobile_fraction = row.mobile_fraction;
+    RandomWalkModel model(shared(grid_2d(row.side)), row.n, params, row.seed);
+    const std::uint64_t h = mobility_stream_hash(model, 40);
+    EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
+  }
 }
 
 // Property: across topologies, agent positions are always valid vertices
