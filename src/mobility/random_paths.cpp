@@ -1,9 +1,7 @@
 #include "mobility/random_paths.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdlib>
-#include <map>
 #include <set>
 #include <stdexcept>
 
@@ -68,9 +66,7 @@ bool is_simple(const PathFamily& family) {
     }
     const VertexId last = path.back();
     if (seen.contains(last) && last != path.front()) return false;
-    if (path.size() >= 2 && last == path.front() && path.size() == 2) {
-      return false;  // would need a self loop in H
-    }
+    if (path.size() == 2 && last == path.front()) return false;  // a loop
   }
   return true;
 }
@@ -97,17 +93,26 @@ std::vector<std::uint64_t> path_congestion(const PathFamily& family,
   return counts;
 }
 
-double path_regularity_delta(const PathFamily& family,
-                             std::size_t num_vertices) {
-  const auto counts = path_congestion(family, num_vertices);
+namespace {
+
+// max_u counts[u] / (avg_v counts[v]), 0 when every count is 0.
+double max_over_mean(const std::vector<std::uint64_t>& counts) {
   std::uint64_t max_c = 0, sum = 0;
   for (std::uint64_t c : counts) {
     max_c = std::max(max_c, c);
     sum += c;
   }
   if (sum == 0) return 0.0;
-  const double avg = static_cast<double>(sum) / static_cast<double>(num_vertices);
+  const double avg =
+      static_cast<double>(sum) / static_cast<double>(counts.size());
   return static_cast<double>(max_c) / avg;
+}
+
+}  // namespace
+
+double path_regularity_delta(const PathFamily& family,
+                             std::size_t num_vertices) {
+  return max_over_mean(path_congestion(family, num_vertices));
 }
 
 // ---------------------------------------------------------------------------
@@ -137,7 +142,6 @@ ExplicitPathsModel::ExplicitPathsModel(
   }
 
   agents_.resize(num_agents_);
-  occupants_.resize(graph_->num_vertices());
   snapshot_.reset(num_agents_);
   initialize();
 }
@@ -178,40 +182,9 @@ void ExplicitPathsModel::step() {
 }
 
 void ExplicitPathsModel::rebuild_snapshot() {
-  snapshot_.clear();
-  // Sparse occupancy (points >> agents): clear and scan only the occupied
-  // points (sorted, to keep the edge order of a full-range scan); dense
-  // occupancy: the plain scan beats sorting a touched list.  The mode is
-  // fixed per instance, so the touched_ invariant (it records every
-  // non-empty list) holds across steps in sparse mode.
-  const bool sparse = occupants_.size() > 4 * num_agents_;
-  if (sparse) {
-    for (VertexId point : touched_) occupants_[point].clear();
-  } else {
-    for (auto& o : occupants_) o.clear();
-  }
-  touched_.clear();
-  for (NodeId agent = 0; agent < num_agents_; ++agent) {
-    auto& here = occupants_[agent_position(agent)];
-    if (sparse && here.empty()) touched_.push_back(agent_position(agent));
-    here.push_back(agent);
-  }
-  std::sort(touched_.begin(), touched_.end());
-  auto emit_point = [&](VertexId point) {
-    const auto& here = occupants_[point];
-    for (std::size_t a = 0; a < here.size(); ++a) {
-      for (std::size_t b = a + 1; b < here.size(); ++b) {
-        snapshot_.add_edge(here[a], here[b]);
-      }
-    }
-  };
-  if (sparse) {
-    for (VertexId point : touched_) emit_point(point);
-  } else {
-    for (VertexId point = 0; point < occupants_.size(); ++point) {
-      if (!occupants_[point].empty()) emit_point(point);
-    }
-  }
+  colocation_.build(snapshot_, graph_->num_vertices(), [this](std::uint32_t agent) {
+    return family_.paths[agents_[agent].path][agents_[agent].index];
+  });
 }
 
 void ExplicitPathsModel::reset(std::uint64_t seed) {
@@ -248,7 +221,6 @@ GridLPathsModel::GridLPathsModel(std::size_t side, std::size_t num_agents,
     }
   }
   agents_.resize(num_agents_);
-  occupants_.resize(side_ * side_);
   snapshot_.reset(num_agents_);
   initialize();
 }
@@ -278,22 +250,13 @@ void GridLPathsModel::new_trip(AgentState& a) {
 }
 
 void GridLPathsModel::advance(AgentState& a) {
-  auto step_toward = [](std::uint16_t cur, std::uint16_t dst) {
-    return static_cast<std::uint16_t>(cur < dst ? cur + 1 : cur - 1);
-  };
-  if (a.bend == Bend::kXFirst) {
-    if (a.col != a.dest_col) {
-      a.col = step_toward(a.col, a.dest_col);
-    } else {
-      a.row = step_toward(a.row, a.dest_row);
-    }
-  } else {
-    if (a.row != a.dest_row) {
-      a.row = step_toward(a.row, a.dest_row);
-    } else {
-      a.col = step_toward(a.col, a.dest_col);
-    }
-  }
+  // x-first moves the column until it is the destination's, then the row;
+  // y-first the other way round.
+  const bool col = a.bend == Bend::kXFirst ? a.col != a.dest_col
+                                           : a.row == a.dest_row;
+  std::uint16_t& cur = col ? a.col : a.row;
+  const std::uint16_t dst = col ? a.dest_col : a.dest_row;
+  cur = static_cast<std::uint16_t>(cur < dst ? cur + 1 : cur - 1);
 }
 
 void GridLPathsModel::initialize() {
@@ -345,49 +308,19 @@ void GridLPathsModel::step() {
 }
 
 void GridLPathsModel::rebuild_snapshot() {
-  snapshot_.clear();
-  // Same adaptive occupancy scheme as ExplicitPathsModel: occupied-cell
-  // list (sorted, reproducing the full-grid scan's edge order) when cells
-  // far outnumber agents, plain full scan otherwise.
-  const bool sparse = occupants_.size() > 4 * num_agents_;
-  if (sparse) {
-    for (VertexId cell : touched_) occupants_[cell].clear();
-  } else {
-    for (auto& o : occupants_) o.clear();
-  }
-  touched_.clear();
-  for (NodeId agent = 0; agent < num_agents_; ++agent) {
-    auto& here = occupants_[point_of(agents_[agent])];
-    if (sparse && here.empty()) touched_.push_back(point_of(agents_[agent]));
-    here.push_back(agent);
-  }
-  std::sort(touched_.begin(), touched_.end());
   const auto s = static_cast<std::int32_t>(side_);
-  auto emit_cell = [&](VertexId cell) {
-    const auto r = static_cast<std::int32_t>(cell / side_);
-    const auto c = static_cast<std::int32_t>(cell % side_);
-    const auto& here = occupants_[cell];
-    for (std::size_t a = 0; a < here.size(); ++a) {
-      for (std::size_t b = a + 1; b < here.size(); ++b) {
-        snapshot_.add_edge(here[a], here[b]);
-      }
-    }
-    for (const auto& [dr, dc] : radius_offsets_) {
-      const std::int32_t rr = r + dr, cc = c + dc;
-      if (rr < 0 || rr >= s || cc < 0 || cc >= s) continue;
-      const auto& there = occupants_[static_cast<std::size_t>(rr * s + cc)];
-      for (NodeId a : here) {
-        for (NodeId b : there) snapshot_.add_edge(a, b);
-      }
-    }
-  };
-  if (sparse) {
-    for (VertexId cell : touched_) emit_cell(cell);
-  } else {
-    for (VertexId cell = 0; cell < occupants_.size(); ++cell) {
-      if (!occupants_[cell].empty()) emit_cell(cell);
-    }
-  }
+  colocation_.build(
+      snapshot_, num_points(),
+      [this](std::uint32_t agent) { return point_of(agents_[agent]); },
+      [this, s](VertexId point, auto&& visit) {
+        const auto r = static_cast<std::int32_t>(point) / s;
+        const auto c = static_cast<std::int32_t>(point) % s;
+        for (const auto& [dr, dc] : radius_offsets_) {
+          const std::int32_t rr = r + dr, cc = c + dc;
+          if (rr < 0 || rr >= s || cc < 0 || cc >= s) continue;
+          visit(static_cast<VertexId>(rr * s + cc));
+        }
+      });
 }
 
 void GridLPathsModel::reset(std::uint64_t seed) {
@@ -397,42 +330,23 @@ void GridLPathsModel::reset(std::uint64_t seed) {
 }
 
 std::vector<std::uint64_t> GridLPathsModel::congestion(std::size_t side) {
+  // Walk every path (src, dst, bend) hop by hop and count its points
+  // except the start.
   const std::size_t points = side * side;
   std::vector<std::uint64_t> counts(points, 0);
-  // Enumerate every path (src, dst, bend) and mark its points except the
-  // start.  An L-path x-first covers row-segment (sr, sc..dc) then
-  // column-segment (sr..dr, dc); the corner is counted once.
   for (std::size_t src = 0; src < points; ++src) {
-    const auto sr = static_cast<std::int64_t>(src / side);
-    const auto sc = static_cast<std::int64_t>(src % side);
     for (std::size_t dst = 0; dst < points; ++dst) {
       if (src == dst) continue;
-      const auto dr = static_cast<std::int64_t>(dst / side);
-      const auto dc = static_cast<std::int64_t>(dst % side);
-      const bool aligned = sr == dr || sc == dc;
-      for (int bend = 0; bend < (aligned ? 1 : 2); ++bend) {
-        if (bend == 0) {  // x-first
-          const std::int64_t step_c = dc > sc ? 1 : -1;
-          for (std::int64_t c = sc + step_c; c != dc + step_c && sc != dc;
-               c += step_c) {
-            ++counts[static_cast<std::size_t>(sr * static_cast<std::int64_t>(side) + c)];
-          }
-          const std::int64_t step_r = dr > sr ? 1 : -1;
-          for (std::int64_t r = sr + step_r; r != dr + step_r && sr != dr;
-               r += step_r) {
-            ++counts[static_cast<std::size_t>(r * static_cast<std::int64_t>(side) + dc)];
-          }
-        } else {  // y-first
-          const std::int64_t step_r = dr > sr ? 1 : -1;
-          for (std::int64_t r = sr + step_r; r != dr + step_r && sr != dr;
-               r += step_r) {
-            ++counts[static_cast<std::size_t>(r * static_cast<std::int64_t>(side) + sc)];
-          }
-          const std::int64_t step_c = dc > sc ? 1 : -1;
-          for (std::int64_t c = sc + step_c; c != dc + step_c && sc != dc;
-               c += step_c) {
-            ++counts[static_cast<std::size_t>(dr * static_cast<std::int64_t>(side) + c)];
-          }
+      const bool aligned = src / side == dst / side || src % side == dst % side;
+      for (const Bend bend : {Bend::kXFirst, Bend::kYFirst}) {
+        if (aligned && bend == Bend::kYFirst) continue;
+        AgentState a{static_cast<std::uint16_t>(src / side),
+                     static_cast<std::uint16_t>(src % side),
+                     static_cast<std::uint16_t>(dst / side),
+                     static_cast<std::uint16_t>(dst % side), bend};
+        while (a.row != a.dest_row || a.col != a.dest_col) {
+          advance(a);
+          ++counts[std::size_t{a.row} * side + a.col];
         }
       }
     }
@@ -441,15 +355,7 @@ std::vector<std::uint64_t> GridLPathsModel::congestion(std::size_t side) {
 }
 
 double GridLPathsModel::regularity_delta(std::size_t side) {
-  const auto counts = congestion(side);
-  std::uint64_t max_c = 0, sum = 0;
-  for (std::uint64_t c : counts) {
-    max_c = std::max(max_c, c);
-    sum += c;
-  }
-  const double avg =
-      static_cast<double>(sum) / static_cast<double>(counts.size());
-  return avg > 0.0 ? static_cast<double>(max_c) / avg : 0.0;
+  return max_over_mean(congestion(side));
 }
 
 }  // namespace megflood

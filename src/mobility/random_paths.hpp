@@ -20,6 +20,10 @@
 //    paper's basic instance "H is a grid and the feasible paths are the
 //    shortest ones"; supports an optional hop connection radius, which
 //    also covers the Manhattan random waypoint variant of [13].
+//
+// ColocationBuilder (mobility/colocation.hpp) writes both models'
+// snapshots; the grid's forward neighbours of a point are the points of
+// the forward half of its L1 disc, in radius_offsets_ order.
 
 #include <cstdint>
 #include <memory>
@@ -27,6 +31,7 @@
 
 #include "core/dynamic_graph.hpp"
 #include "graph/graph.hpp"
+#include "mobility/colocation.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -84,8 +89,6 @@ class ExplicitPathsModel final : public DynamicGraph {
   void step() override;
   void reset(std::uint64_t seed) override;
 
-  const Graph& mobility_graph() const noexcept { return *graph_; }
-  const PathFamily& family() const noexcept { return family_; }
   VertexId agent_position(NodeId agent) const;
 
  private:
@@ -104,8 +107,7 @@ class ExplicitPathsModel final : public DynamicGraph {
   // Cumulative (l(h) - 1) weights for uniform chain-state sampling.
   std::vector<std::uint64_t> state_prefix_;
   std::vector<AgentState> agents_;
-  std::vector<std::vector<NodeId>> occupants_;
-  std::vector<VertexId> touched_;  // occupied points, sorted per rebuild
+  ColocationBuilder colocation_;
   Snapshot snapshot_;
 };
 
@@ -126,7 +128,6 @@ class GridLPathsModel final : public DynamicGraph {
   void step() override;
   void reset(std::uint64_t seed) override;
 
-  std::size_t side() const noexcept { return side_; }
   std::size_t num_points() const noexcept { return side_ * side_; }
   VertexId agent_position(NodeId agent) const;
 
@@ -146,7 +147,7 @@ class GridLPathsModel final : public DynamicGraph {
 
   void initialize();
   void new_trip(AgentState& a);
-  void advance(AgentState& a);
+  static void advance(AgentState& a);
   void rebuild_snapshot();
   VertexId point_of(const AgentState& a) const {
     return static_cast<VertexId>(a.row * side_ + a.col);
@@ -157,9 +158,8 @@ class GridLPathsModel final : public DynamicGraph {
   std::uint32_t connect_radius_;
   Rng rng_;
   std::vector<AgentState> agents_;
-  std::vector<std::vector<NodeId>> occupants_;
-  std::vector<VertexId> touched_;  // occupied cells, sorted per rebuild
   std::vector<std::pair<std::int32_t, std::int32_t>> radius_offsets_;
+  ColocationBuilder colocation_;
   Snapshot snapshot_;
 };
 

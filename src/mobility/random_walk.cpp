@@ -1,7 +1,6 @@
 #include "mobility/random_walk.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -29,28 +28,22 @@ RandomWalkModel::RandomWalkModel(std::shared_ptr<const Graph> mobility_graph,
       std::ceil(params_.mobile_fraction * static_cast<double>(num_agents)));
   const std::size_t v = graph_->num_vertices();
   move_balls_ = all_balls(*graph_, params_.move_radius);
-  if (params_.connect_radius > 0) {
-    connect_balls_ = all_balls(*graph_, params_.connect_radius);
-  }
+  connect_balls_ = all_balls(*graph_, params_.connect_radius);  // r = 0: empty
 
   // pi(x) ∝ |N+(x)| with N+(x) = ball(x) ∪ {x}: the move graph (with self
   // loops) is symmetric, so this degree-proportional measure is stationary.
-  stationary_.resize(v);
   double total = 0.0;
   for (std::size_t x = 0; x < v; ++x) {
-    stationary_[x] = static_cast<double>(move_balls_[x].size() + 1);
-    total += stationary_[x];
+    total += static_cast<double>(move_balls_[x].size() + 1);
   }
   stationary_cdf_.resize(v);
   double acc = 0.0;
   for (std::size_t x = 0; x < v; ++x) {
-    stationary_[x] /= total;
-    acc += stationary_[x];
+    acc += static_cast<double>(move_balls_[x].size() + 1) / total;
     stationary_cdf_[x] = acc;
   }
 
   positions_.resize(num_agents_);
-  occupants_.resize(v);
   snapshot_.reset(num_agents_);
   initialize();
 }
@@ -68,53 +61,14 @@ void RandomWalkModel::initialize() {
 }
 
 void RandomWalkModel::rebuild_snapshot() {
-  snapshot_.clear();
-  // Sparse occupancy (points >> agents): track the occupied points and
-  // visit only those, in sorted order so the edge insertion sequence is
-  // identical to a full-range scan (reproducibility of consumers that
-  // sample from neighbor lists).  Dense occupancy: the full scan is
-  // cheaper than sorting a touched list that covers most points anyway.
-  // The mode is fixed per instance, preserving the invariant that every
-  // non-empty occupant list is recorded in touched_ (sparse) or that all
-  // lists get cleared (dense).
-  const bool sparse = occupants_.size() > 4 * num_agents_;
-  if (sparse) {
-    for (VertexId point : touched_) occupants_[point].clear();
-  } else {
-    for (auto& o : occupants_) o.clear();
-  }
-  touched_.clear();
-  for (NodeId agent = 0; agent < num_agents_; ++agent) {
-    auto& here = occupants_[positions_[agent]];
-    if (sparse && here.empty()) touched_.push_back(positions_[agent]);
-    here.push_back(agent);
-  }
-  std::sort(touched_.begin(), touched_.end());
-  auto emit_point = [&](VertexId point) {
-    const auto& here = occupants_[point];
-    // Co-located agents are always connected (hop distance 0 <= r).
-    for (std::size_t a = 0; a < here.size(); ++a) {
-      for (std::size_t b = a + 1; b < here.size(); ++b) {
-        snapshot_.add_edge(here[a], here[b]);
-      }
-    }
-    if (params_.connect_radius > 0) {
-      // Cross-point edges, each point pair visited once via point < other.
-      for (VertexId other : connect_balls_[point]) {
-        if (other <= point) continue;
-        for (NodeId a : here) {
-          for (NodeId b : occupants_[other]) snapshot_.add_edge(a, b);
+  colocation_.build(
+      snapshot_, graph_->num_vertices(),
+      [this](std::uint32_t agent) { return positions_[agent]; },
+      [this](VertexId point, auto&& visit) {
+        for (const VertexId other : connect_balls_[point]) {
+          if (other > point) visit(other);
         }
-      }
-    }
-  };
-  if (sparse) {
-    for (VertexId point : touched_) emit_point(point);
-  } else {
-    for (VertexId point = 0; point < occupants_.size(); ++point) {
-      if (!occupants_[point].empty()) emit_point(point);
-    }
-  }
+      });
 }
 
 void RandomWalkModel::step() {

@@ -7,7 +7,9 @@
 // (including staying put, which makes the move chain lazy and hence
 // aperiodic).  Two agents are connected iff their points are within r hops
 // (r = 0: same point — the most studied setting, and the one Corollary 6
-// and the comparison with Dimitriou et al. [15] use).
+// and the comparison with Dimitriou et al. [15] use).  ColocationBuilder
+// (mobility/colocation.hpp) writes each snapshot, the forward neighbours
+// of a point being the points of its r-hop ball above it.
 
 #include <cstdint>
 #include <memory>
@@ -16,6 +18,7 @@
 #include "core/dynamic_graph.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
+#include "mobility/colocation.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -44,16 +47,7 @@ class RandomWalkModel final : public DynamicGraph {
   void step() override;
   void reset(std::uint64_t seed) override;
 
-  const Graph& mobility_graph() const noexcept { return *graph_; }
   VertexId agent_position(NodeId agent) const { return positions_.at(agent); }
-
-  // The move chain's stationary distribution over points:
-  // pi(v) ∝ |ball_rho(v)| + 1 (the move graph is symmetric, self-loops
-  // included).  Agents are initialized i.i.d. from this distribution, so
-  // the process starts stationary.
-  const std::vector<double>& positional_stationary() const noexcept {
-    return stationary_;
-  }
 
   // Place every agent on a fixed point (worst-case start for mixing /
   // flooding-from-cold experiments).
@@ -74,14 +68,11 @@ class RandomWalkModel final : public DynamicGraph {
   Rng rng_;
   std::vector<std::vector<VertexId>> move_balls_;     // excl. center
   std::vector<std::vector<VertexId>> connect_balls_;  // excl. center
-  std::vector<double> stationary_;
+  // The move chain's stationary law, pi(v) ∝ |ball_rho(v)| + 1, as a CDF:
+  // agents start i.i.d. from it, so the process starts stationary.
   std::vector<double> stationary_cdf_;
   std::vector<VertexId> positions_;
-  std::vector<std::vector<NodeId>> occupants_;  // point -> agents
-  // Points with a non-empty occupant list (sorted); only these are cleared
-  // and scanned per rebuild, so the step cost is O(agents + edges) rather
-  // than O(points).
-  std::vector<VertexId> touched_;
+  ColocationBuilder colocation_;
   Snapshot snapshot_;
 };
 
