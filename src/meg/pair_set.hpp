@@ -206,9 +206,13 @@ inline void indices_to_keys(std::uint64_t n,
 inline void draw_complement_ranks(Rng& rng, std::uint64_t n,
                                   std::uint64_t set_size, double p,
                                   std::vector<std::uint64_t>& ranks) {
-  ranks.clear();
   const std::uint64_t count = pair_count(n) - set_size;
-  if (count == 0 || p <= 0.0) return;
+  if (count == 0 || p <= 0.0) {
+    ranks.clear();
+    return;
+  }
+  // sample_distinct_positions writes or clears every word it keeps, so
+  // the previous ranks stay: resizing over them zero-fills only growth.
   const std::uint64_t k = rng.binomial(count, p);
   sample_distinct_positions(rng, k, count, ranks);
 }
