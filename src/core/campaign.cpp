@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <cstdio>
 #include <stdexcept>
 
 #include "core/scenario.hpp"
@@ -76,16 +77,27 @@ CampaignKey parse_campaign_key(const std::string& text) {
 }
 
 std::uint64_t campaign_key_hash(const std::string& key_string) {
+  return fnv1a(key_string);
+}
+
+std::uint64_t campaign_key_hash(const CampaignKey& key) {
+  return campaign_key_hash(campaign_key_string(key));
+}
+
+std::uint64_t fnv1a(std::string_view bytes) {
   std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : key_string) {
+  for (const char c : bytes) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ULL;
   }
   return hash;
 }
 
-std::uint64_t campaign_key_hash(const CampaignKey& key) {
-  return campaign_key_hash(campaign_key_string(key));
+std::string hex64(std::uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(value));
+  return buffer;
 }
 
 }  // namespace megflood

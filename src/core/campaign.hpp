@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace megflood {
 
@@ -47,5 +48,10 @@ CampaignKey parse_campaign_key(const std::string& text);
 // overload hashes an already-serialized key without re-serializing.
 std::uint64_t campaign_key_hash(const CampaignKey& key);
 std::uint64_t campaign_key_hash(const std::string& key_string);
+
+// 64-bit FNV-1a (the key hash and each journal frame's checksum), and a
+// hash as the 16 hex digits that name a campaign's files.
+std::uint64_t fnv1a(std::string_view bytes);
+std::string hex64(std::uint64_t value);
 
 }  // namespace megflood

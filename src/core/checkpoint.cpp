@@ -23,15 +23,6 @@ constexpr std::size_t kFrameOverhead = 4 + 8 + 4 + 8;
 // scanning for the valid prefix; no legitimate payload gets near this.
 constexpr std::uint32_t kMaxPayload = 64u << 20;
 
-std::uint64_t fnv1a(const std::string& bytes) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 void put_u8(std::string& out, std::uint8_t v) {
   out.push_back(static_cast<char>(v));
 }

@@ -24,14 +24,8 @@ namespace {
 // stays memory-only.
 constexpr int kMaxProbes = 4;
 
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
-}
+}  // namespace
 
-// Reads a whole file; nullopt when absent or unreadable.
 std::optional<std::string> slurp(const std::string& path) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (!file) return std::nullopt;
@@ -46,8 +40,6 @@ std::optional<std::string> slurp(const std::string& path) {
   if (!ok) return std::nullopt;
   return data;
 }
-
-}  // namespace
 
 ResultCache::ResultCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
   if (dir_.empty()) return;

@@ -35,6 +35,9 @@
 
 namespace megflood::serve {
 
+// Reads a whole file; nullopt when absent or unreadable.
+std::optional<std::string> slurp(const std::string& path);
+
 struct CacheStats {
   std::uint64_t hits = 0;       // lookup answered (memory or disk)
   std::uint64_t misses = 0;     // lookup unanswered

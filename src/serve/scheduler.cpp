@@ -40,16 +40,40 @@ constexpr const char* kJournalSuffix = ".mfj";
 // line.
 constexpr const char* kQuarantineSuffix = ".mfq";
 
+// Crashed attempts a single campaign is allowed before it is
+// quarantined; concurrent dispatches of one campaign that die on the
+// same attempt count once.
+constexpr std::uint64_t kCrashLimit = 2;
+
+// A busy worker silent (no trial/heartbeat/result line) this long is
+// declared wedged: SIGKILLed and classified as heartbeat_timeout.
+constexpr int kHeartbeatTimeoutMs = 30000;
+
 // How often the supervisor's pump wakes to check the heartbeat watchdog
 // while waiting on a worker.  A cancel wakes it at once (wake_pumps).
 constexpr int kWorkerPollMs = 250;
 
-std::string hex64(std::uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return buffer;
+#if defined(__unix__) || defined(__APPLE__)
+// The names in `dir` that end in `suffix`, sorted, so recovery runs in a
+// deterministic order.
+std::vector<std::string> sorted_names(const std::string& dir,
+                                      const std::string& suffix) {
+  std::vector<std::string> names;
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(handle)) {
+      const std::string name = entry->d_name;
+      if (name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
+              0) {
+        names.push_back(name);
+      }
+    }
+    ::closedir(handle);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
+#endif
 
 }  // namespace
 
@@ -62,9 +86,7 @@ Scheduler::Scheduler(const SchedulerConfig& config, ResultCache* cache)
       isolation_(config.isolation),
       worker_binary_(config.worker_binary),
       inject_spec_(config.inject_spec),
-      worker_memory_mb_(config.worker_memory_mb),
-      crash_limit_(std::max<std::size_t>(1, config.crash_limit)),
-      heartbeat_timeout_ms_(std::max(1000, config.heartbeat_timeout_ms)) {
+      worker_memory_mb_(config.worker_memory_mb) {
   if (isolation_ == IsolationMode::kProcess) {
     // One slot per pool thread plus a trailing slot for manual-mode
     // run_one() callers.
@@ -577,8 +599,8 @@ void Scheduler::run_in_worker(QueuedSubJob item,
                    "[crash %llu/%llu]\n",
                    death.describe().c_str(), cur->reply.key.c_str(),
                    static_cast<unsigned long long>(crashes),
-                   static_cast<unsigned long long>(crash_limit_));
-      if (crashes >= crash_limit_) {
+                   static_cast<unsigned long long>(kCrashLimit));
+      if (crashes >= kCrashLimit) {
         QuarantineInfo info;
         info.signal = death.describe();
         info.crashes = crashes;
@@ -639,7 +661,7 @@ bool Scheduler::pump(WorkerSlot& slot, Dispatch& cur,
           std::chrono::duration_cast<std::chrono::milliseconds>(
               Clock::now() - last_activity)
               .count();
-      if (silent_ms >= heartbeat_timeout_ms_) {
+      if (silent_ms >= kHeartbeatTimeoutMs) {
         // Wedged, not dead: no trial, heartbeat, or result line for the
         // whole window.  SIGKILL and classify as heartbeat_timeout.
         death = process.kill_and_reap();
@@ -822,37 +844,17 @@ void Scheduler::load_quarantine_markers() {
 #if defined(__unix__) || defined(__APPLE__)
   // Ctor-time only: single-threaded, no lock needed.
   if (journal_dir_.empty()) return;
-  const std::string suffix = kQuarantineSuffix;
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(journal_dir_.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        names.push_back(name);
-      }
-    }
-    ::closedir(dir);
-  }
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
+  for (const std::string& name : sorted_names(journal_dir_, kQuarantineSuffix)) {
     const std::string path = journal_dir_ + "/" + name;
-    std::FILE* file = std::fopen(path.c_str(), "rb");
-    if (file == nullptr) {
+    const std::optional<std::string> marker = slurp(path);
+    if (!marker) {
       std::fprintf(stderr,
                    "megflood_serve: warning: skipping unreadable quarantine "
                    "marker %s\n",
                    path.c_str());
       continue;
     }
-    std::string text;
-    char buffer[512];
-    std::size_t got = 0;
-    while ((got = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-      text.append(buffer, got);
-    }
-    std::fclose(file);
+    const std::string& text = *marker;
     const std::size_t first = text.find('\n');
     const std::size_t second =
         first == std::string::npos ? std::string::npos
@@ -874,22 +876,8 @@ void Scheduler::load_quarantine_markers() {
 std::size_t Scheduler::recover_journals() {
 #if defined(__unix__) || defined(__APPLE__)
   if (journal_dir_.empty()) return 0;
-  const std::string suffix = kJournalSuffix;
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(journal_dir_.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        names.push_back(name);
-      }
-    }
-    ::closedir(dir);
-  }
-  std::sort(names.begin(), names.end());  // deterministic recovery order
   std::size_t recovered = 0;
-  for (const std::string& name : names) {
+  for (const std::string& name : sorted_names(journal_dir_, kJournalSuffix)) {
     const std::string path = journal_dir_ + "/" + name;
     // An unreadable journal (permissions, races with an external cleaner)
     // must not abort recovery of the readable ones: warn and leave it.

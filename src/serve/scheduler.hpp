@@ -39,7 +39,7 @@
 // death is detected via waitpid, classified (signal / exit code /
 // heartbeat timeout) and the lost sub-job re-dispatched to a respawned
 // worker, resuming from its journal; a campaign that crashes on
-// `crash_limit` attempts is quarantined — terminal `failed` event,
+// kCrashLimit (2) attempts is quarantined — terminal `failed` event,
 // persistent `.mfq` marker, never executed again and never cached.
 // Results come back verbatim, so process mode is byte-identical to
 // thread mode.
@@ -114,13 +114,6 @@ struct SchedulerConfig {
   std::string inject_spec;
   // Per-job RLIMIT_AS budget for workers, MiB; 0 = unlimited.
   std::uint64_t worker_memory_mb = 0;
-  // Crashed attempts a single campaign is allowed before it is
-  // quarantined (>= 1); concurrent dispatches of one campaign that die
-  // on the same attempt count once.
-  std::size_t crash_limit = 2;
-  // A busy worker silent (no trial/heartbeat/result line) this long is
-  // declared wedged: SIGKILLed and classified as heartbeat_timeout.
-  int heartbeat_timeout_ms = 30000;
 };
 
 class Scheduler {
@@ -321,8 +314,6 @@ class Scheduler {
   const std::string worker_binary_;
   const std::string inject_spec_;
   const std::uint64_t worker_memory_mb_;
-  const std::size_t crash_limit_;
-  const int heartbeat_timeout_ms_;
   std::vector<WorkerSlot> worker_slots_;  // sized workers+1; last = run_one
   std::map<std::string, std::uint64_t> campaign_crashes_;  // key -> deaths
   std::map<std::string, QuarantineInfo> quarantined_;

@@ -3,7 +3,7 @@
 // --isolation=process, crash containment (a segfaulting campaign kills
 // its worker, the supervisor respawns and the job still completes
 // bit-identically via the journal), poison-job quarantine (a campaign
-// that crashes `crash_limit` workers ends in a terminal `failed` event
+// that crashes kCrashLimit (2) workers ends in a terminal `failed` event
 // and a persistent .mfq marker — never an infinite crash loop), plus
 // cancel/deadline propagation into workers, rlimit containment of a
 // memory-bomb trial, and campaigns evicted from the cache's memory tier
@@ -665,7 +665,7 @@ TEST(ServeWorker, PoisonJobIsQuarantinedAfterTheCrashLimit) {
       [&events](const std::string& line) { events.push_back(line); });
 
   // No once=1: every dispatch of this campaign dies at trial 1.  Two
-  // crashes (the default crash_limit) must end it — not loop forever.
+  // crashes (kCrashLimit) must end it — not loop forever.
   scheduler.submit(client, submit_request("poison", quick_args(95, 4)));
   while (scheduler.run_one()) {
   }
