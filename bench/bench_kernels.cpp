@@ -227,16 +227,20 @@ void BM_NodeMegStep(benchmark::State& state) {
 }
 BENCHMARK(BM_NodeMegStep)->Arg(64)->Arg(256);
 
+// Arguments: agents, grid side.  A side-64 grid has more than 4 points
+// per agent, so the co-location build sorts by the occupied points'
+// ranks (the model's construction takes all hop balls, O(points^2)).
 void BM_RandomWalkStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const auto g = std::make_shared<const Graph>(grid_2d(16));
+  const auto side = static_cast<std::size_t>(state.range(1));
+  const auto g = std::make_shared<const Graph>(grid_2d(side));
   RandomWalkModel model(g, n, {}, 1);
   for (auto _ : state) {
     model.step();
     benchmark::DoNotOptimize(model.snapshot().num_edges());
   }
 }
-BENCHMARK(BM_RandomWalkStep)->Arg(128)->Arg(512);
+BENCHMARK(BM_RandomWalkStep)->Args({128, 16})->Args({512, 16})->Args({512, 64});
 
 void BM_WaypointStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -368,15 +372,18 @@ void BM_NeighborRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_NeighborRebuild)->Arg(512)->Arg(4096);
 
+// Arguments: agents, grid side (side 256: more than 4 points per agent,
+// so the co-location build sorts by the occupied points' ranks).
 void BM_GridLPathsStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  GridLPathsModel model(16, n, 1, 1);
+  const auto side = static_cast<std::size_t>(state.range(1));
+  GridLPathsModel model(side, n, 1, 1);
   for (auto _ : state) {
     model.step();
     benchmark::DoNotOptimize(model.snapshot().num_edges());
   }
 }
-BENCHMARK(BM_GridLPathsStep)->Arg(128)->Arg(512);
+BENCHMARK(BM_GridLPathsStep)->Args({128, 16})->Args({512, 16})->Args({512, 256});
 
 // One word-packed flood round (flood_round_words) with half the nodes
 // informed, over the snapshot of the sparse general engine at the
