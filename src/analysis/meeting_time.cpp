@@ -14,35 +14,8 @@ MeetingTimeResult measure_meeting_time(const Graph& mobility_graph,
                                        std::uint64_t max_steps,
                                        std::uint64_t seed) {
   const auto balls = all_balls(mobility_graph, params.move_radius);
-  const std::size_t v = mobility_graph.num_vertices();
-
-  // Stationary position sampling: pi(x) ∝ |ball(x)| + 1 (see
-  // RandomWalkModel).
-  std::vector<double> cdf(v);
-  double total = 0.0;
-  for (std::size_t x = 0; x < v; ++x) {
-    total += static_cast<double>(balls[x].size() + 1);
-  }
-  double acc = 0.0;
-  for (std::size_t x = 0; x < v; ++x) {
-    acc += static_cast<double>(balls[x].size() + 1) / total;
-    cdf[x] = acc;
-  }
-
+  const std::vector<double> cdf = stationary_cdf(balls);
   Rng rng(seed);
-  auto sample_stationary = [&]() {
-    const double u = rng.uniform();
-    std::size_t lo = 0, hi = v - 1;
-    while (lo < hi) {
-      const std::size_t mid = (lo + hi) / 2;
-      if (cdf[mid] < u) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return static_cast<VertexId>(lo);
-  };
   auto walk_step = [&](VertexId pos) {
     const auto& ball = balls[pos];
     const std::uint64_t choice = rng.uniform_int(ball.size() + 1);
@@ -53,8 +26,8 @@ MeetingTimeResult measure_meeting_time(const Graph& mobility_graph,
   std::vector<double> samples;
   samples.reserve(trials);
   for (std::size_t trial = 0; trial < trials; ++trial) {
-    VertexId a = sample_stationary();
-    VertexId b = sample_stationary();
+    VertexId a = draw_point(cdf, rng);
+    VertexId b = draw_point(cdf, rng);
     bool met = a == b;
     std::uint64_t t = 0;
     while (!met && t < max_steps) {

@@ -6,6 +6,30 @@
 
 namespace megflood {
 
+std::vector<double> stationary_cdf(
+    const std::vector<std::vector<VertexId>>& move_balls) {
+  // pi(x) ∝ |N+(x)| with N+(x) = ball(x) ∪ {x}: the move graph (with self
+  // loops) is symmetric, so this degree-proportional measure is stationary.
+  double total = 0.0;
+  for (const auto& ball : move_balls) {
+    total += static_cast<double>(ball.size() + 1);
+  }
+  std::vector<double> cdf(move_balls.size());
+  double acc = 0.0;
+  for (std::size_t x = 0; x < move_balls.size(); ++x) {
+    acc += static_cast<double>(move_balls[x].size() + 1) / total;
+    cdf[x] = acc;
+  }
+  return cdf;
+}
+
+VertexId draw_point(const std::vector<double>& cdf, Rng& rng) {
+  const auto it = std::lower_bound(cdf.begin(), cdf.end(), rng.uniform());
+  return static_cast<VertexId>(
+      std::min<std::size_t>(static_cast<std::size_t>(it - cdf.begin()),
+                            cdf.size() - 1));
+}
+
 RandomWalkModel::RandomWalkModel(std::shared_ptr<const Graph> mobility_graph,
                                  std::size_t num_agents,
                                  RandomWalkParams params, std::uint64_t seed)
@@ -26,37 +50,16 @@ RandomWalkModel::RandomWalkModel(std::shared_ptr<const Graph> mobility_graph,
   }
   num_mobile_ = static_cast<std::size_t>(
       std::ceil(params_.mobile_fraction * static_cast<double>(num_agents)));
-  const std::size_t v = graph_->num_vertices();
   move_balls_ = all_balls(*graph_, params_.move_radius);
   connect_balls_ = all_balls(*graph_, params_.connect_radius);  // r = 0: empty
-
-  // pi(x) ∝ |N+(x)| with N+(x) = ball(x) ∪ {x}: the move graph (with self
-  // loops) is symmetric, so this degree-proportional measure is stationary.
-  double total = 0.0;
-  for (std::size_t x = 0; x < v; ++x) {
-    total += static_cast<double>(move_balls_[x].size() + 1);
-  }
-  stationary_cdf_.resize(v);
-  double acc = 0.0;
-  for (std::size_t x = 0; x < v; ++x) {
-    acc += static_cast<double>(move_balls_[x].size() + 1) / total;
-    stationary_cdf_[x] = acc;
-  }
-
+  stationary_cdf_ = stationary_cdf(move_balls_);
   positions_.resize(num_agents_);
   snapshot_.reset(num_agents_);
   initialize();
 }
 
 void RandomWalkModel::initialize() {
-  for (auto& pos : positions_) {
-    const double u = rng_.uniform();
-    const auto it = std::lower_bound(stationary_cdf_.begin(),
-                                     stationary_cdf_.end(), u);
-    pos = static_cast<VertexId>(
-        std::min<std::size_t>(it - stationary_cdf_.begin(),
-                              stationary_cdf_.size() - 1));
-  }
+  for (auto& pos : positions_) pos = draw_point(stationary_cdf_, rng_);
   rebuild_snapshot();
 }
 

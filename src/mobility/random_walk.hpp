@@ -34,6 +34,14 @@ struct RandomWalkParams {
   double mobile_fraction = 1.0;
 };
 
+// The move chain's stationary law over the points of H, pi(v) ∝
+// |ball_rho(v)| + 1 (the move graph is symmetric, self-loops included),
+// as a CDF from the rho-hop balls (centres excluded), and a point drawn
+// from it with one uniform draw.
+std::vector<double> stationary_cdf(
+    const std::vector<std::vector<VertexId>>& move_balls);
+VertexId draw_point(const std::vector<double>& cdf, Rng& rng);
+
 class RandomWalkModel final : public DynamicGraph {
  public:
   // The mobility graph is shared so sweeps over n reuse the precomputed
@@ -68,8 +76,8 @@ class RandomWalkModel final : public DynamicGraph {
   Rng rng_;
   std::vector<std::vector<VertexId>> move_balls_;     // excl. center
   std::vector<std::vector<VertexId>> connect_balls_;  // excl. center
-  // The move chain's stationary law, pi(v) ∝ |ball_rho(v)| + 1, as a CDF:
-  // agents start i.i.d. from it, so the process starts stationary.
+  // Agents start i.i.d. from the stationary law, so the process starts
+  // stationary.
   std::vector<double> stationary_cdf_;
   std::vector<VertexId> positions_;
   ColocationBuilder colocation_;
