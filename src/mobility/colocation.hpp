@@ -86,7 +86,9 @@ class ColocationBuilder {
     std::uint64_t cross = 0;
     links_.clear();
     if constexpr (!std::is_same_v<std::decay_t<Forward>, NoForward>) {
-      if (by_rank && at_point_.size() < num_points) at_point_.resize(num_points);
+      if (by_rank && at_point_.size() < num_points) {
+        at_point_.resize(num_points);
+      }
       for (std::uint32_t g = 0; by_rank && g < groups; ++g) {
         at_point_[point_[mem[end[g]]]] = g;
       }
@@ -149,7 +151,8 @@ class ColocationBuilder {
                (end_.capacity() + members_.capacity() + slot_.capacity() +
                 point_.capacity() + rank_.capacity() + at_point_.capacity()) +
            sizeof(std::uint64_t) * (sorted_.capacity() +
-                                    sort_scratch_.capacity() + links_.capacity());
+                                    sort_scratch_.capacity() +
+                                    links_.capacity());
   }
 
  private:

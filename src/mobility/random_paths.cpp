@@ -66,7 +66,9 @@ bool is_simple(const PathFamily& family) {
     }
     const VertexId last = path.back();
     if (seen.contains(last) && last != path.front()) return false;
-    if (path.size() == 2 && last == path.front()) return false;  // a loop
+    if (path.size() >= 2 && last == path.front() && path.size() == 2) {
+      return false;  // would need a self loop in H
+    }
   }
   return true;
 }
@@ -182,9 +184,11 @@ void ExplicitPathsModel::step() {
 }
 
 void ExplicitPathsModel::rebuild_snapshot() {
-  colocation_.build(snapshot_, graph_->num_vertices(), [this](std::uint32_t agent) {
-    return family_.paths[agents_[agent].path][agents_[agent].index];
-  });
+  colocation_.build(snapshot_, graph_->num_vertices(),
+                    [this](std::uint32_t agent) {
+                      const AgentState& a = agents_[agent];
+                      return family_.paths[a.path][a.index];
+                    });
 }
 
 void ExplicitPathsModel::reset(std::uint64_t seed) {
@@ -250,13 +254,22 @@ void GridLPathsModel::new_trip(AgentState& a) {
 }
 
 void GridLPathsModel::advance(AgentState& a) {
-  // x-first moves the column until it is the destination's, then the row;
-  // y-first the other way round.
-  const bool col = a.bend == Bend::kXFirst ? a.col != a.dest_col
-                                           : a.row == a.dest_row;
-  std::uint16_t& cur = col ? a.col : a.row;
-  const std::uint16_t dst = col ? a.dest_col : a.dest_row;
-  cur = static_cast<std::uint16_t>(cur < dst ? cur + 1 : cur - 1);
+  auto step_toward = [](std::uint16_t cur, std::uint16_t dst) {
+    return static_cast<std::uint16_t>(cur < dst ? cur + 1 : cur - 1);
+  };
+  if (a.bend == Bend::kXFirst) {
+    if (a.col != a.dest_col) {
+      a.col = step_toward(a.col, a.dest_col);
+    } else {
+      a.row = step_toward(a.row, a.dest_row);
+    }
+  } else {
+    if (a.row != a.dest_row) {
+      a.row = step_toward(a.row, a.dest_row);
+    } else {
+      a.col = step_toward(a.col, a.dest_col);
+    }
+  }
 }
 
 void GridLPathsModel::initialize() {
@@ -310,7 +323,7 @@ void GridLPathsModel::step() {
 void GridLPathsModel::rebuild_snapshot() {
   const auto s = static_cast<std::int32_t>(side_);
   colocation_.build(
-      snapshot_, num_points(),
+      snapshot_, side_ * side_,
       [this](std::uint32_t agent) { return point_of(agents_[agent]); },
       [this, s](VertexId point, auto&& visit) {
         const auto r = static_cast<std::int32_t>(point) / s;

@@ -128,7 +128,6 @@ class GridLPathsModel final : public DynamicGraph {
   void step() override;
   void reset(std::uint64_t seed) override;
 
-  std::size_t num_points() const noexcept { return side_ * side_; }
   VertexId agent_position(NodeId agent) const;
 
   // Exact #P(u) congestion of the full L-path family by enumeration, and

@@ -844,7 +844,8 @@ void Scheduler::load_quarantine_markers() {
 #if defined(__unix__) || defined(__APPLE__)
   // Ctor-time only: single-threaded, no lock needed.
   if (journal_dir_.empty()) return;
-  for (const std::string& name : sorted_names(journal_dir_, kQuarantineSuffix)) {
+  for (const std::string& name :
+       sorted_names(journal_dir_, kQuarantineSuffix)) {
     const std::string path = journal_dir_ + "/" + name;
     const std::optional<std::string> marker = slurp(path);
     if (!marker) {
