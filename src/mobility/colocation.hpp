@@ -43,6 +43,7 @@ class ColocationBuilder {
   template <typename PointOf, typename Forward = NoForward>
   void build(Snapshot& snapshot, std::size_t num_points, PointOf&& point_of,
              Forward&& forward = {}) {
+    constexpr bool kCross = !std::is_same_v<std::decay_t<Forward>, NoForward>;
     const auto n = static_cast<std::uint32_t>(snapshot.num_nodes());
     // Counts land two slots up and the fill advances group g's cursor at
     // g + 1, so then group g's members are mem[end[g] .. end[g + 1]), i
@@ -81,50 +82,45 @@ class ColocationBuilder {
       slot_[i] = end[group[i] + 1]++;
       mem[slot_[i]] = i;
     }
-    // links_: (g, h) for each group g and the group h at each occupied
-    // forward neighbour of its point, in the emission order.
-    std::uint64_t cross = 0;
-    links_.clear();
-    if constexpr (!std::is_same_v<std::decay_t<Forward>, NoForward>) {
+    // A forward neighbour's group: at_point_ is written at every occupied
+    // point of a ranked build before any lookup.
+    if constexpr (kCross) {
       if (by_rank && at_point_.size() < num_points) {
         at_point_.resize(num_points);
       }
       for (std::uint32_t g = 0; by_rank && g < groups; ++g) {
         at_point_[point_[mem[end[g]]]] = g;
       }
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        if (end[g] == end[g + 1]) continue;
-        forward(by_rank ? point_[mem[end[g]]] : g, [&](std::uint32_t q) {
-          const std::uint32_t h = by_rank ? at_point_[q] : q;
-          if (h >= groups || end[h] == end[h + 1]) return;
-          if (by_rank && point_[mem[end[h]]] != q) return;
-          cross += std::uint64_t{end[g + 1] - end[g]} * (end[h + 1] - end[h]);
-          links_.push_back(pack_pair(g, h));
-        });
-      }
     }
     // The pairs, straight into the snapshot's key array: each member with
-    // every later member of its group, then after the group's last member
-    // its links.
+    // every later member of its group, and after the group's last member
+    // the pairs with each occupied forward neighbour (the array grows by
+    // each such block, so it always has kPairBlock spare slots).
     std::vector<std::uint64_t>& keys = snapshot.key_buffer();
-    keys.resize(directed / 2 + cross + kPairBlock);
+    keys.resize(directed / 2 + kPairBlock);
     std::uint64_t* key = keys.data();
-    std::size_t link = 0;
     for (std::uint32_t j = 0; j < n; ++j) {
       const std::uint32_t g = group[mem[j]];
       const std::uint32_t* const last = mem + end[g + 1];
       key = write_row(key, mem[j], mem + j + 1, last);
-      for (; link < links_.size() && mem + j + 1 == last &&
-             pair_key_i(links_[link]) == g;
-           ++link) {
-        const std::uint32_t h = pair_key_j(links_[link]);
-        for (const std::uint32_t* a = mem + end[g]; a < last; ++a) {
-          key = write_row(key, *a, mem + end[h], mem + end[h + 1]);
-        }
+      if constexpr (kCross) {
+        if (mem + j + 1 < last) continue;
+        forward(point_[mem[j]], [&](std::uint32_t q) {
+          const std::uint32_t h = by_rank ? at_point_[q] : q;
+          if (h >= groups || end[h] == end[h + 1]) return;
+          if (by_rank && point_[mem[end[h]]] != q) return;
+          const auto at = static_cast<std::size_t>(key - keys.data());
+          keys.resize(keys.size() + std::size_t{end[g + 1] - end[g]} *
+                                        (end[h + 1] - end[h]));
+          key = keys.data() + at;
+          for (const std::uint32_t* a = mem + end[g]; a < last; ++a) {
+            key = write_row(key, *a, mem + end[h], mem + end[h + 1]);
+          }
+        });
       }
     }
-    keys.resize(directed / 2 + cross);
-    if (cross != 0) return;
+    keys.resize(keys.size() - kPairBlock);
+    if (keys.size() != directed / 2) return;  // cross-point edges
     // The CSR: row i is i's group with slot self cut out.
     offset_scratch_.resize(std::size_t{n} + 1);
     neighbor_scratch_.resize(directed + kRowBlock);
@@ -150,9 +146,7 @@ class ColocationBuilder {
     return sizeof(std::uint32_t) *
                (end_.capacity() + members_.capacity() + slot_.capacity() +
                 point_.capacity() + rank_.capacity() + at_point_.capacity()) +
-           sizeof(std::uint64_t) * (sorted_.capacity() +
-                                    sort_scratch_.capacity() +
-                                    links_.capacity());
+           sizeof(std::uint64_t) * (sorted_.capacity() + sort_scratch_.capacity());
   }
 
  private:
@@ -225,9 +219,9 @@ class ColocationBuilder {
   // Point ranks and the radix sort's two buffers.
   std::vector<std::uint32_t> rank_;
   std::vector<std::uint64_t> sorted_, sort_scratch_;
-  // The group at each occupied point (ranked builds), and the links.
+  // The group at each occupied point (ranked builds with forward
+  // neighbours; stale elsewhere).
   std::vector<std::uint32_t> at_point_;
-  std::vector<std::uint64_t> links_;
   std::vector<std::uint32_t> offset_scratch_;
   std::vector<NodeId> neighbor_scratch_;
 };

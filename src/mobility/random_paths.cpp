@@ -322,9 +322,15 @@ void GridLPathsModel::step() {
 
 void GridLPathsModel::rebuild_snapshot() {
   const auto s = static_cast<std::int32_t>(side_);
+  const auto agent_point = [this](std::uint32_t a) {
+    return point_of(agents_[a]);
+  };
+  if (connect_radius_ == 0) {  // no forward neighbours to look up
+    colocation_.build(snapshot_, side_ * side_, agent_point);
+    return;
+  }
   colocation_.build(
-      snapshot_, side_ * side_,
-      [this](std::uint32_t agent) { return point_of(agents_[agent]); },
+      snapshot_, side_ * side_, agent_point,
       [this, s](VertexId point, auto&& visit) {
         const auto r = static_cast<std::int32_t>(point) / s;
         const auto c = static_cast<std::int32_t>(point) % s;

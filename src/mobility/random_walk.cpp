@@ -51,7 +51,9 @@ RandomWalkModel::RandomWalkModel(std::shared_ptr<const Graph> mobility_graph,
   num_mobile_ = static_cast<std::size_t>(
       std::ceil(params_.mobile_fraction * static_cast<double>(num_agents)));
   move_balls_ = all_balls(*graph_, params_.move_radius);
-  connect_balls_ = all_balls(*graph_, params_.connect_radius);  // r = 0: empty
+  if (params_.connect_radius > 0) {
+    connect_balls_ = all_balls(*graph_, params_.connect_radius);
+  }
   stationary_cdf_ = stationary_cdf(move_balls_);
   positions_.resize(num_agents_);
   snapshot_.reset(num_agents_);
@@ -64,14 +66,17 @@ void RandomWalkModel::initialize() {
 }
 
 void RandomWalkModel::rebuild_snapshot() {
-  colocation_.build(
-      snapshot_, graph_->num_vertices(),
-      [this](std::uint32_t agent) { return positions_[agent]; },
-      [this](VertexId point, auto&& visit) {
-        for (const VertexId other : connect_balls_[point]) {
-          if (other > point) visit(other);
-        }
-      });
+  const auto point_of = [this](std::uint32_t a) { return positions_[a]; };
+  if (params_.connect_radius == 0) {  // no forward neighbours to look up
+    colocation_.build(snapshot_, graph_->num_vertices(), point_of);
+    return;
+  }
+  colocation_.build(snapshot_, graph_->num_vertices(), point_of,
+                    [this](VertexId point, auto&& visit) {
+                      for (const VertexId other : connect_balls_[point]) {
+                        if (other > point) visit(other);
+                      }
+                    });
 }
 
 void RandomWalkModel::step() {
