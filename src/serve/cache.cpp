@@ -41,6 +41,27 @@ std::optional<std::string> slurp(const std::string& path) {
   return data;
 }
 
+std::vector<std::string> sorted_names(
+    const std::string& dir, std::initializer_list<std::string_view> suffixes) {
+  std::vector<std::string> names;
+#if defined(__unix__) || defined(__APPLE__)
+  if (DIR* handle = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(handle)) {
+      const std::string_view name = entry->d_name;
+      for (const std::string_view suffix : suffixes) {
+        if (name.size() > suffix.size() && name.ends_with(suffix)) {
+          names.emplace_back(name);
+          break;
+        }
+      }
+    }
+    ::closedir(handle);
+  }
+#endif
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 ResultCache::ResultCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
   if (dir_.empty()) return;
   if (::mkdir(dir_.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -57,21 +78,8 @@ ResultCache::ResultCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
 // instead of diagnosing silent cache misses later.
 void ResultCache::scan_disk() const {
 #if defined(__unix__) || defined(__APPLE__)
-  std::vector<std::string> names;
-  if (DIR* dir = ::opendir(dir_.c_str())) {
-    while (const dirent* entry = ::readdir(dir)) {
-      const std::string name = entry->d_name;
-      const auto ends_with = [&name](const char* suffix) {
-        const std::size_t n = std::strlen(suffix);
-        return name.size() > n &&
-               name.compare(name.size() - n, n, suffix) == 0;
-      };
-      if (ends_with(".mfc") || ends_with(".mfj")) names.push_back(name);
-    }
-    ::closedir(dir);
-  }
-  std::sort(names.begin(), names.end());  // deterministic warning order
-  for (const std::string& name : names) {
+  // Sorted: a deterministic warning order.
+  for (const std::string& name : sorted_names(dir_, {".mfc", ".mfj"})) {
     const std::string path = dir_ + "/" + name;
     if (std::FILE* file = std::fopen(path.c_str(), "rb")) {
       std::fclose(file);

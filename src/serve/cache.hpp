@@ -24,12 +24,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <list>
 #include <map>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/campaign.hpp"
 
@@ -37,6 +39,11 @@ namespace megflood::serve {
 
 // Reads a whole file; nullopt when absent or unreadable.
 std::optional<std::string> slurp(const std::string& path);
+
+// The names in `dir` that end in one of `suffixes`, sorted (a
+// deterministic order for recovery and warnings).
+std::vector<std::string> sorted_names(
+    const std::string& dir, std::initializer_list<std::string_view> suffixes);
 
 struct CacheStats {
   std::uint64_t hits = 0;       // lookup answered (memory or disk)

@@ -9,10 +9,6 @@
 #include <stdexcept>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <dirent.h>
-#endif
-
 #include "core/checkpoint.hpp"
 #include "core/process.hpp"
 #include "core/sweep.hpp"
@@ -52,28 +48,6 @@ constexpr int kHeartbeatTimeoutMs = 30000;
 // How often the supervisor's pump wakes to check the heartbeat watchdog
 // while waiting on a worker.  A cancel wakes it at once (wake_pumps).
 constexpr int kWorkerPollMs = 250;
-
-#if defined(__unix__) || defined(__APPLE__)
-// The names in `dir` that end in `suffix`, sorted, so recovery runs in a
-// deterministic order.
-std::vector<std::string> sorted_names(const std::string& dir,
-                                      const std::string& suffix) {
-  std::vector<std::string> names;
-  if (DIR* handle = ::opendir(dir.c_str())) {
-    while (const dirent* entry = ::readdir(handle)) {
-      const std::string name = entry->d_name;
-      if (name.size() > suffix.size() &&
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-              0) {
-        names.push_back(name);
-      }
-    }
-    ::closedir(handle);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-#endif
 
 }  // namespace
 
@@ -845,7 +819,7 @@ void Scheduler::load_quarantine_markers() {
   // Ctor-time only: single-threaded, no lock needed.
   if (journal_dir_.empty()) return;
   for (const std::string& name :
-       sorted_names(journal_dir_, kQuarantineSuffix)) {
+       sorted_names(journal_dir_, {kQuarantineSuffix})) {
     const std::string path = journal_dir_ + "/" + name;
     const std::optional<std::string> marker = slurp(path);
     if (!marker) {
@@ -878,7 +852,7 @@ std::size_t Scheduler::recover_journals() {
 #if defined(__unix__) || defined(__APPLE__)
   if (journal_dir_.empty()) return 0;
   std::size_t recovered = 0;
-  for (const std::string& name : sorted_names(journal_dir_, kJournalSuffix)) {
+  for (const std::string& name : sorted_names(journal_dir_, {kJournalSuffix})) {
     const std::string path = journal_dir_ + "/" + name;
     // An unreadable journal (permissions, races with an external cleaner)
     // must not abort recovery of the readable ones: warn and leave it.
