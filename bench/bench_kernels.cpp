@@ -240,7 +240,10 @@ void BM_RandomWalkStep(benchmark::State& state) {
     benchmark::DoNotOptimize(model.snapshot().num_edges());
   }
 }
-BENCHMARK(BM_RandomWalkStep)->Args({128, 16})->Args({512, 16})->Args({512, 64});
+BENCHMARK(BM_RandomWalkStep)
+    ->Args({128, 16})
+    ->Args({512, 16})
+    ->Args({512, 64});
 
 void BM_WaypointStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -383,7 +386,10 @@ void BM_GridLPathsStep(benchmark::State& state) {
     benchmark::DoNotOptimize(model.snapshot().num_edges());
   }
 }
-BENCHMARK(BM_GridLPathsStep)->Args({128, 16})->Args({512, 16})->Args({512, 256});
+BENCHMARK(BM_GridLPathsStep)
+    ->Args({128, 16})
+    ->Args({512, 16})
+    ->Args({512, 256});
 
 // One word-packed flood round (flood_round_words) with half the nodes
 // informed, over the snapshot of the sparse general engine at the

@@ -146,7 +146,8 @@ class ColocationBuilder {
     return sizeof(std::uint32_t) *
                (end_.capacity() + members_.capacity() + slot_.capacity() +
                 point_.capacity() + rank_.capacity() + at_point_.capacity()) +
-           sizeof(std::uint64_t) * (sorted_.capacity() + sort_scratch_.capacity());
+           sizeof(std::uint64_t) *
+               (sorted_.capacity() + sort_scratch_.capacity());
   }
 
  private:
