@@ -211,8 +211,8 @@ inline void draw_complement_ranks(Rng& rng, std::uint64_t n,
     ranks.clear();
     return;
   }
-  // sample_distinct_positions writes or clears every word it keeps, so
-  // the previous ranks stay: resizing over them zero-fills only growth.
+  // No clear: each branch of sample_distinct_positions writes or clears
+  // `ranks`, and resizing over the old ranks zero-fills only growth.
   const std::uint64_t k = rng.binomial(count, p);
   sample_distinct_positions(rng, k, count, ranks);
 }
