@@ -101,8 +101,10 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
   // The agent positions (bitwise), the decoded edges and the CSR after
   // the initializer and each of 60 steps, folded into one FNV-1a hash per
   // row.  The rows cover the one-point campaign regime (L = 64, m = 32,
-  // r = 1, every bucket one grid point), a multi-point grid (L = 16,
-  // m = 64) and a fast regime whose agents finish several legs per step
+  // r = 1, every bucket one grid point), multi-point grids (L = 16,
+  // m = 64; L = 64, m = 256, where the buckets outnumber the agents more
+  // than four to one; and L = 16, m = 64, r = 2.5, about 55 agents per
+  // bucket) and a fast regime whose agents finish several legs per step
   // and often hit the 16-leg cap.  Any moved draw or byte changes a hash.
   struct Row {
     double side, v_min, v_max, radius;
@@ -115,6 +117,8 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
       {64.0, 0.5, 1.0, 1.0, 32, 512, 2, 0x1b96cb10b5a7901aULL},
       {16.0, 0.5, 1.0, 1.0, 64, 512, 1, 0x66bb2853bcec9591ULL},
       {16.0, 0.5, 1.0, 1.0, 64, 512, 2, 0xc8da3000764e3f97ULL},
+      {64.0, 0.5, 1.0, 1.0, 256, 512, 1, 0x5e5b3614b90443c1ULL},
+      {16.0, 0.5, 1.0, 2.5, 64, 2000, 1, 0xeb1d8a796845e7d9ULL},
       {4.0, 20.0, 40.0, 0.4, 8, 256, 1, 0xc0c103c72f0e5a8fULL},
       {4.0, 20.0, 40.0, 0.4, 8, 256, 2, 0x3da9b11396e7241fULL},
   };
