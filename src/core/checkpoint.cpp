@@ -1,6 +1,7 @@
 #include "core/checkpoint.hpp"
 
 #include <cstring>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 
@@ -146,6 +147,12 @@ bool parse_error(const std::string& payload, std::uint64_t trial,
   return cur.ok() && cur.at_end();
 }
 
+// A FILE* closed on every path out of its scope, a throw included.
+struct FileCloser {
+  void operator()(std::FILE* file) const noexcept { std::fclose(file); }
+};
+using FileHandle = std::unique_ptr<std::FILE, FileCloser>;
+
 [[noreturn]] void io_error(const std::string& path, const std::string& what) {
   throw std::runtime_error("checkpoint " + path + ": " + what);
 }
@@ -180,13 +187,12 @@ void truncate_file(const std::string& path, const std::string& valid_prefix) {
 }  // namespace
 
 bool peek_checkpoint_key(const std::string& path, CheckpointKey& out) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
+  const FileHandle file{std::fopen(path.c_str(), "rb")};
   if (!file) return false;
   // Fixed-width header prefix: magic, version, seed, trials, threads,
   // cli_len — followed by cli_len bytes of canonical CLI.
   char prefix[8 + 4 + 8 + 8 + 8 + 4];
-  if (std::fread(prefix, 1, sizeof prefix, file) != sizeof prefix) {
-    std::fclose(file);
+  if (std::fread(prefix, 1, sizeof prefix, file.get()) != sizeof prefix) {
     return false;
   }
   Cursor cur(prefix, sizeof prefix);
@@ -199,14 +205,10 @@ bool peek_checkpoint_key(const std::string& path, CheckpointKey& out) {
   const std::uint32_t cli_len = cur.get_u32();
   if (!cur.ok() || magic != kMagic || version != kVersion ||
       cli_len > kMaxPayload) {
-    std::fclose(file);
     return false;
   }
   std::string cli(cli_len, '\0');
-  const bool got_cli =
-      std::fread(cli.data(), 1, cli_len, file) == cli_len;
-  std::fclose(file);
-  if (!got_cli) return false;
+  if (std::fread(cli.data(), 1, cli_len, file.get()) != cli_len) return false;
   key.campaign.scenario_cli = std::move(cli);
   out = std::move(key);
   return true;
@@ -217,20 +219,19 @@ CheckpointJournal::CheckpointJournal(std::string path,
     : path_(std::move(path)) {
   const std::string header = header_bytes(key);
   std::string existing;
-  if (std::FILE* file = std::fopen(path_.c_str(), "rb")) {
-    existing = read_whole_file(file, path_);
-    std::fclose(file);
+  if (const FileHandle file{std::fopen(path_.c_str(), "rb")}) {
+    existing = read_whole_file(file.get(), path_);
   }
   if (existing.empty()) {
     // New journal: write the header and start appending after it.
-    std::FILE* file = std::fopen(path_.c_str(), "wb");
+    FileHandle file{std::fopen(path_.c_str(), "wb")};
     if (!file) io_error(path_, "cannot create");
-    if (std::fwrite(header.data(), 1, header.size(), file) != header.size() ||
-        std::fflush(file) != 0) {
-      std::fclose(file);
+    if (std::fwrite(header.data(), 1, header.size(), file.get()) !=
+            header.size() ||
+        std::fflush(file.get()) != 0) {
       io_error(path_, "cannot write header");
     }
-    file_ = file;
+    file_ = file.release();
     return;
   }
   // Existing journal: the header must bind the same campaign.

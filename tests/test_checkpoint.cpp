@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -117,6 +119,29 @@ TEST(CheckpointJournal, TornTailIsHealedAndAppendsResume) {
   }
   CheckpointJournal journal(path, small_key());
   EXPECT_EQ(journal.replayed_trials(), 4u);
+}
+
+// Open file descriptors of this process, or -1 where /proc has no list.
+long open_fd_count() {
+  std::error_code error;
+  std::filesystem::directory_iterator fds("/proc/self/fd", error);
+  if (error) return -1;
+  return static_cast<long>(std::distance(fds, {}));
+}
+
+TEST(CheckpointJournal, FailedReadClosesTheFile) {
+  // A directory opens for reading but fails the first read, so each
+  // constructor throws from its read of the existing journal; the handle
+  // it opened must be closed on that path too.
+  const std::string dir = testing::TempDir() + "ckpt_dir_journal";
+  std::filesystem::create_directories(dir);
+  const long before = open_fd_count();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/fd";
+  for (int attempt = 0; attempt < 50; ++attempt) {
+    EXPECT_THROW(CheckpointJournal(dir, small_key()), std::runtime_error);
+  }
+  EXPECT_EQ(open_fd_count(), before);
+  std::filesystem::remove(dir);
 }
 
 TEST(CheckpointJournal, ErrorRecordsReplayAsInformationalOnly) {
