@@ -80,22 +80,48 @@ std::size_t diameter(const Graph& g) {
   return best;
 }
 
-std::vector<VertexId> ball(const Graph& g, VertexId v, std::uint32_t radius) {
-  std::vector<VertexId> result;
-  if (radius == 0) return result;
-  const auto dist = bfs_distances(g, v);
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    if (u != v && dist[u] != kUnreachable && dist[u] <= radius) {
-      result.push_back(u);
+namespace {
+
+// The ball of v by a BFS that stops at depth `radius`: `ball` is the BFS
+// queue, one depth after another, and seen[u] == mark once u is queued.
+// A caller reuses `seen` across sources with a fresh mark for each.
+std::vector<VertexId> bounded_ball(const Graph& g, VertexId v,
+                                   std::uint32_t radius,
+                                   std::vector<std::uint32_t>& seen,
+                                   std::uint32_t mark) {
+  std::vector<VertexId> ball;
+  if (radius == 0) return ball;
+  seen.at(v) = mark;
+  ball.push_back(v);
+  std::size_t next = 0;
+  for (std::uint32_t depth = 0; depth < radius && next < ball.size();
+       ++depth) {
+    for (const std::size_t end = ball.size(); next < end; ++next) {
+      for (const VertexId u : g.neighbors(ball[next])) {
+        if (seen[u] != mark) {
+          seen[u] = mark;
+          ball.push_back(u);
+        }
+      }
     }
   }
-  return result;
+  ball.erase(ball.begin());
+  std::sort(ball.begin(), ball.end());
+  return ball;
+}
+
+}  // namespace
+
+std::vector<VertexId> ball(const Graph& g, VertexId v, std::uint32_t radius) {
+  std::vector<std::uint32_t> seen(g.num_vertices(), 0);
+  return bounded_ball(g, v, radius, seen, 1);
 }
 
 std::vector<std::vector<VertexId>> all_balls(const Graph& g, std::uint32_t radius) {
   std::vector<std::vector<VertexId>> balls(g.num_vertices());
+  std::vector<std::uint32_t> seen(g.num_vertices(), 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    balls[v] = ball(g, v, radius);
+    balls[v] = bounded_ball(g, v, radius, seen, v + 1);
   }
   return balls;
 }

@@ -35,10 +35,13 @@ std::size_t diameter(const Graph& g);
 // Eccentricity of a vertex (max hop distance to any reachable vertex).
 std::size_t eccentricity(const Graph& g, VertexId v);
 
-// All vertices within hop distance [1, radius] of v (v excluded).
+// All vertices within hop distance [1, radius] of v (v excluded),
+// ascending; a BFS cut at depth `radius`, so O(|ball| * degree).
 std::vector<VertexId> ball(const Graph& g, VertexId v, std::uint32_t radius);
 
 // Precomputed hop balls for every vertex; ball(v, 0) = {} convention.
+// One visited array serves every source, so the cost is the sum of the
+// balls' BFS work, not V BFS passes over the whole graph.
 std::vector<std::vector<VertexId>> all_balls(const Graph& g, std::uint32_t radius);
 
 }  // namespace megflood

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -122,6 +125,54 @@ TEST(AllBalls, MatchesSingleBall) {
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     EXPECT_EQ(balls[v], ball(g, v, 2));
   }
+}
+
+// The definition of a hop ball, from the full BFS distances: every other
+// reachable vertex at distance <= radius, ascending.
+std::vector<VertexId> ball_by_distances(const Graph& g, VertexId v,
+                                        std::uint32_t radius) {
+  std::vector<VertexId> out;
+  if (radius == 0) return out;
+  const auto dist = bfs_distances(g, v);
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    if (u != v && dist[u] != kUnreachable && dist[u] <= radius) {
+      out.push_back(u);
+    }
+  }
+  return out;
+}
+
+// ball() and all_balls() are a BFS cut at depth r; they must give the
+// definition's balls on grids, a torus, a random graph with isolated
+// parts, and two disjoint components, at radii past the diameter.
+TEST(Ball, MatchesBfsDistanceDefinition) {
+  Rng rng(11);
+  Graph split(9);  // a path 0-1-2-3 and a cycle 4..8, no edge between
+  for (VertexId v = 0; v + 1 < 4; ++v) split.add_edge(v, v + 1);
+  for (VertexId v = 4; v < 9; ++v) split.add_edge(v, v + 1 < 9 ? v + 1 : 4);
+  const std::vector<Graph> graphs = {grid_2d(6), torus_2d(5),
+                                     k_augmented_grid(5, 2),
+                                     erdos_renyi(40, 0.04, rng), split};
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    for (std::uint32_t r = 0; r <= 12; ++r) {
+      const auto balls = all_balls(g, r);
+      ASSERT_EQ(balls.size(), g.num_vertices());
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const auto expected = ball_by_distances(g, v, r);
+        ASSERT_EQ(ball(g, v, r), expected)
+            << "graph " << gi << " r=" << r << " v=" << v;
+        ASSERT_EQ(balls[v], expected)
+            << "graph " << gi << " r=" << r << " v=" << v;
+      }
+    }
+  }
+}
+
+TEST(Ball, RejectsOutOfRangeVertex) {
+  const Graph g = path_graph(4);
+  EXPECT_THROW(ball(g, 4, 1), std::out_of_range);
+  EXPECT_TRUE(ball(g, 4, 0).empty());
 }
 
 // Property: ball size is monotone in the radius.
