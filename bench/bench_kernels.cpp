@@ -10,7 +10,6 @@
 
 #include "core/bitwords.hpp"
 #include "core/flooding.hpp"
-#include "geometry/square_grid.hpp"
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
 #include "meg/general_edge_meg.hpp"
@@ -229,7 +228,7 @@ BENCHMARK(BM_NodeMegStep)->Arg(64)->Arg(256);
 
 // Arguments: agents, grid side.  A side-64 grid has more than 4 points
 // per agent, so the co-location build sorts by the occupied points'
-// ranks (the model's construction takes all hop balls, O(points^2)).
+// ranks.
 void BM_RandomWalkStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto side = static_cast<std::size_t>(state.range(1));
@@ -244,6 +243,26 @@ BENCHMARK(BM_RandomWalkStep)
     ->Args({128, 16})
     ->Args({512, 16})
     ->Args({512, 64});
+
+// Argument: grid side.  The random walk model's construction, 512 agents
+// moving and connecting within one hop: both hop-ball tables (one
+// depth-limited BFS per point each), the stationary law, the initial
+// draw and the first snapshot.
+void BM_RandomWalkConstruct(benchmark::State& state) {
+  const auto side = static_cast<std::size_t>(state.range(0));
+  const auto g = std::make_shared<const Graph>(grid_2d(side));
+  RandomWalkParams params;
+  params.connect_radius = 1;
+  for (auto _ : state) {
+    RandomWalkModel model(g, 512, params, 1);
+    benchmark::DoNotOptimize(model.snapshot().num_edges());
+  }
+}
+BENCHMARK(BM_RandomWalkConstruct)
+    ->Arg(64)
+    ->Arg(128)
+    ->Arg(256)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WaypointStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -262,8 +281,9 @@ void BM_WaypointStep(benchmark::State& state) {
 BENCHMARK(BM_WaypointStep)->Arg(128)->Arg(512);
 
 void BM_WaypointStepLarge(benchmark::State& state) {
-  // Paper scale: n = 4096 agents at slow (v << bucket width) speeds, the
-  // regime where the incremental NeighborIndex path dominates.
+  // Paper scale on a multi-point grid: n = 4096 agents at slow
+  // (v << bucket width) speeds, about one agent per bucket; each step
+  // builds the bucket snapshot with its radius filter.
   const auto n = static_cast<std::size_t>(state.range(0));
   WaypointParams p;
   p.side_length = 64.0;
@@ -322,7 +342,7 @@ BENCHMARK(BM_TripStepPaused)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
 void BM_WaypointGossipRound(benchmark::State& state) {
   // One waypoint_gossip round after --warmup=auto: a step, the snapshot
-  // read it triggers (snap, index refresh, pair scan, CSR build) and one
+  // read it triggers (snap, co-location sort, clique pairs and CSR) and one
   // push-pull round.  Every round starts from the same half-informed
   // set, so the protocol work stays mid-spread instead of draining once
   // everyone is informed.
@@ -354,26 +374,6 @@ void BM_WaypointGossipRound(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_WaypointGossipRound)->Arg(4096)->Unit(benchmark::kMicrosecond);
-
-void BM_NeighborRebuild(benchmark::State& state) {
-  // Full counting-pass rebuild of the bucketed neighbor index (the
-  // fallback path of refresh(); also the init/collapse/reset path).
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const SquareGrid grid(128, 32.0);
-  NeighborIndex index(grid, 1.0);
-  Rng rng(1);
-  std::vector<CellId> cells(n);
-  for (auto& cell : cells) {
-    cell = static_cast<CellId>(rng.uniform_int(grid.num_points()));
-  }
-  for (auto _ : state) {
-    index.rebuild(cells);
-    benchmark::DoNotOptimize(index.num_nodes());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_NeighborRebuild)->Arg(512)->Arg(4096);
 
 // Arguments: agents, grid side (side 256: more than 4 points per agent,
 // so the co-location build sorts by the occupied points' ranks).

@@ -80,9 +80,8 @@ class Snapshot {
   // the whole edge set (it holds the previous owned keys, so their
   // capacity gets reused).  Caller guarantees the add_edge contract for
   // every key it leaves there (endpoints < num_nodes(), no duplicates);
-  // producers that validate their pairs themselves
-  // (NeighborIndex::collect_pairs, the clique build) skip the per-edge
-  // bounds checks this way.
+  // producers that validate their pairs themselves (the mobility models'
+  // ColocationBuilder) skip the per-edge bounds checks this way.
   std::vector<std::uint64_t>& key_buffer() noexcept {
     borrowed_ = false;
     csr_valid_ = false;

@@ -3,10 +3,14 @@
 // The one snapshot build of every mobility model whose agents sit on
 // points: agents at one point are connected, and so are the agents at a
 // point p and at each forward neighbour q > p the model lists for p.
+// A model may also pass a filter, accept(a, b), that keeps only some of
+// those candidate pairs (the random trip on a multi-point grid, whose
+// "point" is a bucket of grid points, keeps the pairs within the radius).
 // Order contract: the keys are what add_edge makes for the occupied
 // points ascending, at each point p its clique pairs (a, b), a < b,
 // ascending, then for each forward neighbour q, in the model's order,
-// the pairs (a at p, b at q), both ascending.
+// the pairs (a at p, b at q), both ascending; a filter drops pairs from
+// this sequence and reorders none.
 //
 // A counting sort of the agents by point, fused with the caller's
 // point-of-agent function, finds each point's members; past
@@ -16,8 +20,10 @@
 // group it names sits at that point), so a build is O(agents + edges) at
 // any ratio of points to agents.  A snapshot of co-located edges only
 // gets its CSR in the same pass (each row the other members of the
-// agent's point, ascending); others build it lazily.
+// agent's point, ascending); others, and every filtered build, build it
+// lazily.
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
@@ -34,16 +40,22 @@ namespace megflood {
 // The forward-neighbour function of a model with no cross-point edges.
 struct NoForward {};
 
+// The filter of a model that keeps every candidate pair.
+struct AcceptAll {};
+
 class ColocationBuilder {
  public:
   // Overwrites `snapshot` with the co-location edges of its num_nodes()
-  // agents: point_of(i) < num_points is agent i's point, and
-  // forward(p, visit) calls visit(q) once for each forward neighbour q of
-  // point p, in the model's order.
-  template <typename PointOf, typename Forward = NoForward>
+  // agents: point_of(i) < num_points is agent i's point (called once per
+  // agent, in ascending order), forward(p, visit) calls visit(q) once for
+  // each forward neighbour q of point p, in the model's order, and
+  // accept(a, b) says whether candidate pair (a, b) is an edge.
+  template <typename PointOf, typename Forward = NoForward,
+            typename Accept = AcceptAll>
   void build(Snapshot& snapshot, std::size_t num_points, PointOf&& point_of,
-             Forward&& forward = {}) {
+             Forward&& forward = {}, Accept&& accept = {}) {
     constexpr bool kCross = !std::is_same_v<std::decay_t<Forward>, NoForward>;
+    constexpr bool kFilter = !std::is_same_v<std::decay_t<Accept>, AcceptAll>;
     const auto n = static_cast<std::uint32_t>(snapshot.num_nodes());
     // Counts land two slots up and the fill advances group g's cursor at
     // g + 1, so then group g's members are mem[end[g] .. end[g + 1]), i
@@ -94,33 +106,44 @@ class ColocationBuilder {
     }
     // The pairs, straight into the snapshot's key array: each member with
     // every later member of its group, and after the group's last member
-    // the pairs with each occupied forward neighbour (the array grows by
-    // each such block, so it always has kPairBlock spare slots).
+    // the pairs with each occupied forward neighbour.  The array always
+    // has room for the clique candidates still to come, the block being
+    // written and kPairBlock spare slots; it grows geometrically, since a
+    // filtered build writes fewer keys than its candidates.
     std::vector<std::uint64_t>& keys = snapshot.key_buffer();
     keys.resize(directed / 2 + kPairBlock);
     std::uint64_t* key = keys.data();
+    std::size_t cliques_left = directed / 2;
     for (std::uint32_t j = 0; j < n; ++j) {
       const std::uint32_t g = group[mem[j]];
       const std::uint32_t* const last = mem + end[g + 1];
-      key = write_row(key, mem[j], mem + j + 1, last);
+      key = write_row(key, mem[j], mem + j + 1, last, accept);
       if constexpr (kCross) {
         if (mem + j + 1 < last) continue;
+        const std::size_t size_g = end[g + 1] - end[g];
+        cliques_left -= size_g * (size_g - 1) / 2;
         forward(point_[mem[j]], [&](std::uint32_t q) {
           const std::uint32_t h = by_rank ? at_point_[q] : q;
           if (h >= groups || end[h] == end[h + 1]) return;
           if (by_rank && point_[mem[end[h]]] != q) return;
           const auto at = static_cast<std::size_t>(key - keys.data());
-          keys.resize(keys.size() + std::size_t{end[g + 1] - end[g]} *
-                                        (end[h + 1] - end[h]));
-          key = keys.data() + at;
+          const std::size_t need =
+              at + cliques_left + kPairBlock + size_g * (end[h + 1] - end[h]);
+          if (need > keys.size()) {
+            keys.resize(std::max(need, 2 * keys.size()));
+            key = keys.data() + at;
+          }
           for (const std::uint32_t* a = mem + end[g]; a < last; ++a) {
-            key = write_row(key, *a, mem + end[h], mem + end[h + 1]);
+            key = write_row(key, *a, mem + end[h], mem + end[h + 1], accept);
           }
         });
       }
     }
-    keys.resize(keys.size() - kPairBlock);
-    if (keys.size() != directed / 2) return;  // cross-point edges
+    keys.resize(static_cast<std::size_t>(key - keys.data()));
+    // A filter may drop clique pairs and keep cross pairs in equal number,
+    // so only an unfiltered build can tell a clique-only snapshot by its
+    // key count.
+    if (kFilter || keys.size() != directed / 2) return;
     // The CSR: row i is i's group with slot self cut out.
     offset_scratch_.resize(std::size_t{n} + 1);
     neighbor_scratch_.resize(directed + kRowBlock);
@@ -159,11 +182,22 @@ class ColocationBuilder {
   static constexpr std::uint32_t kPairBlock = 8;
   static constexpr std::uint32_t kRowBlock = 16;
 
-  // Writes the pairs (a, b), b in [src, last), at `key`; returns its end.
+  // Writes the pairs (a, b), b in [src, last), that `accept` keeps at
+  // `key`; returns their end.  A filtered row stores every candidate and
+  // advances past the kept ones: which pairs pass changes every step, so
+  // a branch on accept would mispredict often.
+  template <typename Accept>
   static std::uint64_t* write_row(std::uint64_t* key, std::uint32_t a,
                                   const std::uint32_t* src,
-                                  const std::uint32_t* last) {
+                                  const std::uint32_t* last, Accept& accept) {
     const std::uint64_t row = pack_pair(a, 0);
+    if constexpr (!std::is_same_v<std::decay_t<Accept>, AcceptAll>) {
+      for (; src < last; ++src) {
+        *key = row | *src;
+        key += accept(a, *src);
+      }
+      return key;
+    }
     std::uint64_t* dst = key;
     key += last - src;
     do {

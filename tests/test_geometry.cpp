@@ -1,5 +1,5 @@
-// Unit tests for points, the square-grid discretization, and the bucketed
-// neighbor index.
+// Unit tests for points, the square-grid discretization, and the radius
+// snapshot of agents on the grid (ProximitySnapshotEngine).
 
 #include <gtest/gtest.h>
 
@@ -8,10 +8,15 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
+#include <utility>
 #include <vector>
 
+#include "canonical_pairs.hpp"
 #include "geometry/point.hpp"
 #include "geometry/square_grid.hpp"
+#include "mobility/proximity_engine.hpp"
+#include "step_hash.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -170,25 +175,38 @@ TEST(SquareGrid, InteriorCount) {
   EXPECT_EQ(g.interior_count(2.5), 0u);
 }
 
-TEST(NeighborIndex, RejectsNonPositiveRadius) {
-  const SquareGrid g(4, 1.0);
-  EXPECT_THROW(NeighborIndex(g, 0.0), std::invalid_argument);
+// The engine's snapshot with agent i at grid point cells[i].
+const Snapshot& snapshot_at(ProximitySnapshotEngine& engine,
+                            const std::vector<CellId>& cells) {
+  std::vector<Point2D>& positions = engine.positions();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    positions[i] = engine.grid().position(cells[i]);
+  }
+  engine.moved();
+  return engine.snapshot();
 }
 
-TEST(NeighborIndex, NeighborsMatchBruteForce) {
+TEST(ProximitySnapshotEngine, RejectsNonPositiveRadius) {
+  const SquareGrid g(4, 1.0);
+  EXPECT_THROW(ProximitySnapshotEngine(g, 0.0, 4), std::invalid_argument);
+  EXPECT_THROW(ProximitySnapshotEngine(g, -1.0, 4), std::invalid_argument);
+}
+
+TEST(ProximitySnapshotEngine, NeighborsMatchBruteForce) {
   const SquareGrid g(16, 1.0);
-  NeighborIndex index(g, 0.2);
+  ProximitySnapshotEngine engine(g, 0.2, 40);
   // A deterministic spread of positions.
   std::vector<CellId> pos;
   for (std::uint32_t i = 0; i < 40; ++i) {
     pos.push_back(static_cast<CellId>((i * 37) % g.num_points()));
   }
-  index.rebuild(pos);
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    auto got = index.neighbors_of(i);
+  const Snapshot& snapshot = snapshot_at(engine, pos);
+  for (NodeId i = 0; i < pos.size(); ++i) {
+    const std::span<const NodeId> row = snapshot.neighbors(i);
+    std::vector<NodeId> got(row.begin(), row.end());
     std::sort(got.begin(), got.end());
-    std::vector<std::uint32_t> expected;
-    for (std::uint32_t j = 0; j < pos.size(); ++j) {
+    std::vector<NodeId> expected;
+    for (NodeId j = 0; j < pos.size(); ++j) {
       if (j == i) continue;
       if (euclidean_distance(g.position(pos[i]), g.position(pos[j])) <= 0.2) {
         expected.push_back(j);
@@ -198,22 +216,21 @@ TEST(NeighborIndex, NeighborsMatchBruteForce) {
   }
 }
 
-TEST(NeighborIndex, ForEachPairMatchesBruteForce) {
+TEST(ProximitySnapshotEngine, PairSetMatchesBruteForce) {
   const SquareGrid g(12, 1.0);
   const double radius = 0.3;
-  NeighborIndex index(g, radius);
+  ProximitySnapshotEngine engine(g, radius, 30);
   std::vector<CellId> pos;
   for (std::uint32_t i = 0; i < 30; ++i) {
     pos.push_back(static_cast<CellId>((i * 53 + 7) % g.num_points()));
   }
-  index.rebuild(pos);
-  std::set<std::pair<std::uint32_t, std::uint32_t>> got;
-  index.for_each_pair([&](std::uint32_t a, std::uint32_t b) {
+  std::set<std::pair<NodeId, NodeId>> got;
+  snapshot_at(engine, pos).for_each_edge([&](NodeId a, NodeId b) {
     got.insert({std::min(a, b), std::max(a, b)});
   });
-  std::set<std::pair<std::uint32_t, std::uint32_t>> expected;
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    for (std::uint32_t j = i + 1; j < pos.size(); ++j) {
+  std::set<std::pair<NodeId, NodeId>> expected;
+  for (NodeId i = 0; i < pos.size(); ++i) {
+    for (NodeId j = i + 1; j < pos.size(); ++j) {
       if (euclidean_distance(g.position(pos[i]), g.position(pos[j])) <=
           radius) {
         expected.insert({i, j});
@@ -223,100 +240,26 @@ TEST(NeighborIndex, ForEachPairMatchesBruteForce) {
   EXPECT_EQ(got, expected);
 }
 
-TEST(NeighborIndex, PairsEmittedOnce) {
+TEST(ProximitySnapshotEngine, PairsEmittedOnce) {
   const SquareGrid g(8, 1.0);
-  NeighborIndex index(g, 0.5);
-  std::vector<CellId> pos{0, 1, 2, 8, 9};  // a tight cluster
-  index.rebuild(pos);
-  std::multiset<std::pair<std::uint32_t, std::uint32_t>> seen;
-  index.for_each_pair([&](std::uint32_t a, std::uint32_t b) {
+  ProximitySnapshotEngine engine(g, 0.5, 5);
+  const std::vector<CellId> pos{0, 1, 2, 8, 9};  // a tight cluster
+  std::multiset<std::pair<NodeId, NodeId>> seen;
+  snapshot_at(engine, pos).for_each_edge([&](NodeId a, NodeId b) {
     seen.insert({std::min(a, b), std::max(a, b)});
   });
+  EXPECT_FALSE(seen.empty());
   for (const auto& pair : seen) {
     EXPECT_EQ(seen.count(pair), 1u)
         << "pair (" << pair.first << "," << pair.second << ") duplicated";
   }
 }
 
-using PairList = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
-
-// collect_pairs() with its keys decoded to (a, b) pairs.
-PairList pairs_of(const NeighborIndex& index) {
-  std::vector<std::uint64_t> keys;
-  index.collect_pairs(keys);
-  PairList out;
-  for (const std::uint64_t key : keys) {
-    out.emplace_back(pair_key_i(key), pair_key_j(key));
-  }
-  return out;
-}
-
-TEST(NeighborIndex, CollectPairsMatchesForEachPair) {
-  const SquareGrid g(12, 1.0);
-  NeighborIndex index(g, 0.3);
-  std::vector<CellId> pos;
-  for (std::uint32_t i = 0; i < 30; ++i) {
-    pos.push_back(static_cast<CellId>((i * 53 + 7) % g.num_points()));
-  }
-  index.rebuild(pos);
-  PairList visited;
-  index.for_each_pair([&](std::uint32_t a, std::uint32_t b) {
-    visited.emplace_back(a, b);
-  });
-  EXPECT_EQ(visited, pairs_of(index));
-}
-
-// Brute-force oracle for collect_pairs(): re-derives every node's bucket
-// from the documented formula and emits the within-radius pairs in the
-// documented order — buckets row-major; within a bucket, then its E, SW,
-// S and SE neighbours; members ascending by node id.
-PairList canonical_pairs(const SquareGrid& g, double radius,
-                         const std::vector<CellId>& pos) {
-  const std::size_t m = g.resolution();
-  const std::uint64_t bps = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::floor(g.side_length() / radius)));
-  const auto axis_bucket = [&](std::uint64_t coord) {
-    return std::min<std::uint64_t>(coord * bps / (m - 1), bps - 1);
-  };
-  std::vector<std::vector<std::uint32_t>> members(bps * bps);
-  for (std::uint32_t node = 0; node < pos.size(); ++node) {
-    members[axis_bucket(g.row(pos[node])) * bps +
-            axis_bucket(g.col(pos[node]))]
-        .push_back(node);
-  }
-  const double r2 = radius * radius;
-  PairList out;
-  const auto scan = [&](const std::vector<std::uint32_t>& home,
-                        const std::vector<std::uint32_t>& other, bool same) {
-    for (std::size_t a = 0; a < home.size(); ++a) {
-      for (std::size_t c = same ? a + 1 : 0; c < other.size(); ++c) {
-        if (squared_distance(g.position(pos[home[a]]),
-                             g.position(pos[other[c]])) <= r2) {
-          out.emplace_back(home[a], other[c]);
-        }
-      }
-    }
-  };
-  const auto ibps = static_cast<std::int64_t>(bps);
-  for (std::int64_t br = 0; br < ibps; ++br) {
-    for (std::int64_t bc = 0; bc < ibps; ++bc) {
-      const auto& home = members[br * ibps + bc];
-      scan(home, home, true);
-      const std::int64_t forward[4][2] = {{0, 1}, {1, -1}, {1, 0}, {1, 1}};
-      for (const auto& off : forward) {
-        const std::int64_t nr = br + off[0], nc = bc + off[1];
-        if (nr < 0 || nr >= ibps || nc < 0 || nc >= ibps) continue;
-        scan(home, members[nr * ibps + nc], false);
-      }
-    }
-  }
-  return out;
-}
-
-// Exact order, not just the pair set, in every bucket regime; the
-// one-point shortcut is on exactly where each bucket holds one grid
-// point.  Each case also re-checks after an incremental refresh.
-TEST(NeighborIndex, PairOrderMatchesCanonicalOrderInEveryRegime) {
+// Exact order, not just the pair set, against the canonical_pairs()
+// oracle in every bucket regime; the one-point build is on exactly where
+// each bucket holds one grid point.  Each case is checked again after a
+// seventh of the agents move, on the engine's reused buffers.
+TEST(ProximitySnapshotEngine, PairOrderMatchesCanonicalOrderInEveryRegime) {
   struct Regime {
     const char* name;
     std::size_t m;
@@ -339,9 +282,9 @@ TEST(NeighborIndex, PairOrderMatchesCanonicalOrderInEveryRegime) {
   for (const Regime& regime : regimes) {
     SCOPED_TRACE(regime.name);
     const SquareGrid g(regime.m, regime.side);
-    NeighborIndex index(g, regime.radius);
-    EXPECT_EQ(NeighborIndex::one_point_buckets(g, regime.radius),
+    EXPECT_EQ(ProximitySnapshotEngine::one_point(g, regime.radius),
               regime.one_point);
+    ProximitySnapshotEngine engine(g, regime.radius, regime.agents);
     Rng rng(regime.m * 1000 + regime.agents);
     std::vector<CellId> pos(regime.agents);
     const auto draw = [&] {
@@ -349,86 +292,11 @@ TEST(NeighborIndex, PairOrderMatchesCanonicalOrderInEveryRegime) {
     };
     const CellId spot = draw();
     for (auto& cell : pos) cell = regime.collapsed ? spot : draw();
-    index.refresh(pos);
-    ASSERT_EQ(pairs_of(index), canonical_pairs(g, regime.radius, pos));
+    ASSERT_EQ(decoded_edges(snapshot_at(engine, pos)),
+              canonical_pairs(g, regime.radius, pos));
     for (std::size_t i = 0; i < pos.size(); i += 7) pos[i] = draw();
-    index.refresh(pos);
-    ASSERT_EQ(pairs_of(index), canonical_pairs(g, regime.radius, pos));
-  }
-}
-
-// The incremental update path must be indistinguishable from a full
-// rebuild: after any stream of single-node moves, the emitted pair list
-// (content *and* order) matches a fresh index rebuilt from the same
-// positions.
-TEST(NeighborIndex, UpdateMatchesFullRebuildUnderRandomMoves) {
-  const SquareGrid g(24, 1.0);
-  NeighborIndex incremental(g, 0.18);
-  NeighborIndex reference(g, 0.18);
-  std::vector<CellId> pos(60);
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    pos[i] = static_cast<CellId>((i * 97 + 13) % g.num_points());
-  }
-  incremental.rebuild(pos);
-  std::uint64_t x = 0x2545f4914f6cdd1dULL;  // tiny deterministic LCG
-  const auto rnd = [&](std::uint64_t bound) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    return (x >> 33) % bound;
-  };
-  for (int move = 0; move < 600; ++move) {
-    const auto node = static_cast<std::uint32_t>(rnd(pos.size()));
-    pos[node] = static_cast<CellId>(rnd(g.num_points()));
-    incremental.update(node, pos[node]);
-    reference.rebuild(pos);
-    ASSERT_EQ(pairs_of(incremental), pairs_of(reference)) << "move " << move;
-  }
-}
-
-TEST(NeighborIndex, UpdateSurvivesBucketOverflowRecompaction) {
-  // Funnel every node into one bucket so the destination slice overflows
-  // its slack repeatedly and update() takes the recompaction path.
-  const SquareGrid g(32, 8.0);
-  NeighborIndex incremental(g, 1.0);
-  NeighborIndex reference(g, 1.0);
-  std::vector<CellId> pos(64);
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    pos[i] = static_cast<CellId>((i * 131) % g.num_points());
-  }
-  incremental.rebuild(pos);
-  for (std::uint32_t node = 0; node < pos.size(); ++node) {
-    pos[node] = g.nearest({0.1 * (node % 4), 0.1 * (node / 16)});
-    incremental.update(node, pos[node]);
-    reference.rebuild(pos);
-    ASSERT_EQ(pairs_of(incremental), pairs_of(reference)) << "node " << node;
-  }
-}
-
-TEST(NeighborIndex, RefreshMatchesFullRebuildAtAnyChurn) {
-  // refresh() picks between per-node updates and the batch rebuild by a
-  // churn threshold; both sides of the switch must agree with a scratch
-  // full rebuild.
-  const SquareGrid g(20, 1.0);
-  NeighborIndex incremental(g, 0.21);
-  NeighborIndex reference(g, 0.21);
-  std::vector<CellId> pos(48);
-  for (std::uint32_t i = 0; i < pos.size(); ++i) {
-    pos[i] = static_cast<CellId>((i * 61 + 5) % g.num_points());
-  }
-  incremental.rebuild(pos);
-  std::uint64_t x = 42;
-  const auto rnd = [&](std::uint64_t bound) {
-    x = x * 6364136223846793005ULL + 1442695040888963407ULL;
-    return (x >> 33) % bound;
-  };
-  for (int round = 0; round < 200; ++round) {
-    // Alternate low churn (a couple of nodes) and full-churn rounds.
-    const std::size_t movers = (round % 2 == 0) ? 2 : pos.size();
-    for (std::size_t m = 0; m < movers; ++m) {
-      pos[rnd(pos.size())] = static_cast<CellId>(rnd(g.num_points()));
-    }
-    incremental.refresh(pos);
-    reference.rebuild(pos);
-    ASSERT_EQ(pairs_of(incremental), pairs_of(reference)) << "round " << round;
+    ASSERT_EQ(decoded_edges(snapshot_at(engine, pos)),
+              canonical_pairs(g, regime.radius, pos));
   }
 }
 
@@ -436,7 +304,7 @@ TEST(NeighborIndex, RefreshMatchesFullRebuildAtAnyChurn) {
 // it against walking the bucket map column by column (adjacent columns
 // in distinct buckets, the clamp to bps - 1 included), and check that it
 // implies r < spacing, so no within-radius pair spans two grid points.
-TEST(NeighborIndex, OnePointPredicateMatchesBucketWalk) {
+TEST(ProximitySnapshotEngine, OnePointPredicateMatchesBucketWalk) {
   const std::size_t resolutions[] = {2, 3, 5, 8, 16, 31, 32, 33, 64, 256};
   const double sides[] = {1.0, 4.0, 7.5, 31.0, 32.0, 64.0};
   const double radii[] = {0.01, 0.1, 0.4, 0.5, 0.99, 1.0, 1.5, 2.0, 3.0};
@@ -456,7 +324,7 @@ TEST(NeighborIndex, OnePointPredicateMatchesBucketWalk) {
         for (std::uint64_t col = 1; col < m; ++col) {
           walk = walk && bucket(col) != bucket(col - 1);
         }
-        const bool one_point = NeighborIndex::one_point_buckets(g, radius);
+        const bool one_point = ProximitySnapshotEngine::one_point(g, radius);
         EXPECT_EQ(one_point, walk);
         if (one_point) {
           ++one_point_cases;
@@ -468,32 +336,29 @@ TEST(NeighborIndex, OnePointPredicateMatchesBucketWalk) {
   EXPECT_GT(one_point_cases, 50u);
   // Computed without forming a bucket count, so any positive radius is
   // safe; the radius check matches the constructor's.
-  EXPECT_TRUE(NeighborIndex::one_point_buckets(SquareGrid(32, 64.0), 1e-300));
-  EXPECT_THROW(NeighborIndex::one_point_buckets(SquareGrid(32, 64.0), 0.0),
+  EXPECT_TRUE(ProximitySnapshotEngine::one_point(SquareGrid(32, 64.0), 1e-300));
+  EXPECT_THROW(ProximitySnapshotEngine::one_point(SquareGrid(32, 64.0), 0.0),
                std::invalid_argument);
 }
 
-// Property: for a full occupancy of the grid, the number of index-reported
-// pairs matches the analytic disc count.
-class NeighborIndexDensity : public ::testing::TestWithParam<double> {};
+// Property: with one agent on every grid point, the snapshot's edge
+// count matches the analytic disc count.
+class ProximityDensity : public ::testing::TestWithParam<double> {};
 
-TEST_P(NeighborIndexDensity, FullGridPairCount) {
+TEST_P(ProximityDensity, FullGridPairCount) {
   const SquareGrid g(10, 1.0);
   const double radius = GetParam();
-  NeighborIndex index(g, radius);
+  ProximitySnapshotEngine engine(g, radius, g.num_points());
   std::vector<CellId> pos(g.num_points());
   for (CellId c = 0; c < g.num_points(); ++c) pos[c] = c;
-  index.rebuild(pos);
-  std::size_t pairs = 0;
-  index.for_each_pair([&](std::uint32_t, std::uint32_t) { ++pairs; });
   std::size_t expected = 0;
   for (CellId c = 0; c < g.num_points(); ++c) {
     expected += g.disc(c, radius).size();
   }
-  EXPECT_EQ(pairs, expected / 2);
+  EXPECT_EQ(snapshot_at(engine, pos).num_edges(), expected / 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Radii, NeighborIndexDensity,
+INSTANTIATE_TEST_SUITE_P(Radii, ProximityDensity,
                          ::testing::Values(0.12, 0.2, 0.35));
 
 }  // namespace

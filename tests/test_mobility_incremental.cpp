@@ -1,9 +1,8 @@
-// Mobility-engine equivalence: the waypoint/trip models maintain their
-// NeighborIndex incrementally (NeighborIndex::refresh), so every emitted
-// snapshot must be bit-for-bit identical — same edges, same order — to
-// what a from-scratch NeighborIndex rebuild over the same agent cells
-// would produce.  Covers long runs at paper speeds (v << L, the
-// genuinely incremental regime), fast runs (the batch-rebuild fallback),
+// Mobility-engine equivalence: every snapshot the waypoint/trip models
+// emit must be exactly — same edges, same order — what the brute-force
+// canonical_pairs() oracle (canonical_pairs.hpp) lists for the same
+// agent cells.  Covers long runs at paper speeds (v << L, agents rarely
+// change bucket), fast runs (most agents change bucket every step),
 // collapse_to() and reset().
 //
 // The models also build snapshots lazily (ProximitySnapshotEngine): a
@@ -18,10 +17,10 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
+#include "canonical_pairs.hpp"
 #include "geometry/point.hpp"
 #include "geometry/square_grid.hpp"
 #include "mobility/proximity_engine.hpp"
@@ -34,32 +33,26 @@ namespace {
 
 using PairList = std::vector<std::pair<NodeId, NodeId>>;
 
-// Rebuilds a scratch index from the model's current agent cells and
-// returns the pair list a full rebuild would emit.
+// The oracle's pair list for the model's current agent cells.
 template <typename Model>
-PairList full_rebuild_pairs(const Model& model, NeighborIndex& scratch) {
+PairList oracle_pairs(const Model& model, double radius) {
   std::vector<CellId> cells(model.num_nodes());
   for (NodeId i = 0; i < model.num_nodes(); ++i) {
     cells[i] = model.agent_cell(i);
   }
-  scratch.rebuild(cells);
-  Snapshot reference(model.num_nodes());
-  scratch.collect_pairs(reference.key_buffer());
-  return decoded_edges(reference);
+  return canonical_pairs(model.grid(), radius, cells);
 }
 
 template <typename Model>
-void expect_snapshot_matches_full_rebuild(const Model& model,
-                                          NeighborIndex& scratch,
-                                          const char* what, int step) {
-  ASSERT_EQ(decoded_edges(model.snapshot()),
-            full_rebuild_pairs(model, scratch))
+void expect_snapshot_matches_oracle(const Model& model, double radius,
+                                    const char* what, int step) {
+  ASSERT_EQ(decoded_edges(model.snapshot()), oracle_pairs(model, radius))
       << what << " step " << step;
 }
 
-TEST(MobilityIncremental, WaypointSlowSpeedLongRun) {
+TEST(MobilityOracle, WaypointSlowSpeedLongRun) {
   // Paper regime: v_max = L/400 per round, far below the bucket width, so
-  // almost every round goes through the per-node update path.
+  // few agents change bucket in a round.
   WaypointParams p;
   p.side_length = 8.0;
   p.v_min = 0.01;
@@ -67,16 +60,15 @@ TEST(MobilityIncremental, WaypointSlowSpeedLongRun) {
   p.radius = 1.0;
   p.resolution = 48;
   const auto model = make_random_waypoint(40, p, 17);
-  NeighborIndex scratch(model->grid(), p.radius);
   for (int t = 0; t < 400; ++t) {
-    expect_snapshot_matches_full_rebuild(*model, scratch, "slow waypoint", t);
+    expect_snapshot_matches_oracle(*model, p.radius, "slow waypoint", t);
     model->step();
   }
 }
 
-TEST(MobilityIncremental, WaypointFastSpeedFallback) {
-  // v comparable to the bucket width: most rounds trip the batch-rebuild
-  // fallback inside refresh(); snapshots must be indistinguishable.
+TEST(MobilityOracle, WaypointFastSpeed) {
+  // v comparable to the bucket width: most agents change bucket in a
+  // round.
   WaypointParams p;
   p.side_length = 8.0;
   p.v_min = 0.5;
@@ -84,14 +76,13 @@ TEST(MobilityIncremental, WaypointFastSpeedFallback) {
   p.radius = 1.0;
   p.resolution = 48;
   const auto model = make_random_waypoint(48, p, 23);
-  NeighborIndex scratch(model->grid(), p.radius);
   for (int t = 0; t < 200; ++t) {
-    expect_snapshot_matches_full_rebuild(*model, scratch, "fast waypoint", t);
+    expect_snapshot_matches_oracle(*model, p.radius, "fast waypoint", t);
     model->step();
   }
 }
 
-TEST(MobilityIncremental, WaypointCollapseAndReset) {
+TEST(MobilityOracle, WaypointCollapseAndReset) {
   WaypointParams p;
   p.side_length = 6.0;
   p.v_min = 0.05;
@@ -99,20 +90,19 @@ TEST(MobilityIncremental, WaypointCollapseAndReset) {
   p.radius = 1.0;
   p.resolution = 32;
   const auto model = make_random_waypoint(32, p, 5);
-  NeighborIndex scratch(model->grid(), p.radius);
   for (int t = 0; t < 50; ++t) model->step();
   // Worst-case start: everyone lands in one cell (maximum bucket load),
-  // then disperses through the incremental path.
+  // then disperses.
   model->collapse_to({3.0, 3.0});
   for (int t = 0; t < 120; ++t) {
-    expect_snapshot_matches_full_rebuild(*model, scratch, "post-collapse", t);
+    expect_snapshot_matches_oracle(*model, p.radius, "post-collapse", t);
     model->step();
   }
-  // reset() re-derives everything from a fresh seed; the incremental
-  // index must restart cleanly and stay equivalent.
+  // reset() re-derives everything from a fresh seed; the snapshots must
+  // stay equivalent.
   model->reset(99);
   for (int t = 0; t < 120; ++t) {
-    expect_snapshot_matches_full_rebuild(*model, scratch, "post-reset", t);
+    expect_snapshot_matches_oracle(*model, p.radius, "post-reset", t);
     model->step();
   }
   // Determinism: a second reset from the same seed replays the stream.
@@ -131,31 +121,31 @@ TEST(MobilityIncremental, WaypointCollapseAndReset) {
   }
 }
 
-TEST(MobilityIncremental, RandomTripPausePolicyLongRun) {
-  // Pauses keep a subset of agents perfectly still — the cheapest case
-  // for the incremental path — while movers cross buckets.
+TEST(MobilityOracle, RandomTripPausePolicyLongRun) {
+  // Pauses keep a subset of agents perfectly still while movers cross
+  // buckets.
   const auto policy =
       std::make_shared<SquareWaypointPolicy>(6.0, 0.05, 0.15, 2, 6);
   RandomTripModel model(36, policy, 1.0, 32, 31);
-  NeighborIndex scratch(model.grid(), 1.0);
+  const double radius = 1.0;
   for (int t = 0; t < 300; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "trip pause", t);
+    expect_snapshot_matches_oracle(model, radius, "trip pause", t);
     model.step();
   }
   model.reset(7);
   for (int t = 0; t < 100; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "trip reset", t);
+    expect_snapshot_matches_oracle(model, radius, "trip reset", t);
     model.step();
   }
 }
 
-TEST(MobilityIncremental, RandomTripDirectionPolicy) {
+TEST(MobilityOracle, RandomTripDirectionPolicy) {
   const auto policy =
       std::make_shared<RandomDirectionPolicy>(6.0, 0.05, 0.2, 0.5, 2.0);
   RandomTripModel model(36, policy, 0.8, 40, 43);
-  NeighborIndex scratch(model.grid(), 0.8);
+  const double radius = 0.8;
   for (int t = 0; t < 250; ++t) {
-    expect_snapshot_matches_full_rebuild(model, scratch, "trip direction", t);
+    expect_snapshot_matches_oracle(model, radius, "trip direction", t);
     model.step();
   }
 }
@@ -163,7 +153,7 @@ TEST(MobilityIncremental, RandomTripDirectionPolicy) {
 // Two same-seed models under one operation script: `eager` reads its
 // snapshot after every operation (the pre-deferral behaviour), `lazy`
 // only where the script calls read().  Each read is also checked against
-// a full rebuild over the current cells, which two equally stale models
+// the oracle over the current cells, which two equally stale models
 // would fail.
 template <typename Model>
 struct Lockstep {
@@ -171,12 +161,12 @@ struct Lockstep {
            const char* label)
       : eager(eager_model),
         lazy(lazy_model),
-        scratch(lazy_model.grid(), radius),
+        radius(radius),
         what(label) {}
 
   Model& eager;
   Model& lazy;
-  NeighborIndex scratch;
+  double radius;
   const char* what;
   int op = 0;
 
@@ -210,7 +200,7 @@ struct Lockstep {
     ASSERT_EQ(lazy.time(), eager.time()) << what << " op " << op;
     const PairList& edges = decoded_edges(lazy.snapshot());
     ASSERT_EQ(edges, decoded_edges(eager.snapshot())) << what << " op " << op;
-    ASSERT_EQ(edges, full_rebuild_pairs(lazy, scratch))
+    ASSERT_EQ(edges, oracle_pairs(lazy, radius))
         << what << " op " << op;
   }
 
@@ -324,17 +314,18 @@ Snapshot sorted_cliques(const std::vector<CellId>& cells) {
   return cliques;
 }
 
-// The engine's clique build (one-point grids) against the references:
-// NeighborIndex::collect_pairs over the same cells, where the bucket
-// table fits, and sorted_cliques().  The keys and both CSR arrays must
-// match the lazily built CSR exactly, over several rounds of fresh random
-// positions (the engine reuses its buffers).  The cases include both
-// sides of the regime boundary (bps = m and bps = m - 1), cliques larger
-// than the build's write blocks, every agent on one point, and grids
-// with many more points than agents (m = 256 with its agents crowded
-// into a corner, m = 4096 and m = 2^16), which the build ranks by
-// occupied point with scratch linear in the agents.
-TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
+// The engine's build against the references: canonical_pairs() over the
+// same cells, where its bucket table fits, and on one-point grids
+// sorted_cliques().  The keys and both CSR arrays (built by the engine
+// on one-point grids, lazily on multi-point ones) must match the lazily
+// built CSR of the reference exactly, over several rounds of fresh
+// random positions (the engine reuses its buffers).  The cases include
+// both sides of the regime boundary (bps = m and bps = m - 1), cliques
+// larger than the build's write blocks, every agent on one point, and
+// grids with many more points (or buckets) than agents (m = 256 with its
+// agents crowded into a corner, m = 4096 and m = 2^16; the ranked
+// multi-point cases), which the build ranks by occupied point.
+TEST(MobilityCliqueBuild, MatchesOracleAndLazyCsr) {
   struct Case {
     const char* name;
     std::size_t m;
@@ -352,6 +343,9 @@ TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
       {"dense cliques", 8, 4.0, 0.4, 2000, 4.0, false, true},
       {"one point", 16, 8.0, 0.5, 300, 8.0, true, true},
       {"multi-point", 64, 16.0, 1.0, 1000, 16.0, false, false},
+      {"multi-point, ranked", 256, 64.0, 1.0, 500, 64.0, false, false},
+      {"multi-point, ranked, crowded corner", 1024, 64.0, 0.1, 300, 2.0,
+       false, false},
       {"fine grid, crowded corner", 256, 64.0, 0.2, 1000, 1.0, false, true},
       {"m = 4096", 4096, 64.0, 0.01, 256, 64.0, false, true},
       {"m = 4096, one point", 4096, 64.0, 0.01, 256, 64.0, true, true},
@@ -360,16 +354,16 @@ TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const SquareGrid grid(c.m, c.side);
-    ASSERT_EQ(NeighborIndex::one_point_buckets(grid, c.radius), c.one_point);
+    ASSERT_EQ(ProximitySnapshotEngine::one_point(grid, c.radius),
+              c.one_point);
     if (c.one_point) {
       EXPECT_LT(c.radius, grid.spacing());
     }
-    // A bucket table of bps^2 entries is the reference only where it is
-    // small; sorted_cliques() covers every one-point case.
+    // The oracle's table of bps^2 buckets is the reference only where it
+    // is small; sorted_cliques() covers every one-point case.
     const double bps = std::floor(c.side / c.radius);
-    std::optional<NeighborIndex> index;
-    if (bps * bps <= 1e6) index.emplace(grid, c.radius);
-    ASSERT_TRUE(index.has_value() || c.one_point);
+    const bool oracle = bps * bps <= 1e6;
+    ASSERT_TRUE(oracle || c.one_point);
     ProximitySnapshotEngine engine(grid, c.radius, c.agents);
     Rng rng(c.m * 7919 + c.agents);
     for (int round = 0; round < 4; ++round) {
@@ -387,10 +381,11 @@ TEST(MobilityCliqueBuild, MatchesPairScanAndLazyCsr) {
         cells[i] = grid.nearest(positions[i]);
       }
       std::vector<Snapshot> references;
-      if (index) {
-        index->rebuild(cells);
-        references.emplace_back(c.agents);
-        index->collect_pairs(references.back().key_buffer());
+      if (oracle) {
+        Snapshot& reference = references.emplace_back(c.agents);
+        for (const auto& [a, b] : canonical_pairs(grid, c.radius, cells)) {
+          reference.key_buffer().push_back(pack_pair(a, b));
+        }
       }
       if (c.one_point) references.push_back(sorted_cliques(cells));
 

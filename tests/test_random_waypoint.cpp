@@ -13,6 +13,7 @@
 #include "core/flooding.hpp"
 #include "geometry/point.hpp"
 #include "geometry/square_grid.hpp"
+#include "mobility/proximity_engine.hpp"
 #include "mobility/random_trip.hpp"
 #include "step_hash.hpp"
 #include "util/resource.hpp"
@@ -141,8 +142,8 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
 TEST(RandomWaypoint, TinyRadiusIsOnePointWithoutBuckets) {
   // Any radius below the grid spacing connects exactly the agents on one
   // grid point, so r = 0.01 gives r = 1's snapshots (same draws, same
-  // bytes).  Neither builds bucket storage: at r = 0.01 a NeighborIndex
-  // would size (L / r)^2 = 41M buckets, about 0.5 GB.
+  // bytes).  Neither builds bucket storage: at r = 0.01 a bucket table
+  // would hold (L / r)^2 = 41M entries.
   WaypointParams p;
   p.side_length = 64.0;
   p.v_min = 0.5;
@@ -152,7 +153,7 @@ TEST(RandomWaypoint, TinyRadiusIsOnePointWithoutBuckets) {
   const auto unit = make_random_waypoint(256, p, 9);
   const std::uint64_t peak_before = peak_rss_bytes();
   p.radius = 0.01;
-  ASSERT_TRUE(NeighborIndex::one_point_buckets(unit->grid(), p.radius));
+  ASSERT_TRUE(ProximitySnapshotEngine::one_point(unit->grid(), p.radius));
   const auto tiny = make_random_waypoint(256, p, 9);
   for (int t = 0; t <= 50; ++t) {
     if (t > 0) {
