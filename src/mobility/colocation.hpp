@@ -139,7 +139,7 @@ class ColocationBuilder {
         });
       }
     }
-    keys.resize(static_cast<std::size_t>(key - keys.data()));
+    keys.erase(keys.begin() + (key - keys.data()), keys.end());
     // A filter may drop clique pairs and keep cross pairs in equal number,
     // so only an unfiltered build can tell a clique-only snapshot by its
     // key count.
