@@ -1,8 +1,7 @@
 #include "analysis/estimators.hpp"
 
-#include <algorithm>
-#include <cassert>
 #include <stdexcept>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -14,11 +13,9 @@ void advance(DynamicGraph& graph, std::size_t steps) {
   for (std::size_t s = 0; s < steps; ++s) graph.step();
 }
 
-// Choose `count` distinct node ids, excluding those in `exclude`.
-std::vector<NodeId> distinct_nodes(Rng& rng, std::size_t n, std::size_t count,
-                                   const std::vector<NodeId>& exclude) {
+// Choose `count` distinct node ids.
+std::vector<NodeId> distinct_nodes(Rng& rng, std::size_t n, std::size_t count) {
   std::vector<char> taken(n, 0);
-  for (NodeId e : exclude) taken.at(e) = 1;
   std::vector<NodeId> result;
   result.reserve(count);
   while (result.size() < count) {
@@ -32,58 +29,6 @@ std::vector<NodeId> distinct_nodes(Rng& rng, std::size_t n, std::size_t count,
 }
 
 }  // namespace
-
-EdgeProbabilityEstimate estimate_edge_probability(DynamicGraph& graph,
-                                                  std::size_t samples,
-                                                  std::size_t stride,
-                                                  std::size_t tracked_pairs) {
-  if (samples == 0) {
-    throw std::invalid_argument("estimate_edge_probability: samples == 0");
-  }
-  const std::size_t n = graph.num_nodes();
-  const std::uint64_t all_pairs =
-      static_cast<std::uint64_t>(n) * (n - 1) / 2;
-
-  // Track a deterministic, evenly spread subset of pairs for the per-pair
-  // minimum (all of them when feasible).
-  const std::uint64_t tracked =
-      std::min<std::uint64_t>(all_pairs, tracked_pairs);
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  pairs.reserve(tracked);
-  Rng pair_rng(0x9e3779b9);
-  if (tracked == all_pairs) {
-    for (NodeId i = 0; i + 1 < n; ++i) {
-      for (NodeId j = i + 1; j < n; ++j) pairs.emplace_back(i, j);
-    }
-  } else {
-    while (pairs.size() < tracked) {
-      const auto i = static_cast<NodeId>(pair_rng.uniform_int(n));
-      const auto j = static_cast<NodeId>(pair_rng.uniform_int(n));
-      if (i != j) pairs.emplace_back(std::min(i, j), std::max(i, j));
-    }
-  }
-
-  std::vector<std::uint64_t> hits(pairs.size(), 0);
-  double density_sum = 0.0;
-  for (std::size_t s = 0; s < samples; ++s) {
-    if (s > 0) advance(graph, stride);
-    const Snapshot& snap = graph.snapshot();
-    density_sum += static_cast<double>(snap.num_edges()) /
-                   static_cast<double>(all_pairs);
-    for (std::size_t k = 0; k < pairs.size(); ++k) {
-      if (snap.has_edge(pairs[k].first, pairs[k].second)) ++hits[k];
-    }
-  }
-
-  EdgeProbabilityEstimate est;
-  est.snapshots = samples;
-  est.mean_density = density_sum / static_cast<double>(samples);
-  std::uint64_t min_hits = hits.empty() ? 0 : hits[0];
-  for (std::uint64_t h : hits) min_hits = std::min(min_hits, h);
-  est.min_pair_probability =
-      static_cast<double>(min_hits) / static_cast<double>(samples);
-  return est;
-}
 
 PairwiseEstimate estimate_pairwise(DynamicGraph& graph, std::size_t samples,
                                    std::size_t stride, std::size_t probes,
@@ -99,7 +44,7 @@ PairwiseEstimate estimate_pairwise(DynamicGraph& graph, std::size_t samples,
     if (s > 0) advance(graph, stride);
     const Snapshot& snap = graph.snapshot();
     for (std::size_t p = 0; p < probes; ++p) {
-      const auto ids = distinct_nodes(rng, n, 3, {});
+      const auto ids = distinct_nodes(rng, n, 3);
       const NodeId i = ids[0], j = ids[1], k = ids[2];
       // P_NM probe: are i and j connected?
       if (snap.has_edge(i, j)) ++pair_hits;
@@ -113,66 +58,6 @@ PairwiseEstimate estimate_pairwise(DynamicGraph& graph, std::size_t samples,
   est.p_nm = static_cast<double>(pair_hits) / static_cast<double>(total);
   est.p_nm2 = static_cast<double>(triple_hits) / static_cast<double>(total);
   est.eta = est.p_nm > 0.0 ? est.p_nm2 / (est.p_nm * est.p_nm) : 0.0;
-  return est;
-}
-
-BetaEstimate estimate_beta(DynamicGraph& graph,
-                           const std::vector<std::size_t>& set_sizes,
-                           std::size_t configs, std::size_t samples,
-                           std::size_t stride, std::uint64_t seed) {
-  if (set_sizes.empty() || configs == 0 || samples == 0) {
-    throw std::invalid_argument("estimate_beta: empty probe plan");
-  }
-  const std::size_t n = graph.num_nodes();
-  Rng rng(seed);
-
-  struct Config {
-    NodeId i = 0, j = 0;
-    std::vector<NodeId> set;
-    std::uint64_t hits_i = 0, hits_j = 0, hits_both = 0;
-  };
-  std::vector<Config> plan;
-  for (std::size_t size : set_sizes) {
-    if (size + 2 > n) continue;  // |A| + {i, j} must fit in [n]
-    for (std::size_t c = 0; c < configs; ++c) {
-      Config cfg;
-      const auto ij = distinct_nodes(rng, n, 2, {});
-      cfg.i = ij[0];
-      cfg.j = ij[1];
-      cfg.set = distinct_nodes(rng, n, size, ij);
-      plan.push_back(std::move(cfg));
-    }
-  }
-  if (plan.empty()) {
-    throw std::invalid_argument("estimate_beta: no feasible configuration");
-  }
-
-  for (std::size_t s = 0; s < samples; ++s) {
-    if (s > 0) advance(graph, stride);
-    const Snapshot& snap = graph.snapshot();
-    for (auto& cfg : plan) {
-      bool ei = false, ej = false;
-      for (NodeId a : cfg.set) {
-        if (!ei && snap.has_edge(cfg.i, a)) ei = true;
-        if (!ej && snap.has_edge(cfg.j, a)) ej = true;
-        if (ei && ej) break;
-      }
-      if (ei) ++cfg.hits_i;
-      if (ej) ++cfg.hits_j;
-      if (ei && ej) ++cfg.hits_both;
-    }
-  }
-
-  BetaEstimate est;
-  est.set_sizes = set_sizes;
-  const auto total = static_cast<double>(samples);
-  for (const auto& cfg : plan) {
-    if (cfg.hits_i == 0 || cfg.hits_j == 0) continue;
-    const double pi = static_cast<double>(cfg.hits_i) / total;
-    const double pj = static_cast<double>(cfg.hits_j) / total;
-    const double pb = static_cast<double>(cfg.hits_both) / total;
-    est.beta = std::max(est.beta, pb / (pi * pj));
-  }
   return est;
 }
 

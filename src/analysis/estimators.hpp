@@ -1,38 +1,15 @@
 #pragma once
 
-// Empirical estimators for the quantities the paper's conditions are
-// stated over: the stationary edge probability alpha / P_NM (Density
-// Condition), the two-neighbor probability P_NM2 and eta (Theorem 3's
-// hypothesis), and the beta-independence ratio of Theorem 1's Condition 2.
-// These let the experiments *check the preconditions* of each theorem on
-// the very models being measured, instead of assuming them.
+// Empirical estimator for the quantities Theorem 3's hypothesis is stated
+// over: the probability P_NM that a fixed pair is connected, the
+// two-neighbor probability P_NM2 and eta = P_NM2 / P_NM^2.  It measures
+// them on the very models the experiments run, instead of assuming them.
 
 #include <cstdint>
-#include <vector>
 
 #include "core/dynamic_graph.hpp"
-#include "util/stats.hpp"
 
 namespace megflood {
-
-struct EdgeProbabilityEstimate {
-  // Mean edge density over sampled snapshots: estimate of P_NM (by node
-  // exchangeability this equals the per-pair probability in node-MEGs).
-  double mean_density = 0.0;
-  // Minimum per-pair frequency over a tracked subset of pairs: empirical
-  // alpha for the Density Condition.
-  double min_pair_probability = 0.0;
-  std::size_t snapshots = 0;
-};
-
-// Samples `samples` snapshots, `stride` steps apart (stride should be at
-// least the model's mixing time so snapshots decorrelate).  Tracks up to
-// `tracked_pairs` individual pairs for the per-pair minimum (all pairs if
-// n is small enough).
-EdgeProbabilityEstimate estimate_edge_probability(DynamicGraph& graph,
-                                                  std::size_t samples,
-                                                  std::size_t stride,
-                                                  std::size_t tracked_pairs = 512);
 
 struct PairwiseEstimate {
   double p_nm = 0.0;   // P(fixed pair connected)
@@ -41,27 +18,12 @@ struct PairwiseEstimate {
   std::size_t snapshots = 0;
 };
 
-// Estimates P_NM and P_NM2 over sampled snapshots by averaging over
-// `probes` random (i, j, k) triples per snapshot.
+// Estimates P_NM and P_NM2 over `samples` snapshots, `stride` steps apart
+// (stride should be at least the model's mixing time so snapshots
+// decorrelate), by averaging over `probes` random (i, j, k) triples per
+// snapshot.
 PairwiseEstimate estimate_pairwise(DynamicGraph& graph, std::size_t samples,
                                    std::size_t stride, std::size_t probes = 256,
                                    std::uint64_t seed = 7);
-
-struct BetaEstimate {
-  // Worst observed ratio P(e_iA * e_jA) / (P(e_iA) P(e_jA)) across probe
-  // configurations; the empirical beta of Condition 2.
-  double beta = 0.0;
-  // The configuration set sizes |A| probed.
-  std::vector<std::size_t> set_sizes;
-};
-
-// Estimates the beta-independence parameter: fixes `configs` random
-// (i, j, A) configurations per set size and measures the three event
-// frequencies across sampled snapshots.  Configurations whose denominator
-// events were never observed are skipped.
-BetaEstimate estimate_beta(DynamicGraph& graph,
-                           const std::vector<std::size_t>& set_sizes,
-                           std::size_t configs, std::size_t samples,
-                           std::size_t stride, std::uint64_t seed = 11);
 
 }  // namespace megflood

@@ -8,18 +8,9 @@ namespace megflood {
 
 namespace {
 
-void check_range(const std::vector<Snapshot>& trace, std::size_t from,
-                 std::size_t to) {
-  if (from >= to || to > trace.size()) {
-    throw std::invalid_argument("temporal: bad window range");
-  }
-}
-
-}  // namespace
-
-Graph union_graph(const std::vector<Snapshot>& trace, std::size_t from,
-                  std::size_t to) {
-  check_range(trace, from, to);
+// Union of the snapshots trace[from, to) as a static graph.
+Graph window_union(const std::vector<Snapshot>& trace, std::size_t from,
+                   std::size_t to) {
   Graph g(trace[from].num_nodes());
   for (std::size_t t = from; t < to; ++t) {
     for (const auto& [u, v] : trace[t].edges()) {
@@ -29,9 +20,9 @@ Graph union_graph(const std::vector<Snapshot>& trace, std::size_t from,
   return g;
 }
 
-Graph intersection_graph(const std::vector<Snapshot>& trace, std::size_t from,
-                         std::size_t to) {
-  check_range(trace, from, to);
+// Intersection (edges present in *every* snapshot of [from, to)).
+Graph window_intersection(const std::vector<Snapshot>& trace,
+                          std::size_t from, std::size_t to) {
   Graph g(trace[from].num_nodes());
   for (const auto& [u, v] : trace[from].edges()) {
     bool everywhere = true;
@@ -43,6 +34,8 @@ Graph intersection_graph(const std::vector<Snapshot>& trace, std::size_t from,
   return g;
 }
 
+}  // namespace
+
 std::size_t t_interval_connectivity(const std::vector<Snapshot>& trace) {
   if (trace.empty()) {
     throw std::invalid_argument("t_interval_connectivity: empty trace");
@@ -51,7 +44,7 @@ std::size_t t_interval_connectivity(const std::vector<Snapshot>& trace) {
   for (std::size_t window = 1; window <= trace.size(); ++window) {
     bool all_connected = true;
     for (std::size_t from = 0; from + window <= trace.size(); ++from) {
-      if (!is_connected(intersection_graph(trace, from, from + window))) {
+      if (!is_connected(window_intersection(trace, from, from + window))) {
         all_connected = false;
         break;
       }
@@ -69,7 +62,7 @@ std::size_t smallest_connecting_window(const std::vector<Snapshot>& trace) {
   for (std::size_t window = 1; window <= trace.size(); ++window) {
     bool all_connected = true;
     for (std::size_t from = 0; from + window <= trace.size(); ++from) {
-      if (!is_connected(union_graph(trace, from, from + window))) {
+      if (!is_connected(window_union(trace, from, from + window))) {
         all_connected = false;
         break;
       }

@@ -12,22 +12,16 @@
 // disconnected), and bench_a6 quantifies exactly that — sparse edge-MEGs
 // flood fast even though their snapshots are never connected and only
 // long unions connect.
+//
+// Only the three measures are public: the window union and intersection
+// graphs are built inside the two window measures.
 
 #include <cstddef>
 #include <vector>
 
 #include "core/snapshot.hpp"
-#include "graph/graph.hpp"
 
 namespace megflood {
-
-// Union of the snapshots trace[from, to) as a static graph.
-Graph union_graph(const std::vector<Snapshot>& trace, std::size_t from,
-                  std::size_t to);
-
-// Intersection (edges present in *every* snapshot of [from, to)).
-Graph intersection_graph(const std::vector<Snapshot>& trace, std::size_t from,
-                         std::size_t to);
 
 // Largest T >= 1 such that every window of T consecutive snapshots has a
 // connected intersection graph ([21]'s T-interval connectivity); 0 if

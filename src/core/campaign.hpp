@@ -35,12 +35,9 @@ CampaignKey campaign_key(const ScenarioSpec& spec);
 // One-line serialization, "megfcamp1|seed=<S>|trials=<T>|<cli>".  The CLI
 // is the last field (it contains spaces and arbitrary parameter bytes, but
 // never a newline — scenario args are whitespace-split tokens), so the
-// string is unambiguous and round-trips through parse_campaign_key.
+// string is unambiguous: equal strings are equal keys.  Journals and the
+// cache compare these strings; nothing parses one back.
 std::string campaign_key_string(const CampaignKey& key);
-
-// Inverse of campaign_key_string; throws std::invalid_argument on any
-// malformed input (wrong tag, non-numeric fields, truncation).
-CampaignKey parse_campaign_key(const std::string& text);
 
 // FNV-1a over campaign_key_string(key) — stable across runs and hosts,
 // used for cache file names.  Collisions are possible; consumers must

@@ -1,7 +1,6 @@
 #include "core/driver.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -14,6 +13,7 @@
 #include "core/format.hpp"
 #include "core/scenario.hpp"
 #include "util/fault_injection.hpp"
+#include "util/parse.hpp"
 #include "util/resource.hpp"
 
 namespace megflood {
@@ -152,34 +152,21 @@ int run_sweep(std::ostream& out, std::ostream& err, const ScenarioSpec& base,
 
 std::uint64_t parse_flag_u64(const std::string& flag, const std::string& value,
                              std::uint64_t max) {
-  std::size_t pos = 0;
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != value.size() || value.empty() || value[0] == '-' ||
-      parsed > max) {
+  const auto parsed = parse_whole_u64(value);
+  if (!parsed || *parsed > max) {
     throw std::invalid_argument(flag + " must be an integer in [0, " +
                                 std::to_string(max) + "], got '" + value + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 double parse_flag_seconds(const std::string& flag, const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != value.size() || !std::isfinite(parsed) || parsed < 0.0) {
+  const auto parsed = parse_finite_double(value);
+  if (!parsed || *parsed < 0.0) {
     throw std::invalid_argument(flag + " must be a non-negative number of "
                                 "seconds, got '" + value + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 bool parse_flag_bool(const std::string& flag, const std::string& value) {

@@ -23,6 +23,7 @@
 #include "protocols/k_push.hpp"
 #include "protocols/radio_broadcast.hpp"
 #include "protocols/ttl_flooding.hpp"
+#include "util/parse.hpp"
 
 namespace megflood {
 
@@ -32,20 +33,14 @@ namespace {
   throw std::invalid_argument("scenario: " + message);
 }
 
+// Rejecting non-finite values here keeps every downstream range check
+// sound (NaN compares false against any bound).
 double parse_double(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    fail("parameter " + key + ": '" + value + "' is not a number");
-  }
-  if (pos != value.size() || !std::isfinite(parsed)) {
-    // Rejecting non-finite values here keeps every downstream range check
-    // sound (NaN compares false against any bound).
+  const auto parsed = parse_finite_double(value);
+  if (!parsed) {
     fail("parameter " + key + ": '" + value + "' is not a finite number");
   }
-  return parsed;
+  return *parsed;
 }
 
 MegStorage parse_storage(const std::string& value) {
@@ -56,19 +51,12 @@ MegStorage parse_storage(const std::string& value) {
 }
 
 std::uint64_t parse_u64(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value, &pos);
-  } catch (const std::exception&) {
+  const auto parsed = parse_whole_u64(value);
+  if (!parsed) {
     fail("parameter " + key + ": '" + value +
          "' is not a non-negative integer");
   }
-  if (pos != value.size() || (!value.empty() && value[0] == '-')) {
-    fail("parameter " + key + ": '" + value +
-         "' is not a non-negative integer");
-  }
-  return parsed;
+  return *parsed;
 }
 
 // Resolves a model's parameter map against its declared schema: every
@@ -392,6 +380,8 @@ ScenarioModel build_random_trip(const ParamReader& p) {
   }
   const double radius = transmission_radius(p);
   const std::size_t resolution = p.size("resolution");
+  // Probe the grid so a bad resolution fails validation, not trial 1.
+  (void)SquareGrid(resolution, policy->bounding_side());
   return {[n, policy, radius, resolution](std::uint64_t seed)
               -> std::unique_ptr<DynamicGraph> {
             return std::make_unique<RandomTripModel>(n, policy, radius,
@@ -594,13 +584,6 @@ const std::vector<ScenarioModelInfo>& scenario_models() {
     return out;
   }();
   return infos;
-}
-
-const ScenarioModelInfo* find_scenario_model(const std::string& name) {
-  for (const ScenarioModelInfo& info : scenario_models()) {
-    if (info.name == name) return &info;
-  }
-  return nullptr;
 }
 
 ScenarioModel make_model_factory(const ScenarioSpec& spec) {

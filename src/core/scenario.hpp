@@ -68,9 +68,6 @@ struct ScenarioModelInfo {
 // All registered models, in registration order (stable for --list).
 const std::vector<ScenarioModelInfo>& scenario_models();
 
-// Registry lookup; nullptr when `name` is not registered.
-const ScenarioModelInfo* find_scenario_model(const std::string& name);
-
 // A built model: the per-trial graph factory plus the node count the
 // parameters resolved to (every registered model has an `n`), plus the
 // model's suggested warmup (Theta(L / v_max) for the geometric mobility

@@ -1,28 +1,22 @@
 #include "core/sweep.hpp"
 
-#include <cmath>
 #include <set>
 #include <stdexcept>
 
 #include "core/format.hpp"
+#include "util/parse.hpp"
 
 namespace megflood {
 
 namespace {
 
 double parse_sweep_number(const std::string& what, const std::string& text) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(text, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != text.size() || !std::isfinite(parsed)) {
+  const auto parsed = parse_finite_double(text);
+  if (!parsed) {
     throw std::invalid_argument("sweep " + what + ": '" + text +
                                 "' is not a finite number");
   }
-  return parsed;
+  return *parsed;
 }
 
 }  // namespace

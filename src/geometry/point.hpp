@@ -25,8 +25,4 @@ inline double squared_distance(const Point2D& a, const Point2D& b) {
   return dx * dx + dy * dy;
 }
 
-inline double manhattan_distance(const Point2D& a, const Point2D& b) {
-  return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
-
 }  // namespace megflood

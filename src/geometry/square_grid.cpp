@@ -3,12 +3,17 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace megflood {
 
 SquareGrid::SquareGrid(std::size_t m, double side_length)
     : m_(m), length_(side_length) {
-  if (m < 2) throw std::invalid_argument("SquareGrid: resolution m must be >= 2");
+  if (m < 2 || m > (std::size_t{1} << 16)) {
+    throw std::invalid_argument(
+        "SquareGrid: resolution m must be in [2, 65536], got " +
+        std::to_string(m));
+  }
   if (side_length <= 0.0) {
     throw std::invalid_argument("SquareGrid: side length must be positive");
   }
@@ -55,14 +60,6 @@ bool SquareGrid::disc_inside(CellId id, double radius) const {
   const Point2D p = position(id);
   return p.x - radius >= 0.0 && p.x + radius <= length_ &&
          p.y - radius >= 0.0 && p.y + radius <= length_;
-}
-
-std::size_t SquareGrid::interior_count(double radius) const {
-  std::size_t count = 0;
-  for (CellId id = 0; id < num_points(); ++id) {
-    if (disc_inside(id, radius)) ++count;
-  }
-  return count;
 }
 
 }  // namespace megflood

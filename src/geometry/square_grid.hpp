@@ -22,7 +22,8 @@ using CellId = std::uint32_t;
 
 class SquareGrid {
  public:
-  // m x m points regularly spaced over [0, L] x [0, L]; m >= 2.
+  // m x m points regularly spaced over [0, L] x [0, L]; 2 <= m <= 65536,
+  // the finest grid whose m * m point ids all fit in a CellId.
   SquareGrid(std::size_t m, double side_length);
 
   std::size_t resolution() const noexcept { return m_; }
@@ -66,9 +67,6 @@ class SquareGrid {
   // the square — i.e. position(id) lies in the eroded region B_r used by
   // Corollary 4's condition (b).
   bool disc_inside(CellId id, double radius) const;
-
-  // Number of grid points whose disc of `radius` fits inside the square.
-  std::size_t interior_count(double radius) const;
 
  private:
   // One axis of nearest(): clamp(std::round(v), 0, top), exactly.

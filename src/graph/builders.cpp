@@ -1,9 +1,7 @@
 #include "graph/builders.hpp"
 
 #include <cassert>
-#include <cmath>
 #include <cstdlib>
-#include <vector>
 
 namespace megflood {
 
@@ -109,50 +107,6 @@ Graph k_augmented_torus(std::size_t side, std::size_t k) {
           const auto v = grid_index(side, wrap(r + dr), wrap(c + dc));
           g.add_edge(u, v);  // duplicate rejection keeps the graph simple
         }
-      }
-    }
-  }
-  return g;
-}
-
-Graph erdos_renyi(std::size_t n, double p, Rng& rng) {
-  assert(p >= 0.0 && p <= 1.0);
-  Graph g(n);
-  if (p <= 0.0 || n < 2) return g;
-  if (p >= 1.0) return complete_graph(n);
-  // Geometric skipping over the implicit edge enumeration: O(E) expected.
-  const std::size_t total = n * (n - 1) / 2;
-  geometric_select(rng, total, p, [&](std::uint64_t idx) {
-    // Invert the pairing index -> (i, j), i < j, row-major over the
-    // strictly-upper-triangular matrix.
-    std::size_t i = 0;
-    std::size_t rem = idx;
-    std::size_t row_len = n - 1;
-    while (rem >= row_len) {
-      rem -= row_len;
-      --row_len;
-      ++i;
-    }
-    const std::size_t j = i + 1 + rem;
-    g.add_edge(static_cast<VertexId>(i), static_cast<VertexId>(j));
-  });
-  return g;
-}
-
-Graph random_geometric(std::size_t n, double radius, Rng& rng) {
-  assert(radius >= 0.0);
-  std::vector<double> xs(n), ys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    xs[i] = rng.uniform();
-    ys[i] = rng.uniform();
-  }
-  Graph g(n);
-  const double r2 = radius * radius;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double dx = xs[i] - xs[j], dy = ys[i] - ys[j];
-      if (dx * dx + dy * dy <= r2) {
-        g.add_edge(static_cast<VertexId>(i), static_cast<VertexId>(j));
       }
     }
   }

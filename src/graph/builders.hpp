@@ -1,13 +1,13 @@
 #pragma once
 
-// Graph constructors for every topology the paper's experiments need:
-// grids and tori (mobility spaces), k-augmented grids (Corollary 6's
-// headline example), plus standard families for testing.
+// Deterministic graph constructors for every topology the paper's
+// experiments need: paths, cycles, cliques and stars, grids and tori
+// (mobility spaces), and k-augmented grids (Corollary 6's headline
+// example).
 
 #include <cstddef>
 
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace megflood {
 
@@ -33,13 +33,6 @@ Graph k_augmented_grid(std::size_t side, std::size_t k);
 // isolating the k^2 mixing-time effect of Corollary 6 from boundary
 // degree-ratio noise.  Requires side > 2k + 1.
 Graph k_augmented_torus(std::size_t side, std::size_t k);
-
-// G(n, p) Erdos-Renyi.
-Graph erdos_renyi(std::size_t n, double p, Rng& rng);
-
-// Random geometric graph: n points uniform in the unit square, edge iff
-// Euclidean distance <= radius.
-Graph random_geometric(std::size_t n, double radius, Rng& rng);
 
 // Row-major helpers for grid-indexed graphs.
 inline VertexId grid_index(std::size_t side, std::size_t row, std::size_t col) {

@@ -132,7 +132,7 @@ DenseChain DenseChain::lazy() const {
   return DenseChain(std::move(rows));
 }
 
-DenseChain random_walk_chain(const Graph& g) {
+DenseChain lazy_random_walk_chain(const Graph& g) {
   const std::size_t n = g.num_vertices();
   std::vector<std::vector<double>> rows(n, std::vector<double>(n, 0.0));
   for (VertexId v = 0; v < n; ++v) {
@@ -144,11 +144,7 @@ DenseChain random_walk_chain(const Graph& g) {
     const double p = 1.0 / static_cast<double>(nbrs.size());
     for (VertexId u : nbrs) rows[v][u] = p;
   }
-  return DenseChain(std::move(rows));
-}
-
-DenseChain lazy_random_walk_chain(const Graph& g) {
-  return random_walk_chain(g).lazy();
+  return DenseChain(std::move(rows)).lazy();
 }
 
 }  // namespace megflood

@@ -57,12 +57,9 @@ class DenseChain {
   std::vector<std::vector<double>> rows_;
 };
 
-// Uniform-step random walk on a graph: P(u -> v) = 1/deg(u) for neighbors.
-// Isolated vertices self-loop with probability 1.
+// Lazy random walk on a graph: stay put with prob 1/2, else move to a
+// uniform neighbor.  Isolated vertices self-loop with probability 1.
 class Graph;  // fwd from graph/graph.hpp; definition required at call site
-DenseChain random_walk_chain(const Graph& g);
-
-// Lazy random walk: stay put with prob 1/2, else uniform neighbor.
 DenseChain lazy_random_walk_chain(const Graph& g);
 
 }  // namespace megflood

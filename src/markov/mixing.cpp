@@ -7,38 +7,6 @@
 
 namespace megflood {
 
-double tv_from_stationary(const DenseChain& chain,
-                          const std::vector<double>& stationary,
-                          StateId start, std::size_t steps) {
-  std::vector<double> mu(chain.num_states(), 0.0);
-  mu.at(start) = 1.0;
-  for (std::size_t t = 0; t < steps; ++t) mu = chain.evolve(mu);
-  return total_variation(mu, stationary);
-}
-
-std::vector<double> mixing_profile(const DenseChain& chain,
-                                   std::size_t max_steps) {
-  const std::size_t n = chain.num_states();
-  const auto pi = chain.stationary();
-  // Evolve all n point-mass distributions in lockstep.
-  std::vector<std::vector<double>> mus(n, std::vector<double>(n, 0.0));
-  for (StateId s = 0; s < n; ++s) mus[s][s] = 1.0;
-  std::vector<double> profile;
-  profile.reserve(max_steps + 1);
-  for (std::size_t t = 0; t <= max_steps; ++t) {
-    double worst = 0.0;
-    for (StateId s = 0; s < n; ++s) {
-      const double d = total_variation(mus[s], pi);
-      if (d > worst) worst = d;
-    }
-    profile.push_back(worst);
-    if (t < max_steps) {
-      for (StateId s = 0; s < n; ++s) mus[s] = chain.evolve(mus[s]);
-    }
-  }
-  return profile;
-}
-
 namespace {
 
 std::size_t mixing_time_impl(const DenseChain& chain,

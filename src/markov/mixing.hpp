@@ -12,16 +12,8 @@
 
 namespace megflood {
 
-// d(t) = max over start states s of TV( P^t(s, .), pi ).
-// Evaluated by evolving one distribution per start state.
-double tv_from_stationary(const DenseChain& chain,
-                          const std::vector<double>& stationary,
-                          StateId start, std::size_t steps);
-
-// Worst-case mixing profile d(t) for t = 0..max_steps (inclusive).
-std::vector<double> mixing_profile(const DenseChain& chain,
-                                   std::size_t max_steps);
-
+// d(t) = max over start states s of TV( P^t(s, .), pi ), evaluated by
+// evolving one distribution per start state.
 // T_mix(eps) = min { t : d(t) <= eps }.  The standard convention is
 // eps = 1/4; Theorem 3's epoch construction uses the log-boosted version.
 // Throws if not mixed within `max_steps`.

@@ -137,18 +137,4 @@ ConnectionMap cycle_proximity_connection(std::size_t num_states,
   return ConnectionMap(std::move(rows));
 }
 
-ConnectionMap active_subset_connection(std::size_t num_states,
-                                       const std::vector<StateId>& active) {
-  std::vector<bool> is_active(num_states, false);
-  for (StateId s : active) is_active.at(s) = true;
-  std::vector<std::vector<bool>> rows(num_states,
-                                      std::vector<bool>(num_states, false));
-  for (std::size_t a = 0; a < num_states; ++a) {
-    for (std::size_t b = 0; b < num_states; ++b) {
-      rows[a][b] = is_active[a] && is_active[b];
-    }
-  }
-  return ConnectionMap(std::move(rows));
-}
-
 }  // namespace megflood

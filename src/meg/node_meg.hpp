@@ -107,8 +107,4 @@ ConnectionMap same_state_connection(std::size_t num_states);
 ConnectionMap cycle_proximity_connection(std::size_t num_states,
                                          std::size_t radius);
 
-// C(a, b) = 1 iff both states are in the "active" subset.
-ConnectionMap active_subset_connection(std::size_t num_states,
-                                       const std::vector<StateId>& active);
-
 }  // namespace megflood

@@ -83,18 +83,6 @@ bool is_reversible(const PathFamily& family) {
   return true;
 }
 
-std::vector<std::uint64_t> path_congestion(const PathFamily& family,
-                                           std::size_t num_vertices) {
-  std::vector<std::uint64_t> counts(num_vertices, 0);
-  for (const auto& path : family.paths) {
-    // "Passes through": h_i = u for some 2 <= i <= l(h).
-    for (std::size_t i = 1; i < path.size(); ++i) {
-      ++counts.at(path[i]);
-    }
-  }
-  return counts;
-}
-
 namespace {
 
 // max_u counts[u] / (avg_v counts[v]), 0 when every count is 0.
@@ -111,11 +99,6 @@ double max_over_mean(const std::vector<std::uint64_t>& counts) {
 }
 
 }  // namespace
-
-double path_regularity_delta(const PathFamily& family,
-                             std::size_t num_vertices) {
-  return max_over_mean(path_congestion(family, num_vertices));
-}
 
 // ---------------------------------------------------------------------------
 // ExplicitPathsModel

@@ -19,7 +19,9 @@
 //    y-first) shortest paths between all pairs of an s x s grid, the
 //    paper's basic instance "H is a grid and the feasible paths are the
 //    shortest ones"; supports an optional hop connection radius, which
-//    also covers the Manhattan random waypoint variant of [13].
+//    also covers the Manhattan random waypoint variant of [13].  It also
+//    gives the family's exact #P(u) congestion and delta-regularity,
+//    Corollary 5's condition.
 //
 // ColocationBuilder (mobility/colocation.hpp) writes both models'
 // snapshots; the grid's forward neighbours of a point are the points of
@@ -65,15 +67,6 @@ bool is_simple(const PathFamily& family);
 
 // Reversible: the reverse of every path is in the family.
 bool is_reversible(const PathFamily& family);
-
-// #P(u) for every point u: number of paths passing through u, i.e.
-// h_i = u for some 2 <= i <= l(h) (start excluded, end included).
-std::vector<std::uint64_t> path_congestion(const PathFamily& family,
-                                           std::size_t num_vertices);
-
-// delta-regularity of the family: max_u #P(u) / (avg_v #P(v)).
-double path_regularity_delta(const PathFamily& family,
-                             std::size_t num_vertices);
 
 class ExplicitPathsModel final : public DynamicGraph {
  public:

@@ -1,7 +1,6 @@
 #include "util/fault_injection.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <thread>
@@ -12,6 +11,7 @@
 #include <cstdlib>
 #endif
 
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace megflood {
@@ -23,32 +23,17 @@ namespace {
 }
 
 std::uint64_t parse_count(const std::string& key, const std::string& value) {
-  std::size_t pos = 0;
-  unsigned long long parsed = 0;
-  try {
-    parsed = std::stoull(value, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != value.size() || value.empty() || value[0] == '-') {
-    fail(key + ": '" + value + "' is not a non-negative integer");
-  }
-  return parsed;
+  const auto parsed = parse_whole_u64(value);
+  if (!parsed) fail(key + ": '" + value + "' is not a non-negative integer");
+  return *parsed;
 }
 
 double parse_probability(const std::string& value) {
-  std::size_t pos = 0;
-  double parsed = 0.0;
-  try {
-    parsed = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    pos = std::string::npos;
-  }
-  if (pos != value.size() || !std::isfinite(parsed) || parsed < 0.0 ||
-      parsed > 1.0) {
+  const auto parsed = parse_finite_double(value);
+  if (!parsed || *parsed < 0.0 || *parsed > 1.0) {
     fail("prob: '" + value + "' is not a probability in [0,1]");
   }
-  return parsed;
+  return *parsed;
 }
 
 std::vector<std::string> split(const std::string& text, char sep) {

@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cassert>
-
 namespace megflood {
 
 std::uint64_t Rng::uniform_int_reject(__uint128_t m,
@@ -33,25 +31,6 @@ std::vector<std::uint64_t> derive_seeds(std::uint64_t master, std::size_t count)
   std::vector<std::uint64_t> seeds(count);
   for (auto& s : seeds) s = sm.next();
   return seeds;
-}
-
-std::size_t sample_discrete(Rng& rng, const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    assert(w >= 0.0);
-    total += w;
-  }
-  assert(total > 0.0);
-  double u = rng.uniform() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    u -= weights[i];
-    if (u < 0.0) return i;
-  }
-  // Floating point slack: return the last index with positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0.0) return i;
-  }
-  return 0;
 }
 
 }  // namespace megflood

@@ -194,8 +194,4 @@ inline void geometric_select(Rng& rng, std::uint64_t count, double p,
 // Expand one master seed into `count` per-entity seeds.
 std::vector<std::uint64_t> derive_seeds(std::uint64_t master, std::size_t count);
 
-// Sample an index from a discrete distribution given by non-negative
-// weights (need not be normalized).  Precondition: sum of weights > 0.
-std::size_t sample_discrete(Rng& rng, const std::vector<double>& weights);
-
 }  // namespace megflood

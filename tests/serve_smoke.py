@@ -37,6 +37,10 @@ load_1200: 1200 jobs over 40 connections pushed through one daemon with zero
 protocol errors, zero unresolved jobs and a cache-hit ratio of at least
 0.9 (megflood_load exits nonzero on any of those failing).
 
+bad_flags: a negative count (--max_line=-1, --max_queue=-1, ...) and a
+non-finite or partial ratio (--min_hit_ratio=nan, =0.9x) exit 2 at flag
+parsing; neither tool wraps -1 to 2^64 - 1 or silently drops a check.
+
 Each smoke runs in its own temporary directory.  Exits 1 when a check
 fails.
 """
@@ -225,13 +229,28 @@ def load_1200(serve, load, work, procs):
     stop_gracefully(daemon)
 
 
+def bad_flags(serve, load, work, procs):
+    # A parser that wraps -1 starts a daemon here; the timeout ends it.
+    sock = f"--socket={work / 'never.sock'}"
+    for flag in ("--max_line=-1", "--max_queue=-1", "--max_client_queue=-1",
+                 "--worker_memory_mb=-1"):
+        code = subprocess.run([serve, sock, flag], capture_output=True,
+                              timeout=5).returncode
+        check(code == 2, f"megflood_serve {flag} exited {code}, want 2")
+    for flag in ("--min_hit_ratio=nan", "--min_hit_ratio=0.9x",
+                 "--jobs=-1", "--timeout_ms= 5"):
+        code = subprocess.run([load, "--socket=/nonexistent", flag],
+                              capture_output=True, timeout=5).returncode
+        check(code == 2, f"megflood_load {flag} exited {code}, want 2")
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
     failed = 0
-    for smoke in (chaos, worker_crash, backpressure, quarantine, disk_tier,
-                  load_1200):
+    for smoke in (bad_flags, chaos, worker_crash, backpressure, quarantine,
+                  disk_tier, load_1200):
         procs = []
         with tempfile.TemporaryDirectory(prefix="mfsmoke") as work:
             try:

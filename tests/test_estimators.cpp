@@ -1,9 +1,7 @@
-// Tests for the empirical condition estimators against models with known
-// closed-form invariants.
+// Tests for the pairwise estimator against a model with known closed-form
+// invariants.
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "analysis/estimators.hpp"
 #include "graph/builders.hpp"
@@ -13,23 +11,6 @@
 
 namespace megflood {
 namespace {
-
-TEST(EstimateEdgeProbability, MatchesEdgeMegStationary) {
-  // pi_on = 0.25; snapshots decorrelated by a mixing-time stride.
-  TwoStateEdgeMEG meg(32, {0.1, 0.3}, 3);
-  const std::size_t stride = meg.chain().mixing_time() + 1;
-  const auto est = estimate_edge_probability(meg, 400, stride);
-  EXPECT_NEAR(est.mean_density, 0.25, 0.02);
-  // Every pair has the same probability; the tracked minimum is close.
-  EXPECT_GT(est.min_pair_probability, 0.1);
-  EXPECT_EQ(est.snapshots, 400u);
-}
-
-TEST(EstimateEdgeProbability, ZeroSamplesThrows) {
-  TwoStateEdgeMEG meg(8, {0.1, 0.1}, 1);
-  EXPECT_THROW((void)estimate_edge_probability(meg, 0, 1),
-               std::invalid_argument);
-}
 
 TEST(EstimatePairwise, MatchesNodeMegInvariants) {
   const std::size_t k = 6;
@@ -45,49 +26,6 @@ TEST(EstimatePairwise, MatchesNodeMegInvariants) {
 TEST(EstimatePairwise, NeedsThreeNodes) {
   TwoStateEdgeMEG meg(2, {0.1, 0.1}, 1);
   EXPECT_THROW((void)estimate_pairwise(meg, 10, 1), std::invalid_argument);
-}
-
-TEST(EstimateBeta, NearOneForIndependentEdges) {
-  // Edge-MEG edges are independent, so beta should be ~1 (Appendix A).
-  TwoStateEdgeMEG meg(24, {0.3, 0.3}, 7);
-  const auto est = estimate_beta(meg, {2, 4, 8}, 8, 600, 2);
-  EXPECT_GT(est.beta, 0.5);
-  EXPECT_LT(est.beta, 2.0);
-}
-
-TEST(EstimateBeta, DetectsCorrelatedEdges) {
-  // A node-MEG where both edges towards the "active" hub state appear
-  // together: incident edges are positively correlated, beta > 1.
-  // Connection: only state 0 is active and connects to everything.
-  const std::size_t k = 4;
-  std::vector<std::vector<bool>> rows(k, std::vector<bool>(k, false));
-  for (std::size_t s = 0; s < k; ++s) {
-    rows[0][s] = true;
-    rows[s][0] = true;
-  }
-  ExplicitNodeMEG meg(16, lazy_random_walk_chain(cycle_graph(k)),
-                      ConnectionMap(rows), 9);
-  const auto est = estimate_beta(meg, {4}, 8, 800, 2);
-  // P(e_iA & e_jA) ~ P(i in state 0 or some a in A in state 0 ...) —
-  // correlated through the shared set A; expect beta noticeably > 1.
-  EXPECT_GT(est.beta, 1.1);
-}
-
-TEST(EstimateBeta, EmptyPlanThrows) {
-  TwoStateEdgeMEG meg(8, {0.1, 0.1}, 1);
-  EXPECT_THROW((void)estimate_beta(meg, {}, 4, 10, 1),
-               std::invalid_argument);
-  // Set sizes too large for n are skipped; all-skipped must throw.
-  EXPECT_THROW((void)estimate_beta(meg, {64}, 4, 10, 1),
-               std::invalid_argument);
-}
-
-TEST(EstimateBeta, DeterministicGivenSeed) {
-  TwoStateEdgeMEG a(16, {0.2, 0.2}, 3);
-  TwoStateEdgeMEG b(16, {0.2, 0.2}, 3);
-  const auto ea = estimate_beta(a, {4}, 4, 200, 1, 42);
-  const auto eb = estimate_beta(b, {4}, 4, 200, 1, 42);
-  EXPECT_DOUBLE_EQ(ea.beta, eb.beta);
 }
 
 }  // namespace

@@ -26,7 +26,6 @@ TEST(Point2D, Distances) {
   const Point2D a{0.0, 0.0}, b{3.0, 4.0};
   EXPECT_DOUBLE_EQ(euclidean_distance(a, b), 5.0);
   EXPECT_DOUBLE_EQ(squared_distance(a, b), 25.0);
-  EXPECT_DOUBLE_EQ(manhattan_distance(a, b), 7.0);
 }
 
 TEST(SquareGrid, BasicGeometry) {
@@ -40,6 +39,21 @@ TEST(SquareGrid, BasicGeometry) {
 TEST(SquareGrid, RejectsBadParams) {
   EXPECT_THROW(SquareGrid(1, 1.0), std::invalid_argument);
   EXPECT_THROW(SquareGrid(4, 0.0), std::invalid_argument);
+  // From m = 65537 up, row * m + col no longer fits a 32-bit CellId.
+  EXPECT_THROW(SquareGrid(65537, 64.0), std::invalid_argument);
+}
+
+// The finest grid still gives every point its own id: the far corner is
+// the last id, 2^32 - 1.
+TEST(SquareGrid, FinestResolutionKeepsIdsDistinct) {
+  const SquareGrid g(65536, 64.0);
+  const CellId corner = g.nearest({63.99999, 63.99999});
+  EXPECT_EQ(corner, CellId{0xffffffffu});
+  EXPECT_EQ(g.row(corner), 65535u);
+  EXPECT_EQ(g.col(corner), 65535u);
+  const CellId below = g.nearest({63.99999, 64.0 - 1.5 * g.spacing()});
+  EXPECT_EQ(g.row(below), 65534u);
+  EXPECT_EQ(g.col(below), 65535u);
 }
 
 TEST(SquareGrid, IndexRoundTrip) {
@@ -165,14 +179,6 @@ TEST(SquareGrid, DiscInside) {
   EXPECT_FALSE(g.disc_inside(g.index(0, 5), 1.0));
   EXPECT_TRUE(g.disc_inside(g.index(1, 1), 1.0));
   EXPECT_FALSE(g.disc_inside(g.index(1, 1), 1.5));
-}
-
-TEST(SquareGrid, InteriorCount) {
-  const SquareGrid g(5, 4.0);  // spacing 1
-  // radius 1: interior points are the 3x3 center block.
-  EXPECT_EQ(g.interior_count(1.0), 9u);
-  // radius > L/2: nothing fits.
-  EXPECT_EQ(g.interior_count(2.5), 0u);
 }
 
 // The engine's snapshot with agent i at grid point cells[i].

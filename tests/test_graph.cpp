@@ -7,7 +7,6 @@
 
 #include "graph/builders.hpp"
 #include "graph/graph.hpp"
-#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -159,28 +158,6 @@ TEST(Builders, KAugmentedTorusWrapsAtDistanceK) {
   EXPECT_TRUE(g.has_edge(grid_index(9, 0, 0), grid_index(9, 8, 8)));
   // (0,0) to (7,8): wrapped distance 2+1 = 3 > 2.
   EXPECT_FALSE(g.has_edge(grid_index(9, 0, 0), grid_index(9, 7, 8)));
-}
-
-TEST(Builders, ErdosRenyiDensity) {
-  Rng rng(33);
-  const std::size_t n = 200;
-  const double p = 0.05;
-  const Graph g = erdos_renyi(n, p, rng);
-  const double expected = p * static_cast<double>(n * (n - 1) / 2);
-  EXPECT_NEAR(static_cast<double>(g.num_edges()), expected, expected * 0.3);
-}
-
-TEST(Builders, ErdosRenyiExtremes) {
-  Rng rng(34);
-  EXPECT_EQ(erdos_renyi(50, 0.0, rng).num_edges(), 0u);
-  EXPECT_EQ(erdos_renyi(10, 1.0, rng).num_edges(), 45u);
-}
-
-TEST(Builders, RandomGeometricRadiusZeroAndFull) {
-  Rng rng(35);
-  EXPECT_EQ(random_geometric(30, 0.0, rng).num_edges(), 0u);
-  // Radius sqrt(2) covers the whole unit square.
-  EXPECT_EQ(random_geometric(10, 1.5, rng).num_edges(), 45u);
 }
 
 TEST(DegreeStats, RegularGraph) {

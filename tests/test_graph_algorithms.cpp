@@ -5,11 +5,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
-#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -143,16 +143,24 @@ std::vector<VertexId> ball_by_distances(const Graph& g, VertexId v,
 }
 
 // ball() and all_balls() are a BFS cut at depth r; they must give the
-// definition's balls on grids, a torus, a random graph with isolated
-// parts, and two disjoint components, at radii past the diameter.
+// definition's balls on grids, a torus, an irregular graph with an
+// isolated vertex, and two disjoint components, at radii past the
+// diameter.
 TEST(Ball, MatchesBfsDistanceDefinition) {
-  Rng rng(11);
   Graph split(9);  // a path 0-1-2-3 and a cycle 4..8, no edge between
   for (VertexId v = 0; v + 1 < 4; ++v) split.add_edge(v, v + 1);
   for (VertexId v = 4; v < 9; ++v) split.add_edge(v, v + 1 < 9 ? v + 1 : 4);
+  // A tree of uneven degrees with a chord, a pendant path, a triangle
+  // hanging off it and the isolated vertex 15.
+  Graph irregular(16);
+  for (const auto& [u, v] : std::vector<std::pair<VertexId, VertexId>>{
+           {0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 5}, {5, 6}, {6, 7}, {7, 8},
+           {2, 9}, {9, 10}, {10, 2}, {3, 11}, {11, 12}, {12, 4}, {8, 13},
+           {13, 14}}) {
+    irregular.add_edge(u, v);
+  }
   const std::vector<Graph> graphs = {grid_2d(6), torus_2d(5),
-                                     k_augmented_grid(5, 2),
-                                     erdos_renyi(40, 0.04, rng), split};
+                                     k_augmented_grid(5, 2), irregular, split};
   for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
     const Graph& g = graphs[gi];
     for (std::uint32_t r = 0; r <= 12; ++r) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "graph/builders.hpp"
 #include "markov/chain.hpp"
@@ -60,7 +62,7 @@ TEST(DenseChain, StationaryIsFixed) {
 }
 
 TEST(DenseChain, StationaryUniformForSymmetric) {
-  const DenseChain c = random_walk_chain(cycle_graph(6)).lazy();
+  const DenseChain c = lazy_random_walk_chain(cycle_graph(6));
   const auto pi = c.stationary();
   for (double mass : pi) EXPECT_NEAR(mass, 1.0 / 6.0, 1e-9);
 }
@@ -116,41 +118,48 @@ TEST(DenseChain, LazyPreservesStationary) {
   }
 }
 
-TEST(RandomWalkChain, RowsFromDegrees) {
+TEST(LazyRandomWalkChain, RowsFromDegrees) {
   const Graph g = star_graph(4);  // hub 0, leaves 1..3
-  const DenseChain c = random_walk_chain(g);
-  EXPECT_NEAR(c.transition(0, 1), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(c.transition(1, 0), 1.0);
+  const DenseChain c = lazy_random_walk_chain(g);
+  EXPECT_DOUBLE_EQ(c.transition(0, 0), 0.5);
+  EXPECT_NEAR(c.transition(0, 1), 1.0 / 6.0, 1e-12);
+  EXPECT_DOUBLE_EQ(c.transition(1, 0), 0.5);
   EXPECT_DOUBLE_EQ(c.transition(1, 2), 0.0);
 }
 
-TEST(RandomWalkChain, IsolatedVertexSelfLoops) {
+TEST(LazyRandomWalkChain, IsolatedVertexSelfLoops) {
   Graph g(3);
   g.add_edge(0, 1);
-  const DenseChain c = random_walk_chain(g);
+  const DenseChain c = lazy_random_walk_chain(g);
   EXPECT_DOUBLE_EQ(c.transition(2, 2), 1.0);
 }
 
-TEST(RandomWalkChain, StationaryProportionalToDegree) {
+TEST(LazyRandomWalkChain, StationaryProportionalToDegree) {
   const Graph g = star_graph(5);  // degrees: 4,1,1,1,1 -> pi = 1/2, 1/8 x4
   const auto pi = lazy_random_walk_chain(g).stationary();
   EXPECT_NEAR(pi[0], 0.5, 1e-8);
   for (std::size_t v = 1; v < 5; ++v) EXPECT_NEAR(pi[v], 0.125, 1e-8);
 }
 
-TEST(RandomWalkChain, StationaryConvergesOnPeriodicChains) {
+TEST(DenseChain, StationaryConvergesOnPeriodicChains) {
   // Non-lazy walks on bipartite graphs are periodic; the damped power
   // iteration must still converge to the degree-proportional vector.
-  for (const Graph& g : {star_graph(5), grid_2d(3), cycle_graph(6)}) {
-    const auto pi = random_walk_chain(g).stationary();
-    double total_degree = 0.0;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      total_degree += static_cast<double>(g.degree(v));
-    }
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      EXPECT_NEAR(pi[v], static_cast<double>(g.degree(v)) / total_degree,
-                  1e-7)
-          << "vertex " << v;
+  const double third = 1.0 / 3.0;
+  const DenseChain star({{0.0, third, third, third},  // hub 0, 3 leaves
+                         {1.0, 0.0, 0.0, 0.0},
+                         {1.0, 0.0, 0.0, 0.0},
+                         {1.0, 0.0, 0.0, 0.0}});
+  const DenseChain cycle({{0.0, 0.5, 0.0, 0.5},  // the 4-cycle
+                          {0.5, 0.0, 0.5, 0.0},
+                          {0.0, 0.5, 0.0, 0.5},
+                          {0.5, 0.0, 0.5, 0.0}});
+  const std::vector<std::pair<const DenseChain*, std::vector<double>>> cases =
+      {{&star, {0.5, 1.0 / 6.0, 1.0 / 6.0, 1.0 / 6.0}},
+       {&cycle, {0.25, 0.25, 0.25, 0.25}}};
+  for (const auto& [chain, expected] : cases) {
+    const auto pi = chain->stationary();
+    for (std::size_t v = 0; v < expected.size(); ++v) {
+      EXPECT_NEAR(pi[v], expected[v], 1e-7) << "state " << v;
     }
   }
 }

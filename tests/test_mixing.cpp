@@ -13,21 +13,6 @@
 namespace megflood {
 namespace {
 
-TEST(MixingProfile, MonotoneNonIncreasing) {
-  const DenseChain c = lazy_random_walk_chain(cycle_graph(8));
-  const auto profile = mixing_profile(c, 100);
-  for (std::size_t t = 1; t < profile.size(); ++t) {
-    EXPECT_LE(profile[t], profile[t - 1] + 1e-12);
-  }
-}
-
-TEST(MixingProfile, StartsAtWorstCase) {
-  const DenseChain c = lazy_random_walk_chain(cycle_graph(8));
-  const auto profile = mixing_profile(c, 5);
-  // d(0) = max_s TV(delta_s, pi) = 1 - min_s pi(s) = 1 - 1/8.
-  EXPECT_NEAR(profile[0], 1.0 - 1.0 / 8.0, 1e-9);
-}
-
 TEST(MixingTime, MatchesTwoStateClosedForm) {
   for (const auto& [p, q] : {std::pair{0.1, 0.2}, {0.05, 0.05}, {0.5, 0.3}}) {
     const TwoStateChain ts({p, q});
@@ -78,13 +63,6 @@ TEST(MixingTimeFromStarts, CornerStartBoundsGrid) {
 TEST(MixingTimeFromStarts, EmptyThrows) {
   const DenseChain c = lazy_random_walk_chain(cycle_graph(4));
   EXPECT_THROW((void)mixing_time_from_starts(c, {}), std::invalid_argument);
-}
-
-TEST(TvFromStationary, DecaysToZero) {
-  const DenseChain c = lazy_random_walk_chain(complete_graph(6));
-  const auto pi = c.stationary();
-  EXPECT_GT(tv_from_stationary(c, pi, 0, 0), 0.5);
-  EXPECT_LT(tv_from_stationary(c, pi, 0, 50), 1e-6);
 }
 
 // Property: mixing time scales about quadratically with cycle length for

@@ -37,14 +37,6 @@ TEST(ConnectionFactories, CycleProximity) {
   EXPECT_FALSE(c.connected(0, 3));
 }
 
-TEST(ConnectionFactories, ActiveSubset) {
-  const ConnectionMap c = active_subset_connection(4, {1, 3});
-  EXPECT_TRUE(c.connected(1, 3));
-  EXPECT_TRUE(c.connected(1, 1));
-  EXPECT_FALSE(c.connected(0, 1));
-  EXPECT_FALSE(c.connected(0, 2));
-}
-
 TEST(NodeMegInvariants, UniformSameState) {
   // Uniform pi over k states, connect iff same state:
   // q(x) = 1/k for all x, so P_NM = 1/k, P_NM2 = 1/k^2, eta = 1.
@@ -57,10 +49,12 @@ TEST(NodeMegInvariants, UniformSameState) {
 }
 
 TEST(NodeMegInvariants, SkewedDistributionRaisesEta) {
-  // Heavy mass on one state makes q(x) uneven -> eta > 1 for the
-  // active-subset map.
+  // Heavy mass on one state makes q(x) uneven -> eta > 1 for the map
+  // where only state 0 is active (connects, to state 0 alone).
   const std::vector<double> pi{0.9, 0.05, 0.05};
-  const auto inv = node_meg_invariants(pi, active_subset_connection(3, {0}));
+  const ConnectionMap only_zero(
+      {{true, false, false}, {false, false, false}, {false, false, false}});
+  const auto inv = node_meg_invariants(pi, only_zero);
   // q(0) = 0.9, q(1) = q(2) = 0. P_NM = 0.81, P_NM2 = 0.9^3 = 0.729.
   EXPECT_NEAR(inv.p_nm, 0.81, 1e-12);
   EXPECT_NEAR(inv.p_nm2, 0.729, 1e-12);

@@ -73,27 +73,6 @@ TEST(PathFamily, ReversiblePredicate) {
   EXPECT_TRUE(is_reversible(family));
 }
 
-TEST(PathFamily, CongestionCountsPassThroughs) {
-  PathFamily family;
-  family.paths.push_back({0, 1, 2});
-  family.paths.push_back({2, 1, 0});
-  const auto c = path_congestion(family, 3);
-  // Point 1 is position 2 of both paths; points 0 and 2 are end points of
-  // one path each (start positions do not count).
-  EXPECT_EQ(c[1], 2u);
-  EXPECT_EQ(c[0], 1u);
-  EXPECT_EQ(c[2], 1u);
-}
-
-TEST(PathFamily, RegularityDeltaOfEdgesFamily) {
-  // For the edges family, #P(u) = deg(u); a cycle is perfectly regular.
-  const PathFamily family = edges_path_family(cycle_graph(6));
-  EXPECT_NEAR(path_regularity_delta(family, 6), 1.0, 1e-12);
-  // A star is maximally irregular.
-  const PathFamily star = edges_path_family(star_graph(5));
-  EXPECT_GT(path_regularity_delta(star, 5), 2.0);
-}
-
 TEST(ExplicitPathsModel, OneHopPerStep) {
   const auto g = shared(grid_2d(4));
   ExplicitPathsModel model(g, edges_path_family(*g), 8, 3);

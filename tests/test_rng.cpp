@@ -441,22 +441,6 @@ TEST(DeriveSeeds, CountAndDeterminism) {
   EXPECT_EQ(unique.size(), 16u);
 }
 
-TEST(SampleDiscrete, RespectsWeights) {
-  Rng rng(21);
-  const std::vector<double> weights{1.0, 0.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 40000; ++i) ++counts[sample_discrete(rng, weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(counts[0] / 40000.0, 0.25, 0.02);
-  EXPECT_NEAR(counts[2] / 40000.0, 0.75, 0.02);
-}
-
-TEST(SampleDiscrete, SingleOutcome) {
-  Rng rng(22);
-  const std::vector<double> weights{0.0, 5.0};
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(sample_discrete(rng, weights), 1u);
-}
-
 // Property sweep: uniform_int stays in range for many bounds.
 class RngBoundsTest : public ::testing::TestWithParam<std::uint64_t> {};
 

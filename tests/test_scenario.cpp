@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <stdexcept>
+#include <string>
 
 #include "core/scenario.hpp"
 
@@ -15,13 +17,15 @@ namespace {
 TEST(ScenarioRegistry, ListsTheExpectedFamilies) {
   const auto& models = scenario_models();
   ASSERT_GE(models.size(), 11u);
+  std::set<std::string> names;
+  for (const ScenarioModelInfo& info : models) names.insert(info.name);
+  EXPECT_EQ(names.size(), models.size()) << "duplicate model name";
   for (const char* name :
        {"edge_meg", "general_edge_meg", "het_edge_meg", "node_meg",
         "clique_flicker", "random_walk", "random_waypoint", "random_trip",
         "grid_paths", "fixed", "k_augmented_grid"}) {
-    EXPECT_NE(find_scenario_model(name), nullptr) << name;
+    EXPECT_EQ(names.count(name), 1u) << name;
   }
-  EXPECT_EQ(find_scenario_model("no_such_model"), nullptr);
 }
 
 TEST(ScenarioRegistry, EveryRegisteredModelBuildsAndRuns) {
@@ -350,6 +354,21 @@ TEST(ScenarioCli, MalformedArgumentsAreRejected) {
   EXPECT_THROW((void)parse_scenario_cli("--rotate_sources=maybe"),
                std::invalid_argument);
   EXPECT_THROW((void)parse_scenario_cli("--=3"), std::invalid_argument);
+}
+
+// A grid finer than 65536 points a side would give two grid points the
+// same 32-bit cell id; both grid mobility models reject it at validation.
+TEST(ScenarioValidation, RejectsGridsPastTheCellIdRange) {
+  for (const char* model : {"random_waypoint", "random_trip"}) {
+    ScenarioSpec spec;
+    spec.model = model;
+    spec.params["n"] = "16";
+    spec.params["resolution"] = "70000";
+    EXPECT_THROW((void)make_model_factory(spec), std::invalid_argument)
+        << model;
+    spec.params["resolution"] = "65536";
+    EXPECT_NO_THROW((void)make_model_factory(spec)) << model;
+  }
 }
 
 }  // namespace

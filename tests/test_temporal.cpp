@@ -19,33 +19,6 @@ Snapshot snap_with(std::size_t n,
   return s;
 }
 
-TEST(UnionGraph, AccumulatesEdges) {
-  std::vector<Snapshot> trace;
-  trace.push_back(snap_with(3, {{0, 1}}));
-  trace.push_back(snap_with(3, {{1, 2}}));
-  const Graph g = union_graph(trace, 0, 2);
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-  EXPECT_TRUE(g.has_edge(1, 2));
-  const Graph first_only = union_graph(trace, 0, 1);
-  EXPECT_EQ(first_only.num_edges(), 1u);
-}
-
-TEST(UnionGraph, BadRangeThrows) {
-  std::vector<Snapshot> trace{Snapshot(2)};
-  EXPECT_THROW((void)union_graph(trace, 0, 0), std::invalid_argument);
-  EXPECT_THROW((void)union_graph(trace, 0, 2), std::invalid_argument);
-}
-
-TEST(IntersectionGraph, KeepsOnlyPersistentEdges) {
-  std::vector<Snapshot> trace;
-  trace.push_back(snap_with(3, {{0, 1}, {1, 2}}));
-  trace.push_back(snap_with(3, {{0, 1}}));
-  const Graph g = intersection_graph(trace, 0, 2);
-  EXPECT_EQ(g.num_edges(), 1u);
-  EXPECT_TRUE(g.has_edge(0, 1));
-}
-
 TEST(TIntervalConnectivity, StaticConnectedIsFullLength) {
   std::vector<Snapshot> trace(4, snap_with(3, {{0, 1}, {1, 2}}));
   EXPECT_EQ(t_interval_connectivity(trace), 4u);

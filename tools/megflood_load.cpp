@@ -40,6 +40,7 @@
 
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -355,12 +356,11 @@ void run_retrying(std::size_t thread_index, std::size_t first_job,
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  std::size_t used = 0;
-  const unsigned long long parsed = std::stoull(value, &used);
-  if (used != value.size()) {
+  const auto parsed = megflood::parse_whole_u64(value);
+  if (!parsed) {
     throw std::invalid_argument(flag + " is not an integer: '" + value + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 void usage(std::ostream& out) {
@@ -430,7 +430,12 @@ int main(int argc, char** argv) {
       } else if (flag == "--n") {
         options.n = static_cast<std::size_t>(parse_u64(flag, value));
       } else if (flag == "--min_hit_ratio") {
-        options.min_hit_ratio = std::stod(value);
+        const auto ratio = megflood::parse_finite_double(value);
+        if (!ratio) {
+          throw std::invalid_argument(flag + " is not a finite number: '" +
+                                      value + "'");
+        }
+        options.min_hit_ratio = *ratio;
       } else if (flag == "--timeout_ms") {
         options.timeout_ms = static_cast<int>(parse_u64(flag, value));
       } else if (flag == "--dump_results") {

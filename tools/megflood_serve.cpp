@@ -25,6 +25,7 @@
 #include "serve/server.hpp"
 #include "serve/worker.hpp"
 #include "util/fault_injection.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -64,12 +65,11 @@ void usage(std::ostream& out) {
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
-  std::size_t used = 0;
-  const unsigned long long parsed = std::stoull(value, &used);
-  if (used != value.size()) {
+  const auto parsed = megflood::parse_whole_u64(value);
+  if (!parsed) {
     throw std::invalid_argument(flag + " is not an integer: '" + value + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 }  // namespace
