@@ -196,12 +196,11 @@ void BM_ConstructSparseGeneralEdgeMeg(benchmark::State& state) {
 BENCHMARK(BM_ConstructSparseGeneralEdgeMeg)->Arg(32768)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SampleDistinctPositions(benchmark::State& state) {
-  // The sparse engines' subset sampler over the n = 32768 pair population:
-  // k = 131072 is a step's majority movers at wake = 8/n, k = 699050 the
-  // initial minority of BM_ConstructSparseGeneralEdgeMeg.
+// Times sample_distinct_positions drawing state.range(0) of the pairs of
+// a `nodes`-node population.
+void time_subset_draw(benchmark::State& state, std::uint64_t nodes) {
   const auto k = static_cast<std::uint64_t>(state.range(0));
-  const std::uint64_t bound = pair_count(32768);
+  const std::uint64_t bound = pair_count(nodes);
   Rng rng(1);
   std::vector<std::uint64_t> out;
   for (auto _ : state) {
@@ -212,7 +211,25 @@ void BM_SampleDistinctPositions(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(k));
 }
+
+void BM_SampleDistinctPositions(benchmark::State& state) {
+  // The sparse engines' subset sampler over the n = 32768 pair population
+  // (32-bit words): k = 131072 is a step's majority movers at wake = 8/n,
+  // k = 699050 the initial minority of BM_ConstructSparseGeneralEdgeMeg.
+  time_subset_draw(state, 32768);
+}
 BENCHMARK(BM_SampleDistinctPositions)->Arg(131072)->Arg(699050)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_SampleDistinctPositionsPaperScale(benchmark::State& state) {
+  // The same over the n = 2^20 pair population, past 2^32 pairs, so the
+  // draws sort as 64-bit words in the output itself: k = 4194304 is a
+  // step's majority movers at wake = 8/n.
+  time_subset_draw(state, std::uint64_t{1} << 20);
+}
+BENCHMARK(BM_SampleDistinctPositionsPaperScale)
+    ->Name("BM_SampleDistinctPositions/n:1048576")
+    ->Arg(4194304)
     ->Unit(benchmark::kMillisecond);
 
 void BM_NodeMegStep(benchmark::State& state) {

@@ -101,15 +101,15 @@ class Snapshot {
 
   // Borrows an engine's key set, every key an edge.  The caller keeps
   // `keys` alive and unchanged until it replaces or drops the borrow.
-  void borrow(const std::vector<std::uint64_t>& keys) noexcept {
+  void borrow(std::span<const std::uint64_t> keys) noexcept {
     borrow(keys, nullptr, nullptr, keys.size());
   }
 
-  // Borrows an engine's key set with one state per key: key k is an edge
-  // iff on[states[k]], and `num_edges` of them are.  The snapshot keeps
-  // its own copy of `on`.
-  void borrow(const std::vector<std::uint64_t>& keys,
-              const std::vector<std::uint8_t>& states, const StateMask& on,
+  // Borrows an engine's key set with one state per key (states has one
+  // entry per key): key k is an edge iff on[states[k]], and `num_edges`
+  // of them are.  The snapshot keeps its own copy of `on`.
+  void borrow(std::span<const std::uint64_t> keys,
+              std::span<const std::uint8_t> states, const StateMask& on,
               std::size_t num_edges) noexcept {
     borrow(keys, states.data(), &on, num_edges);
   }
@@ -183,9 +183,8 @@ class Snapshot {
   }
 
  private:
-  void borrow(const std::vector<std::uint64_t>& keys,
-              const std::uint8_t* states, const StateMask* on,
-              std::size_t num_edges) noexcept {
+  void borrow(std::span<const std::uint64_t> keys, const std::uint8_t* states,
+              const StateMask* on, std::size_t num_edges) noexcept {
     borrowed_ = true;
     borrowed_keys_ = keys.data();
     borrowed_size_ = keys.size();

@@ -61,7 +61,7 @@ class TwoStateEdgeMEG final : public DynamicGraph {
   std::uint64_t num_pairs() const noexcept { return total_pairs_; }
 
   // The sorted on-set, the key array the snapshot borrows.
-  const std::vector<std::uint64_t>& set_keys() const noexcept {
+  const PairKeys& set_keys() const noexcept {
     return on_.keys;
   }
 

@@ -109,7 +109,7 @@ StateId GeneralEdgeMEG::pair_state(NodeId i, NodeId j) const {
   }
   if (i > j) std::swap(i, j);
   if (sparse_) {
-    const std::vector<std::uint64_t>& keys = minority_.keys;
+    const PairKeys& keys = minority_.keys;
     const std::uint64_t key = pack_pair(i, j);
     const auto it = std::lower_bound(keys.begin(), keys.end(), key);
     if (it == keys.end() || *it != key) return majority_state_;
@@ -214,17 +214,16 @@ std::vector<std::uint64_t> GeneralEdgeMEG::sample_class_counts(
 
 void GeneralEdgeMEG::build_shuffled_minority_values(
     const std::vector<std::uint64_t>& class_count, StateId majority,
-    std::uint64_t minority) {
+    std::uint64_t minority, PairStates& values) {
   // The minority multiset, uniformly shuffled (Fisher-Yates).
-  init_values_.clear();
-  init_values_.reserve(minority);
+  values.clear();
+  values.reserve(minority);
   for (StateId s = 0; s < class_count.size(); ++s) {
     if (s == majority) continue;
-    init_values_.insert(init_values_.end(), class_count[s],
-                        static_cast<std::uint8_t>(s));
+    values.insert(values.end(), class_count[s], static_cast<std::uint8_t>(s));
   }
   for (std::uint64_t i = minority - 1; i > 0; --i) {
-    std::swap(init_values_[i], init_values_[rng_.uniform_int(i + 1)]);
+    std::swap(values[i], values[rng_.uniform_int(i + 1)]);
   }
 }
 
@@ -267,7 +266,8 @@ bool GeneralEdgeMEG::sample_initial_states() {
     return true;
   }
 
-  build_shuffled_minority_values(class_count, majority, minority);
+  build_shuffled_minority_values(class_count, majority, minority,
+                                 init_values_);
 
   // A uniform minority-sized subset of pair slots, as rejection against
   // the drawn set gives it (expected < 2 draws per slot while minority <=
@@ -290,31 +290,31 @@ void GeneralEdgeMEG::initialize_sparse() {
   // RNG stream to the dense batched path (splits, shuffle, subset draw),
   // so a same-seed dense/sparse pair starts in the SAME configuration —
   // the t = 0 equivalence in tests/test_sparse_storage.cpp is exact.
+  // The map is built in its own arrays: the shuffled values are its
+  // states, and the subset's ascending positions become its keys in place
+  // (ascending positions => ascending keys, so no sort pass).  Both get
+  // room for one step's expected majority movers too, so the first step's
+  // walk does not regrow them.
   const std::uint64_t pairs = pair_count(n_);
   const std::vector<std::uint64_t> class_count = sample_class_counts(pairs);
   const std::uint64_t minority = pairs - class_count[majority_state_];
+  PairKeys& keys = minority_.keys;
+  PairStates& states = minority_.states;
+  keys.clear();
+  states.clear();
   if (minority > 0) {
-    // These become the first step's scratch (below), so they get the
-    // same headroom.
-    reserve_headroom(init_values_, minority);
-    reserve_headroom(init_positions_, minority);
-    build_shuffled_minority_values(class_count, majority_state_, minority);
-    sample_distinct_positions(rng_, minority, pairs, init_positions_);
+    const auto births = static_cast<std::uint64_t>(
+        exit_prob_[majority_state_] * static_cast<double>(pairs - minority));
+    reserve_headroom(keys, minority + births + 1);
+    reserve_headroom(states, minority + births + 1);
+    build_shuffled_minority_values(class_count, majority_state_, minority,
+                                   states);
+    sample_distinct_positions(rng_, minority, pairs, keys);
+    indices_to_keys(n_, keys);
   }
-  PairSetWriter out(minority_, n_, minority,
-                    static_cast<std::uint8_t>(majority_state_), on_states_);
-  PairRowCursor cursor(n_);
-  for (std::uint64_t k = 0; k < minority; ++k) {
-    // Ascending positions => ascending keys: the map comes out sorted
-    // without a sort pass.
-    out.emit_state(cursor.key(init_positions_[k]), init_values_[k]);
-  }
-  out.finish(snapshot_);
-  // The init scratch is minority-sized and already faulted in, the shape
-  // the first step's writer needs: hand it over as the step scratch
-  // instead of freeing it and faulting a fresh buffer in again.
-  std::swap(init_positions_, minority_.next_keys);
-  std::swap(init_values_, minority_.next_states);
+  std::size_t edges = 0;
+  for (const std::uint8_t s : states) edges += on_states_[s];
+  snapshot_.borrow(keys, states, on_states_, edges);
 }
 
 void GeneralEdgeMEG::sample_initial_states_per_pair() {
@@ -362,7 +362,6 @@ void GeneralEdgeMEG::step_sparse() {
   const auto majority = static_cast<std::uint8_t>(majority_state_);
   const SelectRow* rows = select_rows_.data();
   std::uint8_t* map_states = minority_.states.data();
-  std::uint64_t dropped = 0;
   Rng rng = rng_;
   geometric_select(
       rng, old_size, minority_exit_envelope_, [&](std::uint64_t pos) {
@@ -372,7 +371,6 @@ void GeneralEdgeMEG::step_sparse() {
         const auto to =
             static_cast<std::uint8_t>(sample_exit_target(from, rng));
         map_states[pos] = to;
-        dropped += to == majority;
       });
   rng_ = rng;
 
@@ -382,6 +380,7 @@ void GeneralEdgeMEG::step_sparse() {
   // rank order.
   draw_complement_ranks(rng_, n_, old_size, exit_prob_[majority_state_],
                         rank_scratch_);
+  reserve_headroom(inserted_states_, rank_scratch_.size());
   inserted_states_.resize(rank_scratch_.size());
   for (std::uint8_t& to : inserted_states_) {
     to = static_cast<std::uint8_t>(sample_exit_target(majority_state_, rng_));
@@ -389,15 +388,15 @@ void GeneralEdgeMEG::step_sparse() {
 
   // Merge pass (no RNG).  The minority movers already hold their new
   // states, so the map is still sorted; the walk drops the ones back in
-  // the majority and merges the majority movers in.
-  PairSetWriter out(minority_, n_, old_size - dropped + rank_scratch_.size(),
-                    majority, on_states_);
+  // the majority and merges the majority movers in, writing the map in
+  // place over the moved one it reads.
+  PairSetWriter out(minority_, n_, rank_scratch_, majority, on_states_);
   // Plain pointers: the writer's byte stores could alias the vectors.
-  const std::uint64_t* keys = minority_.keys.data();
-  const std::uint8_t* states = minority_.states.data();
+  const std::uint64_t* keys = out.keys();
+  const std::uint8_t* states = out.states();
   const std::uint8_t* inserted = inserted_states_.data();
   walk_complement(
-      n_, minority_.keys, rank_scratch_,
+      n_, {keys, old_size}, rank_scratch_,
       [&](std::size_t pos) { out.emit_state(keys[pos], states[pos]); },
       [&](std::size_t r, std::uint64_t key) {
         out.emit_state(key, inserted[r]);

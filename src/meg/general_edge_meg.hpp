@@ -35,15 +35,18 @@
 // initializer's stream).  The minority select works in place: a mover's
 // new state is written into its own map entry as soon as it is drawn
 // (candidate positions ascend, so no entry is read after it is written),
-// and the select counts the entries that fall back to the majority as it
-// goes, so it keeps no move list.  A sparse step draws all of that
-// first, then makes one walk of the map (walk_complement) that merges
-// the majority movers in at their complement ranks, and its
-// PairSetWriter drops pairs back in the majority and writes the next map
-// in ascending key order.  The on-set is never stored apart from the
-// map, since chi(majority) is false: the snapshot borrows the map's keys
-// and states with the chi mask (on_states_).  The first step's output
-// buffers are the initializer's scratch, handed over rather than freed.
+// so it keeps no move list.  A sparse step draws all of that first, then
+// makes one walk of the map (walk_complement) that merges the majority
+// movers in at their complement ranks, and its PairSetWriter drops pairs
+// back in the majority and writes the next map in ascending key order,
+// in place: the map has one key array and one state array, moved up by
+// the movers' count before the walk (meg/pair_set.hpp).  The on-set is
+// never stored apart from the map, since chi(majority) is false: the
+// snapshot borrows the map's keys and states with the chi mask
+// (on_states_).  The initializer builds the map in those same arrays:
+// the subset draw writes its positions into the key array, which turns
+// them into keys in place, the shuffled values are the state array, and
+// both have room for the first step's expected movers.
 // Memory is O(#minority + #on), which in the paper's sparse stationary
 // regimes (alpha ~ c/n, quiescent off state) is O(n) — the engine steps
 // at n >= 32768 where dense cannot allocate.
@@ -94,16 +97,14 @@ class GeneralEdgeMEG final : public DynamicGraph {
 
   // Sparse mode: the minority map, sorted packed keys (meg/pair_index.hpp)
   // with one state per entry; both empty in dense mode.
-  const std::vector<std::uint64_t>& minority_keys() const noexcept {
-    return minority_.keys;
-  }
-  const std::vector<std::uint8_t>& minority_states() const noexcept {
+  const PairKeys& minority_keys() const noexcept { return minority_.keys; }
+  const PairStates& minority_states() const noexcept {
     return minority_.states;
   }
 
   // The key array the snapshot borrows: the dense on-set, or in sparse
   // mode the minority map (whose states pick the edges).
-  const std::vector<std::uint64_t>& set_keys() const noexcept {
+  const PairKeys& set_keys() const noexcept {
     return sparse_ ? minority_.keys : on_.keys;
   }
 
@@ -128,11 +129,11 @@ class GeneralEdgeMEG final : public DynamicGraph {
   void fill_buckets_from_scatter();
   // Shared pieces of the batched stationary draw (identical RNG stream in
   // both storage modes): sequential binomial splits of Mult(pairs, pi),
-  // and the uniformly shuffled minority value multiset.
+  // and the uniformly shuffled minority value multiset, into `values`.
   std::vector<std::uint64_t> sample_class_counts(std::uint64_t pairs);
   void build_shuffled_minority_values(
       const std::vector<std::uint64_t>& class_count, StateId majority,
-      std::uint64_t minority);
+      std::uint64_t minority, PairStates& values);
   void step_dense();
   void step_sparse();
   StateId sample_exit_target(StateId from, Rng& rng) const;
@@ -192,12 +193,10 @@ class GeneralEdgeMEG final : public DynamicGraph {
   std::vector<std::uint64_t> rank_scratch_;
   std::vector<std::uint8_t> inserted_states_;
 
-  // Initialization scratch (batched stationary sampling).  Both vectors
-  // are minority-sized; the subset draw sorts inside init_positions_, and
-  // its only other buffers (a bitmap for a dense subset, 64-bit sort
-  // scratch past n = 92682; meg/on_set.hpp) are transient, so nothing
-  // larger outlives init.
-  std::vector<std::uint8_t> init_values_;
+  // Dense-mode initialization scratch (batched stationary sampling): the
+  // shuffled minority values and their ascending positions.  The sparse
+  // initializer writes both straight into the minority map.
+  PairStates init_values_;
   std::vector<std::uint64_t> init_positions_;
 
   Snapshot snapshot_;

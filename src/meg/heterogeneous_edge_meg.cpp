@@ -178,16 +178,20 @@ void HeterogeneousEdgeMEG::initialize_sparse() {
   // set), each thinned by alpha_e / max_alpha — by superposition exactly
   // iid Bernoulli(alpha_e) per pair, in O(#on) memory and
   // O(alpha_max * pairs) RNG draws.
+  // The ranks over the empty set are pair indices, walked in ascending
+  // order.
   draw_complement_ranks(rng_, n_, 0, bounds_.max_alpha, rank_scratch_);
-  PairSetWriter out(on_set_, n_, rank_scratch_.size());
-  PairRowCursor cursor(n_);
-  for (const std::uint64_t pos : rank_scratch_) {
-    const TwoStateParams r = derive_rates(pos);
-    const double alpha = r.birth_rate / (r.birth_rate + r.death_rate);
-    out.emit(cursor.key(pos),  // ascending
-             alpha >= bounds_.max_alpha ||
-                 rng_.bernoulli(alpha / bounds_.max_alpha));
-  }
+  on_set_.keys.clear();
+  PairSetWriter out(on_set_, n_, rank_scratch_);
+  walk_complement(
+      n_, {}, rank_scratch_, [](std::size_t) {},
+      [&](std::size_t r, std::uint64_t key) {
+        const TwoStateParams rates = derive_rates(rank_scratch_[r]);
+        const double alpha =
+            rates.birth_rate / (rates.birth_rate + rates.death_rate);
+        out.emit(key, alpha >= bounds_.max_alpha ||
+                          rng_.bernoulli(alpha / bounds_.max_alpha));
+      });
   out.finish(snapshot_);
 }
 
@@ -249,17 +253,19 @@ void HeterogeneousEdgeMEG::step_sparse() {
   });
   draw_complement_ranks(rng_, n_, size, bounds_.max_birth, rank_scratch_);
 
-  // One walk writes the next on-set and the snapshot: it drops the dead
-  // (ascending, closed by kNoKey) and keeps the births that pass.
-  PairSetWriter out(on_set_, n_, size - died.size() + rank_scratch_.size());
+  // One walk writes the next on-set in place and lends it to the
+  // snapshot: it drops the dead (ascending, closed by kNoKey) and keeps
+  // the births that pass.
+  PairSetWriter out(on_set_, n_, rank_scratch_);
   died.push_back(kNoKey);
   const std::uint64_t* dead = died.data();
+  const std::uint64_t* keys = out.keys();
   walk_complement(
-      n_, on_set_.keys, rank_scratch_,
+      n_, {keys, size}, rank_scratch_,
       [&](std::size_t pos) {
-        const bool dies = on[pos] == *dead;
+        const bool dies = keys[pos] == *dead;
         dead += dies;
-        out.emit(on[pos], !dies);
+        out.emit(keys[pos], !dies);
       },
       [&](std::size_t, std::uint64_t key) {
         const TwoStateParams r = derive_rates(pair_index_from_key(n_, key));

@@ -124,7 +124,7 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   static constexpr std::size_t kMaxExactClasses = 64;
 
   // The sorted on-set, the key array the snapshot borrows (both modes).
-  const std::vector<std::uint64_t>& set_keys() const noexcept {
+  const PairKeys& set_keys() const noexcept {
     return on_set_.keys;
   }
 

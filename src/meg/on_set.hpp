@@ -135,6 +135,48 @@ void draw_sorted(Rng& rng, std::size_t n, std::uint64_t bound, void* data,
                 static_cast<int>(std::bit_width(bound - 1)));
 }
 
+// Draws n 64-bit values from [0, bound) into `data` and sorts them there
+// with no n-word scratch: a first pass over a copy of the stream counts
+// the values per MSD bucket, the replayed draws then land straight in
+// their buckets, and each bucket spread-sorts through a bucket-sized
+// scratch.  The draws, and so the stream, are draw_sorted's.
+inline void draw_sorted_in_place(Rng& rng, std::size_t n, std::uint64_t bound,
+                                 std::uint64_t* data) {
+  const int bits = static_cast<int>(std::bit_width(bound - 1));
+  if (n < kMsdBuckets || bits <= kMsdBits) {
+    std::vector<std::uint64_t> spare(n);
+    draw_sorted<std::uint64_t>(rng, n, bound, data, spare.data());
+    return;
+  }
+  const int shift = bits - kMsdBits;
+  std::array<std::size_t, kMsdBuckets + 1> start{};
+  Rng count = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    ++start[(count.uniform_int(bound) >> shift) + 1];
+  }
+  std::size_t largest = 0;
+  for (std::size_t b = 1; b <= kMsdBuckets; ++b) {
+    largest = std::max(largest, start[b]);
+    start[b] += start[b - 1];
+  }
+  std::array<std::size_t, kMsdBuckets> next;
+  std::copy(start.begin(), start.end() - 1, next.begin());
+  Rng local = rng;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t w = local.uniform_int(bound);
+    data[next[w >> shift]++] = w;
+  }
+  rng = local;
+  std::vector<std::uint64_t> bucket(largest);
+  std::vector<std::uint32_t> slots;
+  for (std::size_t b = 0; b < kMsdBuckets; ++b) {
+    const std::size_t size = start[b + 1] - start[b];
+    std::copy_n(data + start[b], size, bucket.data());
+    spread_sort<std::uint64_t>(bucket.data(), data + start[b], size, shift,
+                               slots);
+  }
+}
+
 // The sparse branch of sample_distinct_positions: k uniform distinct
 // values from [0, bound), 2^32 >= bound when W is 32 bits, in `out`,
 // ascending.  Draws k values, sorts them and drops the repeats; then, d
@@ -145,21 +187,20 @@ void draw_sorted(Rng& rng, std::size_t n, std::uint64_t bound, void* data,
 // 32-bit draws sort inside `out` itself, in its upper half with the lower
 // half as scratch, and the 64-bit values then overwrite them front to
 // back: value d takes words 2d and 2d + 1, d <= s < k, so it stays below
-// word k + s + 1, the next sorted one read.
-template <typename W>
+// word k + s + 1, the next sorted one read.  64-bit draws sort in `out`
+// (draw_sorted_in_place), and the repeats drop in place.
+template <typename W, typename Alloc>
 void draw_distinct_sorted(Rng& rng, std::size_t k, std::uint64_t bound,
-                          std::vector<std::uint64_t>& out) {
-  out.resize(k);  // every word is overwritten, so only growth zero-fills
+                          std::vector<std::uint64_t, Alloc>& out) {
+  out.resize(k);  // every word is overwritten
   std::uint64_t* const set = out.data();
-  std::vector<std::uint64_t> words;
-  void* sorted = nullptr;
+  void* sorted = set;
   if constexpr (sizeof(W) == sizeof(std::uint32_t)) {
-    sorted = static_cast<char*>(static_cast<void*>(set)) + k * sizeof(W);
+    sorted = static_cast<char*>(sorted) + k * sizeof(W);
+    draw_sorted<W>(rng, k, bound, sorted, set);
   } else {
-    words.resize(k);
-    sorted = words.data();
+    draw_sorted_in_place(rng, k, bound, set);
   }
-  draw_sorted<W>(rng, k, bound, sorted, set);
   std::uint64_t last = load_word<W>(sorted, 0);
   set[0] = last;
   std::size_t d = 1;
@@ -207,11 +248,12 @@ void draw_distinct_sorted(Rng& rng, std::size_t k, std::uint64_t bound,
 // against its range (the sparse engines, where an O(bound) buffer is the
 // very allocation being avoided) is sorted from its raw draws instead
 // (subset_detail::draw_distinct_sorted; 32-bit words inside `out` while
-// bound fits them, as pair counts do up to n = 92682).  Expected < 2
+// bound fits them, as pair counts do up to n = 92682, and 64-bit words
+// sorted in `out` past that).  Expected < 2
 // draws per slot while k <= bound / 2.  Precondition: k <= bound.
-inline void sample_distinct_positions(Rng& rng, std::uint64_t k,
-                                      std::uint64_t bound,
-                                      std::vector<std::uint64_t>& out) {
+template <typename Alloc>
+void sample_distinct_positions(Rng& rng, std::uint64_t k, std::uint64_t bound,
+                               std::vector<std::uint64_t, Alloc>& out) {
   assert(k <= bound);
   if (k == 0) {
     out.clear();

@@ -116,6 +116,12 @@ ExplicitPathsModel::ExplicitPathsModel(
     throw std::invalid_argument("ExplicitPathsModel: need at least 2 agents");
   }
   validate_path_family(*graph_, family_);
+  // The uniform start below is the stationary law only for a simple,
+  // reversible family.
+  if (!is_simple(family_) || !is_reversible(family_)) {
+    throw std::invalid_argument(
+        "ExplicitPathsModel: the family must be simple and reversible");
+  }
 
   // Prefix sums of per-path state counts (l(h) - 1) for uniform sampling
   // over the chain states (h, h_i), 2 <= i <= l(h).

@@ -70,9 +70,10 @@ bool is_reversible(const PathFamily& family);
 
 class ExplicitPathsModel final : public DynamicGraph {
  public:
-  // Requires a validated family over `mobility_graph`; initial agent
-  // states are uniform over the chain states (exact stationary start for
-  // simple + reversible families).
+  // Requires a valid family over `mobility_graph` that is simple and
+  // reversible (throws std::invalid_argument otherwise): initial agent
+  // states are uniform over the chain states, the exact stationary start
+  // for exactly those families.
   ExplicitPathsModel(std::shared_ptr<const Graph> mobility_graph,
                      PathFamily family, std::size_t num_agents,
                      std::uint64_t seed);

@@ -18,9 +18,25 @@
 
 namespace megflood {
 
-// Peak resident set size of this process in bytes; 0 when the platform
-// offers no query (callers must treat 0 as "unknown", not "tiny").
+// Peak resident set size of this process in bytes: the high-water mark
+// of its own address space (VmHWM in /proc/self/status), or ru_maxrss
+// where /proc has none; 0 when the platform offers no query (callers
+// must treat 0 as "unknown", not "tiny").  On Linux ru_maxrss also holds
+// the peak of the address space that execve replaced, so a program that
+// a 20 MB interpreter forks and executes reads at least 20 MB there.
 inline std::uint64_t peak_rss_bytes() noexcept {
+#if defined(__linux__)
+  if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    unsigned long long kib = 0;
+    bool found = false;
+    while (!found && std::fgets(line, sizeof(line), status) != nullptr) {
+      found = std::sscanf(line, "VmHWM: %llu kB", &kib) == 1;
+    }
+    std::fclose(status);
+    if (found) return static_cast<std::uint64_t>(kib) * 1024;
+  }
+#endif
 #if defined(__unix__) || defined(__APPLE__)
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);

@@ -33,8 +33,9 @@ inline EdgeList decoded_edges(const Snapshot& snapshot) {
 inline constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 
 // FNV-1a over a vector's bytes, its length first.
-template <typename T>
-std::uint64_t fnv_mix_bytes(std::uint64_t h, const std::vector<T>& values) {
+template <typename T, typename Alloc>
+std::uint64_t fnv_mix_bytes(std::uint64_t h,
+                            const std::vector<T, Alloc>& values) {
   const auto mix = [&h](std::uint64_t value, int bytes) {
     for (int byte = 0; byte < bytes; ++byte) {
       h ^= (value >> (8 * byte)) & 0xffU;

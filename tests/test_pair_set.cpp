@@ -1,14 +1,15 @@
 // Tests for the sorted pair set of the edge-MEG engines
 // (meg/pair_set.hpp), each against a brute-force reference over every
 // pair of an n-node population, n <= 12 (n = 256 for the serve regime's
-// index-to-key conversion): the merge, the writer with
-// states, the complement walk, the index-to-key conversion and the
-// writer's range check.
+// index-to-key conversion): the in-place merge, the in-place complement
+// walk with states, the complement walk's order, the index-to-key
+// conversion and the range checks on the keys that enter a set.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -29,7 +30,7 @@ std::vector<std::uint64_t> all_keys(NodeId n) {
   return keys;
 }
 
-EdgeList edges_of(const std::vector<std::uint64_t>& keys) {
+EdgeList edges_of(std::span<const std::uint64_t> keys) {
   EdgeList edges;
   for (const std::uint64_t key : keys) {
     edges.emplace_back(pair_key_i(key), pair_key_j(key));
@@ -47,7 +48,7 @@ TEST(PairSet, MergeMatchesBruteForce) {
   for (NodeId n = 2; n <= 12; ++n) {
     for (int round = 0; round < 40; ++round) {
       PairSet set;
-      std::vector<std::uint64_t> expected;
+      PairKeys expected;
       for (const std::uint64_t key : all_keys(n)) {
         switch (rng.uniform_int(std::uint64_t{6})) {
           case 1:
@@ -91,51 +92,89 @@ TEST(PairSet, MergeMatchesBruteForce) {
   EXPECT_GT(births_on_the_dead, 0);
 }
 
+TEST(PairSet, MergeWithEveryBornKeyFirstWritesOverTheMovedSet) {
+  // Every born key precedes every set key and none dies: the writer
+  // emits all the born keys first, so its write index reaches the read
+  // cursor, the tightest case of the in-place merge.  Both with a buffer
+  // that has to grow and one that has room.
+  for (NodeId n = 3; n <= 12; ++n) {
+    const std::vector<std::uint64_t> everything = all_keys(n);
+    for (std::size_t split = 1; split < everything.size(); ++split) {
+      for (const bool roomy : {false, true}) {
+        PairSet set;
+        if (roomy) set.keys.reserve(2 * everything.size());
+        set.keys.assign(everything.begin() + static_cast<std::ptrdiff_t>(split),
+                        everything.end());
+        set.born.assign(everything.begin(),
+                        everything.begin() + static_cast<std::ptrdiff_t>(split));
+        Snapshot snapshot(n);
+        set.merge(n, snapshot);
+        ASSERT_EQ(set.keys, PairKeys(everything.begin(), everything.end()))
+            << "n=" << n << " split=" << split << " roomy=" << roomy;
+        EXPECT_EQ(snapshot.keys().data(), set.keys.data());
+        EXPECT_EQ(decoded_edges(snapshot), edges_of(everything));
+      }
+    }
+  }
+}
+
 TEST(PairSet, MergeOfABuiltSetWritesItsEdges) {
   PairSet set;
   set.keys = {pack_pair(0, 3), pack_pair(1, 2), pack_pair(2, 3)};
   Snapshot snapshot(4);
   set.merge(4, snapshot);
-  EXPECT_EQ(set.keys, (std::vector<std::uint64_t>{
-                          pack_pair(0, 3), pack_pair(1, 2), pack_pair(2, 3)}));
+  EXPECT_EQ(set.keys,
+            (PairKeys{pack_pair(0, 3), pack_pair(1, 2), pack_pair(2, 3)}));
   EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 3}, {1, 2}, {2, 3}}));
 }
 
 TEST(PairSetWriter, StatesDropTheMajorityAndLendChiEdges) {
-  // States 0..3 with majority 1 and chi = {0, 0, 1, 1}: an entry in the
-  // majority leaves the set, one in state 2 or 3 is also an edge.  The
-  // writer is told the exact counts, as the sparse general engine does,
-  // and then loose bounds.
+  // States 0..3 with majority 1 and chi = {0, 0, 1, 1}: a set entry or an
+  // inserted rank in the majority leaves the set, one in state 2 or 3 is
+  // also an edge.  The set's own entries may be in the majority (the
+  // sparse general select writes movers' states in place), and the walk
+  // writes the next set over the moved one it reads.
   const StateMask chi = {0, 0, 1, 1};
   constexpr std::uint8_t kMajority = 1;
   Rng rng(11);
   for (NodeId n = 2; n <= 12; ++n) {
     for (int round = 0; round < 20; ++round) {
-      std::vector<std::uint64_t> keys;
-      std::vector<std::uint8_t> states;
-      for (const std::uint64_t key : all_keys(n)) {
-        if (rng.bernoulli(0.5)) {
-          keys.push_back(key);
-          states.push_back(static_cast<std::uint8_t>(rng.uniform_int(4)));
-        }
-      }
-      std::vector<std::uint64_t> kept_keys, edge_keys;
-      std::vector<std::uint8_t> kept_states;
-      for (std::size_t k = 0; k < keys.size(); ++k) {
-        if (states[k] != kMajority) {
-          kept_keys.push_back(keys[k]);
-          kept_states.push_back(states[k]);
-        }
-        if (chi[states[k]]) edge_keys.push_back(keys[k]);
-      }
-      const bool exact = round % 2 == 0;
       PairSet set;
-      Snapshot snapshot(n);
-      PairSetWriter out(set, n, exact ? kept_keys.size() : keys.size(),
-                        kMajority, chi);
-      for (std::size_t k = 0; k < keys.size(); ++k) {
-        out.emit_state(keys[k], states[k]);
+      std::vector<std::uint64_t> ranks;
+      std::vector<std::uint8_t> inserted;
+      PairKeys kept_keys;
+      PairStates kept_states;
+      std::vector<std::uint64_t> edge_keys;
+      std::uint64_t complement = 0;
+      for (const std::uint64_t key : all_keys(n)) {
+        const auto state = static_cast<std::uint8_t>(rng.uniform_int(4));
+        const std::uint64_t draw = rng.uniform_int(3);
+        if (draw == 0) {
+          set.keys.push_back(key);
+          set.states.push_back(state);
+        } else if (draw == 1) {
+          ranks.push_back(complement);
+          inserted.push_back(state);
+        }
+        complement += draw != 0;
+        if (draw == 2) continue;
+        if (state != kMajority) {
+          kept_keys.push_back(key);
+          kept_states.push_back(state);
+        }
+        if (chi[state]) edge_keys.push_back(key);
       }
+      if (round % 2 == 1) set.keys.shrink_to_fit();  // the walk must grow
+      Snapshot snapshot(n);
+      PairSetWriter out(set, n, ranks, kMajority, chi);
+      const std::uint64_t* keys = out.keys();
+      const std::uint8_t* states = out.states();
+      walk_complement(
+          n, {keys, set.keys.size() - ranks.size()}, ranks,
+          [&](std::size_t pos) { out.emit_state(keys[pos], states[pos]); },
+          [&](std::size_t r, std::uint64_t key) {
+            out.emit_state(key, inserted[r]);
+          });
       out.finish(snapshot);
       EXPECT_EQ(set.keys, kept_keys) << "n=" << n << " round=" << round;
       EXPECT_EQ(set.states, kept_states);
@@ -239,44 +278,73 @@ TEST(PairSet, IndicesToKeysMatchesPairFromIndex) {
 }
 
 TEST(PairSetWriter, ThrowsOnAnEdgeEndpointOutOfRange) {
-  // j = 5 is out of range for n = 4.  A kept key throws at finish() and
-  // leaves the set and the snapshot as they were; a dropped key, or an
-  // entry whose state is no edge, is never checked.
+  // Keys are checked where they enter a set, before anything moves: a
+  // born key with j = 5 >= n = 4 fails the merge, and a rank at or past
+  // the complement count (4 of the 6 pairs of n = 4 are outside a 2-key
+  // set) fails the walk's writer.  Each leaves the set, its flip lists
+  // and the snapshot as they were.  Every born key's j is checked, not
+  // only the largest key's: pack_pair(0, 5) sorts below pack_pair(1, 2).
   PairSet set;
   set.keys = {pack_pair(0, 1)};
   Snapshot snapshot(4);
-  {
-    PairSetWriter out(set, 4, 2);
-    out.emit(pack_pair(0, 2), true);
-    out.emit(pack_pair(1, 5), true);
-    EXPECT_THROW(out.finish(snapshot), std::out_of_range);
+  set.merge(4, snapshot);
+  for (const std::vector<std::uint64_t>& born :
+       {std::vector<std::uint64_t>{pack_pair(0, 2), pack_pair(1, 5)},
+        std::vector<std::uint64_t>{pack_pair(0, 5), pack_pair(1, 2)}}) {
+    set.born = born;
+    set.died = {pack_pair(0, 1)};
+    EXPECT_THROW(set.merge(4, snapshot), std::out_of_range);
+    EXPECT_EQ(set.keys, PairKeys{pack_pair(0, 1)});
+    EXPECT_EQ(set.born, born);
+    EXPECT_EQ(set.died, std::vector<std::uint64_t>{pack_pair(0, 1)});
+    EXPECT_EQ(snapshot.keys().data(), set.keys.data());
+    EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 1}}));
   }
-  EXPECT_EQ(set.keys, std::vector<std::uint64_t>{pack_pair(0, 1)});
-  EXPECT_EQ(snapshot.num_edges(), 0u);
-  {
-    PairSetWriter out(set, 4, 2);
-    out.emit(pack_pair(0, 2), true);
-    out.emit(pack_pair(1, 5), false);
-    out.finish(snapshot);
-  }
-  EXPECT_EQ(set.keys, std::vector<std::uint64_t>{pack_pair(0, 2)});
+  set.born = {pack_pair(0, 2)};
+  set.died = {pack_pair(0, 1)};
+  set.merge(4, snapshot);
+  EXPECT_EQ(set.keys, PairKeys{pack_pair(0, 2)});
   EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 2}}));
 
   const StateMask chi = {0, 1, 0};
   PairSet states;
+  states.keys = {pack_pair(0, 1), pack_pair(2, 3)};
+  states.states = {1, 2};
   {
-    PairSetWriter out(states, 4, 2, 0, chi);
-    out.emit_state(pack_pair(1, 5), 2);  // kept, but no edge
-    out.emit_state(pack_pair(2, 3), 1);
+    PairSetWriter out(states, 4, {}, 0, chi);
+    const std::uint64_t* keys = out.keys();
+    const std::uint8_t* held = out.states();
+    walk_complement(
+        4, {keys, 2}, {},
+        [&](std::size_t pos) { out.emit_state(keys[pos], held[pos]); },
+        [&](std::size_t, std::uint64_t key) { out.emit_state(key, 1); });
     out.finish(snapshot);
   }
-  EXPECT_EQ(states.states, (std::vector<std::uint8_t>{2, 1}));
-  EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{2, 3}}));
-  {
-    PairSetWriter out(states, 4, 1, 0, chi);
-    out.emit_state(pack_pair(1, 5), 1);
-    EXPECT_THROW(out.finish(snapshot), std::out_of_range);
+  EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 1}}));
+  const std::uint64_t* lent = snapshot.keys().data();
+  for (const std::vector<std::uint64_t>& ranks :
+       {std::vector<std::uint64_t>{4}, std::vector<std::uint64_t>{0, 3, 9}}) {
+    EXPECT_THROW(PairSetWriter(states, 4, ranks, 0, chi), std::out_of_range);
+    EXPECT_EQ(states.keys, (PairKeys{pack_pair(0, 1), pack_pair(2, 3)}));
+    EXPECT_EQ(states.states, (PairStates{1, 2}));
+    EXPECT_EQ(states.keys.data(), lent);
+    EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 1}}));
   }
+  // The last rank in range: pairs (0, 2), (0, 3), (1, 2) and (1, 3) are
+  // the complement, rank 3 is (1, 3).
+  const std::vector<std::uint64_t> last = {3};
+  PairSetWriter out(states, 4, last, 0, chi);
+  const std::uint64_t* keys = out.keys();
+  const std::uint8_t* held = out.states();
+  walk_complement(
+      4, {keys, 2}, last,
+      [&](std::size_t pos) { out.emit_state(keys[pos], held[pos]); },
+      [&](std::size_t, std::uint64_t key) { out.emit_state(key, 1); });
+  out.finish(snapshot);
+  EXPECT_EQ(states.keys,
+            (PairKeys{pack_pair(0, 1), pack_pair(1, 3), pack_pair(2, 3)}));
+  EXPECT_EQ(states.states, (PairStates{1, 1, 2}));
+  EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 1}, {1, 3}}));
 }
 
 }  // namespace

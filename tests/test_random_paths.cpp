@@ -133,6 +133,34 @@ TEST(ExplicitPathsModel, LongerPathsFamily) {
   EXPECT_TRUE(r.completed);
 }
 
+TEST(ExplicitPathsModel, RejectsAFamilyWhoseUniformStartIsNotStationary) {
+  // Both families are valid (every hop an edge, every end point starts a
+  // path), but the uniform start is the stationary law only for a simple,
+  // reversible one.  One way round the 5-cycle: no path's reverse is in
+  // the family.
+  const auto g = shared(cycle_graph(5));
+  PathFamily one_way;
+  for (VertexId v = 0; v < 5; ++v) {
+    one_way.paths.push_back({v, static_cast<VertexId>((v + 1) % 5),
+                             static_cast<VertexId>((v + 2) % 5)});
+  }
+  one_way.build_index(5);
+  validate_path_family(*g, one_way);
+  EXPECT_TRUE(is_simple(one_way));
+  EXPECT_FALSE(is_reversible(one_way));
+  EXPECT_THROW(ExplicitPathsModel(g, one_way, 4, 1), std::invalid_argument);
+
+  // A path there and back repeats its interior point 1 (it is its own
+  // reverse).
+  PathFamily repeat;
+  repeat.paths.push_back({0, 1, 2, 1, 0});
+  repeat.build_index(5);
+  validate_path_family(*g, repeat);
+  EXPECT_FALSE(is_simple(repeat));
+  EXPECT_TRUE(is_reversible(repeat));
+  EXPECT_THROW(ExplicitPathsModel(g, repeat, 4, 1), std::invalid_argument);
+}
+
 TEST(ExplicitPathsModel, ResetReproduces) {
   const auto g = shared(grid_2d(3));
   ExplicitPathsModel model(g, edges_path_family(*g), 5, 9);

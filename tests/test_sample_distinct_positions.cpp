@@ -92,13 +92,17 @@ std::uint64_t distinct_in_first_draws(const Case& c, std::uint64_t seed) {
 TEST(SampleDistinctPositions, TopUpsMatchHistoricalSampler) {
   // Bound 2081 makes k = 64 repeat about once per call; k = bound / 33 is
   // the largest sorted subset, ~1.5% repeats, so its top-up repeats too
-  // and is topped up in turn.  Each must still be the historical subset,
-  // with the caller's next draw unchanged.
+  // and is topped up in turn.  At bound 2^33, k = 2^17 repeats about once
+  // per call among 64-bit words, ~512 to an MSD bucket, so the bucketed
+  // sort spread-sorts each bucket and the repeats drop in place.  Each
+  // must still be the historical subset, with the caller's next draw
+  // unchanged.
   const std::vector<Case> cases = {
       {2081, 64},
       {33 * 1000, 1000},
       {std::uint64_t{1} << 20, (std::uint64_t{1} << 20) / 33},
       {(std::uint64_t{1} << 32) + 1, 5000},
+      {std::uint64_t{1} << 33, 131072},
   };
   int topped_up = 0;
   for (const Case& c : cases) {

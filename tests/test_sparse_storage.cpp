@@ -160,7 +160,7 @@ TEST(SparseGeneralEdgeMeg, EdgeBufferAndMapStayCanonicalEveryStep) {
         ASSERT_EQ(decoded_edges(meg.snapshot()),
                   brute_force_edges(meg, l.link.chi))
             << "step " << t;
-        const std::vector<std::uint64_t> keys = meg.minority_keys();
+        const PairKeys keys = meg.minority_keys();
         ASSERT_EQ(meg.minority_states().size(), keys.size());
         for (std::size_t k = 0; k < keys.size(); ++k) {
           ASSERT_NE(meg.minority_states()[k], majority) << "step " << t;
