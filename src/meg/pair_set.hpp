@@ -187,11 +187,9 @@ class PairSetWriter {
         std::memcpy(grown.data() + shift, buffer.data(), size * sizeof(T));
       }
       buffer.swap(grown);
-    } else if (size != 0) {
-      buffer.resize(room);
-      std::memmove(buffer.data() + shift, buffer.data(), size * sizeof(T));
     } else {
       buffer.resize(room);
+      std::memmove(buffer.data() + shift, buffer.data(), size * sizeof(T));
     }
     return buffer.data();
   }
