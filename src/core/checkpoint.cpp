@@ -1,13 +1,11 @@
 #include "core/checkpoint.hpp"
 
+#include <unistd.h>
+
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace megflood {
 
@@ -168,22 +166,6 @@ std::string read_whole_file(std::FILE* file, const std::string& path) {
   return bytes;
 }
 
-void truncate_file(const std::string& path, const std::string& valid_prefix) {
-#if defined(__unix__) || defined(__APPLE__)
-  if (::truncate(path.c_str(), static_cast<off_t>(valid_prefix.size())) != 0) {
-    io_error(path, "could not truncate torn tail");
-  }
-#else
-  // No truncate syscall: rewrite the valid prefix.
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (!file) io_error(path, "could not rewrite torn journal");
-  const bool ok = std::fwrite(valid_prefix.data(), 1, valid_prefix.size(),
-                              file) == valid_prefix.size();
-  std::fclose(file);
-  if (!ok) io_error(path, "could not rewrite torn journal");
-#endif
-}
-
 }  // namespace
 
 bool peek_checkpoint_key(const std::string& path, CheckpointKey& out) {
@@ -268,8 +250,9 @@ CheckpointJournal::CheckpointJournal(std::string path,
     valid_end = header.size() + cur.offset();
   }
   replayed_ = done_.size();
-  if (valid_end < existing.size()) {
-    truncate_file(path_, existing.substr(0, valid_end));
+  if (valid_end < existing.size() &&
+      ::truncate(path_.c_str(), static_cast<off_t>(valid_end)) != 0) {
+    io_error(path_, "could not truncate torn tail");
   }
   file_ = std::fopen(path_.c_str(), "ab");
   if (!file_) io_error(path_, "cannot reopen for append");

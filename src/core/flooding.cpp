@@ -244,26 +244,14 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     if (!done[s]) ++col_active[s / kBitWordBits];
   }
   const std::size_t workers = all_sources_workers(threads, n);
-  if (workers <= 1) {
-    std::vector<std::size_t> active_cols;
-    active_cols.reserve(words);
-    for (std::uint64_t t = 0; t < max_rounds && remaining > 0; ++t) {
-      // The graph steps only between rounds, as in flood().
-      if (t > 0) graph.step();
-      const Snapshot& snapshot = graph.snapshot();
-      require_snapshot_nodes(snapshot, n);
-      remaining -= all_sources_round_block(
-          snapshot, t, n, words, 0, words, cur.data(), next.data(),
-          counts.data(), done.data(), col_active.data(), active_cols,
-          all.per_source);
-      std::swap(cur, next);
-    }
-  } else if (max_rounds > 0 && remaining > 0) {
-    // Round-synchronous worker pool: each worker owns a contiguous word
-    // block for the whole run.  The barrier's completion step (exclusive,
-    // runs while every worker is parked) swaps the buffers, recomputes the
-    // shared stop flag and, unless the run stops, advances the model and
-    // reads the next snapshot; workers read the flag and the snapshot only
+  if (max_rounds > 0 && remaining > 0) {
+    // Round-synchronous workers: each owns a contiguous word block for the
+    // whole run, and the calling thread is worker 0, so one worker starts
+    // no thread.  The barrier's completion step (exclusive, runs while
+    // every worker is parked; inline when there is one) swaps the
+    // buffers, recomputes the shared stop flag and, unless the run stops,
+    // advances the model and reads the next snapshot, as flood() steps
+    // only between rounds; workers read the flag and the snapshot only
     // after the barrier, so every thread always agrees on the round count.
     // The snapshot is read serially because a first snapshot() read after
     // step() may build it (see DynamicGraph::snapshot()).  `remaining` is
@@ -275,10 +263,10 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
     const Snapshot* snapshot = &graph.snapshot();
     require_snapshot_nodes(*snapshot, n);
     // Error funnel: a throwing worker (or a throwing step or read) must
-    // end the run with a catchable exception, exactly like the serial
-    // path — not std::terminate.  Failing workers record the first
-    // exception, raise `failed`, and keep arriving at the barrier so
-    // nobody deadlocks; the completion step turns `failed` into `stop`.
+    // end the run with a catchable exception, not std::terminate.
+    // Failing workers record the first exception, raise `failed`, and
+    // keep arriving at the barrier so nobody deadlocks; the completion
+    // step turns `failed` into `stop`.
     std::atomic<bool> failed{false};
     std::mutex error_mutex;
     std::exception_ptr first_error;
@@ -326,9 +314,9 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
       }
     };
     std::vector<std::thread> pool;
-    pool.reserve(workers);
+    pool.reserve(workers - 1);
     try {
-      for (std::size_t k = 0; k < workers; ++k) pool.emplace_back(work, k);
+      for (std::size_t k = 1; k < workers; ++k) pool.emplace_back(work, k);
     } catch (...) {
       // Thread spawn failed after some workers already started: record
       // the error and retire the unspawned participants from the barrier
@@ -336,10 +324,11 @@ AllSourcesResult flood_all_sources(DynamicGraph& graph,
       // phase, observe stop, and exit — the same catchable-exception
       // contract as every other failure, never a deadlock + terminate.
       record_error();
-      for (std::size_t k = pool.size(); k < workers; ++k) {
+      for (std::size_t k = pool.size() + 1; k < workers; ++k) {
         sync.arrive_and_drop();
       }
     }
+    work(0);
     for (std::thread& worker : pool) worker.join();
     if (first_error) std::rethrow_exception(first_error);
   }

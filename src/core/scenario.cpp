@@ -185,32 +185,17 @@ ScenarioModel build_general_edge_meg(const ParamReader& p) {
          link + "'");
   }();
   const MegStorage storage = parse_storage(p.str("storage"));
-  // Probe at n = 2: an explicit storage=sparse on a chain without a
-  // quiescent majority must fail at validation time, not on trial 1
-  // (sparse qualification depends only on the chain, not on n).
-  (void)GeneralEdgeMEG(2, built.chain, built.chi, 0, storage);
+  // Resolved before trial 1 allocates anything: an explicit
+  // storage=sparse on a chain without a quiescent majority fails
+  // validation, and the decision travels the warning channel.
+  const MegStorage resolved = GeneralEdgeMEG::resolve_storage(
+      n, built.chain.stationary(), built.chi, storage);
   ScenarioModel model{[n, built, storage](std::uint64_t seed)
                           -> std::unique_ptr<DynamicGraph> {
                         return std::make_unique<GeneralEdgeMEG>(
                             n, built.chain, built.chi, seed, storage);
                       },
                       n};
-  // Predict what the real-n constructor will resolve to (qualification
-  // depends only on the chain: probe sparse at n = 2) so the decision can
-  // travel the warning channel before trial 1 allocates anything.
-  MegStorage resolved = storage;
-  if (storage == MegStorage::kAuto) {
-    bool qualifies = true;
-    try {
-      (void)GeneralEdgeMEG(2, built.chain, built.chi, 0, MegStorage::kSparse);
-    } catch (const std::exception&) {
-      qualifies = false;
-    }
-    resolved = qualifies && meg_auto_prefers_sparse(
-                                GeneralEdgeMEG::dense_footprint_bytes(n))
-                   ? MegStorage::kSparse
-                   : MegStorage::kDense;
-  }
   const std::string note =
       meg_storage_note("general_edge_meg", n, storage, resolved,
                        GeneralEdgeMEG::dense_footprint_bytes(n));
@@ -242,36 +227,21 @@ ScenarioModel build_het_edge_meg(const ParamReader& p) {
     fail("het_edge_meg: sampler must be uniform_alpha|two_speed, got '" +
          sampler_name + "'");
   }
-  // Probe at n = 2 like build_general_edge_meg: unsound RateBounds for a
-  // sparse run (e.g. a zero birth envelope) must fail at validation
-  // time, not on trial 1.  kAuto is resolved against the *real* n first
-  // — a tiny probe under kAuto would take the dense branch and skip
-  // exactly the sparse bounds checks it exists to front-load.
-  const MegStorage probe_storage =
-      storage == MegStorage::kAuto &&
-              meg_auto_prefers_sparse(
-                  HeterogeneousEdgeMEG::dense_footprint_bytes(n))
-          ? MegStorage::kSparse
-          : storage;
-  (void)HeterogeneousEdgeMEG(2, sampler, 0, probe_storage, bounds);
+  // Resolved at the real n: unsound RateBounds for a sparse run (e.g. a
+  // zero birth envelope) fail validation, not trial 1.  A probe at n = 2
+  // under the resolved mode then checks a drawn rate against them.
+  const MegStorage resolved =
+      HeterogeneousEdgeMEG::resolve_storage(n, storage, bounds);
+  (void)HeterogeneousEdgeMEG(2, sampler, 0, resolved, bounds);
   ScenarioModel model{[n, sampler, storage, bounds](std::uint64_t seed)
                           -> std::unique_ptr<DynamicGraph> {
                         return std::make_unique<HeterogeneousEdgeMEG>(
                             n, sampler, seed, storage, bounds);
                       },
                       n};
-  // het_edge_meg sparse qualification is the bounds soundness the probe
-  // above already enforced, so kAuto resolution at the real n is purely
-  // the footprint threshold.
-  const std::uint64_t footprint =
-      HeterogeneousEdgeMEG::dense_footprint_bytes(n);
-  const MegStorage resolved =
-      storage == MegStorage::kAuto
-          ? (meg_auto_prefers_sparse(footprint) ? MegStorage::kSparse
-                                                : MegStorage::kDense)
-          : storage;
-  const std::string note =
-      meg_storage_note("het_edge_meg", n, storage, resolved, footprint);
+  const std::string note = meg_storage_note(
+      "het_edge_meg", n, storage, resolved,
+      HeterogeneousEdgeMEG::dense_footprint_bytes(n));
   if (!note.empty()) model.warnings.push_back(note);
   return model;
 }

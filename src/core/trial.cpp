@@ -223,38 +223,33 @@ Measurement measure(const GraphFactory& graph_factory,
   };
   TrialExecutor executor(graph_factory, process_factory, config, hooks,
                          graph_seeds, process_seeds);
-  const std::size_t threads = resolve_threads(config.threads, config.trials);
-  if (threads <= 1) {
-    for (std::size_t trial = 0; trial < config.trials; ++trial) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
+  std::mutex error_mutex;
+  std::exception_ptr first_error;
+  auto worker = [&] {
+    while (!failed.load(std::memory_order_relaxed) && !cancelled()) {
+      const std::size_t trial = next.fetch_add(1);
+      if (trial >= config.trials) break;
       if (slots[trial].state == SlotState::kDone) continue;  // resumed
-      if (cancelled()) break;
-      executor.execute(trial, slots[trial]);
-    }
-  } else {
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
-    std::mutex error_mutex;
-    std::exception_ptr first_error;
-    auto worker = [&] {
-      while (!failed.load(std::memory_order_relaxed) && !cancelled()) {
-        const std::size_t trial = next.fetch_add(1);
-        if (trial >= config.trials) break;
-        if (slots[trial].state == SlotState::kDone) continue;  // resumed
-        try {
-          executor.execute(trial, slots[trial]);
-        } catch (...) {
-          const std::lock_guard<std::mutex> lock(error_mutex);
-          if (!first_error) first_error = std::current_exception();
-          failed.store(true, std::memory_order_relaxed);
-        }
+      try {
+        executor.execute(trial, slots[trial]);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lock(error_mutex);
+        if (!first_error) first_error = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
       }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-    if (first_error) std::rethrow_exception(first_error);
-  }
+    }
+  };
+  // The calling thread is one of the workers, so one worker starts no
+  // thread.
+  const std::size_t threads = resolve_threads(config.threads, config.trials);
+  std::vector<std::thread> pool;
+  pool.reserve(threads - 1);
+  for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
+  worker();
+  for (std::thread& t : pool) t.join();
+  if (first_error) std::rethrow_exception(first_error);
   return merge_slots(slots, resumed);
 }
 

@@ -1,5 +1,6 @@
 #include "meg/edge_meg.hpp"
 
+#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -27,12 +28,20 @@ void TwoStateEdgeMEG::initialize() {
     case EdgeMegInit::kAllOff:
       break;
     case EdgeMegInit::kAllOn:
+      on_.born.reserve(total_pairs_ + 1);  // + the merge's closing key
       on_.born.resize(total_pairs_);
       std::iota(on_.born.begin(), on_.born.end(), std::uint64_t{0});
       break;
-    case EdgeMegInit::kStationary:
-      draw_marks(chain_.stationary_on());
+    case EdgeMegInit::kStationary: {
+      // One allocation for the marks: their mean, four standard
+      // deviations and the merge's closing key.
+      const double p = chain_.stationary_on();
+      const double mean = static_cast<double>(total_pairs_) * p;
+      reserve_headroom(on_.born, static_cast<std::uint64_t>(
+                                     mean + 4.0 * std::sqrt(mean) + 1.0));
+      draw_marks(p);
       break;
+    }
   }
   indices_to_keys(n_, on_.born);
   on_.merge(n_, snapshot_);
@@ -55,6 +64,7 @@ void TwoStateEdgeMEG::step() {
   // and advances past it when the draw says it dies; the set itself is
   // left for the merge below.
   const std::size_t count = on_.keys.size();
+  reserve_headroom(on_.died, count + 1);  // + the merge's closing key
   on_.died.resize(count);
   std::size_t dead = 0;
   if (const double q = chain_.death_rate(); q > 0.0) {

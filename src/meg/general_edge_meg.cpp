@@ -43,26 +43,11 @@ GeneralEdgeMEG::GeneralEdgeMEG(std::size_t num_nodes, DenseChain chain,
     exit_prob_[s] = std::min(cum, 1.0);
   }
 
-  // Storage resolution.  Sparse needs (a) a dominant stationary state,
-  // so the batched Binomial machinery covers the implicit population
-  // (this is the same pi_max >= 1/2 rule the dense batched initializer
-  // uses), and (b) chi(majority) == false, so the on-set is a subset of
-  // the minority map and memory really is O(#minority + #on).
-  StateId majority = 0;
-  for (StateId s = 1; s < num_states; ++s) {
-    if (stationary_[s] > stationary_[majority]) majority = s;
-  }
-  const bool qualifies = stationary_[majority] >= 0.5 && !chi_[majority];
-  if (storage == MegStorage::kSparse && !qualifies) {
-    throw std::invalid_argument(
-        "GeneralEdgeMEG: sparse storage requires a dominant stationary "
-        "state (pi_max >= 1/2) with chi(majority) == false; this chain "
-        "has no quiescent majority — use dense storage");
-  }
-  sparse_ = storage == MegStorage::kSparse ||
-            (storage == MegStorage::kAuto && qualifies &&
-             meg_auto_prefers_sparse(dense_footprint_bytes(n_)));
-  majority_state_ = majority;
+  sparse_ = resolve_storage(n_, stationary_, chi_, storage) ==
+            MegStorage::kSparse;
+  majority_state_ = static_cast<StateId>(
+      std::max_element(stationary_.begin(), stationary_.end()) -
+      stationary_.begin());
   for (StateId s = 0; s < num_states; ++s) {
     if (s != majority_state_) {
       minority_exit_envelope_ = std::max(minority_exit_envelope_, exit_prob_[s]);
@@ -88,6 +73,31 @@ std::uint64_t GeneralEdgeMEG::dense_footprint_bytes(
     std::size_t num_nodes) noexcept {
   // One state byte (states_) plus one 8-byte packed bucket key per pair.
   return pair_count(num_nodes) * 9;
+}
+
+MegStorage GeneralEdgeMEG::resolve_storage(
+    std::size_t num_nodes, const std::vector<double>& stationary,
+    const std::vector<bool>& chi, MegStorage requested) {
+  // Sparse needs (a) a dominant stationary state, so the batched
+  // Binomial machinery covers the implicit population (this is the same
+  // pi_max >= 1/2 rule the dense batched initializer uses), and (b)
+  // chi(majority) == false, so the on-set is a subset of the minority map
+  // and memory really is O(#minority + #on).
+  const auto majority = static_cast<std::size_t>(
+      std::max_element(stationary.begin(), stationary.end()) -
+      stationary.begin());
+  const bool qualifies = stationary[majority] >= 0.5 && !chi[majority];
+  if (requested == MegStorage::kSparse && !qualifies) {
+    throw std::invalid_argument(
+        "GeneralEdgeMEG: sparse storage requires a dominant stationary "
+        "state (pi_max >= 1/2) with chi(majority) == false; this chain "
+        "has no quiescent majority — use dense storage");
+  }
+  const bool sparse =
+      requested == MegStorage::kSparse ||
+      (requested == MegStorage::kAuto && qualifies &&
+       meg_auto_prefers_sparse(dense_footprint_bytes(num_nodes)));
+  return sparse ? MegStorage::kSparse : MegStorage::kDense;
 }
 
 std::uint64_t GeneralEdgeMEG::minority_count() const {

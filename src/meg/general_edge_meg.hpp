@@ -90,6 +90,17 @@ class GeneralEdgeMEG final : public DynamicGraph {
   // threshold in meg/storage.hpp.
   static std::uint64_t dense_footprint_bytes(std::size_t num_nodes) noexcept;
 
+  // The mode `requested` resolves to (never kAuto) at `num_nodes` for a
+  // chain with this `stationary` distribution and edge states `chi`.
+  // Sparse needs a quiescent majority: a stationary state with pi >= 1/2
+  // and chi false.  kAuto goes sparse when the chain has one and the
+  // dense footprint passes the threshold.  Throws std::invalid_argument
+  // for kSparse on a chain without one.
+  static MegStorage resolve_storage(std::size_t num_nodes,
+                                    const std::vector<double>& stationary,
+                                    const std::vector<bool>& chi,
+                                    MegStorage requested);
+
   // Sparse mode: number of pairs currently off the majority state (the
   // minority-map size).  Dense mode reports the same quantity (counted
   // from the buckets) so tests can compare the representations.

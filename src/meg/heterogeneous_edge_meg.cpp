@@ -23,6 +23,32 @@ std::uint64_t HeterogeneousEdgeMEG::dense_footprint_bytes(
   return pair_count(num_nodes) * 26;
 }
 
+MegStorage HeterogeneousEdgeMEG::resolve_storage(std::size_t num_nodes,
+                                                 MegStorage requested,
+                                                 const RateBounds& bounds) {
+  const bool sparse =
+      requested == MegStorage::kSparse ||
+      (requested == MegStorage::kAuto &&
+       meg_auto_prefers_sparse(dense_footprint_bytes(num_nodes)));
+  if (!sparse) return MegStorage::kDense;
+  // The thinning envelopes and Theorem-1 inputs must be sound before a
+  // single rate is drawn; derive_rates() cross-checks every draw against
+  // them.
+  if (!(bounds.max_birth > 0.0 && bounds.max_birth <= 1.0 &&
+        bounds.max_death > 0.0 && bounds.max_death <= 1.0)) {
+    throw std::invalid_argument(
+        "HeterogeneousEdgeMEG: sparse storage needs rate envelopes "
+        "(RateBounds::max_birth / max_death) in (0, 1]");
+  }
+  if (!(bounds.min_alpha > 0.0 && bounds.min_alpha <= bounds.max_alpha &&
+        bounds.max_alpha < 1.0)) {
+    throw std::invalid_argument(
+        "HeterogeneousEdgeMEG: sparse storage needs alpha bounds with "
+        "0 < min_alpha <= max_alpha < 1");
+  }
+  return MegStorage::kSparse;
+}
+
 HeterogeneousEdgeMEG::HeterogeneousEdgeMEG(std::size_t num_nodes,
                                            EdgeRateSampler sampler,
                                            std::uint64_t seed,
@@ -35,25 +61,8 @@ HeterogeneousEdgeMEG::HeterogeneousEdgeMEG(std::size_t num_nodes,
   if (!sampler) {
     throw std::invalid_argument("HeterogeneousEdgeMEG: null sampler");
   }
-  sparse_ = storage == MegStorage::kSparse ||
-            (storage == MegStorage::kAuto &&
-             meg_auto_prefers_sparse(dense_footprint_bytes(n_)));
+  sparse_ = resolve_storage(n_, storage, bounds) == MegStorage::kSparse;
   if (sparse_) {
-    // The thinning envelopes and Theorem-1 inputs must be sound before a
-    // single rate is drawn; derive_rates() cross-checks every draw
-    // against them.
-    if (!(bounds.max_birth > 0.0 && bounds.max_birth <= 1.0 &&
-          bounds.max_death > 0.0 && bounds.max_death <= 1.0)) {
-      throw std::invalid_argument(
-          "HeterogeneousEdgeMEG: sparse storage needs rate envelopes "
-          "(RateBounds::max_birth / max_death) in (0, 1]");
-    }
-    if (!(bounds.min_alpha > 0.0 && bounds.min_alpha <= bounds.max_alpha &&
-          bounds.max_alpha < 1.0)) {
-      throw std::invalid_argument(
-          "HeterogeneousEdgeMEG: sparse storage needs alpha bounds with "
-          "0 < min_alpha <= max_alpha < 1");
-    }
     bounds_ = bounds;
     sampler_ = std::move(sampler);
     rate_seed_ = seed ^ 0x5bf03635d1f4bb21ULL;
@@ -242,7 +251,7 @@ void HeterogeneousEdgeMEG::step_sparse() {
   // on-set, so no edge flips twice in a step.
   const std::uint64_t* on = on_set_.keys.data();
   const std::size_t size = on_set_.keys.size();
-  std::vector<std::uint64_t>& died = on_set_.died;
+  PairKeys& died = on_set_.died;
   died.clear();
   geometric_select(rng_, size, bounds_.max_death, [&](std::uint64_t pos) {
     const TwoStateParams r = derive_rates(pair_index_from_key(n_, on[pos]));

@@ -104,6 +104,14 @@ class HeterogeneousEdgeMEG final : public DynamicGraph {
   // key (8 B) per pair.  What kAuto weighs against the threshold.
   static std::uint64_t dense_footprint_bytes(std::size_t num_nodes) noexcept;
 
+  // The mode `requested` resolves to (never kAuto) at `num_nodes`: kAuto
+  // goes sparse when the dense footprint passes the threshold.  Throws
+  // std::invalid_argument when it resolves to sparse with unsound
+  // `bounds`.
+  static MegStorage resolve_storage(std::size_t num_nodes,
+                                    MegStorage requested,
+                                    const RateBounds& bounds);
+
   // O(1) dense; sparse re-derives from the pair's counter-based stream.
   TwoStateParams edge_rates(NodeId i, NodeId j) const;
 

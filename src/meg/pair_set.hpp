@@ -85,8 +85,8 @@ void reserve_headroom(std::vector<T, Alloc>& buffer, std::uint64_t size) {
 struct PairSet {
   PairKeys keys;
   PairStates states;
-  std::vector<std::uint64_t> died;
-  std::vector<std::uint64_t> born;
+  PairKeys died;
+  PairKeys born;
 
   // set := (set ∪ born) \ died over an n-node population, lends the new
   // set to `snapshot`, and empties both lists.  Both lists are ascending

@@ -1,10 +1,7 @@
 #include "serve/cache.hpp"
 
-#include <sys/stat.h>
-
-#if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
-#endif
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -44,7 +41,6 @@ std::optional<std::string> slurp(const std::string& path) {
 std::vector<std::string> sorted_names(
     const std::string& dir, std::initializer_list<std::string_view> suffixes) {
   std::vector<std::string> names;
-#if defined(__unix__) || defined(__APPLE__)
   if (DIR* handle = ::opendir(dir.c_str())) {
     while (const dirent* entry = ::readdir(handle)) {
       const std::string_view name = entry->d_name;
@@ -57,7 +53,6 @@ std::vector<std::string> sorted_names(
     }
     ::closedir(handle);
   }
-#endif
   std::sort(names.begin(), names.end());
   return names;
 }
@@ -77,7 +72,6 @@ ResultCache::ResultCache(std::string disk_dir) : dir_(std::move(disk_dir)) {
 // unrecovered — but the operator should hear about it once, up front,
 // instead of diagnosing silent cache misses later.
 void ResultCache::scan_disk() const {
-#if defined(__unix__) || defined(__APPLE__)
   // Sorted: a deterministic warning order.
   for (const std::string& name : sorted_names(dir_, {".mfc", ".mfj"})) {
     const std::string path = dir_ + "/" + name;
@@ -90,7 +84,6 @@ void ResultCache::scan_disk() const {
                    path.c_str(), std::strerror(errno));
     }
   }
-#endif
 }
 
 std::string ResultCache::entry_path(std::uint64_t hash, int probe) const {

@@ -1,10 +1,6 @@
 #include "serve/client.hpp"
 
 #include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -21,27 +17,26 @@ namespace megflood::serve {
 
 namespace {
 
-// Non-blocking connect bounded by ::poll: a listener that accepted the
+// Non-blocking connect bounded by a poll: a listener that accepted the
 // TCP handshake but never progresses (or a backlogged unix socket) times
 // out instead of blocking the caller in ::connect forever.
-void connect_with_timeout(int fd, const sockaddr* address,
-                          socklen_t address_size, int timeout_ms,
-                          const std::string& target) {
+int connect_with_timeout(const SocketAddress& address, int timeout_ms,
+                         const std::string& target) {
+  const int fd = ::socket(address.family(), SOCK_STREAM, 0);
   const auto fail = [&](const std::string& why) {
-    ::close(fd);
+    if (fd >= 0) ::close(fd);
     throw std::runtime_error("client: cannot connect to " + target + ": " +
                              why);
   };
+  if (fd < 0) fail(std::strerror(errno));
   const int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) != 0) {
     fail(std::strerror(errno));
   }
-  if (::connect(fd, address, address_size) != 0) {
+  if (::connect(fd, address.get(), address.size) != 0) {
     if (errno != EINPROGRESS && errno != EAGAIN) fail(std::strerror(errno));
-    pollfd poller{};
-    poller.fd = fd;
-    poller.events = POLLOUT;
-    const int ready = ::poll(&poller, 1, timeout_ms);
+    pollfd poller{fd, POLLOUT, 0};
+    const int ready = poll_resuming(&poller, 1, timeout_ms);
     if (ready == 0) fail("connect timed out");
     if (ready < 0) fail(std::strerror(errno));
     int error = 0;
@@ -52,6 +47,7 @@ void connect_with_timeout(int fd, const sockaddr* address,
     if (error != 0) fail(std::strerror(error));
   }
   if (::fcntl(fd, F_SETFL, flags) != 0) fail(std::strerror(errno));
+  return fd;
 }
 
 }  // namespace
@@ -59,128 +55,42 @@ void connect_with_timeout(int fd, const sockaddr* address,
 LineClient::~LineClient() { close(); }
 
 LineClient::LineClient(LineClient&& other) noexcept
-    : fd_(other.fd_), buffer_(std::move(other.buffer_)) {
-  other.fd_ = -1;
-}
+    : reader_(std::exchange(other.reader_, LineReader())) {}
 
 LineClient& LineClient::operator=(LineClient&& other) noexcept {
   if (this != &other) {
     close();
-    fd_ = other.fd_;
-    buffer_ = std::move(other.buffer_);
-    other.fd_ = -1;
+    reader_ = std::exchange(other.reader_, LineReader());
   }
   return *this;
 }
 
 void LineClient::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  buffer_.clear();
+  if (reader_.fd() >= 0) ::close(reader_.fd());
+  reader_.reset();
 }
 
 LineClient LineClient::connect_unix(const std::string& path, int timeout_ms) {
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(address.sun_path)) {
-    throw std::runtime_error("client: unix socket path too long: " + path);
-  }
-  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("client: socket: ") +
-                             std::strerror(errno));
-  }
-  connect_with_timeout(fd, reinterpret_cast<const sockaddr*>(&address),
-                       sizeof(address), timeout_ms, "'" + path + "'");
-  return LineClient(fd);
+  return LineClient(
+      connect_with_timeout(unix_address(path), timeout_ms, "'" + path + "'"));
 }
 
 LineClient LineClient::connect_tcp(std::uint16_t port, int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    throw std::runtime_error(std::string("client: socket: ") +
-                             std::strerror(errno));
-  }
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  address.sin_port = htons(port);
-  connect_with_timeout(fd, reinterpret_cast<const sockaddr*>(&address),
-                       sizeof(address), timeout_ms,
-                       "port " + std::to_string(port));
-  return LineClient(fd);
+  return LineClient(connect_with_timeout(loopback_address(port), timeout_ms,
+                                         "port " + std::to_string(port)));
 }
 
 bool LineClient::send_line(const std::string& line, int timeout_ms) {
-  if (fd_ < 0) return false;
-  std::string framed = line;
-  framed += '\n';
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    // MSG_NOSIGNAL: a vanished server is a false return, not SIGPIPE.
-    // MSG_DONTWAIT + the POLLOUT guard below bound a full kernel buffer
-    // (a stalled server reader) by timeout_ms instead of blocking.
-    const ssize_t got = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent,
-                               MSG_NOSIGNAL | MSG_DONTWAIT);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        pollfd poller{};
-        poller.fd = fd_;
-        poller.events = POLLOUT;
-        const int ready = ::poll(&poller, 1, timeout_ms);
-        if (ready <= 0) return false;  // timeout or poll error
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(got);
-  }
-  return true;
+  return serve::send_line(reader_.fd(), line, timeout_ms);
 }
 
 std::optional<std::string> LineClient::recv_line(int timeout_ms,
                                                  RecvStatus* status) {
-  const auto out = [&](RecvStatus s) {
-    if (status != nullptr) *status = s;
-  };
-  if (fd_ < 0) {
-    out(RecvStatus::kClosed);
-    return std::nullopt;
-  }
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      std::string line = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      out(RecvStatus::kLine);
-      return line;
-    }
-    pollfd poller{};
-    poller.fd = fd_;
-    poller.events = POLLIN;
-    const int ready = ::poll(&poller, 1, timeout_ms);
-    if (ready == 0) {
-      out(RecvStatus::kTimeout);
-      return std::nullopt;
-    }
-    if (ready < 0) {
-      out(RecvStatus::kClosed);
-      return std::nullopt;
-    }
-    char chunk[4096];
-    const ssize_t got = ::read(fd_, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      out(RecvStatus::kClosed);  // EOF or error: the server is gone
-      return std::nullopt;
-    }
-    buffer_.append(chunk, static_cast<std::size_t>(got));
-  }
+  std::string line;
+  const RecvStatus got = reader_.read_line(timeout_ms, line);
+  if (status != nullptr) *status = got;
+  if (got != RecvStatus::kLine) return std::nullopt;
+  return line;
 }
 
 // ---------------------------------------------------------------------------

@@ -3,12 +3,13 @@
 // Clients for the serve protocol, shared by the server tests and
 // tools/megflood_load.
 //
-// LineClient is the minimal blocking transport: one connection,
-// newline-framed sends, timeout-bounded line receives.  Every blocking
-// syscall is ::poll-guarded — connect, send and receive all take a
-// timeout, so a hung or drop-injected daemon can never wedge a client or
-// a test forever, and recv_line distinguishes "nothing arrived yet"
-// (timeout) from "the server is gone" (closed).
+// LineClient is the minimal blocking transport: one connection, lines
+// sent and received through serve/line_io.hpp, the transport every serve
+// socket shares.  Connect, send and receive all take a timeout, so a hung
+// or drop-injected daemon can never wedge a client or a test forever, and
+// recv_line distinguishes "nothing arrived yet" (timeout) from "the
+// server is gone" (closed).  A signal that interrupts a wait does not end
+// it.
 //
 // RetryingClient (ISSUE 9) layers fault tolerance on top: connect and
 // submit retry with exponential backoff + decorrelated jitter (seeded via
@@ -26,15 +27,10 @@
 #include <optional>
 #include <string>
 
+#include "serve/line_io.hpp"
 #include "util/rng.hpp"
 
 namespace megflood::serve {
-
-enum class RecvStatus {
-  kLine,     // a full line was returned
-  kTimeout,  // nothing arrived within timeout_ms; the connection is fine
-  kClosed,   // EOF or socket error: the server is gone
-};
 
 class LineClient {
  public:
@@ -53,7 +49,7 @@ class LineClient {
   static LineClient connect_tcp(std::uint16_t port,  // localhost
                                 int timeout_ms = kDefaultTimeoutMs);
 
-  bool connected() const noexcept { return fd_ >= 0; }
+  bool connected() const noexcept { return reader_.fd() >= 0; }
 
   // Sends `line` + '\n'.  Returns false when the connection broke or the
   // kernel buffer stayed full past timeout_ms (a stalled reader).
@@ -70,10 +66,9 @@ class LineClient {
   static constexpr int kDefaultTimeoutMs = 30000;
 
  private:
-  explicit LineClient(int fd) : fd_(fd) {}
+  explicit LineClient(int fd) : reader_(fd) {}
 
-  int fd_ = -1;
-  std::string buffer_;
+  LineReader reader_;  // owns its fd: close() closes it
 };
 
 struct RetryPolicy {

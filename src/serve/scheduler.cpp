@@ -14,7 +14,6 @@
 #include "core/sweep.hpp"
 #include "serve/json.hpp"
 #include "serve/worker.hpp"
-#include "util/fault_injection.hpp"
 
 namespace megflood::serve {
 
@@ -75,6 +74,21 @@ Scheduler::Scheduler(const SchedulerConfig& config, ResultCache* cache)
 
 Scheduler::~Scheduler() { drain(); }
 
+Scheduler::SubJob Scheduler::make_subjob(ScenarioSpec spec,
+                                         std::size_t index) {
+  // The pool owns parallelism: every sub-job runs single-threaded on a
+  // worker, which also makes the cache key independent of whatever
+  // --threads the client happened to pass.
+  spec.trial.threads = 1;
+  (void)make_model_factory(spec);
+  (void)make_process_factory(spec.process);
+  SubJob sub;
+  sub.key = campaign_key(spec);
+  sub.spec = std::move(spec);
+  sub.index = index;
+  return sub;
+}
+
 std::uint64_t Scheduler::register_client(EventFn emit) {
   std::lock_guard<std::mutex> lock(mutex_);
   const std::uint64_t id = next_client_++;
@@ -122,11 +136,6 @@ void Scheduler::submit(std::uint64_t client, const Request& request) {
     if (base.trial.trials == 0) {
       throw std::invalid_argument("trials must be >= 1");
     }
-    // The pool owns parallelism: every sub-job runs single-threaded on a
-    // worker, which also makes the cache key independent of whatever
-    // --threads the client happened to pass.
-    base.trial.threads = 1;
-
     std::vector<SweepPoint> points;
     if (!request.sweep.empty()) {
       points = expand_sweep_points(parse_multi_sweep(request.sweep));
@@ -141,22 +150,16 @@ void Scheduler::submit(std::uint64_t client, const Request& request) {
     }
     subjobs.reserve(points.size());
     for (const SweepPoint& point : points) {
-      SubJob sub;
-      sub.spec = base;
+      ScenarioSpec spec = base;
       for (const auto& [key, value] : point) {
         if (base.params.find(key) != base.params.end()) {
           throw std::invalid_argument("parameter '" + key +
                                       "' is both fixed in args and swept");
         }
-        sub.spec.params[key] = value;
+        spec.params[key] = value;
       }
-      // Validate the concrete point exactly as megflood_run would; a bad
-      // point rejects the whole submission before anything is queued.
-      (void)make_model_factory(sub.spec);
-      (void)make_process_factory(sub.spec.process);
-      sub.key = campaign_key(sub.spec);
-      sub.index = subjobs.size();
-      subjobs.push_back(std::move(sub));
+      // A bad point rejects the whole submission before anything is queued.
+      subjobs.push_back(make_subjob(std::move(spec), subjobs.size()));
     }
   } catch (const std::exception& e) {
     error = e.what();
@@ -410,24 +413,12 @@ void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
   const std::shared_ptr<Job>& job = item.job;
   SubJobReply reply;
   reply.key = campaign_key_string(item.work.key);
-  MeasureHooks hooks;
-  hooks.cancel = &job->cancel;
-  if (FaultPlan* const plan = fault_plan_) {
-    hooks.on_trial_start = [plan](std::size_t trial) {
-      plan->fire_trial_start(trial);
-    };
-    // kill:after= counts durable records daemon-wide and fires after
-    // the trial_done event is queued for delivery.
-    hooks.on_trial_recorded = [plan](std::size_t trial) {
-      plan->fire_trial_recorded(trial);
-    };
-  }
   const std::string jpath = journal_path(reply.key);
   std::size_t credited = 0;
   lock.unlock();
   SubJobOutcome outcome =
-      run_subjob(item.work.spec, jpath, job->deadline_s, std::move(hooks),
-                 [&](std::size_t done) {
+      run_subjob(item.work.spec, jpath, job->deadline_s, &job->cancel,
+                 fault_plan_, /*attempt=*/0, [&](std::size_t done) {
                    std::lock_guard<std::mutex> relock(mutex_);
                    credit_progress(*job, credited, done);
                  });
@@ -622,15 +613,15 @@ bool Scheduler::pump(WorkerSlot& slot, Dispatch& cur,
     }
     std::string line;
     const auto status = process.read_line(kWorkerPollMs, line, slot.wake.fd());
-    if (status == WorkerProcess::ReadStatus::kWoken) {
+    if (status == RecvStatus::kWoken) {
       slot.wake.drain();  // then the loop's top sends any new cancel
       continue;
     }
-    if (status == WorkerProcess::ReadStatus::kClosed) {
+    if (status == RecvStatus::kClosed) {
       death = process.reap_after_close();
       return false;
     }
-    if (status == WorkerProcess::ReadStatus::kTimeout) {
+    if (status == RecvStatus::kTimeout) {
       const auto silent_ms =
           std::chrono::duration_cast<std::chrono::milliseconds>(
               Clock::now() - last_activity)
@@ -815,7 +806,6 @@ void Scheduler::persist_quarantine(const std::string& key_string,
 }
 
 void Scheduler::load_quarantine_markers() {
-#if defined(__unix__) || defined(__APPLE__)
   // Ctor-time only: single-threaded, no lock needed.
   if (journal_dir_.empty()) return;
   for (const std::string& name :
@@ -845,11 +835,9 @@ void Scheduler::load_quarantine_markers() {
     quarantined_[key_string] = info;
     campaign_crashes_[key_string] = info.crashes;
   }
-#endif
 }
 
 std::size_t Scheduler::recover_journals() {
-#if defined(__unix__) || defined(__APPLE__)
   if (journal_dir_.empty()) return 0;
   std::size_t recovered = 0;
   for (const std::string& name : sorted_names(journal_dir_, {kJournalSuffix})) {
@@ -893,11 +881,7 @@ std::size_t Scheduler::recover_journals() {
     }
     SubJob sub;
     try {
-      sub.spec = parse_scenario_cli(key.campaign.scenario_cli);
-      sub.spec.trial.threads = 1;
-      (void)make_model_factory(sub.spec);
-      (void)make_process_factory(sub.spec.process);
-      sub.key = campaign_key(sub.spec);
+      sub = make_subjob(parse_scenario_cli(key.campaign.scenario_cli), 0);
     } catch (const std::exception&) {
       std::remove(path.c_str());
       continue;
@@ -906,7 +890,6 @@ std::size_t Scheduler::recover_journals() {
       std::remove(path.c_str());  // header CLI is not canonical: not ours
       continue;
     }
-    sub.index = 0;
     std::lock_guard<std::mutex> lock(mutex_);
     if (draining_) break;
     if (recovery_client_ == 0) {
@@ -930,9 +913,6 @@ std::size_t Scheduler::recover_journals() {
     work_cv_.notify_all();
   }
   return recovered;
-#else
-  return 0;
-#endif
 }
 
 StatsSnapshot Scheduler::stats() const {

@@ -74,10 +74,6 @@
 #include "serve/protocol.hpp"
 #include "serve/worker.hpp"
 
-namespace megflood {
-class FaultPlan;
-}
-
 namespace megflood::serve {
 
 // How campaign sub-jobs execute: on the scheduler's own pool threads
@@ -168,6 +164,9 @@ class Scheduler {
     CampaignKey key;
     std::size_t index = 0;  // reply slot in the owning job
   };
+  // Forces threads = 1, validates `spec` exactly as megflood_run would
+  // (model and process factories) and keys it; throws on a bad spec.
+  static SubJob make_subjob(ScenarioSpec spec, std::size_t index);
 
   struct Job {
     std::uint64_t client = 0;

@@ -1,9 +1,6 @@
 #include "serve/server.hpp"
 
 #include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -19,6 +16,7 @@
 #include <vector>
 
 #include "serve/cache.hpp"
+#include "serve/line_io.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "util/fault_injection.hpp"
@@ -64,22 +62,6 @@ SchedulerConfig scheduler_config(const ServerConfig& config,
   return out;
 }
 
-bool write_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    // MSG_NOSIGNAL: a client that hung up must surface as EPIPE here,
-    // not as a process-killing SIGPIPE in the writer thread.
-    const ssize_t got =
-        ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
 }  // namespace
 
 class ServerImpl {
@@ -111,8 +93,7 @@ class ServerImpl {
     std::thread writer;
   };
 
-  void listen_unix(const std::string& path);
-  void listen_tcp(std::uint16_t port);
+  void listen_on(const SocketAddress& address, const std::string& where);
   void accept_one();
   void enqueue(Connection& connection, const std::string& line);
   void dispatch(Connection& connection, const std::string& line);
@@ -148,9 +129,24 @@ ServerImpl::ServerImpl(const ServerConfig& config)
         });
   }
   if (!config.unix_path.empty()) {
-    listen_unix(config.unix_path);
+    const std::string& path = config.unix_path;
+    const SocketAddress address = unix_address(path);
+    // A stale socket file from a dead server would make bind fail forever;
+    // unlink first — two live servers on one path is operator error anyway.
+    ::unlink(path.c_str());
+    listen_on(address, "'" + path + "'");
+    unix_path_ = path;
   } else {
-    listen_tcp(config.tcp_port);
+    listen_on(loopback_address(config.tcp_port),
+              "port " + std::to_string(config.tcp_port));
+    sockaddr_in bound{};
+    socklen_t bound_size = sizeof(bound);
+    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                      &bound_size) != 0) {
+      throw std::runtime_error(std::string("serve: getsockname: ") +
+                               std::strerror(errno));
+    }
+    port_ = ntohs(bound.sin_port);
   }
   // Resume whatever a killed predecessor left behind before accepting
   // traffic; the campaigns complete on the worker pool and land in the
@@ -163,57 +159,18 @@ ServerImpl::~ServerImpl() {
   if (!unix_path_.empty()) ::unlink(unix_path_.c_str());
 }
 
-void ServerImpl::listen_unix(const std::string& path) {
-  sockaddr_un address{};
-  address.sun_family = AF_UNIX;
-  if (path.size() >= sizeof(address.sun_path)) {
-    throw std::runtime_error("serve: unix socket path too long: " + path);
+void ServerImpl::listen_on(const SocketAddress& address,
+                           const std::string& where) {
+  listen_fd_ = ::socket(address.family(), SOCK_STREAM, 0);
+  if (listen_fd_ >= 0) {
+    const int one = 1;
+    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   }
-  std::memcpy(address.sun_path, path.c_str(), path.size() + 1);
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("serve: socket: ") +
-                             std::strerror(errno));
-  }
-  // A stale socket file from a dead server would make bind fail forever;
-  // unlink first — two live servers on one path is operator error anyway.
-  ::unlink(path.c_str());
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-             sizeof(address)) != 0 ||
+  if (listen_fd_ < 0 || ::bind(listen_fd_, address.get(), address.size) != 0 ||
       ::listen(listen_fd_, 128) != 0) {
-    throw std::runtime_error("serve: cannot listen on '" + path +
-                             "': " + std::strerror(errno));
-  }
-  unix_path_ = path;
-}
-
-void ServerImpl::listen_tcp(std::uint16_t port) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    throw std::runtime_error(std::string("serve: socket: ") +
+    throw std::runtime_error("serve: cannot listen on " + where + ": " +
                              std::strerror(errno));
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // localhost only
-  address.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-             sizeof(address)) != 0 ||
-      ::listen(listen_fd_, 128) != 0) {
-    throw std::runtime_error("serve: cannot listen on port " +
-                             std::to_string(port) + ": " +
-                             std::strerror(errno));
-  }
-  sockaddr_in bound{};
-  socklen_t bound_size = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                    &bound_size) != 0) {
-    throw std::runtime_error(std::string("serve: getsockname: ") +
-                             std::strerror(errno));
-  }
-  port_ = ntohs(bound.sin_port);
 }
 
 void ServerImpl::enqueue(Connection& connection, const std::string& line) {
@@ -311,9 +268,8 @@ void ServerImpl::writer_loop(Connection* connection) {
       return !connection->outbox.empty() || connection->closing;
     });
     if (connection->outbox.empty()) return;  // closing and flushed
-    std::string line = std::move(connection->outbox.front());
+    const std::string line = std::move(connection->outbox.front());
     connection->outbox.pop_front();
-    line += '\n';
     lock.unlock();
     // Chaos seam: stallwrite sites sleep here (a slow network under one
     // client — never under the scheduler mutex), drop sites hard-close
@@ -323,7 +279,7 @@ void ServerImpl::writer_loop(Connection* connection) {
       ::shutdown(connection->fd, SHUT_RDWR);
       ok = false;
     } else {
-      ok = write_all(connection->fd, line.data(), line.size());
+      ok = send_line(connection->fd, line);
     }
     lock.lock();
     if (!ok) {
@@ -381,9 +337,7 @@ void ServerImpl::close_connection(Connection& connection, bool flush) {
 }
 
 int ServerImpl::serve(const std::atomic<bool>& stop) {
-  pollfd poller{};
-  poller.fd = listen_fd_;
-  poller.events = POLLIN;
+  pollfd poller{listen_fd_, POLLIN, 0};
   while (!stop.load(std::memory_order_relaxed) &&
          !shutdown_requested_.load(std::memory_order_relaxed)) {
     const int ready = ::poll(&poller, 1, kPollMs);

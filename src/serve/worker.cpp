@@ -1,15 +1,12 @@
 #include "serve/worker.hpp"
 
-#if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
-#include <poll.h>
 #include <pthread.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
 
 #include <atomic>
 #include <cerrno>
@@ -32,7 +29,9 @@
 #include "core/format.hpp"
 #include "core/scenario.hpp"
 #include "serve/json.hpp"
+#include "serve/line_io.hpp"
 #include "util/fault_injection.hpp"
+#include "util/resource.hpp"
 
 namespace megflood::serve {
 
@@ -47,25 +46,11 @@ constexpr int kHeartbeatIntervalMs = 500;
 // Separates the result object, the last member of a result line.
 constexpr const char* kResultMarker = ", \"result\": ";
 
-// RLIMIT_AS starves ASan/TSan shadow memory long before it bounds the
-// campaign, so budgets are applied only in uninstrumented builds — the
-// sanitizer lanes still exercise every other sandbox path.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define MEGFLOOD_WORKER_RLIMITS_OFF 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-#define MEGFLOOD_WORKER_RLIMITS_OFF 1
-#endif
-#endif
-
 std::string format_double(double value) {
   char buffer[32];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
 }
-
-#if defined(__unix__) || defined(__APPLE__)
 
 std::string signal_name(int signal) {
   switch (signal) {
@@ -82,27 +67,15 @@ std::string signal_name(int signal) {
   }
 }
 
-// write() the whole line; EINTR-safe.  SIGPIPE is ignored process-wide in
-// worker mode, so a vanished supervisor is a false return, not a signal.
-bool write_all_fd(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t got = ::write(fd, data + sent, size - sent);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
 // Per-job rlimit budgets.  Soft limits only — the hard limits stay where
 // the operator put them — restored after the job so the worker runtime
 // itself (the result line, the next job) is never constrained.
 struct RlimitGuard {
   RlimitGuard(std::uint64_t memory_mb, double deadline_s) {
-#if !defined(MEGFLOOD_WORKER_RLIMITS_OFF)
+    // RLIMIT_AS starves ASan/TSan shadow memory long before it bounds the
+    // campaign, so budgets apply only in uninstrumented builds; the
+    // sanitizer lanes still exercise every other sandbox path.
+    if (!rss_guard_reliable()) return;
     if (memory_mb > 0 && ::getrlimit(RLIMIT_AS, &saved_as_) == 0) {
       rlimit lim = saved_as_;
       const rlim_t budget = static_cast<rlim_t>(memory_mb) << 20;
@@ -130,30 +103,20 @@ struct RlimitGuard {
               : lim.rlim_max;
       if (::setrlimit(RLIMIT_CPU, &lim) == 0) cpu_set_ = true;
     }
-#else
-    (void)memory_mb;
-    (void)deadline_s;
-#endif
   }
   ~RlimitGuard() {
-#if !defined(MEGFLOOD_WORKER_RLIMITS_OFF)
     if (as_set_) ::setrlimit(RLIMIT_AS, &saved_as_);
     if (cpu_set_) ::setrlimit(RLIMIT_CPU, &saved_cpu_);
-#endif
   }
   RlimitGuard(const RlimitGuard&) = delete;
   RlimitGuard& operator=(const RlimitGuard&) = delete;
 
  private:
-#if !defined(MEGFLOOD_WORKER_RLIMITS_OFF)
   rlimit saved_as_{};
   rlimit saved_cpu_{};
   bool as_set_ = false;
   bool cpu_set_ = false;
-#endif
 };
-
-#endif  // unix
 
 // A parsed job line's fields; the worker's reader parses each line once
 // and hands the object here.
@@ -218,14 +181,14 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
 
 SubJobOutcome run_subjob(const ScenarioSpec& spec,
                          const std::string& journal_path, double deadline_s,
-                         MeasureHooks hooks,
+                         const std::atomic<bool>* cancel, FaultPlan* plan,
+                         std::uint64_t attempt,
                          const std::function<void(std::size_t done)>&
                              on_progress) {
   SubJobOutcome outcome;
   // Cancelled before it started (a worker's queued job, say): no journal
   // is opened, so none is left behind for a restart to resume.
-  if (hooks.cancel != nullptr &&
-      hooks.cancel->load(std::memory_order_relaxed)) {
+  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
     outcome.interrupted = true;
     return outcome;
   }
@@ -249,11 +212,19 @@ SubJobOutcome run_subjob(const ScenarioSpec& spec,
   if (replayed > 0) on_progress(replayed);
 
   std::atomic<std::size_t> fresh{0};
+  MeasureHooks hooks;
   hooks.checkpoint = journal ? &*journal : nullptr;
-  hooks.on_trial_recorded = [&, recorded = std::move(hooks.on_trial_recorded)](
-                                std::size_t trial) {
+  hooks.cancel = cancel;
+  if (plan != nullptr) {
+    hooks.on_trial_start = [plan, attempt](std::size_t trial) {
+      plan->fire_trial_start(trial, attempt);
+    };
+  }
+  // kill:after= counts durable records and fires after the progress line
+  // (thread mode: the trial_done event) is out.
+  hooks.on_trial_recorded = [&](std::size_t trial) {
     on_progress(replayed + fresh.fetch_add(1) + 1);
-    if (recorded) recorded(trial);
+    if (plan != nullptr) plan->fire_trial_recorded(trial);
   };
   // The deadline rides a spec copy: identity and rendering use `spec`.
   ScenarioSpec run_spec = spec;
@@ -322,11 +293,7 @@ SubJobOutcome parse_worker_result_line(const JsonValue& parsed,
 std::string WorkerDeath::describe() const {
   switch (kind) {
     case Kind::kSignal:
-#if defined(__unix__) || defined(__APPLE__)
       return signal_name(code);
-#else
-      return "signal " + std::to_string(code);
-#endif
     case Kind::kExit:
       return "exit(" + std::to_string(code) + ")";
     case Kind::kHeartbeat:
@@ -335,21 +302,17 @@ std::string WorkerDeath::describe() const {
   return "unknown";
 }
 
-#if defined(__unix__) || defined(__APPLE__)
-
 WorkerProcess::WorkerProcess(std::string binary, std::string inject_spec)
     : binary_(std::move(binary)), inject_spec_(std::move(inject_spec)) {}
 
 WorkerProcess::~WorkerProcess() { shutdown(); }
 
 void WorkerProcess::close_fd() noexcept {
-  for (int* fd : {&to_fd_, &from_fd_}) {
-    if (*fd >= 0) {
-      ::close(*fd);
-      *fd = -1;
-    }
+  for (const int fd : {to_fd_, from_.fd()}) {
+    if (fd >= 0) ::close(fd);
   }
-  buffer_.clear();
+  to_fd_ = -1;
+  from_.reset();
 }
 
 WakePipe::WakePipe() {
@@ -454,55 +417,9 @@ bool WorkerProcess::spawn(std::string& error) {
   ::close(to_worker[1]);
   ::close(from_worker[1]);
   to_fd_ = to_worker[0];
-  from_fd_ = from_worker[0];
+  from_.reset(from_worker[0]);
   pid_ = pid;
-  buffer_.clear();
   return true;
-}
-
-bool WorkerProcess::send_line(const std::string& line) {
-  if (to_fd_ < 0) return false;
-  std::string framed = line;
-  framed += '\n';
-  std::size_t sent = 0;
-  while (sent < framed.size()) {
-    const ssize_t got = ::send(to_fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    sent += static_cast<std::size_t>(got);
-  }
-  return true;
-}
-
-WorkerProcess::ReadStatus WorkerProcess::read_line(int timeout_ms,
-                                                   std::string& out,
-                                                   int wake_fd) {
-  if (from_fd_ < 0) return ReadStatus::kClosed;
-  while (true) {
-    const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      out = buffer_.substr(0, newline);
-      buffer_.erase(0, newline + 1);
-      return ReadStatus::kLine;
-    }
-    // poll() skips an entry whose fd is negative.
-    pollfd pollers[2] = {{from_fd_, POLLIN, 0}, {wake_fd, POLLIN, 0}};
-    const int ready = ::poll(pollers, 2, timeout_ms);
-    if (ready == 0) return ReadStatus::kTimeout;
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return ReadStatus::kClosed;
-    }
-    if (pollers[0].revents == 0) return ReadStatus::kWoken;
-    char chunk[4096];
-    const ssize_t got = ::read(from_fd_, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) return ReadStatus::kClosed;  // EOF: the worker is gone
-    buffer_.append(chunk, static_cast<std::size_t>(got));
-  }
 }
 
 WorkerDeath WorkerProcess::reap_after_close() {
@@ -549,11 +466,7 @@ void WorkerProcess::shutdown() {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  ::kill(pid_, SIGKILL);
-  int status = 0;
-  while (::waitpid(pid_, &status, 0) < 0 && errno == EINTR) {
-  }
-  pid_ = -1;
+  kill_and_reap();
 }
 
 void name_this_thread(const char* name) {
@@ -606,62 +519,44 @@ struct WorkerState {
 
   bool write_line(const std::string& line) {
     std::lock_guard<std::mutex> lock(write_mutex);
-    std::string framed = line;
-    framed += '\n';
-    return write_all_fd(out_fd, framed.data(), framed.size());
+    return send_line(out_fd, line);
   }
 };
 
 void worker_reader_loop(int in_fd, WorkerState& state) {
   name_this_thread("worker-reader");
-  std::string buffer;
-  char chunk[4096];
-  bool eof = false;
-  while (!eof) {
-    const ssize_t got = ::read(in_fd, chunk, sizeof(chunk));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) {
-      eof = true;
-    } else {
-      buffer.append(chunk, static_cast<std::size_t>(got));
+  LineReader reader(in_fd);
+  std::string line;
+  while (reader.read_line(-1, line) == RecvStatus::kLine) {
+    std::string error;
+    const auto parsed = parse_json(line, error);
+    if (!parsed || !parsed->is_object()) continue;
+    const JsonValue* op = parsed->find("op");
+    if (op == nullptr || !op->is_string()) continue;
+    if (op->string == "exit") break;
+    if (op->string == "cancel") {
+      const JsonValue* job = parsed->find("job");
+      if (job == nullptr || !job->is_number()) continue;
+      const auto id = static_cast<std::uint64_t>(job->number);
+      // Jobs and cancels arrive in send order: a cancel that finds its
+      // job neither running nor queued is for a finished one; drop it.
+      std::lock_guard<std::mutex> lock(state.queue_mutex);
+      if (state.have_current && state.current_job == id) {
+        state.cancel_current.store(true, std::memory_order_relaxed);
+      } else {
+        for (WorkerState::Pending& queued : state.pending) {
+          if (queued.job.job == id) queued.cancelled = true;
+        }
+      }
+      continue;
     }
-    std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
-      const std::string line = buffer.substr(0, newline);
-      buffer.erase(0, newline + 1);
-      std::string error;
-      const auto parsed = parse_json(line, error);
-      if (!parsed || !parsed->is_object()) continue;
-      const JsonValue* op = parsed->find("op");
-      if (op == nullptr || !op->is_string()) continue;
-      if (op->string == "exit") {
-        eof = true;
-        break;
-      }
-      if (op->string == "cancel") {
-        const JsonValue* job = parsed->find("job");
-        if (job == nullptr || !job->is_number()) continue;
-        const auto id = static_cast<std::uint64_t>(job->number);
-        // Jobs and cancels arrive in send order: a cancel that finds its
-        // job neither running nor queued is for a finished one; drop it.
+    WorkerJob job;
+    if (worker_job_from_json(*parsed, job, error)) {
+      {
         std::lock_guard<std::mutex> lock(state.queue_mutex);
-        if (state.have_current && state.current_job == id) {
-          state.cancel_current.store(true, std::memory_order_relaxed);
-        } else {
-          for (WorkerState::Pending& queued : state.pending) {
-            if (queued.job.job == id) queued.cancelled = true;
-          }
-        }
-        continue;
+        state.pending.push_back({std::move(job)});
       }
-      WorkerJob job;
-      if (worker_job_from_json(*parsed, job, error)) {
-        {
-          std::lock_guard<std::mutex> lock(state.queue_mutex);
-          state.pending.push_back({std::move(job)});
-        }
-        state.queue_cv.notify_one();  // the job loop is the one waiter
-      }
+      state.queue_cv.notify_one();  // the job loop is the one waiter
     }
   }
   // Supervisor gone (or explicit exit): stop after the current trial.
@@ -702,22 +597,12 @@ void worker_run_job(WorkerState& state, const WorkerJob& job,
     outcome.error = e.what();
   }
   if (outcome.error.empty()) {
-    MeasureHooks hooks;
-    hooks.cancel = &state.cancel_current;
-    if (plan != nullptr) {
-      const std::uint64_t attempt = job.attempt;
-      hooks.on_trial_start = [plan, attempt](std::size_t trial) {
-        plan->fire_trial_start(trial, attempt);
-      };
-      hooks.on_trial_recorded = [plan](std::size_t trial) {
-        plan->fire_trial_recorded(trial);
-      };
-    }
     const std::string prefix =
         "{\"event\": \"trial\", \"job\": " + std::to_string(job.job) +
         ", \"done\": ";
     const RlimitGuard budgets(job.memory_mb, job.deadline_s);
-    outcome = run_subjob(spec, job.journal, job.deadline_s, std::move(hooks),
+    outcome = run_subjob(spec, job.journal, job.deadline_s,
+                         &state.cancel_current, plan, job.attempt,
                          [&](std::size_t done) {
                            state.write_line(prefix + std::to_string(done) +
                                             "}");
@@ -771,35 +656,5 @@ int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec) {
   if (heartbeat.joinable()) heartbeat.join();
   return 0;
 }
-
-#else  // non-unix stubs: process isolation is a unix feature
-
-WorkerProcess::WorkerProcess(std::string binary, std::string inject_spec)
-    : binary_(std::move(binary)), inject_spec_(std::move(inject_spec)) {}
-WorkerProcess::~WorkerProcess() = default;
-void WorkerProcess::close_fd() noexcept {}
-bool WorkerProcess::spawn(std::string& error) {
-  error = "process isolation requires a unix platform";
-  return false;
-}
-bool WorkerProcess::send_line(const std::string&) { return false; }
-WakePipe::WakePipe() = default;
-WakePipe::WakePipe(WakePipe&&) noexcept {}
-WakePipe::~WakePipe() = default;
-void WakePipe::notify() noexcept {}
-void WakePipe::drain() noexcept {}
-WorkerProcess::ReadStatus WorkerProcess::read_line(int, std::string&, int) {
-  return ReadStatus::kClosed;
-}
-WorkerDeath WorkerProcess::reap_after_close() { return {}; }
-WorkerDeath WorkerProcess::kill_and_reap() { return {}; }
-void WorkerProcess::shutdown() {}
-std::string self_executable_path(const char* argv0) {
-  return argv0 != nullptr ? argv0 : "";
-}
-int run_worker_main(int, int, const std::string&) { return 2; }
-void name_this_thread(const char*) {}
-
-#endif
 
 }  // namespace megflood::serve

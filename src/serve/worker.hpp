@@ -8,7 +8,9 @@
 //
 // In process mode each pool thread owns a WorkerProcess — a self-exec of
 // the daemon binary in `--worker` mode — and ships sub-jobs to it as
-// NDJSON lines over one socketpair per direction.  A scenario kernel that
+// NDJSON lines over one socketpair per direction.  The worker's stdin and
+// stdout are that pair's ends, so both sides are sockets and both speak
+// through serve/line_io.hpp, the transport of every serve socket.  A scenario kernel that
 // segfaults, aborts, or blows past its rlimit budget kills *the worker*,
 // which the supervisor observes via waitpid and classifies (signal vs
 // exit code vs heartbeat timeout); the daemon and every other client's
@@ -54,14 +56,19 @@
 
 #include <sys/types.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
 
 #include "core/scenario.hpp"
-#include "core/trial.hpp"
 #include "serve/json.hpp"
+#include "serve/line_io.hpp"
+
+namespace megflood {
+class FaultPlan;
+}
 
 namespace megflood::serve {
 
@@ -80,11 +87,14 @@ struct SubJobOutcome {
 // none), so a deadline never reaches cache or journal identity.  A
 // non-empty `journal_path` is opened or, when foreign, replaced (I/O
 // failure runs unjournaled), and is left on disk for the caller to
-// delete once the result is stored.  `on_progress` gets the cumulative
-// trial count: the journal's replayed trials, then each fresh trial.
+// delete once the result is stored.  `cancel` stops it between trials.
+// `plan` (null = none) fires its trial sites, with `attempt` the
+// campaign's prior crash count.  `on_progress` gets the cumulative trial
+// count: the journal's replayed trials, then each fresh trial.
 SubJobOutcome run_subjob(const ScenarioSpec& spec,
                          const std::string& journal_path, double deadline_s,
-                         MeasureHooks hooks,
+                         const std::atomic<bool>* cancel, FaultPlan* plan,
+                         std::uint64_t attempt,
                          const std::function<void(std::size_t done)>&
                              on_progress);
 
@@ -124,7 +134,7 @@ struct WorkerDeath {
 };
 
 // A self-pipe that ends a WorkerProcess::read_line wait early: any thread
-// may notify(); the waiting thread's read returns kWoken, and it drains
+// may notify(); the waiting thread's read returns RecvStatus::kWoken, and it drains
 // the pipe before it looks again at what woke it.  A pipe that could not
 // be made is inert (the wait runs to its timeout).
 class WakePipe {
@@ -166,12 +176,15 @@ class WorkerProcess {
   pid_t pid() const noexcept { return pid_; }
 
   // False when the worker is gone (EPIPE and friends).
-  bool send_line(const std::string& line);
+  bool send_line(const std::string& line) {
+    return serve::send_line(to_fd_, line);
+  }
 
   // Waits up to timeout_ms for a line; a readable `wake_fd` (a WakePipe's
   // fd(), or -1 for none) ends the wait with kWoken.
-  enum class ReadStatus { kLine, kTimeout, kClosed, kWoken };
-  ReadStatus read_line(int timeout_ms, std::string& out, int wake_fd = -1);
+  RecvStatus read_line(int timeout_ms, std::string& out, int wake_fd = -1) {
+    return from_.read_line(timeout_ms, out, wake_fd);
+  }
 
   // Classification after read_line returned kClosed: reap via waitpid.
   WorkerDeath reap_after_close();
@@ -187,14 +200,13 @@ class WorkerProcess {
   std::string binary_;
   std::string inject_spec_;
   pid_t pid_ = -1;
-  int to_fd_ = -1;    // job and cancel lines: the worker's stdin
-  int from_fd_ = -1;  // trial, heartbeat and result lines: its stdout
-  std::string buffer_;
+  int to_fd_ = -1;     // job and cancel lines: the worker's stdin
+  LineReader from_;    // trial, heartbeat and result lines: its stdout
 };
 
-// The `--worker` mode body: consumes job lines on `in_fd`, emits
-// trial/heartbeat/result lines on `out_fd`, runs until EOF or an "exit"
-// line.  Returns the process exit code.  `inject_spec` arms the worker's
+// The `--worker` mode body: consumes job lines on the socket `in_fd`,
+// emits trial/heartbeat/result lines on the socket `out_fd`, runs until
+// EOF or an "exit" line.  Returns the process exit code.  `inject_spec` arms the worker's
 // own FaultPlan (seeded like the daemon's, so thread- and process-mode
 // injections match); a malformed spec throws std::invalid_argument for
 // the tool's config-error exit.

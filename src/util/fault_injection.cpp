@@ -1,15 +1,11 @@
 #include "util/fault_injection.hpp"
 
 #include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <thread>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <csignal>
-#else
-#include <cstdlib>
-#endif
 
 #include "util/parse.hpp"
 #include "util/rng.hpp"
@@ -227,14 +223,10 @@ FaultSite parse_site(const std::string& text) {
 }
 
 [[noreturn]] void kill_self() {
-#if defined(__unix__) || defined(__APPLE__)
   std::raise(SIGKILL);
-  // SIGKILL cannot be handled; control never returns, but keep the
-  // noreturn contract honest for exotic platforms.
+  // SIGKILL cannot be handled, so control never returns; the exit keeps
+  // the noreturn contract honest.
   std::_Exit(137);
-#else
-  std::_Exit(137);
-#endif
 }
 
 }  // namespace

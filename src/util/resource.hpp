@@ -7,21 +7,19 @@
 // graceful-degradation contract is "finish the campaign and warn", never
 // "abort mid-run because an allocator high-water mark moved".
 
+#include <sys/resource.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/resource.h>
-#endif
-
 namespace megflood {
 
 // Peak resident set size of this process in bytes: the high-water mark
 // of its own address space (VmHWM in /proc/self/status), or ru_maxrss
-// where /proc has none; 0 when the platform offers no query (callers
-// must treat 0 as "unknown", not "tiny").  On Linux ru_maxrss also holds
+// where /proc has none (callers must treat 0 as "unknown", not
+// "tiny").  On Linux ru_maxrss also holds
 // the peak of the address space that execve replaced, so a program that
 // a 20 MB interpreter forks and executes reads at least 20 MB there.
 inline std::uint64_t peak_rss_bytes() noexcept {
@@ -37,7 +35,6 @@ inline std::uint64_t peak_rss_bytes() noexcept {
     if (found) return static_cast<std::uint64_t>(kib) * 1024;
   }
 #endif
-#if defined(__unix__) || defined(__APPLE__)
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
 #if defined(__APPLE__)
@@ -45,17 +42,15 @@ inline std::uint64_t peak_rss_bytes() noexcept {
 #else
   return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
 #endif
-#else
-  return 0;
-#endif
 }
 
 // False when peak-RSS assertions would be meaningless: sanitizer runtimes
 // (ASan shadow memory and TSan's shadow cells + per-thread state alike)
 // inflate RSS far past the budgets the regression guards encode, so
 // guarded tests skip the numeric bound there while still exercising the
-// construction/step paths, and the runner's soft-budget warning stays
-// quiet rather than crying wolf over shadow pages.
+// construction/step paths, the runner's soft-budget warning stays quiet
+// rather than crying wolf over shadow pages, and the serve worker sets
+// no memory budget.
 inline constexpr bool rss_guard_reliable() noexcept {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
   return false;

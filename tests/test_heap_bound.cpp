@@ -24,6 +24,7 @@ namespace {
 
 std::atomic<std::size_t> live_bytes{0};
 std::atomic<std::size_t> peak_bytes{0};
+std::atomic<std::size_t> allocations{0};
 
 // Each block carries its size in a header of the largest fundamental
 // alignment, so that an unsized delete can return it.
@@ -33,6 +34,7 @@ void* counted_new(std::size_t size) {
   void* block = std::malloc(size + kHeader);
   if (block == nullptr) throw std::bad_alloc();
   *static_cast<std::size_t*>(block) = size;
+  allocations.fetch_add(1);
   const std::size_t live = live_bytes.fetch_add(size) + size;
   std::size_t peak = peak_bytes.load();
   while (live > peak && !peak_bytes.compare_exchange_weak(peak, live)) {
@@ -131,28 +133,37 @@ TEST(HeapBound, SparseGeneralEdgeMegHoldsOneMap) {
 
 TEST(HeapBound, ServeRegimeTwoStateEdgeMegHoldsOneSet) {
   // The serve_mixed miss model (n = 256, alpha = 1/128, q = 0.3) from its
-  // stationary start through 64 steps: ~270-295 live keys.  The peak is
-  // the set's 400 slots (3.2 KB) at its last regrowth beside the 2.96 KB
-  // buffer they replace, the 4 KiB the stationary start's 271 birth marks
-  // grew to, and ~2.3 KB of death slots: 12 544 B.  The bound leaves ~4%
-  // to spare; a second copy of the set, as a double-buffered layout
-  // keeps, peaks at 13 760 B here.
+  // stationary start through 64 steps: ~270-295 live keys.  The peak,
+  // 11 176 B, is the set's last regrowth beside the buffer it replaces,
+  // the stationary start's marks in one allocation and the death slots.
+  // The bound leaves ~4% to spare: a second copy of the set (over 2 KB)
+  // does not fit.  After the first step the set and its death slots grow
+  // only past their 1/16 headroom, once each here; death slots resized
+  // to each new maximum would reallocate 5 times.
   constexpr std::size_t kNodes = 256;
   constexpr int kSteps = 64;
-  constexpr std::size_t kBound = 13000;
+  constexpr std::size_t kBound = 11600;
+  constexpr std::size_t kLaterAllocations = 2;
   const double alpha = 1.0 / 128;
   const double q = 0.3;
   std::size_t largest_set = 0;
+  std::size_t later_allocations = 0;
   const std::size_t peak = peak_heap_of([&] {
     TwoStateEdgeMEG meg(kNodes, {alpha * q / (1.0 - alpha), q}, 3);
-    for (int t = 0; t < kSteps; ++t) {
+    meg.step();
+    largest_set = meg.set_keys().size();
+    const std::size_t first = allocations.load();
+    for (int t = 1; t < kSteps; ++t) {
       meg.step();
       largest_set = std::max(largest_set, meg.set_keys().size());
     }
+    later_allocations = allocations.load() - first;
   });
   RecordProperty("peak_bytes", static_cast<int>(peak));
+  RecordProperty("later_allocations", static_cast<int>(later_allocations));
   EXPECT_GT(largest_set, 250u);
   EXPECT_LE(peak, kBound) << "largest set " << largest_set;
+  EXPECT_LE(later_allocations, kLaterAllocations);
 }
 
 }  // namespace

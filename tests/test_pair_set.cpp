@@ -288,15 +288,14 @@ TEST(PairSetWriter, ThrowsOnAnEdgeEndpointOutOfRange) {
   set.keys = {pack_pair(0, 1)};
   Snapshot snapshot(4);
   set.merge(4, snapshot);
-  for (const std::vector<std::uint64_t>& born :
-       {std::vector<std::uint64_t>{pack_pair(0, 2), pack_pair(1, 5)},
-        std::vector<std::uint64_t>{pack_pair(0, 5), pack_pair(1, 2)}}) {
+  for (const PairKeys& born : {PairKeys{pack_pair(0, 2), pack_pair(1, 5)},
+                                PairKeys{pack_pair(0, 5), pack_pair(1, 2)}}) {
     set.born = born;
     set.died = {pack_pair(0, 1)};
     EXPECT_THROW(set.merge(4, snapshot), std::out_of_range);
     EXPECT_EQ(set.keys, PairKeys{pack_pair(0, 1)});
     EXPECT_EQ(set.born, born);
-    EXPECT_EQ(set.died, std::vector<std::uint64_t>{pack_pair(0, 1)});
+    EXPECT_EQ(set.died, PairKeys{pack_pair(0, 1)});
     EXPECT_EQ(snapshot.keys().data(), set.keys.data());
     EXPECT_EQ(decoded_edges(snapshot), (EdgeList{{0, 1}}));
   }

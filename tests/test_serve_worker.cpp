@@ -323,7 +323,7 @@ std::size_t run_quick_jobs(WorkerProcess& worker, std::size_t jobs) {
     EXPECT_TRUE(worker.send_line(worker_job_line(job)));
     std::string line;
     while (true) {
-      if (worker.read_line(30000, line) != WorkerProcess::ReadStatus::kLine) {
+      if (worker.read_line(30000, line) != RecvStatus::kLine) {
         ADD_FAILURE() << "worker went silent at job " << i;
         return heartbeats;
       }
