@@ -392,6 +392,29 @@ void BM_WaypointGossipRound(benchmark::State& state) {
 }
 BENCHMARK(BM_WaypointGossipRound)->Arg(4096)->Unit(benchmark::kMicrosecond);
 
+void BM_WaypointRead(benchmark::State& state) {
+  // The waypoint_gossip round without its process: a step and the
+  // snapshot read it triggers (snap, co-location sort and, since the
+  // geometry is one point per agent, the groups alone).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  WaypointParams p;
+  p.side_length = 64.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 32;
+  const auto model = make_random_waypoint(n, p, 1);
+  for (std::uint64_t w = 0; w < model->suggested_warmup(); ++w) {
+    model->step();
+  }
+  for (auto _ : state) {
+    model->step();
+    benchmark::DoNotOptimize(model->snapshot().num_edges());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_WaypointRead)->Arg(4096)->Unit(benchmark::kMicrosecond);
+
 // Arguments: agents, grid side (side 256: more than 4 points per agent,
 // so the co-location build sorts by the occupied points' ranks).
 void BM_GridLPathsStep(benchmark::State& state) {
@@ -457,6 +480,34 @@ void BM_FloodRoundWordsTwoState(benchmark::State& state) {
       static_cast<double>(meg.snapshot().num_edges());
 }
 BENCHMARK(BM_FloodRoundWordsTwoState)->Arg(32768)
+    ->Unit(benchmark::kMicrosecond);
+
+// One word-packed flood round with half the nodes informed over a
+// waypoint_gossip snapshot after warmup (L = 64, m = 32, r = 1): the
+// group form, read one group at a time instead of one pair at a time.
+void BM_FloodRoundWordsWaypoint(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  WaypointParams p;
+  p.side_length = 64.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 32;
+  const auto model = make_random_waypoint(n, p, 1);
+  for (std::uint64_t w = 0; w < model->suggested_warmup(); ++w) {
+    model->step();
+  }
+  const Snapshot& snapshot = model->snapshot();
+  std::vector<std::uint64_t> cur(bit_words(n), 0), next;
+  for (std::size_t i = 0; i < n / 2; ++i) set_bit(cur.data(), i);
+  for (auto _ : state) {
+    next = cur;
+    benchmark::DoNotOptimize(
+        flood_round_words(snapshot, cur.data(), next.data(), n));
+  }
+  state.counters["edges"] = static_cast<double>(snapshot.num_edges());
+}
+BENCHMARK(BM_FloodRoundWordsWaypoint)->Arg(4096)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_FloodRound(benchmark::State& state) {

@@ -65,9 +65,26 @@ std::size_t flood_round_words(const Snapshot& snapshot,
   // `next`, and a key that is not an edge ORs in zeros.  Reading from
   // `cur` while writing `next` enforces the synchronous no-chaining rule
   // without per-node marks, and walking the raw key array needs no CSR
-  // view.
+  // view.  On the group form the same bits come from the groups: a
+  // member hears its clique iff another member is informed, and since
+  // `next` holds `cur`, every member of a group with an informed member
+  // can be set, so one pass per group replaces its k (k - 1) / 2 pairs.
   const std::size_t words = bit_words(num_nodes);
   const std::size_t before = popcount_words(next, words);
+  if (const Snapshot::Groups* groups = snapshot.groups()) {
+    const std::uint32_t* const end = groups->end.data();
+    const NodeId* const members = groups->members.data();
+    for (std::uint32_t g = 0; g < groups->count; ++g) {
+      const NodeId* const first = members + end[g];
+      const NodeId* const last = members + end[g + 1];
+      std::uint64_t any = 0;
+      for (const NodeId* a = first; a < last; ++a) any |= test_bit(cur, *a);
+      for (const NodeId* a = first; a < last; ++a) {
+        next[*a / kBitWordBits] |= any << (*a % kBitWordBits);
+      }
+    }
+    return popcount_words(next, words) - before;
+  }
   snapshot.for_each_key([cur, next](NodeId u, NodeId v, std::uint32_t on) {
     next[v / kBitWordBits] |= std::uint64_t{test_bit(cur, u) & on}
                               << (v % kBitWordBits);

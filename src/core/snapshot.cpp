@@ -23,8 +23,21 @@ void Snapshot::reset(std::size_t num_nodes) {
 }
 
 void Snapshot::own() {
-  owned_ = Snapshot(*this).owned_;
-  borrowed_ = false;
+  if (form_ == Form::kGroups) {
+    (void)keys();
+  } else if (form_ == Form::kBorrowed) {
+    owned_ = Snapshot(*this).owned_;
+  }
+  form_ = Form::kOwned;
+}
+
+void Snapshot::write_group_keys() const {
+  owned_.clear();
+  owned_.reserve(groups_.edges);
+  for_each_key([this](NodeId u, NodeId v, std::uint32_t /*on*/) {
+    owned_.push_back(pack_pair(u, v));
+  });
+  keys_valid_ = true;
 }
 
 void Snapshot::ensure_csr() const {
@@ -70,8 +83,8 @@ std::span<const NodeId> Snapshot::neighbors(NodeId v) const {
 
 std::size_t Snapshot::degree(NodeId v) const {
   check_node(v);
-  ensure_csr();
-  return offsets_[v + 1] - offsets_[v];
+  return visit_rows(
+      [v](const auto& rows) { return std::size_t{rows.degree(v)}; });
 }
 
 bool Snapshot::has_edge(NodeId u, NodeId v) const {

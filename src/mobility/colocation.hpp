@@ -18,18 +18,23 @@
 // points (a radix sort of (point, agent)) and finds forward neighbours
 // in a point-indexed table never cleared (an entry counts only if the
 // group it names sits at that point), so a build is O(agents + edges) at
-// any ratio of points to agents.  A snapshot of co-located edges only
-// gets its CSR in the same pass (each row the other members of the
-// agent's point, ascending); others, and every filtered build, build it
-// lazily.
+// any ratio of points to agents.
+//
+// The sort's groups are the snapshot's group form (Snapshot::Groups):
+// one group per point (per occupied point when ranked), its members
+// ascending, so reading the groups in order is the order contract above.
+// A build with no forward neighbours and no filter (the one-point
+// waypoint, the radius-0 random walk and grid paths, explicit paths)
+// hands over its groups and writes no key and no CSR: it is
+// O(agents + points).  A forward build whose pairs turn out to be
+// cliques only hands over its groups too; every other build leaves its
+// keys, and the CSR is built lazily from them.
 
 #include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
-#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
@@ -59,40 +64,45 @@ class ColocationBuilder {
     const auto n = static_cast<std::uint32_t>(snapshot.num_nodes());
     // Counts land two slots up and the fill advances group g's cursor at
     // g + 1, so then group g's members are mem[end[g] .. end[g + 1]), i
-    // at slot_[i], and group `groups` is empty.
-    point_.resize(n);
-    const std::uint32_t* group = point_.data();
+    // at slot[i], and group `groups` is empty.  Unranked, an agent's
+    // group is its point.
+    groups_.group.resize(n);
+    std::uint32_t* const group = groups_.group.data();
     const bool by_rank = num_points > kPointsPerAgent * std::size_t{n};
+    std::vector<std::uint32_t>& ends = groups_.end;
     if (!by_rank) {
-      end_.assign(num_points + 2, 0u);
-      std::uint32_t* const end = end_.data();
+      ends.assign(num_points + 2, 0u);
       for (std::uint32_t i = 0; i < n; ++i) {
-        point_[i] = point_of(i);
-        ++end[point_[i] + 2];
+        group[i] = point_of(i);
+        ++ends[group[i] + 2];
       }
     } else {
+      point_.resize(n);
       for (std::uint32_t i = 0; i < n; ++i) point_[i] = point_of(i);
-      end_.assign(std::size_t{rank_points(n, num_points)} + 2, 0u);
-      group = rank_.data();
-      std::uint32_t* const end = end_.data();
-      for (std::uint32_t i = 0; i < n; ++i) ++end[group[i] + 2];
+      ends.assign(std::size_t{rank_points(n, num_points)} + 2, 0u);
+      for (std::uint32_t i = 0; i < n; ++i) ++ends[group[i] + 2];
     }
-    const auto groups = static_cast<std::uint32_t>(end_.size() - 2);
-    std::uint32_t* const end = end_.data();
-    members_.resize(std::size_t{n} + kRowBlock);  // block reads run past n
-    slot_.resize(n);
+    const auto groups = static_cast<std::uint32_t>(ends.size() - 2);
+    std::uint32_t* const end = ends.data();
+    groups_.members.resize(std::size_t{n} + kPairBlock);  // block reads
+    groups_.slot.resize(n);
+    std::uint32_t* const slot = groups_.slot.data();
     std::uint64_t directed = 0;  // sum of k (k - 1) over the groups
-    for (std::size_t g = 2; g < end_.size(); ++g) {
+    for (std::size_t g = 2; g < ends.size(); ++g) {
       directed += std::uint64_t{end[g]} * (end[g] - std::uint64_t{1});
       end[g] += end[g - 1];
     }
-    if (directed > (std::numeric_limits<std::uint32_t>::max)()) {
-      throw std::length_error("Snapshot: edge count overflows CSR offsets");
-    }
-    std::uint32_t* const mem = members_.data();
+    std::uint32_t* const mem = groups_.members.data();
     for (std::uint32_t i = 0; i < n; ++i) {
-      slot_[i] = end[group[i] + 1]++;
-      mem[slot_[i]] = i;
+      slot[i] = end[group[i] + 1]++;
+      mem[slot[i]] = i;
+    }
+    groups_.count = groups;
+    groups_.edges = directed / 2;
+    // Cliques alone: the groups are the snapshot, with no key written.
+    if constexpr (!kCross && !kFilter) {
+      snapshot.adopt_groups(groups_);
+      return;
     }
     // A forward neighbour's group: at_point_ is written at every occupied
     // point of a ranked build before any lookup.
@@ -122,7 +132,7 @@ class ColocationBuilder {
         if (mem + j + 1 < last) continue;
         const std::size_t size_g = end[g + 1] - end[g];
         cliques_left -= size_g * (size_g - 1) / 2;
-        forward(point_[mem[j]], [&](std::uint32_t q) {
+        forward(by_rank ? point_[mem[j]] : g, [&](std::uint32_t q) {
           const std::uint32_t h = by_rank ? at_point_[q] : q;
           if (h >= groups || end[h] == end[h + 1]) return;
           if (by_rank && point_[mem[end[h]]] != q) return;
@@ -142,33 +152,19 @@ class ColocationBuilder {
     keys.erase(keys.begin() + (key - keys.data()), keys.end());
     // A filter may drop clique pairs and keep cross pairs in equal number,
     // so only an unfiltered build can tell a clique-only snapshot by its
-    // key count.
-    if (kFilter || keys.size() != directed / 2) return;
-    // The CSR: row i is i's group with slot self cut out.
-    offset_scratch_.resize(std::size_t{n} + 1);
-    neighbor_scratch_.resize(directed + kRowBlock);
-    std::uint32_t at = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint32_t* const point = mem + end[group[i]];
-      const std::uint32_t self = slot_[i] - end[group[i]];
-      const std::uint32_t degree = end[group[i] + 1] - end[group[i]] - 1;
-      NodeId* const row = neighbor_scratch_.data() + at;
-      copy_blocks(row, point, self);
-      copy_blocks(row + self, point + self + 1, degree - self);
-      offset_scratch_[i] = at;
-      at += degree;
+    // key count; that one reads as groups too.
+    if (!kFilter && keys.size() == directed / 2) {
+      snapshot.adopt_groups(groups_);
     }
-    offset_scratch_[n] = at;
-    neighbor_scratch_.resize(directed);
-    snapshot.adopt_csr(offset_scratch_, neighbor_scratch_);
   }
 
   // Bytes held by the build's scratch: linear in the agents, plus one
   // word per point for forward neighbours past kPointsPerAgent.
   std::size_t scratch_bytes() const noexcept {
     return sizeof(std::uint32_t) *
-               (end_.capacity() + members_.capacity() + slot_.capacity() +
-                point_.capacity() + rank_.capacity() + at_point_.capacity()) +
+               (groups_.end.capacity() + groups_.members.capacity() +
+                groups_.group.capacity() + groups_.slot.capacity() +
+                point_.capacity() + at_point_.capacity()) +
            sizeof(std::uint64_t) *
                (sorted_.capacity() + sort_scratch_.capacity());
   }
@@ -176,11 +172,10 @@ class ColocationBuilder {
  private:
   static constexpr std::size_t kPointsPerAgent = 4;
 
-  // Pair runs and CSR rows are written in whole blocks that may run past
-  // their end, onto slots written later or spare slots dropped at the
-  // end: a loop over each run's own length mispredicts once per agent.
+  // Pair runs are written in whole blocks that may run past their end,
+  // onto slots written later or spare slots dropped at the end: a loop
+  // over each run's own length mispredicts once per agent.
   static constexpr std::uint32_t kPairBlock = 8;
-  static constexpr std::uint32_t kRowBlock = 16;
 
   // Writes the pairs (a, b), b in [src, last), that `accept` keeps at
   // `key`; returns their end.  A filtered row stores every candidate and
@@ -210,22 +205,12 @@ class ColocationBuilder {
     return key;
   }
 
-  static void copy_blocks(NodeId* dst, const NodeId* src, std::size_t count) {
-    const NodeId* const last = src + count;
-    do {
-      std::memcpy(dst, src, sizeof(NodeId) * kRowBlock);
-      dst += kRowBlock;
-      src += kRowBlock;
-    } while (src < last);
-  }
-
-  // Sets rank_[i] to the rank of agent i's point among the occupied
+  // Sets agent i's group to the rank of its point among the occupied
   // points, ascending, and returns their count: a stable LSD radix sort
   // of (point, agent) by point, one O(n) pass per byte of a point id.
   std::uint32_t rank_points(std::uint32_t n, std::size_t num_points) {
     sorted_.resize(n);
     sort_scratch_.resize(n);
-    rank_.resize(n);
     for (std::uint32_t i = 0; i < n; ++i) sorted_[i] = pack_pair(point_[i], i);
     const auto bits =
         static_cast<unsigned>(std::bit_width(std::uint64_t{num_points} - 1));
@@ -244,21 +229,20 @@ class ColocationBuilder {
     for (const std::uint64_t x : sorted_) {
       rank += pair_key_i(x) != previous;
       previous = pair_key_i(x);
-      rank_[pair_key_j(x)] = rank;
+      groups_.group[pair_key_j(x)] = rank;
     }
     return rank + 1;
   }
 
-  // Group ends, agents by group, each agent's slot there and its point.
-  std::vector<std::uint32_t> end_, members_, slot_, point_;
-  // Point ranks and the radix sort's two buffers.
-  std::vector<std::uint32_t> rank_;
+  // The groups being built (handed to the snapshot, which hands back its
+  // previous ones) and, ranked, each agent's point.
+  Snapshot::Groups groups_;
+  std::vector<std::uint32_t> point_;
+  // The radix sort's two buffers.
   std::vector<std::uint64_t> sorted_, sort_scratch_;
   // The group at each occupied point (ranked builds with forward
   // neighbours; stale elsewhere).
   std::vector<std::uint32_t> at_point_;
-  std::vector<std::uint32_t> offset_scratch_;
-  std::vector<NodeId> neighbor_scratch_;
 };
 
 }  // namespace megflood

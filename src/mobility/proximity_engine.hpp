@@ -15,7 +15,8 @@
 //    at bps >= m each column step moves the bucket by bps / (m - 1) > 1.
 //    Then r <= L / m < L / (m - 1) = spacing, so no pair spans two grid
 //    points: the snapshot is a disjoint union of cliques, one per
-//    occupied grid point, built CSR included.  The waypoint_gossip
+//    occupied grid point, held as the builder's groups (no key or CSR
+//    is written unless a reader asks for one).  The waypoint_gossip
 //    campaign (L = 64, m = 32, r = 1, spacing 2.06) runs here.
 //  * Multi-point grids (L = 64, m = 256): the builder's point is the
 //    agent's bucket, floor(c * bps / (m - 1)) per axis clamped to

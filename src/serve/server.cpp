@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -27,6 +28,12 @@ namespace {
 
 // Accept-loop poll tick: the latency bound on noticing the stop flag.
 constexpr int kPollMs = 200;
+
+// How long a drain lets the writers flush their outboxes: past it, a
+// client that stopped reading loses the rest, so that the drain ends.
+constexpr std::chrono::milliseconds kDrainFlush{2000};
+
+using Clock = std::chrono::steady_clock;
 
 // Server-side fault sites are seed-keyed like the trial-runner ones; the
 // daemon has no campaign seed of its own, so its plan is keyed by a fixed
@@ -87,7 +94,9 @@ class ServerImpl {
     std::mutex out_mutex;
     std::condition_variable out_cv;
     std::deque<std::string> outbox;
-    bool closing = false;
+    bool closing = false;  // takes no more requests or lines
+    bool writer_done = false;
+    std::condition_variable writer_done_cv;
     std::atomic<bool> reader_done{false};
     std::thread reader;
     std::thread writer;
@@ -99,7 +108,7 @@ class ServerImpl {
   void dispatch(Connection& connection, const std::string& line);
   void reader_loop(Connection* connection);
   void writer_loop(Connection* connection);
-  void close_connection(Connection& connection, bool flush);
+  void close_connection(Connection& connection, Clock::time_point flush_until);
   void reap_finished();
 
   ServerConfig config_;
@@ -183,6 +192,10 @@ void ServerImpl::enqueue(Connection& connection, const std::string& line) {
 }
 
 void ServerImpl::dispatch(Connection& connection, const std::string& line) {
+  {
+    std::lock_guard<std::mutex> lock(connection.out_mutex);
+    if (connection.closing) return;
+  }
   Request request;
   try {
     request = parse_request(line);
@@ -267,7 +280,11 @@ void ServerImpl::writer_loop(Connection* connection) {
     connection->out_cv.wait(lock, [connection] {
       return !connection->outbox.empty() || connection->closing;
     });
-    if (connection->outbox.empty()) return;  // closing and flushed
+    if (connection->outbox.empty()) {  // closing and flushed
+      connection->writer_done = true;
+      connection->writer_done_cv.notify_all();
+      return;
+    }
     const std::string line = std::move(connection->outbox.front());
     connection->outbox.pop_front();
     lock.unlock();
@@ -315,7 +332,7 @@ void ServerImpl::reap_finished() {
   std::lock_guard<std::mutex> lock(connections_mutex_);
   for (auto it = connections_.begin(); it != connections_.end();) {
     if ((*it)->reader_done.load(std::memory_order_acquire)) {
-      close_connection(**it, /*flush=*/false);
+      close_connection(**it, Clock::now());
       it = connections_.erase(it);
     } else {
       ++it;
@@ -323,15 +340,21 @@ void ServerImpl::reap_finished() {
   }
 }
 
-void ServerImpl::close_connection(Connection& connection, bool flush) {
+// Lets the writer flush the outbox until `flush_until` (a past time
+// drops it), then shuts the socket: a send stuck on a client that
+// stopped reading fails, and so does the reader's read().
+void ServerImpl::close_connection(Connection& connection,
+                                  Clock::time_point flush_until) {
   {
-    std::lock_guard<std::mutex> lock(connection.out_mutex);
-    if (!flush) connection.outbox.clear();
+    std::unique_lock<std::mutex> lock(connection.out_mutex);
     connection.closing = true;
+    connection.out_cv.notify_all();
+    connection.writer_done_cv.wait_until(
+        lock, flush_until, [&connection] { return connection.writer_done; });
+    connection.outbox.clear();
   }
-  connection.out_cv.notify_all();
+  ::shutdown(connection.fd, SHUT_RDWR);
   if (connection.writer.joinable()) connection.writer.join();
-  ::shutdown(connection.fd, SHUT_RDWR);  // unblocks a reader in read()
   if (connection.reader.joinable()) connection.reader.join();
   ::close(connection.fd);
 }
@@ -347,13 +370,14 @@ int ServerImpl::serve(const std::atomic<bool>& stop) {
 
   // Graceful drain: no new clients, cancel and resolve everything (the
   // resulting cancelled/done events land in the outboxes), then flush
-  // each outbox before closing.
+  // the outboxes, for at most kDrainFlush in all, before closing.
   ::close(listen_fd_);
   listen_fd_ = -1;
   scheduler_.drain();
+  const Clock::time_point flush_until = Clock::now() + kDrainFlush;
   std::lock_guard<std::mutex> lock(connections_mutex_);
   for (const auto& connection : connections_) {
-    close_connection(*connection, /*flush=*/true);
+    close_connection(*connection, flush_until);
   }
   connections_.clear();
   return 0;

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "core/fixed_graphs.hpp"
+#include "core/bitwords.hpp"
 #include "core/flooding.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/builders.hpp"
+#include "mobility/colocation.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -176,6 +179,38 @@ TEST(FloodRound, IdempotentWhenSaturated) {
   std::vector<char> informed{1, 1, 1};
   std::vector<NodeId> scratch;
   EXPECT_EQ(flood_round(s, informed, scratch), 0u);
+}
+
+// On the group form flood_round_words reads the groups, not the pairs:
+// the next set must have the same bits as the round over the keys-form
+// copy, from informed sets of every density.
+TEST(FloodRoundWords, GroupsGiveTheBitsOfTheirPairs) {
+  constexpr std::size_t kNodes = 500;
+  Rng rng(3);
+  for (const std::uint32_t points : {1u, 30u, 400u, 5000u}) {
+    std::vector<std::uint32_t> point(kNodes);
+    for (auto& p : point) p = static_cast<std::uint32_t>(rng.uniform_int(points));
+    ColocationBuilder builder;
+    Snapshot grouped(kNodes);
+    builder.build(grouped, points,
+                  [&point](std::uint32_t i) { return point[i]; });
+    ASSERT_NE(grouped.groups(), nullptr);
+    const Snapshot keyed = grouped;
+    for (const std::uint64_t per_mille : {0u, 2u, 50u, 500u, 1000u}) {
+      std::vector<std::uint64_t> cur(bit_words(kNodes), 0);
+      for (std::size_t i = 0; i < kNodes; ++i) {
+        if (rng.uniform_int(1000) < per_mille) set_bit(cur.data(), i);
+      }
+      std::vector<std::uint64_t> next_grouped = cur, next_keyed = cur;
+      const std::size_t fresh_grouped =
+          flood_round_words(grouped, cur.data(), next_grouped.data(), kNodes);
+      const std::size_t fresh_keyed =
+          flood_round_words(keyed, cur.data(), next_keyed.data(), kNodes);
+      EXPECT_EQ(next_grouped, next_keyed)
+          << points << " points, " << per_mille << " per mille";
+      EXPECT_EQ(fresh_grouped, fresh_keyed);
+    }
+  }
 }
 
 TEST(SplitPhases, HalfPoint) {

@@ -249,6 +249,31 @@ TEST(FloodAllSourcesThreads, BitIdenticalInTheWorkerPool) {
   }
 }
 
+// The one-point waypoint reads as groups, which the workers walk at once
+// with for_each_key: the walk must not write the snapshot (under TSan a
+// write races), and 4 workers must give the serial bytes.
+TEST(FloodAllSourcesThreads, BitIdenticalOnGroupWaypointInThePool) {
+  const auto make = [] {
+    WaypointParams p;
+    p.side_length = 48.0;
+    p.v_min = 0.5;
+    p.v_max = 1.0;
+    p.radius = 1.0;
+    p.resolution = 32;  // floor(L / r) >= m: one point per agent
+    return make_random_waypoint(kPoolNodes, p, 5);
+  };
+  const auto serial_graph = make();
+  ASSERT_NE(serial_graph->snapshot().groups(), nullptr);
+  const AllSourcesResult serial = flood_all_sources(*serial_graph, 48, 1);
+  const auto graph = make();
+  expect_same_results(serial, flood_all_sources(*graph, 48, 4),
+                      "pool group waypoint");
+  EXPECT_EQ(serial_graph->time(), graph->time());
+  ASSERT_NE(graph->snapshot().groups(), nullptr);
+  EXPECT_EQ(decoded_edges(serial_graph->snapshot()),
+            decoded_edges(graph->snapshot()));
+}
+
 TEST(FloodAllSourcesThreads, PoolZeroBudgetAndClampedWorkers) {
   // max_rounds = 0 at a size that would start the pool: no round runs,
   // the model does not step, and every source stays at its start count.

@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "core/fixed_graphs.hpp"
 #include "graph/builders.hpp"
 #include "meg/edge_meg.hpp"
+#include "mobility/colocation.hpp"
 #include "protocols/gossip.hpp"
+#include "util/rng.hpp"
 
 namespace megflood {
 namespace {
@@ -101,6 +106,53 @@ TEST(Gossip, DeterministicGivenSeeds) {
   const ProcessResult rb = run_process(b, push, 0, 10000, 21);
   EXPECT_EQ(ra.flood.rounds, rb.flood.rounds);
   EXPECT_EQ(ra.metrics.at("contacts"), rb.metrics.at("contacts"));
+}
+
+// A round over the group form of a co-location snapshot must be the
+// round over its keys-form copy (whose neighbours come from the CSR):
+// the same marks, the same `newly` list and the same generator state,
+// in every mode and at every mix of informed and uninformed nodes.
+TEST(Gossip, GroupRowsPickLikeTheCsr) {
+  constexpr std::size_t kNodes = 300;
+  for (const GossipMode mode :
+       {GossipMode::kPush, GossipMode::kPull, GossipMode::kPushPull}) {
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng layout(seed);
+      // Crowded points, sparse ones with singletons, and a pile-up.
+      const std::uint32_t points = seed % 3 == 0 ? 1 : (seed % 3 == 1 ? 40 : 600);
+      std::vector<std::uint32_t> point(kNodes);
+      for (auto& p : point) {
+        p = static_cast<std::uint32_t>(layout.uniform_int(points));
+      }
+      ColocationBuilder builder;
+      Snapshot grouped(kNodes);
+      builder.build(grouped, std::size_t{points} + 7,
+                    [&point](std::uint32_t i) { return point[i]; });
+      ASSERT_NE(grouped.groups(), nullptr);
+      const Snapshot keyed = grouped;
+      ASSERT_EQ(keyed.groups(), nullptr);
+
+      std::vector<char> marks(kNodes);
+      for (auto& mark : marks) {
+        mark = static_cast<char>(layout.uniform_int(2));
+      }
+      std::vector<char> marks_grouped = marks, marks_keyed = marks;
+      std::vector<NodeId> newly_grouped, newly_keyed;
+      Rng rng_grouped(seed + 100), rng_keyed(seed + 100);
+      GossipProcess on_groups(mode), on_keys(mode);
+      on_groups.begin_trial(kNodes, 0);
+      on_keys.begin_trial(kNodes, 0);
+      on_groups.round(grouped, marks_grouped, newly_grouped, rng_grouped);
+      on_keys.round(keyed, marks_keyed, newly_keyed, rng_keyed);
+      EXPECT_EQ(marks_grouped, marks_keyed) << "seed " << seed;
+      EXPECT_EQ(newly_grouped, newly_keyed) << "seed " << seed;
+      EXPECT_EQ(rng_grouped(), rng_keyed()) << "seed " << seed;
+      MetricsBag contacts_grouped, contacts_keyed;
+      on_groups.metrics(contacts_grouped);
+      on_keys.metrics(contacts_keyed);
+      EXPECT_EQ(contacts_grouped, contacts_keyed) << "seed " << seed;
+    }
+  }
 }
 
 // Property: per mode, gossip rounds >= flooding rounds on the same

@@ -5,12 +5,15 @@
 // array and every step writes it in place, so a sparse model's peak is
 // about one map (with its room for a step's insertions) plus one step's
 // complement ranks; a second copy of the map, as a double-buffered
-// layout keeps, does not fit under the bounds below.
+// layout keeps, does not fit under the bounds below.  A co-location
+// snapshot is held as its groups, so reading one costs O(agents) heap
+// however many pairs its cliques have.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -19,6 +22,9 @@
 
 #include "meg/edge_meg.hpp"
 #include "meg/general_edge_meg.hpp"
+#include "mobility/random_trip.hpp"
+#include "protocols/gossip.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -164,6 +170,58 @@ TEST(HeapBound, ServeRegimeTwoStateEdgeMegHoldsOneSet) {
   EXPECT_GT(largest_set, 250u);
   EXPECT_LE(peak, kBound) << "largest set " << largest_set;
   EXPECT_LE(later_allocations, kLaterAllocations);
+}
+
+TEST(HeapBound, WaypointPileUpReadsAsGroups) {
+  // The waypoint at the waypoint_gossip geometry (L = sqrt(n), r = 1,
+  // m = 32: one point per agent) with all 2048 agents collapsed onto one
+  // point, as bench_e11_mixing starts its trials: 2 096 128 pairs.  As
+  // keys and a CSR (16.8 MB each) they would not fit; the groups are
+  // four arrays of about one word per agent or per point, ~37 KB, and
+  // the round's `newly` list 8 KB.  After the builder and the snapshot
+  // hold a set of group buffers each, a round allocates nothing.
+  constexpr std::size_t kAgents = 2048;
+  constexpr std::size_t kBound = std::size_t{256} << 10;
+  WaypointParams p;
+  p.side_length = std::sqrt(static_cast<double>(kAgents));
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 32;
+  const auto model = make_random_waypoint(kAgents, p, 4);
+  GossipProcess gossip(GossipMode::kPushPull);
+  gossip.begin_trial(kAgents, 0);
+  Rng rng(8);
+  std::vector<char> informed(kAgents, 0);
+  informed[0] = 1;
+  std::vector<NodeId> newly;
+  std::size_t edges = 0;
+  std::size_t degree = 0;
+  const std::size_t peak = peak_heap_of([&] {
+    model->collapse_to({0.0, 0.0});
+    edges = model->snapshot().num_edges();
+    degree = model->snapshot().degree(kAgents - 1);
+    gossip.round(model->snapshot(), informed, newly, rng);
+  });
+  RecordProperty("peak_bytes", static_cast<int>(peak));
+  EXPECT_EQ(edges, kAgents * (kAgents - 1) / 2);
+  EXPECT_EQ(degree, kAgents - 1);
+  EXPECT_LE(peak, kBound);
+
+  for (int t = 0; t < 2; ++t) {  // the builder's second set of buffers
+    model->step();
+    gossip.round(model->snapshot(), informed, newly, rng);
+  }
+  newly.reserve(kAgents);
+  const std::size_t first = allocations.load();
+  for (int t = 0; t < 16; ++t) {
+    model->step();
+    std::fill(informed.begin(), informed.end(), char{0});
+    informed[t] = 1;
+    newly.clear();
+    gossip.round(model->snapshot(), informed, newly, rng);
+  }
+  EXPECT_EQ(allocations.load() - first, 0u);
 }
 
 }  // namespace

@@ -3,11 +3,17 @@
 // serve/client.hpp.  Covers the happy path, cached re-query
 // byte-identity, protocol abuse (malformed and oversized lines must not
 // kill the connection), cancellation, stats, and graceful shutdown by
-// both the shutdown op and the stop flag.
+// both the shutdown op and the stop flag, also with a client that stopped
+// reading.
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -15,6 +21,7 @@
 
 #include "serve/client.hpp"
 #include "serve/json.hpp"
+#include "serve/line_io.hpp"
 #include "serve/server.hpp"
 
 namespace megflood::serve {
@@ -222,6 +229,40 @@ TEST(ServeServer, StopFlagDrainsInFlightJobsAsCancelled) {
     terminal_seen = kind == "cancelled" || kind == "done";
   }
   EXPECT_TRUE(terminal_seen);
+}
+
+// A client that sends pings and reads nothing fills the sockets with
+// pongs, so the connection's writer waits in its send.  Stop must still
+// end serve() within the drain's flush deadline.  A watchdog shuts the
+// client's socket if serve() has not returned by then, so a drain that
+// waits without bound fails this test instead of hanging it.
+TEST(ServeServer, StopEndsTheDrainOfAClientThatStoppedReading) {
+  using Clock = std::chrono::steady_clock;
+  TestServer server;
+  const SocketAddress address = unix_address(server.path);
+  const int fd = ::socket(address.family(), SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, address.get(), address.size), 0);
+  for (int i = 0; i < 20000; ++i) {
+    ASSERT_TRUE(send_line(fd, "{\"op\":\"ping\"}", kRecvMs));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  std::promise<void> returned;
+  std::thread watchdog([fd, done = returned.get_future()] {
+    if (done.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      ::shutdown(fd, SHUT_RDWR);
+    }
+  });
+  const Clock::time_point start = Clock::now();
+  server.stop.store(true);
+  server.thread.join();
+  const auto took = Clock::now() - start;
+  returned.set_value();
+  watchdog.join();
+  ::close(fd);
+  EXPECT_EQ(server.exit_code, 0);
+  EXPECT_LT(took, std::chrono::seconds(6));
 }
 
 }  // namespace

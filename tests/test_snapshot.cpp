@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "meg/general_edge_meg.hpp"
 #include "meg/heterogeneous_edge_meg.hpp"
 #include "meg/node_meg.hpp"
+#include "mobility/colocation.hpp"
 #include "mobility/random_trip.hpp"
 #include "mobility/random_walk.hpp"
 #include "step_hash.hpp"
@@ -70,46 +73,58 @@ TEST(Snapshot, EdgesCanonical) {
   for (const auto& [u, v] : edges) EXPECT_LT(u, v);
 }
 
-TEST(Snapshot, ProducerCsrReadsLikeTheLazyBuild) {
-  // Cliques {0, 1, 2} and {3, 4}, agent 5 alone: the pairs in clique
-  // order and the CSR the lazy build makes from them.
-  const std::vector<std::pair<NodeId, NodeId>> pairs = {
-      {0, 1}, {0, 2}, {1, 2}, {3, 4}};
-  Snapshot lazy(6);
-  for (const auto& [u, v] : pairs) lazy.add_edge(u, v);
-  Snapshot handed(6);
-  handed.add_edge(5, 4);  // replaced, CSR built once below
-  EXPECT_EQ(handed.degree(5), 1u);
-  std::vector<std::uint64_t>& keys = handed.key_buffer();
-  // The producer gets the previous keys as its scratch.
-  EXPECT_EQ(keys, std::vector<std::uint64_t>{pack_pair(5, 4)});
-  keys.clear();
-  for (const auto& [u, v] : pairs) keys.push_back(pack_pair(u, v));
-  std::vector<std::uint32_t> offsets = {0, 2, 4, 6, 7, 8, 8};
-  std::vector<NodeId> neighbors = {1, 2, 0, 2, 0, 1, 4, 3};
-  handed.adopt_csr(offsets, neighbors);
-  // The previous CSR buffers come back for reuse.
-  EXPECT_EQ(offsets.size(), 7u);
-  EXPECT_EQ(neighbors.size(), 2u);
+// The groups {0, 2, 5}, {} and {1, 3} with node 4 alone, as a producer
+// hands them over: every reader sees the keys of the order contract.
+Snapshot::Groups hand_made_groups() {
+  Snapshot::Groups groups;
+  groups.end = {0, 3, 3, 5, 6, 6};  // one spare entry past the last group
+  groups.members = {0, 2, 5, 1, 3, 4, 99};  // and one spare slot
+  groups.group = {0, 2, 0, 2, 3, 0};
+  groups.slot = {0, 3, 1, 4, 5, 2};
+  groups.count = 4;
+  groups.edges = 4;
+  return groups;
+}
 
-  EXPECT_EQ(handed.num_edges(), lazy.num_edges());
-  EXPECT_EQ(decoded_edges(handed), decoded_edges(lazy));
-  EXPECT_EQ(handed.edges(), lazy.edges());
+TEST(SnapshotGroups, HandedGroupsReadLikeTheirKeys) {
+  Snapshot keyed(6);
+  for (const auto& [u, v] : EdgeList{{0, 2}, {0, 5}, {2, 5}, {1, 3}}) {
+    keyed.add_edge(u, v);
+  }
+  Snapshot grouped(6);
+  grouped.add_edge(5, 4);  // replaced
+  EXPECT_EQ(grouped.degree(5), 1u);
+  Snapshot::Groups groups = hand_made_groups();
+  grouped.adopt_groups(groups);
+  // The producer gets the previous (empty) group buffers back.
+  EXPECT_TRUE(groups.end.empty());
+  EXPECT_TRUE(groups.members.empty());
+  ASSERT_NE(grouped.groups(), nullptr);
+  EXPECT_EQ(grouped.groups()->count, 4u);
+  EXPECT_EQ(grouped.num_edges(), 4u);
+  EXPECT_EQ(decoded_edges(grouped), decoded_edges(keyed));
+  EXPECT_EQ(grouped.key_states(), nullptr);
+  const auto keys = grouped.keys();
+  EXPECT_EQ(std::vector<std::uint64_t>(keys.begin(), keys.end()),
+            (std::vector<std::uint64_t>{pack_pair(0, 2), pack_pair(0, 5),
+                                        pack_pair(2, 5), pack_pair(1, 3)}));
+  EXPECT_EQ(grouped.edges(), keyed.edges());
   for (NodeId u = 0; u < 6; ++u) {
-    const auto got = handed.neighbors(u);
-    const auto want = lazy.neighbors(u);
+    const auto got = grouped.neighbors(u);
+    const auto want = keyed.neighbors(u);
     EXPECT_EQ(std::vector<NodeId>(got.begin(), got.end()),
               std::vector<NodeId>(want.begin(), want.end()))
         << "node " << u;
-    EXPECT_EQ(handed.degree(u), lazy.degree(u)) << "node " << u;
+    EXPECT_EQ(grouped.degree(u), keyed.degree(u)) << "node " << u;
     for (NodeId v = 0; v < 6; ++v) {
-      EXPECT_EQ(handed.has_edge(u, v), lazy.has_edge(u, v))
+      EXPECT_EQ(grouped.has_edge(u, v), keyed.has_edge(u, v))
           << u << "-" << v;
     }
   }
-  const Snapshot::CsrView view = handed.csr();
-  EXPECT_EQ(std::vector<std::uint32_t>(view.offsets, view.offsets + 7),
-            (std::vector<std::uint32_t>{0, 2, 4, 6, 7, 8, 8}));
+  // A copy owns the edges as keys.
+  const Snapshot copy = grouped;
+  EXPECT_EQ(copy.groups(), nullptr);
+  EXPECT_EQ(decoded_edges(copy), decoded_edges(keyed));
 }
 
 TEST(Snapshot, KeysKeepTheOrientationAsAdded) {
@@ -172,43 +187,139 @@ TEST(Snapshot, BorrowedStatesReadOnlyTheOnKeys) {
   EXPECT_EQ(s.degree(1), 0u);
 }
 
-TEST(Snapshot, ProducerCsrIsReadAsHandedAndMutationsRebuild) {
-  // Row 0 handed in descending order, which the lazy build would never
-  // make: reading it back shows the handed CSR is used, not rebuilt.
-  Snapshot s(3);
-  const auto hand_over = [&s](std::vector<std::uint64_t> keys,
-                              std::vector<std::uint32_t> offsets,
-                              std::vector<NodeId> neighbors) {
-    s.key_buffer() = std::move(keys);
-    s.adopt_csr(offsets, neighbors);
+TEST(SnapshotGroups, MutationsLeaveTheGroupForm) {
+  Snapshot s(6);
+  const auto hand_over = [&s] {
+    Snapshot::Groups groups = hand_made_groups();
+    s.adopt_groups(groups);
   };
-  hand_over({pack_pair(0, 1), pack_pair(0, 2)}, {0, 2, 3, 4}, {2, 1, 0, 0});
-  auto row = s.neighbors(0);
+  // add_edge writes the groups' keys first, then adds.
+  hand_over();
+  s.add_edge(4, 2);
+  EXPECT_EQ(s.groups(), nullptr);
+  EXPECT_EQ(s.num_edges(), 5u);
+  EXPECT_EQ(decoded_edges(s),
+            (EdgeList{{0, 2}, {0, 5}, {2, 5}, {1, 3}, {4, 2}}));
+  auto row = s.neighbors(2);
   EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
-            (std::vector<NodeId>{2, 1}));
+            (std::vector<NodeId>{0, 5, 4}));
+  EXPECT_TRUE(s.has_edge(2, 4));
 
-  // add_edge falls back to the lazy build over the keys.
-  s.add_edge(1, 2);
-  row = s.neighbors(0);
+  // After a CSR read, so do clear, reset and key_buffer.
+  hand_over();
+  EXPECT_EQ(s.degree(0), 2u);
+  row = s.neighbors(5);
   EXPECT_EQ(std::vector<NodeId>(row.begin(), row.end()),
-            (std::vector<NodeId>{1, 2}));
-  EXPECT_TRUE(s.has_edge(1, 2));
-  EXPECT_EQ(s.degree(2), 2u);
-
-  // So do clear and reset.
-  hand_over({pack_pair(0, 1)}, {0, 1, 2, 2}, {1, 0});
+            (std::vector<NodeId>{0, 2}));
   s.clear();
+  EXPECT_EQ(s.groups(), nullptr);
   EXPECT_EQ(s.num_edges(), 0u);
   EXPECT_EQ(s.degree(0), 0u);
-  EXPECT_FALSE(s.has_edge(0, 1));
-  hand_over({pack_pair(0, 1)}, {0, 1, 2, 2}, {1, 0});
-  s.reset(5);
-  EXPECT_EQ(s.num_nodes(), 5u);
-  EXPECT_EQ(s.degree(4), 0u);
+  EXPECT_FALSE(s.has_edge(0, 2));
+  hand_over();
+  s.key_buffer() = {pack_pair(3, 4)};
+  EXPECT_EQ(s.num_edges(), 1u);
+  EXPECT_EQ(s.degree(0), 0u);
+  EXPECT_EQ(decoded_edges(s), (EdgeList{{3, 4}}));
+  hand_over();
+  s.reset(7);
+  EXPECT_EQ(s.num_nodes(), 7u);
+  EXPECT_EQ(s.degree(6), 0u);
   EXPECT_TRUE(s.edges().empty());
-  s.add_edge(3, 4);
-  EXPECT_EQ(s.degree(4), 1u);
-  EXPECT_TRUE(s.has_edge(4, 3));
+  s.add_edge(3, 6);
+  EXPECT_EQ(s.degree(6), 1u);
+  EXPECT_TRUE(s.has_edge(6, 3));
+}
+
+// The co-location builder's group form against an add_edge reference in
+// the order contract (occupied points ascending, at each point every
+// member with each later member, both ascending), over random layouts:
+// empty points, singletons, every agent at one point, and more than
+// kPointsPerAgent points per agent (the ranked build).  Every reader of
+// the group form, and the group view's pick for every (u, r), must equal
+// the reference's, over several builds through one builder (the buffers
+// swap between builder and snapshot).
+TEST(SnapshotGroups, BuilderGroupsMatchAnAddEdgeReference) {
+  struct Case {
+    const char* name;
+    std::size_t agents;
+    std::size_t points;
+    std::size_t used;  // agents draw their points from [0, used)
+  };
+  const Case cases[] = {
+      {"sparse", 40, 160, 160},       {"crowded", 64, 16, 5},
+      {"all at one point", 33, 8, 1}, {"ranked", 50, 1000, 1000},
+      {"ranked, one point", 20, 4096, 1}, {"no agents", 0, 8, 8},
+  };
+  Rng rng(17);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ColocationBuilder builder;
+    Snapshot snapshot(c.agents);
+    std::vector<std::uint32_t> point(c.agents);
+    for (int round = 0; round < 4; ++round) {
+      for (auto& p : point) {
+        p = static_cast<std::uint32_t>(rng.uniform_int(c.used));
+      }
+      builder.build(snapshot, c.points,
+                    [&point](std::uint32_t i) { return point[i]; });
+      ASSERT_NE(snapshot.groups(), nullptr);
+
+      Snapshot reference(c.agents);
+      for (std::uint32_t p = 0; p < c.points; ++p) {
+        for (NodeId a = 0; a < c.agents; ++a) {
+          if (point[a] != p) continue;
+          for (NodeId b = a + 1; b < c.agents; ++b) {
+            if (point[b] == p) reference.add_edge(a, b);
+          }
+        }
+      }
+      ASSERT_EQ(snapshot.num_edges(), reference.num_edges());
+      ASSERT_EQ(decoded_edges(snapshot), decoded_edges(reference));
+      const Snapshot::GroupView rows = snapshot.visit_rows(
+          [](const auto& view) {
+            if constexpr (std::is_same_v<std::decay_t<decltype(view)>,
+                                         Snapshot::GroupView>) {
+              return view;
+            } else {
+              ADD_FAILURE() << "not the group form";
+              return Snapshot::GroupView{};
+            }
+          });
+      const Snapshot::CsrView want = reference.csr();
+      for (NodeId u = 0; u < c.agents; ++u) {
+        ASSERT_EQ(rows.degree(u), want.degree(u)) << "node " << u;
+        for (std::uint32_t r = 0; r < want.degree(u); ++r) {
+          ASSERT_EQ(rows.neighbor(u, r), want.neighbor(u, r))
+              << "node " << u << " rank " << r;
+        }
+        ASSERT_EQ(snapshot.degree(u), reference.degree(u)) << "node " << u;
+      }
+      for (NodeId u = 0; u < std::min<std::size_t>(c.agents, 24); ++u) {
+        for (NodeId v = 0; v < std::min<std::size_t>(c.agents, 24); ++v) {
+          ASSERT_EQ(snapshot.has_edge(u, v), reference.has_edge(u, v))
+              << u << "-" << v;
+        }
+      }
+      const auto keys = snapshot.keys();
+      const auto want_keys = reference.keys();
+      ASSERT_EQ(std::vector<std::uint64_t>(keys.begin(), keys.end()),
+                std::vector<std::uint64_t>(want_keys.begin(), want_keys.end()));
+      const Snapshot::CsrView got = snapshot.csr();
+      const std::vector<std::uint32_t> offsets(got.offsets,
+                                               got.offsets + c.agents + 1);
+      ASSERT_EQ(offsets, std::vector<std::uint32_t>(
+                             want.offsets, want.offsets + c.agents + 1));
+      ASSERT_EQ(
+          std::vector<NodeId>(got.neighbors, got.neighbors + offsets.back()),
+          std::vector<NodeId>(want.neighbors,
+                              want.neighbors + offsets.back()));
+      ASSERT_EQ(snapshot.edges(), reference.edges());
+      const Snapshot copy = snapshot;
+      ASSERT_EQ(copy.groups(), nullptr);
+      ASSERT_EQ(decoded_edges(copy), decoded_edges(reference));
+    }
+  }
 }
 
 // Every edge-MEG engine mode lends the snapshot its own key set: the
