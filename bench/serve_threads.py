@@ -14,9 +14,9 @@ the daemon ran) and each worker's wall time.
         [--socket d.sock] [--json]
 
 Only the daemon's own process tree is read (Linux /proc); nothing traces
-the machine.  Threads are named by the serve code (serve-pool,
-serve-conn-rd/-wr, worker-reader, worker-beat); `main` is a process's
-first thread.
+the machine.  Threads are named by the serve code (serve-pool, one
+serve-conn per connection, worker-reader, worker-beat); `main` is a
+process's first thread.
 """
 
 import argparse

@@ -9,7 +9,9 @@
 // or drop-injected daemon can never wedge a client or a test forever, and
 // recv_line distinguishes "nothing arrived yet" (timeout) from "the
 // server is gone" (closed).  A signal that interrupts a wait does not end
-// it.
+// it.  The daemon reads a connection's next request only once its answers
+// to the earlier ones are sent, so a caller reads while it submits: a
+// batch of requests sent before any read wedges once the sockets fill.
 //
 // RetryingClient (ISSUE 9) layers fault tolerance on top: connect and
 // submit retry with exponential backoff + decorrelated jitter (seeded via

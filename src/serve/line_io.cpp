@@ -49,10 +49,20 @@ RecvStatus LineReader::read_line(int timeout_ms, std::string& out,
   if (fd_ < 0) return RecvStatus::kClosed;
   while (true) {
     const std::size_t newline = buffer_.find('\n');
-    if (newline != std::string::npos) {
-      out.assign(buffer_, 0, newline);
+    if (discarding_) {
+      // The rest of an over-long line: drop it, up to its newline.
+      discarding_ = newline == std::string::npos;
+      buffer_.erase(0, discarding_ ? newline : newline + 1);
+      if (!discarding_) continue;
+    } else if (newline != std::string::npos) {
+      const bool fits = newline <= max_line_;
+      if (fits) out.assign(buffer_, 0, newline);
       buffer_.erase(0, newline + 1);
-      return RecvStatus::kLine;
+      return fits ? RecvStatus::kLine : RecvStatus::kTooLong;
+    } else if (buffer_.size() > max_line_) {
+      buffer_.clear();
+      discarding_ = true;
+      return RecvStatus::kTooLong;
     }
     // An endless wait that nothing can wake is the blocking read itself.
     if (timeout_ms >= 0 || wake_fd >= 0) {

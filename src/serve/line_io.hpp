@@ -4,13 +4,15 @@
 // to worker: one send-all loop and one buffered reader of '\n'-framed
 // lines.  A vanished peer is a false send or kClosed, never a SIGPIPE,
 // and a signal that interrupts a wait resumes it with the rest of its
-// timeout.  The daemon's per-connection reader alone reads on its own:
-// it streams past over-long lines from untrusted clients.
+// timeout.  A reader given a max-line limit (the daemon's, facing
+// untrusted clients) streams past over-long lines instead of buffering
+// them.
 
 #include <poll.h>
 #include <sys/socket.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <string_view>
 
@@ -21,6 +23,7 @@ enum class RecvStatus {
   kTimeout,  // nothing arrived within timeout_ms; the connection is fine
   kClosed,   // EOF or socket error: the peer is gone
   kWoken,    // the wake fd became readable first
+  kTooLong,  // a line passed max_line; its bytes up to '\n' are dropped
 };
 
 // ::poll, resumed after EINTR with the rest of timeout_ms (negative waits
@@ -34,21 +37,29 @@ bool send_line(int fd, std::string_view line, int timeout_ms = -1);
 // Splits one socket's bytes into lines; does not own the fd.
 class LineReader {
  public:
-  explicit LineReader(int fd = -1) : fd_(fd) {}
+  explicit LineReader(
+      int fd = -1,
+      std::size_t max_line = std::numeric_limits<std::size_t>::max())
+      : fd_(fd), max_line_(max_line) {}
   int fd() const noexcept { return fd_; }
   // Points the reader at `fd` and drops any buffered bytes.
   void reset(int fd = -1) {
     fd_ = fd;
     buffer_.clear();
+    discarding_ = false;
   }
   // Waits up to timeout_ms for the next line, stored in `out` without its
   // '\n'.  A readable `wake_fd` ends the wait with kWoken.  EOF amid a
-  // line is kClosed, and the partial line is dropped.
+  // line is kClosed, and the partial line is dropped.  A line longer than
+  // max_line is one kTooLong, as soon as its length shows, and its bytes
+  // are dropped up to and including its '\n'.
   RecvStatus read_line(int timeout_ms, std::string& out, int wake_fd = -1);
 
  private:
   int fd_;
+  std::size_t max_line_;
   std::string buffer_;
+  bool discarding_ = false;  // inside an over-long line, until its '\n'
 };
 
 // An address for ::bind or ::connect.

@@ -6,9 +6,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -20,6 +20,7 @@
 #include "serve/line_io.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
+#include "serve/worker.hpp"
 #include "util/fault_injection.hpp"
 
 namespace megflood::serve {
@@ -29,7 +30,7 @@ namespace {
 // Accept-loop poll tick: the latency bound on noticing the stop flag.
 constexpr int kPollMs = 200;
 
-// How long a drain lets the writers flush their outboxes: past it, a
+// How long a drain lets the connections flush their outboxes: past it, a
 // client that stopped reading loses the rest, so that the drain ends.
 constexpr std::chrono::milliseconds kDrainFlush{2000};
 
@@ -84,30 +85,27 @@ class ServerImpl {
   }
 
  private:
-  // One accepted client: a reader thread (frame lines, dispatch requests)
-  // and a writer thread (drain the outbox).  The outbox mutex is a leaf —
+  // One accepted client, served by one thread that writes every queued
+  // event line and then reads one request.  So the daemon reads a request
+  // only after its answers to the earlier ones are on the wire: a client
+  // that stops reading stops being read.  The outbox mutex is a leaf —
   // the scheduler's EventFn acquires it with the scheduler mutex held,
   // never the other way around.
   struct Connection {
     int fd = -1;
     std::uint64_t client = 0;  // scheduler client id
+    WakePipe wake;  // a queued line or `closing` ends the thread's read
     std::mutex out_mutex;
-    std::condition_variable out_cv;
     std::deque<std::string> outbox;
     bool closing = false;  // takes no more requests or lines
-    bool writer_done = false;
-    std::condition_variable writer_done_cv;
-    std::atomic<bool> reader_done{false};
-    std::thread reader;
-    std::thread writer;
+    std::future<void> thread;  // ready once the client is unregistered
   };
 
   void listen_on(const SocketAddress& address, const std::string& where);
   void accept_one();
   void enqueue(Connection& connection, const std::string& line);
   void dispatch(Connection& connection, const std::string& line);
-  void reader_loop(Connection* connection);
-  void writer_loop(Connection* connection);
+  void serve_connection(Connection& connection);
   void close_connection(Connection& connection, Clock::time_point flush_until);
   void reap_finished();
 
@@ -183,19 +181,19 @@ void ServerImpl::listen_on(const SocketAddress& address,
 }
 
 void ServerImpl::enqueue(Connection& connection, const std::string& line) {
+  bool was_empty;
   {
     std::lock_guard<std::mutex> lock(connection.out_mutex);
     if (connection.closing) return;
+    was_empty = connection.outbox.empty();
     connection.outbox.push_back(line);
   }
-  connection.out_cv.notify_one();
+  // The thread takes the whole outbox after it drains the pipe, so the
+  // first line of a batch is the only one that must wake it.
+  if (was_empty) connection.wake.notify();
 }
 
 void ServerImpl::dispatch(Connection& connection, const std::string& line) {
-  {
-    std::lock_guard<std::mutex> lock(connection.out_mutex);
-    if (connection.closing) return;
-  }
   Request request;
   try {
     request = parse_request(line);
@@ -223,88 +221,56 @@ void ServerImpl::dispatch(Connection& connection, const std::string& line) {
   }
 }
 
-void ServerImpl::reader_loop(Connection* connection) {
-  std::string pending;
-  bool discarding = false;  // inside an oversized line, until its newline
-  char buffer[4096];
-  while (true) {
-    const ssize_t got = ::read(connection->fd, buffer, sizeof(buffer));
-    if (got < 0 && errno == EINTR) continue;
-    if (got <= 0) break;  // EOF or error: client is gone
-    const auto too_long = [&] {
-      enqueue(*connection,
-              event_error("", "request line longer than " +
-                                  std::to_string(config_.max_line) +
-                                  " bytes"));
-      pending.clear();
-    };
-    std::size_t start = 0;
-    for (std::size_t i = 0; i < static_cast<std::size_t>(got); ++i) {
-      if (buffer[i] != '\n') continue;
-      if (discarding) {
-        discarding = false;  // the oversized line finally ended
-      } else {
-        pending.append(buffer + start, i - start);
-        if (pending.size() > config_.max_line) {
-          too_long();  // whole line arrived in one read
-        } else {
-          dispatch(*connection, pending);
-          pending.clear();
-        }
-      }
-      start = i + 1;
-    }
-    if (!discarding) {
-      pending.append(buffer + start, static_cast<std::size_t>(got) - start);
-      if (pending.size() > config_.max_line) {
-        too_long();
-        discarding = true;
-      }
-    }
-  }
-  // Unregister first: after this returns, the scheduler can never emit to
-  // this connection again, so the writer can be told to finish.
-  scheduler_.unregister_client(connection->client);
-  {
-    std::lock_guard<std::mutex> lock(connection->out_mutex);
-    connection->closing = true;
-  }
-  connection->out_cv.notify_all();
-  connection->reader_done.store(true, std::memory_order_release);
-}
-
-void ServerImpl::writer_loop(Connection* connection) {
+void ServerImpl::serve_connection(Connection& connection) {
+  LineReader reader(connection.fd, config_.max_line);
+  std::deque<std::string> batch;
+  std::string request;
   std::size_t written = 0;  // event lines attempted on this connection
-  std::unique_lock<std::mutex> lock(connection->out_mutex);
-  while (true) {
-    connection->out_cv.wait(lock, [connection] {
-      return !connection->outbox.empty() || connection->closing;
-    });
-    if (connection->outbox.empty()) {  // closing and flushed
-      connection->writer_done = true;
-      connection->writer_done_cv.notify_all();
-      return;
+  bool open = true;         // false once the client or a write is gone
+  while (open) {
+    connection.wake.drain();
+    bool closing;
+    {
+      std::lock_guard<std::mutex> lock(connection.out_mutex);
+      batch.swap(connection.outbox);
+      closing = connection.closing;
     }
-    const std::string line = std::move(connection->outbox.front());
-    connection->outbox.pop_front();
-    lock.unlock();
-    // Chaos seam: stallwrite sites sleep here (a slow network under one
-    // client — never under the scheduler mutex), drop sites hard-close
-    // the connection instead of writing, as if the network died.
-    bool ok;
-    if (!fault_plan_.empty() && fault_plan_.fire_event_write(++written)) {
-      ::shutdown(connection->fd, SHUT_RDWR);
-      ok = false;
-    } else {
-      ok = send_line(connection->fd, line);
+    for (const std::string& line : batch) {
+      // Chaos seam: stallwrite sites sleep here (a slow network under one
+      // client — never under the scheduler mutex), drop sites hard-close
+      // the connection instead of writing, as if the network died.
+      const bool dropped =
+          !fault_plan_.empty() && fault_plan_.fire_event_write(++written);
+      open = !dropped && send_line(connection.fd, line);
+      if (!open) break;
     }
-    lock.lock();
-    if (!ok) {
-      // Client stopped reading; drop the rest and let the reader notice.
-      connection->outbox.clear();
-      ::shutdown(connection->fd, SHUT_RDWR);
+    batch.clear();
+    if (closing || !open) break;
+    switch (reader.read_line(-1, request, connection.wake.fd())) {
+      case RecvStatus::kLine:
+        dispatch(connection, request);
+        break;
+      case RecvStatus::kTooLong:
+        enqueue(connection, event_error("", "request line longer than " +
+                                                std::to_string(
+                                                    config_.max_line) +
+                                                " bytes"));
+        break;
+      case RecvStatus::kWoken:
+      case RecvStatus::kTimeout:
+        break;
+      case RecvStatus::kClosed:
+        open = false;
+        break;
     }
   }
+  {
+    std::lock_guard<std::mutex> lock(connection.out_mutex);
+    connection.closing = true;
+  }
+  // After this returns the scheduler never emits to this connection again.
+  scheduler_.unregister_client(connection.client);
+  ::shutdown(connection.fd, SHUT_RDWR);
 }
 
 void ServerImpl::accept_one() {
@@ -312,26 +278,31 @@ void ServerImpl::accept_one() {
   if (fd < 0) return;
   auto connection = std::make_unique<Connection>();
   connection->fd = fd;
+  if (connection->wake.fd() < 0) {  // nothing could wake its thread
+    ::close(fd);
+    return;
+  }
   Connection* raw = connection.get();
   connection->client = scheduler_.register_client(
       [this, raw](const std::string& line) { enqueue(*raw, line); });
-  connection->reader = std::thread([this, raw] {
-    name_this_thread("serve-conn-rd");
-    reader_loop(raw);
-  });
-  connection->writer = std::thread([this, raw] {
-    name_this_thread("serve-conn-wr");
-    writer_loop(raw);
-  });
+  // noexcept: an escaping exception ends the daemon, as it would from a
+  // std::thread, instead of waiting in the future while the scheduler
+  // still holds this connection.
+  connection->thread =
+      std::async(std::launch::async, [this, raw]() noexcept {
+        name_this_thread("serve-conn");
+        serve_connection(*raw);
+      });
   std::lock_guard<std::mutex> lock(connections_mutex_);
   connections_.push_back(std::move(connection));
 }
 
-// Joins and destroys connections whose reader exited (client hung up).
+// Joins and destroys connections whose thread ended (client hung up).
 void ServerImpl::reap_finished() {
   std::lock_guard<std::mutex> lock(connections_mutex_);
   for (auto it = connections_.begin(); it != connections_.end();) {
-    if ((*it)->reader_done.load(std::memory_order_acquire)) {
+    if ((*it)->thread.wait_for(std::chrono::seconds(0)) ==
+        std::future_status::ready) {
       close_connection(**it, Clock::now());
       it = connections_.erase(it);
     } else {
@@ -340,22 +311,21 @@ void ServerImpl::reap_finished() {
   }
 }
 
-// Lets the writer flush the outbox until `flush_until` (a past time
-// drops it), then shuts the socket: a send stuck on a client that
-// stopped reading fails, and so does the reader's read().
+// Lets the connection's thread flush the outbox until `flush_until`, then
+// shuts the socket: a send stuck on a client that stopped reading fails,
+// and the thread ends.
 void ServerImpl::close_connection(Connection& connection,
                                   Clock::time_point flush_until) {
   {
-    std::unique_lock<std::mutex> lock(connection.out_mutex);
+    std::lock_guard<std::mutex> lock(connection.out_mutex);
     connection.closing = true;
-    connection.out_cv.notify_all();
-    connection.writer_done_cv.wait_until(
-        lock, flush_until, [&connection] { return connection.writer_done; });
-    connection.outbox.clear();
   }
-  ::shutdown(connection.fd, SHUT_RDWR);
-  if (connection.writer.joinable()) connection.writer.join();
-  if (connection.reader.joinable()) connection.reader.join();
+  connection.wake.notify();
+  if (connection.thread.wait_until(flush_until) !=
+      std::future_status::ready) {
+    ::shutdown(connection.fd, SHUT_RDWR);
+  }
+  connection.thread.wait();
   ::close(connection.fd);
 }
 

@@ -133,10 +133,11 @@ struct WorkerDeath {
   std::string describe() const;
 };
 
-// A self-pipe that ends a WorkerProcess::read_line wait early: any thread
-// may notify(); the waiting thread's read returns RecvStatus::kWoken, and it drains
-// the pipe before it looks again at what woke it.  A pipe that could not
-// be made is inert (the wait runs to its timeout).
+// A self-pipe that ends a read_line wait early (a pool thread's wait for
+// its worker, a daemon connection's wait for a request): any thread may
+// notify(); the waiting thread's read returns RecvStatus::kWoken, and it
+// drains the pipe before it looks again at what woke it.  A pipe that
+// could not be made is inert (the wait runs to its timeout).
 class WakePipe {
  public:
   WakePipe();

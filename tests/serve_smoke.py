@@ -37,6 +37,11 @@ load_1200: 1200 jobs over 40 connections pushed through one daemon with zero
 protocol errors, zero unresolved jobs and a cache-hit ratio of at least
 0.9 (megflood_load exits nonzero on any of those failing).
 
+one_connection: 2000 jobs down a single connection, plain and with --retry,
+resolve with zero unresolved.  The daemon reads a connection's next request
+only once its answers to the earlier ones are sent, so a client that
+submitted the whole batch before reading would wedge on full sockets.
+
 bad_flags: a negative count (--max_line=-1, --max_queue=-1, ...) and a
 non-finite or partial ratio (--min_hit_ratio=nan, =0.9x) exit 2 at flag
 parsing; neither tool wraps -1 to 2^64 - 1 or silently drops a check.
@@ -229,6 +234,23 @@ def load_1200(serve, load, work, procs):
     stop_gracefully(daemon)
 
 
+def one_connection(serve, load, work, procs):
+    sock = work / "serve.sock"
+    daemon = subprocess.Popen([serve, f"--socket={sock}", "--workers=2"])
+    procs.append(daemon)
+    wait_for_socket(sock)
+    for extra in ([], ["--retry"]):
+        run = subprocess.run(
+            [load, f"--socket={sock}", "--connections=1", "--jobs=2000",
+             "--distinct=40", "--trials=2", "--n=32", "--timeout_ms=20000"]
+            + extra, capture_output=True, text=True, timeout=TIMEOUT_S)
+        sys.stdout.write(run.stdout)
+        check(run.returncode == 0, f"load {extra} exited {run.returncode}")
+        check(" unresolved=0" in run.stdout,
+              f"load {extra} left jobs unresolved")
+    stop_gracefully(daemon)
+
+
 def bad_flags(serve, load, work, procs):
     # A parser that wraps -1 starts a daemon here; the timeout ends it.
     sock = f"--socket={work / 'never.sock'}"
@@ -250,7 +272,7 @@ def main(argv):
         return 2
     failed = 0
     for smoke in (bad_flags, chaos, worker_crash, backpressure, quarantine,
-                  disk_tier, load_1200):
+                  disk_tier, load_1200, one_connection):
         procs = []
         with tempfile.TemporaryDirectory(prefix="mfsmoke") as work:
             try:

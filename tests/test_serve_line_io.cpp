@@ -1,7 +1,8 @@
 // The serve layer's line transport (serve/line_io.hpp) over socketpairs:
-// framing across reads, EOF, timeouts, the wake fd, a send to a stalled
-// reader, and waits that a signal interrupts.  The last group drives
-// LineClient over a real unix socket, as the daemon's clients use it.
+// framing across reads, the max-line limit, EOF, timeouts, the wake fd, a
+// send to a stalled reader, and waits that a signal interrupts.  The last
+// group drives LineClient over a real unix socket, as the daemon's
+// clients use it.
 
 #include <gtest/gtest.h>
 
@@ -83,6 +84,43 @@ TEST(LineIo, LineLongerThanOneChunk) {
   EXPECT_EQ(line, long_line);
   ASSERT_EQ(reader.read_line(1000, line), RecvStatus::kLine);
   EXPECT_EQ(line, "tail");
+}
+
+TEST(LineIo, MaxLineOverLongLineInOneRead) {
+  SocketPair pair;
+  pair.write_raw(std::string(17, 'x') + "\n" + std::string(16, 'y') +
+                 "\nok\n");
+  LineReader reader(pair.fds[0], /*max_line=*/16);
+  std::string line = "untouched";
+  EXPECT_EQ(reader.read_line(1000, line), RecvStatus::kTooLong);
+  EXPECT_EQ(line, "untouched");
+  ASSERT_EQ(reader.read_line(1000, line), RecvStatus::kLine);
+  EXPECT_EQ(line, std::string(16, 'y'));  // exactly max_line is a line
+  ASSERT_EQ(reader.read_line(1000, line), RecvStatus::kLine);
+  EXPECT_EQ(line, "ok");
+  EXPECT_EQ(reader.read_line(0, line), RecvStatus::kTimeout);
+}
+
+TEST(LineIo, MaxLineOverLongLineSplitAcrossReads) {
+  SocketPair pair;
+  LineReader reader(pair.fds[0], /*max_line=*/16);
+  std::string line;
+  pair.write_raw(std::string(10, 'x'));
+  EXPECT_EQ(reader.read_line(20, line), RecvStatus::kTimeout);
+  // Its length shows before its newline arrives: one kTooLong, then the
+  // rest of the line is dropped as it comes, over many reads.
+  pair.write_raw(std::string(10, 'x'));
+  EXPECT_EQ(reader.read_line(1000, line), RecvStatus::kTooLong);
+  for (int i = 0; i < 3; ++i) {
+    pair.write_raw(std::string(5000, 'x'));
+    EXPECT_EQ(reader.read_line(20, line), RecvStatus::kTimeout);
+  }
+  pair.write_raw("xx\ngo");
+  EXPECT_EQ(reader.read_line(20, line), RecvStatus::kTimeout);
+  pair.write_raw("od\n");
+  ASSERT_EQ(reader.read_line(1000, line), RecvStatus::kLine);
+  EXPECT_EQ(line, "good");
+  EXPECT_EQ(reader.read_line(0, line), RecvStatus::kTimeout);
 }
 
 TEST(LineIo, EofAmidALineIsClosedWithNoPartialLine) {

@@ -2,9 +2,9 @@
 // a Unix-domain socket, driven through the real wire protocol with
 // serve/client.hpp.  Covers the happy path, cached re-query
 // byte-identity, protocol abuse (malformed and oversized lines must not
-// kill the connection), cancellation, stats, and graceful shutdown by
-// both the shutdown op and the stop flag, also with a client that stopped
-// reading.
+// kill the connection), cancellation, stats, graceful shutdown by both
+// the shutdown op and the stop flag, also with a client that stopped
+// reading, and back-pressure on a client that sends and never reads.
 
 #include <gtest/gtest.h>
 
@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <future>
 #include <memory>
 #include <optional>
@@ -22,7 +23,9 @@
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "serve/line_io.hpp"
+#include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/resource.hpp"
 
 namespace megflood::serve {
 namespace {
@@ -83,6 +86,34 @@ std::string submit_line(const std::string& id, std::uint64_t seed) {
          "\",\"args\":[\"--model=fixed\",\"--n=16\",\"--trials=2\","
          "\"--seed=" +
          std::to_string(seed) + "\"]}";
+}
+
+// A raw connection to the server's socket, for clients that misbehave.
+int connect_raw(const std::string& path) {
+  const SocketAddress address = unix_address(path);
+  const int fd = ::socket(address.family(), SOCK_STREAM, 0);
+  if (fd >= 0 && ::connect(fd, address.get(), address.size) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+// This process's resident set now (VmRSS), in bytes; 0 when unknown.
+std::uint64_t current_rss_bytes() {
+  std::uint64_t kib = 0;
+  if (std::FILE* status = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    unsigned long long value = 0;
+    while (std::fgets(line, sizeof(line), status) != nullptr) {
+      if (std::sscanf(line, "VmRSS: %llu kB", &value) == 1) {
+        kib = value;
+        break;
+      }
+    }
+    std::fclose(status);
+  }
+  return kib * 1024;
 }
 
 std::string result_suffix(const std::string& done_line) {
@@ -232,19 +263,19 @@ TEST(ServeServer, StopFlagDrainsInFlightJobsAsCancelled) {
 }
 
 // A client that sends pings and reads nothing fills the sockets with
-// pongs, so the connection's writer waits in its send.  Stop must still
+// pongs, so the connection's thread waits in its send.  Stop must still
 // end serve() within the drain's flush deadline.  A watchdog shuts the
 // client's socket if serve() has not returned by then, so a drain that
 // waits without bound fails this test instead of hanging it.
 TEST(ServeServer, StopEndsTheDrainOfAClientThatStoppedReading) {
   using Clock = std::chrono::steady_clock;
   TestServer server;
-  const SocketAddress address = unix_address(server.path);
-  const int fd = ::socket(address.family(), SOCK_STREAM, 0);
+  const int fd = connect_raw(server.path);
   ASSERT_GE(fd, 0);
-  ASSERT_EQ(::connect(fd, address.get(), address.size), 0);
+  // The daemon stops reading this client once its pongs fill the
+  // sockets, so the sends stall too: stop at the first that times out.
   for (int i = 0; i < 20000; ++i) {
-    ASSERT_TRUE(send_line(fd, "{\"op\":\"ping\"}", kRecvMs));
+    if (!send_line(fd, "{\"op\":\"ping\"}", 200)) break;
   }
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   std::promise<void> returned;
@@ -263,6 +294,62 @@ TEST(ServeServer, StopEndsTheDrainOfAClientThatStoppedReading) {
   ::close(fd);
   EXPECT_EQ(server.exit_code, 0);
   EXPECT_LT(took, std::chrono::seconds(6));
+}
+
+// Back-pressure: the daemon reads a request only after its answers to
+// the earlier ones are on the wire.  A client that sends 400 000 pings
+// and reads nothing stalls in its own sends once the sockets fill, the
+// daemon holds no pile of unread pongs, a second connection is served
+// meanwhile, and the first client then reads every pong and nothing else.
+TEST(ServeServer, AClientThatStopsReadingStopsBeingRead) {
+  constexpr int kPings = 400000;
+  const std::string pong = event_pong();
+  TestServer server;
+  const std::uint64_t rss_before = current_rss_bytes();
+  const int fd = connect_raw(server.path);
+  ASSERT_GE(fd, 0);
+  std::atomic<int> sent{0};
+  std::thread sender([fd, &sent] {
+    for (int i = 0; i < kPings; ++i) {
+      if (!send_line(fd, "{\"op\":\"ping\"}", kRecvMs)) return;
+      sent.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  // Until the sender is done, or has made no progress for 300 ms.
+  int last = -1;
+  for (int quiet = 0, tick = 0; quiet < 3 && tick < 200; ++tick) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    const int now = sent.load(std::memory_order_relaxed);
+    if (now == kPings) break;
+    quiet = now == last ? quiet + 1 : 0;
+    last = now;
+  }
+  const int sent_unread = sent.load(std::memory_order_relaxed);
+  const std::uint64_t rss_stalled = current_rss_bytes();
+
+  // No ASSERT until the sender is joined.
+  LineClient other = server.connect();
+  EXPECT_TRUE(other.send_line(submit_line("meanwhile", 14)));
+  EXPECT_TRUE(recv_event(other, "done").has_value());
+
+  LineReader reader(fd);
+  std::string line;
+  int pongs = 0;
+  while (pongs < kPings &&
+         reader.read_line(kRecvMs, line) == RecvStatus::kLine &&
+         line == pong) {
+    ++pongs;
+  }
+  ::shutdown(fd, SHUT_RDWR);  // ends a send still waiting, if any
+  sender.join();
+  ::close(fd);
+  EXPECT_EQ(pongs, kPings) << "last line: " << line;
+  EXPECT_LT(sent_unread, kPings);
+  if (rss_guard_reliable() && rss_before > 0) {
+    // The parent of this design queued every pong: ~25 MB here.
+    EXPECT_LT(rss_stalled, rss_before + (4u << 20))
+        << "RSS " << rss_before << " -> " << rss_stalled << " bytes";
+  }
 }
 
 }  // namespace

@@ -1087,7 +1087,7 @@ TEST(ServeWorker, DrainWaitsForASentSubJobAndLeavesNoJournal) {
 }
 
 // ---------------------------------------------------------------------------
-// The real binary rejects malformed --inject specs up front (exit 2)
+// The real binary rejects bad flags up front (exit 2)
 // ---------------------------------------------------------------------------
 
 TEST(ServeWorker, MalformedInjectSpecExitsWithConfigError) {
@@ -1104,6 +1104,24 @@ TEST(ServeWorker, MalformedInjectSpecExitsWithConfigError) {
     const int worker_status = std::system(worker_command.c_str());
     ASSERT_TRUE(WIFEXITED(worker_status)) << spec;
     EXPECT_EQ(WEXITSTATUS(worker_status), 2) << spec;
+  }
+}
+
+// A memory budget whose shift to bytes would wrap (2^44 MiB and up) sets
+// RLIMIT_AS near 0 and kills every job; the flag is capped at
+// UINT64_MAX >> 20 instead.  The socket is valid, so a binary that
+// accepts the flag starts serving, and `timeout` ends it with 124.
+TEST(ServeWorker, WorkerMemoryPastTheByteRangeExitsWithConfigError) {
+  const std::string socket = testing::TempDir() + "never_served.sock";
+  for (const char* megabytes : {"17592186044416", "18446744073709551615"}) {
+    const std::string command = "timeout 5 " +
+                                std::string(MEGFLOOD_SERVE_PATH) +
+                                " --socket=" + socket +
+                                " --worker_memory_mb=" + megabytes +
+                                " >/dev/null 2>&1";
+    const int status = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << megabytes;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << megabytes;
   }
 }
 

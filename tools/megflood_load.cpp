@@ -249,10 +249,17 @@ void process_event(const std::string& line, PendingMap& pending,
   }
 }
 
-// One plain connection: submit everything, then drain events until the
-// pending map empties, a receive window elapses (timeout), or the server
-// goes away (disconnect) — the two failures are tallied separately so a
-// wedged daemon and a crashed one are distinguishable in the report.
+// Jobs one connection keeps in flight.  The daemon reads a connection's
+// next request only once its answers to the earlier ones are sent, so a
+// client must read while it submits: one that sent a whole batch first
+// would wedge once the socket buffers fill.  A connection reads what has
+// arrived after each submit, and waits for a job to end at this many.
+constexpr std::size_t kWindow = 128;
+
+// One plain connection: submit everything, reading between submits, until
+// the pending map empties, a receive window elapses (timeout), or the
+// server goes away (disconnect) — the two failures are tallied separately
+// so a wedged daemon and a crashed one are distinguishable in the report.
 void run_plain(std::size_t thread_index, std::size_t first_job,
                std::size_t job_count, const Options& options, Tally& tally) {
   LineClient client;
@@ -267,24 +274,31 @@ void run_plain(std::size_t thread_index, std::size_t first_job,
   }
 
   PendingMap pending;  // id -> submit time
-  for (std::size_t j = 0; j < job_count; ++j) {
-    const std::string id =
-        "c" + std::to_string(thread_index) + "-" + std::to_string(j);
-    const std::size_t variant = (first_job + j) % options.distinct;
-    const auto start = Clock::now();
-    if (!client.send_line(submit_line(id, options, variant))) {
-      std::lock_guard<std::mutex> lock(tally.mutex);
-      ++tally.disconnects;
-      tally.unresolved += job_count - j;
-      return;
+  std::size_t j = 0;   // jobs sent
+  while (j < job_count || !pending.empty()) {
+    const bool submit = j < job_count && pending.size() < kWindow;
+    if (submit) {
+      const std::string id =
+          "c" + std::to_string(thread_index) + "-" + std::to_string(j);
+      const std::size_t variant = (first_job + j) % options.distinct;
+      const auto start = Clock::now();
+      if (!client.send_line(submit_line(id, options, variant))) {
+        std::lock_guard<std::mutex> lock(tally.mutex);
+        ++tally.disconnects;
+        break;
+      }
+      pending.emplace(id, start);
+      ++j;
     }
-    pending.emplace(id, start);
-  }
-
-  while (!pending.empty()) {
+    // Read what has arrived; with nothing to send, wait for an event.
+    bool read = false;
     RecvStatus status = RecvStatus::kClosed;
-    const auto line = client.recv_line(options.timeout_ms, &status);
-    if (!line) {
+    while (const auto line = client.recv_line(
+               submit || read ? 0 : options.timeout_ms, &status)) {
+      process_event(*line, pending, tally);
+      read = true;
+    }
+    if (!submit && !read) {
       std::lock_guard<std::mutex> lock(tally.mutex);
       if (status == RecvStatus::kTimeout) {
         ++tally.timeouts;
@@ -293,11 +307,10 @@ void run_plain(std::size_t thread_index, std::size_t first_job,
       }
       break;
     }
-    process_event(*line, pending, tally);
   }
 
   std::lock_guard<std::mutex> lock(tally.mutex);
-  tally.unresolved += pending.size();
+  tally.unresolved += pending.size() + (job_count - j);
 }
 
 // One retrying connection: same job stream, but the transport absorbs
@@ -320,36 +333,41 @@ void run_retrying(std::size_t thread_index, std::size_t first_job,
       policy);
 
   PendingMap pending;  // id -> submit time
-  for (std::size_t j = 0; j < job_count; ++j) {
-    const std::string id =
-        "c" + std::to_string(thread_index) + "-" + std::to_string(j);
-    const std::size_t variant = (first_job + j) % options.distinct;
-    const auto start = Clock::now();
-    if (!client.submit(id, submit_line(id, options, variant))) {
-      std::lock_guard<std::mutex> lock(tally.mutex);
-      ++tally.disconnects;
-      tally.sample_errors.push_back("server unreachable through backoff");
-      tally.unresolved += job_count - j;
-      return;
+  std::size_t j = 0;   // jobs sent
+  while (j < job_count || !pending.empty()) {
+    const bool submit = j < job_count && pending.size() < kWindow;
+    if (submit) {
+      const std::string id =
+          "c" + std::to_string(thread_index) + "-" + std::to_string(j);
+      const std::size_t variant = (first_job + j) % options.distinct;
+      const auto start = Clock::now();
+      if (!client.submit(id, submit_line(id, options, variant))) {
+        std::lock_guard<std::mutex> lock(tally.mutex);
+        ++tally.disconnects;
+        tally.sample_errors.push_back("server unreachable through backoff");
+        break;
+      }
+      pending.emplace(id, start);
+      ++j;
     }
-    pending.emplace(id, start);
-  }
-
-  while (!pending.empty()) {
-    const auto line = client.recv_event(options.timeout_ms);
-    if (!line) {
-      // Timeout, or the server stayed unreachable through a full backoff
-      // cycle — recv_event reports unreachable as nullopt too, so count
-      // it as a disconnect when the transport lost the connection.
+    // Read what has arrived; with nothing to send, wait for an event.
+    // nullopt is a timeout, or the server stayed unreachable through a
+    // full backoff cycle.
+    bool read = false;
+    while (const auto line =
+               client.recv_event(submit || read ? 0 : options.timeout_ms)) {
+      process_event(*line, pending, tally);
+      read = true;
+    }
+    if (!submit && !read) {
       std::lock_guard<std::mutex> lock(tally.mutex);
       ++tally.timeouts;
       break;
     }
-    process_event(*line, pending, tally);
   }
 
   std::lock_guard<std::mutex> lock(tally.mutex);
-  tally.unresolved += pending.size();
+  tally.unresolved += pending.size() + (job_count - j);
   tally.reconnects += client.reconnects();
   tally.resubmits += client.resubmits();
   tally.rejected_retries += client.rejected_retries();

@@ -158,6 +158,11 @@ int main(int argc, char** argv) {
         }
       } else if (flag == "--worker_memory_mb") {
         config.worker_memory_mb = parse_u64(flag, value);
+        // Capped so that the shift to bytes cannot wrap to a ~0 budget.
+        if (config.worker_memory_mb > (UINT64_MAX >> 20)) {
+          throw std::invalid_argument("--worker_memory_mb out of range: " +
+                                      value);
+        }
       } else {
         throw std::invalid_argument("unrecognized flag '" + flag + "'");
       }
