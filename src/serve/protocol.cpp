@@ -256,8 +256,7 @@ std::string event_stats(const StatsSnapshot& stats) {
       ", \"hits\": " + std::to_string(stats.cache_hits) +
       ", \"misses\": " + std::to_string(stats.cache_misses) +
       ", \"evictions\": " + std::to_string(stats.cache_evictions) +
-      "}, \"isolation\": \"" + stats.isolation +
-      "\", \"worker_restarts\": " + std::to_string(stats.worker_restarts) +
+      "}, \"worker_restarts\": " + std::to_string(stats.worker_restarts) +
       ", \"jobs_quarantined\": " + std::to_string(stats.jobs_quarantined) +
       ", \"workers\": [";
   for (std::size_t i = 0; i < stats.workers.size(); ++i) {

@@ -67,7 +67,7 @@ struct SubJobReply {
   bool deadline_exceeded = false;
   std::string result_json;  // "{...}" from result_json_object
   std::string error;
-  // Process isolation (docs/serving.md#isolation--supervision): this
+  // Worker supervision (docs/serving.md#isolation--supervision): this
   // campaign killed its worker past the crash limit and was quarantined.
   // `error` carries the human-readable line; these fields feed the
   // terminal `failed` event.
@@ -117,7 +117,7 @@ struct ClientStats {
   std::uint64_t in_flight = 0;  // sub-jobs of this client running right now
 };
 
-// One worker-pool slot in process-isolation mode.
+// One worker-pool slot.
 struct WorkerSlotStats {
   std::uint64_t slot = 0;
   std::uint64_t pid = 0;   // 0 = no live worker in this slot
@@ -143,10 +143,9 @@ struct StatsSnapshot {
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
-  std::string isolation = "thread";  // "thread" | "process"
   std::uint64_t worker_restarts = 0;   // workers respawned after a death
   std::uint64_t jobs_quarantined = 0;  // campaigns past the crash limit
-  std::vector<WorkerSlotStats> workers;  // process mode only (else empty)
+  std::vector<WorkerSlotStats> workers;  // pool slots, then run_one()'s
   std::vector<ClientStats> per_client;
 };
 

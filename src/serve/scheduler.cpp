@@ -29,10 +29,9 @@ constexpr std::size_t kMaxSubJobs = 4096;
 // the same key hash with their own extension.
 constexpr const char* kJournalSuffix = ".mfj";
 
-// Quarantine markers for poison campaigns (process isolation): same
-// hash-derived name, so the marker, journal, and cache entry of one
-// campaign sit side by side.  Format: key line, signal line, crash-count
-// line.
+// Quarantine markers for poison campaigns: same hash-derived name, so
+// the marker, journal, and cache entry of one campaign sit side by side.
+// Format: key line, signal line, crash-count line.
 constexpr const char* kQuarantineSuffix = ".mfq";
 
 // Crashed attempts a single campaign is allowed before it is
@@ -55,17 +54,16 @@ Scheduler::Scheduler(const SchedulerConfig& config, ResultCache* cache)
       max_queue_(config.max_queue),
       max_client_queue_(config.max_client_queue),
       journal_dir_(config.journal_dir),
-      fault_plan_(config.fault_plan),
-      isolation_(config.isolation),
       worker_binary_(config.worker_binary),
       inject_spec_(config.inject_spec),
       worker_memory_mb_(config.worker_memory_mb) {
-  if (isolation_ == IsolationMode::kProcess) {
-    // One slot per pool thread plus a trailing slot for manual-mode
-    // run_one() callers.
-    worker_slots_.resize(config.workers + 1);
-    load_quarantine_markers();
+  if (worker_binary_.empty()) {
+    throw std::invalid_argument("serve: no worker binary to run sub-jobs");
   }
+  // One slot per pool thread plus a trailing slot for manual-mode
+  // run_one() callers.
+  worker_slots_.resize(config.workers + 1);
+  load_quarantine_markers();
   workers_.reserve(config.workers);
   for (std::size_t i = 0; i < config.workers; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -84,7 +82,6 @@ Scheduler::SubJob Scheduler::make_subjob(ScenarioSpec spec,
   (void)make_process_factory(spec.process);
   SubJob sub;
   sub.key = campaign_key(spec);
-  sub.spec = std::move(spec);
   sub.index = index;
   return sub;
 }
@@ -225,7 +222,7 @@ void Scheduler::submit(std::uint64_t client, const Request& request) {
       reply.result_json = std::move(*hits[sub.index]);
       ++job->resolved;
       ++job->cache_hits;
-      job->completed += sub.spec.trial.trials;
+      job->completed += sub.key.trials;
     } else {
       owner.queue.push_back(QueuedSubJob{job, std::move(sub)});
       ++queued_subjobs_;
@@ -370,24 +367,22 @@ bool Scheduler::begin_run(const QueuedSubJob& item) {
     reply.cached = true;
     reply.result_json = std::move(*hit);
     ++job->cache_hits;
-    job->completed += item.work.spec.trial.trials;
+    job->completed += item.work.key.trials;
     resolve(job, item.work.index, std::move(reply));
     return false;
   }
-  if (isolation_ == IsolationMode::kProcess) {
-    // A quarantined campaign never executes again: it resolves straight
-    // to its recorded crash verdict, so a resubmitted poison job costs a
-    // map lookup, not another worker.
-    const auto poisoned = quarantined_.find(reply.key);
-    if (poisoned != quarantined_.end()) {
-      reply.worker_crash = true;
-      reply.crash_signal = poisoned->second.signal;
-      reply.crashes = poisoned->second.crashes;
-      reply.error = "quarantined: worker crashed (" + reply.crash_signal +
-                    ") " + std::to_string(reply.crashes) + " times";
-      resolve(job, item.work.index, std::move(reply));
-      return false;
-    }
+  // A quarantined campaign never executes again: it resolves straight to
+  // its recorded crash verdict, so a resubmitted poison job costs a map
+  // lookup, not another worker.
+  const auto poisoned = quarantined_.find(reply.key);
+  if (poisoned != quarantined_.end()) {
+    reply.worker_crash = true;
+    reply.crash_signal = poisoned->second.signal;
+    reply.crashes = poisoned->second.crashes;
+    reply.error = "quarantined: worker crashed (" + reply.crash_signal +
+                  ") " + std::to_string(reply.crashes) + " times";
+    resolve(job, item.work.index, std::move(reply));
+    return false;
   }
   if (!job->running_emitted) {
     job->running_emitted = true;
@@ -398,32 +393,6 @@ bool Scheduler::begin_run(const QueuedSubJob& item) {
   const auto owner = clients_.find(job->client);
   if (owner != clients_.end()) ++owner->second.in_flight;
   return true;
-}
-
-// Runs one sub-job on the calling thread.  Takes `lock` held, drops it
-// around the campaign, reacquires to resolve.  In process mode the
-// campaign itself runs in the slot's worker subprocess instead.
-void Scheduler::execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
-                        std::size_t slot, bool pipeline) {
-  if (!begin_run(item)) return;
-  if (isolation_ == IsolationMode::kProcess) {
-    run_in_worker(std::move(item), lock, slot, pipeline);
-    return;
-  }
-  const std::shared_ptr<Job>& job = item.job;
-  SubJobReply reply;
-  reply.key = campaign_key_string(item.work.key);
-  const std::string jpath = journal_path(reply.key);
-  std::size_t credited = 0;
-  lock.unlock();
-  SubJobOutcome outcome =
-      run_subjob(item.work.spec, jpath, job->deadline_s, &job->cancel,
-                 fault_plan_, /*attempt=*/0, [&](std::size_t done) {
-                   std::lock_guard<std::mutex> relock(mutex_);
-                   credit_progress(*job, credited, done);
-                 });
-  lock.lock();
-  finish(item, std::move(reply), std::move(outcome), lock);
 }
 
 void Scheduler::credit_progress(Job& job, std::size_t& credited,
@@ -491,13 +460,12 @@ Scheduler::Dispatch Scheduler::make_dispatch(QueuedSubJob item,
   return out;
 }
 
-// Process-mode execution: dispatch the sub-job to the slot's worker and
-// pump its event stream, crediting its trial lines like thread mode.  A
-// worker death charges the running campaign and retries it on a
-// respawned worker until the crash limit, then quarantines it (filling
-// its reply's crash fields); a sub-job sent behind it is put back
-// uncharged.  Each sent sub-job then becomes the running one.  Entered
-// with mutex_ held; returns with it held.
+// Dispatches the sub-job to the slot's worker and pumps its event
+// stream, crediting its trial lines.  A worker death charges the running
+// campaign and retries it on a respawned worker until the crash limit,
+// then quarantines it (filling its reply's crash fields); a sub-job sent
+// behind it is put back uncharged.  Each sent sub-job then becomes the
+// running one.  Entered with mutex_ held; returns with it held.
 void Scheduler::run_in_worker(QueuedSubJob item,
                               std::unique_lock<std::mutex>& lock,
                               std::size_t slot_index, bool pipeline) {
@@ -596,7 +564,7 @@ bool Scheduler::pump(WorkerSlot& slot, Dispatch& cur,
                      SubJobOutcome& outcome, WorkerDeath& death) {
   using Clock = std::chrono::steady_clock;
   WorkerProcess& process = *slot.process;
-  const std::size_t trials = cur.item.work.spec.trial.trials;
+  const std::size_t trials = cur.item.work.key.trials;
   std::size_t reported = 0;  // trials this attempt has reported done
   auto last_activity = Clock::now();
   while (true) {
@@ -702,23 +670,21 @@ bool Scheduler::run_one() {
   std::unique_lock<std::mutex> lock(mutex_);
   QueuedSubJob item;
   if (!pick_next(item)) return false;
-  // Manual-mode callers share the trailing worker slot (unused by pool
-  // threads); in thread mode the slot index is ignored.
-  const std::size_t slot =
-      worker_slots_.empty() ? 0 : worker_slots_.size() - 1;
-  execute(std::move(item), lock, slot, /*pipeline=*/false);
+  // Manual-mode callers share the trailing slot, which no pool thread uses.
+  if (begin_run(item)) {
+    run_in_worker(std::move(item), lock, worker_slots_.size() - 1,
+                  /*pipeline=*/false);
+  }
   return true;
 }
 
 void Scheduler::worker_loop(std::size_t slot) {
   name_this_thread("serve-pool");
-  if (isolation_ == IsolationMode::kProcess) {
-    // Start this thread's worker now rather than at its first dispatch,
-    // so the first jobs do not wait for a cold worker.  A failed spawn is
-    // retried, and reported, at dispatch.
-    std::string spawn_error;
-    ensure_worker(worker_slots_[slot], spawn_error);
-  }
+  // Start this thread's worker now rather than at its first dispatch, so
+  // the first jobs do not wait for a cold worker.  A failed spawn is
+  // retried, and reported, at dispatch.
+  std::string spawn_error;
+  ensure_worker(worker_slots_[slot], spawn_error);
   std::unique_lock<std::mutex> lock(mutex_);
   while (true) {
     ++idle_pool_threads_;
@@ -729,7 +695,9 @@ void Scheduler::worker_loop(std::size_t slot) {
       if (stop_) return;
       continue;
     }
-    execute(std::move(item), lock, slot, /*pipeline=*/true);
+    if (begin_run(item)) {
+      run_in_worker(std::move(item), lock, slot, /*pipeline=*/true);
+    }
   }
 }
 
@@ -905,7 +873,7 @@ std::size_t Scheduler::recover_journals() {
     if (owner.jobs.find(job->id) != owner.jobs.end()) continue;
     job->replies.resize(1);
     job->replies[0].key = campaign_key_string(sub.key);
-    job->total_trials = sub.spec.trial.trials;
+    job->total_trials = sub.key.trials;
     owner.jobs[job->id] = job;
     owner.queue.push_back(QueuedSubJob{job, std::move(sub)});
     ++queued_subjobs_;
@@ -943,8 +911,6 @@ StatsSnapshot Scheduler::stats() const {
     out.running_subjobs = running_subjobs_;
     out.max_queue = max_queue_;
     out.max_client_queue = max_client_queue_;
-    out.isolation =
-        isolation_ == IsolationMode::kProcess ? "process" : "thread";
     out.worker_restarts = worker_restarts_;
     out.jobs_quarantined = jobs_quarantined_;
     out.workers.reserve(worker_slots_.size());

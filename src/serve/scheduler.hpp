@@ -30,30 +30,29 @@
 // orphaned journals on restart (recover_journals()) and completes the
 // interrupted campaigns bit-identical to an uninterrupted run.
 //
-// Execution: both isolation modes run a sub-job through run_subjob()
-// (serve/worker.hpp) and end in one finish() that stores the result and
-// then deletes the spent `.mfj` journal; trial_done progress is credited
-// forward-only, journal replays included.  With `isolation = kProcess`
-// each pool thread supervises a WorkerProcess that runs it, spawned when
-// the thread starts (manual mode spawns at its first run_one()): a worker
-// death is detected via waitpid, classified (signal / exit code /
-// heartbeat timeout) and the lost sub-job re-dispatched to a respawned
+// Execution: every sub-job runs in a supervised worker subprocess (a
+// WorkerProcess, serve/worker.hpp), never on a daemon thread, so a
+// kernel that segfaults or runs out of memory ends one worker, not every
+// client's session.  Each pool thread supervises its own worker, spawned
+// when the thread starts; manual mode spawns one at its first run_one().
+// A worker death is detected via waitpid, classified (signal / exit code
+// / heartbeat timeout) and the lost sub-job re-dispatched to a respawned
 // worker, resuming from its journal; a campaign that crashes on
 // kCrashLimit (2) attempts is quarantined — terminal `failed` event,
 // persistent `.mfq` marker, never executed again and never cached.
-// Results come back verbatim, so process mode is byte-identical to
-// thread mode.
+// Every sub-job ends in one finish() that stores the worker's result
+// verbatim and then deletes the spent `.mfj` journal; trial_done progress
+// is credited forward-only, journal replays included.
 //
-// Pipelined dispatch (process pool threads only): once the running
-// sub-job has reported all but its last trial, the pool thread picks the
-// next sub-job (same round-robin, same cancel / cache-hit / quarantine
+// Pipelined dispatch (pool threads only): once the running sub-job has
+// reported all but its last trial, the pool thread picks the next
+// sub-job (same round-robin, same cancel / cache-hit / quarantine
 // checks, its `running` event now) and sends it, so the worker queues it
 // and starts it the moment the running one ends instead of idling
 // through the daemon's result handling.  A worker runs its jobs in
 // order, so a death before the running sub-job's result line is charged
 // to that sub-job alone; the sent one goes back, uncharged, to the head
-// of its client's queue.  Thread mode and run_one() dispatch one sub-job
-// at a time.
+// of its client's queue.  run_one() dispatches one sub-job at a time.
 
 #include <atomic>
 #include <condition_variable>
@@ -76,11 +75,6 @@
 
 namespace megflood::serve {
 
-// How campaign sub-jobs execute: on the scheduler's own pool threads
-// (kThread, the default) or in supervised worker subprocesses
-// (kProcess).
-enum class IsolationMode { kThread, kProcess };
-
 // Delivers one event line (no trailing newline) to a client.  Called with
 // the scheduler mutex held — implementations must only do cheap,
 // non-reentrant work (the server's implementation pushes into a
@@ -97,16 +91,11 @@ struct SchedulerConfig {
   // Directory for per-campaign crash-recovery journals (the server passes
   // its --cache_dir); empty = no journaling.
   std::string journal_dir;
-  // Server-side fault injection (--inject): trial-level sites fire inside
-  // worker campaigns.  Not owned; may be null; must outlive the scheduler.
-  FaultPlan* fault_plan = nullptr;
-  // --- process isolation (ignored under kThread) ---
-  IsolationMode isolation = IsolationMode::kThread;
-  // The daemon's own executable, self-execed with --worker.  Required in
-  // process mode.
+  // The daemon's own executable, self-execed with --worker.  Required:
+  // the constructor throws std::invalid_argument without it.
   std::string worker_binary;
-  // The raw --inject spec, forwarded to workers so trial-level sites
-  // fire inside them (server-side sites still fire via fault_plan).
+  // The raw --inject spec, forwarded to workers, where the trial-level
+  // sites fire.
   std::string inject_spec;
   // Per-job RLIMIT_AS budget for workers, MiB; 0 = unlimited.
   std::uint64_t worker_memory_mb = 0;
@@ -114,7 +103,8 @@ struct SchedulerConfig {
 
 class Scheduler {
  public:
-  // `cache` must outlive the scheduler.
+  // `cache` must outlive the scheduler.  Throws std::invalid_argument
+  // when config.worker_binary is empty.
   Scheduler(const SchedulerConfig& config, ResultCache* cache);
   ~Scheduler();
 
@@ -138,9 +128,10 @@ class Scheduler {
   // cancel hook.  Unknown ids get an error event.
   void cancel(std::uint64_t client, const std::string& job_id);
 
-  // Manual mode: runs one queued sub-job on the calling thread.  Returns
-  // false when no sub-job was queued.  Also usable with workers > 0 (the
-  // caller just becomes one more competing worker).
+  // Manual mode: runs one queued sub-job in a worker supervised from the
+  // calling thread.  Returns false when no sub-job was queued.  Also
+  // usable with workers > 0 (the caller just becomes one more competing
+  // worker).
   bool run_one();
 
   // Stops accepting submissions, cancels everything, resolves all queued
@@ -159,13 +150,15 @@ class Scheduler {
   StatsSnapshot stats() const;
 
  private:
+  // What a worker needs of a sub-job: its key's canonical CLI re-derives
+  // the spec, and the key carries the trial count.
   struct SubJob {
-    ScenarioSpec spec;  // threads forced to 1 — the pool owns parallelism
     CampaignKey key;
     std::size_t index = 0;  // reply slot in the owning job
   };
-  // Forces threads = 1, validates `spec` exactly as megflood_run would
-  // (model and process factories) and keys it; throws on a bad spec.
+  // Forces threads = 1 (the pool owns parallelism), validates `spec`
+  // exactly as megflood_run would (model and process factories) and
+  // keys it; throws on a bad spec.
   static SubJob make_subjob(ScenarioSpec spec, std::size_t index);
 
   struct Job {
@@ -205,7 +198,7 @@ class Scheduler {
     std::size_t in_flight = 0;  // sub-jobs of this client running right now
   };
 
-  // One worker-pool slot in process mode.  The WorkerProcess is touched
+  // One worker-pool slot.  The WorkerProcess is touched
   // (spawned, written, read, reaped) only by the slot's owning thread
   // with mutex_ released; pid/busy/jobs are mutex_-guarded mirrors that
   // stats() reads without touching the process.
@@ -229,7 +222,7 @@ class Scheduler {
                SubJobReply reply);
   void finalize(const std::shared_ptr<Job>& job);
   void cancel_queued(const std::shared_ptr<Job>& job);
-  // Wakes every process-mode pump, so a cancel flag just set goes to its
+  // Wakes every pump, so a cancel flag just set goes to its
   // worker now rather than at the pump's next poll tick.
   void wake_pumps();
   bool pick_next(QueuedSubJob& out);  // round-robin across clients
@@ -242,18 +235,14 @@ class Scheduler {
   // sub-job is counted as running (its job's `running` event goes out
   // with its first) and true returns.
   bool begin_run(const QueuedSubJob& item);
-  // `pipeline` lets a process pool thread send the next sub-job during
-  // this one's last trial (run_in_worker).
-  void execute(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
-               std::size_t slot, bool pipeline);
-  // Process mode: runs the sub-job in the slot's worker, retrying across
-  // crashes and quarantining past the limit, then finishes it; with
-  // `pipeline`, goes on with each sub-job it sent behind the running one.
-  // Called with mutex_ held; drops it around worker I/O.
+  // Runs a begun sub-job in the slot's worker, retrying across crashes
+  // and quarantining past the limit, then finishes it; with `pipeline` (a
+  // pool thread), goes on with each sub-job it sent behind the running
+  // one.  Called with mutex_ held; drops it around worker I/O.
   void run_in_worker(QueuedSubJob item, std::unique_lock<std::mutex>& lock,
                      std::size_t slot, bool pipeline);
   Dispatch make_dispatch(QueuedSubJob item, WorkerSlot& slot);
-  // Process mode, mutex_ released: reads `cur`'s lines until its result
+  // mutex_ released: reads `cur`'s lines until its result
   // line (true, `outcome` filled) or the worker's death (false, `death`
   // filled).  With `pipeline`, once `cur` has reported all but its last
   // trial, it sends the next runnable sub-job into `next`.
@@ -262,15 +251,15 @@ class Scheduler {
   // Picks and sends the sub-job to run after `cur` (mutex_ released).
   void send_next(WorkerSlot& slot, const Dispatch& cur,
                  std::optional<Dispatch>& next);
-  // Process mode: spawns the slot's worker unless it is alive.  Called by
+  // Spawns the slot's worker unless it is alive.  Called by
   // the slot's owning thread with mutex_ released, when a pool thread
   // starts and before each dispatch it does not pipeline.
   bool ensure_worker(WorkerSlot& slot, std::string& error);
   // Credits a sub-job's cumulative trial count `done` beyond `credited`
   // (what it already counted), so no replay or retry counts twice.
   void credit_progress(Job& job, std::size_t& credited, std::size_t done);
-  // Both modes' finish path: releases the running slot, turns the outcome
-  // into the reply, stores a result, then deletes its spent journal.
+  // Releases the running slot, turns the outcome into the reply, stores a
+  // result, then deletes its spent journal.
   void finish(const QueuedSubJob& item, SubJobReply reply,
               SubJobOutcome outcome, std::unique_lock<std::mutex>& lock);
   void worker_loop(std::size_t slot);
@@ -289,7 +278,6 @@ class Scheduler {
   const std::size_t max_queue_;
   const std::size_t max_client_queue_;
   const std::string journal_dir_;
-  FaultPlan* const fault_plan_;
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;
   std::map<std::uint64_t, Client> clients_;
@@ -308,8 +296,6 @@ class Scheduler {
   std::uint64_t queued_subjobs_ = 0;   // invariant: sum of queue sizes
   std::uint64_t running_subjobs_ = 0;  // invariant: sum of in_flight
   std::size_t idle_pool_threads_ = 0;  // pool threads waiting for work
-  // --- process isolation ---
-  const IsolationMode isolation_;
   const std::string worker_binary_;
   const std::string inject_spec_;
   const std::uint64_t worker_memory_mb_;

@@ -41,8 +41,7 @@ using Clock = std::chrono::steady_clock;
 // seed — the same --inject spec injects the same faults on every run.
 constexpr std::uint64_t kInjectSeed = 1;
 
-SchedulerConfig scheduler_config(const ServerConfig& config,
-                                 FaultPlan* plan) {
+SchedulerConfig scheduler_config(const ServerConfig& config) {
   SchedulerConfig out;
   out.workers = config.workers == 0
                     ? std::max<std::size_t>(
@@ -53,20 +52,11 @@ SchedulerConfig scheduler_config(const ServerConfig& config,
   // Journals live next to the disk cache entries: crash recovery is armed
   // exactly when result persistence is.
   out.journal_dir = config.cache_dir;
-  out.fault_plan = (plan != nullptr && !plan->empty()) ? plan : nullptr;
-  if (config.process_isolation) {
-    if (config.worker_binary.empty()) {
-      throw std::invalid_argument(
-          "process isolation requires a worker binary path");
-    }
-    out.isolation = IsolationMode::kProcess;
-    out.worker_binary = config.worker_binary;
-    // Workers re-parse the spec themselves; forwarding the raw string
-    // keeps trial-level sites firing inside them, identically to thread
-    // mode (same kInjectSeed on both ends).
-    out.inject_spec = config.inject;
-    out.worker_memory_mb = config.worker_memory_mb;
-  }
+  out.worker_binary = config.worker_binary;
+  // Workers re-parse the spec themselves and fire its trial-level sites;
+  // the daemon's own plan fires only the server-side ones.
+  out.inject_spec = config.inject;
+  out.worker_memory_mb = config.worker_memory_mb;
   return out;
 }
 
@@ -113,7 +103,7 @@ class ServerImpl {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::string unix_path_;  // unlinked on teardown
-  FaultPlan fault_plan_;   // parsed --inject; empty = no sites
+  FaultPlan fault_plan_;   // parsed --inject; fires the server-side sites
   ResultCache cache_;
   Scheduler scheduler_;
   std::size_t recovered_ = 0;
@@ -128,7 +118,7 @@ ServerImpl::ServerImpl(const ServerConfig& config)
                       ? FaultPlan()
                       : FaultPlan::parse(config.inject, kInjectSeed)),
       cache_(config.cache_dir),
-      scheduler_(scheduler_config(config, &fault_plan_), &cache_) {
+      scheduler_(scheduler_config(config), &cache_) {
   if (!fault_plan_.empty()) {
     cache_.set_disk_store_hook(
         [this](std::size_t index, const std::string& path) {
@@ -168,7 +158,9 @@ ServerImpl::~ServerImpl() {
 
 void ServerImpl::listen_on(const SocketAddress& address,
                            const std::string& where) {
-  listen_fd_ = ::socket(address.family(), SOCK_STREAM, 0);
+  // CLOEXEC here and on every accepted socket: a respawned worker must
+  // not inherit the daemon's connections.
+  listen_fd_ = ::socket(address.family(), SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ >= 0) {
     const int one = 1;
     ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
@@ -274,7 +266,7 @@ void ServerImpl::serve_connection(Connection& connection) {
 }
 
 void ServerImpl::accept_one() {
-  const int fd = ::accept(listen_fd_, nullptr, nullptr);
+  const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
   if (fd < 0) return;
   auto connection = std::make_unique<Connection>();
   connection->fd = fd;

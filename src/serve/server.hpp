@@ -3,10 +3,11 @@
 // The megflood_serve daemon body (ISSUE 8): a socket front-end over
 // serve/scheduler.hpp.  Listens on a Unix-domain socket or localhost TCP,
 // speaks the newline-delimited JSON protocol of serve/protocol.hpp, and
-// runs every accepted connection with one reader thread (line framing,
-// request dispatch) and one writer thread (outbox drain), so a slow
-// client can never block the scheduler: event emission only appends to
-// the connection's outbox under its own leaf mutex.
+// serves every accepted connection on one thread that writes the
+// connection's queued event lines, then reads its next request.  A slow
+// client never blocks the scheduler: event emission only appends to the
+// connection's outbox under its own leaf mutex.  Campaigns run in
+// supervised worker subprocesses (serve/scheduler.hpp).
 //
 // Like run_driver, the server body lives in the library so tests can run
 // a real daemon in-process (tests/test_serve_server.cpp) instead of only
@@ -30,7 +31,8 @@ struct ServerConfig {
   // localhost TCP on tcp_port (0 = ephemeral, read back via port()).
   std::string unix_path;
   std::uint16_t tcp_port = 0;
-  // Scheduler worker threads; 0 = one per hardware thread.
+  // Worker processes, each supervised by one scheduler pool thread; 0 =
+  // one per hardware thread.
   std::size_t workers = 0;
   // On-disk result-cache directory; empty = memory-only cache.
   std::string cache_dir;
@@ -46,12 +48,9 @@ struct ServerConfig {
   // server-side drop/stallwrite/corrupt sites); empty = none.  A bad spec
   // makes the Server constructor throw std::invalid_argument.
   std::string inject;
-  // Process isolation (ISSUE 10; docs/serving.md#isolation--supervision):
-  // run campaigns in supervised worker subprocesses instead of on the
-  // daemon's own pool threads.  Requires worker_binary — the daemon's own
-  // executable, self-execed with --worker (the Server constructor throws
-  // std::invalid_argument when isolation is requested without it).
-  bool process_isolation = false;
+  // The daemon's own executable, self-execed with --worker to run every
+  // campaign (docs/serving.md#isolation--supervision).  Required: the
+  // Server constructor throws std::invalid_argument without it.
   std::string worker_binary;
   // Per-job RLIMIT_AS budget for workers, MiB; 0 = unlimited.
   std::uint64_t worker_memory_mb = 0;

@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -37,8 +38,9 @@ namespace megflood::serve {
 
 namespace {
 
-// Matches the daemon's fault-plan seed (server.cpp kInjectSeed) so a
-// given --inject spec fires identically under both isolation modes.
+// Matches the daemon's fault-plan seed (server.cpp kInjectSeed): one
+// --inject spec keys the same faults on every run, in the daemon (the
+// server-side sites) and in its workers (the trial-level ones).
 constexpr std::uint64_t kWorkerInjectSeed = 1;
 
 constexpr int kHeartbeatIntervalMs = 500;
@@ -179,16 +181,27 @@ bool parse_worker_job_line(const std::string& line, WorkerJob& out,
   return worker_job_from_json(*parsed, out, error);
 }
 
+namespace {
+
+// Runs one sub-job of `spec` (threads = 1) and renders its result against
+// `spec`; the run itself uses a copy carrying `deadline_s` (0 = none), so
+// a deadline never reaches cache or journal identity.  A non-empty
+// `journal_path` is opened or, when foreign, replaced (I/O failure runs
+// unjournaled), and is left on disk for the daemon to delete once the
+// result is stored.  `cancel` stops it between trials.  `plan` (null =
+// none) fires its trial sites, with `attempt` the campaign's prior crash
+// count.  `on_progress` gets the cumulative trial count: the journal's
+// replayed trials, then each fresh trial.
 SubJobOutcome run_subjob(const ScenarioSpec& spec,
                          const std::string& journal_path, double deadline_s,
-                         const std::atomic<bool>* cancel, FaultPlan* plan,
+                         const std::atomic<bool>& cancel, FaultPlan* plan,
                          std::uint64_t attempt,
                          const std::function<void(std::size_t done)>&
                              on_progress) {
   SubJobOutcome outcome;
   // Cancelled before it started (a worker's queued job, say): no journal
   // is opened, so none is left behind for a restart to resume.
-  if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
+  if (cancel.load(std::memory_order_relaxed)) {
     outcome.interrupted = true;
     return outcome;
   }
@@ -214,14 +227,14 @@ SubJobOutcome run_subjob(const ScenarioSpec& spec,
   std::atomic<std::size_t> fresh{0};
   MeasureHooks hooks;
   hooks.checkpoint = journal ? &*journal : nullptr;
-  hooks.cancel = cancel;
+  hooks.cancel = &cancel;
   if (plan != nullptr) {
     hooks.on_trial_start = [plan, attempt](std::size_t trial) {
       plan->fire_trial_start(trial, attempt);
     };
   }
   // kill:after= counts durable records and fires after the progress line
-  // (thread mode: the trial_done event) is out.
+  // is out.
   hooks.on_trial_recorded = [&](std::size_t trial) {
     on_progress(replayed + fresh.fetch_add(1) + 1);
     if (plan != nullptr) plan->fire_trial_recorded(trial);
@@ -244,6 +257,8 @@ SubJobOutcome run_subjob(const ScenarioSpec& spec,
   }
   return outcome;
 }
+
+}  // namespace
 
 std::string worker_result_line(std::uint64_t job,
                                const SubJobOutcome& outcome) {
@@ -274,9 +289,9 @@ SubJobOutcome parse_worker_result_line(const JsonValue& parsed,
       out.error = err->string;
     }
     // The result object is spliced, never re-rendered, so cache entries
-    // stay byte-identical to thread mode.  The marker's first occurrence
-    // is the member itself: `error` is the only free-form field before
-    // it and json_quote escapes its quotes.
+    // hold the worker's bytes.  The marker's first occurrence is the
+    // member itself: `error` is the only free-form field before it and
+    // json_quote escapes its quotes.
     const JsonValue* result = parsed.find("result");
     const std::size_t at = line.find(kResultMarker);
     if (result != nullptr && result->is_object() && at != std::string::npos) {
@@ -406,11 +421,12 @@ bool WorkerProcess::spawn(std::string& error) {
   if (pid == 0) {
     // Child: one end of each pair becomes stdin/stdout (dup2 clears
     // CLOEXEC on the copies); every other inherited descriptor — client
-    // sockets, the listener, sibling workers' channels — is closed so a
-    // worker can never hold a connection open past the daemon's intent.
+    // sockets, the listener, sibling workers' channels, however high its
+    // number — is closed so a worker can never hold a connection open
+    // past the daemon's intent.
     ::dup2(to_worker[1], 0);
     ::dup2(from_worker[1], 1);
-    for (int fd = 3; fd < 1024; ++fd) ::close(fd);
+    ::close_range(3, ~0U, 0);
     ::execv(binary_.c_str(), argv.data());
     _exit(127);
   }
@@ -453,10 +469,12 @@ void WorkerProcess::shutdown() {
     close_fd();
     return;
   }
+  // The exit line lets a worker mid-trial finish the trial; the EOF
+  // behind it ends a worker that missed the line at once.
   send_line("{\"op\": \"exit\"}");
-  close_fd();  // EOF is the second, unmissable shutdown signal
-  // Bounded grace: a worker mid-trial finishes its write and exits on
-  // the closed pipe; one that doesn't within ~2 s is not coming back.
+  close_fd();
+  // Bounded grace: one that has not exited within ~2 s is not coming
+  // back.
   for (int waited_ms = 0; waited_ms < 2000; waited_ms += 20) {
     int status = 0;
     const pid_t got = ::waitpid(pid_, &status, WNOHANG);
@@ -527,13 +545,17 @@ void worker_reader_loop(int in_fd, WorkerState& state) {
   name_this_thread("worker-reader");
   LineReader reader(in_fd);
   std::string line;
+  bool exit_line = false;
   while (reader.read_line(-1, line) == RecvStatus::kLine) {
     std::string error;
     const auto parsed = parse_json(line, error);
     if (!parsed || !parsed->is_object()) continue;
     const JsonValue* op = parsed->find("op");
     if (op == nullptr || !op->is_string()) continue;
-    if (op->string == "exit") break;
+    if (op->string == "exit") {
+      exit_line = true;
+      break;
+    }
     if (op->string == "cancel") {
       const JsonValue* job = parsed->find("job");
       if (job == nullptr || !job->is_number()) continue;
@@ -559,7 +581,12 @@ void worker_reader_loop(int in_fd, WorkerState& state) {
       state.queue_cv.notify_one();  // the job loop is the one waiter
     }
   }
-  // Supervisor gone (or explicit exit): stop after the current trial.
+  // EOF with no exit line: the daemon died (a SIGKILL, say), and a
+  // restarted one may already be resuming this worker's journal.  End
+  // now, mid-trial if need be; a torn last record is what the journal's
+  // reader already drops after a SIGKILL.
+  if (!exit_line) _exit(1);
+  // Exit line: stop after the current trial.
   {
     std::lock_guard<std::mutex> lock(state.queue_mutex);
     state.stop = true;
@@ -582,7 +609,7 @@ void worker_heartbeat_loop(WorkerState& state) {
     lock.unlock();
     const bool ok = state.write_line("{\"event\": \"heartbeat\"}");
     lock.lock();
-    if (!ok) return;  // supervisor gone; the reader sees EOF and stops us
+    if (!ok) return;  // supervisor gone; the reader's EOF ends the process
   }
 }
 
@@ -602,7 +629,7 @@ void worker_run_job(WorkerState& state, const WorkerJob& job,
         ", \"done\": ";
     const RlimitGuard budgets(job.memory_mb, job.deadline_s);
     outcome = run_subjob(spec, job.journal, job.deadline_s,
-                         &state.cancel_current, plan, job.attempt,
+                         state.cancel_current, plan, job.attempt,
                          [&](std::size_t done) {
                            state.write_line(prefix + std::to_string(done) +
                                             "}");
@@ -649,9 +676,8 @@ int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec) {
     state.stop = true;
   }
   state.heartbeat_cv.notify_all();
-  // The reader blocks in read() until the supervisor closes the pipe;
-  // since the loop above only exits after the reader saw EOF/exit, the
-  // join is immediate in practice.
+  // The loop above only exits after the reader saw the exit line, so the
+  // join is immediate.
   if (reader.joinable()) reader.join();
   if (heartbeat.joinable()) heartbeat.join();
   return 0;

@@ -1,20 +1,15 @@
 #pragma once
 
-// Sub-job execution for megflood_serve.  run_subjob() is the one
-// sub-job runner of both isolation modes: `--isolation=thread` calls it
-// on a pool thread, `--isolation=process` in a worker subprocess that
-// ships the outcome back on its result line — which is what keeps the
-// two modes byte-identical.
-//
-// In process mode each pool thread owns a WorkerProcess — a self-exec of
-// the daemon binary in `--worker` mode — and ships sub-jobs to it as
-// NDJSON lines over one socketpair per direction.  The worker's stdin and
-// stdout are that pair's ends, so both sides are sockets and both speak
-// through serve/line_io.hpp, the transport of every serve socket.  A scenario kernel that
-// segfaults, aborts, or blows past its rlimit budget kills *the worker*,
-// which the supervisor observes via waitpid and classifies (signal vs
-// exit code vs heartbeat timeout); the daemon and every other client's
-// work survive.
+// Sub-job execution for megflood_serve.  Every campaign runs in a worker
+// subprocess: each scheduler pool thread owns a WorkerProcess — a
+// self-exec of the daemon binary in `--worker` mode — and ships sub-jobs
+// to it as NDJSON lines over one socketpair per direction.  The worker's
+// stdin and stdout are that pair's ends, so both sides are sockets and
+// both speak through serve/line_io.hpp, the transport of every serve
+// socket.  A scenario kernel that segfaults, aborts, or blows past its
+// rlimit budget kills *the worker*, which the supervisor observes via
+// waitpid and classifies (signal vs exit code vs heartbeat timeout); the
+// daemon and every other client's work survive.
 //
 // Wire protocol (one JSON object per line, both directions):
 //
@@ -23,7 +18,7 @@
 //      "journal": "<path or empty>", "deadline_s": D, "memory_mb": M,
 //      "attempt": A}
 //     {"op": "cancel", "job": N}        cooperative cancel
-//     {"op": "exit"}                    graceful shutdown (EOF works too)
+//     {"op": "exit"}                    graceful shutdown
 //
 //   worker -> supervisor
 //     {"event": "trial", "job": N, "done": D}
@@ -42,7 +37,10 @@
 // The worker queues job lines and runs them one at a time, in order, so
 // the supervisor may send the next job before the running one's result.
 // A job cancelled before it starts answers `interrupted` without opening
-// its journal.
+// its journal.  An exit line stops the worker after its current trial;
+// EOF with no exit line before it means the daemon died, and the worker
+// ends at once, so that it never appends to a journal a restarted
+// daemon may already be resuming.
 //
 // The worker opens the supervisor-provided `.mfj` journal itself, so a
 // crash leaves the journal on disk and the retried dispatch resumes
@@ -56,19 +54,12 @@
 
 #include <sys/types.h>
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <string>
 
-#include "core/scenario.hpp"
 #include "serve/json.hpp"
 #include "serve/line_io.hpp"
-
-namespace megflood {
-class FaultPlan;
-}
 
 namespace megflood::serve {
 
@@ -81,22 +72,6 @@ struct SubJobOutcome {
   bool deadline_exceeded = false;
   bool interrupted = false;
 };
-
-// Runs one sub-job of `spec` (threads = 1) and renders its result
-// against `spec`; the run itself uses a copy carrying `deadline_s` (0 =
-// none), so a deadline never reaches cache or journal identity.  A
-// non-empty `journal_path` is opened or, when foreign, replaced (I/O
-// failure runs unjournaled), and is left on disk for the caller to
-// delete once the result is stored.  `cancel` stops it between trials.
-// `plan` (null = none) fires its trial sites, with `attempt` the
-// campaign's prior crash count.  `on_progress` gets the cumulative trial
-// count: the journal's replayed trials, then each fresh trial.
-SubJobOutcome run_subjob(const ScenarioSpec& spec,
-                         const std::string& journal_path, double deadline_s,
-                         const std::atomic<bool>* cancel, FaultPlan* plan,
-                         std::uint64_t attempt,
-                         const std::function<void(std::size_t done)>&
-                             on_progress);
 
 // The worker's terminal "result" line for dispatch `job`, and its
 // inverse, which reads the line's parse `parsed` (the supervisor parses
@@ -207,10 +182,10 @@ class WorkerProcess {
 
 // The `--worker` mode body: consumes job lines on the socket `in_fd`,
 // emits trial/heartbeat/result lines on the socket `out_fd`, runs until
-// EOF or an "exit" line.  Returns the process exit code.  `inject_spec` arms the worker's
-// own FaultPlan (seeded like the daemon's, so thread- and process-mode
-// injections match); a malformed spec throws std::invalid_argument for
-// the tool's config-error exit.
+// an "exit" line and returns the process exit code; an EOF before one
+// ends the process (_exit) at once.  `inject_spec` arms the worker's own
+// FaultPlan, seeded like the daemon's; a malformed spec throws
+// std::invalid_argument for the tool's config-error exit.
 int run_worker_main(int in_fd, int out_fd, const std::string& inject_spec);
 
 // Names the calling thread (Linux; elsewhere a no-op) so per-thread

@@ -4,14 +4,14 @@ serves from its disk tier after a restart, and takes a 1200-job load.
 
     python3 tests/serve_smoke.py PATH/TO/megflood_serve PATH/TO/megflood_load
 
-chaos: a thread-mode daemon SIGKILLs itself at the 100th trial start
-(--inject=kill:trial=100) while `megflood_load --retry` is mid-load.  A
-restarted daemon on the same --cache_dir recovers the journaled campaigns,
-the load resolves every job, and a clean second pass dumps byte-identical
-results.  (Under --isolation=process kill:trial fires inside the worker,
-so this smoke stays in thread mode.)
+chaos: a daemon whose campaigns stall in trial 100 (--inject=slow:
+trial=100,ms=2000) is SIGKILLed by pid once its journals hold trials,
+while `megflood_load --retry` is mid-load.  A daemon restarted without
+--inject on the same --cache_dir recovers the journaled campaigns, the
+load resolves every job, and a clean second pass dumps byte-identical
+results.
 
-worker_crash: a process-mode daemon whose campaigns segfault once
+worker_crash: a daemon whose campaigns segfault once
 (--inject=segv:trial=1,once=1) respawns its workers, the load completes
 with nothing failed or unresolved, the stats record the restarts, and the
 daemon is the same process afterwards.
@@ -21,7 +21,7 @@ backpressure: a one-worker daemon with a tiny admission cap
 dropping them, and `megflood_load --retry` turns every rejection into a
 completion.
 
-quarantine: a process-mode daemon whose campaigns segfault on every
+quarantine: a daemon whose campaigns segfault on every
 attempt (--inject=segv:trial=1) quarantines them after the crash limit:
 each poison job ends in a terminal `failed` event with
 reason=worker_crash rather than an endless crash loop, the load counts
@@ -42,9 +42,10 @@ resolve with zero unresolved.  The daemon reads a connection's next request
 only once its answers to the earlier ones are sent, so a client that
 submitted the whole batch before reading would wedge on full sockets.
 
-bad_flags: a negative count (--max_line=-1, --max_queue=-1, ...) and a
-non-finite or partial ratio (--min_hit_ratio=nan, =0.9x) exit 2 at flag
-parsing; neither tool wraps -1 to 2^64 - 1 or silently drops a check.
+bad_flags: a negative count (--max_line=-1, --max_queue=-1, ...), the
+removed --isolation=thread, and a non-finite or partial ratio
+(--min_hit_ratio=nan, =0.9x) exit 2 at flag parsing; neither tool wraps
+-1 to 2^64 - 1 or silently drops a check.
 
 Each smoke runs in its own temporary directory.  Exits 1 when a check
 fails.
@@ -86,18 +87,28 @@ def stop(proc):
 
 def chaos(serve, load, work, procs):
     sock = work / "serve.sock"
-    cache = f"--cache_dir={work / 'chaos-cache'}"
+    cache_dir = work / "chaos-cache"
+    cache = f"--cache_dir={cache_dir}"
     load_args = [load, f"--socket={sock}", "--retry", "--connections=8",
                  "--jobs=80", "--distinct=20", "--trials=150", "--n=32"]
     daemon = subprocess.Popen([serve, f"--socket={sock}", "--workers=2",
-                               cache, "--inject=kill:trial=100"])
+                               cache, "--inject=slow:trial=100,ms=2000"])
     procs.append(daemon)
     wait_for_socket(sock)
     first = subprocess.Popen(
         load_args + [f"--dump_results={work / 'chaos-a.tsv'}"])
     procs.append(first)
+    for _ in range(100):
+        if list(cache_dir.glob("*.mfj")):
+            break
+        time.sleep(0.05)
+    # The campaigns' first 100 trials take milliseconds; by now both
+    # workers stall in trial 100 with those trials journaled.
+    time.sleep(0.5)
+    daemon.kill()
     code = daemon.wait(timeout=TIMEOUT_S)
-    check(code != 0, f"daemon must die by SIGKILL, exited {code}")
+    check(code == -signal.SIGKILL, f"daemon must die by SIGKILL, exited {code}")
+    check(list(cache_dir.glob("*.mfj")), "the kill left no journal")
 
     with open(work / "chaos-serve.out", "wb") as out:
         daemon = subprocess.Popen(
@@ -123,7 +134,7 @@ def chaos(serve, load, work, procs):
 def worker_crash(serve, load, work, procs):
     sock = work / "serve.sock"
     daemon = subprocess.Popen(
-        [serve, f"--socket={sock}", "--workers=2", "--isolation=process",
+        [serve, f"--socket={sock}", "--workers=2",
          f"--cache_dir={work / 'worker-cache'}",
          "--inject=segv:trial=1,once=1"])
     procs.append(daemon)
@@ -166,7 +177,7 @@ def backpressure(serve, load, work, procs):
 def quarantine(serve, load, work, procs):
     sock = work / "serve.sock"
     daemon = subprocess.Popen(
-        [serve, f"--socket={sock}", "--workers=2", "--isolation=process",
+        [serve, f"--socket={sock}", "--workers=2",
          f"--cache_dir={work / 'poison-cache'}", "--inject=segv:trial=1"])
     procs.append(daemon)
     wait_for_socket(sock)
@@ -255,7 +266,7 @@ def bad_flags(serve, load, work, procs):
     # A parser that wraps -1 starts a daemon here; the timeout ends it.
     sock = f"--socket={work / 'never.sock'}"
     for flag in ("--max_line=-1", "--max_queue=-1", "--max_client_queue=-1",
-                 "--worker_memory_mb=-1"):
+                 "--worker_memory_mb=-1", "--isolation=thread"):
         code = subprocess.run([serve, sock, flag], capture_output=True,
                               timeout=5).returncode
         check(code == 2, f"megflood_serve {flag} exited {code}, want 2")

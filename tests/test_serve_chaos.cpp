@@ -4,15 +4,18 @@
 // followed by a restart that must resume the interrupted campaign and
 // answer byte-identically to an uninterrupted run.
 //
-// The in-process tests drive a real Server through ServerConfig::inject;
-// the kill/restart test execs the real megflood_serve binary (path
-// injected by CMake as MEGFLOOD_SERVE_PATH) because SIGKILL cannot be
-// simulated in-process — kill:trial=K makes the daemon SIGKILL *itself*
-// at a deterministic trial, so the crash point is not a timing race.
+// The in-process tests drive a real Server through ServerConfig::inject,
+// its campaigns in worker subprocesses of the megflood_serve binary (path
+// injected by CMake as MEGFLOOD_SERVE_PATH).  The kill/restart tests exec
+// that binary as the daemon, because SIGKILL cannot be simulated
+// in-process: the test SIGKILLs it by pid while its campaign stalls in an
+// injected slow trial, so the crash point is not a timing race.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -25,6 +28,10 @@
 #include "serve/client.hpp"
 #include "serve/json.hpp"
 #include "serve/server.hpp"
+
+#ifndef MEGFLOOD_SERVE_PATH
+#error "MEGFLOOD_SERVE_PATH must point at the megflood_serve binary"
+#endif
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
@@ -75,6 +82,7 @@ struct ChaosServer {
       config.unix_path = testing::TempDir() + "megflood_chaos.sock";
     }
     path = config.unix_path;
+    config.worker_binary = MEGFLOOD_SERVE_PATH;
     server = std::make_unique<Server>(config);
     thread = std::thread([this] { server->serve(stop); });
   }
@@ -272,10 +280,11 @@ TEST(ServeChaos, RetryingClientRidesOutSaturation) {
 // ---------------------------------------------------------------------------
 // The acceptance chaos proof: SIGKILL the real daemon mid-campaign, then
 // restart on the same cache directory — the interrupted campaign resumes
-// from its journal and the answer is byte-identical to a clean run.
+// from its journal and the answer is byte-identical to a clean run.  The
+// daemon's worker dies with it and never touches the journal again.
 // ---------------------------------------------------------------------------
 
-#if defined(MEGFLOOD_SERVE_PATH) && (defined(__unix__) || defined(__APPLE__))
+#if defined(__unix__) || defined(__APPLE__)
 
 struct Daemon {
   pid_t pid = -1;
@@ -376,45 +385,150 @@ std::optional<std::string> submit_and_await_done(const std::string& socket,
   return std::nullopt;
 }
 
-TEST(ServeChaos, SigkilledDaemonResumesJournaledCampaignByteIdentically) {
-  if (std::FILE* f = std::fopen(MEGFLOOD_SERVE_PATH, "rb")) {
-    std::fclose(f);
-  } else {
-    GTEST_SKIP() << "megflood_serve not built at " << MEGFLOOD_SERVE_PATH;
+#if defined(__SANITIZE_THREAD__)
+#define MEGFLOOD_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define MEGFLOOD_TEST_TSAN 1
+#endif
+#endif
+
+// How long a worker may take to end once its daemon is gone.
+// ThreadSanitizer sleeps 1 s (its atexit_sleep_ms) before any exit of a
+// process with live threads, a worker's _exit included.
+#if defined(MEGFLOOD_TEST_TSAN)
+constexpr int kWorkerExitMs = 2000;
+#else
+constexpr int kWorkerExitMs = 1000;
+#endif
+
+// A daemon on `socket` whose campaigns journal under `cache_dir` and stall
+// for kStallMs in trial 3, after three durable trials; a worker left
+// running would record that trial after its daemon's death.
+constexpr int kStallMs = kWorkerExitMs + 500;
+
+Daemon spawn_stalling_daemon(const std::string& socket,
+                             const std::string& cache_dir,
+                             const std::string& tag) {
+  return spawn_daemon({"--socket=" + socket, "--workers=1",
+                       "--cache_dir=" + cache_dir,
+                       "--inject=slow:trial=3,ms=" + std::to_string(kStallMs)},
+                      tag);
+}
+
+// Reads events until a trial_done reports `completed` trials.
+bool await_progress(LineClient& client, double completed) {
+  while (const auto line = client.recv_line(kRecvMs)) {
+    if (event_kind(*line) != "trial_done") continue;
+    std::string error;
+    const JsonValue* done = parse_json(*line, error)->find("completed");
+    if (done != nullptr && done->number >= completed) return true;
   }
+  return false;
+}
+
+// The pid of the daemon's first live worker, from its stats event; -1
+// when there is none.
+pid_t worker_pid(const std::string& socket) {
+  LineClient client = LineClient::connect_unix(socket, 5000);
+  if (!client.send_line("{\"op\":\"stats\"}")) return -1;
+  while (const auto line = client.recv_line(kRecvMs)) {
+    if (event_kind(*line) != "stats") continue;
+    std::string error;
+    const auto stats = parse_json(*line, error);
+    const JsonValue* workers = stats ? stats->find("workers") : nullptr;
+    if (workers == nullptr) return -1;
+    for (const JsonValue& slot : workers->array) {
+      const JsonValue* pid = slot.find("pid");
+      if (pid != nullptr && pid->number > 0) {
+        return static_cast<pid_t>(pid->number);
+      }
+    }
+    return -1;
+  }
+  return -1;
+}
+
+// True once `pid` has exited: no such process, or a zombie its new
+// parent has not reaped.
+bool process_gone(pid_t pid) {
+  if (::kill(pid, 0) != 0) return errno == ESRCH;
+  std::ifstream in("/proc/" + std::to_string(pid) + "/stat");
+  const std::string stat((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::size_t paren = stat.rfind(')');
+  return paren != std::string::npos && paren + 2 < stat.size() &&
+         stat[paren + 2] == 'Z';
+}
+
+std::vector<std::filesystem::path> journals_in(const std::string& dir) {
+  std::vector<std::filesystem::path> out;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".mfj") out.push_back(entry.path());
+  }
+  return out;
+}
+
+// A worker must not outlive a SIGKILLed daemon: left alone, it would
+// finish its stalled trial and append the record to a journal that a
+// restarted daemon may already be resuming.
+TEST(ServeChaos, WorkerDiesWithASigkilledDaemon) {
+  using Clock = std::chrono::steady_clock;
+  const std::string cache_dir = fresh_dir("chaos_orphan_cache");
+  const std::string socket = testing::TempDir() + "chaos_orphan.sock";
+  Daemon victim = spawn_stalling_daemon(socket, cache_dir, "orphan");
+  ASSERT_TRUE(await_socket(victim, socket)) << victim.stdout_text();
+  LineClient client = LineClient::connect_unix(socket, 5000);
+  ASSERT_TRUE(client.send_line(submit_line("j", 78, 6, 32)));
+  ASSERT_TRUE(await_progress(client, 3));
+  const pid_t worker = worker_pid(socket);
+  ASSERT_GT(worker, 0);
+  const std::vector<std::filesystem::path> journals = journals_in(cache_dir);
+  ASSERT_EQ(journals.size(), 1u);
+  const auto size = std::filesystem::file_size(journals[0]);
+
+  const Clock::time_point killed = Clock::now();
+  ::kill(victim.pid, SIGKILL);
+  victim.wait();
+  bool gone = process_gone(worker);
+  while (!gone &&
+         Clock::now() - killed < std::chrono::milliseconds(kWorkerExitMs)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    gone = process_gone(worker);
+  }
+  EXPECT_TRUE(gone) << "worker " << worker << " outlived its daemon by "
+                    << kWorkerExitMs << " ms";
+  // Past the end of the stalled trial, whose record a live worker would
+  // have appended by now.
+  std::this_thread::sleep_until(killed +
+                                std::chrono::milliseconds(kStallMs + 500));
+  EXPECT_EQ(std::filesystem::file_size(journals[0]), size);
+  if (!gone) ::kill(worker, SIGKILL);
+}
+
+TEST(ServeChaos, SigkilledDaemonResumesJournaledCampaignByteIdentically) {
   const std::string cache_dir = fresh_dir("chaos_kill_cache");
   const std::string socket = testing::TempDir() + "chaos_kill.sock";
   const std::string campaign = submit_line("j", 77, 6, 32);
 
-  // Phase 1: a daemon armed to SIGKILL itself at trial 3 of the campaign
-  // — by then three trials are durably journaled under --cache_dir.
+  // Phase 1: SIGKILL the daemon while its campaign stalls in trial 3, with
+  // three trials durably journaled under --cache_dir.
   {
-    Daemon victim = spawn_daemon({"--socket=" + socket, "--workers=1",
-                                  "--cache_dir=" + cache_dir,
-                                  "--inject=kill:trial=3"},
-                                 "victim");
+    Daemon victim = spawn_stalling_daemon(socket, cache_dir, "victim");
     ASSERT_TRUE(await_socket(victim, socket)) << victim.stdout_text();
     LineClient client = LineClient::connect_unix(socket, 5000);
     ASSERT_TRUE(client.send_line(campaign));
-    // Drain until the connection dies with the daemon.
-    RecvStatus status = RecvStatus::kLine;
-    while (status == RecvStatus::kLine) {
-      (void)client.recv_line(kRecvMs, &status);
-    }
-    EXPECT_EQ(status, RecvStatus::kClosed);
+    ASSERT_TRUE(await_progress(client, 3));
+    ::kill(victim.pid, SIGKILL);
     const int raw = victim.wait();
     ASSERT_TRUE(WIFSIGNALED(raw) && WTERMSIG(raw) == SIGKILL)
         << "raw status " << raw;
   }
   // The crash left a journal, not a cache entry.
-  std::size_t journals = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(cache_dir)) {
-    if (entry.path().extension() == ".mfj") ++journals;
-  }
-  ASSERT_EQ(journals, 1u);
+  ASSERT_EQ(journals_in(cache_dir).size(), 1u);
 
-  // Phase 2: restart on the same directory; the journal is recovered and
-  // the same submission completes.
+  // Phase 2: restart on the same directory, with no fault injected; the
+  // journal is recovered and the same submission completes.
   std::string resumed_done;
   {
     Daemon revived = spawn_daemon(
@@ -455,9 +569,9 @@ TEST(ServeChaos, SigkilledDaemonResumesJournaledCampaignByteIdentically) {
 
 #else
 
-TEST(ServeChaos, DISABLED_KillRestartNeedsDaemonBinaryAndPosix) {}
+TEST(ServeChaos, DISABLED_KillRestartNeedsPosix) {}
 
-#endif  // MEGFLOOD_SERVE_PATH && POSIX
+#endif  // POSIX
 
 }  // namespace
 }  // namespace megflood::serve

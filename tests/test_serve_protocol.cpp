@@ -295,7 +295,7 @@ TEST(ServeProtocol, StatsRenderQueueCountersAndPerClientRows) {
 }
 
 // ---------------------------------------------------------------------------
-// Process isolation events (ISSUE 10)
+// Worker supervision events
 // ---------------------------------------------------------------------------
 
 TEST(ServeProtocol, FailedEventCarriesCrashClassification) {
@@ -330,9 +330,8 @@ TEST(ServeProtocol, FailedEventCarriesCrashClassification) {
   EXPECT_NE(line.find("\"error\": "), std::string::npos);
 }
 
-TEST(ServeProtocol, StatsRenderIsolationAndWorkerRows) {
+TEST(ServeProtocol, StatsRenderWorkerRows) {
   StatsSnapshot stats;
-  stats.isolation = "process";
   stats.worker_restarts = 3;
   stats.jobs_quarantined = 1;
   WorkerSlotStats worker;
@@ -346,7 +345,7 @@ TEST(ServeProtocol, StatsRenderIsolationAndWorkerRows) {
   std::string error;
   const auto parsed = parse_json(line, error);
   ASSERT_TRUE(parsed.has_value()) << line << " -> " << error;
-  EXPECT_EQ(parsed->find("isolation")->string, "process");
+  EXPECT_EQ(parsed->find("isolation"), nullptr);  // one mode, no field
   EXPECT_DOUBLE_EQ(parsed->find("worker_restarts")->number, 3.0);
   EXPECT_DOUBLE_EQ(parsed->find("jobs_quarantined")->number, 1.0);
   const JsonValue* workers = parsed->find("workers");
@@ -355,13 +354,6 @@ TEST(ServeProtocol, StatsRenderIsolationAndWorkerRows) {
   EXPECT_DOUBLE_EQ(workers->array[0].find("pid")->number, 1234.0);
   EXPECT_TRUE(workers->array[0].find("busy")->boolean);
   EXPECT_DOUBLE_EQ(workers->array[0].find("jobs")->number, 7.0);
-
-  // Thread mode keeps the fields but with an empty worker list.
-  const std::string thread_line = event_stats(StatsSnapshot{});
-  const auto thread_parsed = parse_json(thread_line, error);
-  ASSERT_TRUE(thread_parsed.has_value());
-  EXPECT_EQ(thread_parsed->find("isolation")->string, "thread");
-  EXPECT_TRUE(thread_parsed->find("workers")->array.empty());
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // The fair scheduler (serve/scheduler.hpp) in manual mode (workers == 0,
-// run_one() on the test thread): deterministic round-robin ordering
-// across clients, per-job event ordering, submit-time and run-time cache
-// hits, validation rejections, and cancellation.
+// run_one() on the test thread, supervising a worker subprocess of the
+// megflood_serve binary): deterministic round-robin ordering across
+// clients, per-job event ordering, submit-time and run-time cache hits,
+// validation rejections, and cancellation.
 //
 // Note the declaration order inside each test: event vectors before the
 // Scheduler, because the scheduler's destructor drains and may still
@@ -14,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,10 @@
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
+
+#ifndef MEGFLOOD_SERVE_PATH
+#error "MEGFLOOD_SERVE_PATH must point at the megflood_serve binary"
+#endif
 
 namespace megflood::serve {
 namespace {
@@ -71,10 +77,22 @@ double number_field(const std::string& line, const std::string& name) {
   return field ? field->number : -1.0;
 }
 
+SchedulerConfig manual_config() {
+  SchedulerConfig config;
+  config.workers = 0;  // run_one() on the test thread
+  config.worker_binary = MEGFLOOD_SERVE_PATH;
+  return config;
+}
+
+TEST(ServeScheduler, AWorkerBinaryIsRequired) {
+  ResultCache cache;
+  EXPECT_THROW(Scheduler(SchedulerConfig{}, &cache), std::invalid_argument);
+}
+
 TEST(ServeScheduler, PerJobEventOrderIsTotal) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -95,7 +113,7 @@ TEST(ServeScheduler, PerJobEventOrderIsTotal) {
 TEST(ServeScheduler, RoundRobinInterleavesClients) {
   ResultCache cache;
   std::vector<std::string> log;  // "<client>:<event>:<id>"
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t a = scheduler.register_client(
       [&log](const std::string& line) { log.push_back("A:" + label(line)); });
   const std::uint64_t b = scheduler.register_client(
@@ -127,7 +145,7 @@ TEST(ServeScheduler, RoundRobinInterleavesClients) {
 TEST(ServeScheduler, RepeatSubmissionIsAnsweredFromTheCache) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -157,7 +175,7 @@ TEST(ServeScheduler, RepeatSubmissionIsAnsweredFromTheCache) {
 TEST(ServeScheduler, ValidationFailuresAreStructuredErrors) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -197,7 +215,7 @@ TEST(ServeScheduler, ValidationFailuresAreStructuredErrors) {
 TEST(ServeScheduler, CancelResolvesQueuedSubJobs) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 
@@ -218,7 +236,7 @@ TEST(ServeScheduler, CancelResolvesQueuedSubJobs) {
 
 TEST(ServeScheduler, StatsCountTheWork) {
   ResultCache cache;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client =
       scheduler.register_client([](const std::string&) {});
   scheduler.submit(client, submit_request("j", quick_args(4)));
@@ -239,7 +257,7 @@ TEST(ServeScheduler, StatsCountTheWork) {
 TEST(ServeScheduler, UnregisteredClientWorkIsDropped) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
   scheduler.submit(client, submit_request("j", sweep_args(5), "n=16:48:16"));
@@ -256,12 +274,6 @@ TEST(ServeScheduler, UnregisteredClientWorkIsDropped) {
 // ---------------------------------------------------------------------------
 // Overload protection, deadlines and crash recovery (ISSUE 9)
 // ---------------------------------------------------------------------------
-
-SchedulerConfig manual_config() {
-  SchedulerConfig config;
-  config.workers = 0;  // run_one() on the test thread
-  return config;
-}
 
 std::string fresh_dir(const std::string& name) {
   const std::string dir = testing::TempDir() + name;
@@ -407,7 +419,7 @@ TEST(ServeScheduler, CacheHitsAreAdmittedThroughAFullQueue) {
 TEST(ServeScheduler, DeadlineExceededResolvesTheJobAndIsNeverCached) {
   ResultCache cache;
   std::vector<std::string> events;
-  Scheduler scheduler(SchedulerConfig{}, &cache);
+  Scheduler scheduler(manual_config(), &cache);
   const std::uint64_t client = scheduler.register_client(
       [&events](const std::string& line) { events.push_back(line); });
 

@@ -27,6 +27,10 @@
 #include "serve/server.hpp"
 #include "util/resource.hpp"
 
+#ifndef MEGFLOOD_SERVE_PATH
+#error "MEGFLOOD_SERVE_PATH must point at the megflood_serve binary"
+#endif
+
 namespace megflood::serve {
 namespace {
 
@@ -38,6 +42,7 @@ struct TestServer {
     ServerConfig config;
     config.unix_path = path;
     config.workers = 2;
+    config.worker_binary = MEGFLOOD_SERVE_PATH;
     config.max_line = max_line;
     server = std::make_unique<Server>(config);
     thread = std::thread([this] { exit_code = server->serve(stop); });

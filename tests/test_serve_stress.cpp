@@ -21,6 +21,10 @@
 #include "serve/json.hpp"
 #include "serve/server.hpp"
 
+#ifndef MEGFLOOD_SERVE_PATH
+#error "MEGFLOOD_SERVE_PATH must point at the megflood_serve binary"
+#endif
+
 namespace megflood::serve {
 namespace {
 
@@ -39,6 +43,7 @@ TEST(ServeStress, ConcurrentClientsAllJobsResolveWithIdenticalBytes) {
   ServerConfig config;
   config.unix_path = testing::TempDir() + "megflood_serve_stress.sock";
   config.workers = 2;
+  config.worker_binary = MEGFLOOD_SERVE_PATH;
   auto server = std::make_unique<Server>(config);
   std::atomic<bool> stop{false};
   std::thread serve_thread(
@@ -112,6 +117,7 @@ TEST(ServeStress, DisconnectingMidJobIsHarmless) {
   ServerConfig config;
   config.unix_path = testing::TempDir() + "megflood_serve_stress2.sock";
   config.workers = 2;
+  config.worker_binary = MEGFLOOD_SERVE_PATH;
   auto server = std::make_unique<Server>(config);
   std::atomic<bool> stop{false};
   std::thread serve_thread(

@@ -1,22 +1,25 @@
-// Process-isolation suite for megflood_serve (ISSUE 10): the worker wire
-// protocol, byte-identity between --isolation=thread and
-// --isolation=process, crash containment (a segfaulting campaign kills
-// its worker, the supervisor respawns and the job still completes
-// bit-identically via the journal), poison-job quarantine (a campaign
-// that crashes kCrashLimit (2) workers ends in a terminal `failed` event
-// and a persistent .mfq marker — never an infinite crash loop), plus
+// Worker supervision suite for megflood_serve: the worker wire protocol,
+// byte-identity between a served campaign and the same campaign run in
+// process (the bytes `megflood_run --format=json` prints), crash
+// containment (a segfaulting campaign kills its worker, the supervisor
+// respawns and the job still completes bit-identically via the
+// journal), poison-job quarantine (a campaign that crashes kCrashLimit
+// (2) workers ends in a terminal `failed` event and a persistent .mfq
+// marker — never an infinite crash loop), plus
 // cancel/deadline propagation into workers, rlimit containment of a
 // memory-bomb trial, and campaigns evicted from the cache's memory tier
 // (recomputed without a disk tier, disk hits with one).
 //
 // The workers are real subprocesses: the scheduler self-execs the
 // megflood_serve binary (path injected by CMake as MEGFLOOD_SERVE_PATH)
-// with --worker.  Thread-mode schedulers in the same tests provide the
-// ground-truth event streams for the byte-identity assertions.
+// with --worker.  The expected event streams are rendered from the
+// in-process run_scenario + result_json_object.
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
+#include <sys/resource.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -30,10 +33,12 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/campaign.hpp"
 #include "core/checkpoint.hpp"
+#include "core/format.hpp"
 #include "core/scenario.hpp"
 #include "core/trial.hpp"
 #include "serve/cache.hpp"
@@ -41,7 +46,6 @@
 #include "serve/protocol.hpp"
 #include "serve/scheduler.hpp"
 #include "serve/worker.hpp"
-#include "util/fault_injection.hpp"
 
 #ifndef MEGFLOOD_SERVE_PATH
 #error "MEGFLOOD_SERVE_PATH must point at the megflood_serve binary"
@@ -131,7 +135,6 @@ SchedulerConfig process_config(std::string inject = "",
                                std::string journal_dir = "") {
   SchedulerConfig config;
   config.workers = 0;  // manual mode: run_one() supervises on this thread
-  config.isolation = IsolationMode::kProcess;
   config.worker_binary = MEGFLOOD_SERVE_PATH;
   config.inject_spec = std::move(inject);
   config.journal_dir = std::move(journal_dir);
@@ -169,6 +172,40 @@ struct EventLog {
     return lines;
   }
 };
+
+// The reply a fresh sub-job of `args` must carry: its key and the result
+// bytes of the in-process campaign, what `megflood_run --format=json`
+// prints for it.
+SubJobReply in_process_reply(const std::vector<std::string>& args) {
+  ScenarioSpec spec = parse_scenario_args(args);
+  spec.trial.threads = 1;
+  const ScenarioResult result = run_scenario(spec);
+  SubJobReply reply;
+  reply.key = campaign_key_string(campaign_key(spec));
+  reply.result_json = result_json_object(spec, result, result.warnings);
+  return reply;
+}
+
+// The whole event stream of job `id` when its sub-jobs (`subjobs`, each
+// of `trials` trials) all miss the cache and run one after another:
+// queued, running, one trial_done per trial, then done.
+std::vector<std::string> fresh_job_events(
+    const std::string& id,
+    const std::vector<std::vector<std::string>>& subjobs,
+    std::size_t trials) {
+  const std::size_t total = subjobs.size() * trials;
+  std::vector<std::string> events = {event_queued(id, subjobs.size(), total, 0),
+                                     event_running(id)};
+  std::vector<SubJobReply> replies;
+  for (const std::vector<std::string>& args : subjobs) {
+    replies.push_back(in_process_reply(args));
+  }
+  for (std::size_t done = 1; done <= total; ++done) {
+    events.push_back(event_trial_done(id, done, total));
+  }
+  events.push_back(event_done(id, replies, 0, total, total));
+  return events;
+}
 
 // Runs `requests` to completion on a manual-mode scheduler with `config`
 // and returns the full event stream.
@@ -370,42 +407,45 @@ TEST(ServeWorker, HeartbeatsFollowTheirTimerNotTheJobs) {
 }
 
 // ---------------------------------------------------------------------------
-// Byte-identity: process mode must answer exactly like thread mode
+// Byte-identity: a served campaign answers exactly like the in-process one
 // ---------------------------------------------------------------------------
 
-TEST(ServeWorker, ProcessModeEventStreamIsByteIdenticalToThreadMode) {
+TEST(ServeWorker, EventStreamIsByteIdenticalToTheInProcessCampaign) {
   const std::vector<Request> requests = {
       submit_request("sweep",
                      {"--model=fixed", "--trials=2", "--seed=91"},
                      "n=16:48:16"),
       submit_request("single", quick_args(92, 3)),
   };
-
-  ResultCache thread_cache;
-  SchedulerConfig thread_config;
-  thread_config.workers = 0;
-  const std::vector<std::string> thread_events =
-      run_to_completion(thread_config, &thread_cache, requests);
-
-  ResultCache process_cache;
-  const std::vector<std::string> process_events =
-      run_to_completion(process_config(), &process_cache, requests);
+  ResultCache cache;
+  const std::vector<std::string> events =
+      run_to_completion(process_config(), &cache, requests);
 
   // Full-stream equality: same events, same order, same bytes — the
-  // worker's result object is spliced verbatim, never re-rendered.
-  ASSERT_EQ(process_events.size(), thread_events.size());
-  for (std::size_t i = 0; i < thread_events.size(); ++i) {
-    EXPECT_EQ(process_events[i], thread_events[i]) << "event " << i;
+  // worker's result object is spliced verbatim, never re-rendered.  One
+  // client's sub-jobs run in submission order.
+  const std::vector<std::string> sweep = fresh_job_events(
+      "sweep",
+      {{"--model=fixed", "--trials=2", "--seed=91", "--n=16"},
+       {"--model=fixed", "--trials=2", "--seed=91", "--n=32"},
+       {"--model=fixed", "--trials=2", "--seed=91", "--n=48"}},
+      2);
+  const std::vector<std::string> single =
+      fresh_job_events("single", {quick_args(92, 3)}, 3);
+  std::vector<std::string> want = {sweep[0], single[0]};
+  want.insert(want.end(), sweep.begin() + 1, sweep.end());
+  want.insert(want.end(), single.begin() + 1, single.end());
+  ASSERT_EQ(events.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(events[i], want[i]) << "event " << i;
   }
-
-  // And the caches agree entry-for-entry.
-  EXPECT_EQ(process_cache.stats().entries, thread_cache.stats().entries);
+  EXPECT_EQ(cache.stats().entries, 4u);
 }
 
-// A campaign resumed from a journal credits its replayed trials the same
-// way in both modes: trial_done counts are cumulative, so the terminal
-// done reports completed == total, not just the freshly run trials.
-TEST(ServeWorker, ResumedSubJobReportsTheSameProgressInBothModes) {
+// A campaign resumed from a journal credits its replayed trials first:
+// trial_done counts are cumulative, so the terminal done reports
+// completed == total, not just the freshly run trials.
+TEST(ServeWorker, ResumedSubJobReportsItsReplayedTrials) {
   ScenarioSpec spec = parse_scenario_args(quick_args(101, 3));
   spec.trial.threads = 1;
   const CampaignKey key = campaign_key(spec);
@@ -414,7 +454,8 @@ TEST(ServeWorker, ResumedSubJobReportsTheSameProgressInBothModes) {
                 static_cast<unsigned long long>(campaign_key_hash(key)));
 
   // One durable trial at the daemon's hashed journal path, then a "crash".
-  const auto plant_journal = [&](const std::string& dir) {
+  const std::string dir = fresh_dir("worker_resume");
+  {
     CheckpointJournal journal(dir + "/" + name + ".mfj",
                               CheckpointKey{key, 1});
     std::atomic<bool> cancel{false};
@@ -425,31 +466,14 @@ TEST(ServeWorker, ResumedSubJobReportsTheSameProgressInBothModes) {
       cancel.store(true, std::memory_order_relaxed);
     };
     ASSERT_TRUE(run_scenario(spec, hooks).measurement.interrupted);
-  };
-  const std::vector<Request> requests = {
-      submit_request("r", quick_args(101, 3))};
+  }
+  ResultCache cache;
+  const std::vector<std::string> events =
+      run_to_completion(process_config("", dir), &cache,
+                        {submit_request("r", quick_args(101, 3))});
 
-  const std::string thread_dir = fresh_dir("worker_resume_thread");
-  plant_journal(thread_dir);
-  SchedulerConfig thread_config;
-  thread_config.journal_dir = thread_dir;
-  ResultCache thread_cache;
-  const std::vector<std::string> thread_events =
-      run_to_completion(thread_config, &thread_cache, requests);
-
-  const std::string process_dir = fresh_dir("worker_resume_process");
-  plant_journal(process_dir);
-  ResultCache process_cache;
-  const std::vector<std::string> process_events = run_to_completion(
-      process_config("", process_dir), &process_cache, requests);
-
-  EXPECT_EQ(process_events, thread_events);
-  ASSERT_FALSE(thread_events.empty());
-  EXPECT_EQ(label(thread_events.back()), "done:r");
-  EXPECT_EQ(number_field(thread_events.back(), "completed"), 3.0);
-  EXPECT_EQ(number_field(thread_events.back(), "total"), 3.0);
-  EXPECT_EQ(count_files_with_suffix(thread_dir, ".mfj"), 0u);
-  EXPECT_EQ(count_files_with_suffix(process_dir, ".mfj"), 0u);
+  EXPECT_EQ(events, fresh_job_events("r", {quick_args(101, 3)}, 3));
+  EXPECT_EQ(count_files_with_suffix(dir, ".mfj"), 0u);
 }
 
 // Pushes every entry stored so far out of the cache's memory tier: eight
@@ -518,7 +542,7 @@ TEST(ServeWorker, AnEvictedCampaignIsADiskHitWithACacheDir) {
   EXPECT_EQ(cache.stats().disk_hits, 1u);
 }
 
-TEST(ServeWorker, ProcessModeStatsReportWorkerRows) {
+TEST(ServeWorker, StatsReportWorkerRows) {
   ResultCache cache;
   std::vector<std::string> events;
   Scheduler scheduler(process_config(), &cache);
@@ -531,7 +555,6 @@ TEST(ServeWorker, ProcessModeStatsReportWorkerRows) {
   EXPECT_EQ(label(events.back()), "done:j");
 
   const StatsSnapshot stats = scheduler.stats();
-  EXPECT_EQ(stats.isolation, "process");
   EXPECT_EQ(stats.worker_restarts, 0u);
   EXPECT_EQ(stats.jobs_quarantined, 0u);
   ASSERT_FALSE(stats.workers.empty());
@@ -589,12 +612,8 @@ TEST(ServeWorker, CrashedWorkerIsRespawnedAndTheJobCompletesIdentically) {
   const std::vector<Request> requests = {
       submit_request("j", quick_args(94, 4)),
   };
-
-  ResultCache thread_cache;
-  SchedulerConfig thread_config;
-  thread_config.workers = 0;
   const std::vector<std::string> clean_events =
-      run_to_completion(thread_config, &thread_cache, requests);
+      fresh_job_events("j", {quick_args(94, 4)}, 4);
 
   // segv at trial 2, once=1: the first dispatch journals two trials and
   // dies; the retry (attempt 1) replays them and finishes clean.
@@ -649,6 +668,46 @@ TEST(ServeWorker, ConcurrentDispatchesOfOneCampaignAreChargedOneCrash) {
   EXPECT_EQ(stats.worker_restarts, 2u);
   EXPECT_EQ(stats.jobs_quarantined, 0u);
   EXPECT_EQ(stats.jobs_failed, 0u);
+}
+
+// A daemon with hundreds of connections holds sockets at fds 1024 and up.
+// Sockets without CLOEXEC at such numbers stand in for them here, and a
+// worker respawned after a crash must inherit none of them.
+TEST(ServeWorker, ARespawnedWorkerInheritsNoHighDescriptor) {
+  rlimit files{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &files), 0);
+  if (files.rlim_cur <= 1100) {
+    GTEST_SKIP() << "soft RLIMIT_NOFILE is " << files.rlim_cur;
+  }
+  int pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, pair), 0);
+  for (int fd = 1024; fd < 1032; ++fd) EXPECT_EQ(::dup2(pair[0], fd), fd);
+
+  ResultCache cache;
+  std::vector<std::string> events;
+  Scheduler scheduler(process_config("segv:trial=0,once=1"), &cache);
+  const std::uint64_t client = scheduler.register_client(
+      [&events](const std::string& line) { events.push_back(line); });
+  scheduler.submit(client, submit_request("f", quick_args(103, 2)));
+  while (scheduler.run_one()) {
+  }
+  const StatsSnapshot stats = scheduler.stats();
+  const pid_t pid = static_cast<pid_t>(stats.workers.back().pid);
+  std::vector<int> inherited;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           "/proc/" + std::to_string(pid) + "/fd")) {
+    const int fd = std::stoi(entry.path().filename().string());
+    if (fd >= 1024) inherited.push_back(fd);
+  }
+  for (int fd = 1024; fd < 1032; ++fd) ::close(fd);
+  ::close(pair[0]);
+  ::close(pair[1]);
+
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(label(events.back()), "done:f");
+  EXPECT_EQ(stats.worker_restarts, 1u);
+  EXPECT_TRUE(inherited.empty()) << inherited.size() << " fds, first "
+                                 << inherited.front();
 }
 
 // ---------------------------------------------------------------------------
@@ -787,8 +846,8 @@ TEST(ServeWorker, DeadlineFiresInsideTheWorker) {
   while (scheduler.run_one()) {
   }
 
-  // Same shape as thread mode: a deadline_exceeded event for the missed
-  // sub-job, then the terminal done whose reply carries the flag.
+  // A deadline_exceeded event for the missed sub-job, then the terminal
+  // done whose reply carries the flag.
   ASSERT_GE(events.size(), 2u);
   EXPECT_EQ(label(events[events.size() - 2]), "deadline_exceeded:d");
   EXPECT_EQ(label(events.back()), "done:d");
@@ -846,18 +905,16 @@ std::vector<std::string> events_of(const std::vector<std::string>& lines,
   return out;
 }
 
-// Each job's own event sequence from a manual-mode thread scheduler,
-// the reference every pipelined run must match job by job.
-void expect_same_jobs_as_thread_mode(const std::vector<std::string>& got,
-                                     const std::vector<Request>& requests) {
-  ResultCache cache;
-  SchedulerConfig config;
-  config.workers = 0;
-  const std::vector<std::string> want =
-      run_to_completion(config, &cache, requests);
+// Each job's own event sequence must be that of a fresh single-campaign
+// job, whatever the pipelining did around it.
+void expect_fresh_job_events(const std::vector<std::string>& got,
+                             const std::vector<Request>& requests) {
   for (const Request& request : requests) {
+    const std::size_t trials =
+        parse_scenario_args(request.args).trial.trials;
     const std::vector<std::string> mine = events_of(got, request.id);
-    const std::vector<std::string> theirs = events_of(want, request.id);
+    const std::vector<std::string> theirs =
+        fresh_job_events(request.id, {request.args}, trials);
     ASSERT_EQ(mine.size(), theirs.size()) << request.id;
     for (std::size_t i = 0; i < mine.size(); ++i) {
       EXPECT_EQ(mine[i], theirs[i]) << request.id << " event " << i;
@@ -879,7 +936,7 @@ SchedulerConfig one_pool_worker(const std::string& inject,
 // The worker dies in the running sub-job's last trial with the next one
 // already sent (the slow site holds the trial open long enough).  Only
 // the running sub-job is charged; the sent one goes back to its queue
-// and both complete as in thread mode.
+// and both complete as if nothing had crashed.
 TEST(ServeWorker, DeathWithASentSubJobChargesOnlyTheRunningOne) {
   const std::vector<Request> requests = {
       submit_request("a", quick_args(111, 2)),
@@ -897,7 +954,7 @@ TEST(ServeWorker, DeathWithASentSubJobChargesOnlyTheRunningOne) {
   ASSERT_TRUE(log.wait_for_label("done:a", 30000));
   ASSERT_TRUE(log.wait_for_label("done:b", 30000));
 
-  expect_same_jobs_as_thread_mode(log.snapshot(), requests);
+  expect_fresh_job_events(log.snapshot(), requests);
   EXPECT_EQ(scheduler.stats().worker_restarts, 1u);
   EXPECT_EQ(scheduler.stats().jobs_quarantined, 0u);
   EXPECT_EQ(cache.stats().entries, 2u);
@@ -923,7 +980,7 @@ TEST(ServeWorker, ASentSubJobPutBackKeepsItsOwnCrashCount) {
   ASSERT_TRUE(log.wait_for_label("done:a", 30000));
   ASSERT_TRUE(log.wait_for_label("done:b", 30000));
 
-  expect_same_jobs_as_thread_mode(log.snapshot(), requests);
+  expect_fresh_job_events(log.snapshot(), requests);
   EXPECT_EQ(scheduler.stats().worker_restarts, 2u);  // a once, b once
   EXPECT_EQ(scheduler.stats().jobs_quarantined, 0u);
 }
@@ -1006,50 +1063,36 @@ TEST(ServeWorker, ACancelReachesTheWorkerWithinAShortLastTrial) {
 // moves earlier.  Two clients, three sub-jobs each, all queued while the
 // first runs its slow trial 0.
 TEST(ServeWorker, PipelinedDispatchKeepsTheRoundRobinOrder) {
-  const std::string inject = "slow:trial=0,ms=100";
   const std::vector<std::string> want = {"a1", "b1", "a2", "b2", "a3", "b3"};
-  const auto dispatch_order = [&](SchedulerConfig config,
-                                  std::vector<std::string>& all) {
-    EventLog log;
-    ResultCache cache;
-    Scheduler scheduler(config, &cache);
-    const std::uint64_t first = scheduler.register_client(
-        [&log](const std::string& line) { log.push(line); });
-    const std::uint64_t second = scheduler.register_client(
-        [&log](const std::string& line) { log.push(line); });
-    for (int i = 1; i <= 3; ++i) {
-      scheduler.submit(first, submit_request("a" + std::to_string(i),
-                                             quick_args(120 + i, 2)));
-    }
-    for (int i = 1; i <= 3; ++i) {
-      scheduler.submit(second, submit_request("b" + std::to_string(i),
-                                              quick_args(130 + i, 2)));
-    }
-    for (const std::string& id : want) {
-      EXPECT_TRUE(log.wait_for_label("done:" + id, 30000)) << id;
-    }
-    all = log.snapshot();
-    std::vector<std::string> order;
-    for (const std::string& line : all) {
-      const std::string kind = label(line);
-      if (kind.rfind("running:", 0) == 0) order.push_back(kind.substr(8));
-    }
-    return order;
-  };
-
-  FaultPlan plan = FaultPlan::parse(inject, 1);
-  SchedulerConfig thread_config;
-  thread_config.workers = 1;
-  thread_config.fault_plan = &plan;
-  std::vector<std::string> thread_events;
-  EXPECT_EQ(dispatch_order(thread_config, thread_events), want);
-
-  std::vector<std::string> process_events;
-  EXPECT_EQ(dispatch_order(one_pool_worker(""), process_events), want);
-  for (const std::string& id : want) {
-    EXPECT_EQ(events_of(process_events, id), events_of(thread_events, id))
-        << id;
+  std::vector<Request> requests;
+  EventLog log;
+  ResultCache cache;
+  Scheduler scheduler(one_pool_worker(""), &cache);
+  const std::uint64_t first = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  const std::uint64_t second = scheduler.register_client(
+      [&log](const std::string& line) { log.push(line); });
+  for (int i = 1; i <= 3; ++i) {
+    requests.push_back(
+        submit_request("a" + std::to_string(i), quick_args(120 + i, 2)));
+    scheduler.submit(first, requests.back());
   }
+  for (int i = 1; i <= 3; ++i) {
+    requests.push_back(
+        submit_request("b" + std::to_string(i), quick_args(130 + i, 2)));
+    scheduler.submit(second, requests.back());
+  }
+  for (const std::string& id : want) {
+    EXPECT_TRUE(log.wait_for_label("done:" + id, 30000)) << id;
+  }
+  const std::vector<std::string> events = log.snapshot();
+  std::vector<std::string> order;
+  for (const std::string& line : events) {
+    const std::string kind = label(line);
+    if (kind.rfind("running:", 0) == 0) order.push_back(kind.substr(8));
+  }
+  EXPECT_EQ(order, want);
+  expect_fresh_job_events(events, requests);
 }
 
 // drain() waits for the sub-job sent behind the running one: the running
@@ -1104,6 +1147,23 @@ TEST(ServeWorker, MalformedInjectSpecExitsWithConfigError) {
     const int worker_status = std::system(worker_command.c_str());
     ASSERT_TRUE(WIFEXITED(worker_status)) << spec;
     EXPECT_EQ(WEXITSTATUS(worker_status), 2) << spec;
+  }
+}
+
+// Thread isolation is gone: --isolation=thread is a config error, and
+// --isolation=process, the one mode, still starts a daemon, which
+// `timeout` ends with 124.
+TEST(ServeWorker, IsolationFlagTakesOnlyProcess) {
+  const std::string daemon = std::string(MEGFLOOD_SERVE_PATH) +
+                             " --socket=" + testing::TempDir() +
+                             "isolation_flag.sock --workers=1 --isolation=";
+  for (const auto& [mode, want] :
+       {std::pair<std::string, int>{"thread", 2}, {"fork", 2},
+        {"process", 124}}) {
+    const int status = std::system(
+        ("timeout 1 " + daemon + mode + " >/dev/null 2>&1").c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << mode;
+    EXPECT_EQ(WEXITSTATUS(status), want) << mode;
   }
 }
 

@@ -33,6 +33,7 @@
 #include <iostream>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -256,22 +257,46 @@ void process_event(const std::string& line, PendingMap& pending,
 // arrived after each submit, and waits for a job to end at this many.
 constexpr std::size_t kWindow = 128;
 
-// One plain connection: submit everything, reading between submits, until
-// the pending map empties, a receive window elapses (timeout), or the
-// server goes away (disconnect) — the two failures are tallied separately
-// so a wedged daemon and a crashed one are distinguishable in the report.
-void run_plain(std::size_t thread_index, std::size_t first_job,
-               std::size_t job_count, const Options& options, Tally& tally) {
-  LineClient client;
-  try {
-    client = options.use_tcp ? LineClient::connect_tcp(options.port)
-                             : LineClient::connect_unix(options.socket_path);
-  } catch (const std::exception& e) {
-    std::lock_guard<std::mutex> lock(tally.mutex);
-    tally.errors += job_count;
-    tally.sample_errors.push_back(e.what());
-    return;
+// One connection: submit everything, reading between submits, until the
+// pending map empties, a receive window elapses (timeout), or the server
+// goes away (disconnect).  Plain, the two failures are tallied apart, so
+// a wedged daemon and a crashed one are distinguishable in the report.
+// With --retry the transport absorbs disconnects (reconnect + resubmit of
+// everything pending) and queue_full/draining rejections (backoff
+// honoring retry_after_ms), and a failed receive is a timeout, or a
+// server that stayed unreachable through a full backoff cycle.
+void run_connection(std::size_t thread_index, std::size_t first_job,
+                    std::size_t job_count, const Options& options,
+                    Tally& tally) {
+  const auto connect = [&options](int timeout_ms) {
+    return options.use_tcp
+               ? LineClient::connect_tcp(options.port, timeout_ms)
+               : LineClient::connect_unix(options.socket_path, timeout_ms);
+  };
+  std::optional<RetryingClient> retrying;
+  LineClient plain;
+  if (options.retry) {
+    RetryPolicy policy;
+    policy.seed = 0x6d666c6f6164ULL + thread_index;  // per-thread jitter
+    policy.connect_timeout_ms = 5000;
+    retrying.emplace([connect, policy] {
+      return connect(policy.connect_timeout_ms);
+    }, policy);
+  } else {
+    try {
+      plain = connect(LineClient::kDefaultTimeoutMs);
+    } catch (const std::exception& e) {
+      std::lock_guard<std::mutex> lock(tally.mutex);
+      tally.errors += job_count;
+      tally.sample_errors.push_back(e.what());
+      return;
+    }
   }
+  RecvStatus status = RecvStatus::kTimeout;  // of the last plain receive
+  const auto receive = [&](int timeout_ms) {
+    return retrying ? retrying->recv_event(timeout_ms)
+                    : plain.recv_line(timeout_ms, &status);
+  };
 
   PendingMap pending;  // id -> submit time
   std::size_t j = 0;   // jobs sent
@@ -280,11 +305,15 @@ void run_plain(std::size_t thread_index, std::size_t first_job,
     if (submit) {
       const std::string id =
           "c" + std::to_string(thread_index) + "-" + std::to_string(j);
-      const std::size_t variant = (first_job + j) % options.distinct;
+      const std::string line =
+          submit_line(id, options, (first_job + j) % options.distinct);
       const auto start = Clock::now();
-      if (!client.send_line(submit_line(id, options, variant))) {
+      if (!(retrying ? retrying->submit(id, line) : plain.send_line(line))) {
         std::lock_guard<std::mutex> lock(tally.mutex);
         ++tally.disconnects;
+        if (retrying) {
+          tally.sample_errors.push_back("server unreachable through backoff");
+        }
         break;
       }
       pending.emplace(id, start);
@@ -292,15 +321,14 @@ void run_plain(std::size_t thread_index, std::size_t first_job,
     }
     // Read what has arrived; with nothing to send, wait for an event.
     bool read = false;
-    RecvStatus status = RecvStatus::kClosed;
-    while (const auto line = client.recv_line(
-               submit || read ? 0 : options.timeout_ms, &status)) {
+    while (const auto line =
+               receive(submit || read ? 0 : options.timeout_ms)) {
       process_event(*line, pending, tally);
       read = true;
     }
     if (!submit && !read) {
       std::lock_guard<std::mutex> lock(tally.mutex);
-      if (status == RecvStatus::kTimeout) {
+      if (retrying || status == RecvStatus::kTimeout) {
         ++tally.timeouts;
       } else {
         ++tally.disconnects;
@@ -311,66 +339,11 @@ void run_plain(std::size_t thread_index, std::size_t first_job,
 
   std::lock_guard<std::mutex> lock(tally.mutex);
   tally.unresolved += pending.size() + (job_count - j);
-}
-
-// One retrying connection: same job stream, but the transport absorbs
-// disconnects (reconnect + resubmit of everything pending) and
-// queue_full/draining rejections (backoff honoring retry_after_ms).
-void run_retrying(std::size_t thread_index, std::size_t first_job,
-                  std::size_t job_count, const Options& options,
-                  Tally& tally) {
-  RetryPolicy policy;
-  policy.seed = 0x6d666c6f6164ULL + thread_index;  // per-thread jitter stream
-  policy.connect_timeout_ms = 5000;
-  RetryingClient client(
-      [&options, &policy] {
-        return options.use_tcp
-                   ? LineClient::connect_tcp(options.port,
-                                             policy.connect_timeout_ms)
-                   : LineClient::connect_unix(options.socket_path,
-                                              policy.connect_timeout_ms);
-      },
-      policy);
-
-  PendingMap pending;  // id -> submit time
-  std::size_t j = 0;   // jobs sent
-  while (j < job_count || !pending.empty()) {
-    const bool submit = j < job_count && pending.size() < kWindow;
-    if (submit) {
-      const std::string id =
-          "c" + std::to_string(thread_index) + "-" + std::to_string(j);
-      const std::size_t variant = (first_job + j) % options.distinct;
-      const auto start = Clock::now();
-      if (!client.submit(id, submit_line(id, options, variant))) {
-        std::lock_guard<std::mutex> lock(tally.mutex);
-        ++tally.disconnects;
-        tally.sample_errors.push_back("server unreachable through backoff");
-        break;
-      }
-      pending.emplace(id, start);
-      ++j;
-    }
-    // Read what has arrived; with nothing to send, wait for an event.
-    // nullopt is a timeout, or the server stayed unreachable through a
-    // full backoff cycle.
-    bool read = false;
-    while (const auto line =
-               client.recv_event(submit || read ? 0 : options.timeout_ms)) {
-      process_event(*line, pending, tally);
-      read = true;
-    }
-    if (!submit && !read) {
-      std::lock_guard<std::mutex> lock(tally.mutex);
-      ++tally.timeouts;
-      break;
-    }
+  if (retrying) {
+    tally.reconnects += retrying->reconnects();
+    tally.resubmits += retrying->resubmits();
+    tally.rejected_retries += retrying->rejected_retries();
   }
-
-  std::lock_guard<std::mutex> lock(tally.mutex);
-  tally.unresolved += pending.size() + (job_count - j);
-  tally.reconnects += client.reconnects();
-  tally.resubmits += client.resubmits();
-  tally.rejected_retries += client.rejected_retries();
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
@@ -487,9 +460,8 @@ int main(int argc, char** argv) {
       const std::size_t count =
           (options.jobs - assigned + remaining_threads - 1) /
           remaining_threads;
-      threads.emplace_back(options.retry ? run_retrying : run_plain, t,
-                           assigned, count, std::cref(options),
-                           std::ref(tally));
+      threads.emplace_back(run_connection, t, assigned, count,
+                           std::cref(options), std::ref(tally));
       assigned += count;
     }
     for (std::thread& thread : threads) thread.join();

@@ -1,9 +1,10 @@
 // megflood_serve — the batch/query daemon: accepts scenario jobs as
 // newline-delimited JSON over a Unix-domain socket (or localhost TCP),
-// schedules trials across one shared worker pool with fair round-robin
-// queueing across clients, and answers repeat queries from the result
-// cache (memory + optional disk) keyed by the canonical campaign
-// identity — a cache hit is free and bit-identical to the original run.
+// runs them in a pool of supervised worker processes with fair
+// round-robin queueing across clients, and answers repeat queries from
+// the result cache (memory + optional disk) keyed by the canonical
+// campaign identity — a cache hit is free and bit-identical to the
+// original run.
 //
 //   $ megflood_serve --socket=/tmp/megflood.sock --cache_dir=cache &
 //   $ printf '%s\n' '{"op":"submit","id":"j1","args":["--model=edge_meg",
@@ -39,13 +40,15 @@ void usage(std::ostream& out) {
          "                      [--workers=<n>] [--cache_dir=<path>]\n"
          "                      [--max_line=<bytes>] [--max_queue=<n>]\n"
          "                      [--max_client_queue=<n>] [--inject=<spec>]\n"
-         "                      [--isolation=thread|process]\n"
          "                      [--worker_memory_mb=<n>]\n"
          "  --socket=<path>     listen on a Unix-domain socket\n"
          "  --port=<n>          listen on localhost TCP (0 = ephemeral;\n"
          "                      the bound port is printed on stdout)\n"
-         "  --workers=<n>       scheduler worker threads (default 0 = one\n"
-         "                      per hardware thread)\n"
+         "  --workers=<n>       worker processes (default 0 = one per\n"
+         "                      hardware thread); a crashed worker is\n"
+         "                      respawned and its campaign retried, and a\n"
+         "                      campaign that crashes twice is quarantined\n"
+         "                      (docs/serving.md)\n"
          "  --cache_dir=<path>  persist the result cache on disk; also arms\n"
          "                      crash-recovery journaling (interrupted\n"
          "                      campaigns resume on restart)\n"
@@ -56,12 +59,10 @@ void usage(std::ostream& out) {
          "  --max_client_queue=<n>  per-client queued sub-job cap\n"
          "  --inject=<spec>     fault injection (docs/operations.md), incl.\n"
          "                      the daemon sites drop/stallwrite/corrupt\n"
-         "  --isolation=process run campaigns in supervised worker\n"
-         "                      subprocesses: crashes are contained,\n"
-         "                      classified, retried, and poison jobs are\n"
-         "                      quarantined (docs/serving.md)\n"
          "  --worker_memory_mb=<n>  per-job RLIMIT_AS budget for workers,\n"
-         "                      MiB (0 = unlimited; process mode only)\n";
+         "                      MiB (0 = unlimited)\n"
+         "  --isolation=process the only isolation there is, accepted so\n"
+         "                      that older command lines still start\n";
 }
 
 std::uint64_t parse_u64(const std::string& flag, const std::string& value) {
@@ -149,12 +150,13 @@ int main(int argc, char** argv) {
         config.inject = value;
       } else if (flag == "--isolation") {
         if (value == "thread") {
-          config.process_isolation = false;
-        } else if (value == "process") {
-          config.process_isolation = true;
-        } else {
-          throw std::invalid_argument("--isolation must be 'thread' or "
-                                      "'process', got '" + value + "'");
+          throw std::invalid_argument(
+              "--isolation=thread was removed: every campaign runs in a "
+              "supervised worker process");
+        }
+        if (value != "process") {
+          throw std::invalid_argument("--isolation must be 'process', got '" +
+                                      value + "'");
         }
       } else if (flag == "--worker_memory_mb") {
         config.worker_memory_mb = parse_u64(flag, value);
@@ -191,9 +193,7 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (config.process_isolation) {
-    config.worker_binary = megflood::serve::self_executable_path(argv[0]);
-  }
+  config.worker_binary = megflood::serve::self_executable_path(argv[0]);
 
   try {
     megflood::serve::Server server(config);
