@@ -291,25 +291,39 @@ TEST(RandomTripModel, StepStreamIsPinned) {
   // 60 steps (mobility_stream_hash), one row per stock policy: the
   // square with pauses in [0, 3] (the pause countdown), the disk (the
   // rejection draws) and the random direction (trips drawn from the
-  // current position).  Any moved draw or byte changes a hash.
+  // current position).  Two rows split the move pass's lanes: the
+  // square with pauses at an odd n (paused agents, speed kPaused, on
+  // both lanes and in the odd last one), and a waypoint over a 4 x 4
+  // grid of destinations started from collapse_to() on one of them
+  // (agents whose destination is their position: dist = 0).  Any moved
+  // draw or byte changes a hash.
   struct Row {
     const char* name;
+    std::size_t n;
     std::shared_ptr<const TripPolicy> policy;
+    bool collapse;
     std::uint64_t hash;
   };
   const Row rows[] = {
-      {"square pause [0, 3]",
-       std::make_shared<SquareWaypointPolicy>(8.0, 0.5, 1.0, 0, 3),
+      {"square pause [0, 3]", 512,
+       std::make_shared<SquareWaypointPolicy>(8.0, 0.5, 1.0, 0, 3), false,
        0xc23970eb421f6e68ULL},
-      {"disk", std::make_shared<DiskWaypointPolicy>(8.0, 0.5, 1.0),
+      {"disk", 512, std::make_shared<DiskWaypointPolicy>(8.0, 0.5, 1.0), false,
        0x3fef583dcf59da8eULL},
-      {"direction",
-       std::make_shared<RandomDirectionPolicy>(8.0, 0.5, 1.0, 1.0, 4.0),
+      {"direction", 512,
+       std::make_shared<RandomDirectionPolicy>(8.0, 0.5, 1.0, 1.0, 4.0), false,
        0x54343851f72e2d5bULL},
+      {"square pause [0, 3], n = 511", 511,
+       std::make_shared<SquareWaypointPolicy>(8.0, 0.5, 1.0, 0, 3), false,
+       0x413aa84a453eb6d8ULL},
+      {"collapsed on a 4 x 4 waypoint grid", 511,
+       std::make_shared<GridWaypointPolicy>(8.0, 4, 0.5, 1.0), true,
+       0x77d793105add4733ULL},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
-    RandomTripModel model(512, row.policy, 1.0, 32, 1);
+    RandomTripModel model(row.n, row.policy, 1.0, 32, 1);
+    if (row.collapse) model.collapse_to({0.0, 0.0});
     const std::uint64_t h = mobility_stream_hash(model, 60);
     EXPECT_EQ(h, row.hash) << "hash 0x" << std::hex << h;
   }

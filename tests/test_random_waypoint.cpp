@@ -106,7 +106,10 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
   // m = 64; L = 64, m = 256, where the buckets outnumber the agents more
   // than four to one; and L = 16, m = 64, r = 2.5, about 55 agents per
   // bucket) and a fast regime whose agents finish several legs per step
-  // and often hit the 16-leg cap.  Any moved draw or byte changes a hash.
+  // and often hit the 16-leg cap.  Two rows have an odd agent count, so
+  // the move pass's last agent runs alone: the campaign regime at
+  // n = 4095 and three agents on a small square.  Any moved draw or byte
+  // changes a hash.
   struct Row {
     double side, v_min, v_max, radius;
     std::size_t resolution, n;
@@ -122,6 +125,8 @@ TEST(RandomWaypoint, StepStreamIsPinned) {
       {16.0, 0.5, 1.0, 2.5, 64, 2000, 1, 0xeb1d8a796845e7d9ULL},
       {4.0, 20.0, 40.0, 0.4, 8, 256, 1, 0xc0c103c72f0e5a8fULL},
       {4.0, 20.0, 40.0, 0.4, 8, 256, 2, 0x3da9b11396e7241fULL},
+      {64.0, 0.5, 1.0, 1.0, 32, 4095, 1, 0x428239e5e6e26319ULL},
+      {4.0, 0.5, 1.0, 1.0, 8, 3, 1, 0xdba2445a446faf70ULL},
   };
   for (const Row& row : rows) {
     SCOPED_TRACE(::testing::Message()
