@@ -1,11 +1,13 @@
 #pragma once
 
 // Snapshot maintenance for the geometric mobility model (RandomTripModel,
-// the random waypoint among its policies), built lazily.  The model moves
-// the agents in positions() and calls moved(); nothing else happens until
-// someone reads snapshot(), so steps nobody reads (a trial's warmup) cost
-// only the kinematics.  The first read after a move snaps every agent to
-// its grid point and builds the snapshot through ColocationBuilder
+// the random waypoint among its policies), built lazily.  The positions
+// are structure of arrays, xs() and ys(), so that the model's move pass
+// works on two agents per SSE2 register.  The model moves the agents
+// there and calls moved(); nothing else happens until someone reads
+// snapshot(), so steps nobody reads (a trial's warmup) cost only the
+// kinematics.  The first read after a move snaps every agent to its grid
+// point and builds the snapshot through ColocationBuilder
 // (mobility/colocation.hpp), with the snap fused into its counting sort.
 //
 // Two regimes, told apart by one_point().  Radius pairs are found in
@@ -51,7 +53,8 @@ class ProximitySnapshotEngine {
                           std::size_t num_agents)
       : grid_(grid),
         radius_(radius),
-        positions_(num_agents),
+        x_(num_agents),
+        y_(num_agents),
         snapshot_(num_agents) {
     if (one_point(grid, radius)) return;
     const std::size_t m = grid.resolution();
@@ -80,18 +83,23 @@ class ProximitySnapshotEngine {
 
   const SquareGrid& grid() const noexcept { return grid_; }
 
-  // The agents' continuous positions; the owning model moves them and
-  // then calls moved().
-  std::vector<Point2D>& positions() noexcept { return positions_; }
-  Point2D position(std::uint32_t agent) const { return positions_.at(agent); }
+  // The agents' continuous positions, agent i at (xs()[i], ys()[i]); the
+  // owning model moves them and then calls moved().
+  std::vector<double>& xs() noexcept { return x_; }
+  std::vector<double>& ys() noexcept { return y_; }
+  Point2D position(std::uint32_t agent) const {
+    return {x_.at(agent), y_.at(agent)};
+  }
+  void place(std::uint32_t agent, const Point2D& p) {
+    x_.at(agent) = p.x;
+    y_.at(agent) = p.y;
+  }
 
   // An agent's connectivity cell, derived from its position, so it is
   // current even while the snapshot is stale.
-  CellId cell(std::uint32_t agent) const {
-    return grid_.nearest(positions_.at(agent));
-  }
+  CellId cell(std::uint32_t agent) const { return grid_.nearest(position(agent)); }
 
-  // Marks the snapshot stale: positions() changed since the last read.
+  // Marks the snapshot stale: the positions changed since the last read.
   void moved() noexcept { stale_ = true; }
 
   const Snapshot& snapshot() const {
@@ -109,7 +117,7 @@ class ProximitySnapshotEngine {
   void materialize() const {
     if (axis_bucket_.empty()) {
       colocation_.build(snapshot_, grid_.num_points(), [this](std::uint32_t i) {
-        return grid_.nearest(positions_[i]);
+        return grid_.nearest({x_[i], y_[i]});
       });
     } else {
       build_buckets();
@@ -123,8 +131,8 @@ class ProximitySnapshotEngine {
     const double r2 = radius_ * radius_;
     Point2D* const points = grid_points_.data();
     const auto bucket_of = [&](std::uint32_t i) {
-      const std::uint32_t row = grid_.nearest_line(positions_[i].y);
-      const std::uint32_t col = grid_.nearest_line(positions_[i].x);
+      const std::uint32_t row = grid_.nearest_line(y_[i]);
+      const std::uint32_t col = grid_.nearest_line(x_[i]);
       points[i] = {static_cast<double>(col) * spacing,
                    static_cast<double>(row) * spacing};
       return axis_bucket_[row] * bps + axis_bucket_[col];
@@ -146,7 +154,7 @@ class ProximitySnapshotEngine {
 
   SquareGrid grid_;
   double radius_;
-  std::vector<Point2D> positions_;
+  std::vector<double> x_, y_;
   // Multi-point grids only (empty on one-point ones): the bucket of each
   // grid line, per axis, and each agent's grid point, written by the
   // build.

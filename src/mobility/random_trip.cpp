@@ -3,6 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace megflood {
 
 // ---------------------------------------------------------------------------
@@ -140,82 +144,125 @@ RandomTripModel::RandomTripModel(std::size_t num_agents,
   if (num_agents < 2) {
     throw std::invalid_argument("RandomTripModel: need at least 2 agents");
   }
-  courses_.resize(num_agents_);
+  dest_x_.resize(num_agents_);
+  dest_y_.resize(num_agents_);
+  speed_.resize(num_agents_);
   dwells_.resize(num_agents_);
   arrivals_.resize(num_agents_);
   initialize();
 }
 
 void RandomTripModel::set_trip(std::size_t agent, const Trip& trip) {
-  courses_[agent] = {trip.destination, trip.speed};
+  dest_x_[agent] = trip.destination.x;
+  dest_y_[agent] = trip.destination.y;
+  speed_[agent] = trip.speed;
   dwells_[agent] = {trip.pause_rounds, 0, 0.0};
 }
 
 void RandomTripModel::initialize() {
-  std::vector<Point2D>& positions = engine_.positions();
   for (std::size_t i = 0; i < num_agents_; ++i) {
-    positions[i] = policy_->random_point(rng_);
-    set_trip(i, policy_->next_trip(positions[i], rng_));
+    const auto agent = static_cast<std::uint32_t>(i);
+    engine_.place(agent, policy_->random_point(rng_));
+    set_trip(i, policy_->next_trip(engine_.position(agent), rng_));
   }
   engine_.moved();
 }
 
 void RandomTripModel::step() {
-  std::vector<Point2D>& positions = engine_.positions();
+  double* const x = engine_.xs().data();
+  double* const y = engine_.ys().data();
+  const double* const dest_x = dest_x_.data();
+  const double* const dest_y = dest_y_.data();
+  const double* const speed = speed_.data();
+  std::uint32_t* const listed = arrivals_.data();
   // First pass, no draws: an agent short of its destination moves the
   // fraction speed / dist of the way there (the first leg of the loop
   // below, bit for bit); the rest, pausing agents among them, are listed
-  // as arrivals.
+  // as arrivals, ascending.  Two agents per iteration in SSE2 lanes, then
+  // the odd last agent (or every agent, on a target without SSE2) in the
+  // scalar body.  Each lane does the scalar body's operations in its
+  // order, each correctly rounded, so the bits are the same: dest - pos
+  // is the exact negation of pos - dest and squares the same, and a lane
+  // that arrives keeps its position (its quotient, maybe inf / dist or
+  // speed / 0, is discarded).
   std::size_t arrivals = 0;
-  for (std::size_t i = 0; i < num_agents_; ++i) {
-    const Course& course = courses_[i];
-    Point2D& pos = positions[i];
-    const double dist = euclidean_distance(pos, course.destination);
-    const bool arrives = dist <= course.speed;
-    arrivals_[arrivals] = static_cast<std::uint32_t>(i);
+  std::size_t i = 0;
+#if defined(__SSE2__)
+  for (; i + 1 < num_agents_; i += 2) {
+    const __m128d px = _mm_loadu_pd(x + i);
+    const __m128d py = _mm_loadu_pd(y + i);
+    const __m128d ex = _mm_sub_pd(_mm_loadu_pd(dest_x + i), px);
+    const __m128d ey = _mm_sub_pd(_mm_loadu_pd(dest_y + i), py);
+    const __m128d v = _mm_loadu_pd(speed + i);
+    const __m128d dist =
+        _mm_sqrt_pd(_mm_add_pd(_mm_mul_pd(ex, ex), _mm_mul_pd(ey, ey)));
+    const __m128d arrives = _mm_cmple_pd(dist, v);
+    const __m128d frac = _mm_div_pd(v, dist);
+    const auto keep_if_arrived = [arrives](__m128d pos, __m128d moved) {
+      return _mm_or_pd(_mm_and_pd(arrives, pos),
+                       _mm_andnot_pd(arrives, moved));
+    };
+    _mm_storeu_pd(x + i,
+                  keep_if_arrived(px, _mm_add_pd(px, _mm_mul_pd(ex, frac))));
+    _mm_storeu_pd(y + i,
+                  keep_if_arrived(py, _mm_add_pd(py, _mm_mul_pd(ey, frac))));
+    const int mask = _mm_movemask_pd(arrives);
+    listed[arrivals] = static_cast<std::uint32_t>(i);
+    arrivals += mask & 1;
+    listed[arrivals] = static_cast<std::uint32_t>(i + 1);
+    arrivals += mask >> 1;
+  }
+#endif
+  for (; i < num_agents_; ++i) {
+    const double dist =
+        euclidean_distance({x[i], y[i]}, {dest_x[i], dest_y[i]});
+    const bool arrives = dist <= speed[i];
+    listed[arrivals] = static_cast<std::uint32_t>(i);
     arrivals += arrives;
     if (!arrives) {
-      const double frac = course.speed / dist;
-      pos.x += (course.destination.x - pos.x) * frac;
-      pos.y += (course.destination.y - pos.y) * frac;
+      const double frac = speed[i] / dist;
+      x[i] += (dest_x[i] - x[i]) * frac;
+      y[i] += (dest_y[i] - y[i]) * frac;
     }
   }
   // Second pass, ascending, so the draws keep the one-loop order.
   for (std::size_t k = 0; k < arrivals; ++k) {
-    const std::uint32_t i = arrivals_[k];
-    Course& course = courses_[i];
-    Dwell& dwell = dwells_[i];
+    const std::uint32_t a = listed[k];
+    Dwell& dwell = dwells_[a];
     if (dwell.left > 0) {
       // A paused agent waits; its trip resumes the round after the last.
-      if (--dwell.left == 0) course.speed = dwell.speed;
+      if (--dwell.left == 0) speed_[a] = dwell.speed;
       continue;
     }
-    Point2D& pos = positions[i];
-    double budget = course.speed;
+    Point2D pos{x[a], y[a]};
+    double budget = speed_[a];
     // Travel `speed` distance this round, switching trips at waypoints so
     // agents never stall (leftover budget carries into the new leg).
     for (int leg = 0; leg < 16 && budget > 0.0; ++leg) {
-      const double dist = euclidean_distance(pos, course.destination);
+      const Point2D destination{dest_x_[a], dest_y_[a]};
+      const double dist = euclidean_distance(pos, destination);
       if (dist <= budget) {
         budget -= dist;
-        pos = course.destination;
+        pos = destination;
         const std::uint64_t pause = dwell.on_arrival;
-        set_trip(i, policy_->next_trip(pos, rng_));
+        set_trip(a, policy_->next_trip(pos, rng_));
         if (pause > 0) {
           // The dwell consumes whole rounds starting now; leftover motion
           // budget is forfeited (the agent has stopped).
           dwell.left = pause;
-          dwell.speed = course.speed;
-          course.speed = kPaused;
+          dwell.speed = speed_[a];
+          speed_[a] = kPaused;
           break;
         }
       } else {
         const double frac = budget / dist;
-        pos.x += (course.destination.x - pos.x) * frac;
-        pos.y += (course.destination.y - pos.y) * frac;
+        pos.x += (destination.x - pos.x) * frac;
+        pos.y += (destination.y - pos.y) * frac;
         budget = 0.0;
       }
     }
+    x[a] = pos.x;
+    y[a] = pos.y;
   }
   engine_.moved();
   advance_clock();
@@ -228,9 +275,8 @@ void RandomTripModel::reset(std::uint64_t seed) {
 }
 
 void RandomTripModel::collapse_to(const Point2D& point) {
-  std::vector<Point2D>& positions = engine_.positions();
   for (std::size_t i = 0; i < num_agents_; ++i) {
-    positions[i] = point;
+    engine_.place(static_cast<std::uint32_t>(i), point);
     set_trip(i, policy_->next_trip(point, rng_));
   }
   engine_.moved();

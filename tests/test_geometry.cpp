@@ -184,9 +184,8 @@ TEST(SquareGrid, DiscInside) {
 // The engine's snapshot with agent i at grid point cells[i].
 const Snapshot& snapshot_at(ProximitySnapshotEngine& engine,
                             const std::vector<CellId>& cells) {
-  std::vector<Point2D>& positions = engine.positions();
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    positions[i] = engine.grid().position(cells[i]);
+  for (std::uint32_t i = 0; i < cells.size(); ++i) {
+    engine.place(i, engine.grid().position(cells[i]));
   }
   engine.moved();
   return engine.snapshot();

@@ -367,18 +367,17 @@ TEST(MobilityCliqueBuild, MatchesOracleAndLazyCsr) {
     ProximitySnapshotEngine engine(grid, c.radius, c.agents);
     Rng rng(c.m * 7919 + c.agents);
     for (int round = 0; round < 4; ++round) {
-      std::vector<Point2D>& positions = engine.positions();
       const Point2D spot{rng.uniform(0.0, c.spread),
                          rng.uniform(0.0, c.spread)};
-      for (Point2D& p : positions) {
-        p = c.collapsed ? spot
-                        : Point2D{rng.uniform(0.0, c.spread),
-                                  rng.uniform(0.0, c.spread)};
+      for (std::uint32_t i = 0; i < c.agents; ++i) {
+        engine.place(i, c.collapsed ? spot
+                                    : Point2D{rng.uniform(0.0, c.spread),
+                                              rng.uniform(0.0, c.spread)});
       }
       engine.moved();
       std::vector<CellId> cells(c.agents);
-      for (std::size_t i = 0; i < c.agents; ++i) {
-        cells[i] = grid.nearest(positions[i]);
+      for (std::uint32_t i = 0; i < c.agents; ++i) {
+        cells[i] = grid.nearest(engine.position(i));
       }
       std::vector<Snapshot> references;
       if (oracle) {
