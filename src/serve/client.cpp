@@ -213,6 +213,11 @@ std::optional<std::string> RetryingClient::recv_event(int timeout_ms) {
       pending_.erase(id);  // too_large: permanent, surface to the caller
       return line;
     }
+    if (event->string == "queued" && pending_.count(id) != 0) {
+      // Accepted: the queue has room again, so the next rejection starts
+      // the backoff over instead of waiting near max_backoff_ms.
+      backoff_ms_ = policy_.base_backoff_ms;
+    }
     if (event->string == "done" || event->string == "cancelled" ||
         event->string == "failed" ||
         (event->string == "error" && !id.empty())) {

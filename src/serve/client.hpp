@@ -98,9 +98,11 @@ class RetryingClient {
   // faults are absorbed internally: a `rejected` (queue_full/draining)
   // for a pending job waits out max(retry_after_ms, jittered backoff) and
   // resubmits; a closed connection reconnects and resubmits everything
-  // pending.  Terminal events (done/cancelled, or an error for a pending
-  // id) unregister the job and are returned.  nullopt = timeout_ms
-  // elapsed, or the server stayed unreachable through a backoff cycle.
+  // pending.  A `queued` event for a pending job (it was accepted) and a
+  // reconnect restart the backoff at base_backoff_ms.  Terminal events
+  // (done/cancelled, or an error for a pending id) unregister the job and
+  // are returned.  nullopt = timeout_ms elapsed, or the server stayed
+  // unreachable through a backoff cycle.
   std::optional<std::string> recv_event(int timeout_ms);
 
   std::size_t pending() const noexcept { return pending_.size(); }

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -36,6 +37,7 @@
 #if defined(__unix__) || defined(__APPLE__)
 #include <csignal>
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #endif
@@ -276,6 +278,85 @@ TEST(ServeChaos, RetryingClientRidesOutSaturation) {
   EXPECT_EQ(done, 3u);
   EXPECT_EQ(client.pending(), 0u);
 }
+
+#if defined(__unix__) || defined(__APPLE__)
+
+TEST(ServeChaos, AcceptedJobRestartsTheRetryBackoff) {
+  // A scripted daemon rejects job a (queue_full, no retry_after_ms hint,
+  // so each wait is the client's own jittered backoff) kRejections times,
+  // then queues and finishes it; then it rejects job b once.  Each wait
+  // is timed from the rejection to the resubmission.  a's waits grow
+  // toward max_backoff_ms (12, 13, 33, 97, 288 ms with this seed); b's,
+  // after a was accepted, starts over near base_backoff_ms (uniform in
+  // [base, 3 * base]).  A backoff that kept growing waits 400 ms there.
+  constexpr int kRejections = 5;
+  constexpr std::uint64_t kBaseMs = 5;
+  const std::string path = testing::TempDir() + "backoff_reset.sock";
+  std::filesystem::remove(path);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const SocketAddress address = unix_address(path);
+  ASSERT_EQ(::bind(listener, address.get(), address.size), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  std::vector<std::int64_t> waits_ms;
+  std::thread daemon([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    LineReader reader(fd);
+    std::string line;
+    const auto reply = [fd](const std::string& event, const char* id) {
+      send_line(fd, "{\"event\": \"" + event + "\", \"id\": \"" + id +
+                        "\", \"reason\": \"queue_full\"}");
+    };
+    const auto reject = [&](const char* id) {
+      reply("rejected", id);
+      const auto sent = std::chrono::steady_clock::now();
+      if (reader.read_line(kRecvMs, line) != RecvStatus::kLine) return;
+      waits_ms.push_back(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - sent)
+              .count());
+    };
+    reader.read_line(kRecvMs, line);  // a's submission
+    for (int k = 0; k < kRejections; ++k) reject("a");
+    reply("queued", "a");
+    reply("done", "a");
+    reader.read_line(kRecvMs, line);  // b's submission
+    reject("b");
+    reply("done", "b");
+    ::close(fd);
+  });
+
+  RetryPolicy policy;
+  policy.seed = 7;
+  policy.base_backoff_ms = kBaseMs;
+  policy.max_backoff_ms = 400;
+  RetryingClient client([&path] { return LineClient::connect_unix(path); },
+                        policy);
+  for (const char* id : {"a", "b"}) {
+    ASSERT_TRUE(client.submit(id, std::string("{\"op\": \"submit\", \"id\": \"") +
+                                      id + "\"}"));
+    std::optional<std::string> line;
+    do {
+      line = client.recv_event(kRecvMs);
+      ASSERT_TRUE(line.has_value());
+    } while (event_kind(*line) != "done");
+  }
+  daemon.join();
+  ::close(listener);
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(waits_ms.size(), std::size_t{kRejections} + 1);
+  const std::int64_t grown = *std::max_element(
+      waits_ms.begin(), waits_ms.begin() + kRejections);
+  EXPECT_EQ(client.rejected_retries(), std::uint64_t{kRejections} + 1);
+  EXPECT_GE(grown, 100) << "a's backoff did not grow";
+  // 3 * base plus room for a slow scheduler.
+  EXPECT_LT(waits_ms.back(), 3 * static_cast<std::int64_t>(kBaseMs) + 45);
+}
+
+#endif
 
 // ---------------------------------------------------------------------------
 // The acceptance chaos proof: SIGKILL the real daemon mid-campaign, then
