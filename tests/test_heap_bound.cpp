@@ -7,7 +7,8 @@
 // complement ranks; a second copy of the map, as a double-buffered
 // layout keeps, does not fit under the bounds below.  A co-location
 // snapshot is held as its groups, so reading one costs O(agents) heap
-// however many pairs its cliques have.
+// however many pairs its cliques have, and a random trip step nobody
+// reads allocates nothing.
 
 #include <gtest/gtest.h>
 
@@ -222,6 +223,25 @@ TEST(HeapBound, WaypointPileUpReadsAsGroups) {
     gossip.round(model->snapshot(), informed, newly, rng);
   }
   EXPECT_EQ(allocations.load() - first, 0u);
+}
+
+TEST(HeapBound, WaypointUnreadStepsAllocateNothing) {
+  // The waypoint_gossip model (n = 4096, L = 64, m = 32, r = 1, speeds
+  // in [0.5, 1]) through 256 steps that nobody reads, as a trial's
+  // warmup runs them: the motion arrays and the arrivals list are sized
+  // at construction, so a step allocates nothing.
+  constexpr std::size_t kAgents = 4096;
+  WaypointParams p;
+  p.side_length = 64.0;
+  p.v_min = 0.5;
+  p.v_max = 1.0;
+  p.radius = 1.0;
+  p.resolution = 32;
+  const auto model = make_random_waypoint(kAgents, p, 5);
+  const std::size_t first = allocations.load();
+  for (int t = 0; t < 256; ++t) model->step();
+  EXPECT_EQ(allocations.load() - first, 0u);
+  EXPECT_EQ(model->time(), 256u);
 }
 
 }  // namespace
