@@ -97,7 +97,9 @@ class ProximitySnapshotEngine {
 
   // An agent's connectivity cell, derived from its position, so it is
   // current even while the snapshot is stale.
-  CellId cell(std::uint32_t agent) const { return grid_.nearest(position(agent)); }
+  CellId cell(std::uint32_t agent) const {
+    return grid_.nearest(position(agent));
+  }
 
   // Marks the snapshot stale: the positions changed since the last read.
   void moved() noexcept { stale_ = true; }

@@ -178,13 +178,11 @@ void RandomTripModel::step() {
   // First pass, no draws: an agent short of its destination moves the
   // fraction speed / dist of the way there (the first leg of the loop
   // below, bit for bit); the rest, pausing agents among them, are listed
-  // as arrivals, ascending.  Two agents per iteration in SSE2 lanes, then
-  // the odd last agent (or every agent, on a target without SSE2) in the
-  // scalar body.  Each lane does the scalar body's operations in its
-  // order, each correctly rounded, so the bits are the same: dest - pos
-  // is the exact negation of pos - dest and squares the same, and a lane
-  // that arrives keeps its position (its quotient, maybe inf / dist or
-  // speed / 0, is discarded).
+  // as arrivals, ascending.  Two agents per SSE2 iteration, then the
+  // scalar body for what is left.  A lane's dest - pos is the exact
+  // negation of the scalar pos - dest, so its square is the same; a lane
+  // that arrives keeps its position, and its quotient (inf / dist for a
+  // paused agent, speed / 0 at the destination) is discarded.
   std::size_t arrivals = 0;
   std::size_t i = 0;
 #if defined(__SSE2__)

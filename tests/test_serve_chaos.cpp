@@ -306,8 +306,10 @@ TEST(ServeChaos, AcceptedJobRestartsTheRetryBackoff) {
     LineReader reader(fd);
     std::string line;
     const auto reply = [fd](const std::string& event, const char* id) {
-      send_line(fd, "{\"event\": \"" + event + "\", \"id\": \"" + id +
-                        "\", \"reason\": \"queue_full\"}");
+      const char* reason =
+          event == "rejected" ? ", \"reason\": \"queue_full\"" : "";
+      send_line(fd, "{\"event\": \"" + event + "\", \"id\": \"" + id + "\"" +
+                        reason + "}");
     };
     const auto reject = [&](const char* id) {
       reply("rejected", id);
@@ -334,15 +336,20 @@ TEST(ServeChaos, AcceptedJobRestartsTheRetryBackoff) {
   policy.max_backoff_ms = 400;
   RetryingClient client([&path] { return LineClient::connect_unix(path); },
                         policy);
-  for (const char* id : {"a", "b"}) {
-    ASSERT_TRUE(client.submit(id, std::string("{\"op\": \"submit\", \"id\": \"") +
-                                      id + "\"}"));
-    std::optional<std::string> line;
-    do {
-      line = client.recv_event(kRecvMs);
-      ASSERT_TRUE(line.has_value());
-    } while (event_kind(*line) != "done");
-  }
+  const auto run_jobs = [&client] {
+    for (const char* id : {"a", "b"}) {
+      const std::string line = std::string("{\"op\": \"submit\", \"id\": \"") +
+                               id + "\"}";
+      ASSERT_TRUE(client.submit(id, line));
+      std::optional<std::string> event;
+      do {
+        event = client.recv_event(kRecvMs);
+        ASSERT_TRUE(event.has_value());
+      } while (event_kind(*event) != "done");
+    }
+  };
+  run_jobs();
+  ::shutdown(listener, SHUT_RDWR);  // ends an accept() the client never met
   daemon.join();
   ::close(listener);
   std::filesystem::remove(path);
