@@ -161,9 +161,9 @@ void RandomTripModel::set_trip(std::size_t agent, const Trip& trip) {
 
 void RandomTripModel::initialize() {
   for (std::size_t i = 0; i < num_agents_; ++i) {
-    const auto agent = static_cast<std::uint32_t>(i);
-    engine_.place(agent, policy_->random_point(rng_));
-    set_trip(i, policy_->next_trip(engine_.position(agent), rng_));
+    const Point2D start = policy_->random_point(rng_);
+    engine_.place(static_cast<std::uint32_t>(i), start);
+    set_trip(i, policy_->next_trip(start, rng_));
   }
   engine_.moved();
 }
