@@ -8,15 +8,13 @@
 // the grid — at L = sqrt(n), unit radius, unit-ish speed, and check both
 // exhibit the same O(sqrt(n) polylog) flooding scaling.
 
+#include <algorithm>
 #include <cmath>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "mobility/random_paths.hpp"
-#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -33,36 +31,21 @@ int main() {
   for (std::size_t n : {32, 72, 128, 200}) {
     const auto side = static_cast<std::size_t>(
         std::llround(std::sqrt(static_cast<double>(n) / 2.0)) * 2);
+    const std::string seed = "--seed=" + std::to_string(100 + n);
     // Straight-line RWP on the side x side square, r = 1, v ~ 1.
-    WaypointParams wp;
-    wp.side_length = static_cast<double>(side - 1);
-    wp.v_min = 0.75;
-    wp.v_max = 1.25;
-    wp.radius = 1.0;
-    wp.resolution = std::max<std::size_t>(32, 2 * side);
-    const auto warm = make_random_waypoint(n, wp, 0);
-    TrialConfig cfg;
-    cfg.trials = 16;
-    cfg.seed = 100 + n;
-    cfg.max_rounds = 2'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    cfg.warmup_steps = warm->suggested_warmup();
-    const auto rwp = measure(
-        [&](std::uint64_t seed) {
-          return make_random_waypoint(n, wp, seed);
-        },
-        make_process_factory("flooding"), cfg);
-
+    const auto rwp = bench::run(
+        {"--model=random_waypoint", "--n=" + std::to_string(n),
+         "--side=" + std::to_string(side - 1), "--v_min=0.75",
+         "--v_max=1.25", "--radius=1",
+         "--resolution=" + std::to_string(std::max<std::size_t>(32, 2 * side)),
+         "--warmup=auto", "--trials=16", seed, "--max_rounds=2000000"});
     // Manhattan: L-paths on the side x side grid, 1 point per unit, one
-    // hop per round (speed 1), transmission radius 1 hop.
-    TrialConfig cfg2 = cfg;
-    cfg2.warmup_steps = 0;  // exact stationary initialization
-    const auto manhattan = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<GridLPathsModel>(side, n, 1, seed);
-        },
-        make_process_factory("flooding"), cfg2);
-
+    // hop per round (speed 1), transmission radius 1 hop; the start is
+    // exactly stationary, so no warmup.
+    const auto manhattan = bench::run(
+        {"--model=grid_paths", "--n=" + std::to_string(n),
+         "--side=" + std::to_string(side), "--connect_radius=1",
+         "--trials=16", seed, "--max_rounds=2000000"});
     table.add_row(
         {Table::integer(static_cast<long long>(n)),
          Table::integer(static_cast<long long>(side)),

@@ -13,13 +13,9 @@
 //    binding part, and no bound without it could hold.
 
 #include <iostream>
-#include <memory>
 
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
 #include "meg/clique_flicker.hpp"
-#include "meg/edge_meg.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -38,31 +34,23 @@ int main() {
             << ", incident beta = " << Table::num(probe.incident_beta(), 1)
             << " (independent models have beta ~ 1)\n\n";
 
-  TrialConfig cfg;
-  cfg.trials = 16;
-  cfg.max_rounds = 20'000'000;
-  cfg.threads = 0;  // trial runner: one worker per hardware thread
-
   Table table({"model", "gamma (subset resample)", "flood p50", "flood p90",
                "slowdown vs independent"});
-  cfg.seed = 41;
-  const auto indep = measure(
-      [&](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            n, TwoStateParams{alpha, 1.0 - alpha}, seed);
-      },
-      make_process_factory("flooding"), cfg);
+  const auto indep = bench::run(
+      {"--model=edge_meg", "--n=" + std::to_string(n),
+       "--p=" + bench::num_arg(alpha), "--q=" + bench::num_arg(1.0 - alpha),
+       "--trials=16", "--seed=41", "--max_rounds=20000000"});
   table.add_row({"independent edge-MEG", "-", Table::num(indep.rounds.median, 1),
                  Table::num(indep.rounds.p90, 1), "1.00"});
 
   std::vector<double> gammas, slowdowns;
   for (double gamma : {1.0, 0.25, 0.0625, 0.015625}) {
-    cfg.seed = 47 + static_cast<std::uint64_t>(1.0 / gamma);
-    const auto run = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<CliqueFlickerGraph>(n, m, rho, seed, gamma);
-        },
-        make_process_factory("flooding"), cfg);
+    const auto seed = 47 + static_cast<std::uint64_t>(1.0 / gamma);
+    const auto run = bench::run(
+        {"--model=clique_flicker", "--n=" + std::to_string(n),
+         "--clique=" + std::to_string(m), "--rho=" + bench::num_arg(rho),
+         "--resample=" + bench::num_arg(gamma), "--trials=16",
+         "--seed=" + std::to_string(seed), "--max_rounds=20000000"});
     const double slowdown =
         run.rounds.median / std::max(1.0, indep.rounds.median);
     table.add_row({"clique flicker", Table::num(gamma, 4),
@@ -70,10 +58,7 @@ int main() {
                    Table::num(run.rounds.p90, 1), Table::num(slowdown, 2)});
     gammas.push_back(1.0 / gamma);
     slowdowns.push_back(run.rounds.median);
-    if (run.incomplete > 0) {
-      std::cout << "WARNING: " << run.incomplete
-                << " incomplete at gamma=" << gamma << "\n";
-    }
+    bench::warn_incomplete(run, "gamma=" + Table::num(gamma, 4));
   }
   table.print(std::cout);
   bench::print_slope("clique-flicker flooding vs 1/gamma (expect ~1: the "

@@ -10,14 +10,13 @@
 // behaves like the mean, not the minimum — the worst-edge bound is valid
 // but conservative, since flooding routes around slow edges.
 
+#include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "meg/edge_meg.hpp"
-#include "meg/heterogeneous_edge_meg.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -28,11 +27,6 @@ int main() {
       "minimum / mean alpha of the ensemble.");
 
   const std::size_t n = 96;
-  TrialConfig cfg;
-  cfg.trials = 16;
-  cfg.max_rounds = 4'000'000;
-  cfg.threads = 0;  // trial runner: one worker per hardware thread
-
   Table table({"alpha spread [lo,hi]", "hetero p50", "min-pinned p50",
                "mean-pinned p50", "hetero/mean", "hetero/min"});
   for (const auto& [alpha_lo, alpha_hi] :
@@ -41,27 +35,24 @@ int main() {
     // alpha per edge uniform in [lo, hi]; edge speed lambda ~ 0.3 so all
     // edges mix in a handful of rounds.
     const double speed = 0.3;
-    cfg.seed = 600 + static_cast<std::uint64_t>(alpha_hi * 10000);
-    const auto hetero = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<HeterogeneousEdgeMEG>(
-              n,
-              uniform_alpha_rates(speed, speed,
-                                  std::max(1e-4, alpha_lo), alpha_hi),
-              seed);
-        },
-        make_process_factory("flooding"), cfg);
+    const double min_alpha = std::max(1e-4, alpha_lo);
+    const auto seed_value = 600 + static_cast<std::uint64_t>(alpha_hi * 10000);
+    const std::string seed = "--seed=" + std::to_string(seed_value);
+    const auto hetero = bench::run(
+        {"--model=het_edge_meg", "--n=" + std::to_string(n),
+         "--sampler=uniform_alpha", "--speed_lo=" + bench::num_arg(speed),
+         "--speed_hi=" + bench::num_arg(speed),
+         "--alpha_lo=" + bench::num_arg(min_alpha),
+         "--alpha_hi=" + bench::num_arg(alpha_hi), "--trials=16", seed,
+         "--max_rounds=4000000"});
     auto pinned = [&](double alpha) {
-      return measure(
-          [&](std::uint64_t seed) {
-            return std::make_unique<TwoStateEdgeMEG>(
-                n,
-                TwoStateParams{alpha * speed, (1.0 - alpha) * speed},
-                seed);
-          },
-          make_process_factory("flooding"), cfg);
+      return bench::run(
+          {"--model=edge_meg", "--n=" + std::to_string(n),
+           "--p=" + bench::num_arg(alpha * speed),
+           "--q=" + bench::num_arg((1.0 - alpha) * speed), "--trials=16",
+           seed, "--max_rounds=4000000"});
     };
-    const auto at_min = pinned(std::max(1e-4, alpha_lo));
+    const auto at_min = pinned(min_alpha);
     const double mean_alpha = 0.5 * (alpha_lo + alpha_hi);
     const auto at_mean = pinned(mean_alpha);
     table.add_row(

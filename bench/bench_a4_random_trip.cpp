@@ -8,39 +8,38 @@
 //  * a disk region instead of the square — different geometry, same
 //    conditions, same flooding ballpark.
 
+#include <cmath>
 #include <iostream>
-#include <memory>
+#include <numbers>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
 namespace {
 
-Measurement run_policy(std::shared_ptr<const TripPolicy> policy,
-                       std::size_t n, double radius, std::uint64_t seed,
-                       double warmup_factor) {
-  RandomTripModel warm(n, policy, radius, 48, 0);
-  TrialConfig cfg;
-  cfg.trials = 16;
-  cfg.seed = seed;
-  cfg.max_rounds = 4'000'000;
-  cfg.threads = 0;  // trial runner: one worker per hardware thread
-  cfg.warmup_steps = static_cast<std::uint64_t>(
-      warmup_factor * static_cast<double>(warm.suggested_warmup()));
-  return measure(
-      [&](std::uint64_t s) {
-        return std::make_unique<RandomTripModel>(n, policy, radius, 48, s);
-      },
-      make_process_factory("flooding"), cfg);
+// One random-trip point at n = 96, r = 1 on a 48-cell grid; `policy_args`
+// pick the policy.  The warmup is `warmup_factor` times the model's
+// suggested warmup (4 L / v_max), so pauses get a proportionally longer
+// run-in.
+Measurement run_policy(const std::vector<std::string>& policy_args,
+                       std::uint64_t seed, double warmup_factor) {
+  std::vector<std::string> args = {
+      "--model=random_trip", "--n=96", "--radius=1", "--resolution=48",
+      "--trials=16", "--seed=" + std::to_string(seed),
+      "--max_rounds=4000000"};
+  args.insert(args.end(), policy_args.begin(), policy_args.end());
+  const std::uint64_t warmup = static_cast<std::uint64_t>(
+      warmup_factor *
+      static_cast<double>(*bench::model(args).suggested_warmup));
+  args.push_back("--warmup=" + std::to_string(warmup));
+  return bench::run(args);
 }
 
 void pause_sweep() {
-  const std::size_t n = 96;
-  const double side = 10.0, v = 1.0, radius = 1.0;
+  const double side = 10.0, v = 1.0;
   std::cout << "\n-- pause-time sweep (square, L = " << side << ", v <= " << v
             << ") --\n";
   // Mean trip length ~ 0.52 L, so mean travel time ~ 0.52 L / (0.75 v).
@@ -48,11 +47,12 @@ void pause_sweep() {
   Table table({"pause rounds", "dwell fraction", "flood p50", "flood p90"});
   std::vector<double> dilation, floods;
   for (std::uint64_t pause : {0ULL, 4ULL, 8ULL, 16ULL, 32ULL}) {
-    auto policy = std::make_shared<SquareWaypointPolicy>(side, 0.5 * v, v,
-                                                         pause, pause);
-    const auto m =
-        run_policy(policy, n, radius, 700 + pause,
-                   2.0 * (1.0 + static_cast<double>(pause) / travel));
+    const auto m = run_policy(
+        {"--policy=square", "--side=" + bench::num_arg(side),
+         "--v_min=" + bench::num_arg(0.5 * v), "--v_max=" + bench::num_arg(v),
+         "--pause_lo=" + std::to_string(pause),
+         "--pause_hi=" + std::to_string(pause)},
+        700 + pause, 2.0 * (1.0 + static_cast<double>(pause) / travel));
     const double fraction =
         static_cast<double>(pause) / (travel + static_cast<double>(pause));
     table.add_row({Table::integer(static_cast<long long>(pause)),
@@ -60,10 +60,7 @@ void pause_sweep() {
                    Table::num(m.rounds.p90, 1)});
     dilation.push_back(1.0 + static_cast<double>(pause) / travel);
     floods.push_back(m.rounds.p90);
-    if (m.incomplete > 0) {
-      std::cout << "WARNING: " << m.incomplete << " incomplete at pause="
-                << pause << "\n";
-    }
+    bench::warn_incomplete(m, "pause=" + std::to_string(pause));
   }
   table.print(std::cout);
   bench::print_slope(
@@ -73,12 +70,12 @@ void pause_sweep() {
 }
 
 void region_comparison() {
-  const std::size_t n = 96;
-  const double side = 10.0, v = 1.0, radius = 1.0;
+  const double side = 10.0, v = 1.0;
   std::cout << "\n-- region ablation at matched density (n/area) --\n";
   Table table({"region", "area", "flood p50", "flood p90"});
   const auto square = run_policy(
-      std::make_shared<SquareWaypointPolicy>(side, 0.5 * v, v), n, radius,
+      {"--policy=square", "--side=" + bench::num_arg(side),
+       "--v_min=" + bench::num_arg(0.5 * v), "--v_max=" + bench::num_arg(v)},
       900, 2.0);
   table.add_row({"square", Table::num(side * side, 0),
                  Table::num(square.rounds.median, 1),
@@ -86,7 +83,8 @@ void region_comparison() {
   // Disk with the same area: radius R with pi R^2 = side^2.
   const double disk_side = 2.0 * side / std::sqrt(std::numbers::pi);
   const auto disk = run_policy(
-      std::make_shared<DiskWaypointPolicy>(disk_side, 0.5 * v, v), n, radius,
+      {"--policy=disk", "--side=" + bench::num_arg(disk_side),
+       "--v_min=" + bench::num_arg(0.5 * v), "--v_max=" + bench::num_arg(v)},
       901, 2.0);
   table.add_row({"disk (same area)",
                  Table::num(std::numbers::pi * disk_side * disk_side / 4.0, 0),

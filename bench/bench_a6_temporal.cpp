@@ -11,36 +11,29 @@
 // flooding time alongside.
 
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "analysis/temporal.hpp"
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
 #include "core/trace.hpp"
-#include "core/trial.hpp"
-#include "meg/edge_meg.hpp"
-#include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
 namespace {
 
-template <typename Factory>
-void analyze(const std::string& name, Factory&& factory,
-             std::uint64_t warmup) {
-  auto model = factory(7);
-  for (std::uint64_t w = 0; w < warmup; ++w) model->step();
-  const auto trace = record_trace(*model, 400);
+// `model_args` select the registry model; the trace realization (seed 7)
+// and every flooding trial run after the model's suggested warmup, if it
+// has one (the waypoint passes --warmup=auto).
+void analyze(const std::string& name, std::vector<std::string> model_args) {
+  const auto graph = bench::warmed_graph(bench::model(model_args), 7);
+  const auto trace = record_trace(*graph, 400);
   const SnapshotConnectivity conn = snapshot_connectivity(trace);
   const std::size_t t_interval = t_interval_connectivity(trace);
   const std::size_t window = smallest_connecting_window(trace);
 
-  TrialConfig cfg;
-  cfg.trials = 12;
-  cfg.max_rounds = 4'000'000;
-  cfg.threads = 0;  // trial runner: one worker per hardware thread
-  cfg.warmup_steps = warmup;
-  const auto m = measure(factory, make_process_factory("flooding"), cfg);
+  model_args.insert(model_args.end(), {"--trials=12", "--max_rounds=4000000"});
+  const auto m = bench::run(model_args);
 
   Table table({"metric", "value"});
   table.add_row({"snapshots connected (fraction)",
@@ -73,28 +66,12 @@ int main() {
       "no snapshot is connected and no short window is T-interval\n"
       "connected; this bench quantifies that claim on the real traces.");
 
-  const std::size_t n = 128;
-  analyze(
-      "sparse two-state edge-MEG (n = 128, n*alpha ~ 1)",
-      [&](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            n, TwoStateParams{1.0 / static_cast<double>(n * 3), 0.3}, seed);
-      },
-      0);
-
-  WaypointParams wp;
-  wp.side_length = 11.0;
-  wp.v_min = 0.5;
-  wp.v_max = 1.0;
-  wp.radius = 1.0;
-  wp.resolution = 44;
-  const auto warm = make_random_waypoint(n, wp, 0);
-  analyze(
-      "random waypoint (n = 128, L ~ sqrt(n), r = 1)",
-      [&](std::uint64_t seed) {
-        return make_random_waypoint(n, wp, seed);
-      },
-      warm->suggested_warmup());
+  analyze("sparse two-state edge-MEG (n = 128, n*alpha ~ 1)",
+          {"--model=edge_meg", "--n=128",
+           "--p=" + bench::num_arg(1.0 / 384.0), "--q=0.3"});
+  analyze("random waypoint (n = 128, L ~ sqrt(n), r = 1)",
+          {"--model=random_waypoint", "--n=128", "--side=11", "--v_min=0.5",
+           "--v_max=1", "--radius=1", "--resolution=44", "--warmup=auto"});
 
   std::cout << "\nExpected shape: connected fraction ~0, many isolated\n"
                "nodes, T-interval connectivity 0, yet flooding completes in\n"

@@ -9,14 +9,12 @@
 //    flooding contour shows low-power/high-mobility configurations
 //    matching high-power/low-mobility ones.
 
+#include <cstdint>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "graph/builders.hpp"
-#include "mobility/random_walk.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -26,39 +24,27 @@ int main() {
       "Mixed static/mobile populations on a grid: mobility substitutes\n"
       "for radio range, echoing [12].");
 
-  const std::size_t side = 10;
-  const auto graph = std::make_shared<const Graph>(grid_2d(side));
-  const std::size_t n = 60;
-
-  auto measure = [&](double fraction, std::uint32_t radius) {
-    RandomWalkParams params;
-    params.mobile_fraction = fraction;
-    params.connect_radius = radius;
-    TrialConfig cfg;
-    cfg.trials = 16;
-    cfg.seed = 1000 + static_cast<std::uint64_t>(fraction * 100) + radius;
-    cfg.max_rounds = 4'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    return megflood::measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<RandomWalkModel>(graph, n, params, seed);
-        },
-        make_process_factory("flooding"), cfg);
+  // 60 agents on a 10 x 10 grid.
+  auto run_walk = [](double fraction, std::uint32_t radius) {
+    const auto seed =
+        1000 + static_cast<std::uint64_t>(fraction * 100) + radius;
+    return bench::run(
+        {"--model=random_walk", "--n=60", "--side=10",
+         "--mobile_fraction=" + bench::num_arg(fraction),
+         "--connect_radius=" + std::to_string(radius), "--trials=16",
+         "--seed=" + std::to_string(seed), "--max_rounds=4000000"});
   };
 
   std::cout << "\n-- mobile-fraction sweep at r = 1 --\n";
   Table sweep({"mobile fraction", "flood p50", "flood p90"});
   std::vector<double> fracs, floods;
   for (double fraction : {0.25, 0.5, 0.75, 1.0}) {
-    const auto m = measure(fraction, 1);
+    const auto m = run_walk(fraction, 1);
     sweep.add_row({Table::num(fraction, 2), Table::num(m.rounds.median, 1),
                    Table::num(m.rounds.p90, 1)});
     fracs.push_back(fraction);
     floods.push_back(m.rounds.p90);
-    if (m.incomplete > 0) {
-      std::cout << "WARNING: " << m.incomplete << " incomplete at fraction "
-                << fraction << "\n";
-    }
+    bench::warn_incomplete(m, "fraction=" + Table::num(fraction, 2));
   }
   sweep.print(std::cout);
   bench::print_slope("flooding vs mobile fraction (negative: mobility helps)",
@@ -70,7 +56,7 @@ int main() {
   for (double fraction : {0.25, 0.5, 1.0}) {
     std::vector<std::string> row{Table::num(fraction, 2)};
     for (std::uint32_t radius : {0u, 1u, 2u, 3u}) {
-      const auto m = measure(fraction, radius);
+      const auto m = run_walk(fraction, radius);
       row.push_back(m.incomplete > 0 ? ">" + Table::num(m.rounds.median, 0)
                                      : Table::num(m.rounds.median, 1));
     }

@@ -8,13 +8,10 @@
 // is no steeper than the bound's growth.
 
 #include <iostream>
-#include <memory>
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "meg/edge_meg.hpp"
+#include "markov/two_state.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
@@ -27,48 +24,27 @@ void run_regime(const std::string& name, double edge_expectation, double q) {
             << ", q = " << q << ") --\n";
   Table table({"n", "p", "alpha", "T_mix(M)", "flood p50", "flood p90",
                "bound(raw)", "bound(calibrated)", "dominated"});
-  bench::BoundCalibrator cal;
-  std::vector<double> ns, measured;
+  bench::CalibratedSweep sweep("n");
   for (std::size_t n : {64, 128, 256, 512, 1024}) {
     // Solve alpha = p/(p+q) = edge_expectation / n for p.
     const double alpha = edge_expectation / static_cast<double>(n);
     const double p = alpha * q / (1.0 - alpha);
-    TwoStateEdgeMEG probe(n, {p, q}, 1);
-    const auto t_mix = static_cast<double>(probe.chain().mixing_time());
-
-    TrialConfig cfg;
-    cfg.trials = 24;
-    cfg.seed = 1000 + n;
-    cfg.max_rounds = 2'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
-                                                   seed);
-        },
-        make_process_factory("flooding"), cfg);
-    const double raw = theorem1_bound(t_mix, n, alpha, 1.0);
-    // A measurement with zero completed trials must not calibrate the
-    // constant, count as dominated, or enter the slope fit.
-    const bool usable = !m.all_incomplete();
-    const double calibrated = usable ? cal.record(m.rounds.p90, raw) : 0.0;
-    table.add_row({Table::integer(static_cast<long long>(n)), Table::num(p, 5),
-                   Table::num(alpha, 5), Table::num(t_mix, 0),
-                   bench::fmt_rounds(m, m.rounds.median),
-                   bench::fmt_rounds(m, m.rounds.p90),
-                   Table::num(raw, 1),
-                   usable ? Table::num(calibrated, 1) : "n/a",
-                   usable ? bench::verdict(m.rounds.p90 <= 3.0 * calibrated)
-                          : "n/a"});
-    if (usable) {
-      ns.push_back(static_cast<double>(n));
-      measured.push_back(m.rounds.p90);
-    }
-    bench::warn_incomplete(m, "n=" + std::to_string(n));
+    const auto t_mix =
+        static_cast<double>(TwoStateChain({p, q}).mixing_time());
+    const auto m = bench::run(
+        {"--model=edge_meg", "--n=" + std::to_string(n),
+         "--p=" + bench::num_arg(p), "--q=" + bench::num_arg(q),
+         "--trials=24", "--seed=" + std::to_string(1000 + n),
+         "--max_rounds=2000000"});
+    table.add_row(sweep.row({Table::integer(static_cast<long long>(n)),
+                             Table::num(p, 5), Table::num(alpha, 5),
+                             Table::num(t_mix, 0)},
+                            static_cast<double>(n), m,
+                            theorem1_bound(t_mix, n, alpha, 1.0)));
   }
   table.print(std::cout);
-  bench::print_footer(cal, "flooding p90");
-  bench::print_slope("measured flooding vs n", ns, measured);
+  sweep.print_footer("flooding p90");
+  sweep.print_slope("measured flooding vs n");
 }
 
 }  // namespace

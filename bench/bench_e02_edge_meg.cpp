@@ -8,13 +8,9 @@
 
 #include <cmath>
 #include <iostream>
-#include <memory>
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "meg/edge_meg.hpp"
 #include "util/table.hpp"
 
 int main() {
@@ -36,17 +32,12 @@ int main() {
   // sweep up to 8 (q = 1, instant link death).
   for (double ratio : {0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0}) {
     const double q = ratio * np;
-    TrialConfig cfg;
-    cfg.trials = 24;
-    cfg.seed = 7000 + static_cast<std::uint64_t>(ratio * 1000);
-    cfg.max_rounds = 4'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p, q},
-                                                   seed);
-        },
-        make_process_factory("flooding"), cfg);
+    const auto seed = 7000 + static_cast<std::uint64_t>(ratio * 1000);
+    const auto m = bench::run(
+        {"--model=edge_meg", "--n=" + std::to_string(n),
+         "--p=" + bench::num_arg(p), "--q=" + bench::num_arg(q),
+         "--trials=24", "--seed=" + std::to_string(seed),
+         "--max_rounds=4000000"});
     const double ours = edge_meg_bound(n, p, q);
     const double eq2 = edge_meg_tight_bound(n, p);
     const bool tight = ours <= polylog * eq2;
@@ -73,17 +64,12 @@ int main() {
   Table table2({"q", "flood p50", "ours(raw)", "eq2(raw)", "ours/eq2",
                 "within polylog"});
   for (double q : {0.001, 0.01, 0.1, 1.0}) {
-    TrialConfig cfg;
-    cfg.trials = 16;
-    cfg.seed = 8800 + static_cast<std::uint64_t>(q * 10000);
-    cfg.max_rounds = 100000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<TwoStateEdgeMEG>(n, TwoStateParams{p2, q},
-                                                   seed);
-        },
-        make_process_factory("flooding"), cfg);
+    const auto seed = 8800 + static_cast<std::uint64_t>(q * 10000);
+    const auto m = bench::run(
+        {"--model=edge_meg", "--n=" + std::to_string(n),
+         "--p=" + bench::num_arg(p2), "--q=" + bench::num_arg(q),
+         "--trials=16", "--seed=" + std::to_string(seed),
+         "--max_rounds=100000"});
     const double ours = edge_meg_bound(n, p2, q);
     const double eq2 = edge_meg_tight_bound(n, p2);
     table2.add_row({Table::num(q, 4), bench::fmt_rounds(m, m.rounds.median),

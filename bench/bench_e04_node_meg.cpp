@@ -8,12 +8,9 @@
 // n (sparsifies the connection graph: P_NM = 3/K).
 
 #include <iostream>
-#include <memory>
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
 #include "graph/builders.hpp"
 #include "markov/mixing.hpp"
 #include "meg/node_meg.hpp"
@@ -24,39 +21,27 @@ namespace {
 
 void sweep_n(std::size_t k) {
   const DenseChain chain = lazy_random_walk_chain(cycle_graph(k));
-  const ConnectionMap conn = cycle_proximity_connection(k, 1);
-  const auto inv = node_meg_invariants(chain.stationary(), conn);
+  const auto inv = node_meg_invariants(chain.stationary(),
+                                       cycle_proximity_connection(k, 1));
   const auto t_mix = static_cast<double>(mixing_time(chain));
   std::cout << "\n-- sweep n at K = " << k << " states (P_NM = "
             << Table::num(inv.p_nm, 4) << ", eta = " << Table::num(inv.eta, 3)
             << ", T_mix = " << t_mix << ") --\n";
   Table table({"n", "flood p50", "flood p90", "bound(raw)",
                "bound(calibrated)", "dominated"});
-  bench::BoundCalibrator cal;
+  bench::CalibratedSweep sweep("n");
   for (std::size_t n : {32, 64, 128, 256}) {
-    TrialConfig cfg;
-    cfg.trials = 24;
-    cfg.seed = 400 + n;
-    cfg.max_rounds = 1'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<ExplicitNodeMEG>(n, chain, conn, seed);
-        },
-        make_process_factory("flooding"), cfg);
-    const double raw = theorem3_bound(t_mix, n, inv.p_nm, inv.eta);
-    const double calibrated = cal.record(m.rounds.p90, raw);
-    table.add_row({Table::integer(static_cast<long long>(n)),
-                   Table::num(m.rounds.median, 1), Table::num(m.rounds.p90, 1),
-                   Table::num(raw, 1), Table::num(calibrated, 1),
-                   bench::verdict(m.rounds.p90 <= 3.0 * calibrated)});
-    if (m.incomplete > 0) {
-      std::cout << "WARNING: " << m.incomplete << " incomplete at n=" << n
-                << "\n";
-    }
+    const auto m = bench::run(
+        {"--model=node_meg", "--n=" + std::to_string(n),
+         "--states=" + std::to_string(k), "--connection=cycle",
+         "--trials=24", "--seed=" + std::to_string(400 + n),
+         "--max_rounds=1000000"});
+    table.add_row(sweep.row({Table::integer(static_cast<long long>(n))},
+                            static_cast<double>(n), m,
+                            theorem3_bound(t_mix, n, inv.p_nm, inv.eta)));
   }
   table.print(std::cout);
-  bench::print_footer(cal, "flooding p90");
+  sweep.print_footer("flooding p90");
 }
 
 void sweep_states() {
@@ -65,37 +50,25 @@ void sweep_states() {
             << " (P_NM = 3/K shrinks, T_mix ~ K^2 grows) --\n";
   Table table({"K", "P_NM", "eta", "T_mix", "flood p50", "flood p90",
                "bound(raw)", "bound(calibrated)", "dominated"});
-  bench::BoundCalibrator cal;
+  bench::CalibratedSweep sweep("K");
   for (std::size_t k : {8, 12, 16, 24}) {
     const DenseChain chain = lazy_random_walk_chain(cycle_graph(k));
-    const ConnectionMap conn = cycle_proximity_connection(k, 1);
-    const auto inv = node_meg_invariants(chain.stationary(), conn);
+    const auto inv = node_meg_invariants(chain.stationary(),
+                                         cycle_proximity_connection(k, 1));
     const auto t_mix = static_cast<double>(mixing_time(chain));
-    TrialConfig cfg;
-    cfg.trials = 16;
-    cfg.seed = 4400 + k;
-    cfg.max_rounds = 1'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<ExplicitNodeMEG>(n, chain, conn, seed);
-        },
-        make_process_factory("flooding"), cfg);
-    const double raw = theorem3_bound(t_mix, n, inv.p_nm, inv.eta);
-    const double calibrated = cal.record(m.rounds.p90, raw);
-    table.add_row({Table::integer(static_cast<long long>(k)),
-                   Table::num(inv.p_nm, 4), Table::num(inv.eta, 3),
-                   Table::num(t_mix, 0), Table::num(m.rounds.median, 1),
-                   Table::num(m.rounds.p90, 1), Table::num(raw, 1),
-                   Table::num(calibrated, 1),
-                   bench::verdict(m.rounds.p90 <= 3.0 * calibrated)});
-    if (m.incomplete > 0) {
-      std::cout << "WARNING: " << m.incomplete << " incomplete at K=" << k
-                << "\n";
-    }
+    const auto m = bench::run(
+        {"--model=node_meg", "--n=" + std::to_string(n),
+         "--states=" + std::to_string(k), "--connection=cycle",
+         "--trials=16", "--seed=" + std::to_string(4400 + k),
+         "--max_rounds=1000000"});
+    table.add_row(sweep.row({Table::integer(static_cast<long long>(k)),
+                             Table::num(inv.p_nm, 4), Table::num(inv.eta, 3),
+                             Table::num(t_mix, 0)},
+                            static_cast<double>(k), m,
+                            theorem3_bound(t_mix, n, inv.p_nm, inv.eta)));
   }
   table.print(std::cout);
-  bench::print_footer(cal, "flooding p90");
+  sweep.print_footer("flooding p90");
 }
 
 }  // namespace

@@ -14,12 +14,10 @@
 
 #include <cmath>
 #include <iostream>
-#include <memory>
+#include <utility>
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
 #include "mobility/random_trip.hpp"
 #include "util/table.hpp"
 
@@ -37,50 +35,40 @@ WaypointParams sparse_params(std::size_t n) {
   return p;
 }
 
-Measurement measure(std::size_t n, const WaypointParams& p,
-                    std::size_t trials, std::uint64_t seed) {
-  const auto warm = make_random_waypoint(n, p, 0);
-  TrialConfig cfg;
-  cfg.trials = trials;
-  cfg.seed = seed;
-  cfg.max_rounds = 2'000'000;
-  cfg.threads = 0;  // trial runner: one worker per hardware thread
-  cfg.warmup_steps = warm->suggested_warmup();
-  return megflood::measure(
-      [&](std::uint64_t s) {
-        return make_random_waypoint(n, p, s);
-      },
-      make_process_factory("flooding"), cfg);
+Measurement run_waypoint(std::size_t n, const WaypointParams& p,
+                         std::size_t trials, std::uint64_t seed) {
+  return bench::run(
+      {"--model=random_waypoint", "--n=" + std::to_string(n),
+       "--side=" + bench::num_arg(p.side_length),
+       "--v_min=" + bench::num_arg(p.v_min),
+       "--v_max=" + bench::num_arg(p.v_max),
+       "--radius=" + bench::num_arg(p.radius),
+       "--resolution=" + std::to_string(p.resolution),
+       "--trials=" + std::to_string(trials), "--seed=" + std::to_string(seed),
+       "--max_rounds=2000000", "--warmup=auto"});
 }
 
 void sweep_n() {
   std::cout << "\n-- sweep n with L = sqrt(n), r = 1, v in [0.75, 1.5] --\n";
   Table table({"n", "L", "flood p50", "flood p90", "lower Omega(L/v)",
                "bound(raw)", "bound(calibrated)", "dominated"});
-  bench::BoundCalibrator cal;
-  std::vector<double> ns, measured;
+  bench::CalibratedSweep sweep("n");
   for (std::size_t n : {32, 64, 128, 256, 512}) {
     const WaypointParams p = sparse_params(n);
-    const auto m = measure(n, p, 16, 500 + n);
-    const double raw = waypoint_bound(p.side_length, p.v_max, n, p.radius);
-    const double lower = waypoint_lower_bound(p.side_length, p.v_max);
-    const double calibrated = cal.record(m.rounds.p90, raw);
-    table.add_row({Table::integer(static_cast<long long>(n)),
-                   Table::num(p.side_length, 2), Table::num(m.rounds.median, 1),
-                   Table::num(m.rounds.p90, 1), Table::num(lower, 1),
-                   Table::num(raw, 1), Table::num(calibrated, 1),
-                   bench::verdict(m.rounds.p90 <= 3.0 * calibrated)});
-    ns.push_back(static_cast<double>(n));
-    measured.push_back(m.rounds.p90);
-    if (m.incomplete > 0) {
-      std::cout << "WARNING: " << m.incomplete << " incomplete at n=" << n
-                << "\n";
-    }
+    const auto m = run_waypoint(n, p, 16, 500 + n);
+    auto cells = sweep.row(
+        {Table::integer(static_cast<long long>(n)),
+         Table::num(p.side_length, 2)},
+        static_cast<double>(n), m,
+        waypoint_bound(p.side_length, p.v_max, n, p.radius));
+    // The lower-bound column sits between flood p90 and bound(raw).
+    cells.insert(cells.begin() + 4,
+                 Table::num(waypoint_lower_bound(p.side_length, p.v_max), 1));
+    table.add_row(std::move(cells));
   }
   table.print(std::cout);
-  bench::print_footer(cal, "flooding p90");
-  bench::print_slope("flooding vs n (expect ~0.5 + log factors)", ns,
-                     measured);
+  sweep.print_footer("flooding p90");
+  sweep.print_slope("flooding vs n (expect ~0.5 + log factors)");
 }
 
 void sweep_speed() {
@@ -93,7 +81,8 @@ void sweep_speed() {
     WaypointParams p = sparse_params(n);
     p.v_min = 0.5 * v;
     p.v_max = v;
-    const auto m = measure(n, p, 16, 900 + static_cast<std::uint64_t>(v * 8));
+    const auto m =
+        run_waypoint(n, p, 16, 900 + static_cast<std::uint64_t>(v * 8));
     table.add_row({Table::num(v, 2), Table::num(m.rounds.median, 1),
                    Table::num(m.rounds.p90, 1)});
     vs.push_back(v);
@@ -111,7 +100,7 @@ void sweep_resolution() {
   for (std::size_t m_res : {16, 32, 64, 128}) {
     WaypointParams p = sparse_params(n);
     p.resolution = m_res;
-    const auto m = measure(n, p, 12, 1200 + m_res);
+    const auto m = run_waypoint(n, p, 12, 1200 + m_res);
     table.add_row({Table::integer(static_cast<long long>(m_res)),
                    Table::num(m.rounds.median, 1),
                    Table::num(m.rounds.p90, 1)});

@@ -13,12 +13,9 @@
 // provably cannot flood across parity classes (see DESIGN.md).
 
 #include <iostream>
-#include <memory>
 
 #include "analysis/bounds.hpp"
 #include "bench_util.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
 #include "mobility/random_paths.hpp"
 #include "util/table.hpp"
 
@@ -32,8 +29,7 @@ int main() {
 
   Table table({"side s", "|V|", "n", "delta(#P)", "D(grid)", "flood p50",
                "flood p90", "bound(raw)", "bound(calibrated)", "dominated"});
-  bench::BoundCalibrator cal;
-  std::vector<double> sides, measured;
+  bench::CalibratedSweep sweep("s");
   for (std::size_t side : {6, 9, 12, 16}) {
     const std::size_t points = side * side;
     const std::size_t n = 2 * points;
@@ -42,38 +38,22 @@ int main() {
     // Unique-path mixing: T_mix = O(D) per the paper's discussion; each
     // trip fully re-randomizes the destination within <= D steps.
     const double t_mix = diam_h;
-
-    TrialConfig cfg;
-    cfg.trials = 16;
-    cfg.seed = 600 + side;
-    cfg.max_rounds = 2'000'000;
-    cfg.threads = 0;  // trial runner: one worker per hardware thread
-    const auto m = measure(
-        [&](std::uint64_t seed) {
-          return std::make_unique<GridLPathsModel>(side, n, 1, seed);
-        },
-        make_process_factory("flooding"), cfg);
-    const double raw = corollary5_bound(t_mix, n, points, delta);
-    const double calibrated = cal.record(m.rounds.p90, raw);
-    table.add_row(
+    const auto m = bench::run(
+        {"--model=grid_paths", "--n=" + std::to_string(n),
+         "--side=" + std::to_string(side), "--connect_radius=1",
+         "--trials=16", "--seed=" + std::to_string(600 + side),
+         "--max_rounds=2000000"});
+    table.add_row(sweep.row(
         {Table::integer(static_cast<long long>(side)),
          Table::integer(static_cast<long long>(points)),
          Table::integer(static_cast<long long>(n)), Table::num(delta, 3),
-         Table::num(diam_h, 0), Table::num(m.rounds.median, 1),
-         Table::num(m.rounds.p90, 1), Table::num(raw, 1),
-         Table::num(calibrated, 1),
-         bench::verdict(m.rounds.p90 <= 3.0 * calibrated)});
-    sides.push_back(static_cast<double>(side));
-    measured.push_back(m.rounds.p90);
-    if (m.incomplete > 0) {
-      std::cout << "WARNING: " << m.incomplete << " incomplete at s=" << side
-                << "\n";
-    }
+         Table::num(diam_h, 0)},
+        static_cast<double>(side), m,
+        corollary5_bound(t_mix, n, points, delta)));
   }
   table.print(std::cout);
-  bench::print_footer(cal, "flooding p90");
-  bench::print_slope("flooding vs side s (expect ~1, i.e. O(D polylog))",
-                     sides, measured);
+  sweep.print_footer("flooding p90");
+  sweep.print_slope("flooding vs side s (expect ~1, i.e. O(D polylog))");
   std::cout << "delta stays a small constant across s (Corollary 5's "
                "regularity premise for shortest paths on grids).\n";
   return 0;

@@ -13,13 +13,12 @@
 
 #include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/flooding.hpp"
-#include "core/trial.hpp"
-#include "meg/edge_meg.hpp"
-#include "mobility/random_trip.hpp"
+#include "util/rng.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
@@ -38,9 +37,8 @@ std::vector<std::uint64_t> milestones(const FloodResult& r, std::size_t n) {
   return times;
 }
 
-template <typename Factory>
-void run_model(const std::string& name, std::size_t n, Factory&& factory,
-               std::uint64_t warmup) {
+void run_model(const std::string& name, const ScenarioModel& model) {
+  const std::size_t n = model.num_nodes;
   std::cout << "\n-- model: " << name << " (n = " << n << ") --\n";
   constexpr std::size_t kTrials = 12;
   // This harness needs the full |I_t| trajectory of every trial (the
@@ -51,9 +49,8 @@ void run_model(const std::string& name, std::size_t n, Factory&& factory,
   std::vector<double> spreading, saturation, max_doubling;
   std::vector<std::vector<double>> milestone_samples;
   for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
-    auto model = factory(seeds[trial]);
-    for (std::uint64_t w = 0; w < warmup; ++w) model->step();
-    const FloodResult r = flood(*model, 0, 4'000'000);
+    const auto graph = bench::warmed_graph(model, seeds[trial]);
+    const FloodResult r = flood(*graph, 0, 4'000'000);
     if (!r.completed) {
       std::cout << "WARNING: incomplete trial " << trial << "\n";
       continue;
@@ -112,29 +109,15 @@ int main() {
       "epochs until n/2 (spreading), then saturates in the cheaper\n"
       "O((1/(n a)+b) log n) epochs.");
 
-  const std::size_t n = 256;
-  const double p = 1.5 / static_cast<double>(n);  // sparse: n*alpha ~ 1.5/(1+q/p)...
-  run_model(
-      "sparse two-state edge-MEG", n,
-      [&](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            n, TwoStateParams{p / 4.0, 0.4}, seed);
-      },
-      0);
-
-  WaypointParams wp;
-  wp.side_length = 10.0;
-  wp.v_min = 0.5;
-  wp.v_max = 1.0;
-  wp.radius = 1.0;
-  wp.resolution = 40;
-  const std::size_t wn = 96;
-  const auto warm = make_random_waypoint(wn, wp, 0);
-  run_model(
-      "random waypoint (sparse)", wn,
-      [&](std::uint64_t seed) {
-        return make_random_waypoint(wn, wp, seed);
-      },
-      warm->suggested_warmup());
+  // Sparse: p = 1.5 / (4 n) against q = 0.4, so n * alpha ~ 0.9.
+  run_model("sparse two-state edge-MEG",
+            bench::model({"--model=edge_meg", "--n=256",
+                          "--p=" + bench::num_arg(1.5 / 256.0 / 4.0),
+                          "--q=0.4"}));
+  // The waypoint runs from its suggested warmup (4 L / v_max).
+  run_model("random waypoint (sparse)",
+            bench::model({"--model=random_waypoint", "--n=96", "--side=10",
+                          "--v_min=0.5", "--v_max=1", "--radius=1",
+                          "--resolution=40"}));
   return 0;
 }

@@ -10,41 +10,47 @@
 // converge to (i) as k grows, and stay within the flooding-bound regime
 // (a constant-factor slowdown for constant k on sparse models).
 //
-// All three run through the generic measure() harness: the direct
-// protocol is KPushProcess, the reduction is plain FloodingProcess on an
-// overlay-wrapped graph factory.  One root seed, derive_seeds per trial,
-// no hand-rolled loops.
+// All three run through the generic measure() harness: flooding and the
+// direct protocol (--process=kpush:<k>) as registry scenarios, the
+// reduction as plain flooding on an overlay-wrapped registry factory.
+// One root seed, derive_seeds per trial, no hand-rolled loops.
 
 #include <algorithm>
 #include <iostream>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
-#include "core/process.hpp"
-#include "core/scenario.hpp"
-#include "core/trial.hpp"
-#include "meg/edge_meg.hpp"
-#include "mobility/random_trip.hpp"
 #include "protocols/k_push.hpp"
-#include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
 namespace {
 
-void run_model(const std::string& name, std::size_t n,
-               const GraphFactory& factory, std::uint64_t warmup) {
-  std::cout << "\n-- model: " << name << " (n = " << n << ") --\n";
-  TrialConfig cfg;
-  cfg.trials = 12;
-  cfg.seed = 7;
-  cfg.max_rounds = 2'000'000;
-  cfg.rotate_sources = false;
-  cfg.warmup_steps = warmup;
+// `model_args` select the registry model (and its warmup); every row
+// runs it with the same trials, seed and fixed source.
+void run_model(const std::string& name,
+               std::vector<std::string> model_args) {
+  model_args.insert(model_args.end(), {"--trials=12", "--seed=7",
+                                       "--max_rounds=2000000",
+                                       "--rotate_sources=0"});
+  const auto run = [&model_args](const std::string& process) {
+    std::vector<std::string> args = model_args;
+    args.push_back("--process=" + process);
+    return bench::run(args);
+  };
+  // The overlay is no registry model: it wraps the registry's factory and
+  // measures with the same trial configuration.
+  const ScenarioSpec spec = parse_scenario_args(model_args);
+  const ScenarioModel model = make_model_factory(spec);
+  TrialConfig cfg = spec.trial;
   cfg.threads = 0;
+  if (spec.warmup_auto) cfg.warmup_steps = *model.suggested_warmup;
+  std::cout << "\n-- model: " << name << " (n = " << model.num_nodes
+            << ") --\n";
 
-  const Measurement flooding_baseline =
-      measure(factory, make_process_factory("flooding"), cfg);
+  const Measurement flooding_baseline = run("flooding");
   bench::warn_incomplete(flooding_baseline, "flooding on " + name);
   const double baseline_median = std::max(1.0, flooding_baseline.rounds.median);
 
@@ -58,17 +64,16 @@ void run_model(const std::string& name, std::size_t n,
                  "1.00"});
 
   for (std::size_t k : {1, 2, 4, 8}) {
-    const Measurement push = measure(
-        factory, [k] { return std::make_unique<KPushProcess>(k); }, cfg);
+    const Measurement push = run("kpush:" + std::to_string(k));
     bench::warn_incomplete(push, "k-push k=" + std::to_string(k));
     // The reduction: flooding on the virtual graph that keeps at most k
     // selected incident edges per node.  The overlay owns its inner model
     // and derives its selection seed from the trial seed, so the whole
     // trial is still a pure function of one derive_seeds entry.
     const GraphFactory overlay_factory =
-        [&factory, k](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-      return std::make_unique<RandomSubsetOverlay>(factory(seed), k,
-                                                   seed ^ 0x517cc1b727220a95ULL);
+        [&model, k](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
+      return std::make_unique<RandomSubsetOverlay>(
+          model.factory(seed), k, seed ^ 0x517cc1b727220a95ULL);
     };
     const Measurement over =
         measure(overlay_factory, make_process_factory("flooding"), cfg);
@@ -103,28 +108,11 @@ int main() {
       "Claim: the random-subset transmission protocol reduces to flooding\n"
       "on a virtual dynamic graph with some edges removed.");
 
-  const std::size_t n = 128;
-  run_model(
-      "sparse two-state edge-MEG", n,
-      [&](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-        return std::make_unique<TwoStateEdgeMEG>(
-            n, TwoStateParams{1.0 / static_cast<double>(n * 2), 0.3}, seed);
-      },
-      0);
-
-  WaypointParams wp;
-  wp.side_length = 8.0;
-  wp.v_min = 0.5;
-  wp.v_max = 1.0;
-  wp.radius = 1.0;
-  wp.resolution = 32;
-  const std::size_t wn = 64;
-  const auto warm = make_random_waypoint(wn, wp, 0);
-  run_model(
-      "random waypoint", wn,
-      [&](std::uint64_t seed) -> std::unique_ptr<DynamicGraph> {
-        return make_random_waypoint(wn, wp, seed);
-      },
-      warm->suggested_warmup());
+  run_model("sparse two-state edge-MEG",
+            {"--model=edge_meg", "--n=128",
+             "--p=" + bench::num_arg(1.0 / 256.0), "--q=0.3"});
+  run_model("random waypoint",
+            {"--model=random_waypoint", "--n=64", "--side=8", "--v_min=0.5",
+             "--v_max=1", "--radius=1", "--resolution=32", "--warmup=auto"});
   return 0;
 }

@@ -10,22 +10,21 @@
 // is why rotating sources suffices); the waypoint's spread reflects the
 // source's distance to the dense center.
 
+#include <algorithm>
 #include <iostream>
-#include <memory>
+#include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "core/flooding.hpp"
-#include "meg/edge_meg.hpp"
-#include "mobility/random_trip.hpp"
+#include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace megflood {
 namespace {
 
-template <typename Factory>
-void run_model(const std::string& name, Factory&& factory,
-               std::uint64_t warmup) {
+void run_model(const std::string& name, const ScenarioModel& model) {
   constexpr std::size_t kRealizations = 8;
   // flood_all_sources() measures F(G) = max_s F(G, s) on one shared
   // realization — per-source results, not a Measurement — so it drives
@@ -35,10 +34,9 @@ void run_model(const std::string& name, Factory&& factory,
   const auto seeds = derive_seeds(/*master=*/11, kRealizations);
   std::vector<double> maxima, medians, minima, spreads;
   for (std::uint64_t trial = 0; trial < kRealizations; ++trial) {
-    auto model = factory(seeds[trial]);
-    for (std::uint64_t w = 0; w < warmup; ++w) model->step();
+    const auto graph = bench::warmed_graph(model, seeds[trial]);
     const AllSourcesResult all =
-        flood_all_sources(*model, 1'000'000, /*threads=*/0);
+        flood_all_sources(*graph, 1'000'000, /*threads=*/0);
     if (!all.all_completed) {
       std::cout << "WARNING: some sources incomplete in realization "
                 << trial << "\n";
@@ -79,28 +77,14 @@ int main() {
       "Exact all-sources flooding per realization, quantifying how much\n"
       "the source choice matters for each model family.");
 
-  const std::size_t n = 96;
-  run_model(
-      "two-state edge-MEG (node-exchangeable)",
-      [&](std::uint64_t seed) {
-        return std::make_unique<TwoStateEdgeMEG>(
-            n, TwoStateParams{1.0 / static_cast<double>(n * 2), 0.3}, seed);
-      },
-      0);
-
-  WaypointParams wp;
-  wp.side_length = 10.0;
-  wp.v_min = 0.5;
-  wp.v_max = 1.0;
-  wp.radius = 1.0;
-  wp.resolution = 40;
-  const auto warm = make_random_waypoint(n, wp, 0);
-  run_model(
-      "random waypoint",
-      [&](std::uint64_t seed) {
-        return make_random_waypoint(n, wp, seed);
-      },
-      warm->suggested_warmup());
+  run_model("two-state edge-MEG (node-exchangeable)",
+            bench::model({"--model=edge_meg", "--n=96",
+                          "--p=" + bench::num_arg(1.0 / 192.0), "--q=0.3"}));
+  // The waypoint runs from its suggested warmup (4 L / v_max).
+  run_model("random waypoint",
+            bench::model({"--model=random_waypoint", "--n=96", "--side=10",
+                          "--v_min=0.5", "--v_max=1", "--radius=1",
+                          "--resolution=40"}));
 
   std::cout << "\nExpected shape: small max/min spreads (a few x) on both\n"
                "models — the rotating-source estimator used by E1-E11 is\n"

@@ -135,6 +135,7 @@ bool RetryingClient::reconnect_and_resubmit() {
     if (is_reconnect) ++reconnects_;
     connected_once_ = true;
     backoff_ms_ = policy_.base_backoff_ms;  // healthy again: restart cheap
+    resend_at_.clear();                     // every pending line goes now
     bool all_sent = true;
     for (const auto& [id, line] : pending_) {
       // Idempotent by campaign identity: a resubmitted job whose first
@@ -163,7 +164,26 @@ bool RetryingClient::submit(const std::string& id,
   return false;
 }
 
+// Resubmits every rejected job whose resend time has come; a failed send
+// closes the connection, and the reconnect then resends everything.
+void RetryingClient::resend_due() {
+  const auto now = std::chrono::steady_clock::now();
+  for (auto it = resend_at_.begin(); it != resend_at_.end();) {
+    if (it->second > now) {
+      ++it;
+      continue;
+    }
+    const auto job = pending_.find(it->first);
+    it = resend_at_.erase(it);
+    if (job != pending_.end() && !client_.send_line(job->second)) {
+      client_.close();
+      return;
+    }
+  }
+}
+
 std::optional<std::string> RetryingClient::recv_event(int timeout_ms) {
+  using Clock = std::chrono::steady_clock;
   const auto started = std::chrono::steady_clock::now();
   const auto remaining = [&]() -> int {
     if (timeout_ms < 0) return -1;
@@ -176,9 +196,29 @@ std::optional<std::string> RetryingClient::recv_event(int timeout_ms) {
   };
   while (true) {
     if (!client_.connected() && !reconnect_and_resubmit()) return std::nullopt;
+    resend_due();
+    if (!client_.connected()) continue;
+    // Read until the caller's timeout, or only until the earliest resend
+    // is due when that comes first.
+    int wait_ms = remaining();
+    bool resend_first = false;
+    if (!resend_at_.empty()) {
+      auto due = resend_at_.begin()->second;
+      for (const auto& entry : resend_at_) due = std::min(due, entry.second);
+      const auto until_due = static_cast<int>(std::max<long long>(
+          0, std::chrono::ceil<std::chrono::milliseconds>(due - Clock::now())
+                 .count()));
+      if (wait_ms < 0 || until_due < wait_ms) {
+        wait_ms = until_due;
+        resend_first = true;
+      }
+    }
     RecvStatus status = RecvStatus::kClosed;
-    auto line = client_.recv_line(remaining(), &status);
-    if (status == RecvStatus::kTimeout) return std::nullopt;
+    auto line = client_.recv_line(wait_ms, &status);
+    if (status == RecvStatus::kTimeout) {
+      if (resend_first) continue;
+      return std::nullopt;
+    }
     if (status == RecvStatus::kClosed) {
       client_.close();
       if (!reconnect_and_resubmit()) return std::nullopt;
@@ -206,8 +246,8 @@ std::optional<std::string> RetryingClient::recv_event(int timeout_ms) {
                 ? static_cast<std::uint64_t>(hint->number)
                 : 0;
         ++rejected_retries_;
-        sleep_ms(std::max(hint_ms, next_backoff_ms()));
-        if (!client_.send_line(pending_[id])) client_.close();
+        resend_at_[id] = Clock::now() + std::chrono::milliseconds(std::max(
+                                            hint_ms, next_backoff_ms()));
         continue;
       }
       pending_.erase(id);  // too_large: permanent, surface to the caller
@@ -222,6 +262,7 @@ std::optional<std::string> RetryingClient::recv_event(int timeout_ms) {
         event->string == "failed" ||
         (event->string == "error" && !id.empty())) {
       pending_.erase(id);
+      resend_at_.erase(id);
     }
     return line;
   }

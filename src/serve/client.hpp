@@ -23,6 +23,7 @@
 // canonical campaign identity, so a job whose first attempt completed
 // server-side resolves from the cache, byte-identical.
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -96,13 +97,16 @@ class RetryingClient {
 
   // The next server event for the caller.  Backpressure and transport
   // faults are absorbed internally: a `rejected` (queue_full/draining)
-  // for a pending job waits out max(retry_after_ms, jittered backoff) and
-  // resubmits; a closed connection reconnects and resubmits everything
-  // pending.  A `queued` event for a pending job (it was accepted) and a
-  // reconnect restart the backoff at base_backoff_ms.  Terminal events
-  // (done/cancelled, or an error for a pending id) unregister the job and
-  // are returned.  nullopt = timeout_ms elapsed, or the server stayed
-  // unreachable through a backoff cycle.
+  // for a pending job schedules its resubmission max(retry_after_ms,
+  // jittered backoff) after the rejection and reading goes on, so a run
+  // of rejections waits once, not once per job; each resubmission goes
+  // out when due, and a wait for the next line lasts at most until the
+  // earliest one.  A closed connection reconnects and resubmits
+  // everything pending.  A `queued` event for a pending job (it was
+  // accepted) and a reconnect restart the backoff at base_backoff_ms.
+  // Terminal events (done/cancelled, or an error for a pending id)
+  // unregister the job and are returned.  nullopt = timeout_ms elapsed,
+  // or the server stayed unreachable through a backoff cycle.
   std::optional<std::string> recv_event(int timeout_ms);
 
   std::size_t pending() const noexcept { return pending_.size(); }
@@ -112,6 +116,7 @@ class RetryingClient {
 
  private:
   bool reconnect_and_resubmit();
+  void resend_due();
   std::uint64_t next_backoff_ms();
   void sleep_ms(std::uint64_t ms);
 
@@ -119,6 +124,8 @@ class RetryingClient {
   RetryPolicy policy_;
   LineClient client_;
   std::map<std::string, std::string> pending_;  // job id -> submit line
+  // Rejected jobs awaiting their resubmission: job id -> when it is due.
+  std::map<std::string, std::chrono::steady_clock::time_point> resend_at_;
   Rng jitter_;
   std::uint64_t backoff_ms_;
   bool connected_once_ = false;

@@ -5,11 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hpp"
+#include "graph/builders.hpp"
+#include "markov/chain.hpp"
+#include "meg/clique_flicker.hpp"
+#include "meg/edge_meg.hpp"
+#include "meg/general_edge_meg.hpp"
+#include "meg/node_meg.hpp"
+#include "mobility/random_paths.hpp"
+#include "mobility/random_trip.hpp"
+#include "mobility/random_walk.hpp"
 
 namespace megflood {
 namespace {
@@ -369,6 +382,164 @@ TEST(ScenarioValidation, RejectsGridsPastTheCellIdRange) {
     spec.params["resolution"] = "65536";
     EXPECT_NO_THROW((void)make_model_factory(spec)) << model;
   }
+}
+
+std::string format_double(const char* format, double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, format, value);
+  return buf;
+}
+
+void expect_same_summary(const Summary& a, const Summary& b,
+                         const std::string& what) {
+  EXPECT_EQ(a.count, b.count) << what;
+  for (const auto field : {&Summary::mean, &Summary::stddev, &Summary::min,
+                           &Summary::p25, &Summary::median, &Summary::p75,
+                           &Summary::p90, &Summary::p99, &Summary::max}) {
+    EXPECT_EQ(a.*field, b.*field) << what;
+  }
+}
+
+// Runs `args` (a model, its parameters and perhaps --warmup=auto) through
+// run_scenario with cfg's trials, seed and max_rounds, and measure() over
+// the hand-built `factory` with cfg itself; the two must agree bit for bit.
+void expect_registry_matches(std::vector<std::string> args,
+                             const GraphFactory& factory,
+                             const TrialConfig& cfg) {
+  const std::string what = args.front();
+  args.insert(args.end(), {"--trials=" + std::to_string(cfg.trials),
+                           "--seed=" + std::to_string(cfg.seed),
+                           "--max_rounds=" + std::to_string(cfg.max_rounds)});
+  const Measurement registry =
+      run_scenario(parse_scenario_args(args)).measurement;
+  const Measurement direct =
+      measure(factory, make_process_factory("flooding"), cfg);
+  ASSERT_GT(direct.rounds.count, 0u) << what << ": nothing to compare";
+  EXPECT_EQ(registry.incomplete, direct.incomplete) << what;
+  expect_same_summary(registry.rounds, direct.rounds, what + " rounds");
+  expect_same_summary(registry.spreading_rounds, direct.spreading_rounds,
+                      what + " spreading");
+  expect_same_summary(registry.saturation_rounds, direct.saturation_rounds,
+                      what + " saturation");
+  ASSERT_EQ(registry.metrics.size(), direct.metrics.size()) << what;
+  for (const auto& [name, summary] : direct.metrics) {
+    ASSERT_EQ(registry.metrics.count(name), 1u) << what << " " << name;
+    expect_same_summary(registry.metrics.at(name), summary, what + " " + name);
+  }
+}
+
+// The experiment harnesses measure through the registry instead of
+// constructing their models by hand; each registry model they use must
+// draw exactly what the direct constructor draws.
+TEST(ScenarioRegistry, HarnessModelsMatchHandBuiltFactories) {
+  TrialConfig cfg;
+  cfg.trials = 6;
+  cfg.seed = 17;
+  cfg.max_rounds = 200'000;
+
+  // A p that %.10g would round: only 17 digits carry it exactly.  A
+  // draw rarely moves with the last bits of p, so the built chain's p is
+  // compared too.
+  const double alpha = 2.0 / 64.0;
+  const double p = alpha * 0.25 / (1.0 - alpha);
+  ASSERT_NE(std::stod(format_double("%.10g", p)), p);
+  const std::vector<std::string> edge_args = {
+      "--model=edge_meg", "--n=64", "--p=" + format_double("%.17g", p),
+      "--q=0.25"};
+  const auto edge = make_model_factory(parse_scenario_args(edge_args))
+                        .factory(1);
+  EXPECT_EQ(dynamic_cast<const TwoStateEdgeMEG&>(*edge).chain().birth_rate(),
+            p);
+  expect_registry_matches(
+      edge_args,
+      [p](std::uint64_t seed) {
+        return std::make_unique<TwoStateEdgeMEG>(64, TwoStateParams{p, 0.25},
+                                                 seed);
+      },
+      cfg);
+
+  const DenseChain chain = lazy_random_walk_chain(cycle_graph(12));
+  const ConnectionMap connection = cycle_proximity_connection(12, 1);
+  expect_registry_matches(
+      {"--model=node_meg", "--n=48", "--states=12", "--connection=cycle"},
+      [&](std::uint64_t seed) {
+        return std::make_unique<ExplicitNodeMEG>(48, chain, connection, seed);
+      },
+      cfg);
+
+  expect_registry_matches(
+      {"--model=grid_paths", "--n=72", "--side=6", "--connect_radius=1"},
+      [](std::uint64_t seed) {
+        return std::make_unique<GridLPathsModel>(6, 72, 1, seed);
+      },
+      cfg);
+
+  const BurstyLink bursty = make_bursty_link(0.05, 0.3, 0.4);
+  expect_registry_matches(
+      {"--model=general_edge_meg", "--n=48", "--link=bursty", "--wake=0.05",
+       "--ready=0.3", "--drop=0.4"},
+      [&](std::uint64_t seed) {
+        return std::make_unique<GeneralEdgeMEG>(48, bursty.chain, bursty.chi,
+                                                seed);
+      },
+      cfg);
+  const BurstyLink duty = make_duty_cycle_link(8, 2, 0.7);
+  expect_registry_matches(
+      {"--model=general_edge_meg", "--n=48", "--link=duty_cycle",
+       "--period=8", "--on_states=2", "--advance=0.7"},
+      [&](std::uint64_t seed) {
+        return std::make_unique<GeneralEdgeMEG>(48, duty.chain, duty.chi,
+                                                seed);
+      },
+      cfg);
+
+  // --warmup=auto resolves to the warmup a built model suggests.
+  WaypointParams wp;
+  wp.side_length = std::sqrt(32.0);
+  wp.v_min = 0.75;
+  wp.v_max = 1.5;
+  wp.radius = 1.0;
+  wp.resolution = 32;
+  TrialConfig warmed = cfg;
+  warmed.warmup_steps = make_random_waypoint(32, wp, 0)->suggested_warmup();
+  expect_registry_matches(
+      {"--model=random_waypoint", "--n=32",
+       "--side=" + format_double("%.17g", wp.side_length), "--v_min=0.75",
+       "--v_max=1.5", "--radius=1", "--resolution=32", "--warmup=auto"},
+      [&wp](std::uint64_t seed) { return make_random_waypoint(32, wp, seed); },
+      warmed);
+
+  const auto paused =
+      std::make_shared<const SquareWaypointPolicy>(10.0, 0.5, 1.0, 4, 4);
+  warmed.warmup_steps = RandomTripModel::suggested_warmup(*paused);
+  expect_registry_matches(
+      {"--model=random_trip", "--n=48", "--policy=square", "--side=10",
+       "--v_min=0.5", "--v_max=1", "--pause_lo=4", "--pause_hi=4",
+       "--radius=1", "--resolution=48", "--warmup=auto"},
+      [&paused](std::uint64_t seed) {
+        return std::make_unique<RandomTripModel>(48, paused, 1.0, 48, seed);
+      },
+      warmed);
+
+  expect_registry_matches(
+      {"--model=clique_flicker", "--n=48", "--clique=6", "--rho=0.5",
+       "--resample=0.25"},
+      [](std::uint64_t seed) {
+        return std::make_unique<CliqueFlickerGraph>(48, 6, 0.5, seed, 0.25);
+      },
+      cfg);
+
+  const auto grid = std::make_shared<const Graph>(grid_2d(8));
+  RandomWalkParams walk;
+  walk.mobile_fraction = 0.5;
+  walk.connect_radius = 1;
+  expect_registry_matches(
+      {"--model=random_walk", "--n=40", "--side=8", "--mobile_fraction=0.5",
+       "--connect_radius=1"},
+      [&](std::uint64_t seed) {
+        return std::make_unique<RandomWalkModel>(grid, 40, walk, seed);
+      },
+      cfg);
 }
 
 }  // namespace

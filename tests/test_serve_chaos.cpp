@@ -363,6 +363,84 @@ TEST(ServeChaos, AcceptedJobRestartsTheRetryBackoff) {
   EXPECT_LT(waits_ms.back(), 3 * static_cast<std::int64_t>(kBaseMs) + 45);
 }
 
+TEST(ServeChaos, ARejectionRunWaitsOnceNotPerJob) {
+  // A scripted daemon reads kJobs pipelined submissions, then rejects them
+  // all back to back (queue_full, no retry_after_ms hint), as a full
+  // queue does.  Each resubmission is timed from the first rejection.  A
+  // client that slept its backoff once per rejection, in line, would send
+  // the last one only after the sum of the growing backoffs (12, 13, 33,
+  // 97 ms, then 200 ms each with this seed: ~955 ms); one that schedules
+  // every resend at its own due time sends all within one max backoff.
+  constexpr int kJobs = 8;
+  constexpr std::int64_t kMaxBackoffMs = 200;
+  const std::string path = testing::TempDir() + "rejection_run.sock";
+  std::filesystem::remove(path);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const SocketAddress address = unix_address(path);
+  ASSERT_EQ(::bind(listener, address.get(), address.size), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  const auto job_id = [](int j) { return "j" + std::to_string(j); };
+  std::vector<std::int64_t> resend_ms;
+  std::thread daemon([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    LineReader reader(fd);
+    std::string line;
+    const auto reply = [fd](const std::string& event, const std::string& id) {
+      const char* reason =
+          event == "rejected" ? ", \"reason\": \"queue_full\"" : "";
+      send_line(fd, "{\"event\": \"" + event + "\", \"id\": \"" + id + "\"" +
+                        reason + "}");
+    };
+    for (int j = 0; j < kJobs; ++j) {
+      if (reader.read_line(kRecvMs, line) != RecvStatus::kLine) return;
+    }
+    const auto first_rejection = std::chrono::steady_clock::now();
+    for (int j = 0; j < kJobs; ++j) reply("rejected", job_id(j));
+    for (int j = 0; j < kJobs; ++j) {
+      if (reader.read_line(kRecvMs, line) != RecvStatus::kLine) return;
+      resend_ms.push_back(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - first_rejection)
+              .count());
+    }
+    for (int j = 0; j < kJobs; ++j) {
+      reply("queued", job_id(j));
+      reply("done", job_id(j));
+    }
+    ::close(fd);
+  });
+
+  RetryPolicy policy;
+  policy.seed = 7;
+  policy.base_backoff_ms = 5;
+  policy.max_backoff_ms = kMaxBackoffMs;
+  RetryingClient client([&path] { return LineClient::connect_unix(path); },
+                        policy);
+  for (int j = 0; j < kJobs; ++j) {
+    ASSERT_TRUE(client.submit(
+        job_id(j), "{\"op\": \"submit\", \"id\": \"" + job_id(j) + "\"}"));
+  }
+  int done = 0;
+  while (done < kJobs) {
+    const auto event = client.recv_event(kRecvMs);
+    ASSERT_TRUE(event.has_value());
+    if (event_kind(*event) == "done") ++done;
+  }
+  ::shutdown(listener, SHUT_RDWR);
+  daemon.join();
+  ::close(listener);
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(resend_ms.size(), std::size_t{kJobs});
+  EXPECT_EQ(client.rejected_retries(), std::uint64_t{kJobs});
+  EXPECT_EQ(client.pending(), 0u);
+  // One max backoff plus room for a slow scheduler.
+  EXPECT_LT(resend_ms.back(), kMaxBackoffMs + 100);
+}
+
 #endif
 
 // ---------------------------------------------------------------------------
@@ -509,7 +587,8 @@ bool await_progress(LineClient& client, double completed) {
   while (const auto line = client.recv_line(kRecvMs)) {
     if (event_kind(*line) != "trial_done") continue;
     std::string error;
-    const JsonValue* done = parse_json(*line, error)->find("completed");
+    const auto parsed = parse_json(*line, error);  // owns what find() returns
+    const JsonValue* done = parsed ? parsed->find("completed") : nullptr;
     if (done != nullptr && done->number >= completed) return true;
   }
   return false;
