@@ -196,6 +196,32 @@ void BM_ConstructSparseGeneralEdgeMeg(benchmark::State& state) {
 BENCHMARK(BM_ConstructSparseGeneralEdgeMeg)->Arg(32768)
     ->Unit(benchmark::kMillisecond);
 
+void BM_GeometricSelect(benchmark::State& state) {
+  // geometric_select with a visit that draws and branches on its draws,
+  // as the sparse minority select does (a thinning Bernoulli, then an
+  // exit target), at p = state.range(0) / 10^6 and ~174763 expected
+  // visits: p = 0.5 (the meg_sparse_flood envelope) reads its draws
+  // through the geometric table, p = 0.000244 (below
+  // kGeometricTableMinP) through libm.  Items are visits.
+  const double p = static_cast<double>(state.range(0)) * 1e-6;
+  const auto count = static_cast<std::uint64_t>(174763 / p);
+  Rng rng(1);
+  std::uint64_t visits = 0;
+  for (auto _ : state) {
+    std::uint64_t moved = 0;
+    geometric_select(rng, count, p, [&](std::uint64_t) {
+      ++visits;
+      if (!rng.bernoulli(0.6)) return;
+      moved += rng.uniform() < 0.5 ? 1 : 2;
+    });
+    benchmark::DoNotOptimize(moved);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(visits));
+  state.SetLabel(p >= kGeometricTableMinP ? "table" : "libm");
+}
+BENCHMARK(BM_GeometricSelect)->Arg(500000)->Arg(244)
+    ->Unit(benchmark::kMillisecond);
+
 // Times sample_distinct_positions drawing state.range(0) of the pairs of
 // a `nodes`-node population.
 void time_subset_draw(benchmark::State& state, std::uint64_t nodes) {

@@ -255,8 +255,15 @@ std::optional<std::string> RetryingClient::recv_event(int timeout_ms) {
     }
     if (event->string == "queued" && pending_.count(id) != 0) {
       // Accepted: the queue has room again, so the next rejection starts
-      // the backoff over instead of waiting near max_backoff_ms.
+      // the backoff over instead of waiting near max_backoff_ms, and the
+      // resends already scheduled go out within one base backoff rather
+      // than at due times set while the queue was full.
       backoff_ms_ = policy_.base_backoff_ms;
+      const auto latest =
+          Clock::now() + std::chrono::milliseconds(policy_.base_backoff_ms);
+      for (auto& entry : resend_at_) {
+        entry.second = std::min(entry.second, latest);
+      }
     }
     if (event->string == "done" || event->string == "cancelled" ||
         event->string == "failed" ||

@@ -103,7 +103,9 @@ class RetryingClient {
   // out when due, and a wait for the next line lasts at most until the
   // earliest one.  A closed connection reconnects and resubmits
   // everything pending.  A `queued` event for a pending job (it was
-  // accepted) and a reconnect restart the backoff at base_backoff_ms.
+  // accepted) and a reconnect restart the backoff at base_backoff_ms; the
+  // `queued` event also pulls every scheduled resend forward to at most
+  // base_backoff_ms from then.
   // Terminal events (done/cancelled, or an error for a pending id)
   // unregister the job and are returned.  nullopt = timeout_ms elapsed,
   // or the server stayed unreachable through a backoff cycle.

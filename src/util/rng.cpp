@@ -1,5 +1,8 @@
 #include "util/rng.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 namespace megflood {
 
 std::uint64_t Rng::uniform_int_reject(__uint128_t m,
@@ -24,6 +27,36 @@ std::uint64_t Rng::binomial(std::uint64_t n, double p) noexcept {
   std::uint64_t hits = 0;
   geometric_select(*this, n, rate, [&](std::uint64_t) { ++hits; });
   return flipped ? n - hits : hits;
+}
+
+GeometricTable::GeometricTable(double log1m_p) noexcept : log1m_p_(log1m_p) {
+  const auto quotient = [log1m_p](std::uint64_t m) {
+    return Rng::geometric_quotient(m << 11, log1m_p);
+  };
+  constexpr int kShift = 53 - kCellBits;
+  constexpr double kMargin = 0x1.0p-40;
+  double lo = quotient(0);
+  for (std::size_t c = 0; c < kCells; ++c) {
+    const std::uint64_t next = c + 1 < kCells
+                                   ? std::uint64_t{c + 1} << kShift
+                                   : (std::uint64_t{1} << 53) - 1;
+    const double hi = quotient(next);
+    const double low = std::max(lo - (std::fabs(lo) + 1.0) * kMargin, 0.0);
+    const double high = hi + (std::fabs(hi) + 1.0) * kMargin;
+    std::uint8_t cell = kUncertified;
+    if (high < kUncertified) {
+      const auto g = static_cast<std::uint8_t>(low);
+      if (high < g + 1.0) cell = g;
+    }
+    cells_[c] = cell;
+    lo = hi;
+  }
+}
+
+double GeometricTable::certified_share() const noexcept {
+  std::size_t certified = 0;
+  for (const std::uint8_t cell : cells_) certified += cell != kUncertified;
+  return static_cast<double>(certified) / kCells;
 }
 
 std::vector<std::uint64_t> derive_seeds(std::uint64_t master, std::size_t count) {

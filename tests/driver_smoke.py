@@ -17,6 +17,11 @@ kill_resume: a checkpointed campaign SIGKILLs itself after the 4th durable
 record (--inject=kill:after=4, the shell's exit 137); resuming it from the
 same --checkpoint prints CSV byte-identical to an uninterrupted run.
 
+second_signal: a checkpointed campaign whose trial 0 sleeps a minute
+(--inject=slow:trial=0,ms=60000) gets two SIGTERMs: the first asks for a
+graceful stop, which would wait out the trial; the second must kill the
+process by SIGTERM within 2 s.  Resuming prints the uninterrupted CSV.
+
 exit_codes: a trial that throws (--inject=throw:trial=1) exits 4, a
 descending sweep exits 2.
 
@@ -28,6 +33,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 TIMEOUT_S = 120
@@ -98,6 +104,40 @@ def kill_resume(driver, work):
           "resumed CSV differs from the uninterrupted run")
 
 
+def second_signal(driver, work):
+    baseline = run(driver, work, *CAMPAIGN)
+    check(baseline.returncode == 0, f"baseline exited {baseline.returncode}")
+    proc = subprocess.Popen(
+        [driver, *CAMPAIGN, "--checkpoint=sig.ckpt",
+         "--inject=slow:trial=0,ms=60000"],
+        cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        # The journal exists once the driver runs, after main installed
+        # its handlers.
+        deadline = time.monotonic() + TIMEOUT_S
+        while not (work / "sig.ckpt").exists():
+            check(proc.poll() is None and time.monotonic() < deadline,
+                  "the campaign never opened its checkpoint")
+            time.sleep(0.01)
+        time.sleep(0.2)
+        proc.send_signal(signal.SIGTERM)
+        time.sleep(0.2)
+        check(proc.poll() is None, "the first SIGTERM did not wait for "
+              f"the running trial, exited {proc.returncode}")
+        proc.send_signal(signal.SIGTERM)
+        code = proc.wait(timeout=2)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    check(code == -signal.SIGTERM,
+          f"the second SIGTERM must kill the campaign, exited {code}")
+    resumed = run(driver, work, *CAMPAIGN, "--checkpoint=sig.ckpt")
+    check(resumed.returncode == 0, f"resume exited {resumed.returncode}")
+    check(resumed.stdout == baseline.stdout,
+          "resumed CSV differs from the uninterrupted run")
+
+
 def exit_codes(driver, work):
     code = run(driver, work, "--model=edge_meg", "--n=64", "--trials=4",
                "--format=csv", "--inject=throw:trial=1").returncode
@@ -113,7 +153,8 @@ def main(argv):
         return 2
     driver = str(Path(argv[1]).resolve())  # the smokes run in temp dirs
     failed = 0
-    for smoke in (list_models, runs, sweep, kill_resume, exit_codes):
+    for smoke in (list_models, runs, sweep, kill_resume, second_signal,
+                  exit_codes):
         with tempfile.TemporaryDirectory(prefix="mfdriver") as work:
             try:
                 smoke(driver, Path(work))

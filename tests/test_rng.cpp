@@ -422,6 +422,85 @@ TEST(Rng, GeometricStreamIsPinned) {
   }
 }
 
+// The p of the table tests: the minority envelope (0.5), the thinning and
+// class split rates, the table's lowest p and a p next to 1.
+constexpr double kTableRates[] = {0.5,  0.3, 0.375, 0.1, 1.0 / 32, 0.9,
+                                  1.0 - 0x1.0p-20};
+
+TEST(GeometricTable, GivesTheLibmDrawForEveryWord) {
+  // Every word the table serves must draw what geometric_from_bits draws:
+  // 10^7 random words per p, and the 7 words around each cell's first
+  // and last m = bits >> 11, where a cell that straddles a step of the
+  // floor would show.  The certified share keeps the check from passing
+  // on an all-fallback table.
+  constexpr int kShift = 64 - GeometricTable::kCellBits;
+  constexpr std::uint64_t kLastM = (std::uint64_t{1} << 53) - 1;
+  for (const double p : kTableRates) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p);
+    const double log1m_p = std::log1p(-p);
+    const GeometricTable table(log1m_p);
+    EXPECT_GE(table.certified_share(), 0.95);
+    std::uint64_t mismatches = 0;
+    const auto check = [&](std::uint64_t bits) {
+      if (table.draw(bits) != Rng::geometric_from_bits(bits, log1m_p)) {
+        if (++mismatches <= 5) ADD_FAILURE() << "bits 0x" << std::hex << bits;
+      }
+    };
+    for (std::uint64_t c = 0; c < GeometricTable::kCells; ++c) {
+      const std::uint64_t first = c << (kShift - 11);
+      const std::uint64_t last = ((c + 1) << (kShift - 11)) - 1;
+      for (const std::uint64_t m : {first, last}) {
+        for (std::int64_t d = -3; d <= 3; ++d) {
+          const std::uint64_t near = m + static_cast<std::uint64_t>(d);
+          // The low 11 bits never reach u; give them a pattern anyway.
+          if (near <= kLastM) check(near << 11 | 0x5a5U);
+        }
+      }
+    }
+    Rng rng(31);
+    for (int i = 0; i < 10000000; ++i) check(rng());
+    EXPECT_EQ(mismatches, 0u);
+  }
+}
+
+TEST(GeometricTable, SelectAndBinomialMatchTheLibmLoop) {
+  // geometric_select takes the table once count * p reaches
+  // kGeometricTableMinDraws (and p >= kGeometricTableMinP); on both sides
+  // of that rule the visits and the stream left behind must be the
+  // per-call libm loop's.
+  std::uint64_t seed = 200;
+  const auto expect_same = [&](double p, std::uint64_t count) {
+    SCOPED_TRACE(::testing::Message() << "p=" << p << " count=" << count);
+    Rng x(seed), y(seed);
+    ++seed;
+    std::vector<std::uint64_t> selected;
+    geometric_select(x, count, p,
+                     [&](std::uint64_t i) { selected.push_back(i); });
+    EXPECT_EQ(selected, per_call_select(y, count, p));
+    EXPECT_EQ(x(), y());
+    Rng v(seed), w(seed);
+    ++seed;
+    EXPECT_EQ(v.binomial(count, p), per_call_binomial(w, count, p));
+    EXPECT_EQ(v(), w());
+  };
+  for (const double p : kTableRates) {
+    const double at_rule = kGeometricTableMinDraws / p;
+    for (const double scale : {0.5, 0.99, 1.0, 1.01, 4.0}) {
+      expect_same(p, static_cast<std::uint64_t>(std::ceil(at_rule * scale)));
+    }
+  }
+  // Just below the table's lowest p, with enough draws: the libm side.
+  const double below = std::nextafter(kGeometricTableMinP, 0.0);
+  expect_same(below, static_cast<std::uint64_t>(4 * kGeometricTableMinDraws /
+                                                below));
+  // binomial counts the smaller of p and 1 - p, so p > 1/2 reaches the
+  // table through its flipped rate.
+  for (const double p : {0.7, 0.9, 0.99}) {
+    expect_same(p, static_cast<std::uint64_t>(
+                       4 * kGeometricTableMinDraws / (1.0 - p)));
+  }
+}
+
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(20);
   Rng b = a.split();

@@ -441,6 +441,90 @@ TEST(ServeChaos, ARejectionRunWaitsOnceNotPerJob) {
   EXPECT_LT(resend_ms.back(), kMaxBackoffMs + 100);
 }
 
+TEST(ServeChaos, AQueuedJobPullsScheduledResendsForward) {
+  // A scripted daemon reads job a and kRejected more pipelined
+  // submissions, rejects the others (queue_full, retry_after_ms =
+  // kHintMs), then queues a: the queue has room again.  Each resubmission
+  // is timed from that `queued` event.  A client that kept the resends at
+  // their due times would send them kHintMs after the rejections; one
+  // that pulls them forward sends each within base_backoff_ms.
+  constexpr int kRejected = 4;
+  constexpr std::int64_t kHintMs = 1500;
+  constexpr std::int64_t kBaseMs = 5;
+  const std::string path = testing::TempDir() + "queued_pulls.sock";
+  std::filesystem::remove(path);
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  const SocketAddress address = unix_address(path);
+  ASSERT_EQ(::bind(listener, address.get(), address.size), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  const auto job_id = [](int j) { return "b" + std::to_string(j); };
+  std::vector<std::int64_t> resend_ms;
+  std::thread daemon([&] {
+    const int fd = ::accept(listener, nullptr, nullptr);
+    if (fd < 0) return;
+    LineReader reader(fd);
+    std::string line;
+    const auto reply = [fd](const std::string& event, const std::string& id) {
+      const std::string reason =
+          event == "rejected" ? ", \"reason\": \"queue_full\", "
+                                "\"retry_after_ms\": " +
+                                    std::to_string(kHintMs)
+                              : "";
+      send_line(fd, "{\"event\": \"" + event + "\", \"id\": \"" + id + "\"" +
+                        reason + "}");
+    };
+    for (int j = 0; j <= kRejected; ++j) {
+      if (reader.read_line(kRecvMs, line) != RecvStatus::kLine) return;
+    }
+    for (int j = 0; j < kRejected; ++j) reply("rejected", job_id(j));
+    reply("queued", "a");
+    const auto queued = std::chrono::steady_clock::now();
+    for (int j = 0; j < kRejected; ++j) {
+      if (reader.read_line(kRecvMs, line) != RecvStatus::kLine) return;
+      resend_ms.push_back(
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              std::chrono::steady_clock::now() - queued)
+              .count());
+    }
+    reply("done", "a");
+    for (int j = 0; j < kRejected; ++j) {
+      reply("queued", job_id(j));
+      reply("done", job_id(j));
+    }
+    ::close(fd);
+  });
+
+  RetryPolicy policy;
+  policy.seed = 7;
+  policy.base_backoff_ms = kBaseMs;
+  policy.max_backoff_ms = 2000;
+  RetryingClient client([&path] { return LineClient::connect_unix(path); },
+                        policy);
+  ASSERT_TRUE(client.submit("a", "{\"op\": \"submit\", \"id\": \"a\"}"));
+  for (int j = 0; j < kRejected; ++j) {
+    ASSERT_TRUE(client.submit(
+        job_id(j), "{\"op\": \"submit\", \"id\": \"" + job_id(j) + "\"}"));
+  }
+  int done = 0;
+  while (done <= kRejected) {
+    const auto event = client.recv_event(kRecvMs);
+    ASSERT_TRUE(event.has_value());
+    if (event_kind(*event) == "done") ++done;
+  }
+  ::shutdown(listener, SHUT_RDWR);
+  daemon.join();
+  ::close(listener);
+  std::filesystem::remove(path);
+
+  ASSERT_EQ(resend_ms.size(), std::size_t{kRejected});
+  EXPECT_EQ(client.rejected_retries(), std::uint64_t{kRejected});
+  EXPECT_EQ(client.pending(), 0u);
+  // One base backoff plus room for a slow scheduler, far below kHintMs.
+  EXPECT_LT(resend_ms.back(), kBaseMs + 100);
+}
+
 #endif
 
 // ---------------------------------------------------------------------------

@@ -9,10 +9,13 @@
 //
 // The whole CLI body lives in the library (core/driver.hpp) so exit codes
 // and output are testable in-process; this main only installs the signal
-// handlers.  SIGINT/SIGTERM request a *graceful* stop: workers finish the
-// trials they are on (each is journaled if --checkpoint is armed), the
-// partial statistics are emitted, and the process exits 4.  See
-// docs/operations.md for the exit-code taxonomy and checkpoint format.
+// handlers.  A first SIGINT/SIGTERM requests a *graceful* stop: workers
+// finish the trials they are on (each is journaled if --checkpoint is
+// armed), the partial statistics are emitted, and the process exits 4.
+// A second one stops the process at once, by that signal's default
+// action, for a trial too long to wait for; a journaled campaign loses
+// only its in-flight trials.  See docs/operations.md for the exit-code
+// taxonomy and checkpoint format.
 
 #include <csignal>
 #include <iostream>
@@ -23,9 +26,15 @@
 
 namespace {
 
-extern "C" void request_graceful_stop(int /*signum*/) {
-  // Async-signal-safe: a lock-free atomic store, nothing else.
-  megflood::driver_cancel_flag().store(true, std::memory_order_relaxed);
+extern "C" void request_graceful_stop(int signum) {
+  // Async-signal-safe: a lock-free atomic exchange, then at most signal()
+  // and raise().  The raised signal stays blocked until this handler
+  // returns, and is then delivered under its default action.
+  if (megflood::driver_cancel_flag().exchange(true,
+                                               std::memory_order_relaxed)) {
+    std::signal(signum, SIG_DFL);
+    std::raise(signum);
+  }
 }
 
 }  // namespace
